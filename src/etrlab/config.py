@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .autodiff import ContractViolation
 from .objectives import ClipHigh, ClipStrategy, Elastic, Static
-from .tasks import FAMILIES, TaskSpec
+from .tasks import FAMILIES, TaskSpec, answer_length
 
 METHODS = ("grpo", "cliphigh", "etr", "etr-micro", "etr-macro", "etr-inverse")
 
@@ -235,6 +235,15 @@ def validate_config(cfg: TrainConfig, lines: dict[str, int] | None = None) -> No
             err("digitsum tasks need content_tokens >= 10", "suite", "content_tokens")
         if spec.family == "parity" and cfg.content_tokens < 2:
             err("parity tasks need content_tokens >= 2", "suite", "content_tokens")
+        # A rollout cut off before EOS is always wrong, so every reward and
+        # advantage of that task would be exactly zero signal.
+        if answer_length(spec) > cfg.max_response_len:
+            err(
+                f"{spec.label} answers take {answer_length(spec)} tokens, "
+                f"more than max_response_len = {cfg.max_response_len}",
+                "suite",
+                "max_response_len",
+            )
 
 
 def parse_config(text: str) -> TrainConfig:

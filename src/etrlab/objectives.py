@@ -31,7 +31,7 @@ from .autodiff import (
     sum_all,
 )
 from .groups import RolloutGroup, group_stats, DEFAULT_XI
-from .policy import PolicyLeaves, PolicyParams, mask_matrix, response_contexts
+from .policy import PolicyLeaves, PolicyParams, mask_matrix
 
 DIRECTIONS = ("standard", "inverse", "micro-only", "macro-only")
 
@@ -232,58 +232,64 @@ def prepare_batch(
     xi: float = DEFAULT_XI,
     temperature: float = 1.0,
 ) -> PreparedBatch:
-    """Flatten a batch of groups into per-token constants for the objective."""
+    """Flatten a batch of groups into per-token constants for the objective.
+
+    Advantages, pass rates and clip bands are per response, so they are
+    computed as per-response vectors and repeated over response lengths.
+    """
     if len(batch) == 0:
         raise ContractViolation("batch must contain at least one group")
     vocab = ref_params.vocab
-    ctx_parts, tgt_parts, mask_parts = [], [], []
-    old_parts, adv_parts, lo_parts, hi_parts, w_parts = [], [], [], [], []
-    eps_parts: list[np.ndarray] = []
-    group_slices = []
-    at = 0
-    n_groups = len(batch)
+    advantages, pass_rates, sizes, lengths, group_tokens = [], [], [], [], []
+    mask_tables, table_bases, pairs, targets, old_logprobs = [], [], [], [], []
+    table_rows = 0
     for group in batch:
         stats = group_stats(group.rewards, xi)
+        group_lengths = [len(resp) for resp in group.responses]
+        if min(group_lengths) == 0:
+            raise ContractViolation("cannot score an empty response")
         grammar = tasks_mod.response_grammar(group.prompt, vocab)
-        start = at
-        for resp, adv in zip(group.responses, stats.advantages):
-            toks = np.asarray(resp.tokens, dtype=np.int64)
-            length = toks.size
-            if length == 0:
-                raise ContractViolation("cannot score an empty response")
-            ctx_parts.append(
-                response_contexts(group.prompt.tokens, resp.tokens, ref_params.window, vocab.bos)
-            )
-            tgt_parts.append(toks)
-            mask_parts.append(mask_matrix(vocab.size, grammar, length))
-            old_parts.append(np.asarray(resp.logprobs, dtype=np.float64))
-            adv_parts.append(np.full(length, adv))
-            lo_i, hi_i = clip_bounds(strategy, adv, stats.pass_rate)
-            lo_parts.append(np.full(length, lo_i))
-            hi_parts.append(np.full(length, hi_i))
-            if isinstance(strategy, Elastic):
-                eps_parts.append(
-                    np.full(length, dynamic_epsilon(adv, stats.pass_rate, strategy))
-                )
-            w_parts.append(np.full(length, 1.0 / (n_groups * group.size * length)))
-            at += length
-        group_slices.append((start, at))
-    contexts = np.concatenate(ctx_parts, axis=0)
-    targets = np.concatenate(tgt_parts)
-    masks = np.concatenate(mask_parts, axis=0)
+        table = mask_matrix(vocab.size, grammar, max(group_lengths))
+        for resp in group.responses:
+            pairs.append((group.prompt.tokens, resp.tokens))
+            targets += resp.tokens
+            old_logprobs.append(resp.logprobs)
+        mask_tables.append(table)
+        table_bases += [table_rows] * group.size
+        table_rows += table.shape[0]
+        advantages.append(stats.advantages)
+        pass_rates.append(stats.pass_rate)
+        sizes.append(group.size)
+        lengths += group_lengths
+        group_tokens.append(sum(group_lengths))
+    lengths = np.asarray(lengths)
+    sizes = np.asarray(sizes)
+    adv = np.concatenate(advantages)
+    rate = np.repeat(pass_rates, sizes)
+    lo, hi = clip_bounds(strategy, adv, rate)
+    weights = 1.0 / (len(batch) * np.repeat(sizes, sizes) * lengths)
+    trace = None
+    if isinstance(strategy, Elastic):
+        trace = np.repeat(dynamic_epsilon(adv, rate, strategy), lengths)
+    contexts = policy_mod.stacked_contexts(pairs, ref_params.window, vocab.bos)
+    targets = np.asarray(targets, dtype=np.int64)
+    # Token t of a response reads row t of its group's grammar table.
+    position = np.arange(targets.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    masks = np.concatenate(mask_tables)[np.repeat(table_bases, lengths) + position]
     ref_lp = policy_mod.score_tokens(ref_params, contexts, targets, masks, temperature)
+    group_ends = np.cumsum(group_tokens).tolist()
     return PreparedBatch(
         contexts=contexts,
         targets=targets,
         masks=masks,
-        old_logprobs=np.concatenate(old_parts),
+        old_logprobs=np.concatenate(old_logprobs, dtype=np.float64),
         ref_logprobs=ref_lp,
-        advantages=np.concatenate(adv_parts),
-        lo=np.concatenate(lo_parts),
-        hi=np.concatenate(hi_parts),
-        weights=np.concatenate(w_parts),
-        epsilon_trace=np.concatenate(eps_parts) if eps_parts else None,
-        group_slices=group_slices,
+        advantages=np.repeat(adv, lengths),
+        lo=np.repeat(lo, lengths),
+        hi=np.repeat(hi, lengths),
+        weights=np.repeat(weights, lengths),
+        epsilon_trace=trace,
+        group_slices=list(zip([0] + group_ends[:-1], group_ends)),
         temperature=temperature,
     )
 

@@ -244,12 +244,11 @@ class SampledResponse:
         return len(self.tokens)
 
 
-def _sample_rows(lp_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    probs = np.exp(lp_rows)
+def _sample_rows(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF pick per row, one uniform draw per row."""
     cums = np.cumsum(probs, axis=1)
-    draws = rng.random(lp_rows.shape[0])
     idx = np.sum(cums < draws[:, None], axis=1)
-    return np.minimum(idx, lp_rows.shape[1] - 1)
+    return np.minimum(idx, probs.shape[1] - 1)
 
 
 def sample_sequence(
@@ -276,13 +275,109 @@ def sample_sequence(
         if position_masks is not None:
             logits = logits + mask_matrix(vocab.size, [position_masks[pos]], 1)[0]
         lp = _log_softmax_rows(logits[None, :])
-        tok = int(_sample_rows(lp, rng)[0])
+        tok = int(_sample_rows(np.exp(lp), rng.random(1))[0])
         tokens.append(tok)
         logprobs.append(float(lp[0, tok]))
         seq.append(tok)
         if tok == vocab.eos:
             break
     return SampledResponse(tuple(tokens), np.asarray(logprobs))
+
+
+def sample_groups(
+    params: PolicyParams,
+    prompts: Sequence[Sequence[int]],
+    n: int,
+    temperature: float,
+    rngs: Sequence[np.random.Generator],
+    position_masks: Sequence[PositionMasks | None] | None = None,
+    max_len: int = 64,
+    collect_entropy: bool = False,
+) -> tuple[list[list[SampledResponse]], list[float]]:
+    """Sample n responses to each of K prompts in lockstep.
+
+    All K * n rows share one forward pass per position. Group k draws
+    only from ``rngs[k]``: n uniforms per position while the group is
+    open, for every row whether or not it already finished, so its stream
+    consumption depends only on its own prompt and n, never on the other
+    groups. A group closes at its own budget (``max_len``, capped by the
+    length of its masks) or once all its rows emitted EOS. Returned
+    entropies cover positions whose mask allows at least two tokens; they
+    are group-major, and within a group position-major over the rows
+    still alive at that position.
+    """
+    k_groups = len(prompts)
+    if k_groups < 1:
+        raise ContractViolation("sampling needs at least one prompt")
+    if n < 1:
+        raise ContractViolation("group size must be at least 1")
+    if not temperature > 0.0:
+        raise ContractViolation("temperature must be positive")
+    if len(rngs) != k_groups:
+        raise ContractViolation("one generator per prompt is required")
+    if position_masks is None:
+        position_masks = [None] * k_groups
+    elif len(position_masks) != k_groups:
+        raise ContractViolation("one mask sequence per prompt is required")
+    vocab = params.vocab
+    v = vocab.size
+    budget_list = [max(0, max_len if m is None else min(max_len, len(m))) for m in position_masks]
+    budgets = np.asarray(budget_list)
+    horizon = max(budget_list)
+    # Mask rows and open-choice flags are built once per group, then read
+    # by position; positions past a group's budget are never used.
+    masks = np.zeros((k_groups, horizon, v))
+    open_choice = np.ones((k_groups, horizon), dtype=bool)
+    masked = False
+    for k, (m, b) in enumerate(zip(position_masks, budget_list)):
+        if m is not None and b > 0:
+            masks[k, :b] = mask_matrix(v, m, b)
+            open_choice[k, :b] = [len(tuple(m[p])) >= 2 for p in range(b)]
+            masked = True
+    rows = k_groups * n
+    heads = [pad_context(p, params.window, vocab.bos) for p in prompts]
+    contexts = np.repeat(np.stack(heads), n, axis=0)
+    tok_buf = np.zeros((rows, horizon), dtype=np.int64)
+    lp_buf = np.zeros((rows, horizon))
+    lengths = np.zeros(rows, dtype=np.int64)
+    alive = np.ones(rows, dtype=bool)
+    draws = np.zeros(rows)
+    row_index = np.arange(rows)
+    group_entropies: list[list[float]] = [[] for _ in range(k_groups)]
+    for pos in range(horizon):
+        alive &= np.repeat(pos < budgets, n)
+        open_groups = np.flatnonzero(alive.reshape(k_groups, n).any(axis=1))
+        if open_groups.size == 0:
+            break
+        logits = _forward_logits_rows(params, contexts) * (1.0 / temperature)
+        if masked:
+            logits = (logits.reshape(k_groups, n, v) + masks[:, pos, None, :]).reshape(rows, v)
+        lp = _log_softmax_rows(logits)
+        for k in open_groups:
+            draws[k * n : (k + 1) * n] = rngs[k].random(n)
+        probs = np.exp(lp)
+        picks = _sample_rows(probs, draws)
+        if collect_entropy:
+            h = -np.sum(probs * lp, axis=1)
+            for k in open_groups:
+                if open_choice[k, pos]:
+                    span = slice(k * n, (k + 1) * n)
+                    group_entropies[k].extend(h[span][alive[span]].tolist())
+        tok_buf[:, pos] = picks
+        lp_buf[:, pos] = lp[row_index, picks]
+        lengths += alive
+        alive &= picks != vocab.eos
+        contexts = np.concatenate([contexts[:, 1:], picks[:, None]], axis=1)
+    tok_rows = tok_buf.tolist()
+    sizes = lengths.tolist()
+    groups = [
+        [
+            SampledResponse(tuple(tok_rows[i][: sizes[i]]), lp_buf[i, : sizes[i]].copy())
+            for i in range(k * n, (k + 1) * n)
+        ]
+        for k in range(k_groups)
+    ]
+    return groups, [h for ent in group_entropies for h in ent]
 
 
 def sample_group(
@@ -297,60 +392,46 @@ def sample_group(
 ) -> tuple[list[SampledResponse], list[float]]:
     """Sample n responses to one prompt in lockstep from a single stream.
 
-    Per-step draws happen for every row whether or not it already
-    finished, so the stream consumption depends only on (prompt, n) and
-    not on which rows stopped early. Returned entropies cover positions
-    whose mask allows at least two tokens.
+    The one-prompt case of :func:`sample_groups`.
     """
-    if n < 1:
-        raise ContractViolation("group size must be at least 1")
-    if not temperature > 0.0:
-        raise ContractViolation("temperature must be positive")
-    vocab = params.vocab
-    contexts = np.tile(pad_context(prompt, params.window, vocab.bos), (n, 1))
-    budget = max_len if position_masks is None else min(max_len, len(position_masks))
-    tokens: list[list[int]] = [[] for _ in range(n)]
-    logprobs: list[list[float]] = [[] for _ in range(n)]
-    entropies: list[float] = []
-    alive = np.ones(n, dtype=bool)
-    for pos in range(budget):
-        logits = _forward_logits_rows(params, contexts) * (1.0 / temperature)
-        open_choice = True
-        if position_masks is not None:
-            row = mask_matrix(vocab.size, [position_masks[pos]], 1)[0]
-            logits = logits + row
-            open_choice = len(tuple(position_masks[pos])) >= 2
-        lp = _log_softmax_rows(logits)
-        picks = _sample_rows(lp, rng)
-        if collect_entropy and open_choice:
-            probs = np.exp(lp)
-            entropies.extend((-np.sum(probs * lp, axis=1))[alive].tolist())
-        for i in range(n):
-            if not alive[i]:
-                continue
-            tok = int(picks[i])
-            tokens[i].append(tok)
-            logprobs[i].append(float(lp[i, tok]))
-            if tok == vocab.eos:
-                alive[i] = False
-        contexts = np.concatenate([contexts[:, 1:], picks[:, None]], axis=1)
-        if not alive.any():
-            break
-    responses = [
-        SampledResponse(tuple(t), np.asarray(l)) for t, l in zip(tokens, logprobs)
-    ]
-    return responses, entropies
+    groups, entropies = sample_groups(
+        params,
+        [prompt],
+        n,
+        temperature,
+        [rng],
+        None if position_masks is None else [position_masks],
+        max_len,
+        collect_entropy,
+    )
+    return groups[0], entropies
+
+
+def stacked_contexts(
+    pairs: Sequence[tuple[Sequence[int], Sequence[int]]], window: int, bos: int
+) -> np.ndarray:
+    """Padded context rows for every position of every (prompt, tokens) pair.
+
+    Rows are stacked pair by pair; each is a window over the pair's
+    BOS-padded prompt and response.
+    """
+    flat: list[int] = []
+    row_starts: list[int] = []
+    for prompt, tokens in pairs:
+        at = len(flat) + len(prompt)
+        row_starts.extend(range(at, at + len(tokens)))
+        flat += [bos] * window
+        flat += prompt
+        flat += tokens
+    windows = np.lib.stride_tricks.sliding_window_view(np.asarray(flat, dtype=np.int64), window)
+    return windows[row_starts]
 
 
 def response_contexts(
     prompt: Sequence[int], tokens: Sequence[int], window: int, bos: int
 ) -> np.ndarray:
     """Padded context rows for scoring each response position."""
-    padded = [bos] * window + list(prompt) + list(tokens)
-    m = len(prompt)
-    return np.asarray(
-        [padded[m + j : m + j + window] for j in range(len(tokens))], dtype=np.int64
-    )
+    return stacked_contexts([(prompt, tokens)], window, bos)
 
 
 class PolicyLeaves:

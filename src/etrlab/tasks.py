@@ -89,18 +89,20 @@ def generate_prompt(spec: TaskSpec, vocab: Vocab, rng: np.random.Generator) -> P
     return Prompt(spec.family, spec.difficulty, payload, encode_payload(spec.family, payload, vocab))
 
 
+def answer_length(task: TaskSpec | Prompt) -> int:
+    """Tokens in a complete answer: the content slots, then EOS."""
+    return (1 if task.family == "parity" else task.difficulty) + 1
+
+
 def response_grammar(prompt: Prompt, vocab: Vocab) -> tuple[tuple[int, ...], ...]:
     """Legal token ids per response position: content slots, then EOS."""
     if prompt.family == "digitsum":
         content: tuple[int, ...] = tuple(range(10))
-        slots = prompt.difficulty
     elif prompt.family == "parity":
         content = (0, 1)
-        slots = 1
     else:
         content = vocab.content_ids()
-        slots = prompt.difficulty
-    return tuple([content] * slots + [(vocab.eos,)])
+    return tuple([content] * (answer_length(prompt) - 1) + [(vocab.eos,)])
 
 
 def verify(prompt: Prompt, tokens: Sequence[int], vocab: Vocab) -> bool:

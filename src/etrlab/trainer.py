@@ -25,7 +25,9 @@ from .config import (
     render_config,
     validate_config,
 )
-from .groups import RolloutGroup, group_stats
+# group_stats is unused here but stays importable: perfbench/layers.py
+# probes trainer.group_stats by name.
+from .groups import RolloutGroup, group_stats, pass_rate  # noqa: F401
 from .metrics import (
     StepMetrics,
     config_digest,
@@ -35,7 +37,7 @@ from .metrics import (
     write_metrics_csv,
 )
 from .objectives import ClipStrategy, LossBreakdown, evaluate_prepared, prepare_batch
-from .policy import PolicyParams, Vocab, init_params, sample_group
+from .policy import PolicyParams, Vocab, init_params, sample_group, sample_groups
 from .tasks import TaskSpec, generate_prompt, response_grammar, reward, sample_task, verify
 
 # Stream tag separating evaluation rng from (seed, step, group) rollout
@@ -134,28 +136,28 @@ def rollout_batch(
     """
     if step < 1:
         raise ContractViolation("step index starts at 1")
-    groups: list[RolloutGroup] = []
-    entropies: list[float] = []
-    lengths: list[int] = []
+    rngs, prompts, grammars = [], [], []
     for g in range(cfg.groups_per_step):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, step, g)))
-        spec = sample_task(cfg.suite, rng)
-        prompt = generate_prompt(spec, vocab, rng)
-        grammar = response_grammar(prompt, vocab)
-        responses, ent = sample_group(
-            params,
-            prompt.tokens,
-            cfg.group_size,
-            cfg.temperature,
-            rng,
-            position_masks=grammar,
-            max_len=cfg.max_response_len,
-            collect_entropy=True,
-        )
+        prompt = generate_prompt(sample_task(cfg.suite, rng), vocab, rng)
+        rngs.append(rng)
+        prompts.append(prompt)
+        grammars.append(response_grammar(prompt, vocab))
+    sampled, entropies = sample_groups(
+        params,
+        [prompt.tokens for prompt in prompts],
+        cfg.group_size,
+        cfg.temperature,
+        rngs,
+        position_masks=grammars,
+        max_len=cfg.max_response_len,
+        collect_entropy=True,
+    )
+    groups: list[RolloutGroup] = []
+    for prompt, responses in zip(prompts, sampled):
         rewards = np.asarray([reward(verify(prompt, r.tokens, vocab)) for r in responses])
         groups.append(RolloutGroup(prompt, tuple(responses), rewards))
-        entropies.extend(ent)
-        lengths.extend(len(r) for r in responses)
+    lengths = [len(r) for responses in sampled for r in responses]
     return groups, entropies, lengths
 
 
@@ -314,9 +316,7 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
                 clip_frac=breakdown.clip_fraction,
                 mean_eps=breakdown.mean_epsilon,
                 resp_len=float(np.mean(lengths)),
-                pass_rate=float(
-                    np.mean([group_stats(g.rewards, cfg.advantage_xi).pass_rate for g in batch])
-                ),
+                pass_rate=float(np.mean([pass_rate(g.rewards) for g in batch])),
                 evals=evals,
             )
         )

@@ -136,6 +136,24 @@ def test_cross_key_validation():
         validate_config(dataclasses.replace(TrainConfig(), method="nope"))
 
 
+def test_answers_longer_than_the_rollout_budget_rejected():
+    # copy:8 needs 8 content tokens plus EOS, one more than the default budget
+    with pytest.raises(ConfigError) as exc:
+        parse_config("seed = 2\nsuite = copy:8\n")
+    assert exc.value.line == 2
+    assert "max_response_len" in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
+        parse_config("suite = parity:1,digitsum:4\nmax_response_len = 4\n")
+    assert exc.value.line == 2
+    assert parse_config("suite = copy:7\n").suite == (TaskSpec("copy", 7),)
+    assert parse_config("suite = copy:8\nmax_response_len = 9\n").max_response_len == 9
+    assert parse_config("suite = parity:9\nmax_response_len = 2\n").max_response_len == 2
+    with pytest.raises(ConfigError):
+        parse_config("suite = parity:1\nmax_response_len = 1\n")
+    with pytest.raises(ConfigError):
+        apply_overrides(TrainConfig(), ["suite=digitsum:8"])
+
+
 @pytest.mark.parametrize(
     "line",
     [

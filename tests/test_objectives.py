@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from etrlab.autodiff import ContractViolation, Record
-from etrlab.groups import RolloutGroup
+from etrlab.groups import RolloutGroup, group_stats
 from etrlab.objectives import (
+    DIRECTIONS,
     ClipHigh,
     Elastic,
     Static,
@@ -16,18 +19,22 @@ from etrlab.objectives import (
     kl_to_reference,
     macro_adjustment,
     micro_adjustment,
+    PreparedBatch,
     prepare_batch,
     static_mismatch_report,
     theoretical_epsilon,
     token_surrogate,
 )
 from etrlab.policy import (
+    SampledResponse,
     Vocab,
     forward_logits,
     init_params,
     mask_matrix,
     pad_context,
+    response_contexts,
     sample_group,
+    score_tokens,
 )
 from etrlab.tasks import Prompt, encode_payload, response_grammar
 
@@ -312,6 +319,117 @@ def test_prepare_batch_contracts_and_weights():
         prepare_batch([], Static(0.2), params)
     with pytest.raises(ContractViolation):
         evaluate_prepared(prep, params, -0.5)
+
+
+def reference_prepare_batch(batch, strategy, ref_params, xi=1e-6, temperature=1.0):
+    """Per-response loop that builds every field token by token, kept as the reference."""
+    vocab = ref_params.vocab
+    ctx_parts, tgt_parts, mask_parts = [], [], []
+    old_parts, adv_parts, lo_parts, hi_parts, w_parts = [], [], [], [], []
+    eps_parts = []
+    group_slices = []
+    at = 0
+    for group in batch:
+        stats = group_stats(group.rewards, xi)
+        grammar = response_grammar(group.prompt, vocab)
+        start = at
+        for resp, adv in zip(group.responses, stats.advantages):
+            length = len(resp)
+            ctx_parts.append(
+                response_contexts(group.prompt.tokens, resp.tokens, ref_params.window, vocab.bos)
+            )
+            tgt_parts.append(np.asarray(resp.tokens, dtype=np.int64))
+            mask_parts.append(mask_matrix(vocab.size, grammar, length))
+            old_parts.append(np.asarray(resp.logprobs, dtype=np.float64))
+            adv_parts.append(np.full(length, adv))
+            lo_i, hi_i = clip_bounds(strategy, adv, stats.pass_rate)
+            lo_parts.append(np.full(length, lo_i))
+            hi_parts.append(np.full(length, hi_i))
+            if isinstance(strategy, Elastic):
+                eps_parts.append(np.full(length, dynamic_epsilon(adv, stats.pass_rate, strategy)))
+            w_parts.append(np.full(length, 1.0 / (len(batch) * group.size * length)))
+            at += length
+        group_slices.append((start, at))
+    contexts = np.concatenate(ctx_parts, axis=0)
+    targets = np.concatenate(tgt_parts)
+    masks = np.concatenate(mask_parts, axis=0)
+    return PreparedBatch(
+        contexts=contexts,
+        targets=targets,
+        masks=masks,
+        old_logprobs=np.concatenate(old_parts),
+        ref_logprobs=score_tokens(ref_params, contexts, targets, masks, temperature),
+        advantages=np.concatenate(adv_parts),
+        lo=np.concatenate(lo_parts),
+        hi=np.concatenate(hi_parts),
+        weights=np.concatenate(w_parts),
+        epsilon_trace=np.concatenate(eps_parts) if eps_parts else None,
+        group_slices=group_slices,
+        temperature=temperature,
+    )
+
+
+def uneven_batch(seed):
+    """Groups of three task families whose responses differ in length."""
+    rng = np.random.default_rng(seed)
+    batch = []
+    for family, payload, size in (
+        ("digitsum", (4,), 3),
+        ("copy", (2, 8, 5), 5),
+        ("parity", (1, 0), 4),
+        ("digitsum", (0,), 2),
+    ):
+        difficulty = len(payload) if family != "digitsum" else 3
+        prompt = Prompt(family, difficulty, payload, encode_payload(family, payload, VOCAB))
+        grammar = response_grammar(prompt, VOCAB)
+        responses = []
+        for _ in range(size):
+            length = int(rng.integers(1, len(grammar) + 1))
+            tokens = tuple(int(rng.choice(grammar[j])) for j in range(length))
+            responses.append(SampledResponse(tokens, -rng.exponential(size=length)))
+        rewards = rng.choice([-1.0, 1.0], size=size)
+        batch.append(RolloutGroup(prompt, tuple(responses), rewards))
+    return batch
+
+
+STRATEGIES = [Static(0.2), ClipHigh(0.2, 0.28)] + [
+    Elastic(0.2, 0.1, 0.15, direction) for direction in DIRECTIONS
+]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=repr)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prepare_batch_equals_per_response_reference(strategy, seed):
+    batch = uneven_batch(seed)
+    assert len({len(r) for g in batch for r in g.responses}) > 1
+    params = init_params(VOCAB, 3, 5, 7, seed, 0.4)
+    got = prepare_batch(batch, strategy, params, 1e-6, 0.8)
+    want = reference_prepare_batch(batch, strategy, params, 1e-6, 0.8)
+    for field in dataclasses.fields(PreparedBatch):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, field.name
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+def test_prepare_batch_rejects_empty_and_overlong_responses():
+    group, params = make_group([1.0, -1.0], seed=1)
+    empty = SampledResponse((), np.zeros(0))
+    with pytest.raises(ContractViolation):
+        prepare_batch(
+            [RolloutGroup(group.prompt, (group.responses[0], empty), group.rewards)],
+            Static(0.2),
+            params,
+        )
+    overlong = SampledResponse((1, 2, 3), np.zeros(3))
+    with pytest.raises(ContractViolation):
+        prepare_batch(
+            [RolloutGroup(group.prompt, (group.responses[0], overlong), group.rewards)],
+            Static(0.2),
+            params,
+        )
 
 
 def test_static_mismatch_report_cases():

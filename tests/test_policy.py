@@ -4,6 +4,8 @@ import pytest
 from etrlab.autodiff import ContractViolation, Record
 from etrlab.policy import (
     MASK_LOGIT,
+    _forward_logits_rows,
+    _log_softmax_rows,
     PolicyLeaves,
     PolicyParams,
     SampledResponse,
@@ -15,6 +17,7 @@ from etrlab.policy import (
     pad_context,
     response_contexts,
     sample_group,
+    sample_groups,
     sample_sequence,
     score_tokens,
     score_tokens_diff,
@@ -278,3 +281,132 @@ def test_entropy_bounds_hold_for_random_params():
     items = [(prompt, r.tokens, None) for r in group if len(r)]
     h = mean_token_entropy(p, items)
     assert 0.0 <= h <= np.log(VOCAB.size) + 1e-12
+
+
+def reference_sample_group(params, prompt, n, temperature, rng, position_masks=None, max_len=64):
+    """Row-by-row lockstep sampler for one prompt, kept as the reference."""
+    vocab = params.vocab
+    contexts = np.tile(pad_context(prompt, params.window, vocab.bos), (n, 1))
+    budget = max_len if position_masks is None else min(max_len, len(position_masks))
+    tokens = [[] for _ in range(n)]
+    logprobs = [[] for _ in range(n)]
+    entropies = []
+    alive = np.ones(n, dtype=bool)
+    for pos in range(budget):
+        logits = _forward_logits_rows(params, contexts) * (1.0 / temperature)
+        open_choice = True
+        if position_masks is not None:
+            logits = logits + mask_matrix(vocab.size, [position_masks[pos]], 1)[0]
+            open_choice = len(tuple(position_masks[pos])) >= 2
+        lp = _log_softmax_rows(logits)
+        cums = np.cumsum(np.exp(lp), axis=1)
+        draws = rng.random(n)
+        picks = np.minimum(np.sum(cums < draws[:, None], axis=1), vocab.size - 1)
+        if open_choice:
+            probs = np.exp(lp)
+            entropies.extend((-np.sum(probs * lp, axis=1))[alive].tolist())
+        for i in range(n):
+            if not alive[i]:
+                continue
+            tok = int(picks[i])
+            tokens[i].append(tok)
+            logprobs[i].append(float(lp[i, tok]))
+            if tok == vocab.eos:
+                alive[i] = False
+        contexts = np.concatenate([contexts[:, 1:], picks[:, None]], axis=1)
+        if not alive.any():
+            break
+    responses = [SampledResponse(tuple(t), np.asarray(l)) for t, l in zip(tokens, logprobs)]
+    return responses, entropies
+
+
+def assert_same_responses(got, want):
+    assert [r.tokens for r in got] == [r.tokens for r in want]
+    for a, b in zip(got, want):
+        assert a.logprobs.dtype == b.logprobs.dtype
+        assert a.logprobs.tobytes() == b.logprobs.tobytes()
+
+
+def eos_leaning_params(seed):
+    p = tiny_params(seed=seed, scale=0.5)
+    p.b_out[VOCAB.eos] += 1.5
+    return p
+
+
+# Mixed budgets: grammars of 2, 4 and 3 positions, a mask without EOS that
+# cuts its rows off at 2, a grammar that max_len = 6 cuts short, and
+# unmasked groups that run to max_len or stop once every row emitted EOS.
+BATCH_PROMPTS = [
+    ([VOCAB.sep, 3, VOCAB.sep], [(0, 1), (VOCAB.eos,)]),
+    ([5, 2, 8, VOCAB.sep], [VOCAB.content_ids()] * 3 + [(VOCAB.eos,)]),
+    ([1, 0, VOCAB.sep, VOCAB.sep], None),
+    ([3, VOCAB.sep], [VOCAB.content_ids()] * 2),
+    ([VOCAB.sep, 9, VOCAB.sep], [VOCAB.content_ids()] * 2 + [(VOCAB.eos,)]),
+    ([4, VOCAB.sep], None),
+    ([6, 1, 1, 5, 0, 2, 9, VOCAB.sep], [VOCAB.content_ids()] * 7 + [(VOCAB.eos,)]),
+    ([7, 7, VOCAB.sep], None),
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, len(BATCH_PROMPTS)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_sampler_equals_one_prompt_reference(k, seed):
+    p = eos_leaning_params(seed)
+    prompts = [pr for pr, _ in BATCH_PROMPTS[:k]]
+    masks = [m for _, m in BATCH_PROMPTS[:k]]
+    n, max_len, temperature = 4, 6, 0.9
+
+    def streams():
+        return [np.random.default_rng([seed, g]) for g in range(k)]
+
+    batched_rngs = streams()
+    groups, entropies = sample_groups(
+        p, prompts, n, temperature, batched_rngs, masks, max_len, collect_entropy=True
+    )
+    ref_rngs = streams()
+    one_rngs = streams()
+    want_entropies = []
+    for g in range(k):
+        want, ent = reference_sample_group(
+            p, prompts[g], n, temperature, ref_rngs[g], masks[g], max_len
+        )
+        one, one_ent = sample_group(
+            p, prompts[g], n, temperature, one_rngs[g], masks[g], max_len, collect_entropy=True
+        )
+        assert_same_responses(groups[g], want)
+        assert_same_responses(one, want)
+        assert one_ent == ent
+        want_entropies += ent
+        assert batched_rngs[g].bit_generator.state == ref_rngs[g].bit_generator.state
+        assert one_rngs[g].bit_generator.state == ref_rngs[g].bit_generator.state
+    assert entropies == want_entropies
+
+
+def test_batched_sampler_cases_are_exercised():
+    # The fixtures above must hit every stopping rule they claim to cover.
+    stops = set()
+    for seed in range(3):
+        p = eos_leaning_params(seed)
+        rngs = [np.random.default_rng([seed, g]) for g in range(len(BATCH_PROMPTS))]
+        groups, _ = sample_groups(
+            p, [pr for pr, _ in BATCH_PROMPTS], 4, 0.9, rngs, [m for _, m in BATCH_PROMPTS], 6
+        )
+        for (_, masks), group in zip(BATCH_PROMPTS, groups):
+            if masks is None:
+                lengths = [len(r) for r in group]
+                if max(lengths) < 6:
+                    stops.add("all rows at EOS")
+                if any(len(r) == 6 and r.tokens[-1] != VOCAB.eos for r in group):
+                    stops.add("max_len")
+    assert stops == {"all rows at EOS", "max_len"}
+
+
+def test_sample_groups_contracts():
+    p = tiny_params()
+    rng = np.random.default_rng(0)
+    with pytest.raises(ContractViolation):
+        sample_groups(p, [], 2, 1.0, [])
+    with pytest.raises(ContractViolation):
+        sample_groups(p, [[1], [2]], 2, 1.0, [rng])
+    with pytest.raises(ContractViolation):
+        sample_groups(p, [[1], [2]], 2, 1.0, [rng, rng], [None])

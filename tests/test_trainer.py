@@ -316,6 +316,14 @@ def test_compare_runs_cardinality_and_medians(tmp_path):
         compare_runs(cfg, [], [1])
 
 
+def test_compare_runs_results_do_not_depend_on_jobs():
+    cfg = tiny_cfg(steps=2, eval_every=2)
+    serial = compare_runs(cfg, ["grpo", "etr"], [1, 2], jobs=1)
+    parallel = compare_runs(cfg, ["grpo", "etr"], [1, 2], jobs=2)
+    assert parallel == serial
+    assert len({s.final_mean for s in serial} | {s.mean_clip_frac for s in serial}) > 1
+
+
 def test_gradient_check_single_variant():
     assert gradient_check("etr", seed=0) < 1e-4
     assert set(GRADCHECK_VARIANTS) == {
