@@ -240,7 +240,7 @@ def prepare_batch(
     if len(batch) == 0:
         raise ContractViolation("batch must contain at least one group")
     vocab = ref_params.vocab
-    advantages, pass_rates, sizes, lengths, group_tokens = [], [], [], [], []
+    advantages, pass_rates, sizes, lengths = [], [], [], []
     mask_tables, table_bases, pairs, targets, old_logprobs = [], [], [], [], []
     table_rows = 0
     for group in batch:
@@ -261,7 +261,6 @@ def prepare_batch(
         pass_rates.append(stats.pass_rate)
         sizes.append(group.size)
         lengths += group_lengths
-        group_tokens.append(sum(group_lengths))
     lengths = np.asarray(lengths)
     sizes = np.asarray(sizes)
     adv = np.concatenate(advantages)
@@ -277,7 +276,7 @@ def prepare_batch(
     position = np.arange(targets.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     masks = np.concatenate(mask_tables)[np.repeat(table_bases, lengths) + position]
     ref_lp = policy_mod.score_tokens(ref_params, contexts, targets, masks, temperature)
-    group_ends = np.cumsum(group_tokens).tolist()
+    group_ends = np.cumsum(lengths)[np.cumsum(sizes) - 1].tolist()
     return PreparedBatch(
         contexts=contexts,
         targets=targets,

@@ -321,22 +321,24 @@ def sample_groups(
         raise ContractViolation("one mask sequence per prompt is required")
     vocab = params.vocab
     v = vocab.size
-    budget_list = [max(0, max_len if m is None else min(max_len, len(m))) for m in position_masks]
-    budgets = np.asarray(budget_list)
-    horizon = max(budget_list)
-    # Mask rows and open-choice flags are built once per group, then read
-    # by position; positions past a group's budget are never used.
+    budgets = [max(0, max_len if m is None else min(max_len, len(m))) for m in position_masks]
+    horizon = max(budgets)
+    rows = k_groups * n
+    # Mask rows are built once per group and laid out per position and row,
+    # so each position adds one contiguous (rows, V) block. Rows of a
+    # group past its budget are never read.
     masks = np.zeros((k_groups, horizon, v))
-    open_choice = np.ones((k_groups, horizon), dtype=bool)
-    masked = False
-    for k, (m, b) in enumerate(zip(position_masks, budget_list)):
+    for k, (m, b) in enumerate(zip(position_masks, budgets)):
         if m is not None and b > 0:
             masks[k, :b] = mask_matrix(v, m, b)
-            open_choice[k, :b] = [len(tuple(m[p])) >= 2 for p in range(b)]
-            masked = True
-    rows = k_groups * n
-    heads = [pad_context(p, params.window, vocab.bos) for p in prompts]
-    contexts = np.repeat(np.stack(heads), n, axis=0)
+    row_masks = np.repeat(masks.transpose(1, 0, 2), n, axis=1)
+    if collect_entropy:
+        open_choice = [
+            [True] * b if m is None else [len(tuple(m[p])) >= 2 for p in range(b)]
+            for m, b in zip(position_masks, budgets)
+        ]
+    row_budgets = np.repeat(budgets, n)
+    contexts = np.repeat([pad_context(p, params.window, vocab.bos) for p in prompts], n, axis=0)
     tok_buf = np.zeros((rows, horizon), dtype=np.int64)
     lp_buf = np.zeros((rows, horizon))
     lengths = np.zeros(rows, dtype=np.int64)
@@ -345,13 +347,13 @@ def sample_groups(
     row_index = np.arange(rows)
     group_entropies: list[list[float]] = [[] for _ in range(k_groups)]
     for pos in range(horizon):
-        alive &= np.repeat(pos < budgets, n)
-        open_groups = np.flatnonzero(alive.reshape(k_groups, n).any(axis=1))
-        if open_groups.size == 0:
+        if pos in budgets:
+            alive &= pos < row_budgets
+        open_groups = np.flatnonzero(alive.reshape(k_groups, n).any(axis=1)).tolist()
+        if not open_groups:
             break
         logits = _forward_logits_rows(params, contexts) * (1.0 / temperature)
-        if masked:
-            logits = (logits.reshape(k_groups, n, v) + masks[:, pos, None, :]).reshape(rows, v)
+        logits += row_masks[pos]
         lp = _log_softmax_rows(logits)
         for k in open_groups:
             draws[k * n : (k + 1) * n] = rngs[k].random(n)
@@ -360,7 +362,7 @@ def sample_groups(
         if collect_entropy:
             h = -np.sum(probs * lp, axis=1)
             for k in open_groups:
-                if open_choice[k, pos]:
+                if open_choice[k][pos]:
                     span = slice(k * n, (k + 1) * n)
                     group_entropies[k].extend(h[span][alive[span]].tolist())
         tok_buf[:, pos] = picks
