@@ -327,11 +327,10 @@ def sample_groups(
     # Mask rows are built once per group and laid out per position and row,
     # so each position adds one contiguous (rows, V) block. Rows of a
     # group past its budget are never read.
-    masks = np.zeros((k_groups, horizon, v))
+    row_masks = np.zeros((horizon, rows, v))
     for k, (m, b) in enumerate(zip(position_masks, budgets)):
         if m is not None and b > 0:
-            masks[k, :b] = mask_matrix(v, m, b)
-    row_masks = np.repeat(masks.transpose(1, 0, 2), n, axis=1)
+            row_masks[:b, k * n : (k + 1) * n] = mask_matrix(v, m, b)[:, None, :]
     if collect_entropy:
         open_choice = [
             [True] * b if m is None else [len(tuple(m[p])) >= 2 for p in range(b)]

@@ -321,7 +321,6 @@ def test_compare_runs_results_do_not_depend_on_jobs():
     serial = compare_runs(cfg, ["grpo", "etr"], [1, 2], jobs=1)
     parallel = compare_runs(cfg, ["grpo", "etr"], [1, 2], jobs=2)
     assert parallel == serial
-    assert len({s.final_mean for s in serial} | {s.mean_clip_frac for s in serial}) > 1
 
 
 def test_gradient_check_single_variant():
