@@ -21,17 +21,9 @@ import numpy as np
 
 from . import policy as policy_mod
 from . import tasks as tasks_mod
-from .autodiff import (
-    ContractViolation,
-    Record,
-    Tensor,
-    clip_gated,
-    exp,
-    min_pair,
-    sum_all,
-)
+from .autodiff import ContractViolation, Tensor, clip_gated, exp, min_pair
 from .groups import RolloutGroup, group_stats, DEFAULT_XI
-from .policy import PolicyLeaves, PolicyParams, mask_matrix
+from .policy import PolicyParams, mask_matrix
 
 DIRECTIONS = ("standard", "inverse", "micro-only", "macro-only")
 
@@ -209,9 +201,15 @@ class LossBreakdown:
 
 @dataclass
 class PreparedBatch:
-    """Constant per-token arrays shared by every inner-epoch evaluation."""
+    """Constant per-token arrays shared by every inner-epoch evaluation.
+
+    ``distinct_contexts`` holds each context row once (``np.unique`` order)
+    and ``contexts[i] == distinct_contexts[distinct_index[i]]``.
+    """
 
     contexts: np.ndarray
+    distinct_contexts: np.ndarray
+    distinct_index: np.ndarray
     targets: np.ndarray
     masks: np.ndarray
     old_logprobs: np.ndarray
@@ -271,6 +269,7 @@ def prepare_batch(
     if isinstance(strategy, Elastic):
         trace = np.repeat(dynamic_epsilon(adv, rate, strategy), lengths)
     contexts = policy_mod.stacked_contexts(pairs, ref_params.window, vocab.bos)
+    distinct, index = np.unique(contexts, axis=0, return_inverse=True)
     targets = np.asarray(targets, dtype=np.int64)
     # Token t of a response reads row t of its group's grammar table.
     position = np.arange(targets.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -279,6 +278,8 @@ def prepare_batch(
     group_ends = np.cumsum(lengths)[np.cumsum(sizes) - 1].tolist()
     return PreparedBatch(
         contexts=contexts,
+        distinct_contexts=distinct,
+        distinct_index=index.reshape(-1),
         targets=targets,
         masks=masks,
         old_logprobs=np.concatenate(old_logprobs, dtype=np.float64),
@@ -299,30 +300,49 @@ def evaluate_prepared(
     kl_coef: float,
     with_grad: bool = False,
 ) -> LossBreakdown:
-    """Evaluate the clipped surrogate minus the KL penalty on a tape."""
+    """Evaluate the clipped surrogate minus the KL penalty, with its gradient.
+
+    The MLP runs once per distinct context; the mask, log-softmax and
+    target pick stay per token. The gradient is closed-form: per token,
+    d(total)/d(log-prob) is ``w * A * r`` where the unclipped branch is the
+    minimum (always so inside the band, where both branches are equal) and
+    zero where the clipped one is, minus ``kl_coef * w * (1 - u)``. It goes
+    back through the softmax, is summed per distinct context and
+    backpropagated through the MLP there.
+    """
     if kl_coef < 0.0:
         raise ContractViolation("kl_coef must be non-negative")
-    record = Record()
-    leaves = PolicyLeaves(record, params)
-    lp = policy_mod.score_tokens_diff(
-        leaves, prep.contexts, prep.targets, prep.masks, prep.temperature
-    )
-    ratio = exp(lp - prep.old_logprobs)
-    surrogate_tokens, clip_mask = token_surrogate(ratio, prep.advantages, prep.lo, prep.hi)
-    surrogate = sum_all(surrogate_tokens * prep.weights)
+    contexts = prep.distinct_contexts
+    if contexts.shape[0] == 1 < prep.targets.size:
+        # A one-row product takes BLAS's matrix-vector kernel, which rounds
+        # differently from the matrix-matrix kernel that scores full batches.
+        contexts = np.repeat(contexts, 2, axis=0)
+    x, hidden = policy_mod.hidden_rows(params, contexts)
+    logits = (hidden @ params.w_out + params.b_out)[prep.distinct_index]
+    lp_rows, lp = policy_mod.token_logprobs(logits, prep.targets, prep.masks, prep.temperature)
+    ratio = np.exp(lp - prep.old_logprobs)
+    unclipped_branch = ratio * prep.advantages
+    clipped_branch = np.clip(ratio, prep.lo, prep.hi) * prep.advantages
+    first = unclipped_branch <= clipped_branch
+    surrogate = np.sum(np.where(first, unclipped_branch, clipped_branch) * prep.weights)
     diff = prep.ref_logprobs - lp
-    kl_tokens = exp(diff) - diff - 1.0
-    kl = sum_all(kl_tokens * prep.weights)
+    u = np.exp(diff)
+    kl = np.sum((u - diff - 1.0) * prep.weights)
     total = surrogate - kl_coef * kl
     gradient = None
     if with_grad:
-        gradient = leaves.gradient_vector(record.backward(total))
+        d_lp = prep.weights * (prep.advantages * ratio * first - kl_coef * (1.0 - u))
+        d_rows = np.exp(lp_rows) * -d_lp[:, None]
+        d_rows[np.arange(d_lp.size), prep.targets] += d_lp
+        d_logits = np.zeros((contexts.shape[0], d_rows.shape[1]))
+        np.add.at(d_logits, prep.distinct_index, d_rows * (1.0 / prep.temperature))
+        gradient = policy_mod.logits_gradient(params, contexts, x, hidden, d_logits)
     trace = prep.epsilon_trace
     return LossBreakdown(
-        surrogate=surrogate.item(),
-        kl=kl.item(),
-        total=total.item(),
-        clipped_tokens=int(np.sum(clip_mask)),
+        surrogate=float(surrogate),
+        kl=float(kl),
+        total=float(total),
+        clipped_tokens=int(np.sum(clipped_branch < unclipped_branch)),
         total_tokens=int(prep.targets.size),
         mean_epsilon=None if trace is None else float(np.mean(trace)),
         epsilon_trace=trace,

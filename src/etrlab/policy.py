@@ -18,17 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (
-    ContractViolation,
-    Record,
-    Tensor,
-    gather_pairs,
-    matmul,
-    reshape,
-    softmax_logprobs,
-    take_rows,
-    tanh,
-)
+from . import autodiff
+from .autodiff import ContractViolation
 
 # Additive logit penalty for illegal tokens. Large enough that exp()
 # underflows to exactly 0.0 after max-subtraction, keeping masked
@@ -197,19 +188,56 @@ def forward_logits(params: PolicyParams, context: Sequence[int]) -> np.ndarray:
     return (hidden @ params.w_out + params.b_out)[0]
 
 
-def _forward_logits_rows(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
-    """Row-wise logits for a batch of padded contexts, shape (n, V)."""
+def hidden_rows(params: PolicyParams, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated context embeddings (n, W*D) and tanh activations (n, H)."""
     _check_ids(contexts, params.vocab.size)
     n = contexts.shape[0]
     x = params.embed[contexts.reshape(-1)].reshape(n, params.window * params.embed_dim)
-    hidden = np.tanh(x @ params.w_hidden + params.b_hidden)
+    return x, np.tanh(x @ params.w_hidden + params.b_hidden)
+
+
+def _forward_logits_rows(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
+    """Row-wise logits for a batch of padded contexts, shape (n, V)."""
+    _, hidden = hidden_rows(params, contexts)
     return hidden @ params.w_out + params.b_out
+
+
+def logits_gradient(
+    params: PolicyParams,
+    contexts: np.ndarray,
+    x: np.ndarray,
+    hidden: np.ndarray,
+    d_logits: np.ndarray,
+) -> np.ndarray:
+    """Flat parameter gradient of sum(d_logits * logits) over the given rows.
+
+    ``x`` and ``hidden`` are :func:`hidden_rows` of the same contexts. The
+    tanh derivative is looked up on :mod:`autodiff` at call time, so the
+    gradient check and this backward share one definition.
+    """
+    d_pre = autodiff._tanh_backward(hidden, d_logits @ params.w_out.T)
+    d_x = (d_pre @ params.w_hidden.T).reshape(-1, params.embed_dim)
+    # Scatter-add into embedding rows as a (V, n*W) one-hot product.
+    d_embed = (contexts.reshape(-1) == np.arange(params.vocab.size)[:, None]) @ d_x
+    parts = (d_embed, x.T @ d_pre, d_pre.sum(axis=0), hidden.T @ d_logits, d_logits.sum(axis=0))
+    return np.concatenate([part.ravel() for part in parts])
 
 
 def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
     peak = np.max(x, axis=-1, keepdims=True)
     shifted = x - peak
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def token_logprobs(
+    logits: np.ndarray, targets: np.ndarray, masks: np.ndarray | None, temperature: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row log-softmax of scaled, masked logits, and each row's target entry."""
+    scaled = logits * (1.0 / temperature)
+    if masks is not None:
+        scaled = scaled + masks
+    lp = _log_softmax_rows(scaled)
+    return lp, lp[np.arange(lp.shape[0]), np.asarray(targets, dtype=np.int64)]
 
 
 def mask_matrix(vocab_size: int, masks: PositionMasks | None, n_rows: int) -> np.ndarray:
@@ -435,51 +463,6 @@ def response_contexts(
     return stacked_contexts([(prompt, tokens)], window, bos)
 
 
-class PolicyLeaves:
-    """Policy parameters registered as leaves on an autodiff record."""
-
-    __slots__ = ("record", "embed", "w_hidden", "b_hidden", "w_out", "b_out", "window", "vocab")
-
-    def __init__(self, record: Record, params: PolicyParams):
-        self.record = record
-        self.window = params.window
-        self.vocab = params.vocab
-        for f in _PARAM_FIELDS:
-            setattr(self, f, record.leaf(getattr(params, f)))
-
-    def gradient_vector(self, grads: dict[int, np.ndarray]) -> np.ndarray:
-        parts = []
-        for f in _PARAM_FIELDS:
-            leaf = getattr(self, f)
-            g = grads.get(leaf.node)
-            parts.append(np.zeros(leaf.size) if g is None else g.ravel())
-        return np.concatenate(parts)
-
-
-def score_tokens_diff(
-    leaves: PolicyLeaves,
-    contexts: np.ndarray,
-    targets: np.ndarray,
-    masks: np.ndarray | None,
-    temperature: float = 1.0,
-) -> Tensor:
-    """Differentiable log-probabilities of target tokens, shape (T,)."""
-    n = contexts.shape[0]
-    d = leaves.embed.shape[1]
-    e = take_rows(leaves.embed, contexts.reshape(-1))
-    x = reshape(e, (n, leaves.window * d))
-    ones = np.ones((n, 1))
-    b_h = reshape(leaves.b_hidden, (1, leaves.b_hidden.size))
-    b_o = reshape(leaves.b_out, (1, leaves.b_out.size))
-    hidden = tanh(matmul(x, leaves.w_hidden) + matmul(ones, b_h))
-    logits = matmul(hidden, leaves.w_out) + matmul(ones, b_o)
-    scaled = logits * (1.0 / temperature)
-    if masks is not None:
-        scaled = scaled + masks
-    lp = softmax_logprobs(scaled, 1.0)
-    return gather_pairs(lp, np.arange(n), targets)
-
-
 def score_tokens(
     params: PolicyParams,
     contexts: np.ndarray,
@@ -487,12 +470,9 @@ def score_tokens(
     masks: np.ndarray | None,
     temperature: float = 1.0,
 ) -> np.ndarray:
-    """Plain-numpy twin of :func:`score_tokens_diff`."""
-    logits = _forward_logits_rows(params, contexts) * (1.0 / temperature)
-    if masks is not None:
-        logits = logits + masks
-    lp = _log_softmax_rows(logits)
-    return lp[np.arange(contexts.shape[0]), np.asarray(targets, dtype=np.int64)]
+    """Log-probabilities of target tokens under the masked policy, shape (T,)."""
+    _, picked = token_logprobs(_forward_logits_rows(params, contexts), targets, masks, temperature)
+    return picked
 
 
 def sequence_logprobs(

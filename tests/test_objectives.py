@@ -3,7 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from etrlab.autodiff import ContractViolation, Record
+from etrlab.autodiff import (
+    ContractViolation,
+    Record,
+    exp,
+    gather_pairs,
+    matmul,
+    reshape,
+    softmax_logprobs,
+    sum_all,
+    take_rows,
+    tanh,
+)
+from etrlab.config import TrainConfig
 from etrlab.groups import RolloutGroup, group_stats
 from etrlab.objectives import (
     DIRECTIONS,
@@ -26,6 +38,7 @@ from etrlab.objectives import (
     token_surrogate,
 )
 from etrlab.policy import (
+    PolicyParams,
     SampledResponse,
     Vocab,
     forward_logits,
@@ -37,6 +50,7 @@ from etrlab.policy import (
     score_tokens,
 )
 from etrlab.tasks import Prompt, encode_payload, response_grammar
+from etrlab.trainer import OptimizerState, TrainingDiverged, train_step
 
 VOCAB = Vocab()
 
@@ -353,8 +367,11 @@ def reference_prepare_batch(batch, strategy, ref_params, xi=1e-6, temperature=1.
     contexts = np.concatenate(ctx_parts, axis=0)
     targets = np.concatenate(tgt_parts)
     masks = np.concatenate(mask_parts, axis=0)
+    distinct, index = np.unique(contexts, axis=0, return_inverse=True)
     return PreparedBatch(
         contexts=contexts,
+        distinct_contexts=distinct,
+        distinct_index=index.reshape(-1),
         targets=targets,
         masks=masks,
         old_logprobs=np.concatenate(old_parts),
@@ -412,6 +429,164 @@ def test_prepare_batch_equals_per_response_reference(strategy, seed):
             assert np.array_equal(a, b), field.name
         else:
             assert a == b, field.name
+
+
+class PolicyLeaves:
+    """Policy parameters registered as leaves on an autodiff record."""
+
+    FIELDS = ("embed", "w_hidden", "b_hidden", "w_out", "b_out")
+
+    def __init__(self, record, params):
+        self.window = params.window
+        for f in self.FIELDS:
+            setattr(self, f, record.leaf(getattr(params, f)))
+
+    def gradient_vector(self, grads):
+        parts = []
+        for f in self.FIELDS:
+            leaf = getattr(self, f)
+            g = grads.get(leaf.node)
+            parts.append(np.zeros(leaf.size) if g is None else g.ravel())
+        return np.concatenate(parts)
+
+
+def score_tokens_diff(leaves, contexts, targets, masks, temperature=1.0):
+    """Differentiable log-probabilities of target tokens on the tape, shape (T,)."""
+    n = contexts.shape[0]
+    d = leaves.embed.shape[1]
+    e = take_rows(leaves.embed, contexts.reshape(-1))
+    x = reshape(e, (n, leaves.window * d))
+    ones = np.ones((n, 1))
+    b_h = reshape(leaves.b_hidden, (1, leaves.b_hidden.size))
+    b_o = reshape(leaves.b_out, (1, leaves.b_out.size))
+    hidden = tanh(matmul(x, leaves.w_hidden) + matmul(ones, b_h))
+    logits = matmul(hidden, leaves.w_out) + matmul(ones, b_o)
+    scaled = logits * (1.0 / temperature)
+    if masks is not None:
+        scaled = scaled + masks
+    lp = softmax_logprobs(scaled, 1.0)
+    return gather_pairs(lp, np.arange(n), targets)
+
+
+def tape_evaluate(prep, params, kl_coef):
+    """The objective and its gradient on the autodiff tape, every token row by row.
+
+    Kept as the reference for the closed-form :func:`evaluate_prepared`.
+    """
+    record = Record()
+    leaves = PolicyLeaves(record, params)
+    lp = score_tokens_diff(leaves, prep.contexts, prep.targets, prep.masks, prep.temperature)
+    ratio = exp(lp - prep.old_logprobs)
+    surrogate_tokens, clip_mask = token_surrogate(ratio, prep.advantages, prep.lo, prep.hi)
+    surrogate = sum_all(surrogate_tokens * prep.weights)
+    diff = prep.ref_logprobs - lp
+    kl = sum_all((exp(diff) - diff - 1.0) * prep.weights)
+    total = surrogate - kl_coef * kl
+    gradient = leaves.gradient_vector(record.backward(total))
+    return total.item(), surrogate.item(), kl.item(), int(np.sum(clip_mask)), gradient
+
+
+def test_tape_scorer_matches_plain_scorer():
+    p = init_params(VOCAB, 4, 16, 64, 8, 0.1)
+    prompt = [VOCAB.sep, 4, VOCAB.sep]
+    tokens = [2, 9, VOCAB.eos]
+    masks = mask_matrix(VOCAB.size, [VOCAB.content_ids()] * 2 + [(VOCAB.eos,)], 3)
+    contexts = response_contexts(prompt, tokens, p.window, VOCAB.bos)
+    targets = np.asarray(tokens)
+    rec = Record()
+    leaves = PolicyLeaves(rec, p)
+    diff = score_tokens_diff(leaves, contexts, targets, masks)
+    plain = score_tokens(p, contexts, targets, masks)
+    np.testing.assert_allclose(diff.data, plain, rtol=0, atol=1e-12)
+    vec = leaves.gradient_vector(rec.backward(diff.sum()))
+    assert vec.shape == (p.param_count,)
+    assert np.any(vec != 0.0)
+
+
+def moved(params, seed, sigma=0.3):
+    """A copy of the parameters perturbed off the sampling policy."""
+    noise = np.random.default_rng(seed).normal(0.0, sigma, params.param_count)
+    return PolicyParams.from_vector(
+        params.vocab, params.window, params.embed_dim, params.hidden_dim,
+        params.to_vector() + noise,
+    )
+
+
+def assert_matches_tape(prep, params, kl_coef):
+    got = evaluate_prepared(prep, params, kl_coef, with_grad=True)
+    total, surrogate, kl, clipped, gradient = tape_evaluate(prep, params, kl_coef)
+    assert got.total == total
+    assert got.surrogate == surrogate
+    assert got.kl == kl
+    assert got.clipped_tokens == clipped
+    scale = np.max(np.abs(gradient))
+    assert scale > 0.0
+    assert np.max(np.abs(got.gradient - gradient)) <= 1e-12 * scale
+    return got
+
+
+@pytest.mark.parametrize("kl_coef", [0.0, 0.001])
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=repr)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_closed_form_objective_matches_tape(strategy, seed, kl_coef):
+    batch = uneven_batch(seed)
+    params = init_params(VOCAB, 3, 5, 7, seed, 0.4)
+    prep = prepare_batch(batch, strategy, params, 1e-6, 0.8)
+    assert prep.distinct_contexts.shape[0] < prep.targets.size
+    got = assert_matches_tape(prep, moved(params, seed), kl_coef)
+    # Both clip branches fire: some tokens clipped, some inside the band.
+    assert 0 < got.clipped_tokens < got.total_tokens
+
+
+def test_closed_form_matches_tape_on_all_distinct_contexts():
+    # Responses of a group share their first context, so keep the first
+    # token row of each distinct context to get a batch without repeats.
+    params = init_params(VOCAB, 3, 5, 7, 3, 0.4)
+    full = prepare_batch(uneven_batch(3), Elastic(0.2, 0.1, 0.15), params, 1e-6, 0.8)
+    keep = np.sort(np.unique(full.contexts, axis=0, return_index=True)[1])
+    per_token = (
+        "contexts", "targets", "masks", "old_logprobs", "ref_logprobs",
+        "advantages", "lo", "hi", "weights", "epsilon_trace",
+    )
+    prep = dataclasses.replace(
+        full,
+        **{name: getattr(full, name)[keep] for name in per_token},
+        distinct_contexts=full.contexts[keep],
+        distinct_index=np.arange(keep.size),
+        group_slices=[(0, keep.size)],
+    )
+    assert len(np.unique(prep.contexts, axis=0)) == prep.targets.size > 2
+    assert_matches_tape(prep, moved(params, 3), 0.001)
+
+
+def test_closed_form_matches_tape_on_one_shared_context():
+    prompt = Prompt("parity", 1, (1,), encode_payload("parity", (1,), VOCAB))
+    responses = tuple(SampledResponse((t,), np.asarray([-0.7])) for t in (0, 1, 0))
+    group = RolloutGroup(prompt, responses, np.asarray([1.0, -1.0, 1.0]))
+    params = init_params(VOCAB, 3, 5, 7, 4, 0.4)
+    prep = prepare_batch([group], Static(0.2), params)
+    assert prep.distinct_contexts.shape[0] == 1 < prep.targets.size
+    assert_matches_tape(prep, moved(params, 4), 0.001)
+
+
+def test_non_finite_objective_raises_training_diverged():
+    batch = uneven_batch(0)
+    params = init_params(VOCAB, 3, 5, 7, 0, 0.4)
+    cfg = dataclasses.replace(
+        TrainConfig(), method="grpo", inner_epochs=1, context_window=3, embed_dim=5, hidden_dim=7
+    )
+    broken = params.copy()
+    broken.w_out[0, 0] = np.nan
+    with pytest.raises(TrainingDiverged):
+        train_step(broken, params, OptimizerState.zeros(params.param_count), batch, cfg)
+    # An overflowing ratio in the third group is located and reported.
+    responses = list(batch[2].responses)
+    first = responses[0]
+    responses[0] = SampledResponse(first.tokens, np.full(len(first), -1e6))
+    batch[2] = RolloutGroup(batch[2].prompt, tuple(responses), batch[2].rewards)
+    with pytest.raises(TrainingDiverged) as caught:
+        train_step(params.copy(), params, OptimizerState.zeros(params.param_count), batch, cfg)
+    assert caught.value.group_index == 2
 
 
 def test_prepare_batch_rejects_empty_and_overlong_responses():

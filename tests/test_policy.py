@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from etrlab.autodiff import ContractViolation, Record
+from etrlab.autodiff import ContractViolation
 from etrlab.policy import (
     MASK_LOGIT,
     _forward_logits_rows,
     _log_softmax_rows,
-    PolicyLeaves,
     PolicyParams,
     SampledResponse,
     Vocab,
@@ -20,7 +19,6 @@ from etrlab.policy import (
     sample_groups,
     sample_sequence,
     score_tokens,
-    score_tokens_diff,
     sequence_logprobs,
 )
 
@@ -226,24 +224,6 @@ def test_chain_rule_matches_brute_force_two_token_vocab():
 def test_response_contexts_layout():
     rows = response_contexts([12, 7, 12], [3, 4, 11], 4, VOCAB.bos)
     assert rows.tolist() == [[10, 12, 7, 12], [12, 7, 12, 3], [7, 12, 3, 4]]
-
-
-def test_score_tokens_diff_matches_plain_scorer():
-    p = tiny_params(seed=8)
-    prompt = [VOCAB.sep, 4, VOCAB.sep]
-    tokens = [2, 9, VOCAB.eos]
-    masks = mask_matrix(VOCAB.size, [VOCAB.content_ids()] * 2 + [(VOCAB.eos,)], 3)
-    contexts = response_contexts(prompt, tokens, p.window, VOCAB.bos)
-    targets = np.asarray(tokens)
-    rec = Record()
-    leaves = PolicyLeaves(rec, p)
-    diff = score_tokens_diff(leaves, contexts, targets, masks)
-    plain = score_tokens(p, contexts, targets, masks)
-    np.testing.assert_allclose(diff.data, plain, rtol=0, atol=1e-12)
-    grads = rec.backward(diff.sum())
-    vec = leaves.gradient_vector(grads)
-    assert vec.shape == (p.param_count,)
-    assert np.any(vec != 0.0)
 
 
 def test_entropy_uniform_and_deterministic_mixture():
