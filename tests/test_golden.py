@@ -48,31 +48,31 @@ def run_digests(cfg, out_dir):
 GOLDEN = {
     ("grpo", "parity:2,digitsum:1"): (
         "25a4c90ee9be1689680167c5cd1dffcc51ee01796be82a5879c8d6c05d9353a1",
-        "b727a7f1cafc11ec5a81d1f2a18c8aa2b6eaceb460ddd68de326f2f313f43983",
+        "9b3c90d9f7d589a4218c0d2e99626e2330b2e60755ea3a0e4a71ceaf4e791c5d",
     ),
     ("cliphigh", "parity:2,digitsum:1"): (
         "7d509f314d1f7b9584bf1a5364c4e7133e29239e0b10c5a2f168e341cba91444",
-        "defaf34614d6b0159c11399aebdfa2c51c207893ac48f84e4c1a00793289cc50",
+        "c4637e4c946e8ddd0362209b4ee310e34807ef74314f8ec6b32bd7584ed25a9d",
     ),
     ("etr", "parity:2,digitsum:1"): (
         "6039e8f64365cb0cee4c26447d3d15bfd45f11c6cad69ae9152eaf37eaf1fa88",
-        "9d54fc1503ef97a6887c20a1d6b12609c65cb48c491ca51f3ceae0e48d983c56",
+        "4972a05165743a085f5e455b9e04deae4faeaedaa08ea42698e1855f8ba560f2",
     ),
     ("etr-micro", "parity:2,digitsum:1"): (
         "f0ee3d120d607d235e55c8e693eacb5f9dd2aa64d473992aa74a476d02f8465e",
-        "a3789787e0a6bdc22e7933fff1f5f68f9ed5bf861484cf39556adbd6916389a6",
+        "a6a062dd4bf639f4edbf446edc49db2cc01858d542c66518fd12173493455e77",
     ),
     ("etr-macro", "parity:2,digitsum:1"): (
         "5c439a098e24270ce6fd46e89d368977cc2db71c7457e0b45bdc4f889a12ee2a",
-        "ebd0fdb271c491e8865fd0e611dec0fa52dec9ac2031e1e8184f31eedb37496f",
+        "d0e88378981aa68282c749a1c5e6eb077c7ab6899272ddec49f791cf6744cf07",
     ),
     ("etr-inverse", "parity:2,digitsum:1"): (
         "012a8a1f169ce146fa28f79b9855c0ddf090297fb1338f4473cf13d591c6839e",
-        "cd5dd25e6396986d74b376ed24f1093a119d030d67ffae300d93b4ff464f5caf",
+        "a60f3a9bac9789224598fb3771702daf0736a90a1b60f7aeebad911a48f24c02",
     ),
     ("etr", "parity:1,digitsum:2,copy:1"): (
         "d2154835f98367f3ad263a395971fd8f76a9eec9e1c6d61fff5154c4d1f1563c",
-        "ccedec66385f51a1ed9be03ecd3579ee0a6144ea2f39b11878a20150f2ebe564",
+        "5c3ebd664a72e45e3fc5e3cff78f0d3250d10d4414218dee626311ed5d03df53",
     ),
 }
 
