@@ -20,6 +20,7 @@ from .metrics import (
     CheckpointFormatError,
     config_digest,
     load_checkpoint,
+    write_atomic,
 )
 from .objectives import kl_cubic_bound, kl_quadratic_residual, theoretical_epsilon
 from .policy import PolicyParams, Vocab
@@ -129,7 +130,7 @@ def cmd_compare(args) -> int:
         )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(out / "summary.csv", ("\n".join(lines) + "\n").encode("utf-8"))
     print("medians across seeds:")
     for line in lines:
         print("  " + line)

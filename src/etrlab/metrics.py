@@ -2,11 +2,14 @@
 
 All writers are deterministic: the same log produces byte-identical
 files. Numbers in the CSV are rendered with nine significant digits.
+Every file is written atomically, so an interrupted write leaves the
+previous version in place.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -51,6 +54,21 @@ class StepMetrics:
     evals: dict[str, tuple[float, float]] | None = field(default=None)
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` via a temp file in the same directory.
+
+    ``os.replace`` swaps the file in one step, so readers see either the
+    old bytes or the new ones. On failure the temp file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
@@ -88,7 +106,7 @@ def write_metrics_csv(log: Sequence[StepMetrics], path, labels: Sequence[str]) -
                 mean_n, best_n = m.evals[label]
                 cells.extend((_fmt(mean_n), _fmt(best_n)))
         rows.append(",".join(cells))
-    Path(path).write_bytes(("\n".join(rows) + "\n").encode("utf-8"))
+    write_atomic(path, ("\n".join(rows) + "\n").encode("utf-8"))
 
 
 _PALETTE = ("#1f6fb4", "#d45500", "#2b8a3e", "#a01a7d", "#6a4c93", "#b3861a")
@@ -194,7 +212,7 @@ def render_lineplot(
             f'font-family="sans-serif" font-size="11">{escape(str(name))}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
+    write_atomic(path, ("\n".join(parts) + "\n").encode("utf-8"))
 
 
 def _fmt_tick(x: float) -> str:
@@ -255,7 +273,7 @@ def save_checkpoint(
             bytes(digest),
         )
     )
-    Path(path).write_bytes(blob)
+    write_atomic(path, blob)
 
 
 def load_checkpoint(path, expected_digest: bytes | None = None, strict: bool = False) -> Checkpoint:

@@ -34,6 +34,7 @@ from .metrics import (
     render_lineplot,
     save_checkpoint,
     suite_labels,
+    write_atomic,
     write_metrics_csv,
 )
 from .objectives import ClipStrategy, LossBreakdown, evaluate_prepared, prepare_batch
@@ -328,7 +329,7 @@ def write_run_artifacts(result: TrainingResult, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = result.config
-    (out / "config.txt").write_text(render_config(cfg), encoding="utf-8")
+    write_atomic(out / "config.txt", render_config(cfg).encode("utf-8"))
     labels = suite_labels(cfg.suite)
     write_metrics_csv(result.metrics, out / "metrics.csv", labels)
     log = result.metrics

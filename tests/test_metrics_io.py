@@ -1,3 +1,4 @@
+import os
 import warnings
 from xml.dom import minidom
 
@@ -18,6 +19,7 @@ from etrlab.metrics import (
     render_lineplot,
     save_checkpoint,
     suite_labels,
+    write_atomic,
     write_metrics_csv,
 )
 
@@ -224,3 +226,37 @@ def test_config_digest_tracks_content():
     assert config_digest(TrainConfig()) == config_digest(TrainConfig())
     assert config_digest(TrainConfig()) != config_digest(TrainConfig(steps=299))
     assert len(config_digest(TrainConfig())) == 32
+
+
+ATOMIC_WRITERS = {
+    "bytes": lambda path: write_atomic(path, b"new bytes\n"),
+    "csv": lambda path: write_metrics_csv(sample_log(), path, ["parity2"]),
+    "svg": lambda path: render_lineplot([("a", [1, 2], [0.5, 0.25])], path),
+    "checkpoint": lambda path: save_checkpoint(
+        path, np.ones(3), np.zeros(3), np.zeros(3), 1, bytes(32)
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(ATOMIC_WRITERS))
+def test_failed_replace_keeps_previous_file_and_no_temp(writer, tmp_path, monkeypatch):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"previous contents")
+
+    def boom(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", boom)
+    with pytest.raises(OSError, match="replace failed"):
+        ATOMIC_WRITERS[writer](path)
+    assert path.read_bytes() == b"previous contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
+
+
+@pytest.mark.parametrize("writer", sorted(ATOMIC_WRITERS))
+def test_atomic_writers_replace_previous_file(writer, tmp_path):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"previous contents")
+    ATOMIC_WRITERS[writer](path)
+    assert path.read_bytes() != b"previous contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
