@@ -223,6 +223,21 @@ class PreparedBatch:
     temperature: float
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)``, as a lexsort.
+
+    Same table, order and index; ``np.unique`` sorts the rows as structured
+    records, which takes about eight times as long on a batch of contexts.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    index = np.empty(len(rows), dtype=np.int64)
+    index[order] = np.cumsum(new) - 1
+    return ranked[new], index
+
+
 def prepare_batch(
     batch: Sequence[RolloutGroup],
     strategy: ClipStrategy,
@@ -269,7 +284,7 @@ def prepare_batch(
     if isinstance(strategy, Elastic):
         trace = np.repeat(dynamic_epsilon(adv, rate, strategy), lengths)
     contexts = policy_mod.stacked_contexts(pairs, ref_params.window, vocab.bos)
-    distinct, index = np.unique(contexts, axis=0, return_inverse=True)
+    distinct, index = _distinct_rows(contexts)
     targets = np.asarray(targets, dtype=np.int64)
     # Token t of a response reads row t of its group's grammar table.
     position = np.arange(targets.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -279,7 +294,7 @@ def prepare_batch(
     return PreparedBatch(
         contexts=contexts,
         distinct_contexts=distinct,
-        distinct_index=index.reshape(-1),
+        distinct_index=index,
         targets=targets,
         masks=masks,
         old_logprobs=np.concatenate(old_logprobs, dtype=np.float64),
