@@ -238,6 +238,20 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[new], index
 
 
+def _distinct_forward(params: PolicyParams, distinct: np.ndarray, n_rows: int):
+    """The MLP on each distinct context: (contexts, x, hidden, logits).
+
+    When a batch of several rows has a single distinct context, the
+    returned contexts hold it twice (the copy maps to no token): a one-row
+    product takes BLAS's matrix-vector kernel, which rounds differently
+    from the matrix-matrix kernel that scores full batches.
+    """
+    if distinct.shape[0] == 1 < n_rows:
+        distinct = np.repeat(distinct, 2, axis=0)
+    x, hidden = policy_mod.hidden_rows(params, distinct)
+    return distinct, x, hidden, hidden @ params.w_out + params.b_out
+
+
 def prepare_batch(
     batch: Sequence[RolloutGroup],
     strategy: ClipStrategy,
@@ -289,7 +303,8 @@ def prepare_batch(
     # Token t of a response reads row t of its group's grammar table.
     position = np.arange(targets.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     masks = np.concatenate(mask_tables)[np.repeat(table_bases, lengths) + position]
-    ref_lp = policy_mod.score_tokens(ref_params, contexts, targets, masks, temperature)
+    *_, ref_logits = _distinct_forward(ref_params, distinct, targets.size)
+    _, ref_lp = policy_mod.token_logprobs(ref_logits[index], targets, masks, temperature)
     group_ends = np.cumsum(lengths)[np.cumsum(sizes) - 1].tolist()
     return PreparedBatch(
         contexts=contexts,
@@ -327,14 +342,12 @@ def evaluate_prepared(
     """
     if kl_coef < 0.0:
         raise ContractViolation("kl_coef must be non-negative")
-    contexts = prep.distinct_contexts
-    if contexts.shape[0] == 1 < prep.targets.size:
-        # A one-row product takes BLAS's matrix-vector kernel, which rounds
-        # differently from the matrix-matrix kernel that scores full batches.
-        contexts = np.repeat(contexts, 2, axis=0)
-    x, hidden = policy_mod.hidden_rows(params, contexts)
-    logits = (hidden @ params.w_out + params.b_out)[prep.distinct_index]
-    lp_rows, lp = policy_mod.token_logprobs(logits, prep.targets, prep.masks, prep.temperature)
+    contexts, x, hidden, logits = _distinct_forward(
+        params, prep.distinct_contexts, prep.targets.size
+    )
+    lp_rows, lp = policy_mod.token_logprobs(
+        logits[prep.distinct_index], prep.targets, prep.masks, prep.temperature
+    )
     ratio = np.exp(lp - prep.old_logprobs)
     unclipped_branch = ratio * prep.advantages
     clipped_branch = np.clip(ratio, prep.lo, prep.hi) * prep.advantages
@@ -349,7 +362,7 @@ def evaluate_prepared(
         d_lp = prep.weights * (prep.advantages * ratio * first - kl_coef * (1.0 - u))
         d_rows = np.exp(lp_rows) * -d_lp[:, None]
         d_rows[np.arange(d_lp.size), prep.targets] += d_lp
-        d_logits = np.zeros((contexts.shape[0], d_rows.shape[1]))
+        d_logits = np.zeros_like(logits)
         np.add.at(d_logits, prep.distinct_index, d_rows * (1.0 / prep.temperature))
         gradient = policy_mod.logits_gradient(params, contexts, x, hidden, d_logits)
     trace = prep.epsilon_trace

@@ -566,6 +566,8 @@ def test_closed_form_matches_tape_on_one_shared_context():
     params = init_params(VOCAB, 3, 5, 7, 4, 0.4)
     prep = prepare_batch([group], Static(0.2), params)
     assert prep.distinct_contexts.shape[0] == 1 < prep.targets.size
+    want = score_tokens(params, prep.contexts, prep.targets, prep.masks)
+    assert np.array_equal(prep.ref_logprobs, want)
     assert_matches_tape(prep, moved(params, 4), 0.001)
 
 
