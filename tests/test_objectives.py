@@ -581,11 +581,13 @@ def test_non_finite_objective_raises_training_diverged():
     broken.w_out[0, 0] = np.nan
     with pytest.raises(TrainingDiverged):
         train_step(broken, params, OptimizerState.zeros(params.param_count), batch, cfg)
-    # An overflowing ratio in the third group is located and reported.
+    # A ratio that overflows on a negative-advantage response of the third
+    # group drives the surrogate to -inf; the group is located and reported.
     responses = list(batch[2].responses)
     first = responses[0]
     responses[0] = SampledResponse(first.tokens, np.full(len(first), -1e6))
-    batch[2] = RolloutGroup(batch[2].prompt, tuple(responses), batch[2].rewards)
+    rewards = np.asarray([-1.0, 1.0, 1.0, 1.0])
+    batch[2] = RolloutGroup(batch[2].prompt, tuple(responses), rewards)
     with pytest.raises(TrainingDiverged) as caught:
         train_step(params.copy(), params, OptimizerState.zeros(params.param_count), batch, cfg)
     assert caught.value.group_index == 2
