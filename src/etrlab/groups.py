@@ -8,6 +8,7 @@ exactly zero advantages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,7 +36,7 @@ class RolloutGroup:
             raise ContractViolation("a rollout group needs at least two responses")
         if self.rewards.shape != (len(self.responses),):
             raise ContractViolation("one reward per response is required")
-        if not np.all(np.isin(self.rewards, (-1.0, 1.0))):
+        if not np.all(np.abs(self.rewards) == 1.0):
             raise ContractViolation("rewards must be +1 or -1")
 
     @property
@@ -56,7 +57,7 @@ def pass_rate(rewards: np.ndarray) -> float:
     rewards = np.asarray(rewards, dtype=np.float64)
     if rewards.size == 0:
         raise ContractViolation("pass rate of an empty group")
-    return float(np.mean(rewards > 0.0))
+    return int(np.count_nonzero(rewards > 0.0)) / rewards.size
 
 
 def normalize_advantages(rewards: np.ndarray, xi: float = DEFAULT_XI) -> np.ndarray:
@@ -65,25 +66,28 @@ def normalize_advantages(rewards: np.ndarray, xi: float = DEFAULT_XI) -> np.ndar
     The advantages sum to ~0 by construction; an all-equal group yields
     exactly zero advantages because the centered numerator is exact.
     """
-    if not xi > 0.0:
-        raise ContractViolation("xi must be positive")
-    rewards = np.asarray(rewards, dtype=np.float64)
-    if rewards.size < 2:
-        raise ContractViolation("advantage normalization needs at least two rewards")
-    centered = rewards - np.mean(rewards)
-    std = float(np.sqrt(np.mean(centered * centered)))
-    return centered / (std + xi)
+    return group_stats(rewards, xi).advantages
 
 
 def group_stats(rewards: np.ndarray, xi: float = DEFAULT_XI) -> GroupStats:
+    """Mean, population std, pass rate and normalized advantages in one pass.
+
+    Means are ``sum / n``, which is exactly what ``np.mean`` computes.
+    """
+    if not xi > 0.0:
+        raise ContractViolation("xi must be positive")
     rewards = np.asarray(rewards, dtype=np.float64)
-    advantages = normalize_advantages(rewards, xi)
-    centered = rewards - np.mean(rewards)
+    n = rewards.size
+    if n < 2:
+        raise ContractViolation("advantage normalization needs at least two rewards")
+    mean = float(rewards.sum()) / n
+    centered = rewards - mean
+    std = math.sqrt(float((centered * centered).sum()) / n)
     return GroupStats(
-        mean_reward=float(np.mean(rewards)),
-        std_reward=float(np.sqrt(np.mean(centered * centered))),
+        mean_reward=mean,
+        std_reward=std,
         pass_rate=pass_rate(rewards),
-        advantages=advantages,
+        advantages=centered / (std + xi),
     )
 
 

@@ -13,6 +13,7 @@ is a pure function of (params, prompt, rng stream).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -241,19 +242,33 @@ def token_logprobs(
 
 
 def mask_matrix(vocab_size: int, masks: PositionMasks | None, n_rows: int) -> np.ndarray:
-    """Additive-logit mask rows: 0 for legal ids, MASK_LOGIT otherwise."""
+    """Additive-logit mask rows: 0 for legal ids, MASK_LOGIT otherwise.
+
+    Tables are memoised on the arguments (grammars from
+    ``tasks.response_grammar`` are tuples) and returned read-only; masks
+    that cannot be hashed, such as lists, are built afresh. A call with an
+    illegal id raises every time, since a failed build is never cached.
+    """
+    try:
+        return _mask_table(vocab_size, masks, n_rows)
+    except TypeError:
+        return _mask_table.__wrapped__(vocab_size, masks, n_rows)
+
+
+@functools.lru_cache(maxsize=256)
+def _mask_table(vocab_size: int, masks: PositionMasks | None, n_rows: int) -> np.ndarray:
     out = np.zeros((n_rows, vocab_size))
-    if masks is None:
-        return out
-    if len(masks) < n_rows:
-        raise ContractViolation("fewer mask rows than generated positions")
-    out += MASK_LOGIT
-    for i in range(n_rows):
-        legal = np.asarray(tuple(masks[i]), dtype=np.int64)
-        if legal.size == 0:
-            raise ContractViolation("a position mask must allow at least one token")
-        _check_ids(legal, vocab_size)
-        out[i, legal] = 0.0
+    if masks is not None:
+        if len(masks) < n_rows:
+            raise ContractViolation("fewer mask rows than generated positions")
+        out += MASK_LOGIT
+        for i in range(n_rows):
+            legal = np.asarray(tuple(masks[i]), dtype=np.int64)
+            if legal.size == 0:
+                raise ContractViolation("a position mask must allow at least one token")
+            _check_ids(legal, vocab_size)
+            out[i, legal] = 0.0
+    out.flags.writeable = False
     return out
 
 

@@ -9,6 +9,9 @@ malformed response is simply incorrect.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,8 +34,8 @@ class TaskSpec:
             raise ContractViolation(f"unknown task family {self.family!r}")
         if self.difficulty < 1:
             raise ContractViolation("difficulty must be a positive integer")
-        if not self.weight > 0.0:
-            raise ContractViolation("mixture weight must be positive")
+        if not 0.0 < self.weight < math.inf:
+            raise ContractViolation("mixture weight must be positive and finite")
 
     @property
     def label(self) -> str:
@@ -133,10 +136,20 @@ def reward(correct: bool) -> float:
     return 1.0 if correct else -1.0
 
 
+@functools.lru_cache(maxsize=64)
+def _cumulative_weights(suite: tuple[TaskSpec, ...]) -> list[float]:
+    weights = np.asarray([s.weight for s in suite])
+    return np.cumsum(weights / weights.sum()).tolist()
+
+
 def sample_task(suite: Sequence[TaskSpec], rng: np.random.Generator) -> TaskSpec:
-    """Draw a task spec by normalized mixture weight."""
+    """Draw a task spec by normalized mixture weight.
+
+    The cumulative weights are computed once per suite; the draw is the
+    number of them below one uniform, found by bisection since they never
+    decrease.
+    """
     if len(suite) == 0:
         raise ContractViolation("task suite must not be empty")
-    weights = np.asarray([s.weight for s in suite])
-    cums = np.cumsum(weights / weights.sum())
-    return suite[min(int(np.sum(cums < rng.random())), len(suite) - 1)]
+    cums = _cumulative_weights(tuple(suite))
+    return suite[min(bisect.bisect_left(cums, rng.random()), len(suite) - 1)]

@@ -102,6 +102,18 @@ def test_rollout_group_contracts():
         RolloutGroup(prompt, responses, np.asarray([1.0, -1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.0, 0.5, -0.5, 2.0, -2.0, np.nan, np.inf, -np.inf])
+def test_rollout_group_rejects_every_reward_but_plus_or_minus_one(bad):
+    prompt = Prompt("copy", 1, (3,), (3, VOCAB.sep))
+    responses = (make_response(2), make_response(2))
+    for rewards in ([bad, 1.0], [-1.0, bad]):
+        assert not np.all(np.isin(rewards, (-1.0, 1.0)))
+        with pytest.raises(ContractViolation, match="rewards must be"):
+            RolloutGroup(prompt, responses, np.asarray(rewards))
+    for rewards in ([1.0, 1.0], [-1.0, 1.0], [-1, -1]):
+        assert RolloutGroup(prompt, responses, np.asarray(rewards)).size == 2
+
+
 def test_broadcast_advantage():
     rewards = np.asarray([1.0, 1.0, -1, -1, -1, -1, -1, -1])
     stats = group_stats(rewards, xi=1e-6)
@@ -126,3 +138,50 @@ def test_sum_near_zero_over_many_random_groups():
         rewards = rng.choice([-1.0, 1.0], size=n)
         worst = max(worst, abs(float(normalize_advantages(rewards).sum())))
     assert worst <= 1e-9
+
+
+def reference_group_stats(rewards, xi):
+    """The five-``np.mean`` formula that ``group_stats`` replaced."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    centered = rewards - np.mean(rewards)
+    std = float(np.sqrt(np.mean(centered * centered)))
+    return (
+        float(np.mean(rewards)),
+        std,
+        float(np.mean(rewards > 0.0)),
+        centered / (std + xi),
+    )
+
+
+def assert_stats_bitwise_equal(stats, want):
+    mean, std, rate, adv = want
+    assert np.float64(stats.mean_reward).tobytes() == np.float64(mean).tobytes()
+    assert np.float64(stats.std_reward).tobytes() == np.float64(std).tobytes()
+    assert stats.pass_rate == rate
+    assert all(type(v) is float for v in (stats.mean_reward, stats.std_reward, stats.pass_rate))
+    assert stats.advantages.dtype == adv.dtype and stats.advantages.tobytes() == adv.tobytes()
+
+
+@pytest.mark.parametrize("xi", [DEFAULT_XI, 1e-12, 1e-3, 0.5, 3.0])
+def test_group_stats_is_bitwise_the_reference_formula(xi):
+    rng = np.random.default_rng(29)
+    for n in range(2, 17):
+        for _ in range(40):
+            rewards = rng.choice([-1.0, 1.0], size=n)
+            want = reference_group_stats(rewards, xi)
+            assert_stats_bitwise_equal(group_stats(rewards, xi), want)
+            assert normalize_advantages(rewards, xi).tobytes() == want[3].tobytes()
+            assert pass_rate(rewards) == want[2]
+        # Arbitrary real rewards exercise the rounding of sum / n.
+        rewards = rng.normal(0.3, 2.0, size=n)
+        assert_stats_bitwise_equal(group_stats(rewards, xi), reference_group_stats(rewards, xi))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16])
+@pytest.mark.parametrize("value", [1.0, -1.0])
+def test_all_equal_groups_give_exact_zeros(n, value):
+    rewards = np.full(n, value)
+    stats = group_stats(rewards)
+    assert_stats_bitwise_equal(stats, reference_group_stats(rewards, DEFAULT_XI))
+    assert stats.std_reward == 0.0
+    assert not np.any(stats.advantages)

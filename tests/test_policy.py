@@ -21,6 +21,7 @@ from etrlab.policy import (
     score_tokens,
     sequence_logprobs,
 )
+from etrlab.tasks import TaskSpec, generate_prompt, response_grammar
 
 VOCAB = Vocab()
 
@@ -124,6 +125,60 @@ def test_mask_matrix_rows_and_errors():
         mask_matrix(5, [()], 1)
     with pytest.raises(ContractViolation):
         mask_matrix(5, [(5,)], 1)
+
+
+def fresh_mask_matrix(vocab_size, masks, n_rows):
+    """The uncached builder ``mask_matrix`` had before it was memoised."""
+    out = np.zeros((n_rows, vocab_size))
+    if masks is None:
+        return out
+    if len(masks) < n_rows:
+        raise ContractViolation("fewer mask rows than generated positions")
+    out += MASK_LOGIT
+    for i in range(n_rows):
+        legal = np.asarray(tuple(masks[i]), dtype=np.int64)
+        if legal.size == 0:
+            raise ContractViolation("a position mask must allow at least one token")
+        if legal.min() < 0 or legal.max() >= vocab_size:
+            raise ContractViolation("token id out of vocabulary range")
+        out[i, legal] = 0.0
+    return out
+
+
+def test_cached_mask_tables_equal_a_fresh_build_and_are_read_only():
+    vocab = Vocab()
+    prompts = [
+        generate_prompt(TaskSpec(family, k), vocab, np.random.default_rng(k))
+        for family, k in (("digitsum", 1), ("digitsum", 3), ("parity", 2), ("copy", 2))
+    ]
+    for prompt in prompts:
+        grammar = response_grammar(prompt, vocab)
+        for n_rows in range(1, len(grammar) + 1):
+            first = mask_matrix(vocab.size, grammar, n_rows)
+            again = mask_matrix(vocab.size, grammar, n_rows)
+            assert again is first
+            want = fresh_mask_matrix(vocab.size, grammar, n_rows)
+            assert first.dtype == want.dtype and first.tobytes() == want.tobytes()
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0, 0] = 1.0
+    # Unhashable masks are built afresh, with the same values.
+    listed = [list(row) for row in response_grammar(prompts[0], vocab)]
+    table = mask_matrix(vocab.size, listed, 2)
+    assert table.tobytes() == fresh_mask_matrix(vocab.size, listed, 2).tobytes()
+    assert mask_matrix(vocab.size, None, 3).tobytes() == np.zeros((3, vocab.size)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "masks, n_rows",
+    [(((0,), (5,)), 2), (((0,), ()), 2), (((-1,),), 1), (((0,),), 2), ([[0], [7]], 2)],
+)
+def test_cached_mask_matrix_raises_on_every_call(masks, n_rows):
+    for _ in range(3):
+        with pytest.raises(ContractViolation):
+            mask_matrix(5, masks, n_rows)
+        with pytest.raises(ContractViolation):
+            fresh_mask_matrix(5, masks, n_rows)
 
 
 def test_sampled_response_length_contract():

@@ -166,5 +166,48 @@ def test_sample_task_follows_weights():
         sample_task([], np.random.default_rng(0))
 
 
+def reference_sample_task(suite, rng):
+    """The per-call normalisation ``sample_task`` had before its cache."""
+    weights = np.asarray([s.weight for s in suite])
+    cums = np.cumsum(weights / weights.sum())
+    return suite[min(int(np.sum(cums < rng.random())), len(suite) - 1)]
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(1.0,), (3.0, 1.0), (1.0, 1.0, 1.0, 0.5), (0.1, 0.2, 0.3, 0.4), (1e-9, 1.0, 1e9), (0.7, 0.7, 0.7)],
+)
+def test_sample_task_draws_the_reference_sequence(weights):
+    specs = [TaskSpec("copy", k + 1, w) for k, w in enumerate(weights)]
+    for suite in (tuple(specs), list(specs)):
+        fast, slow = np.random.default_rng(41), np.random.default_rng(41)
+        got = [sample_task(suite, fast) for _ in range(3000)]
+        want = [reference_sample_task(suite, slow) for _ in range(3000)]
+        assert got == want
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_sample_task_at_cumulative_boundaries():
+    suite = (TaskSpec("copy", 1, 1.0), TaskSpec("copy", 2, 1.0), TaskSpec("copy", 3, 2.0))
+
+    class Fixed:
+        def __init__(self, u):
+            self.u = u
+
+        def random(self):
+            return self.u
+
+    # Cumulative weights are 0.25, 0.5 and 1.0; a draw equal to one of
+    # them is not below it.
+    for u in (0.0, 0.25, np.nextafter(0.25, 1.0), 0.5, 0.75, np.nextafter(1.0, 0.0)):
+        assert sample_task(suite, Fixed(u)) == reference_sample_task(suite, Fixed(u))
+
+
+def test_task_spec_rejects_non_finite_weights():
+    for weight in (np.inf, np.nan, -1.0, 0.0):
+        with pytest.raises(ContractViolation):
+            TaskSpec("copy", 1, weight)
+
+
 def test_families_tuple_is_stable():
     assert FAMILIES == ("copy", "digitsum", "parity")
