@@ -25,6 +25,7 @@ from .metrics import (
 from .objectives import kl_cubic_bound, kl_quadratic_residual, theoretical_epsilon
 from .policy import PolicyParams, Vocab
 from .trainer import (
+    DivergedRun,
     TrainingDiverged,
     compare_runs,
     evaluate,
@@ -109,7 +110,11 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"unknown method {m!r}")
     seeds = parse_seed_list(args.seeds)
     summaries = compare_runs(cfg, methods, seeds, out_dir=args.out, jobs=args.jobs)
+    diverged = [s for s in summaries if isinstance(s, DivergedRun)]
     for s in summaries:
+        if isinstance(s, DivergedRun):
+            print(f"{s.method} seed {s.seed}: diverged")
+            continue
         print(
             f"{s.method} seed {s.seed}: mean@{cfg.eval_n} {_fmt(s.final_mean)}, "
             f"best@{cfg.eval_n} {_fmt(s.final_best)}, entropy {_fmt(s.final_entropy)}, "
@@ -128,13 +133,18 @@ def cmd_compare(args) -> int:
         lines.append(
             ",".join([str(row["method"])] + [_fmt(float(row[k])) for k in header[1:]])
         )
+    # One row per diverged run, labelled like its run directory.
+    for s in diverged:
+        lines.append(",".join([f"{s.method}-seed{s.seed}"] + ["diverged"] * (len(header) - 1)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / "summary.csv", ("\n".join(lines) + "\n").encode("utf-8"))
     print("medians across seeds:")
     for line in lines:
         print("  " + line)
-    return 0
+    for s in diverged:
+        print(f"training diverged: {s.method} seed {s.seed}: {s.message}", file=sys.stderr)
+    return 1 if diverged else 0
 
 
 def cmd_eval(args) -> int:

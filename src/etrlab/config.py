@@ -9,6 +9,7 @@ sampling time.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .autodiff import ContractViolation
@@ -125,22 +126,29 @@ def _nonneg_int(raw: str) -> int:
     return value
 
 
-def _pos_float(raw: str) -> float:
+def _finite_float(raw: str) -> float:
     value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
+
+
+def _pos_float(raw: str) -> float:
+    value = _finite_float(raw)
     if not value > 0.0:
         raise ValueError("must be a positive number")
     return value
 
 
 def _nonneg_float(raw: str) -> float:
-    value = float(raw)
+    value = _finite_float(raw)
     if value < 0.0:
         raise ValueError("must be a non-negative number")
     return value
 
 
 def _unit_float(raw: str) -> float:
-    value = float(raw)
+    value = _finite_float(raw)
     if not 0.0 <= value < 1.0:
         raise ValueError("must lie in [0, 1)")
     return value
@@ -185,6 +193,9 @@ _COERCERS = {
 }
 
 _KEY_ORDER = tuple(f.name for f in dataclasses.fields(TrainConfig))
+_FLOAT_KEYS = tuple(
+    k for k, c in _COERCERS.items() if c in (_pos_float, _nonneg_float, _unit_float)
+)
 
 
 def build_strategy(cfg: TrainConfig) -> ClipStrategy:
@@ -214,6 +225,9 @@ def validate_config(cfg: TrainConfig, lines: dict[str, int] | None = None) -> No
 
     if cfg.method not in METHODS:
         err(f"unknown method {cfg.method!r}", "method")
+    for name in _FLOAT_KEYS:
+        if not math.isfinite(getattr(cfg, name)):
+            err(f"{name} must be a finite number", name)
     if cfg.steps < 1:
         err("steps must be at least 1", "steps")
     if not cfg.learning_rate > 0.0:

@@ -75,7 +75,11 @@ def adamw_update(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> np.ndarray:
-    """One decoupled-weight-decay adaptive-moment step; mutates ``state``."""
+    """One decoupled-weight-decay adaptive-moment step; mutates ``state``.
+
+    Returns ``vec - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * vec)``
+    as a new array, evaluated in that order in two full-length buffers.
+    """
     vec = np.asarray(vec, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != vec.shape or state.moment1.shape != vec.shape:
@@ -83,13 +87,23 @@ def adamw_update(
     if not lr > 0.0:
         raise ContractViolation("learning rate must be positive")
     state.step += 1
+    scratch = np.multiply(grad, 1.0 - beta1)
     state.moment1 *= beta1
-    state.moment1 += (1.0 - beta1) * grad
+    state.moment1 += scratch
+    np.multiply(grad, 1.0 - beta2, out=scratch)
+    scratch *= grad
     state.moment2 *= beta2
-    state.moment2 += (1.0 - beta2) * grad * grad
-    m_hat = state.moment1 / (1.0 - beta1**state.step)
-    v_hat = state.moment2 / (1.0 - beta2**state.step)
-    return vec - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * vec)
+    state.moment2 += scratch
+    # scratch: v_hat, then the denominator; step: m_hat, then the update.
+    np.divide(state.moment2, 1.0 - beta2**state.step, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += eps
+    step = np.divide(state.moment1, 1.0 - beta1**state.step)
+    step /= scratch
+    np.multiply(vec, weight_decay, out=scratch)
+    step += scratch
+    step *= lr
+    return np.subtract(vec, step, out=step)
 
 
 def clip_grad_norm(grad: np.ndarray, max_norm: float) -> tuple[np.ndarray, float]:
@@ -408,10 +422,22 @@ class RunSummary:
         )
 
 
-def _compare_worker(job: tuple[str, str, int, str | None]) -> RunSummary:
+@dataclass(frozen=True)
+class DivergedRun:
+    """A sweep run that raised :class:`TrainingDiverged`; it has no artifacts."""
+
+    method: str
+    seed: int
+    message: str
+
+
+def _compare_worker(job: tuple[str, str, int, str | None]) -> RunSummary | DivergedRun:
     cfg_text, method, seed, out_dir = job
     cfg = apply_overrides(parse_config(cfg_text), [f"method={method}", f"seed={seed}"])
-    result = run_training(cfg)
+    try:
+        result = run_training(cfg)
+    except TrainingDiverged as exc:
+        return DivergedRun(method, seed, str(exc))
     if out_dir is not None:
         write_run_artifacts(result, out_dir)
     return RunSummary.from_result(result)
@@ -423,8 +449,12 @@ def compare_runs(
     seeds: Sequence[int],
     out_dir=None,
     jobs: int = 1,
-) -> list[RunSummary]:
-    """Run every (method, seed) pair; order of results is deterministic."""
+) -> list[RunSummary | DivergedRun]:
+    """Run every (method, seed) pair; order of results is deterministic.
+
+    A diverged run comes back as a :class:`DivergedRun` in its place, so
+    the other runs still finish.
+    """
     if len(methods) == 0 or len(seeds) == 0:
         raise ContractViolation("compare needs at least one method and one seed")
     cfg_text = render_config(cfg)
@@ -439,11 +469,19 @@ def compare_runs(
         return list(pool.map(_compare_worker, job_list))
 
 
-def method_medians(summaries: Sequence[RunSummary]) -> list[dict[str, float | str]]:
-    """Per-method medians across seeds, in first-seen method order."""
+def method_medians(
+    summaries: Sequence[RunSummary | DivergedRun],
+) -> list[dict[str, float | str]]:
+    """Per-method medians across finished seeds, in first-seen method order.
+
+    Diverged runs are skipped; a method none of whose runs finished has
+    no row.
+    """
     order: list[str] = []
     by_method: dict[str, list[RunSummary]] = {}
     for s in summaries:
+        if isinstance(s, DivergedRun):
+            continue
         if s.method not in by_method:
             by_method[s.method] = []
             order.append(s.method)

@@ -116,6 +116,31 @@ def test_compare_emits_one_directory_per_pair_and_a_summary(tmp_path, capsys):
     assert text.count("seed") >= 6 and "medians across seeds:" in text
 
 
+def test_compare_records_a_diverged_run_and_exits_1(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    args = [
+        "compare", "--out", str(out), "--methods", "grpo,etr", "--seeds", "2,3", *TINY,
+        "--override", "steps=1",
+        "--override", "eval_every=1",
+        "--override", "learning_rate=1e300",
+        "--override", "groups_per_step=1",
+        "--override", "group_size=2",
+        "--override", "suite=parity:1",
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == 1
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert lines[1].startswith("grpo,") and lines[2].startswith("etr,")
+    assert lines[3:] == [
+        "grpo-seed2,diverged,diverged,diverged,diverged",
+        "etr-seed2,diverged,diverged,diverged,diverged",
+    ]
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["etr-seed3", "grpo-seed3"]
+    captured = capsys.readouterr()
+    assert "grpo seed 2: diverged" in captured.out
+    assert "training diverged: etr seed 2: non-finite" in captured.err
+
+
 def test_compare_unknown_method_is_a_usage_error(capsys):
     assert main(["compare", "--methods", "grpo,ppo", "--seeds", "1"]) == 2
     assert "unknown method" in capsys.readouterr().err

@@ -182,6 +182,61 @@ def test_scalar_rejections(line):
     assert exc.value.line == 1
 
 
+NON_FINITE = ("inf", "-inf", "nan", "Infinity", "+inf", "1e999")
+
+
+@pytest.mark.parametrize("raw", NON_FINITE)
+@pytest.mark.parametrize(
+    "key",
+    ["learning_rate", "adam_eps", "grad_clip", "advantage_xi", "temperature"],
+)
+def test_positive_floats_must_be_finite(key, raw):
+    with pytest.raises(ConfigError, match=f"line 2: {key}: must be a finite number"):
+        parse_config(f"seed = 3\n{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=f"{key}: must be a finite number"):
+        apply_overrides(TrainConfig(), [f"{key}={raw}"])
+
+
+@pytest.mark.parametrize("raw", NON_FINITE)
+@pytest.mark.parametrize(
+    "key",
+    ["weight_decay", "kl_coef", "epsilon_base", "epsilon_high", "lambda1", "lambda2", "init_scale"],
+)
+def test_non_negative_floats_must_be_finite(key, raw):
+    with pytest.raises(ConfigError, match=f"line 2: {key}: must be a finite number"):
+        parse_config(f"seed = 3\n{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=f"{key}: must be a finite number"):
+        apply_overrides(TrainConfig(), [f"{key}={raw}"])
+
+
+@pytest.mark.parametrize("raw", NON_FINITE)
+@pytest.mark.parametrize("key", ["adam_beta1", "adam_beta2"])
+def test_unit_floats_must_be_finite(key, raw):
+    with pytest.raises(ConfigError, match=f"line 2: {key}: must be a finite number"):
+        parse_config(f"seed = 3\n{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=f"{key}: must be a finite number"):
+        apply_overrides(TrainConfig(), [f"{key}={raw}"])
+
+
+@pytest.mark.parametrize("raw", ["inf", "nan", "1e999"])
+def test_suite_weights_must_be_finite(raw):
+    with pytest.raises(ConfigError, match="line 2: .*positive and finite"):
+        parse_config(f"seed = 3\nsuite = parity:2,copy:1@{raw}\n")
+    with pytest.raises(ConfigError, match="positive and finite"):
+        apply_overrides(TrainConfig(), [f"suite=parity:2@{raw}"])
+
+
+def test_every_float_key_is_checked_for_finiteness():
+    float_keys = [f.name for f in dataclasses.fields(TrainConfig) if f.type == "float"]
+    assert len(float_keys) == 14
+    for key in float_keys:
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(f"{key} = inf\n")
+        # A config built in code is caught by validate_config, by key name.
+        with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+            validate_config(dataclasses.replace(TrainConfig(), **{key: float("inf")}))
+
+
 def test_build_strategy_per_method():
     cfg = TrainConfig()
     assert build_strategy(dataclasses.replace(cfg, method="grpo")) == Static(0.2)

@@ -11,6 +11,7 @@ from etrlab.policy import PolicyParams, Vocab, init_params
 from etrlab.tasks import TaskSpec
 from etrlab.trainer import (
     GRADCHECK_VARIANTS,
+    DivergedRun,
     OptimizerState,
     RunSummary,
     TrainingDiverged,
@@ -321,6 +322,70 @@ def test_compare_runs_results_do_not_depend_on_jobs():
     serial = compare_runs(cfg, ["grpo", "etr"], [1, 2], jobs=1)
     parallel = compare_runs(cfg, ["grpo", "etr"], [1, 2], jobs=2)
     assert parallel == serial
+
+
+def reference_adamw(vec, grad, m1, m2, step, lr, b1, b2, eps, wd):
+    """The expression-per-line AdamW step that ``adamw_update`` replaced."""
+    m1 = m1 * b1 + (1.0 - b1) * grad
+    m2 = m2 * b2 + (1.0 - b2) * grad * grad
+    m_hat = m1 / (1.0 - b1**step)
+    v_hat = m2 / (1.0 - b2**step)
+    return vec - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * vec), m1, m2
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.01])
+def test_adamw_update_is_bitwise_the_reference_step(wd):
+    rng = np.random.default_rng(5)
+    vec = rng.normal(size=301)
+    state = OptimizerState.zeros(vec.size)
+    m1, m2 = np.zeros(vec.size), np.zeros(vec.size)
+    for step in range(1, 26):
+        grad = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=vec.size)
+        grad[::7] = 0.0
+        before = vec.copy()
+        new = adamw_update(vec, grad, state, 3e-3, 0.9, 0.999, 1e-8, wd)
+        assert vec.tobytes() == before.tobytes()
+        want, m1, m2 = reference_adamw(vec, grad, m1, m2, step, 3e-3, 0.9, 0.999, 1e-8, wd)
+        assert new.tobytes() == want.tobytes()
+        assert state.moment1.tobytes() == m1.tobytes()
+        assert state.moment2.tobytes() == m2.tobytes()
+        assert state.step == step
+        vec = new
+
+
+def diverging_cfg():
+    """Seeds 1 and 2 diverge at step 1, seeds 3 and 4 draw no signal.
+
+    With one two-response parity:1 group, a group with mixed rewards takes
+    an AdamW step of about 1e300 and the next inner epoch overflows; an
+    all-equal group has a zero gradient and leaves the parameters alone.
+    """
+    return tiny_cfg(
+        steps=1,
+        eval_every=1,
+        learning_rate=1e300,
+        groups_per_step=1,
+        group_size=2,
+        suite=parse_suite("parity:1"),
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_compare_runs_isolates_a_diverged_run(tmp_path, jobs):
+    cfg = diverging_cfg()
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = compare_runs(cfg, ["grpo", "etr"], [2, 3], out_dir=tmp_path, jobs=jobs)
+    assert [(type(r), r.method, r.seed) for r in results] == [
+        (DivergedRun, "grpo", 2),
+        (RunSummary, "grpo", 3),
+        (DivergedRun, "etr", 2),
+        (RunSummary, "etr", 3),
+    ]
+    assert "non-finite" in results[0].message
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["etr-seed3", "grpo-seed3"]
+    assert [r["method"] for r in method_medians(results)] == ["grpo", "etr"]
+    assert method_medians(results)[0]["median_final_mean"] == results[1].final_mean
+    assert method_medians(results[:1]) == []
 
 
 def test_gradient_check_single_variant():
