@@ -179,8 +179,8 @@ def rollout_batch(
 def _locate_nonfinite_group(prep, params: PolicyParams, batch) -> int | None:
     from .policy import score_tokens
 
-    lp = score_tokens(params, prep.contexts, prep.targets, prep.masks, prep.temperature)
     with np.errstate(over="ignore", invalid="ignore"):
+        lp = score_tokens(params, prep.contexts, prep.targets, prep.masks, prep.temperature)
         u = np.exp(prep.ref_logprobs - lp)
         ratio = np.exp(lp - prep.old_logprobs)
     bad = ~(np.isfinite(lp) & np.isfinite(u) & np.isfinite(ratio))

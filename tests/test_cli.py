@@ -127,8 +127,7 @@ def test_compare_records_a_diverged_run_and_exits_1(tmp_path, capsys):
         "--override", "group_size=2",
         "--override", "suite=parity:1",
     ]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(args) == 1
+    assert main(args) == 1
     lines = (out / "summary.csv").read_text().splitlines()
     assert lines[1].startswith("grpo,") and lines[2].startswith("etr,")
     assert lines[3:] == [

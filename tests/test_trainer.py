@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -373,7 +374,9 @@ def diverging_cfg():
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_compare_runs_isolates_a_diverged_run(tmp_path, jobs):
     cfg = diverging_cfg()
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Diagnosing the divergence raises no overflow warning of its own.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         results = compare_runs(cfg, ["grpo", "etr"], [2, 3], out_dir=tmp_path, jobs=jobs)
     assert [(type(r), r.method, r.seed) for r in results] == [
         (DivergedRun, "grpo", 2),
