@@ -1,184 +1,1 @@
 """Desk-scale lab for clipped policy-gradient training with elastic trust regions."""
-
-from .autodiff import (
-    ContractViolation,
-    DomainError,
-    Record,
-    Tensor,
-    clip_gated,
-    finite_diff_check,
-    min_pair,
-    softmax_logprobs,
-)
-from .config import (
-    DEFAULT_SUITE,
-    METHODS,
-    ConfigError,
-    TrainConfig,
-    apply_overrides,
-    build_strategy,
-    load_config,
-    parse_config,
-    render_config,
-)
-from .groups import (
-    DEFAULT_XI,
-    GroupStats,
-    RolloutGroup,
-    broadcast_advantage,
-    group_stats,
-    normalize_advantages,
-    pass_rate,
-)
-from .metrics import (
-    Checkpoint,
-    CheckpointDigestError,
-    CheckpointFormatError,
-    StepMetrics,
-    config_digest,
-    load_checkpoint,
-    render_lineplot,
-    save_checkpoint,
-    write_metrics_csv,
-)
-from .objectives import (
-    ClipHigh,
-    Elastic,
-    LossBreakdown,
-    Static,
-    batch_objective,
-    clip_bounds,
-    dynamic_epsilon,
-    evaluate_prepared,
-    kl_cubic_bound,
-    kl_quadratic_residual,
-    kl_to_reference,
-    macro_adjustment,
-    micro_adjustment,
-    prepare_batch,
-    static_mismatch_report,
-    theoretical_epsilon,
-    token_surrogate,
-)
-from .policy import (
-    PolicyParams,
-    SampledResponse,
-    Vocab,
-    init_params,
-    sample_group,
-    sample_groups,
-    sample_sequence,
-    sequence_logprobs,
-)
-from .tasks import (
-    FAMILIES,
-    Prompt,
-    TaskSpec,
-    generate_prompt,
-    response_grammar,
-    reward,
-    sample_task,
-    verify,
-)
-from .trainer import (
-    OptimizerState,
-    RunSummary,
-    TrainingDiverged,
-    TrainingResult,
-    adamw_update,
-    clip_grad_norm,
-    compare_runs,
-    evaluate,
-    gradient_check,
-    gradient_check_suite,
-    rollout_batch,
-    run_training,
-    train_step,
-    write_run_artifacts,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ContractViolation",
-    "DomainError",
-    "Record",
-    "Tensor",
-    "clip_gated",
-    "finite_diff_check",
-    "min_pair",
-    "softmax_logprobs",
-    "DEFAULT_SUITE",
-    "METHODS",
-    "ConfigError",
-    "TrainConfig",
-    "apply_overrides",
-    "build_strategy",
-    "load_config",
-    "parse_config",
-    "render_config",
-    "DEFAULT_XI",
-    "GroupStats",
-    "RolloutGroup",
-    "broadcast_advantage",
-    "group_stats",
-    "normalize_advantages",
-    "pass_rate",
-    "Checkpoint",
-    "CheckpointDigestError",
-    "CheckpointFormatError",
-    "StepMetrics",
-    "config_digest",
-    "load_checkpoint",
-    "render_lineplot",
-    "save_checkpoint",
-    "write_metrics_csv",
-    "ClipHigh",
-    "Elastic",
-    "LossBreakdown",
-    "Static",
-    "batch_objective",
-    "clip_bounds",
-    "dynamic_epsilon",
-    "evaluate_prepared",
-    "kl_cubic_bound",
-    "kl_quadratic_residual",
-    "kl_to_reference",
-    "macro_adjustment",
-    "micro_adjustment",
-    "prepare_batch",
-    "static_mismatch_report",
-    "theoretical_epsilon",
-    "token_surrogate",
-    "PolicyParams",
-    "SampledResponse",
-    "Vocab",
-    "init_params",
-    "sample_group",
-    "sample_groups",
-    "sample_sequence",
-    "sequence_logprobs",
-    "FAMILIES",
-    "Prompt",
-    "TaskSpec",
-    "generate_prompt",
-    "response_grammar",
-    "reward",
-    "sample_task",
-    "verify",
-    "OptimizerState",
-    "RunSummary",
-    "TrainingDiverged",
-    "TrainingResult",
-    "adamw_update",
-    "clip_grad_norm",
-    "compare_runs",
-    "evaluate",
-    "gradient_check",
-    "gradient_check_suite",
-    "rollout_batch",
-    "run_training",
-    "train_step",
-    "write_run_artifacts",
-    "__version__",
-]

@@ -1,4 +1,9 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode tape for the clipped surrogate, and a finite-difference check.
+
+Training uses the closed-form gradient in :mod:`objectives`; this tape
+holds just the ops the per-token surrogate needs (``token_surrogate``,
+acceptance check 4), so its subgradient rules stay pinned. The wider op
+library that re-derives the whole objective lives with the tests.
 
 A :class:`Record` is an append-only tape. Tensors either live on a record
 (they carry a node id and participate in ``backward``) or are free
@@ -14,48 +19,22 @@ naive non-differentiable definition bit for bit:
 * ``min_pair`` routes the whole gradient to the smaller operand; exact
   ties go to the first operand.
 
+``_tanh_backward`` is the tanh derivative of the policy's hidden layer;
+``policy.logits_gradient`` looks it up here at call time.
+
 Records are single-owner and not thread-safe. Identical inputs applied in
 identical order produce bit-identical values and gradients.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-
-__all__ = [
-    "ContractViolation",
-    "DomainError",
-    "Record",
-    "Tensor",
-    "add",
-    "subtract",
-    "multiply",
-    "divide",
-    "negate",
-    "exp",
-    "log",
-    "tanh",
-    "matmul",
-    "softmax_logprobs",
-    "clip_gated",
-    "min_pair",
-    "sum_all",
-    "mean_all",
-    "take_rows",
-    "gather_pairs",
-    "reshape",
-    "finite_diff_check",
-]
 
 
 class ContractViolation(ValueError):
     """An operation was invoked in violation of its documented contract."""
-
-
-class DomainError(ValueError):
-    """An input left the mathematical domain of the operation."""
 
 
 def _as_array(x) -> np.ndarray:
@@ -109,32 +88,12 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return divide(self, other)
-
-    def __rtruediv__(self, other):
-        return divide(other, self)
-
-    def __neg__(self):
-        return negate(self)
-
     def exp(self):
         return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def tanh(self):
-        return tanh(self)
 
     def sum(self):
         return sum_all(self)
 
-    def mean(self):
-        return mean_all(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 class Record:
@@ -269,39 +228,6 @@ def multiply(a, b) -> Tensor:
     return Tensor(out, rec, rec._push("multiply", (na, nb), back))
 
 
-def divide(a, b) -> Tensor:
-    ta, tb = _lift(a), _lift(b)
-    rec = _joint_record(ta, tb)
-    _check_shapes(ta.data, tb.data, "divide")
-    if np.any(tb.data == 0.0):
-        raise DomainError("division by zero")
-    out = ta.data / tb.data
-    if rec is None:
-        return Tensor(out)
-    da, db = ta.data, tb.data
-    sa, sb, na, nb = ta.shape, tb.shape, ta.node, tb.node
-
-    def back(g):
-        return (
-            _reduce_to(g / db, sa) if na is not None else None,
-            _reduce_to(-g * da / (db * db), sb) if nb is not None else None,
-        )
-
-    return Tensor(out, rec, rec._push("divide", (na, nb), back))
-
-
-def negate(a) -> Tensor:
-    ta = _lift(a)
-    out = -ta.data
-    if ta.record is None:
-        return Tensor(out)
-
-    def back(g):
-        return (-g,)
-
-    return Tensor(out, ta.record, ta.record._push("negate", (ta.node,), back))
-
-
 def exp(a) -> Tensor:
     ta = _lift(a)
     out = np.exp(ta.data)
@@ -314,84 +240,8 @@ def exp(a) -> Tensor:
     return Tensor(out, ta.record, ta.record._push("exp", (ta.node,), back))
 
 
-def log(a) -> Tensor:
-    ta = _lift(a)
-    if np.any(ta.data <= 0.0):
-        raise DomainError("log of non-positive value")
-    out = np.log(ta.data)
-    if ta.record is None:
-        return Tensor(out)
-    data = ta.data
-
-    def back(g):
-        return (g / data,)
-
-    return Tensor(out, ta.record, ta.record._push("log", (ta.node,), back))
-
-
 def _tanh_backward(out: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g * (1.0 - out * out)
-
-
-def tanh(a) -> Tensor:
-    ta = _lift(a)
-    out = np.tanh(ta.data)
-    if ta.record is None:
-        return Tensor(out)
-
-    def back(g):
-        return (_tanh_backward(out, g),)
-
-    return Tensor(out, ta.record, ta.record._push("tanh", (ta.node,), back))
-
-
-def matmul(a, b) -> Tensor:
-    ta, tb = _lift(a), _lift(b)
-    rec = _joint_record(ta, tb)
-    if ta.data.ndim != 2 or tb.data.ndim != 2:
-        raise ContractViolation("matmul requires 2-D operands")
-    if ta.data.shape[1] != tb.data.shape[0]:
-        raise ContractViolation(
-            f"matmul: inner dimensions differ ({ta.data.shape} @ {tb.data.shape})"
-        )
-    out = ta.data @ tb.data
-    if rec is None:
-        return Tensor(out)
-    da, db, na, nb = ta.data, tb.data, ta.node, tb.node
-
-    def back(g):
-        return (
-            g @ db.T if na is not None else None,
-            da.T @ g if nb is not None else None,
-        )
-
-    return Tensor(out, rec, rec._push("matmul", (na, nb), back))
-
-
-def softmax_logprobs(logits, temperature: float = 1.0) -> Tensor:
-    """Numerically stable log-softmax over the last axis.
-
-    Accepts a vector of logits or a matrix of row-wise logits. The output
-    exponentials sum to one per row even for logits of magnitude 1e4.
-    """
-    if not temperature > 0.0:
-        raise ContractViolation("temperature must be positive")
-    ta = _lift(logits)
-    if ta.data.ndim not in (1, 2):
-        raise ContractViolation("softmax_logprobs expects a 1-D or 2-D tensor")
-    scaled = ta.data / temperature
-    peak = np.max(scaled, axis=-1, keepdims=True)
-    shifted = scaled - peak
-    out = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-    if ta.record is None:
-        return Tensor(out)
-    probs = np.exp(out)
-    na = ta.node
-
-    def back(g):
-        return ((g - probs * np.sum(g, axis=-1, keepdims=True)) / temperature,)
-
-    return Tensor(out, ta.record, ta.record._push("softmax_logprobs", (na,), back))
 
 
 def clip_gated(x, lo, hi) -> Tensor:
@@ -451,85 +301,6 @@ def sum_all(a) -> Tensor:
         return (np.full(shape, g),)
 
     return Tensor(out, ta.record, ta.record._push("sum", (ta.node,), back))
-
-
-def mean_all(a) -> Tensor:
-    ta = _lift(a)
-    if ta.size == 0:
-        raise ContractViolation("mean of an empty tensor")
-    out = np.mean(ta.data)
-    if ta.record is None:
-        return Tensor(out)
-    shape, n = ta.shape, ta.size
-
-    def back(g):
-        return (np.full(shape, g / n),)
-
-    return Tensor(out, ta.record, ta.record._push("mean", (ta.node,), back))
-
-
-def take_rows(matrix, ids) -> Tensor:
-    """Gather rows of a 2-D tensor; backward scatter-adds into the source."""
-    tm = _lift(matrix)
-    if tm.data.ndim != 2:
-        raise ContractViolation("take_rows expects a 2-D tensor")
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ContractViolation("take_rows expects a 1-D index array")
-    if idx.size and (idx.min() < 0 or idx.max() >= tm.data.shape[0]):
-        raise ContractViolation("take_rows: row index out of range")
-    out = tm.data[idx]
-    if tm.record is None:
-        return Tensor(out)
-    src_shape = tm.shape
-
-    def back(g):
-        acc = np.zeros(src_shape)
-        np.add.at(acc, idx, g)
-        return (acc,)
-
-    return Tensor(out, tm.record, tm.record._push("take_rows", (tm.node,), back))
-
-
-def gather_pairs(matrix, rows, cols) -> Tensor:
-    """Select matrix[rows[i], cols[i]] as a vector; backward scatter-adds."""
-    tm = _lift(matrix)
-    if tm.data.ndim != 2:
-        raise ContractViolation("gather_pairs expects a 2-D tensor")
-    r = np.asarray(rows, dtype=np.int64)
-    c = np.asarray(cols, dtype=np.int64)
-    if r.shape != c.shape or r.ndim != 1:
-        raise ContractViolation("gather_pairs expects matching 1-D index arrays")
-    nr, nc = tm.data.shape
-    if r.size and (r.min() < 0 or r.max() >= nr or c.min() < 0 or c.max() >= nc):
-        raise ContractViolation("gather_pairs: index out of range")
-    out = tm.data[r, c]
-    if tm.record is None:
-        return Tensor(out)
-    src_shape = tm.shape
-
-    def back(g):
-        acc = np.zeros(src_shape)
-        np.add.at(acc, (r, c), g)
-        return (acc,)
-
-    return Tensor(out, tm.record, tm.record._push("gather_pairs", (tm.node,), back))
-
-
-def reshape(a, shape) -> Tensor:
-    ta = _lift(a)
-    shape = tuple(int(s) for s in np.atleast_1d(shape))
-    if int(np.prod(shape)) != ta.size:
-        raise ContractViolation(f"reshape: cannot view {ta.shape} as {shape}")
-    out = ta.data.reshape(shape)
-    if ta.record is None:
-        return Tensor(out)
-    orig = ta.shape
-
-    def back(g):
-        return (g.reshape(orig),)
-
-    return Tensor(out, ta.record, ta.record._push("reshape", (ta.node,), back))
 
 
 def finite_diff_check(f, theta, step: float) -> float:

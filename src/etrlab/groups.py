@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -60,15 +59,6 @@ def pass_rate(rewards: np.ndarray) -> float:
     return int(np.count_nonzero(rewards > 0.0)) / rewards.size
 
 
-def normalize_advantages(rewards: np.ndarray, xi: float = DEFAULT_XI) -> np.ndarray:
-    """Center by group mean, scale by population std plus xi.
-
-    The advantages sum to ~0 by construction; an all-equal group yields
-    exactly zero advantages because the centered numerator is exact.
-    """
-    return group_stats(rewards, xi).advantages
-
-
 def group_stats(rewards: np.ndarray, xi: float = DEFAULT_XI) -> GroupStats:
     """Mean, population std, pass rate and normalized advantages in one pass.
 
@@ -89,14 +79,3 @@ def group_stats(rewards: np.ndarray, xi: float = DEFAULT_XI) -> GroupStats:
         pass_rate=pass_rate(rewards),
         advantages=centered / (std + xi),
     )
-
-
-def broadcast_advantage(
-    stats: GroupStats, responses: Sequence[SampledResponse]
-) -> list[np.ndarray]:
-    """Repeat each response-level advantage across its tokens."""
-    if len(responses) == 0:
-        raise ContractViolation("cannot broadcast over zero responses")
-    if len(responses) != stats.advantages.size:
-        raise ContractViolation("one advantage per response is required")
-    return [np.full(len(r), a) for r, a in zip(responses, stats.advantages)]

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import policy as policy_mod
 from . import tasks as tasks_mod
-from .autodiff import ContractViolation, Tensor, clip_gated, exp, min_pair
+from .autodiff import ContractViolation, Tensor, clip_gated, min_pair
 from .groups import RolloutGroup, group_stats, DEFAULT_XI
 from .policy import PolicyParams, mask_matrix
 
@@ -135,19 +135,6 @@ def token_surrogate(ratio: Tensor, advantage, lo, hi) -> tuple[Tensor, np.ndarra
     surrogate = min_pair(unclipped_branch, clipped_branch)
     mask = clipped_branch.data < unclipped_branch.data
     return surrogate, mask
-
-
-def kl_to_reference(logp_theta: Tensor, logp_ref: np.ndarray) -> Tensor:
-    """Mean per-token KL estimate u - log(u) - 1 with u = exp(ref - theta).
-
-    Non-negative for every u > 0 and zero only at u = 1; the gradient
-    flows to logp_theta only.
-    """
-    ref = np.asarray(logp_ref, dtype=np.float64)
-    diff = ref - logp_theta
-    u = exp(diff)
-    per_token = u - diff - 1.0
-    return per_token.mean()
 
 
 def theoretical_epsilon(rho: float, epsilon_base: float) -> float:
@@ -396,58 +383,3 @@ def batch_objective(
     """
     prep = prepare_batch(batch, strategy, ref_params, xi, temperature)
     return evaluate_prepared(prep, params, kl_coef, with_grad)
-
-
-@dataclass(frozen=True)
-class StaticMismatchReport:
-    """How often ideal update sizes overflow one static band."""
-
-    total_tokens: int
-    flagged_tokens: int
-    group_variances: tuple[float, ...]
-    variance_spread: float
-
-    @property
-    def flagged_fraction(self) -> float:
-        if self.total_tokens == 0:
-            return 0.0
-        return self.flagged_tokens / self.total_tokens
-
-
-def static_mismatch_report(
-    batch: Sequence[RolloutGroup],
-    epsilon_static: float,
-    beta: float = 1.0,
-    xi: float = DEFAULT_XI,
-) -> StaticMismatchReport:
-    """Count tokens whose ideal ratio step |A| / beta exceeds the band.
-
-    The ideal per-token step away from ratio one scales linearly with the
-    advantage over the KL coefficient; with the proportionality constant
-    taken as one, a token is flagged when |A| / beta > epsilon_static.
-    The per-group spread of pass-rate variance p * (1 - p) summarizes how
-    far one static band must stretch across difficulty levels.
-    """
-    if epsilon_static < 0.0:
-        raise ContractViolation("epsilon_static must be non-negative")
-    if not beta > 0.0:
-        raise ContractViolation("beta must be positive")
-    if len(batch) == 0:
-        raise ContractViolation("batch must contain at least one group")
-    total = 0
-    flagged = 0
-    variances = []
-    for group in batch:
-        stats = group_stats(group.rewards, xi)
-        p = stats.pass_rate
-        variances.append(p * (1.0 - p))
-        for resp, adv in zip(group.responses, stats.advantages):
-            total += len(resp)
-            if abs(adv) / beta > epsilon_static:
-                flagged += len(resp)
-    return StaticMismatchReport(
-        total_tokens=total,
-        flagged_tokens=flagged,
-        group_variances=tuple(variances),
-        variance_spread=float(max(variances) - min(variances)),
-    )

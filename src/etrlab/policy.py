@@ -178,17 +178,6 @@ def _check_ids(ids: np.ndarray, size: int) -> None:
         raise ContractViolation("token id out of vocabulary range")
 
 
-def forward_logits(params: PolicyParams, context: Sequence[int]) -> np.ndarray:
-    """Logits over the vocabulary for one padded context."""
-    ctx = np.asarray(context, dtype=np.int64)
-    if ctx.shape != (params.window,):
-        raise ContractViolation("context length must equal the window size")
-    _check_ids(ctx, params.vocab.size)
-    x = params.embed[ctx].reshape(1, -1)
-    hidden = np.tanh(x @ params.w_hidden + params.b_hidden)
-    return (hidden @ params.w_out + params.b_out)[0]
-
-
 def hidden_rows(params: PolicyParams, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated context embeddings (n, W*D) and tanh activations (n, H)."""
     _check_ids(contexts, params.vocab.size)
@@ -292,39 +281,6 @@ def _sample_rows(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
     cums = np.cumsum(probs, axis=1)
     idx = np.sum(cums < draws[:, None], axis=1)
     return np.minimum(idx, probs.shape[1] - 1)
-
-
-def sample_sequence(
-    params: PolicyParams,
-    prompt: Sequence[int],
-    max_len: int,
-    temperature: float,
-    rng: np.random.Generator,
-    position_masks: PositionMasks | None = None,
-) -> SampledResponse:
-    """Autoregressive categorical sampling; stops at EOS or max_len."""
-    if max_len < 1:
-        raise ContractViolation("max_len must be at least 1")
-    if not temperature > 0.0:
-        raise ContractViolation("temperature must be positive")
-    vocab = params.vocab
-    seq = list(prompt)
-    budget = max_len if position_masks is None else min(max_len, len(position_masks))
-    tokens: list[int] = []
-    logprobs: list[float] = []
-    for pos in range(budget):
-        ctx = pad_context(seq, params.window, vocab.bos)
-        logits = forward_logits(params, ctx) * (1.0 / temperature)
-        if position_masks is not None:
-            logits = logits + mask_matrix(vocab.size, [position_masks[pos]], 1)[0]
-        lp = _log_softmax_rows(logits[None, :])
-        tok = int(_sample_rows(np.exp(lp), rng.random(1))[0])
-        tokens.append(tok)
-        logprobs.append(float(lp[0, tok]))
-        seq.append(tok)
-        if tok == vocab.eos:
-            break
-    return SampledResponse(tuple(tokens), np.asarray(logprobs))
 
 
 def sample_groups(
@@ -471,13 +427,6 @@ def stacked_contexts(
     return windows[row_starts]
 
 
-def response_contexts(
-    prompt: Sequence[int], tokens: Sequence[int], window: int, bos: int
-) -> np.ndarray:
-    """Padded context rows for scoring each response position."""
-    return stacked_contexts([(prompt, tokens)], window, bos)
-
-
 def score_tokens(
     params: PolicyParams,
     contexts: np.ndarray,
@@ -488,63 +437,3 @@ def score_tokens(
     """Log-probabilities of target tokens under the masked policy, shape (T,)."""
     _, picked = token_logprobs(_forward_logits_rows(params, contexts), targets, masks, temperature)
     return picked
-
-
-def sequence_logprobs(
-    params: PolicyParams,
-    prompt: Sequence[int],
-    tokens: Sequence[int],
-    position_masks: PositionMasks | None = None,
-    temperature: float = 1.0,
-) -> np.ndarray:
-    """Per-token log-probabilities of a response under the current policy.
-
-    Re-scoring a response with the parameters that sampled it reproduces
-    the stored log-probabilities to within 1e-12.
-    """
-    if not temperature > 0.0:
-        raise ContractViolation("temperature must be positive")
-    toks = np.asarray(tokens, dtype=np.int64)
-    if toks.size == 0:
-        return np.zeros(0)
-    contexts = response_contexts(prompt, tokens, params.window, params.vocab.bos)
-    masks = None
-    if position_masks is not None:
-        masks = mask_matrix(params.vocab.size, position_masks, toks.size)
-    return score_tokens(params, contexts, toks, masks, temperature)
-
-
-def mean_token_entropy(
-    params: PolicyParams,
-    items: Sequence[tuple[Sequence[int], Sequence[int], PositionMasks | None]],
-    temperature: float = 1.0,
-) -> float:
-    """Mean next-token entropy over all open-choice response positions.
-
-    ``items`` holds (prompt, tokens, position_masks) triples. Positions
-    whose mask pins a single token are skipped; unmasked positions always
-    count.
-    """
-    total = 0.0
-    count = 0
-    for prompt, tokens, position_masks in items:
-        toks = np.asarray(tokens, dtype=np.int64)
-        if toks.size == 0:
-            continue
-        contexts = response_contexts(prompt, tokens, params.window, params.vocab.bos)
-        logits = _forward_logits_rows(params, contexts) * (1.0 / temperature)
-        masks = None
-        if position_masks is not None:
-            masks = mask_matrix(params.vocab.size, position_masks, toks.size)
-            logits = logits + masks
-        lp = _log_softmax_rows(logits)
-        probs = np.exp(lp)
-        h = -np.sum(probs * lp, axis=1)
-        for j in range(toks.size):
-            if position_masks is not None and len(tuple(position_masks[j])) < 2:
-                continue
-            total += h[j]
-            count += 1
-    if count == 0:
-        raise ContractViolation("no open-choice positions to average over")
-    return total / count

@@ -62,19 +62,6 @@ def encode_payload(family: str, payload: Sequence[int], vocab: Vocab) -> tuple[i
     raise ContractViolation(f"unknown task family {family!r}")
 
 
-def decode_prompt(tokens: Sequence[int], vocab: Vocab) -> tuple[str, tuple[int, ...]]:
-    """Recover (family, payload) from prompt tokens; inverse of encoding."""
-    toks = tuple(tokens)
-    sep = vocab.sep
-    if len(toks) >= 3 and toks[0] == sep and toks[-1] == sep:
-        return "digitsum", (toks[1],)
-    if len(toks) >= 3 and toks[-1] == sep and toks[-2] == sep:
-        return "parity", toks[:-2]
-    if len(toks) >= 2 and toks[-1] == sep:
-        return "copy", toks[:-1]
-    raise ContractViolation("token sequence is not a valid prompt encoding")
-
-
 def generate_prompt(spec: TaskSpec, vocab: Vocab, rng: np.random.Generator) -> Prompt:
     """Draw one task instance (uniform payload) and encode it."""
     if spec.family == "digitsum":

@@ -514,20 +514,17 @@ _GRADCHECK_SHAPE = dict(
     max_response_len=4,
 )
 _GRADCHECK_SIGMA = 0.3
+_GRADCHECK_FD_STEP = 1e-6
+_GRADCHECK_KINK_MARGIN = 1e-3
 
 
-def gradient_check(
-    method: str = "etr",
-    seed: int = 0,
-    fd_step: float = 1e-6,
-    kink_margin: float = 1e-3,
-) -> float:
+def gradient_check(method: str = "etr", seed: int = 0) -> float:
     """Worst relative gradient error of the full objective for one method.
 
     Parameters are perturbed away from the sampling policy so ratios
     leave 1 and both clip branches are exercised; trials whose ratios sit
-    within ``kink_margin`` of a clip boundary are re-drawn, since the
-    objective is not differentiable there.
+    within ``_GRADCHECK_KINK_MARGIN`` of a clip boundary are re-drawn,
+    since the objective is not differentiable there.
     """
     cfg = dataclasses.replace(
         TrainConfig(),
@@ -561,7 +558,7 @@ def gradient_check(
         margin = float(np.min(np.minimum(np.abs(ratio - prep.lo), np.abs(ratio - prep.hi))))
         below = np.any(ratio < prep.lo) or np.any(ratio > prep.hi)
         inside = np.any((ratio > prep.lo) & (ratio < prep.hi))
-        if margin <= kink_margin or not below or not inside:
+        if margin <= _GRADCHECK_KINK_MARGIN or not below or not inside:
             continue
 
         def f(vec: np.ndarray) -> tuple[float, np.ndarray]:
@@ -571,13 +568,10 @@ def gradient_check(
             bd = evaluate_prepared(prep, p, trial.kl_coef, with_grad=True)
             return bd.total, bd.gradient
 
-        return finite_diff_check(f, theta, fd_step)
+        return finite_diff_check(f, theta, _GRADCHECK_FD_STEP)
     raise ContractViolation("no kink-safe gradient-check trial found")
 
 
-def gradient_check_suite(seed: int = 0, fd_step: float = 1e-6) -> list[tuple[str, float]]:
+def gradient_check_suite(seed: int = 0) -> list[tuple[str, float]]:
     """Run the gradient check once per strategy variant, each on its own batch."""
-    return [
-        (m, gradient_check(m, seed=seed + 13 * i, fd_step=fd_step))
-        for i, m in enumerate(GRADCHECK_VARIANTS)
-    ]
+    return [(m, gradient_check(m, seed=seed + 13 * i)) for i, m in enumerate(GRADCHECK_VARIANTS)]

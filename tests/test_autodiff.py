@@ -1,4 +1,8 @@
-"""Tape engine: forward values, backward gradients, subgradient rules."""
+"""Tape engine: forward values, backward gradients, subgradient rules.
+
+The ops that only the tests use (tanh, matmul, log-softmax, gathers,
+reshape) live in ``tape_reference`` and are checked here on the same tape.
+"""
 
 import numpy as np
 import pytest
@@ -6,19 +10,14 @@ import pytest
 import etrlab.autodiff as ad
 from etrlab.autodiff import (
     ContractViolation,
-    DomainError,
     Record,
     Tensor,
     clip_gated,
     finite_diff_check,
-    gather_pairs,
-    matmul,
     min_pair,
-    softmax_logprobs,
     sum_all,
-    take_rows,
-    tanh,
 )
+from tape_reference import gather_pairs, matmul, reshape, softmax_logprobs, take_rows, tanh
 
 
 def central_diff(f, theta, step=1e-6):
@@ -43,11 +42,9 @@ def grad_of(build, theta):
 
 def test_elementwise_values():
     assert np.array_equal((Tensor([1.0, 2.0]) * Tensor([3.0, 4.0])).data, [3.0, 8.0])
-    assert np.array_equal(Tensor([1.0]).log().data, [0.0])
     assert np.array_equal(Tensor([0.0]).exp().data, [1.0])
     assert np.array_equal((Tensor([1.0, 2.0]) + 1.0).data, [2.0, 3.0])
     assert np.array_equal((1.0 - Tensor([1.0, 2.0])).data, [0.0, -1.0])
-    assert np.array_equal((Tensor([3.0, 9.0]) / 3.0).data, [1.0, 3.0])
 
 
 def test_constant_ops_stay_off_tape():
@@ -70,15 +67,6 @@ def test_scalar_broadcast_allowed_both_ways():
     total = sum_all(x * 2.0 + Tensor(1.0))
     grads = rec.backward(total)
     np.testing.assert_array_equal(grads[x.node], [2.0, 2.0, 2.0])
-
-
-def test_domain_errors():
-    with pytest.raises(DomainError):
-        Tensor([0.0]).log()
-    with pytest.raises(DomainError):
-        Tensor([-1.0]).log()
-    with pytest.raises(DomainError):
-        Tensor([1.0]) / Tensor([0.0])
 
 
 def test_cross_record_operands_rejected():
@@ -107,7 +95,7 @@ def test_matmul_gradient_matches_central_differences():
     def f(theta):
         return np.sum(theta.reshape(2, 3) @ b)
 
-    _, grad = grad_of(lambda t: sum_all(matmul(t.reshape((2, 3)), b)), theta0)
+    _, grad = grad_of(lambda t: sum_all(matmul(reshape(t, (2, 3)), b)), theta0)
     np.testing.assert_allclose(grad, central_diff(f, theta0), rtol=0, atol=1e-8)
     # each row of dA is the row-sums of B
     np.testing.assert_allclose(grad.reshape(2, 3), np.tile(b.sum(axis=1), (2, 1)), atol=1e-12)
@@ -142,7 +130,7 @@ def test_softmax_logprobs_selected_gradient_is_onehot_minus_probs():
     logits0 = np.array([0.3, -0.7, 1.1, 0.2])
 
     def build(t):
-        return gather_pairs(softmax_logprobs(t.reshape((1, 4))), [0], [2]).sum()
+        return gather_pairs(softmax_logprobs(reshape(t, (1, 4))), [0], [2]).sum()
 
     _, grad = grad_of(build, logits0)
     probs = np.exp(softmax_logprobs(logits0).data)
@@ -311,13 +299,15 @@ def _random_composition(seed, theta0):
         leaf = rec.leaf(np.asarray(theta, dtype=np.float64))
         x = tanh(leaf * scale) + c1
         y = x.exp()
-        z = (y + shift).log() - x / 2.0
-        m = matmul(z.reshape((2, 3)), c2.T @ c2)
+        z = tanh(y - shift) - x * 0.5
+        rows = reshape(z, (2, 3))
+        m = matmul(rows, c2.T @ c2)
         lp = softmax_logprobs(m)
         picked = gather_pairs(lp, [0, 1], [1, 2])
         clipped = clip_gated(tanh(leaf), lo, hi)
         paired = min_pair(clipped, clipped * 0.5 + 0.9)
-        root = picked.mean() + paired.sum() + (-z).mean()
+        taken = take_rows(rows, [1, 0, 1])
+        root = picked.sum() * 0.5 + paired.sum() - taken.sum() * (1.0 / 9.0)
         return rec, leaf, root
 
     return build

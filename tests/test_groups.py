@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from etrlab.autodiff import ContractViolation
-from etrlab.groups import (
-    DEFAULT_XI,
-    RolloutGroup,
-    broadcast_advantage,
-    group_stats,
-    normalize_advantages,
-    pass_rate,
-)
+from etrlab.groups import DEFAULT_XI, RolloutGroup, group_stats, pass_rate
 from etrlab.policy import SampledResponse, Vocab
 from etrlab.tasks import Prompt
 
@@ -30,9 +23,9 @@ def test_pass_rate_examples():
 
 
 def test_degenerate_group_yields_exact_zeros():
-    adv = normalize_advantages(np.ones(8))
+    adv = group_stats(np.ones(8)).advantages
     assert np.array_equal(adv, np.zeros(8))
-    adv = normalize_advantages(-np.ones(5))
+    adv = group_stats(-np.ones(5)).advantages
     assert np.array_equal(adv, np.zeros(5))
 
 
@@ -43,7 +36,7 @@ def test_two_positive_six_negative_oracle():
     std = np.sqrt(np.mean((rewards - mean) ** 2))
     want_pos = (1.0 - mean) / (std + 1e-6)
     want_neg = (-1.0 - mean) / (std + 1e-6)
-    adv = normalize_advantages(rewards, xi=1e-6)
+    adv = group_stats(rewards, xi=1e-6).advantages
     np.testing.assert_allclose(adv[:2], want_pos, rtol=0, atol=1e-15)
     np.testing.assert_allclose(adv[2:], want_neg, rtol=0, atol=1e-15)
     assert abs(want_pos - 1.732049) < 5e-7
@@ -56,7 +49,7 @@ def test_advantages_center_and_scale():
     for _ in range(200):
         n = int(rng.integers(2, 12))
         rewards = rng.choice([-1.0, 1.0], size=n)
-        adv = normalize_advantages(rewards)
+        adv = group_stats(rewards).advantages
         assert abs(adv.sum()) <= 1e-9
         std = float(np.std(rewards))
         if std > 0:
@@ -68,15 +61,15 @@ def test_permutation_equivariance():
     rewards = np.asarray([1.0, -1.0, -1.0, 1.0, -1.0])
     perm = np.asarray([4, 2, 0, 1, 3])
     np.testing.assert_array_equal(
-        normalize_advantages(rewards[perm]), normalize_advantages(rewards)[perm]
+        group_stats(rewards[perm]).advantages, group_stats(rewards).advantages[perm]
     )
 
 
 def test_normalize_contracts():
     with pytest.raises(ContractViolation):
-        normalize_advantages(np.ones(1))
+        group_stats(np.ones(1))
     with pytest.raises(ContractViolation):
-        normalize_advantages(np.ones(4), xi=0.0)
+        group_stats(np.ones(4), xi=0.0)
 
 
 def test_group_stats_fields():
@@ -114,29 +107,13 @@ def test_rollout_group_rejects_every_reward_but_plus_or_minus_one(bad):
         assert RolloutGroup(prompt, responses, np.asarray(rewards)).size == 2
 
 
-def test_broadcast_advantage():
-    rewards = np.asarray([1.0, 1.0, -1, -1, -1, -1, -1, -1])
-    stats = group_stats(rewards, xi=1e-6)
-    responses = [make_response(5) for _ in range(8)]
-    per_token = broadcast_advantage(stats, responses)
-    assert len(per_token) == 8
-    assert all(arr.shape == (5,) for arr in per_token)
-    np.testing.assert_array_equal(per_token[0], np.full(5, stats.advantages[0]))
-    for arr, a in zip(per_token, stats.advantages):
-        assert arr.mean() == a
-    with pytest.raises(ContractViolation):
-        broadcast_advantage(stats, [])
-    with pytest.raises(ContractViolation):
-        broadcast_advantage(stats, responses[:3])
-
-
 def test_sum_near_zero_over_many_random_groups():
     rng = np.random.default_rng(17)
     worst = 0.0
     for _ in range(10_000):
         n = int(rng.integers(2, 17))
         rewards = rng.choice([-1.0, 1.0], size=n)
-        worst = max(worst, abs(float(normalize_advantages(rewards).sum())))
+        worst = max(worst, abs(float(group_stats(rewards).advantages.sum())))
     assert worst <= 1e-9
 
 
@@ -170,7 +147,6 @@ def test_group_stats_is_bitwise_the_reference_formula(xi):
             rewards = rng.choice([-1.0, 1.0], size=n)
             want = reference_group_stats(rewards, xi)
             assert_stats_bitwise_equal(group_stats(rewards, xi), want)
-            assert normalize_advantages(rewards, xi).tobytes() == want[3].tobytes()
             assert pass_rate(rewards) == want[2]
         # Arbitrary real rewards exercise the rounding of sum / n.
         rewards = rng.normal(0.3, 2.0, size=n)

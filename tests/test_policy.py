@@ -9,17 +9,13 @@ from etrlab.policy import (
     PolicyParams,
     SampledResponse,
     Vocab,
-    forward_logits,
     init_params,
     mask_matrix,
-    mean_token_entropy,
     pad_context,
-    response_contexts,
     sample_group,
     sample_groups,
-    sample_sequence,
     score_tokens,
-    sequence_logprobs,
+    stacked_contexts,
 )
 from etrlab.tasks import TaskSpec, generate_prompt, response_grammar
 
@@ -73,8 +69,8 @@ def test_init_different_seeds_differ_almost_everywhere():
 def test_init_scale_zero_gives_uniform_distribution():
     p = init_params(VOCAB, 4, 16, 64, 0, 0.0)
     assert np.array_equal(p.to_vector(), np.zeros(p.param_count))
-    logits = forward_logits(p, [VOCAB.bos] * 4)
-    assert np.array_equal(logits, np.zeros(VOCAB.size))
+    logits = _forward_logits_rows(p, np.full((1, 4), VOCAB.bos))
+    assert np.array_equal(logits, np.zeros((1, VOCAB.size)))
     with pytest.raises(ContractViolation):
         init_params(VOCAB, 4, 16, 64, 0, -0.1)
 
@@ -88,16 +84,16 @@ def test_pad_context():
 def test_forward_logits_contracts():
     p = tiny_params()
     with pytest.raises(ContractViolation):
-        forward_logits(p, [0, 1])
+        _forward_logits_rows(p, np.asarray([[0, 1, 2, 3], [0, 1, 2, VOCAB.size]]))
     with pytest.raises(ContractViolation):
-        forward_logits(p, [0, 1, 2, VOCAB.size])
+        _forward_logits_rows(p, np.asarray([[0, 1, -1, 3]]))
 
 
 def test_one_hot_output_bias_sets_argmax_everywhere():
     p = init_params(VOCAB, 4, 16, 64, 0, 0.0)
     p.b_out[5] = 3.0
-    for ctx in ([10, 10, 10, 10], [0, 1, 2, 3], [9, 9, 9, 9]):
-        assert int(np.argmax(forward_logits(p, ctx))) == 5
+    contexts = np.asarray([[10, 10, 10, 10], [0, 1, 2, 3], [9, 9, 9, 9]])
+    assert np.argmax(_forward_logits_rows(p, contexts), axis=1).tolist() == [5, 5, 5]
 
 
 def test_embedding_permutation_invariance():
@@ -107,9 +103,9 @@ def test_embedding_permutation_invariance():
     embed2 = np.empty_like(p.embed)
     embed2[perm] = p.embed
     q = PolicyParams(VOCAB, p.window, embed2, p.w_hidden, p.b_hidden, p.w_out, p.b_out)
-    ctx = np.array([3, 1, 12, 10])
+    ctx = np.array([[3, 1, 12, 10]])
     np.testing.assert_allclose(
-        forward_logits(q, perm[ctx]), forward_logits(p, ctx), rtol=0, atol=0
+        _forward_logits_rows(q, perm[ctx]), _forward_logits_rows(p, ctx), rtol=0, atol=0
     )
 
 
@@ -189,41 +185,43 @@ def test_sampled_response_length_contract():
 def test_all_mass_on_eos_yields_length_one():
     p = init_params(VOCAB, 4, 16, 64, 0, 0.0)
     p.b_out[VOCAB.eos] = 1e3
-    resp = sample_sequence(p, [VOCAB.sep], 16, 1.0, np.random.default_rng(0))
-    assert resp.tokens == (VOCAB.eos,)
-    assert len(resp) == 1
+    group, _ = sample_group(p, [VOCAB.sep], 3, 1.0, np.random.default_rng(0), max_len=16)
+    assert [r.tokens for r in group] == [(VOCAB.eos,)] * 3
 
 
 def test_uniform_policy_logprobs():
     p = init_params(VOCAB, 4, 16, 64, 0, 0.0)
     rng = np.random.default_rng(5)
-    free = sample_sequence(p, [VOCAB.sep], 3, 1.0, rng)
-    np.testing.assert_allclose(
-        free.logprobs, np.full(len(free), -np.log(VOCAB.size)), atol=1e-12
-    )
+    free, _ = sample_group(p, [VOCAB.sep], 4, 1.0, rng, max_len=3)
+    for resp in free:
+        np.testing.assert_allclose(
+            resp.logprobs, np.full(len(resp), -np.log(VOCAB.size)), atol=1e-12
+        )
     masks = [VOCAB.content_ids(), VOCAB.content_ids(), (VOCAB.eos,)]
-    masked = sample_sequence(p, [VOCAB.sep], 8, 1.0, rng, position_masks=masks)
-    assert masked.tokens[-1] == VOCAB.eos
-    np.testing.assert_allclose(masked.logprobs[:2], [-np.log(10)] * 2, atol=1e-12)
-    assert abs(masked.logprobs[-1]) < 1e-12
+    masked, _ = sample_group(p, [VOCAB.sep], 4, 1.0, rng, masks, max_len=8)
+    for resp in masked:
+        assert len(resp) == 3 and resp.tokens[-1] == VOCAB.eos
+        np.testing.assert_allclose(resp.logprobs[:2], [-np.log(10)] * 2, atol=1e-12)
+        assert abs(resp.logprobs[-1]) < 1e-12
 
 
 def test_sampling_contracts():
     p = tiny_params()
     with pytest.raises(ContractViolation):
-        sample_sequence(p, [], 0, 1.0, np.random.default_rng(0))
+        sample_group(p, [], 4, 0.0, np.random.default_rng(0))
     with pytest.raises(ContractViolation):
-        sample_sequence(p, [], 4, 0.0, np.random.default_rng(0))
+        sample_group(p, [], 4, -1.0, np.random.default_rng(0))
     with pytest.raises(ContractViolation):
         sample_group(p, [], 0, 1.0, np.random.default_rng(0))
 
 
 def test_same_seed_same_tokens():
     p = tiny_params(seed=2)
-    a = sample_sequence(p, [1, 2], 8, 1.0, np.random.default_rng(42))
-    b = sample_sequence(p, [1, 2], 8, 1.0, np.random.default_rng(42))
-    assert a.tokens == b.tokens
-    assert np.array_equal(a.logprobs, b.logprobs)
+    a, _ = sample_group(p, [1, 2], 3, 1.0, np.random.default_rng(42), max_len=8)
+    b, _ = sample_group(p, [1, 2], 3, 1.0, np.random.default_rng(42), max_len=8)
+    assert [r.tokens for r in a] == [r.tokens for r in b]
+    for ra, rb in zip(a, b):
+        assert np.array_equal(ra.logprobs, rb.logprobs)
 
 
 def test_sample_group_lockstep_determinism():
@@ -250,13 +248,16 @@ def test_self_rescore_identity():
     prompt = [VOCAB.sep, 7, VOCAB.sep]
     group, _ = sample_group(p, prompt, 8, 1.0, np.random.default_rng(3), masks)
     for resp in group:
-        rescored = sequence_logprobs(p, prompt, resp.tokens, masks)
+        contexts = stacked_contexts([(prompt, resp.tokens)], p.window, VOCAB.bos)
+        table = mask_matrix(VOCAB.size, masks, len(resp))
+        rescored = score_tokens(p, contexts, np.asarray(resp.tokens), table)
         np.testing.assert_allclose(rescored, resp.logprobs, rtol=0, atol=1e-12)
 
 
 def test_zero_params_score_log_v():
     p = init_params(VOCAB, 4, 16, 64, 0, 0.0)
-    lp = sequence_logprobs(p, [VOCAB.sep], [3, 1, VOCAB.eos])
+    contexts = stacked_contexts([([VOCAB.sep], [3, 1, VOCAB.eos])], p.window, VOCAB.bos)
+    lp = score_tokens(p, contexts, np.asarray([3, 1, VOCAB.eos]), None)
     np.testing.assert_allclose(lp, np.full(3, -np.log(VOCAB.size)), atol=1e-12)
 
 
@@ -264,11 +265,11 @@ def test_chain_rule_matches_brute_force_two_token_vocab():
     vocab = Vocab(2)
     p = init_params(vocab, 3, 4, 8, 13, 0.3)
     prompt = [vocab.sep]
-    resp = sample_sequence(p, prompt, 4, 1.0, np.random.default_rng(1))
+    (resp,), _ = sample_group(p, prompt, 1, 1.0, np.random.default_rng(1), max_len=4)
     prob = 1.0
     seq = list(prompt)
     for tok in resp.tokens:
-        logits = forward_logits(p, pad_context(seq, p.window, vocab.bos))
+        logits = _forward_logits_rows(p, pad_context(seq, p.window, vocab.bos)[None, :])[0]
         shifted = logits - logits.max()
         probs = np.exp(shifted) / np.exp(shifted).sum()
         prob *= probs[tok]
@@ -276,9 +277,15 @@ def test_chain_rule_matches_brute_force_two_token_vocab():
     assert abs(float(np.sum(resp.logprobs)) - np.log(prob)) < 1e-12
 
 
-def test_response_contexts_layout():
-    rows = response_contexts([12, 7, 12], [3, 4, 11], 4, VOCAB.bos)
-    assert rows.tolist() == [[10, 12, 7, 12], [12, 7, 12, 3], [7, 12, 3, 4]]
+def test_stacked_contexts_layout():
+    rows = stacked_contexts([([12, 7, 12], [3, 4, 11]), ([5], [6, 11])], 4, VOCAB.bos)
+    assert rows.tolist() == [
+        [10, 12, 7, 12],
+        [12, 7, 12, 3],
+        [7, 12, 3, 4],
+        [10, 10, 10, 5],
+        [10, 10, 5, 6],
+    ]
 
 
 def test_entropy_uniform_and_deterministic_mixture():
@@ -290,32 +297,37 @@ def test_entropy_uniform_and_deterministic_mixture():
     uniform.w_hidden[0, 0] = 50.0
     uniform.w_out[0, 0] = 2000.0
     masks = [VOCAB.content_ids()]
-    items = [
-        ((0,), (2,), masks),
-        ((1,), (2,), masks),
-    ]
-    mixed = mean_token_entropy(uniform, items)
-    assert abs(mixed - np.log(10) / 2.0) < 1e-12
-    assert abs(mean_token_entropy(uniform, items[:1]) - np.log(10)) < 1e-12
-    assert mean_token_entropy(uniform, items[1:]) == 0.0
+
+    def entropies(prompts):
+        rngs = [np.random.default_rng(g) for g in range(len(prompts))]
+        _, ent = sample_groups(
+            uniform, prompts, 3, 1.0, rngs, [masks] * len(prompts), collect_entropy=True
+        )
+        return ent
+
+    mixed = entropies([(0,), (1,)])
+    assert len(mixed) == 6
+    assert abs(np.mean(mixed) - np.log(10) / 2.0) < 1e-12
+    np.testing.assert_allclose(entropies([(0,)]), [np.log(10)] * 3, rtol=0, atol=1e-12)
+    assert entropies([(1,)]) == [0.0] * 3
 
 
 def test_entropy_skips_pinned_positions():
     p = init_params(VOCAB, 4, 16, 64, 0, 0.0)
+    rng = np.random.default_rng(0)
     masks = [VOCAB.content_ids(), (VOCAB.eos,)]
-    got = mean_token_entropy(p, [((VOCAB.sep,), (3, VOCAB.eos), masks)])
-    assert abs(got - np.log(10)) < 1e-12
-    with pytest.raises(ContractViolation):
-        mean_token_entropy(p, [((VOCAB.sep,), (VOCAB.eos,), [(VOCAB.eos,)])])
+    _, got = sample_group(p, (VOCAB.sep,), 4, 1.0, rng, masks, collect_entropy=True)
+    np.testing.assert_allclose(got, [np.log(10)] * 4, rtol=0, atol=1e-12)
+    _, none = sample_group(p, (VOCAB.sep,), 4, 1.0, rng, [(VOCAB.eos,)], collect_entropy=True)
+    assert none == []
 
 
 def test_entropy_bounds_hold_for_random_params():
     p = tiny_params(seed=21, scale=0.5)
     prompt = [VOCAB.sep, 2, VOCAB.sep]
-    group, _ = sample_group(p, prompt, 4, 1.0, np.random.default_rng(2))
-    items = [(prompt, r.tokens, None) for r in group if len(r)]
-    h = mean_token_entropy(p, items)
-    assert 0.0 <= h <= np.log(VOCAB.size) + 1e-12
+    group, h = sample_group(p, prompt, 4, 1.0, np.random.default_rng(2), collect_entropy=True)
+    assert len(h) == sum(len(r) for r in group)
+    assert all(0.0 <= x <= np.log(VOCAB.size) + 1e-12 for x in h)
 
 
 def reference_sample_group(params, prompt, n, temperature, rng, position_masks=None, max_len=64):
