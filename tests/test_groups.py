@@ -3,8 +3,9 @@ import pytest
 
 from etrlab.autodiff import ContractViolation
 from etrlab.groups import DEFAULT_XI, RolloutGroup, group_stats, pass_rate
-from etrlab.policy import SampledResponse, Vocab
-from etrlab.tasks import Prompt
+from etrlab.objectives import Static, prepare_batch
+from etrlab.policy import SampledResponse, Vocab, init_params, sample_group
+from etrlab.tasks import Prompt, encode_payload, response_grammar
 
 VOCAB = Vocab()
 
@@ -105,6 +106,35 @@ def test_rollout_group_rejects_every_reward_but_plus_or_minus_one(bad):
             RolloutGroup(prompt, responses, np.asarray(rewards))
     for rewards in ([1.0, 1.0], [-1.0, 1.0], [-1, -1]):
         assert RolloutGroup(prompt, responses, np.asarray(rewards)).size == 2
+
+
+def test_broadcast_advantage():
+    # prepare_batch repeats each response's group advantage over its tokens,
+    # here across two groups whose answers differ in length.
+    params = init_params(VOCAB, 3, 4, 8, 0, 0.1)
+    batch, want = [], []
+    for family, difficulty, payload, rewards in (
+        ("digitsum", 2, (7,), [1.0, 1.0, -1, -1, -1, -1, -1, -1]),
+        ("copy", 4, (5, 1, 8, 2), [-1.0, 1.0, -1.0]),
+    ):
+        prompt = Prompt(family, difficulty, payload, encode_payload(family, payload, VOCAB))
+        grammar = response_grammar(prompt, VOCAB)
+        responses, _ = sample_group(
+            params, prompt.tokens, len(rewards), 1.0, np.random.default_rng(3), grammar
+        )
+        batch.append(RolloutGroup(prompt, responses, np.asarray(rewards)))
+        stats = group_stats(np.asarray(rewards), xi=1e-6)
+        want += [(len(resp), a) for resp, a in zip(responses, stats.advantages)]
+    assert sorted({length for length, _ in want}) == [3, 5]
+    prep = prepare_batch(batch, Static(0.2), params, xi=1e-6)
+    lengths = [length for length, _ in want]
+    spans = np.split(prep.advantages, np.cumsum(lengths)[:-1])
+    assert prep.advantages.shape == (sum(lengths),) and len(spans) == 11
+    for span, (length, a) in zip(spans, want):
+        np.testing.assert_array_equal(span, np.full(length, a))
+        assert span.mean() == a
+    with pytest.raises(ContractViolation):
+        RolloutGroup(batch[0].prompt, batch[0].responses[:3], batch[0].rewards)
 
 
 def test_sum_near_zero_over_many_random_groups():

@@ -56,23 +56,42 @@ def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
-def unreached_definitions() -> list[str]:
-    modules = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+def unreached_definitions(
+    modules: dict[str, ast.Module], readers: list[ast.Module]
+) -> list[str]:
+    """``module.name`` of each public definition no module or reader names."""
     outside: set[str] = set()
-    for path in OUTSIDE_READERS:
-        outside |= referenced_names(ast.parse(path.read_text()))
+    for tree in readers:
+        outside |= referenced_names(tree)
     unreached = []
-    for path, tree in modules.items():
+    for name, tree in modules.items():
         elsewhere = set(outside)
         for other, other_tree in modules.items():
-            if other != path:
+            if other != name:
                 elsewhere |= referenced_names(other_tree)
         for node in public_definitions(tree):
             if node.name not in elsewhere | referenced_names(tree, skip=node):
-                unreached.append(f"{path.stem}.{node.name}")
+                unreached.append(f"{name}.{node.name}")
     return unreached
 
 
 def test_every_public_definition_is_reached_outside_the_unit_tests():
     assert all(path.is_file() for path in OUTSIDE_READERS) and len(OUTSIDE_READERS) > 1
-    assert unreached_definitions() == []
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    readers = [ast.parse(path.read_text()) for path in OUTSIDE_READERS]
+    assert unreached_definitions(modules, readers) == []
+
+
+def test_guard_flags_helpers_named_only_by_themselves_or_all():
+    module = ast.parse(
+        '__all__ = ["helper", "used", "probed"]\n'
+        "def helper(n):\n    return helper(n - 1) if n else 0\n"
+        "def used():\n    pass\n"
+        "def probed():\n    pass\n"
+        "def _private():\n    pass\n"
+        "class Spare:\n    pass\n"
+    )
+    caller = ast.parse("from a import used\nused()\n")
+    probe = ast.parse('getattr(a, "probed")\n')
+    assert unreached_definitions({"a": module, "b": caller}, [probe]) == ["a.helper", "a.Spare"]
+    assert unreached_definitions({"a": module}, []) == ["a.helper", "a.used", "a.probed", "a.Spare"]

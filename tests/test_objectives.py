@@ -304,6 +304,21 @@ def test_prepare_batch_contracts_and_weights():
         evaluate_prepared(prep, params, -0.5)
 
 
+def test_static_band_mismatch_from_prepared_advantages():
+    # With beta = 1 a token's ideal ratio step is |A|; a static band of
+    # width eps cannot reach it where |A| > eps. One winner among sixteen
+    # has |A| near 3.9, every loser near 0.26: only the winner is flagged.
+    group, params = make_group([1.0] + [-1.0] * 15, seed=8)
+    prep = prepare_batch([group], Static(1.0), params)
+    flagged = np.abs(prep.advantages) > 1.0
+    winner = len(group.responses[0])
+    assert flagged[:winner].all() and not flagged[winner:].any()
+    assert flagged.mean() == winner / prep.targets.size
+    # Equal rewards give zero advantages, so no band is too narrow.
+    same, _ = make_group([1.0, 1.0, 1.0, 1.0], seed=2, params=params)
+    assert not np.any(prepare_batch([same], Static(0.0), params).advantages)
+
+
 def reference_prepare_batch(batch, strategy, ref_params, xi=1e-6, temperature=1.0):
     """Per-response loop that builds every field token by token, kept as the reference."""
     vocab = ref_params.vocab
