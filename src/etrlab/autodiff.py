@@ -63,11 +63,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        if self.data.shape != ():
-            raise ContractViolation("item() requires a scalar tensor")
-        return float(self.data)
-
     def __repr__(self) -> str:
         tag = "const" if self.node is None else f"node {self.node}"
         return f"Tensor(shape={self.shape}, {tag})"
@@ -88,13 +83,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def exp(self):
-        return exp(self)
-
-    def sum(self):
-        return sum_all(self)
-
-
 
 class Record:
     """Append-only computation tape.
@@ -107,9 +95,6 @@ class Record:
         self._ops: list[str] = []
         self._inputs: list[tuple[int | None, ...]] = []
         self._backs: list[Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None] = []
-
-    def __len__(self) -> int:
-        return len(self._ops)
 
     def leaf(self, data) -> Tensor:
         """Register a parameter array and return its tape-attached tensor."""

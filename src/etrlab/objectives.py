@@ -20,9 +20,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import policy as policy_mod
-from . import tasks as tasks_mod
 from .autodiff import ContractViolation, Tensor, clip_gated, min_pair
-from .groups import RolloutGroup, group_stats, DEFAULT_XI
+from .groups import DEFAULT_XI, RolloutBatch, RolloutGroup, as_rollout_batch, group_stats
 from .policy import PolicyParams, mask_matrix
 
 DIRECTIONS = ("standard", "inverse", "micro-only", "macro-only")
@@ -240,7 +239,7 @@ def _distinct_forward(params: PolicyParams, distinct: np.ndarray, n_rows: int):
 
 
 def prepare_batch(
-    batch: Sequence[RolloutGroup],
+    batch: RolloutBatch | Sequence[RolloutGroup],
     strategy: ClipStrategy,
     ref_params: PolicyParams,
     xi: float = DEFAULT_XI,
@@ -248,35 +247,27 @@ def prepare_batch(
 ) -> PreparedBatch:
     """Flatten a batch of groups into per-token constants for the objective.
 
-    Advantages, pass rates and clip bands are per response, so they are
-    computed as per-response vectors and repeated over response lengths.
+    Groups are first packed into a :class:`RolloutBatch`. Advantages, pass
+    rates and clip bands are per response, so they are computed as
+    per-response vectors and repeated over response lengths; targets,
+    contexts and stored log-probs are the batch's buffers read through
+    the mask of positions inside each response.
     """
-    if len(batch) == 0:
-        raise ContractViolation("batch must contain at least one group")
     vocab = ref_params.vocab
-    advantages, pass_rates, sizes, lengths = [], [], [], []
-    mask_tables, table_bases, pairs, targets, old_logprobs = [], [], [], [], []
-    table_rows = 0
-    for group in batch:
-        stats = group_stats(group.rewards, xi)
-        group_lengths = [len(resp) for resp in group.responses]
-        if min(group_lengths) == 0:
-            raise ContractViolation("cannot score an empty response")
-        grammar = tasks_mod.response_grammar(group.prompt, vocab)
-        table = mask_matrix(vocab.size, grammar, max(group_lengths))
-        for resp in group.responses:
-            pairs.append((group.prompt.tokens, resp.tokens))
-            targets += resp.tokens
-            old_logprobs.append(resp.logprobs)
-        mask_tables.append(table)
-        table_bases += [table_rows] * group.size
-        table_rows += table.shape[0]
+    window = ref_params.window
+    batch = as_rollout_batch(batch, vocab, window)
+    if batch.window != window:
+        raise ContractViolation("batch was sampled with another context window")
+    lengths, sizes = batch.lengths, batch.sizes
+    if lengths.min() == 0:
+        raise ContractViolation("cannot score an empty response")
+    longest = np.maximum.reduceat(lengths, np.cumsum(sizes) - sizes).tolist()
+    advantages, pass_rates, mask_tables = [], [], []
+    for rows, grammar, n_rows in zip(batch.group_rows(), batch.grammars, longest):
+        stats = group_stats(batch.rewards[rows], xi)
+        mask_tables.append(mask_matrix(vocab.size, grammar, n_rows))
         advantages.append(stats.advantages)
         pass_rates.append(stats.pass_rate)
-        sizes.append(group.size)
-        lengths += group_lengths
-    lengths = np.asarray(lengths)
-    sizes = np.asarray(sizes)
     adv = np.concatenate(advantages)
     rate = np.repeat(pass_rates, sizes)
     lo, hi = clip_bounds(strategy, adv, rate)
@@ -284,12 +275,16 @@ def prepare_batch(
     trace = None
     if isinstance(strategy, Elastic):
         trace = np.repeat(dynamic_epsilon(adv, rate, strategy), lengths)
-    contexts = policy_mod.stacked_contexts(pairs, ref_params.window, vocab.bos)
+    horizon = batch.logprobs.shape[1]
+    inside = np.arange(horizon) < lengths[:, None]
+    windows = np.lib.stride_tricks.sliding_window_view(batch.tokens, window, axis=1)
+    contexts = windows[:, :horizon][inside]
     distinct, index = _distinct_rows(contexts)
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = batch.tokens[:, window:][inside]
     # Token t of a response reads row t of its group's grammar table.
-    position = np.arange(targets.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    masks = np.concatenate(mask_tables)[np.repeat(table_bases, lengths) + position]
+    table_starts = np.cumsum(longest) - longest
+    row_table = np.repeat(np.repeat(table_starts, sizes), lengths)
+    masks = np.concatenate(mask_tables)[row_table + np.nonzero(inside)[1]]
     *_, ref_logits = _distinct_forward(ref_params, distinct, targets.size)
     _, ref_lp = policy_mod.token_logprobs(ref_logits[index], targets, masks, temperature)
     group_ends = np.cumsum(lengths)[np.cumsum(sizes) - 1].tolist()
@@ -299,7 +294,7 @@ def prepare_batch(
         distinct_index=index,
         targets=targets,
         masks=masks,
-        old_logprobs=np.concatenate(old_logprobs, dtype=np.float64),
+        old_logprobs=batch.logprobs[inside],
         ref_logprobs=ref_lp,
         advantages=np.repeat(adv, lengths),
         lo=np.repeat(lo, lengths),
@@ -366,7 +361,7 @@ def evaluate_prepared(
 
 
 def batch_objective(
-    batch: Sequence[RolloutGroup],
+    batch: RolloutBatch | Sequence[RolloutGroup],
     strategy: ClipStrategy,
     kl_coef: float,
     params: PolicyParams,

@@ -292,7 +292,7 @@ def sample_groups(
     position_masks: Sequence[PositionMasks | None] | None = None,
     max_len: int = 64,
     collect_entropy: bool = False,
-) -> tuple[list[list[SampledResponse]], list[float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """Sample n responses to each of K prompts in lockstep.
 
     All K * n rows share one forward pass per position. Group k draws
@@ -300,10 +300,21 @@ def sample_groups(
     open, for every row whether or not it already finished, so its stream
     consumption depends only on its own prompt and n, never on the other
     groups. A group closes at its own budget (``max_len``, capped by the
-    length of its masks) or once all its rows emitted EOS. Returned
-    entropies cover positions whose mask allows at least two tokens; they
-    are group-major, and within a group position-major over the rows
-    still alive at that position.
+    length of its masks) or once all its rows emitted EOS.
+
+    Returns the sampler's padded buffers, rows group-major (rows
+    ``k * n`` to ``(k + 1) * n - 1`` answer prompt k):
+
+    - ``tokens`` (K * n, window + horizon): the first ``window`` columns
+      hold the row's BOS-padded prompt tail and the rest its response, so
+      the context of response token t in row i is
+      ``tokens[i, t : t + window]``;
+    - ``logprobs`` (K * n, horizon): each response token's log-probability;
+    - ``lengths`` (K * n,): response lengths. Columns past a row's length
+      are padding;
+    - entropies of the positions whose mask allows at least two tokens,
+      group-major, and within a group position-major over the rows still
+      alive at that position (empty unless ``collect_entropy``).
     """
     k_groups = len(prompts)
     if k_groups < 1:
@@ -320,6 +331,7 @@ def sample_groups(
         raise ContractViolation("one mask sequence per prompt is required")
     vocab = params.vocab
     v = vocab.size
+    window = params.window
     budgets = [max(0, max_len if m is None else min(max_len, len(m))) for m in position_masks]
     horizon = max(budgets)
     rows = k_groups * n
@@ -331,26 +343,27 @@ def sample_groups(
         if m is not None and b > 0:
             row_masks[:b, k * n : (k + 1) * n] = mask_matrix(v, m, b)[:, None, :]
     if collect_entropy:
-        open_choice = [
-            [True] * b if m is None else [len(tuple(m[p])) >= 2 for p in range(b)]
-            for m, b in zip(position_masks, budgets)
-        ]
+        # Entropies are kept where a row is alive and its mask leaves a choice.
+        choice = np.zeros((k_groups, horizon), dtype=bool)
+        for k, (m, b) in enumerate(zip(position_masks, budgets)):
+            choice[k, :b] = True if m is None else [len(tuple(m[p])) >= 2 for p in range(b)]
+        entropy = np.zeros((horizon, rows))
+        kept = np.zeros((horizon, rows), dtype=bool)
     row_budgets = np.repeat(budgets, n)
-    contexts = np.repeat([pad_context(p, params.window, vocab.bos) for p in prompts], n, axis=0)
-    tok_buf = np.zeros((rows, horizon), dtype=np.int64)
-    lp_buf = np.zeros((rows, horizon))
+    tokens = np.zeros((rows, window + horizon), dtype=np.int64)
+    tokens[:, :window] = np.repeat([pad_context(p, window, vocab.bos) for p in prompts], n, axis=0)
+    logprobs = np.zeros((rows, horizon))
     lengths = np.zeros(rows, dtype=np.int64)
     alive = np.ones(rows, dtype=bool)
     draws = np.zeros(rows)
     row_index = np.arange(rows)
-    group_entropies: list[list[float]] = [[] for _ in range(k_groups)]
     for pos in range(horizon):
         if pos in budgets:
             alive &= pos < row_budgets
         open_groups = np.flatnonzero(alive.reshape(k_groups, n).any(axis=1)).tolist()
         if not open_groups:
             break
-        logits = _forward_logits_rows(params, contexts) * (1.0 / temperature)
+        logits = _forward_logits_rows(params, tokens[:, pos : pos + window]) * (1.0 / temperature)
         logits += row_masks[pos]
         lp = _log_softmax_rows(logits)
         for k in open_groups:
@@ -358,26 +371,19 @@ def sample_groups(
         probs = np.exp(lp)
         picks = _sample_rows(probs, draws)
         if collect_entropy:
-            h = -np.sum(probs * lp, axis=1)
-            for k in open_groups:
-                if open_choice[k][pos]:
-                    span = slice(k * n, (k + 1) * n)
-                    group_entropies[k].extend(h[span][alive[span]].tolist())
-        tok_buf[:, pos] = picks
-        lp_buf[:, pos] = lp[row_index, picks]
+            entropy[pos] = -np.sum(probs * lp, axis=1)
+            kept[pos] = alive & np.repeat(choice[:, pos], n)
+        tokens[:, window + pos] = picks
+        logprobs[:, pos] = lp[row_index, picks]
         lengths += alive
         alive &= picks != vocab.eos
-        contexts = np.concatenate([contexts[:, 1:], picks[:, None]], axis=1)
-    tok_rows = tok_buf.tolist()
-    sizes = lengths.tolist()
-    groups = [
-        [
-            SampledResponse(tuple(tok_rows[i][: sizes[i]]), lp_buf[i, : sizes[i]].copy())
-            for i in range(k * n, (k + 1) * n)
-        ]
-        for k in range(k_groups)
-    ]
-    return groups, [h for ent in group_entropies for h in ent]
+    if not collect_entropy:
+        return tokens, logprobs, lengths, []
+    # Group-major, then position-major over the rows kept at that position.
+    by_group = (1, 0, 2)
+    entropy = entropy.reshape(horizon, k_groups, n).transpose(by_group)
+    kept = kept.reshape(horizon, k_groups, n).transpose(by_group)
+    return tokens, logprobs, lengths, entropy[kept].tolist()
 
 
 def sample_group(
@@ -392,9 +398,10 @@ def sample_group(
 ) -> tuple[list[SampledResponse], list[float]]:
     """Sample n responses to one prompt in lockstep from a single stream.
 
-    The one-prompt case of :func:`sample_groups`.
+    The one-prompt case of :func:`sample_groups`, with each buffer row cut
+    to its length as a :class:`SampledResponse`.
     """
-    groups, entropies = sample_groups(
+    tokens, logprobs, lengths, entropies = sample_groups(
         params,
         [prompt],
         n,
@@ -404,27 +411,12 @@ def sample_group(
         max_len,
         collect_entropy,
     )
-    return groups[0], entropies
-
-
-def stacked_contexts(
-    pairs: Sequence[tuple[Sequence[int], Sequence[int]]], window: int, bos: int
-) -> np.ndarray:
-    """Padded context rows for every position of every (prompt, tokens) pair.
-
-    Rows are stacked pair by pair; each is a window over the pair's
-    BOS-padded prompt and response.
-    """
-    flat: list[int] = []
-    row_starts: list[int] = []
-    for prompt, tokens in pairs:
-        at = len(flat) + len(prompt)
-        row_starts.extend(range(at, at + len(tokens)))
-        flat += [bos] * window
-        flat += prompt
-        flat += tokens
-    windows = np.lib.stride_tricks.sliding_window_view(np.asarray(flat, dtype=np.int64), window)
-    return windows[row_starts]
+    rows = tokens[:, params.window :].tolist()
+    responses = [
+        SampledResponse(tuple(row[:size]), logprobs[i, :size].copy())
+        for i, (row, size) in enumerate(zip(rows, lengths.tolist()))
+    ]
+    return responses, entropies
 
 
 def score_tokens(

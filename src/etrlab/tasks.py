@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -118,9 +119,75 @@ def verify(prompt: Prompt, tokens: Sequence[int], vocab: Vocab) -> bool:
     return toks[:k] == prompt.payload
 
 
-def reward(correct: bool) -> float:
-    """Binary outcome reward: +1 for a verified response, -1 otherwise."""
-    return 1.0 if correct else -1.0
+def verify_rows(
+    prompts: Sequence[Prompt],
+    sizes: Sequence[int],
+    tokens: np.ndarray,
+    lengths: np.ndarray,
+    vocab: Vocab,
+) -> np.ndarray:
+    """:func:`verify` on every row of a padded response buffer at once.
+
+    Row i of ``tokens`` (rows, horizon) holds a response of ``lengths[i]``
+    ids, then padding that is never read. Rows answer the prompts in
+    order: the first ``sizes[0]`` rows ``prompts[0]``, the next
+    ``sizes[1]`` rows ``prompts[1]``, and so on. Entry i of the result is
+    ``verify(prompt, tokens[i, :lengths[i]], vocab)``.
+    """
+    tokens = np.asarray(tokens, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    rows = tokens.shape[0]
+    if not prompts or len(prompts) != len(sizes) or int(np.sum(sizes)) != rows:
+        raise ContractViolation("one prompt per group of rows is required")
+    if lengths.shape != (rows,) or np.any((lengths < 0) | (lengths > tokens.shape[1])):
+        raise ContractViolation("one length per row, within the buffer, is required")
+    # Per prompt: its content slots and the ids they must hold (the copy
+    # payload, the digit target or the parity bit in slot 0). A copy
+    # prompt whose payload does not fill its slots has no correct answer.
+    slots = [answer_length(p) - 1 for p in prompts]
+    width = max(slots) + 1
+    want = np.zeros((len(prompts), width), dtype=np.int64)
+    solvable = np.ones(len(prompts), dtype=bool)
+    for k, p in enumerate(prompts):
+        if p.family == "copy":
+            solvable[k] = len(p.payload) == slots[k]
+            if solvable[k]:
+                want[k, : slots[k]] = p.payload
+        elif p.family == "digitsum":
+            want[k, 0] = p.payload[0]
+        else:
+            want[k, 0] = functools.reduce(operator.xor, p.payload, 0)
+    family = np.repeat([FAMILIES.index(p.family) for p in prompts], sizes)
+    slot = np.repeat(slots, sizes)
+    want = np.repeat(want, sizes, axis=0)
+    # The first ``width`` columns, zero-padded where the buffer is narrower.
+    head = np.zeros((rows, width), dtype=np.int64)
+    cut = min(width, tokens.shape[1])
+    head[:, :cut] = tokens[:, :cut]
+    outside = np.arange(width) >= slot[:, None]
+    well_formed = (
+        np.repeat(solvable, sizes)
+        & (lengths == slot + 1)
+        & (head[np.arange(rows), slot] == vocab.eos)
+    )
+    first = head[:, 0]
+    by_family = {
+        "copy": np.all((head == want) | outside, axis=1),
+        "digitsum": np.all(((head >= 0) & (head <= 9)) | outside, axis=1)
+        & (np.where(outside, 0, head).sum(axis=1) % 10 == want[:, 0]),
+        # One slot holding the xor bit.
+        "parity": (first == want[:, 0]) & ((first == 0) | (first == 1)),
+    }
+    return well_formed & np.choose(family, [by_family[f] for f in FAMILIES])
+
+
+def reward(correct):
+    """Binary outcome reward: +1 for a verified response, -1 otherwise.
+
+    Elementwise on an array of outcomes, so the scalar and the batched
+    checks share this one definition.
+    """
+    return np.where(correct, 1.0, -1.0)
 
 
 @functools.lru_cache(maxsize=64)

@@ -27,7 +27,13 @@ from .config import (
 )
 # group_stats is unused here but stays importable: perfbench/layers.py
 # probes trainer.group_stats by name.
-from .groups import RolloutGroup, group_stats, pass_rate  # noqa: F401
+from .groups import (  # noqa: F401
+    RolloutBatch,
+    RolloutGroup,
+    as_rollout_batch,
+    group_stats,
+    pass_rate,
+)
 from .metrics import (
     StepMetrics,
     config_digest,
@@ -39,7 +45,15 @@ from .metrics import (
 )
 from .objectives import ClipStrategy, LossBreakdown, evaluate_prepared, prepare_batch
 from .policy import PolicyParams, Vocab, init_params, sample_group, sample_groups
-from .tasks import TaskSpec, generate_prompt, response_grammar, reward, sample_task, verify
+from .tasks import (
+    TaskSpec,
+    generate_prompt,
+    response_grammar,
+    reward,
+    sample_task,
+    verify,
+    verify_rows,
+)
 
 # Stream tag separating evaluation rng from (seed, step, group) rollout
 # streams; eval entropy tuples also differ in length.
@@ -143,11 +157,11 @@ def rollout_batch(
     cfg: TrainConfig,
     vocab: Vocab,
     step: int,
-) -> tuple[list[RolloutGroup], list[float], list[int]]:
+) -> RolloutBatch:
     """Sample groups-per-step prompt groups for one training step.
 
-    Returns the groups plus the per-position sampling entropies and the
-    response lengths observed while rolling out.
+    Every row is checked against its prompt in one vectorised pass; the
+    batch keeps the sampler's buffers and entropies.
     """
     if step < 1:
         raise ContractViolation("step index starts at 1")
@@ -158,7 +172,7 @@ def rollout_batch(
         rngs.append(rng)
         prompts.append(prompt)
         grammars.append(response_grammar(prompt, vocab))
-    sampled, entropies = sample_groups(
+    tokens, logprobs, lengths, entropies = sample_groups(
         params,
         [prompt.tokens for prompt in prompts],
         cfg.group_size,
@@ -168,15 +182,21 @@ def rollout_batch(
         max_len=cfg.max_response_len,
         collect_entropy=True,
     )
-    groups: list[RolloutGroup] = []
-    for prompt, responses in zip(prompts, sampled):
-        rewards = np.asarray([reward(verify(prompt, r.tokens, vocab)) for r in responses])
-        groups.append(RolloutGroup(prompt, tuple(responses), rewards))
-    lengths = [len(r) for responses in sampled for r in responses]
-    return groups, entropies, lengths
+    sizes = np.full(len(prompts), cfg.group_size)
+    correct = verify_rows(prompts, sizes, tokens[:, params.window :], lengths, vocab)
+    return RolloutBatch(
+        prompts=tuple(prompts),
+        grammars=tuple(grammars),
+        sizes=sizes,
+        tokens=tokens,
+        logprobs=logprobs,
+        lengths=lengths,
+        rewards=reward(correct),
+        entropies=tuple(entropies),
+    )
 
 
-def _locate_nonfinite_group(prep, params: PolicyParams, batch) -> int | None:
+def _locate_nonfinite_group(prep, params: PolicyParams) -> int | None:
     from .policy import score_tokens
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,7 +214,7 @@ def train_step(
     params: PolicyParams,
     ref_params: PolicyParams,
     opt: OptimizerState,
-    batch: Sequence[RolloutGroup],
+    batch: RolloutBatch | Sequence[RolloutGroup],
     cfg: TrainConfig,
     strategy: ClipStrategy | None = None,
 ) -> LossBreakdown:
@@ -204,10 +224,9 @@ def train_step(
     Returns the breakdown evaluated at the start of the last inner epoch;
     with one inner epoch every ratio is 1 and the clip fraction is 0.
     """
-    if len(batch) == 0:
-        raise ContractViolation("batch must contain at least one group")
     if strategy is None:
         strategy = build_strategy(cfg)
+    batch = as_rollout_batch(batch, ref_params.vocab, ref_params.window)
     prep = prepare_batch(batch, strategy, ref_params, cfg.advantage_xi, cfg.temperature)
     last: LossBreakdown | None = None
     for _ in range(cfg.inner_epochs):
@@ -215,13 +234,12 @@ def train_step(
         with np.errstate(over="ignore", invalid="ignore"):
             breakdown = evaluate_prepared(prep, params, cfg.kl_coef, with_grad=True)
         if not np.isfinite(breakdown.total) or not np.all(np.isfinite(breakdown.gradient)):
-            index = _locate_nonfinite_group(prep, params, batch)
-            group = batch[index] if index is not None else None
+            index = _locate_nonfinite_group(prep, params)
             raise TrainingDiverged(
                 "non-finite loss or gradient",
                 group_index=index,
-                prompt_tokens=None if group is None else group.prompt.tokens,
-                rewards=None if group is None else group.rewards,
+                prompt_tokens=None if index is None else batch.prompts[index].tokens,
+                rewards=None if index is None else batch.rewards[batch.group_rows()[index]],
             )
         grad, _ = clip_grad_norm(-breakdown.gradient, cfg.grad_clip)
         vec = adamw_update(
@@ -307,7 +325,7 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
     opt = OptimizerState.zeros(params.param_count)
     log: list[StepMetrics] = []
     for step in range(1, cfg.steps + 1):
-        batch, entropies, lengths = rollout_batch(params, cfg, vocab, step)
+        batch = rollout_batch(params, cfg, vocab, step)
         breakdown = train_step(params, ref_params, opt, batch, cfg, strategy)
         evals = None
         if step % cfg.eval_every == 0 or step == cfg.steps:
@@ -327,11 +345,13 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
                 total=breakdown.total,
                 surrogate=breakdown.surrogate,
                 kl=breakdown.kl,
-                entropy=float(np.mean(entropies)) if entropies else 0.0,
+                entropy=float(np.mean(batch.entropies)) if batch.entropies else 0.0,
                 clip_frac=breakdown.clip_fraction,
                 mean_eps=breakdown.mean_epsilon,
-                resp_len=float(np.mean(lengths)),
-                pass_rate=float(np.mean([pass_rate(g.rewards) for g in batch])),
+                resp_len=float(np.mean(batch.lengths)),
+                pass_rate=float(
+                    np.mean([pass_rate(batch.rewards[rows]) for rows in batch.group_rows()])
+                ),
                 evals=evals,
             )
         )
@@ -540,8 +560,8 @@ def gradient_check(method: str = "etr", seed: int = 0) -> float:
         params = init_params(
             vocab, trial.context_window, trial.embed_dim, trial.hidden_dim, trial.seed, trial.init_scale
         )
-        batch, _, _ = rollout_batch(params, trial, vocab, step=1)
-        if all(float(np.std(g.rewards)) == 0.0 for g in batch):
+        batch = rollout_batch(params, trial, vocab, step=1)
+        if all(float(np.std(batch.rewards[rows])) == 0.0 for rows in batch.group_rows()):
             continue
         prep = prepare_batch(batch, strategy, params, trial.advantage_xi, trial.temperature)
         rng = np.random.default_rng(np.random.SeedSequence((trial.seed, 7777)))

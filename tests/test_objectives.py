@@ -5,7 +5,7 @@ import pytest
 
 from etrlab.autodiff import ContractViolation, Record, exp, sum_all
 from etrlab.config import TrainConfig
-from etrlab.groups import RolloutGroup, group_stats
+from etrlab.groups import RolloutBatch, RolloutGroup, group_stats
 from etrlab.objectives import (
     DIRECTIONS,
     ClipHigh,
@@ -32,11 +32,12 @@ from etrlab.policy import (
     mask_matrix,
     pad_context,
     sample_group,
+    sample_groups,
     score_tokens,
-    stacked_contexts,
 )
-from etrlab.tasks import Prompt, encode_payload, response_grammar
+from etrlab.tasks import Prompt, encode_payload, response_grammar, reward, verify_rows
 from etrlab.trainer import OptimizerState, TrainingDiverged, train_step
+from rollout_reference import stacked_contexts, unpack_batch
 from tape_reference import gather_pairs, matmul, reshape, softmax_logprobs, take_rows, tanh
 
 VOCAB = Vocab()
@@ -161,7 +162,7 @@ def test_clipped_tokens_carry_zero_ratio_gradient():
     r = rec.leaf(np.asarray([1.5, 1.0, 0.5]))
     adv = np.asarray([1.0, 1.0, -1.0])
     surr, mask = token_surrogate(r, adv, np.full(3, 0.8), np.full(3, 1.2))
-    grads = rec.backward(surr.sum())
+    grads = rec.backward(sum_all(surr))
     np.testing.assert_array_equal(grads[r.node], [0.0, 1.0, 0.0])
     assert mask.tolist() == [True, False, True]
 
@@ -405,14 +406,96 @@ def test_prepare_batch_equals_per_response_reference(strategy, seed):
     assert len({len(r) for g in batch for r in g.responses}) > 1
     params = init_params(VOCAB, 3, 5, 7, seed, 0.4)
     got = prepare_batch(batch, strategy, params, 1e-6, 0.8)
-    want = reference_prepare_batch(batch, strategy, params, 1e-6, 0.8)
+    assert_same_prepared(got, reference_prepare_batch(batch, strategy, params, 1e-6, 0.8))
+
+
+def assert_same_prepared(got, want):
     for field in dataclasses.fields(PreparedBatch):
         a, b = getattr(got, field.name), getattr(want, field.name)
         if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype, field.name
-            assert np.array_equal(a, b), field.name
+            assert a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
         else:
             assert a == b, field.name
+
+
+def prompt_of(family, difficulty, payload):
+    return Prompt(family, difficulty, payload, encode_payload(family, payload, VOCAB))
+
+
+# Answer budgets of 4, 2, 3, 4 and 2 positions. Unmasked groups are
+# sampled without their grammar, so their rows stop at EOS or at
+# max_len = 4, which their grammar also allows.
+ROLLOUT_PROMPTS = [
+    (prompt_of("copy", 3, (2, 8, 5)), False),
+    (prompt_of("parity", 2, (1, 1)), True),
+    (prompt_of("copy", 2, (7, 1)), True),
+    (prompt_of("digitsum", 3, (0,)), False),
+    (prompt_of("digitsum", 1, (4,)), True),
+]
+
+
+def sampled_rollout(params, k, seed, n=4, max_len=4):
+    """A RolloutBatch straight from ``sample_groups``, its masks and its generators."""
+    prompts = [prompt for prompt, _ in ROLLOUT_PROMPTS[:k]]
+    grammars = tuple(response_grammar(prompt, VOCAB) for prompt in prompts)
+    masks = [g if masked else None for g, (_, masked) in zip(grammars, ROLLOUT_PROMPTS)]
+    rngs = [np.random.default_rng([seed, g]) for g in range(k)]
+    tokens, logprobs, lengths, entropies = sample_groups(
+        params, [p.tokens for p in prompts], n, 0.8, rngs, masks, max_len, collect_entropy=True
+    )
+    sizes = np.full(k, n)
+    correct = verify_rows(prompts, sizes, tokens[:, params.window :], lengths, VOCAB)
+    batch = RolloutBatch(
+        tuple(prompts), grammars, sizes, tokens, logprobs, lengths, reward(correct), tuple(entropies)
+    )
+    return batch, masks, rngs
+
+
+def eos_leaning(seed):
+    params = init_params(VOCAB, 3, 5, 7, seed, 0.4)
+    params.b_out[VOCAB.eos] += 1.5
+    return params
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=repr)
+@pytest.mark.parametrize("k", [1, len(ROLLOUT_PROMPTS)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_prepare_batch_reads_rollout_buffers_like_groups(strategy, k, seed):
+    params = eos_leaning(seed)
+    batch, masks, rngs = sampled_rollout(params, k, seed)
+    groups = unpack_batch(batch)
+    got = prepare_batch(batch, strategy, params, 1e-6, 0.8)
+    assert_same_prepared(got, prepare_batch(groups, strategy, params, 1e-6, 0.8))
+    assert_same_prepared(got, reference_prepare_batch(groups, strategy, params, 1e-6, 0.8))
+    # One prompt at a time on a fresh copy of its stream: the same rows,
+    # and the generator is left in the same state.
+    for g, group in enumerate(groups):
+        rng = np.random.default_rng([seed, g])
+        one, _ = sample_group(params, group.prompt.tokens, 4, 0.8, rng, masks[g], 4)
+        assert [r.tokens for r in one] == [r.tokens for r in group.responses]
+        for a, b in zip(one, group.responses):
+            assert a.logprobs.dtype == b.logprobs.dtype
+            assert a.logprobs.tobytes() == b.logprobs.tobytes()
+        assert rng.bit_generator.state == rngs[g].bit_generator.state
+
+
+def test_rollout_buffer_cases_are_exercised():
+    # The fixture above must hit the cases it claims to cover.
+    seen = set()
+    for seed in (0, 1):
+        params = eos_leaning(seed)
+        batch, masks, _ = sampled_rollout(params, len(ROLLOUT_PROMPTS), seed)
+        for rows, mask in zip(batch.group_rows(), masks):
+            ends = batch.tokens[rows][np.arange(4), params.window + batch.lengths[rows] - 1]
+            if mask is None and np.any((batch.lengths[rows] < 4) & (ends == VOCAB.eos)):
+                seen.add("unmasked row stops at EOS")
+        if len(set(batch.lengths.tolist())) > 2:
+            seen.add("mixed lengths")
+        if 0 < np.sum(batch.rewards > 0) < batch.rewards.size:
+            seen.add("mixed rewards")
+    assert seen == {"unmasked row stops at EOS", "mixed lengths", "mixed rewards"}
 
 
 class PolicyLeaves:
@@ -467,7 +550,13 @@ def tape_evaluate(prep, params, kl_coef):
     kl = sum_all((exp(diff) - diff - 1.0) * prep.weights)
     total = surrogate - kl_coef * kl
     gradient = leaves.gradient_vector(record.backward(total))
-    return total.item(), surrogate.item(), kl.item(), int(np.sum(clip_mask)), gradient
+    return (
+        float(total.data),
+        float(surrogate.data),
+        float(kl.data),
+        int(np.sum(clip_mask)),
+        gradient,
+    )
 
 
 def test_tape_scorer_matches_plain_scorer():
@@ -482,7 +571,7 @@ def test_tape_scorer_matches_plain_scorer():
     diff = score_tokens_diff(leaves, contexts, targets, masks)
     plain = score_tokens(p, contexts, targets, masks)
     np.testing.assert_allclose(diff.data, plain, rtol=0, atol=1e-12)
-    vec = leaves.gradient_vector(rec.backward(diff.sum()))
+    vec = leaves.gradient_vector(rec.backward(sum_all(diff)))
     assert vec.shape == (p.param_count,)
     assert np.any(vec != 0.0)
 

@@ -15,9 +15,9 @@ from etrlab.policy import (
     sample_group,
     sample_groups,
     score_tokens,
-    stacked_contexts,
 )
 from etrlab.tasks import TaskSpec, generate_prompt, response_grammar
+from rollout_reference import buffer_responses, stacked_contexts
 
 VOCAB = Vocab()
 
@@ -300,7 +300,7 @@ def test_entropy_uniform_and_deterministic_mixture():
 
     def entropies(prompts):
         rngs = [np.random.default_rng(g) for g in range(len(prompts))]
-        _, ent = sample_groups(
+        *_, ent = sample_groups(
             uniform, prompts, 3, 1.0, rngs, [masks] * len(prompts), collect_entropy=True
         )
         return ent
@@ -407,9 +407,10 @@ def test_batched_sampler_equals_one_prompt_reference(k, seed):
         return [np.random.default_rng([seed, g]) for g in range(k)]
 
     batched_rngs = streams()
-    groups, entropies = sample_groups(
+    tokens, logprobs, lengths, entropies = sample_groups(
         p, prompts, n, temperature, batched_rngs, masks, max_len, collect_entropy=True
     )
+    groups = buffer_responses(tokens, logprobs, lengths, n)
     ref_rngs = streams()
     one_rngs = streams()
     want_entropies = []
@@ -435,9 +436,10 @@ def test_batched_sampler_cases_are_exercised():
     for seed in range(3):
         p = eos_leaning_params(seed)
         rngs = [np.random.default_rng([seed, g]) for g in range(len(BATCH_PROMPTS))]
-        groups, _ = sample_groups(
+        tokens, logprobs, lengths, _ = sample_groups(
             p, [pr for pr, _ in BATCH_PROMPTS], 4, 0.9, rngs, [m for _, m in BATCH_PROMPTS], 6
         )
+        groups = buffer_responses(tokens, logprobs, lengths, 4)
         for (_, masks), group in zip(BATCH_PROMPTS, groups):
             if masks is None:
                 lengths = [len(r) for r in group]

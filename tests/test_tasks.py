@@ -15,6 +15,7 @@ from etrlab.tasks import (
     reward,
     sample_task,
     verify,
+    verify_rows,
 )
 
 VOCAB = Vocab()
@@ -160,6 +161,8 @@ def test_reward_values_and_group_mean_identity():
     rewards = np.asarray([reward(bool(o)) for o in outcomes])
     p = outcomes.mean()
     assert abs(rewards.mean() - (2.0 * p - 1.0)) < 1e-15
+    # Elementwise on an outcome array, with the same values.
+    assert reward(outcomes).tobytes() == rewards.tobytes()
 
 
 def test_sample_task_follows_weights():
@@ -217,3 +220,121 @@ def test_task_spec_rejects_non_finite_weights():
 
 def test_families_tuple_is_stable():
     assert FAMILIES == ("copy", "digitsum", "parity")
+
+
+def answer(prompt):
+    """The one correct content of a prompt's answer (a digit sum's is one of many)."""
+    if prompt.family == "copy":
+        return list(prompt.payload)
+    if prompt.family == "parity":
+        return [int(np.bitwise_xor.reduce(prompt.payload))]
+    return [0] * (prompt.difficulty - 1) + [prompt.payload[0]]
+
+
+def malformed_row(prompt, vocab, rng, horizon):
+    """A response and its kind: right, near miss or broken in one way."""
+    right = answer(prompt) + [vocab.eos]
+    kind = rng.choice(
+        ["right", "one slot off", "too long", "too short", "early eos", "no eos",
+         "out of range", "cut at max_len", "empty", "random"]
+    )
+    row = list(right)
+    slot = int(rng.integers(len(right) - 1))
+    if kind == "one slot off":
+        row[slot] = int(rng.integers(vocab.n_content))
+    elif kind == "too long":
+        row.insert(slot, int(rng.integers(vocab.n_content)))
+    elif kind == "too short":
+        del row[slot]
+    elif kind == "early eos":
+        row = row[:slot] + [vocab.eos]
+    elif kind == "no eos":
+        row[-1] = int(rng.integers(vocab.n_content))
+    elif kind == "out of range":
+        # Any id of the vocabulary, as an unmasked row can emit.
+        row[slot] = int(rng.choice([vocab.bos, vocab.eos, vocab.sep, vocab.n_content - 1]))
+    elif kind == "cut at max_len":
+        # Sampling stopped at the budget before the answer's EOS.
+        row = row[: min(horizon, len(row) - 1)]
+    elif kind == "empty":
+        row = []
+    elif kind == "random":
+        row = rng.integers(vocab.size, size=int(rng.integers(horizon + 1))).tolist()
+    return row[:horizon], kind
+
+
+@pytest.mark.parametrize("n_content", [2, 10, 12])
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_rows_matches_scalar_verify(n_content, seed):
+    vocab = Vocab(n_content)
+    rng = np.random.default_rng(seed)
+    families = ("copy", "parity") + (("digitsum",) if n_content >= 10 else ())
+    specs = [TaskSpec(f, d) for f in families for d in (1, 2, 4)]
+    prompts = [generate_prompt(specs[i % len(specs)], vocab, rng) for i in range(24)]
+    sizes = rng.integers(1, 9, size=len(prompts))
+    # Some buffers are narrower than the longest answer, as when max_len cuts rows.
+    horizon = int(rng.integers(2, 7))
+    tokens = rng.integers(vocab.size, size=(int(sizes.sum()), horizon))
+    lengths = np.zeros(int(sizes.sum()), dtype=np.int64)
+    rows = [p for p, size in zip(prompts, sizes) for _ in range(size)]
+    kinds = set()
+    for i, prompt in enumerate(rows):
+        row, kind = malformed_row(prompt, vocab, rng, horizon)
+        tokens[i, : len(row)] = row
+        lengths[i] = len(row)
+        kinds.add(kind)
+    got = verify_rows(prompts, sizes, tokens, lengths, vocab)
+    want = [verify(p, tokens[i, : lengths[i]].tolist(), vocab) for i, p in enumerate(rows)]
+    assert got.dtype == bool
+    assert got.tolist() == want
+    assert 0 < sum(want) < len(want)
+    assert len(kinds) >= 8
+
+
+def test_verify_rows_edge_buffers():
+    digitsum = make_prompt("digitsum", 2, (7,))
+    parity = make_prompt("parity", 3, (1, 0, 0))
+    copy = make_prompt("copy", 2, (3, 5))
+    prompts = [digitsum, parity, copy]
+    eos = VOCAB.eos
+    # (buffer row, length, verdict); ids past the length are padding.
+    rows = [
+        ((9, 8, eos), 3, True),
+        ((3, 5, eos), 3, False),
+        ((eos, 7, eos), 3, False),  # EOS in a digit slot
+        ((1, eos, 0), 2, True),
+        ((1, 0, eos), 3, False),  # parity answer with an extra slot
+        ((VOCAB.sep, eos, 0), 2, False),
+        ((3, 5, eos), 3, True),
+        ((3, 5, 5), 3, False),  # EOS missing
+        ((3, 5, eos), 0, False),  # empty row over a right answer
+    ]
+    sizes = [3, 3, 3]
+    tokens = np.asarray([row for row, _, _ in rows])
+    lengths = np.asarray([length for _, length, _ in rows])
+    got = verify_rows(prompts, sizes, tokens, lengths, VOCAB)
+    assert got.tolist() == [ok for _, _, ok in rows]
+    scalar = [
+        verify(prompts[i // 3], row[:length], VOCAB) for i, (row, length, _) in enumerate(rows)
+    ]
+    assert got.tolist() == scalar
+    # A zero-width buffer (every row empty) and rows cut below the answer length.
+    empty = np.zeros((9, 0), dtype=np.int64)
+    assert not verify_rows(prompts, sizes, empty, np.zeros(9), VOCAB).any()
+    assert not verify_rows([copy], [2], tokens[6:8, :2], np.asarray([2, 2]), VOCAB).any()
+    # Hand-built prompts: a copy payload that does not fill its slots has
+    # no right answer, and a parity answer is a bit even when the payload
+    # holds other ids.
+    short = Prompt("copy", 3, (3, 5), encode_payload("copy", (3, 5), VOCAB))
+    odd = Prompt("parity", 1, (2,), encode_payload("parity", (2,), VOCAB))
+    rows = [(short, (3, 5, 0, eos)), (short, (0, 0, 0, eos)), (odd, (2, eos, 0, 0))]
+    lengths = np.asarray([4, 4, 2])
+    assert not any(verify(p, row[:n], VOCAB) for (p, row), n in zip(rows, lengths))
+    tokens = np.asarray([row for _, row in rows])
+    assert not verify_rows([short, odd], [2, 1], tokens, lengths, VOCAB).any()
+    with pytest.raises(ContractViolation):
+        verify_rows(prompts, [3, 3], tokens, lengths, VOCAB)
+    with pytest.raises(ContractViolation):
+        verify_rows(prompts, sizes, tokens, lengths[:-1], VOCAB)
+    with pytest.raises(ContractViolation):
+        verify_rows(prompts, sizes, tokens, lengths + 1, VOCAB)

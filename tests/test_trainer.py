@@ -6,10 +6,9 @@ import pytest
 
 from etrlab.autodiff import ContractViolation
 from etrlab.config import ConfigError, TrainConfig, parse_suite, validate_config
-from etrlab.groups import RolloutGroup
 from etrlab.metrics import suite_labels, write_metrics_csv
 from etrlab.policy import PolicyParams, Vocab, init_params
-from etrlab.tasks import TaskSpec
+from etrlab.tasks import TaskSpec, reward, verify
 from etrlab.trainer import (
     GRADCHECK_VARIANTS,
     DivergedRun,
@@ -27,6 +26,7 @@ from etrlab.trainer import (
     train_step,
     write_run_artifacts,
 )
+from rollout_reference import unpack_batch
 
 VOCAB = Vocab()
 
@@ -115,18 +115,24 @@ def test_clip_grad_norm():
 def test_rollout_batch_shape_and_replay():
     cfg = tiny_cfg(groups_per_step=3, group_size=8)
     params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 0, 0.1)
-    groups, entropies, lengths = rollout_batch(params, cfg, VOCAB, step=1)
-    assert len(groups) == 3
+    batch = rollout_batch(params, cfg, VOCAB, step=1)
+    groups = unpack_batch(batch)
+    assert len(batch) == len(groups) == 3
     assert all(g.size == 8 for g in groups)
-    assert len(lengths) == 24
-    assert all(e >= 0.0 for e in entropies)
-    again, ent2, len2 = rollout_batch(params, cfg, VOCAB, step=1)
-    for a, b in zip(groups, again):
+    assert batch.lengths.shape == (24,)
+    assert all(e >= 0.0 for e in batch.entropies)
+    # Rewards are the scalar check of each response, row for row.
+    for g in groups:
+        want = [reward(verify(g.prompt, r.tokens, VOCAB)) for r in g.responses]
+        assert g.rewards.tolist() == want
+    again = rollout_batch(params, cfg, VOCAB, step=1)
+    for a, b in zip(groups, unpack_batch(again)):
         assert a.prompt == b.prompt
         assert [r.tokens for r in a.responses] == [r.tokens for r in b.responses]
         np.testing.assert_array_equal(a.rewards, b.rewards)
-    assert entropies == ent2 and lengths == len2
-    other, _, _ = rollout_batch(params, cfg, VOCAB, step=2)
+    assert batch.entropies == again.entropies
+    assert np.array_equal(batch.lengths, again.lengths)
+    other = unpack_batch(rollout_batch(params, cfg, VOCAB, step=2))
     assert any(
         a.prompt != b.prompt or [r.tokens for r in a.responses] != [r.tokens for r in b.responses]
         for a, b in zip(groups, other)
@@ -138,8 +144,8 @@ def test_rollout_batch_shape_and_replay():
 def test_rollout_pass_rates_span_low_and_high():
     cfg = tiny_cfg(groups_per_step=200, group_size=8)
     params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 0, 0.1)
-    groups, _, _ = rollout_batch(params, cfg, VOCAB, step=1)
-    rates = sorted({float(np.mean(g.rewards > 0)) for g in groups})
+    batch = rollout_batch(params, cfg, VOCAB, step=1)
+    rates = sorted({float(np.mean(batch.rewards[rows] > 0)) for rows in batch.group_rows()})
     assert rates[0] == 0.0
     assert rates[-1] >= 0.25
     assert len(rates) >= 3
@@ -148,11 +154,8 @@ def test_rollout_pass_rates_span_low_and_high():
 def test_zero_advantage_batch_leaves_parameters_unchanged():
     cfg = tiny_cfg(kl_coef=0.0, inner_epochs=2)
     params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 3, 0.1)
-    groups, _, _ = rollout_batch(params, cfg, VOCAB, step=1)
-    degenerate = []
-    for g in groups:
-        rewards = np.full(g.size, -1.0)
-        degenerate.append(RolloutGroup(g.prompt, g.responses, rewards))
+    batch = rollout_batch(params, cfg, VOCAB, step=1)
+    degenerate = dataclasses.replace(batch, rewards=np.full(batch.rewards.size, -1.0))
     before = params.to_vector()
     ref = params.copy()
     opt = OptimizerState.zeros(params.param_count)
@@ -168,8 +171,32 @@ def test_train_step_divergence_abort():
     opt = OptimizerState.zeros(params.param_count)
     with pytest.raises(TrainingDiverged):
         for step in range(1, 40):
-            groups, _, _ = rollout_batch(params, cfg, VOCAB, step)
-            train_step(params, params.copy(), opt, groups, cfg)
+            batch = rollout_batch(params, cfg, VOCAB, step)
+            train_step(params, params.copy(), opt, batch, cfg)
+
+
+def test_train_step_on_rollout_batch_reports_the_diverged_group():
+    cfg = tiny_cfg(groups_per_step=6, group_size=4, suite=parse_suite("parity:1"))
+    params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 2, 0.1)
+    batch = rollout_batch(params, cfg, VOCAB, step=1)
+    # The last group with mixed rewards; one of its losing rows gets stored
+    # log-probs so low that its ratio overflows and the surrogate is -inf.
+    mixed = [
+        k for k, rows in enumerate(batch.group_rows()) if len(set(batch.rewards[rows])) == 2
+    ]
+    assert mixed and mixed[-1] > 0
+    k = mixed[-1]
+    rows = batch.group_rows()[k]
+    loser = rows.start + int(np.flatnonzero(batch.rewards[rows] < 0)[0])
+    logprobs = batch.logprobs.copy()
+    logprobs[loser] = -1e6
+    broken = dataclasses.replace(batch, logprobs=logprobs)
+    with pytest.raises(TrainingDiverged) as caught:
+        train_step(params.copy(), params, OptimizerState.zeros(params.param_count), broken, cfg)
+    assert caught.value.group_index == k
+    assert caught.value.prompt_tokens == batch.prompts[k].tokens
+    np.testing.assert_array_equal(caught.value.rewards, batch.rewards[rows])
+    assert f"group {k}, prompt {batch.prompts[k].tokens}" in str(caught.value)
 
 
 def test_train_step_empty_batch_rejected():
