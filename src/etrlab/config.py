@@ -193,9 +193,6 @@ _COERCERS = {
 }
 
 _KEY_ORDER = tuple(f.name for f in dataclasses.fields(TrainConfig))
-_FLOAT_KEYS = tuple(
-    k for k, c in _COERCERS.items() if c in (_pos_float, _nonneg_float, _unit_float)
-)
 
 
 def build_strategy(cfg: TrainConfig) -> ClipStrategy:
@@ -223,23 +220,19 @@ def validate_config(cfg: TrainConfig, lines: dict[str, int] | None = None) -> No
         line = max((lines.get(k, 0) for k in keys), default=0) or None
         raise ConfigError(msg, line)
 
-    if cfg.method not in METHODS:
-        err(f"unknown method {cfg.method!r}", "method")
-    for name in _FLOAT_KEYS:
-        if not math.isfinite(getattr(cfg, name)):
-            err(f"{name} must be a finite number", name)
-    if cfg.steps < 1:
-        err("steps must be at least 1", "steps")
-    if not cfg.learning_rate > 0.0:
-        err("learning_rate must be positive", "learning_rate")
+    # Each key's own bound, shared with the parse path: a config built in
+    # code (dataclasses.replace) gets the checks a config file gets. The
+    # coercers accept typed values as well as text; suite entries check
+    # themselves when a TaskSpec is built.
+    for name, coerce in _COERCERS.items():
+        if name == "suite":
+            continue
+        try:
+            coerce(getattr(cfg, name))
+        except (TypeError, ValueError) as exc:
+            err(f"{name} {exc}", name)
     if cfg.group_size < 2:
         err("group_size must be at least 2", "group_size")
-    if cfg.groups_per_step < 1:
-        err("groups_per_step must be at least 1", "groups_per_step")
-    if cfg.inner_epochs < 1:
-        err("inner_epochs must be at least 1", "inner_epochs")
-    if not cfg.temperature > 0.0:
-        err("temperature must be positive", "temperature")
     try:
         build_strategy(cfg)
     except ContractViolation as exc:

@@ -13,9 +13,9 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass, field
+from html import escape
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -164,7 +164,7 @@ def render_lineplot(
     if title:
         parts.append(
             f'<text x="{width / 2:g}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>'
         )
     for tick in _axis_ticks(x_lo, x_hi):
         x = px(tick)
@@ -188,13 +188,13 @@ def render_lineplot(
         )
     parts.append(
         f'<text x="{left + plot_w / 2:g}" y="{height - 8:g}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>'
+        f'font-family="sans-serif" font-size="12">{escape(x_label, quote=False)}</text>'
     )
     if y_label:
         parts.append(
             f'<text x="16" y="{top + plot_h / 2:g}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {top + plot_h / 2:g})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 16 {top + plot_h / 2:g})">{escape(y_label, quote=False)}</text>'
         )
     for i, (name, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
@@ -209,7 +209,7 @@ def render_lineplot(
         )
         parts.append(
             f'<text x="{left + plot_w + 35:.2f}" y="{ly + 3:.2f}" '
-            f'font-family="sans-serif" font-size="11">{escape(str(name))}</text>'
+            f'font-family="sans-serif" font-size="11">{escape(str(name), quote=False)}</text>'
         )
     parts.append("</svg>")
     write_atomic(path, ("\n".join(parts) + "\n").encode("utf-8"))

@@ -9,7 +9,6 @@ training trajectories.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -477,14 +476,19 @@ def compare_runs(
     """
     if len(methods) == 0 or len(seeds) == 0:
         raise ContractViolation("compare needs at least one method and one seed")
+    if jobs < 1:
+        raise ContractViolation(f"jobs must be at least 1, got {jobs}")
     cfg_text = render_config(cfg)
     job_list = []
     for method in methods:
         for seed in seeds:
             run_dir = None if out_dir is None else str(Path(out_dir) / f"{method}-seed{seed}")
             job_list.append((cfg_text, method, seed, run_dir))
-    if jobs <= 1:
+    if jobs == 1:
         return [_compare_worker(job) for job in job_list]
+    # Imported here: the pool pulls in multiprocessing, which most runs never use.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_compare_worker, job_list))
 

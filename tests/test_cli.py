@@ -1,8 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import etrlab
 import etrlab.autodiff as autodiff
 from etrlab.cli import main, parse_seed_list
 from etrlab.config import ConfigError, TrainConfig, apply_overrides
@@ -148,6 +154,34 @@ def test_compare_unknown_method_is_a_usage_error(capsys):
 def test_compare_reversed_seed_range_is_a_usage_error(capsys):
     assert main(["compare", "--methods", "grpo", "--seeds", "5..3"]) == 2
     assert "reversed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_compare_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    out = tmp_path / "sweep"
+    args = ["compare", "--out", str(out), "--methods", "grpo", "--seeds", "1", *TINY]
+    assert main([*args, "--jobs", jobs]) == 2
+    assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_importing_the_cli_loads_no_process_pool_or_network_stack():
+    # Only compare with --jobs > 1 needs a process pool, and SVG escaping
+    # needs no XML package; each stack would add to every run's start-up.
+    # urllib.parse is left out: pathlib loads it when the interpreter starts.
+    src = str(Path(etrlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    banned = (
+        "multiprocessing", "concurrent.futures", "ssl", "http", "urllib.request", "email", "xml"
+    )
+    code = "import sys, etrlab.cli; print('\\n'.join(sorted(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = done.stdout.split()
+    assert "etrlab.cli" in loaded
+    assert [m for m in loaded if m in banned or m.startswith(tuple(b + "." for b in banned))] == []
 
 
 def test_parse_seed_list_accepts_commas_and_ranges():

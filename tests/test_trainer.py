@@ -9,6 +9,7 @@ from etrlab.config import ConfigError, TrainConfig, parse_suite, validate_config
 from etrlab.metrics import suite_labels, write_metrics_csv
 from etrlab.policy import PolicyParams, Vocab, init_params
 from etrlab.tasks import TaskSpec, reward, verify
+import etrlab.trainer as trainer_mod
 from etrlab.trainer import (
     GRADCHECK_VARIANTS,
     DivergedRun,
@@ -262,6 +263,31 @@ def test_run_training_rejects_bad_configs():
         validate_config(tiny_cfg(inner_epochs=0))
     with pytest.raises(ConfigError):
         validate_config(tiny_cfg(group_size=1))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("eval_every", 0),
+        ("eval_n", 0),
+        ("seed", -1),
+        ("grad_clip", 0.0),
+        ("advantage_xi", 0.0),
+        ("context_window", 0),
+        ("adam_beta1", 1.0),
+    ],
+)
+def test_code_built_config_rejected_before_any_step(monkeypatch, key, value):
+    # Each value used to pass validation and fail only once training ran.
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer_mod, "rollout_batch", no_step)
+    cfg = dataclasses.replace(tiny_cfg(), **{key: value})
+    with pytest.raises(ConfigError, match=f"^{key} must "):
+        validate_config(cfg)
+    with pytest.raises(ConfigError, match=f"^{key} must "):
+        run_training(cfg)
 
 
 def test_run_training_deterministic_and_csv_stable(tmp_path):
