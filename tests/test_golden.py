@@ -80,3 +80,18 @@ GOLDEN = {
 @pytest.mark.parametrize("method,suite", sorted(GOLDEN), ids=lambda v: str(v))
 def test_golden_digests(method, suite, tmp_path):
     assert run_digests(golden_cfg(method, suite), tmp_path) == GOLDEN[(method, suite)]
+
+
+# Artifact bytes of one golden run. config.txt's digest is the one a
+# checkpoint carries, so a checkpoint written before a change to
+# render_config or PolicyParams still loads without a digest warning.
+GOLDEN_FILES = {
+    "config.txt": "0a6bd1946187cc2e1f8199aeb422579746daae9446d71732848c446f6a8cafc7",
+    "final.ckpt": "0c6e62937335db1c26938db3c6f23bde51b46bbdf5f27e59c2b287011fc8f0a2",
+}
+
+
+def test_golden_artifact_bytes(tmp_path):
+    write_run_artifacts(run_training(golden_cfg("etr", "parity:1,digitsum:2,copy:1")), tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_FILES}
+    assert got == GOLDEN_FILES
