@@ -112,127 +112,116 @@ def render_suite(suite: tuple[TaskSpec, ...]) -> str:
     return ",".join(f"{s.family}:{s.difficulty}@{s.weight!r}" for s in suite)
 
 
-def _pos_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise ValueError("must be a positive integer")
-    return value
+# Each key's parser, the bound its value must meet, and the message naming
+# that bound. A value that does not parse gets the same message.
+_POS_INT = (int, lambda v: v >= 1, "{key} must be a positive integer")
+_NONNEG_INT = (int, lambda v: v >= 0, "{key} must be a non-negative integer")
+_POS_FLOAT = (float, lambda v: v > 0.0, "{key} must be a positive number")
+_NONNEG_FLOAT = (float, lambda v: v >= 0.0, "{key} must be a non-negative number")
+_UNIT_FLOAT = (float, lambda v: 0.0 <= v < 1.0, "{key} must lie in [0, 1)")
 
-
-def _nonneg_int(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise ValueError("must be a non-negative integer")
-    return value
-
-
-def _finite_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("must be a finite number")
-    return value
-
-
-def _pos_float(raw: str) -> float:
-    value = _finite_float(raw)
-    if not value > 0.0:
-        raise ValueError("must be a positive number")
-    return value
-
-
-def _nonneg_float(raw: str) -> float:
-    value = _finite_float(raw)
-    if value < 0.0:
-        raise ValueError("must be a non-negative number")
-    return value
-
-
-def _unit_float(raw: str) -> float:
-    value = _finite_float(raw)
-    if not 0.0 <= value < 1.0:
-        raise ValueError("must lie in [0, 1)")
-    return value
-
-
-def _method(raw: str) -> str:
-    if raw not in METHODS:
-        raise ValueError(f"must be one of {', '.join(METHODS)}")
-    return raw
-
-
-_COERCERS = {
-    "method": _method,
-    "seed": _nonneg_int,
-    "steps": _pos_int,
-    "groups_per_step": _pos_int,
-    "group_size": _pos_int,
-    "learning_rate": _pos_float,
-    "adam_beta1": _unit_float,
-    "adam_beta2": _unit_float,
-    "adam_eps": _pos_float,
-    "weight_decay": _nonneg_float,
-    "grad_clip": _pos_float,
-    "kl_coef": _nonneg_float,
-    "epsilon_base": _nonneg_float,
-    "epsilon_high": _nonneg_float,
-    "lambda1": _nonneg_float,
-    "lambda2": _nonneg_float,
-    "advantage_xi": _pos_float,
-    "suite": parse_suite,
-    "max_response_len": _pos_int,
-    "temperature": _pos_float,
-    "inner_epochs": _pos_int,
-    "eval_every": _pos_int,
-    "eval_n": _pos_int,
-    "eval_prompts": _pos_int,
-    "init_scale": _nonneg_float,
-    "context_window": _pos_int,
-    "embed_dim": _pos_int,
-    "hidden_dim": _pos_int,
-    "content_tokens": _pos_int,
+_KEYS = {
+    "method": (
+        str,
+        METHODS.__contains__,
+        "unknown method {raw!r}; must be one of " + ", ".join(METHODS),
+    ),
+    "seed": _NONNEG_INT,
+    "steps": _POS_INT,
+    "groups_per_step": _POS_INT,
+    "group_size": (int, lambda v: v >= 2, "{key} must be at least 2"),
+    "learning_rate": _POS_FLOAT,
+    "adam_beta1": _UNIT_FLOAT,
+    "adam_beta2": _UNIT_FLOAT,
+    "adam_eps": _POS_FLOAT,
+    "weight_decay": _NONNEG_FLOAT,
+    "grad_clip": _POS_FLOAT,
+    "kl_coef": _NONNEG_FLOAT,
+    "epsilon_base": _NONNEG_FLOAT,
+    "epsilon_high": _NONNEG_FLOAT,
+    "lambda1": _NONNEG_FLOAT,
+    "lambda2": _NONNEG_FLOAT,
+    "advantage_xi": _POS_FLOAT,
+    # parse_suite names the entry at fault itself; the message serves a
+    # suite built in code that is not a tuple.
+    "suite": (parse_suite, bool, "{key} must be a tuple of TaskSpec entries"),
+    "max_response_len": _POS_INT,
+    "temperature": _POS_FLOAT,
+    "inner_epochs": _POS_INT,
+    "eval_every": _POS_INT,
+    "eval_n": _POS_INT,
+    "eval_prompts": _POS_INT,
+    "init_scale": _NONNEG_FLOAT,
+    "context_window": _POS_INT,
+    "embed_dim": _POS_INT,
+    "hidden_dim": _POS_INT,
+    "content_tokens": _POS_INT,
 }
 
-_KEY_ORDER = tuple(f.name for f in dataclasses.fields(TrainConfig))
+
+def _coerce(key: str, raw: str, line: int | None = None):
+    """One key's value from its text, checked against the key's bound."""
+    if key not in _KEYS:
+        raise ConfigError(f"unknown key {key!r}", line)
+    parse, fits, message = _KEYS[key]
+    try:
+        value = parse(raw)
+    except ConfigError as exc:
+        raise ConfigError(str(exc), line) from None
+    except ValueError:
+        raise ConfigError(message.format(key=key, raw=raw), line) from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number", line)
+    if not fits(value):
+        raise ConfigError(message.format(key=key, raw=raw), line)
+    return value
+
+
+def _render(key: str, value) -> str:
+    if key == "suite":
+        return render_suite(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def build_strategy(cfg: TrainConfig) -> ClipStrategy:
-    """Clip strategy implied by the configured method name."""
+    """Clip strategy implied by the configured method name.
+
+    The etr ablations drop one term of the elastic band by zeroing its
+    lambda; etr-inverse flips the sign of the advantage term.
+    """
     if cfg.method == "grpo":
         return Static(cfg.epsilon_base)
     if cfg.method == "cliphigh":
         return ClipHigh(cfg.epsilon_base, cfg.epsilon_high)
-    if cfg.method == "etr":
-        return Elastic(cfg.epsilon_base, cfg.lambda1, cfg.lambda2, "standard")
-    if cfg.method == "etr-micro":
-        return Elastic(cfg.epsilon_base, cfg.lambda1, 0.0, "standard")
-    if cfg.method == "etr-macro":
-        return Elastic(cfg.epsilon_base, 0.0, cfg.lambda2, "standard")
-    if cfg.method == "etr-inverse":
-        return Elastic(cfg.epsilon_base, cfg.lambda1, cfg.lambda2, "inverse")
-    raise ConfigError(f"unknown method {cfg.method!r}")
+    if cfg.method not in METHODS:
+        raise ConfigError(f"unknown method {cfg.method!r}")
+    return Elastic(
+        cfg.epsilon_base,
+        0.0 if cfg.method == "etr-macro" else cfg.lambda1,
+        0.0 if cfg.method == "etr-micro" else cfg.lambda2,
+        inverse=cfg.method == "etr-inverse",
+    )
 
 
 def validate_config(cfg: TrainConfig, lines: dict[str, int] | None = None) -> None:
-    """Cross-key invariants; raises ConfigError naming a line when known."""
+    """Each key's bound and the cross-key invariants.
+
+    Raises ConfigError naming a line when known.
+    """
     lines = lines or {}
 
     def err(msg: str, *keys: str):
         line = max((lines.get(k, 0) for k in keys), default=0) or None
         raise ConfigError(msg, line)
 
-    # Each key's own bound, shared with the parse path: a config built in
-    # code (dataclasses.replace) gets the checks a config file gets. The
-    # coercers accept typed values as well as text; suite entries check
-    # themselves when a TaskSpec is built.
-    for name, coerce in _COERCERS.items():
-        if name == "suite":
-            continue
-        try:
-            coerce(getattr(cfg, name))
-        except (TypeError, ValueError) as exc:
-            err(f"{name} {exc}", name)
-    if cfg.group_size < 2:
-        err("group_size must be at least 2", "group_size")
+    # A config built in code gets the checks a config file gets: each value
+    # must come back from its rendered text unchanged, type included.
+    for key in _KEYS:
+        value = getattr(cfg, key)
+        text = _render(key, value)
+        back = _coerce(key, text, lines.get(key))
+        if type(back) is not type(value) or back != value:
+            err(_KEYS[key][2].format(key=key, raw=text), key)
     try:
         build_strategy(cfg)
     except ContractViolation as exc:
@@ -264,17 +253,9 @@ def parse_config(text: str) -> TrainConfig:
         if "=" not in line:
             raise ConfigError("expected key = value", lineno)
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _COERCERS:
-            raise ConfigError(f"unknown key {key!r}", lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", lineno)
-        try:
-            values[key] = _COERCERS[key](raw)
-        except ConfigError as exc:
-            raise ConfigError(str(exc), lineno) from None
-        except ValueError as exc:
-            detail = str(exc) or "malformed value"
-            raise ConfigError(f"{key}: {detail}", lineno) from None
+        values[key] = _coerce(key, raw, lineno)
         lines[key] = lineno
     cfg = TrainConfig(**values)
     validate_config(cfg, lines)
@@ -283,17 +264,9 @@ def parse_config(text: str) -> TrainConfig:
 
 def render_config(cfg: TrainConfig) -> str:
     """Canonical text form; floats use repr so parsing round-trips exactly."""
-    out = []
-    for key in _KEY_ORDER:
-        value = getattr(cfg, key)
-        if key == "suite":
-            rendered = render_suite(value)
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        out.append(f"{key} = {rendered}")
-    return "\n".join(out) + "\n"
+    return "".join(
+        f"{f.name} = {_render(f.name, getattr(cfg, f.name))}\n" for f in dataclasses.fields(cfg)
+    )
 
 
 def apply_overrides(cfg: TrainConfig, overrides: list[str]) -> TrainConfig:
@@ -303,12 +276,7 @@ def apply_overrides(cfg: TrainConfig, overrides: list[str]) -> TrainConfig:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like key=value")
         key, raw = (part.strip() for part in item.split("=", 1))
-        if key not in _COERCERS:
-            raise ConfigError(f"unknown key {key!r}")
-        try:
-            updates[key] = _COERCERS[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {str(exc) or 'malformed value'}") from None
+        updates[key] = _coerce(key, raw)
     cfg = dataclasses.replace(cfg, **updates)
     validate_config(cfg)
     return cfg

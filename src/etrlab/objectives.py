@@ -24,9 +24,6 @@ from .autodiff import ContractViolation, Tensor, clip_gated, min_pair
 from .groups import DEFAULT_XI, RolloutBatch, RolloutGroup, as_rollout_batch, group_stats
 from .policy import PolicyParams, mask_matrix
 
-DIRECTIONS = ("standard", "inverse", "micro-only", "macro-only")
-
-
 @dataclass(frozen=True)
 class Static:
     """Fixed symmetric clipping band of half-width epsilon."""
@@ -52,12 +49,16 @@ class ClipHigh:
 
 @dataclass(frozen=True)
 class Elastic:
-    """Signal-aware band; half-width depends on advantage and pass rate."""
+    """Signal-aware band; half-width depends on advantage and pass rate.
+
+    ``inverse`` flips the sign of the advantage term only; the
+    difficulty term keeps its sign.
+    """
 
     epsilon_base: float
     lambda1: float
     lambda2: float
-    direction: str = "standard"
+    inverse: bool = False
 
     def __post_init__(self):
         if self.lambda1 < 0.0 or self.lambda2 < 0.0:
@@ -66,42 +67,24 @@ class Elastic:
             raise ContractViolation(
                 "band inversion: epsilon_base - lambda1 must stay positive"
             )
-        if self.direction not in DIRECTIONS:
-            raise ContractViolation(f"unknown direction {self.direction!r}")
 
 
 ClipStrategy = Union[Static, ClipHigh, Elastic]
 
 
-def micro_adjustment(advantage, lambda1: float, direction: str = "standard"):
-    """Advantage-driven half-width shift, saturating at +-lambda1."""
-    if direction not in DIRECTIONS:
-        raise ContractViolation(f"unknown direction {direction!r}")
-    if direction == "macro-only":
-        return np.zeros_like(np.asarray(advantage, dtype=np.float64))
-    sign = -1.0 if direction == "inverse" else 1.0
-    return sign * lambda1 * np.tanh(np.asarray(advantage, dtype=np.float64))
-
-
-def macro_adjustment(pass_rate, lambda2: float, direction: str = "standard"):
+def macro_adjustment(pass_rate, lambda2: float):
     """Difficulty-driven half-width bonus, maximal at pass rate 0.5."""
-    if direction not in DIRECTIONS:
-        raise ContractViolation(f"unknown direction {direction!r}")
     p = np.asarray(pass_rate, dtype=np.float64)
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ContractViolation("pass rate must lie in [0, 1]")
-    if direction == "micro-only":
-        return np.zeros_like(p)
     return lambda2 * 4.0 * p * (1.0 - p)
 
 
 def dynamic_epsilon(advantage, pass_rate, strategy: Elastic):
     """Elastic half-width; bounded by [base - lam1, base + lam1 + lam2]."""
-    return (
-        strategy.epsilon_base
-        + micro_adjustment(advantage, strategy.lambda1, strategy.direction)
-        + macro_adjustment(pass_rate, strategy.lambda2, strategy.direction)
-    )
+    sign = -1.0 if strategy.inverse else 1.0
+    micro = sign * strategy.lambda1 * np.tanh(np.asarray(advantage, dtype=np.float64))
+    return strategy.epsilon_base + micro + macro_adjustment(pass_rate, strategy.lambda2)
 
 
 def clip_bounds(strategy: ClipStrategy, advantage, pass_rate):

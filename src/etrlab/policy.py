@@ -14,6 +14,7 @@ is a pure function of (params, prompt, rng stream).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +28,8 @@ from .autodiff import ContractViolation
 # renormalization exact in float64.
 MASK_LOGIT = -1e9
 
-PositionMasks = Sequence[Sequence[int]]
+# Legal token ids per response position; tuples, so mask tables can be memoised.
+PositionMasks = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -60,32 +62,35 @@ class Vocab:
         return tuple(range(self.n_content))
 
 
-_PARAM_FIELDS = ("embed", "w_hidden", "b_hidden", "w_out", "b_out")
-
-
 class PolicyParams:
-    """Dense parameter arrays for one policy network."""
+    """One policy network's parameters: a flat float64 vector and its blocks.
 
-    __slots__ = ("vocab", "window", "embed", "w_hidden", "b_hidden", "w_out", "b_out")
+    ``embed``, ``w_hidden``, ``b_hidden``, ``w_out`` and ``b_out`` are
+    views of ``vector``, laid out in that order, so writing the vector
+    writes every block. A new instance holds zeros.
+    """
 
-    def __init__(self, vocab: Vocab, window: int, embed, w_hidden, b_hidden, w_out, b_out):
+    __slots__ = ("vocab", "window", "vector", "embed", "w_hidden", "b_hidden", "w_out", "b_out")
+
+    def __init__(self, vocab: Vocab, window: int, embed_dim: int, hidden_dim: int):
         if window < 1:
             raise ContractViolation("context window must be at least 1")
         self.vocab = vocab
         self.window = int(window)
-        self.embed = np.asarray(embed, dtype=np.float64)
-        self.w_hidden = np.asarray(w_hidden, dtype=np.float64)
-        self.b_hidden = np.asarray(b_hidden, dtype=np.float64)
-        self.w_out = np.asarray(w_out, dtype=np.float64)
-        self.b_out = np.asarray(b_out, dtype=np.float64)
-        v, d = self.embed.shape
-        h = self.b_hidden.shape[0]
-        if v != vocab.size:
-            raise ContractViolation("embedding row count must equal vocabulary size")
-        if self.w_hidden.shape != (window * d, h):
-            raise ContractViolation("hidden weight shape is inconsistent")
-        if self.w_out.shape != (h, v) or self.b_out.shape != (v,):
-            raise ContractViolation("output layer shape is inconsistent")
+        v = vocab.size
+        shapes = (
+            (v, embed_dim),
+            (window * embed_dim, hidden_dim),
+            (hidden_dim,),
+            (hidden_dim, v),
+            (v,),
+        )
+        sizes = [math.prod(shape) for shape in shapes]
+        self.vector = np.zeros(sum(sizes))
+        blocks = np.split(self.vector, np.cumsum(sizes)[:-1])
+        self.embed, self.w_hidden, self.b_hidden, self.w_out, self.b_out = (
+            block.reshape(shape) for block, shape in zip(blocks, shapes)
+        )
 
     @property
     def embed_dim(self) -> int:
@@ -97,56 +102,30 @@ class PolicyParams:
 
     @property
     def param_count(self) -> int:
-        return sum(getattr(self, f).size for f in _PARAM_FIELDS)
+        return self.vector.size
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([getattr(self, f).ravel() for f in _PARAM_FIELDS])
+        return self.vector.copy()
 
     def set_vector(self, vec: np.ndarray) -> None:
         """Load a flat parameter vector in place."""
         vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.param_count,):
+        if vec.shape != self.vector.shape:
             raise ContractViolation("parameter vector has the wrong length")
-        at = 0
-        for f in _PARAM_FIELDS:
-            arr = getattr(self, f)
-            arr[...] = vec[at : at + arr.size].reshape(arr.shape)
-            at += arr.size
+        self.vector[...] = vec
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(
-            self.vocab,
-            self.window,
-            self.embed.copy(),
-            self.w_hidden.copy(),
-            self.b_hidden.copy(),
-            self.w_out.copy(),
-            self.b_out.copy(),
+        return PolicyParams.from_vector(
+            self.vocab, self.window, self.embed_dim, self.hidden_dim, self.vector
         )
 
     @classmethod
     def from_vector(
         cls, vocab: Vocab, window: int, embed_dim: int, hidden_dim: int, vec: np.ndarray
     ) -> "PolicyParams":
-        v = vocab.size
-        shapes = [
-            (v, embed_dim),
-            (window * embed_dim, hidden_dim),
-            (hidden_dim,),
-            (hidden_dim, v),
-            (v,),
-        ]
-        total = sum(int(np.prod(s)) for s in shapes)
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (total,):
-            raise ContractViolation("parameter vector has the wrong length")
-        arrays = []
-        at = 0
-        for s in shapes:
-            n = int(np.prod(s))
-            arrays.append(vec[at : at + n].reshape(s).copy())
-            at += n
-        return cls(vocab, window, *arrays)
+        params = cls(vocab, window, embed_dim, hidden_dim)
+        params.set_vector(vec)
+        return params
 
 
 def init_params(
@@ -160,11 +139,9 @@ def init_params(
     """Deterministic uniform initialization in [-scale, scale]."""
     if scale < 0.0:
         raise ContractViolation("init scale must be non-negative")
-    rng = np.random.default_rng(seed)
-    v = vocab.size
-    count = v * embed_dim + window * embed_dim * hidden_dim + hidden_dim + hidden_dim * v + v
-    vec = rng.uniform(-scale, scale, size=count)
-    return PolicyParams.from_vector(vocab, window, embed_dim, hidden_dim, vec)
+    params = PolicyParams(vocab, window, embed_dim, hidden_dim)
+    params.set_vector(np.random.default_rng(seed).uniform(-scale, scale, size=params.param_count))
+    return params
 
 
 def pad_context(tokens: Sequence[int], window: int, bos: int) -> np.ndarray:
@@ -230,22 +207,15 @@ def token_logprobs(
     return lp, lp[np.arange(lp.shape[0]), np.asarray(targets, dtype=np.int64)]
 
 
+@functools.lru_cache(maxsize=256)
 def mask_matrix(vocab_size: int, masks: PositionMasks | None, n_rows: int) -> np.ndarray:
     """Additive-logit mask rows: 0 for legal ids, MASK_LOGIT otherwise.
 
-    Tables are memoised on the arguments (grammars from
-    ``tasks.response_grammar`` are tuples) and returned read-only; masks
-    that cannot be hashed, such as lists, are built afresh. A call with an
-    illegal id raises every time, since a failed build is never cached.
+    Tables are memoised on the arguments, so masks must be hashable, as
+    the tuples ``tasks.response_grammar`` returns are; they are returned
+    read-only. A call with an illegal id raises every time, since a failed
+    build is never cached.
     """
-    try:
-        return _mask_table(vocab_size, masks, n_rows)
-    except TypeError:
-        return _mask_table.__wrapped__(vocab_size, masks, n_rows)
-
-
-@functools.lru_cache(maxsize=256)
-def _mask_table(vocab_size: int, masks: PositionMasks | None, n_rows: int) -> np.ndarray:
     out = np.zeros((n_rows, vocab_size))
     if masks is not None:
         if len(masks) < n_rows:

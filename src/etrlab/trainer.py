@@ -17,10 +17,10 @@ import numpy as np
 
 from .autodiff import ContractViolation, finite_diff_check
 from .config import (
+    METHODS,
     TrainConfig,
     apply_overrides,
     build_strategy,
-    parse_config,
     render_config,
     validate_config,
 )
@@ -242,7 +242,7 @@ def train_step(
             )
         grad, _ = clip_grad_norm(-breakdown.gradient, cfg.grad_clip)
         vec = adamw_update(
-            params.to_vector(),
+            params.vector,
             grad,
             opt,
             cfg.learning_rate,
@@ -450,13 +450,12 @@ class DivergedRun:
     message: str
 
 
-def _compare_worker(job: tuple[str, str, int, str | None]) -> RunSummary | DivergedRun:
-    cfg_text, method, seed, out_dir = job
-    cfg = apply_overrides(parse_config(cfg_text), [f"method={method}", f"seed={seed}"])
+def _compare_worker(job: tuple[TrainConfig, str | None]) -> RunSummary | DivergedRun:
+    cfg, out_dir = job
     try:
         result = run_training(cfg)
     except TrainingDiverged as exc:
-        return DivergedRun(method, seed, str(exc))
+        return DivergedRun(cfg.method, cfg.seed, str(exc))
     if out_dir is not None:
         write_run_artifacts(result, out_dir)
     return RunSummary.from_result(result)
@@ -471,19 +470,22 @@ def compare_runs(
 ) -> list[RunSummary | DivergedRun]:
     """Run every (method, seed) pair; order of results is deterministic.
 
-    A diverged run comes back as a :class:`DivergedRun` in its place, so
-    the other runs still finish.
+    Every pair's config is checked before the first run starts. A diverged
+    run comes back as a :class:`DivergedRun` in its place, so the other
+    runs still finish.
     """
     if len(methods) == 0 or len(seeds) == 0:
         raise ContractViolation("compare needs at least one method and one seed")
     if jobs < 1:
         raise ContractViolation(f"jobs must be at least 1, got {jobs}")
-    cfg_text = render_config(cfg)
-    job_list = []
-    for method in methods:
-        for seed in seeds:
-            run_dir = None if out_dir is None else str(Path(out_dir) / f"{method}-seed{seed}")
-            job_list.append((cfg_text, method, seed, run_dir))
+    job_list = [
+        (
+            apply_overrides(cfg, [f"method={method}", f"seed={seed}"]),
+            None if out_dir is None else str(Path(out_dir) / f"{method}-seed{seed}"),
+        )
+        for method in methods
+        for seed in seeds
+    ]
     if jobs == 1:
         return [_compare_worker(job) for job in job_list]
     # Imported here: the pool pulls in multiprocessing, which most runs never use.
@@ -524,8 +526,6 @@ def method_medians(
         )
     return rows
 
-
-GRADCHECK_VARIANTS = ("grpo", "cliphigh", "etr", "etr-micro", "etr-macro", "etr-inverse")
 
 # Small dimensions keep the per-coordinate finite-difference sweep fast;
 # parity at difficulty 1 makes mixed-reward groups likely at G=4.
@@ -597,5 +597,5 @@ def gradient_check(method: str = "etr", seed: int = 0) -> float:
 
 
 def gradient_check_suite(seed: int = 0) -> list[tuple[str, float]]:
-    """Run the gradient check once per strategy variant, each on its own batch."""
-    return [(m, gradient_check(m, seed=seed + 13 * i)) for i, m in enumerate(GRADCHECK_VARIANTS)]
+    """Run the gradient check once per method, each on its own batch."""
+    return [(m, gradient_check(m, seed=seed + 13 * i)) for i, m in enumerate(METHODS)]

@@ -151,6 +151,18 @@ def test_compare_unknown_method_is_a_usage_error(capsys):
     assert "unknown method" in capsys.readouterr().err
 
 
+def test_compare_checks_every_config_before_the_first_run(tmp_path, capsys):
+    # seed 1 is valid, seed -1 is not: no run may start, so no directory.
+    out = tmp_path / "sweep"
+    args = ["compare", "--out", str(out), "--methods", "grpo", "--seeds", "1,-1", *TINY]
+    assert main(args) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["compare", "--out", str(out), "--methods", "grpo,ppo", *TINY]) == 2
+    assert "unknown method 'ppo'; must be one of grpo, cliphigh" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_reversed_seed_range_is_a_usage_error(capsys):
     assert main(["compare", "--methods", "grpo", "--seeds", "5..3"]) == 2
     assert "reversed" in capsys.readouterr().err

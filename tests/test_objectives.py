@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from etrlab.autodiff import ContractViolation, Record, exp, sum_all
-from etrlab.config import TrainConfig
+from etrlab.config import METHODS, TrainConfig, build_strategy
 from etrlab.groups import RolloutBatch, RolloutGroup, group_stats
 from etrlab.objectives import (
-    DIRECTIONS,
     ClipHigh,
     Elastic,
     Static,
@@ -18,7 +17,6 @@ from etrlab.objectives import (
     kl_cubic_bound,
     kl_quadratic_residual,
     macro_adjustment,
-    micro_adjustment,
     PreparedBatch,
     prepare_batch,
     theoretical_epsilon,
@@ -67,24 +65,20 @@ def test_strategy_constructor_contracts():
         Elastic(0.1, 0.2, 0.1)
     with pytest.raises(ContractViolation):
         Elastic(0.2, 0.1, -0.1)
-    with pytest.raises(ContractViolation):
-        Elastic(0.2, 0.1, 0.1, direction="sideways")
-    assert Elastic(0.2, 0.1, 0.1).direction == "standard"
+    assert Elastic(0.2, 0.1, 0.1).inverse is False
 
 
-def test_micro_adjustment_examples():
-    assert micro_adjustment(0.0, 0.1) == 0.0
-    got = micro_adjustment(1.732049, 0.1)
-    assert abs(got - 0.1 * np.tanh(1.732049)) < 1e-15
-    assert abs(got - 0.09393) < 5e-5
+def test_advantage_term_examples():
+    # At pass rate 0 the difficulty term is zero: eps = base +- lam1 * tanh(A).
+    strat = Elastic(0.2, 0.1, 0.1)
+    assert dynamic_epsilon(0.0, 0.0, strat) == 0.2
+    assert abs(dynamic_epsilon(1.732049, 0.0, strat) - 0.2 - 0.09393) < 5e-5
     grid = np.linspace(-50, 50, 1001)
-    assert np.all(np.abs(micro_adjustment(grid, 0.1)) <= 0.1)
-    np.testing.assert_array_equal(
-        micro_adjustment(grid, 0.1, "inverse"), -micro_adjustment(grid, 0.1)
-    )
-    assert np.all(micro_adjustment(grid, 0.1, "macro-only") == 0.0)
-    with pytest.raises(ContractViolation):
-        micro_adjustment(1.0, 0.1, "diagonal")
+    np.testing.assert_array_equal(dynamic_epsilon(grid, 0.0, strat), 0.2 + 0.1 * np.tanh(grid))
+    flipped = Elastic(0.2, 0.1, 0.1, inverse=True)
+    np.testing.assert_array_equal(dynamic_epsilon(grid, 0.0, flipped), 0.2 - 0.1 * np.tanh(grid))
+    # etr-macro zeroes lam1, which drops the advantage term.
+    np.testing.assert_array_equal(dynamic_epsilon(grid, 0.0, Elastic(0.2, 0.0, 0.1)), 0.2)
 
 
 def test_macro_adjustment_examples():
@@ -92,7 +86,9 @@ def test_macro_adjustment_examples():
     assert macro_adjustment(0.0, 0.1) == 0.0
     assert macro_adjustment(1.0, 0.1) == 0.0
     assert abs(macro_adjustment(0.25, 0.1) - 0.075) < 1e-15
-    assert np.all(macro_adjustment(np.linspace(0, 1, 101), 0.1, "micro-only") == 0.0)
+    # etr-micro zeroes lam2, which drops the difficulty term.
+    grid = np.linspace(0, 1, 101)
+    np.testing.assert_array_equal(dynamic_epsilon(0.0, grid, Elastic(0.2, 0.1, 0.0)), 0.2)
     with pytest.raises(ContractViolation):
         macro_adjustment(-0.1, 0.1)
     with pytest.raises(ContractViolation):
@@ -125,8 +121,8 @@ def test_dynamic_epsilon_envelope_grid():
 
 
 def test_sign_asymmetry_standard_and_inverse():
-    micro = Elastic(0.2, 0.1, 0.1, "micro-only")
-    flipped = Elastic(0.2, 0.1, 0.1, "inverse")
+    micro = Elastic(0.2, 0.1, 0.0)
+    flipped = Elastic(0.2, 0.1, 0.1, inverse=True)
     for a in (0.5, 2.0, 7.0):
         assert dynamic_epsilon(a, 0.3, micro) > 0.2
         assert dynamic_epsilon(-a, 0.3, micro) < 0.2
@@ -256,7 +252,7 @@ def brute_force_objective(groups, params, ref, eps, beta):
             lp_new, lp_ref = [], []
             seq = list(group.prompt.tokens)
             for j, tok in enumerate(resp.tokens):
-                mask = mask_matrix(params.vocab.size, [grammar[j]], 1)[0]
+                mask = mask_matrix(params.vocab.size, (grammar[j],), 1)[0]
                 for p, sink in ((params, lp_new), (ref, lp_ref)):
                     logits = row_logits(p, pad_context(seq, p.window, p.vocab.bos)) + mask
                     shifted = logits - logits.max()
@@ -394,8 +390,10 @@ def uneven_batch(seed):
     return batch
 
 
-STRATEGIES = [Static(0.2), ClipHigh(0.2, 0.28)] + [
-    Elastic(0.2, 0.1, 0.15, direction) for direction in DIRECTIONS
+# The band of each method, with lambda2 apart from lambda1.
+STRATEGIES = [
+    build_strategy(dataclasses.replace(TrainConfig(), method=method, lambda2=0.15))
+    for method in METHODS
 ]
 
 
@@ -563,7 +561,7 @@ def test_tape_scorer_matches_plain_scorer():
     p = init_params(VOCAB, 4, 16, 64, 8, 0.1)
     prompt = [VOCAB.sep, 4, VOCAB.sep]
     tokens = [2, 9, VOCAB.eos]
-    masks = mask_matrix(VOCAB.size, [VOCAB.content_ids()] * 2 + [(VOCAB.eos,)], 3)
+    masks = mask_matrix(VOCAB.size, (VOCAB.content_ids(),) * 2 + ((VOCAB.eos,),), 3)
     contexts = stacked_contexts([(prompt, tokens)], p.window, VOCAB.bos)
     targets = np.asarray(tokens)
     rec = Record()
