@@ -158,15 +158,28 @@ def _check_ids(ids: np.ndarray, size: int) -> None:
 def hidden_rows(params: PolicyParams, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated context embeddings (n, W*D) and tanh activations (n, H)."""
     _check_ids(contexts, params.vocab.size)
-    n = contexts.shape[0]
-    x = params.embed[contexts.reshape(-1)].reshape(n, params.window * params.embed_dim)
-    return x, np.tanh(x @ params.w_hidden + params.b_hidden)
+    return _hidden_rows_unchecked(params, contexts)
+
+
+def _hidden_rows_unchecked(
+    params: PolicyParams, contexts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hidden_rows` for contexts whose ids are known to be in range."""
+    x = params.embed.take(contexts, axis=0).reshape(contexts.shape[0], -1)
+    pre = x @ params.w_hidden
+    pre += params.b_hidden
+    return x, np.tanh(pre, out=pre)
+
+
+def _logits(params: PolicyParams, hidden: np.ndarray) -> np.ndarray:
+    logits = hidden @ params.w_out
+    logits += params.b_out
+    return logits
 
 
 def _forward_logits_rows(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
     """Row-wise logits for a batch of padded contexts, shape (n, V)."""
-    _, hidden = hidden_rows(params, contexts)
-    return hidden @ params.w_out + params.b_out
+    return _logits(params, hidden_rows(params, contexts)[1])
 
 
 def logits_gradient(
@@ -191,9 +204,13 @@ def logits_gradient(
 
 
 def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
-    peak = np.max(x, axis=-1, keepdims=True)
-    shifted = x - peak
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    # ndarray reductions and in-place steps skip numpy's Python wrappers.
+    # Each step must stay the same ufunc on the same operands: stored
+    # log-probs are pinned byte for byte.
+    shifted = x - x.max(axis=-1, keepdims=True)
+    norm = np.exp(shifted).sum(axis=-1, keepdims=True)
+    shifted -= np.log(norm, out=norm)
+    return shifted
 
 
 def token_logprobs(
@@ -202,7 +219,7 @@ def token_logprobs(
     """Row log-softmax of scaled, masked logits, and each row's target entry."""
     scaled = logits * (1.0 / temperature)
     if masks is not None:
-        scaled = scaled + masks
+        scaled += masks
     lp = _log_softmax_rows(scaled)
     return lp, lp[np.arange(lp.shape[0]), np.asarray(targets, dtype=np.int64)]
 
@@ -248,9 +265,8 @@ class SampledResponse:
 
 def _sample_rows(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Inverse-CDF pick per row, one uniform draw per row."""
-    cums = np.cumsum(probs, axis=1)
-    idx = np.sum(cums < draws[:, None], axis=1)
-    return np.minimum(idx, probs.shape[1] - 1)
+    idx = (probs.cumsum(axis=1) < draws[:, None]).sum(axis=1)
+    return np.minimum(idx, probs.shape[1] - 1, out=idx)
 
 
 def sample_groups(
@@ -285,6 +301,9 @@ def sample_groups(
     - entropies of the positions whose mask allows at least two tokens,
       group-major, and within a group position-major over the rows still
       alive at that position (empty unless ``collect_entropy``).
+
+    Prompt-tail ids are checked once per call, before any position runs,
+    so a call with a zero budget still rejects an id outside the vocabulary.
     """
     k_groups = len(prompts)
     if k_groups < 1:
@@ -317,36 +336,43 @@ def sample_groups(
         choice = np.zeros((k_groups, horizon), dtype=bool)
         for k, (m, b) in enumerate(zip(position_masks, budgets)):
             choice[k, :b] = True if m is None else [len(tuple(m[p])) >= 2 for p in range(b)]
+        choice = np.repeat(choice.T, n, axis=1)
         entropy = np.zeros((horizon, rows))
         kept = np.zeros((horizon, rows), dtype=bool)
     row_budgets = np.repeat(budgets, n)
+    # Only prompt tails need a check: _sample_rows clamps sampled ids.
+    tails = np.asarray([pad_context(p, window, vocab.bos) for p in prompts])
+    _check_ids(tails, v)
     tokens = np.zeros((rows, window + horizon), dtype=np.int64)
-    tokens[:, :window] = np.repeat([pad_context(p, window, vocab.bos) for p in prompts], n, axis=0)
+    tokens[:, :window] = np.repeat(tails, n, axis=0)
     logprobs = np.zeros((rows, horizon))
     lengths = np.zeros(rows, dtype=np.int64)
     alive = np.ones(rows, dtype=bool)
     draws = np.zeros(rows)
-    row_index = np.arange(rows)
+    row_starts = np.arange(0, rows * v, v)
+    scale = 1.0 / temperature
+    eos = vocab.eos
     for pos in range(horizon):
         if pos in budgets:
             alive &= pos < row_budgets
-        open_groups = np.flatnonzero(alive.reshape(k_groups, n).any(axis=1)).tolist()
+        open_groups = alive.reshape(k_groups, n).any(axis=1).nonzero()[0].tolist()
         if not open_groups:
             break
-        logits = _forward_logits_rows(params, tokens[:, pos : pos + window]) * (1.0 / temperature)
+        logits = _logits(params, _hidden_rows_unchecked(params, tokens[:, pos : pos + window])[1])
+        logits *= scale
         logits += row_masks[pos]
         lp = _log_softmax_rows(logits)
         for k in open_groups:
-            draws[k * n : (k + 1) * n] = rngs[k].random(n)
+            rngs[k].random(out=draws[k * n : (k + 1) * n])
         probs = np.exp(lp)
         picks = _sample_rows(probs, draws)
         if collect_entropy:
-            entropy[pos] = -np.sum(probs * lp, axis=1)
-            kept[pos] = alive & np.repeat(choice[:, pos], n)
+            entropy[pos] = -(probs * lp).sum(axis=1)
+            kept[pos] = alive & choice[pos]
         tokens[:, window + pos] = picks
-        logprobs[:, pos] = lp[row_index, picks]
+        logprobs[:, pos] = lp.take(row_starts + picks)
         lengths += alive
-        alive &= picks != vocab.eos
+        alive &= picks != eos
     if not collect_entropy:
         return tokens, logprobs, lengths, []
     # Group-major, then position-major over the rows kept at that position.
@@ -369,7 +395,8 @@ def sample_group(
     """Sample n responses to one prompt in lockstep from a single stream.
 
     The one-prompt case of :func:`sample_groups`, with each buffer row cut
-    to its length as a :class:`SampledResponse`.
+    to its length as a :class:`SampledResponse`; the log-probs are views of
+    the call's own buffer.
     """
     tokens, logprobs, lengths, entropies = sample_groups(
         params,
@@ -383,8 +410,8 @@ def sample_group(
     )
     rows = tokens[:, params.window :].tolist()
     responses = [
-        SampledResponse(tuple(row[:size]), logprobs[i, :size].copy())
-        for i, (row, size) in enumerate(zip(rows, lengths.tolist()))
+        SampledResponse(tuple(row[:size]), row_lp[:size])
+        for row, size, row_lp in zip(rows, lengths.tolist(), logprobs)
     ]
     return responses, entropies
 

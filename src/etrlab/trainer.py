@@ -31,7 +31,6 @@ from .groups import (  # noqa: F401
     RolloutGroup,
     as_rollout_batch,
     group_stats,
-    pass_rate,
 )
 from .metrics import (
     StepMetrics,
@@ -338,6 +337,9 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
                 round_index=step,
                 temperature=cfg.temperature,
             )
+        # Correct rows per group: exact counts, so each group's pass rate
+        # is the same division groups.pass_rate makes.
+        passed = np.add.reduceat(batch.rewards > 0.0, np.cumsum(batch.sizes) - batch.sizes)
         log.append(
             StepMetrics(
                 step=step,
@@ -348,9 +350,7 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
                 clip_frac=breakdown.clip_fraction,
                 mean_eps=breakdown.mean_epsilon,
                 resp_len=float(np.mean(batch.lengths)),
-                pass_rate=float(
-                    np.mean([pass_rate(batch.rewards[rows]) for rows in batch.group_rows()])
-                ),
+                pass_rate=float(np.mean(passed / batch.sizes)),
                 evals=evals,
             )
         )

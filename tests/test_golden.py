@@ -6,9 +6,13 @@ summation order, a different gradient path) re-records them and says why
 in CHANGES.md.
 
 The mixed suite puts groups with different answer lengths into one
-rollout batch, so batched sampling across groups is covered too.
+rollout batch, so batched sampling across groups is covered too. The
+golden configs are small (12-row batches, n = 4), so a default-sized run
+is pinned as well: 16 x 8 rollouts and one eval round at n = 32, the
+shapes the sampler runs at by default.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -34,6 +38,17 @@ def golden_cfg(method, suite):
         hidden_dim=8,
         context_window=3,
         max_response_len=4,
+    )
+
+
+def default_size_cfg():
+    return dataclasses.replace(
+        TrainConfig(),
+        method="etr-micro",
+        suite=parse_suite("copy:4,parity:3"),
+        max_response_len=5,
+        steps=15,
+        eval_every=15,
     )
 
 
@@ -77,9 +92,20 @@ GOLDEN = {
 }
 
 
+# metrics.csv and final-parameter digests of default_size_cfg().
+GOLDEN_DEFAULT_SIZE = (
+    "61f927d9de88d146c04a8d9184107fe89f095ad8bacce970598de70b1c473d4e",
+    "d7e6e6decb6c2d3bf56d1c5e5a135c62afeeed334eeb9def5cbe3b70057785f8",
+)
+
+
 @pytest.mark.parametrize("method,suite", sorted(GOLDEN), ids=lambda v: str(v))
 def test_golden_digests(method, suite, tmp_path):
     assert run_digests(golden_cfg(method, suite), tmp_path) == GOLDEN[(method, suite)]
+
+
+def test_default_size_digests(tmp_path):
+    assert run_digests(default_size_cfg(), tmp_path) == GOLDEN_DEFAULT_SIZE
 
 
 # Artifact bytes of one golden run. config.txt's digest is the one a

@@ -454,3 +454,19 @@ def test_sample_groups_contracts():
         sample_groups(p, [[1], [2]], 2, 1.0, [rng])
     with pytest.raises(ContractViolation):
         sample_groups(p, [[1], [2]], 2, 1.0, [rng, rng], [None])
+
+
+@pytest.mark.parametrize("bad", [VOCAB.size, VOCAB.size + 7, -1])
+@pytest.mark.parametrize("max_len", [0, 3])
+def test_sampling_rejects_prompt_ids_out_of_range(bad, max_len):
+    # Prompt tails are checked once per call, before any position runs, so
+    # a call that samples no position raises too.
+    p = tiny_params()
+    good = [1, VOCAB.sep]
+    rng = np.random.default_rng(0)
+    with pytest.raises(ContractViolation):
+        sample_group(p, [2, bad, VOCAB.sep], 3, 1.0, rng, max_len=max_len)
+    with pytest.raises(ContractViolation):
+        sample_groups(p, [good, [bad]], 2, 1.0, [rng, rng], max_len=max_len)
+    tokens, _, lengths, _ = sample_groups(p, [good, good], 2, 1.0, [rng, rng], max_len=max_len)
+    assert tokens.shape == (4, p.window + max_len) and np.all(lengths <= max_len)

@@ -5,6 +5,8 @@ under one and under two BLAS threads (the count is read when numpy loads,
 so it cannot be switched within one process). Both runs must write the
 same ``metrics.csv`` and ``final.ckpt``. A default-sized 15-step run
 rides along: its final parameters once differed between thread counts.
+Every run must also match its pinned digests, so a change that moved both
+thread counts the same way fails too.
 """
 
 import json
@@ -13,35 +15,24 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_golden import GOLDEN
+from test_golden import GOLDEN, GOLDEN_DEFAULT_SIZE
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
 CHILD = """
-import dataclasses, hashlib, json, sys, tempfile
+import hashlib, json, sys, tempfile
 from pathlib import Path
-from test_golden import GOLDEN, golden_cfg
-from etrlab.config import TrainConfig, parse_suite
-from etrlab.trainer import run_training, write_run_artifacts
+from test_golden import GOLDEN, default_size_cfg, golden_cfg, run_digests
 
 configs = {f"{method} {suite}": golden_cfg(method, suite) for method, suite in sorted(GOLDEN)}
-configs["default-size"] = dataclasses.replace(
-    TrainConfig(),
-    method="etr-micro",
-    suite=parse_suite("copy:4,parity:3"),
-    max_response_len=5,
-    steps=15,
-    eval_every=15,
-)
+configs["default-size"] = default_size_cfg()
 digests = {}
 for name, cfg in configs.items():
     with tempfile.TemporaryDirectory() as tmp:
-        write_run_artifacts(run_training(cfg), tmp)
-        digests[name] = [
-            hashlib.sha256((Path(tmp) / artifact).read_bytes()).hexdigest()
-            for artifact in ("metrics.csv", "final.ckpt")
-        ]
+        csv, params = run_digests(cfg, Path(tmp))
+        ckpt = hashlib.sha256((Path(tmp) / "final.ckpt").read_bytes()).hexdigest()
+        digests[name] = [csv, params, ckpt]
 json.dump(digests, sys.stdout)
 """
 
@@ -62,5 +53,6 @@ def test_golden_runs_are_byte_identical_under_one_and_two_blas_threads():
     one, two = golden_digests(1), golden_digests(2)
     assert len(one) == len(GOLDEN) + 1
     assert one == two
-    for (method, suite), (csv_digest, _) in GOLDEN.items():
-        assert one[f"{method} {suite}"][0] == csv_digest
+    for (method, suite), pinned in GOLDEN.items():
+        assert tuple(one[f"{method} {suite}"][:2]) == pinned
+    assert tuple(one["default-size"][:2]) == GOLDEN_DEFAULT_SIZE
