@@ -1,15 +1,15 @@
 """Rollout batches and group-relative reward normalization.
 
-A step's groups travel as one :class:`RolloutBatch` in the sampler's
-padded layout. Advantages are computed within a group of responses to one
-prompt: center by the group mean, divide by the population standard
-deviation plus a small stabilizer. Degenerate groups (all rewards equal)
-are kept and get exactly zero advantages.
+A step's K groups of G responses travel as one :class:`RolloutBatch` in
+the sampler's padded layout, so their rewards form one (K, G) block.
+Advantages are computed within a group of responses to one prompt: center
+by the group mean, divide by the population standard deviation plus a
+small stabilizer. Degenerate groups (all rewards equal) are kept and get
+exactly zero advantages.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -49,9 +49,10 @@ class RolloutGroup:
 class RolloutBatch:
     """Every group of one step in the sampler's padded layout.
 
-    Rows are group-major: the first ``sizes[0]`` answer ``prompts[0]``
-    under ``grammars[0]``, the next ``sizes[1]`` answer ``prompts[1]``,
-    and so on. Row i of ``tokens`` is the BOS-padded tail of its prompt
+    Rows are group-major: the first ``group_size`` answer ``prompts[0]``
+    under ``grammars[0]``, the next ``group_size`` answer ``prompts[1]``,
+    and so on, so ``rewards.reshape(len(prompts), group_size)`` holds one
+    group per row. Row i of ``tokens`` is the BOS-padded tail of its prompt
     (the first ``window`` columns) followed by its response, so the
     context of response token t is ``tokens[i, t : t + window]``;
     ``logprobs[i, t]`` is that token's stored log-probability and
@@ -62,7 +63,7 @@ class RolloutBatch:
 
     prompts: tuple[Prompt, ...]
     grammars: tuple[tuple[tuple[int, ...], ...], ...]
-    sizes: np.ndarray
+    group_size: int
     tokens: np.ndarray
     logprobs: np.ndarray
     lengths: np.ndarray
@@ -70,14 +71,14 @@ class RolloutBatch:
     entropies: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for name in ("sizes", "tokens", "lengths"):
+        for name in ("tokens", "lengths"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
         for name in ("logprobs", "rewards"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        rows = int(np.sum(self.sizes))
-        if not len(self.prompts) == len(self.grammars) == len(self.sizes) >= 1:
-            raise ContractViolation("one prompt, grammar and size per group is required")
-        if np.min(self.sizes) < 2:
+        rows = len(self.prompts) * self.group_size
+        if not len(self.prompts) == len(self.grammars) >= 1:
+            raise ContractViolation("one prompt and grammar per group is required")
+        if self.group_size < 2:
             raise ContractViolation("a rollout group needs at least two responses")
         if self.logprobs.shape != (rows, self.tokens.shape[1] - self.window) or self.window < 1:
             raise ContractViolation("token and log-probability buffers do not match")
@@ -93,27 +94,24 @@ class RolloutBatch:
     def __len__(self) -> int:
         return len(self.prompts)
 
-    def group_rows(self) -> list[slice]:
-        """The row slice of each group, in order."""
-        ends = np.cumsum(self.sizes).tolist()
-        return [slice(end - size, end) for end, size in zip(ends, self.sizes.tolist())]
-
 
 def as_rollout_batch(
     batch: RolloutBatch | Sequence[RolloutGroup], vocab: Vocab, window: int
 ) -> RolloutBatch:
-    """A :class:`RolloutBatch` as it is; groups (of any sizes) packed into one."""
+    """A :class:`RolloutBatch` as it is; groups of one size packed into one."""
     if isinstance(batch, RolloutBatch):
         return batch
     if len(batch) == 0:
         raise ContractViolation("batch must contain at least one group")
+    size = batch[0].size
+    if any(g.size != size for g in batch):
+        raise ContractViolation("every group of a batch needs the same number of responses")
     responses = [r for g in batch for r in g.responses]
     lengths = np.asarray([len(r) for r in responses], dtype=np.int64)
-    sizes = np.asarray([g.size for g in batch], dtype=np.int64)
     tokens = np.zeros((len(responses), window + int(lengths.max())), dtype=np.int64)
     logprobs = np.zeros((len(responses), int(lengths.max())))
     tokens[:, :window] = np.repeat(
-        [pad_context(g.prompt.tokens, window, vocab.bos) for g in batch], sizes, axis=0
+        [pad_context(g.prompt.tokens, window, vocab.bos) for g in batch], size, axis=0
     )
     for i, r in enumerate(responses):
         tokens[i, window : window + len(r)] = r.tokens
@@ -121,7 +119,7 @@ def as_rollout_batch(
     return RolloutBatch(
         prompts=tuple(g.prompt for g in batch),
         grammars=tuple(response_grammar(g.prompt, vocab) for g in batch),
-        sizes=sizes,
+        group_size=size,
         tokens=tokens,
         logprobs=logprobs,
         lengths=lengths,
@@ -131,37 +129,38 @@ def as_rollout_batch(
 
 @dataclass(frozen=True)
 class GroupStats:
-    mean_reward: float
-    std_reward: float
-    pass_rate: float
+    """Statistics of the groups along the last axis of a reward array.
+
+    For rewards of shape (K, G) the three statistics have shape (K,) and
+    ``advantages`` (K, G); for one group of shape (G,) they are numpy
+    float64 scalars.
+    """
+
+    mean_reward: np.ndarray
+    std_reward: np.ndarray
+    pass_rate: np.ndarray
     advantages: np.ndarray
-
-
-def pass_rate(rewards: np.ndarray) -> float:
-    """Fraction of strictly positive rewards."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    if rewards.size == 0:
-        raise ContractViolation("pass rate of an empty group")
-    return int(np.count_nonzero(rewards > 0.0)) / rewards.size
 
 
 def group_stats(rewards: np.ndarray, xi: float = DEFAULT_XI) -> GroupStats:
     """Mean, population std, pass rate and normalized advantages in one pass.
 
-    Means are ``sum / n``, which is exactly what ``np.mean`` computes.
+    Every group is reduced along the last axis. Means are ``sum / G``,
+    which is exactly what ``np.mean`` computes, and the pass rate is the
+    fraction of strictly positive rewards.
     """
     if not xi > 0.0:
         raise ContractViolation("xi must be positive")
     rewards = np.asarray(rewards, dtype=np.float64)
-    n = rewards.size
-    if n < 2:
+    if rewards.ndim == 0 or rewards.shape[-1] < 2:
         raise ContractViolation("advantage normalization needs at least two rewards")
-    mean = float(rewards.sum()) / n
-    centered = rewards - mean
-    std = math.sqrt(float((centered * centered).sum()) / n)
+    n = rewards.shape[-1]
+    mean = rewards.sum(axis=-1) / n
+    centered = rewards - np.expand_dims(mean, -1)
+    std = np.sqrt((centered * centered).sum(axis=-1) / n)
     return GroupStats(
         mean_reward=mean,
         std_reward=std,
-        pass_rate=pass_rate(rewards),
-        advantages=centered / (std + xi),
+        pass_rate=np.count_nonzero(rewards > 0.0, axis=-1) / n,
+        advantages=centered / (np.expand_dims(std, -1) + xi),
     )

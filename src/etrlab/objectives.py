@@ -241,20 +241,18 @@ def prepare_batch(
     batch = as_rollout_batch(batch, vocab, window)
     if batch.window != window:
         raise ContractViolation("batch was sampled with another context window")
-    lengths, sizes = batch.lengths, batch.sizes
+    lengths, k, g = batch.lengths, len(batch), batch.group_size
     if lengths.min() == 0:
         raise ContractViolation("cannot score an empty response")
-    longest = np.maximum.reduceat(lengths, np.cumsum(sizes) - sizes).tolist()
-    advantages, pass_rates, mask_tables = [], [], []
-    for rows, grammar, n_rows in zip(batch.group_rows(), batch.grammars, longest):
-        stats = group_stats(batch.rewards[rows], xi)
-        mask_tables.append(mask_matrix(vocab.size, grammar, n_rows))
-        advantages.append(stats.advantages)
-        pass_rates.append(stats.pass_rate)
-    adv = np.concatenate(advantages)
-    rate = np.repeat(pass_rates, sizes)
+    stats = group_stats(batch.rewards.reshape(k, g), xi)
+    longest = lengths.reshape(k, g).max(axis=1).tolist()
+    mask_tables = [
+        mask_matrix(vocab.size, grammar, n_rows) for grammar, n_rows in zip(batch.grammars, longest)
+    ]
+    adv = stats.advantages.reshape(-1)
+    rate = np.repeat(stats.pass_rate, g)
     lo, hi = clip_bounds(strategy, adv, rate)
-    weights = 1.0 / (len(batch) * np.repeat(sizes, sizes) * lengths)
+    weights = 1.0 / (k * g * lengths)
     trace = None
     if isinstance(strategy, Elastic):
         trace = np.repeat(dynamic_epsilon(adv, rate, strategy), lengths)
@@ -266,11 +264,11 @@ def prepare_batch(
     targets = batch.tokens[:, window:][inside]
     # Token t of a response reads row t of its group's grammar table.
     table_starts = np.cumsum(longest) - longest
-    row_table = np.repeat(np.repeat(table_starts, sizes), lengths)
+    row_table = np.repeat(np.repeat(table_starts, g), lengths)
     masks = np.concatenate(mask_tables)[row_table + np.nonzero(inside)[1]]
     *_, ref_logits = _distinct_forward(ref_params, distinct, targets.size)
     _, ref_lp = policy_mod.token_logprobs(ref_logits[index], targets, masks, temperature)
-    group_ends = np.cumsum(lengths)[np.cumsum(sizes) - 1].tolist()
+    group_ends = np.cumsum(lengths)[g - 1 :: g].tolist()
     return PreparedBatch(
         contexts=contexts,
         distinct_contexts=distinct,

@@ -121,7 +121,7 @@ def verify(prompt: Prompt, tokens: Sequence[int], vocab: Vocab) -> bool:
 
 def verify_rows(
     prompts: Sequence[Prompt],
-    sizes: Sequence[int],
+    n: int,
     tokens: np.ndarray,
     lengths: np.ndarray,
     vocab: Vocab,
@@ -130,14 +130,14 @@ def verify_rows(
 
     Row i of ``tokens`` (rows, horizon) holds a response of ``lengths[i]``
     ids, then padding that is never read. Rows answer the prompts in
-    order: the first ``sizes[0]`` rows ``prompts[0]``, the next
-    ``sizes[1]`` rows ``prompts[1]``, and so on. Entry i of the result is
+    order, n rows each: the first n rows ``prompts[0]``, the next n
+    ``prompts[1]``, and so on. Entry i of the result is
     ``verify(prompt, tokens[i, :lengths[i]], vocab)``.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     rows = tokens.shape[0]
-    if not prompts or len(prompts) != len(sizes) or int(np.sum(sizes)) != rows:
+    if not prompts or n < 1 or len(prompts) * n != rows:
         raise ContractViolation("one prompt per group of rows is required")
     if lengths.shape != (rows,) or np.any((lengths < 0) | (lengths > tokens.shape[1])):
         raise ContractViolation("one length per row, within the buffer, is required")
@@ -157,16 +157,16 @@ def verify_rows(
             want[k, 0] = p.payload[0]
         else:
             want[k, 0] = functools.reduce(operator.xor, p.payload, 0)
-    family = np.repeat([FAMILIES.index(p.family) for p in prompts], sizes)
-    slot = np.repeat(slots, sizes)
-    want = np.repeat(want, sizes, axis=0)
+    family = np.repeat([FAMILIES.index(p.family) for p in prompts], n)
+    slot = np.repeat(slots, n)
+    want = np.repeat(want, n, axis=0)
     # The first ``width`` columns, zero-padded where the buffer is narrower.
     head = np.zeros((rows, width), dtype=np.int64)
     cut = min(width, tokens.shape[1])
     head[:, :cut] = tokens[:, :cut]
     outside = np.arange(width) >= slot[:, None]
     well_formed = (
-        np.repeat(solvable, sizes)
+        np.repeat(solvable, n)
         & (lengths == slot + 1)
         & (head[np.arange(rows), slot] == vocab.eos)
     )

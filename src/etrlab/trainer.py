@@ -24,14 +24,7 @@ from .config import (
     render_config,
     validate_config,
 )
-# group_stats is unused here but stays importable: perfbench/layers.py
-# probes trainer.group_stats by name.
-from .groups import (  # noqa: F401
-    RolloutBatch,
-    RolloutGroup,
-    as_rollout_batch,
-    group_stats,
-)
+from .groups import RolloutBatch, RolloutGroup, as_rollout_batch, group_stats
 from .metrics import (
     StepMetrics,
     config_digest,
@@ -180,12 +173,11 @@ def rollout_batch(
         max_len=cfg.max_response_len,
         collect_entropy=True,
     )
-    sizes = np.full(len(prompts), cfg.group_size)
-    correct = verify_rows(prompts, sizes, tokens[:, params.window :], lengths, vocab)
+    correct = verify_rows(prompts, cfg.group_size, tokens[:, params.window :], lengths, vocab)
     return RolloutBatch(
         prompts=tuple(prompts),
         grammars=tuple(grammars),
-        sizes=sizes,
+        group_size=cfg.group_size,
         tokens=tokens,
         logprobs=logprobs,
         lengths=lengths,
@@ -237,7 +229,7 @@ def train_step(
                 "non-finite loss or gradient",
                 group_index=index,
                 prompt_tokens=None if index is None else batch.prompts[index].tokens,
-                rewards=None if index is None else batch.rewards[batch.group_rows()[index]],
+                rewards=None if index is None else batch.rewards.reshape(len(batch), -1)[index],
             )
         grad, _ = clip_grad_norm(-breakdown.gradient, cfg.grad_clip)
         vec = adamw_update(
@@ -337,9 +329,7 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
                 round_index=step,
                 temperature=cfg.temperature,
             )
-        # Correct rows per group: exact counts, so each group's pass rate
-        # is the same division groups.pass_rate makes.
-        passed = np.add.reduceat(batch.rewards > 0.0, np.cumsum(batch.sizes) - batch.sizes)
+        stats = group_stats(batch.rewards.reshape(len(batch), -1))
         log.append(
             StepMetrics(
                 step=step,
@@ -350,7 +340,7 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
                 clip_frac=breakdown.clip_fraction,
                 mean_eps=breakdown.mean_epsilon,
                 resp_len=float(np.mean(batch.lengths)),
-                pass_rate=float(np.mean(passed / batch.sizes)),
+                pass_rate=float(np.mean(stats.pass_rate)),
                 evals=evals,
             )
         )
@@ -470,28 +460,35 @@ def compare_runs(
 ) -> list[RunSummary | DivergedRun]:
     """Run every (method, seed) pair; order of results is deterministic.
 
-    Every pair's config is checked before the first run starts. A diverged
-    run comes back as a :class:`DivergedRun` in its place, so the other
-    runs still finish.
+    Every pair's config is checked, and each pair must be distinct, before
+    the first run starts. A diverged run comes back as a
+    :class:`DivergedRun` in its place, so the other runs still finish.
     """
     if len(methods) == 0 or len(seeds) == 0:
         raise ContractViolation("compare needs at least one method and one seed")
     if jobs < 1:
         raise ContractViolation(f"jobs must be at least 1, got {jobs}")
+    pairs = [(method, seed) for method in methods for seed in seeds]
+    names = [f"{method}-seed{seed}" for method, seed in pairs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ContractViolation(
+            f"each (method, seed) pair runs once; repeated: {', '.join(repeated)}"
+        )
     job_list = [
         (
             apply_overrides(cfg, [f"method={method}", f"seed={seed}"]),
-            None if out_dir is None else str(Path(out_dir) / f"{method}-seed{seed}"),
+            None if out_dir is None else str(Path(out_dir) / name),
         )
-        for method in methods
-        for seed in seeds
+        for (method, seed), name in zip(pairs, names)
     ]
-    if jobs == 1:
+    workers = min(jobs, len(job_list))
+    if workers == 1:
         return [_compare_worker(job) for job in job_list]
     # Imported here: the pool pulls in multiprocessing, which most runs never use.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_compare_worker, job_list))
 
 
@@ -565,7 +562,8 @@ def gradient_check(method: str = "etr", seed: int = 0) -> float:
             vocab, trial.context_window, trial.embed_dim, trial.hidden_dim, trial.seed, trial.init_scale
         )
         batch = rollout_batch(params, trial, vocab, step=1)
-        if all(float(np.std(batch.rewards[rows])) == 0.0 for rows in batch.group_rows()):
+        rewards = batch.rewards.reshape(len(batch), -1)
+        if np.all(rewards == rewards[:, :1]):
             continue
         prep = prepare_batch(batch, strategy, params, trial.advantage_xi, trial.temperature)
         rng = np.random.default_rng(np.random.SeedSequence((trial.seed, 7777)))

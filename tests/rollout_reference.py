@@ -57,8 +57,9 @@ def buffer_responses(
 
 def unpack_batch(batch: RolloutBatch) -> list[RolloutGroup]:
     """A rollout batch as one :class:`RolloutGroup` per prompt."""
-    responses = row_responses(batch.tokens, batch.logprobs, batch.lengths)
+    groups = buffer_responses(batch.tokens, batch.logprobs, batch.lengths, batch.group_size)
+    rewards = batch.rewards.reshape(len(batch), batch.group_size)
     return [
-        RolloutGroup(prompt, tuple(responses[rows]), batch.rewards[rows])
-        for prompt, rows in zip(batch.prompts, batch.group_rows())
+        RolloutGroup(prompt, tuple(responses), group_rewards)
+        for prompt, responses, group_rewards in zip(batch.prompts, groups, rewards)
     ]

@@ -163,6 +163,24 @@ def test_compare_checks_every_config_before_the_first_run(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "methods,seeds,repeated",
+    [
+        ("grpo", "1,1,2", "grpo-seed1"),
+        ("grpo", "1..3,2", "grpo-seed2"),
+        ("etr,grpo,etr", "4", "etr-seed4"),
+    ],
+)
+def test_compare_repeated_pair_is_a_usage_error(tmp_path, capsys, methods, seeds, repeated):
+    # A repeated pair would run twice into one directory and be counted
+    # twice in summary.csv, so none of the sweep may start.
+    out = tmp_path / "sweep"
+    args = ["compare", "--out", str(out), "--methods", methods, "--seeds", seeds, *TINY]
+    assert main(args) == 2
+    assert f"each (method, seed) pair runs once; repeated: {repeated}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_reversed_seed_range_is_a_usage_error(capsys):
     assert main(["compare", "--methods", "grpo", "--seeds", "5..3"]) == 2
     assert "reversed" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from etrlab.autodiff import ContractViolation
-from etrlab.groups import DEFAULT_XI, RolloutGroup, group_stats, pass_rate
+from etrlab.groups import DEFAULT_XI, GroupStats, RolloutGroup, as_rollout_batch, group_stats
 from etrlab.objectives import Static, prepare_batch
 from etrlab.policy import SampledResponse, Vocab, init_params, sample_group
 from etrlab.tasks import Prompt, encode_payload, response_grammar
@@ -16,11 +16,11 @@ def make_response(n_tokens):
 
 
 def test_pass_rate_examples():
-    assert pass_rate(np.ones(4)) == 1.0
-    assert pass_rate(-np.ones(4)) == 0.0
-    assert pass_rate(np.asarray([1, 1, -1, -1, -1, -1, -1, -1])) == 0.25
+    assert group_stats(np.ones(4)).pass_rate == 1.0
+    assert group_stats(-np.ones(4)).pass_rate == 0.0
+    assert group_stats(np.asarray([1, 1, -1, -1, -1, -1, -1, -1])).pass_rate == 0.25
     with pytest.raises(ContractViolation):
-        pass_rate(np.zeros(0))
+        group_stats(np.zeros(0))
 
 
 def test_degenerate_group_yields_exact_zeros():
@@ -115,7 +115,7 @@ def test_broadcast_advantage():
     batch, want = [], []
     for family, difficulty, payload, rewards in (
         ("digitsum", 2, (7,), [1.0, 1.0, -1, -1, -1, -1, -1, -1]),
-        ("copy", 4, (5, 1, 8, 2), [-1.0, 1.0, -1.0]),
+        ("copy", 4, (5, 1, 8, 2), [-1.0, 1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0]),
     ):
         prompt = Prompt(family, difficulty, payload, encode_payload(family, payload, VOCAB))
         grammar = response_grammar(prompt, VOCAB)
@@ -129,7 +129,7 @@ def test_broadcast_advantage():
     prep = prepare_batch(batch, Static(0.2), params, xi=1e-6)
     lengths = [length for length, _ in want]
     spans = np.split(prep.advantages, np.cumsum(lengths)[:-1])
-    assert prep.advantages.shape == (sum(lengths),) and len(spans) == 11
+    assert prep.advantages.shape == (sum(lengths),) and len(spans) == 16
     for span, (length, a) in zip(spans, want):
         np.testing.assert_array_equal(span, np.full(length, a))
         assert span.mean() == a
@@ -165,7 +165,7 @@ def assert_stats_bitwise_equal(stats, want):
     assert np.float64(stats.mean_reward).tobytes() == np.float64(mean).tobytes()
     assert np.float64(stats.std_reward).tobytes() == np.float64(std).tobytes()
     assert stats.pass_rate == rate
-    assert all(type(v) is float for v in (stats.mean_reward, stats.std_reward, stats.pass_rate))
+    assert all(isinstance(v, float) for v in (stats.mean_reward, stats.std_reward, stats.pass_rate))
     assert stats.advantages.dtype == adv.dtype and stats.advantages.tobytes() == adv.tobytes()
 
 
@@ -177,7 +177,6 @@ def test_group_stats_is_bitwise_the_reference_formula(xi):
             rewards = rng.choice([-1.0, 1.0], size=n)
             want = reference_group_stats(rewards, xi)
             assert_stats_bitwise_equal(group_stats(rewards, xi), want)
-            assert pass_rate(rewards) == want[2]
         # Arbitrary real rewards exercise the rounding of sum / n.
         rewards = rng.normal(0.3, 2.0, size=n)
         assert_stats_bitwise_equal(group_stats(rewards, xi), reference_group_stats(rewards, xi))
@@ -191,3 +190,27 @@ def test_all_equal_groups_give_exact_zeros(n, value):
     assert_stats_bitwise_equal(stats, reference_group_stats(rewards, DEFAULT_XI))
     assert stats.std_reward == 0.0
     assert not np.any(stats.advantages)
+
+
+@pytest.mark.parametrize("xi", [DEFAULT_XI, 1e-3, 0.5])
+def test_group_stats_of_a_block_is_bitwise_its_rows(xi):
+    rng = np.random.default_rng(31)
+    for k, g in [(1, 2), (3, 2), (5, 7), (16, 8), (4, 16), (7, 31), (2, 128), (3, 129)]:
+        for rewards in (rng.choice([-1.0, 1.0], size=(k, g)), rng.normal(0.3, 2.0, size=(k, g))):
+            block = group_stats(rewards, xi)
+            assert block.advantages.shape == (k, g)
+            assert all(v.shape == (k,) for v in (block.mean_reward, block.std_reward, block.pass_rate))
+            for i, row in enumerate(rewards):
+                want = reference_group_stats(row, xi)
+                assert_stats_bitwise_equal(group_stats(row, xi), want)
+                one = (block.mean_reward[i], block.std_reward[i], block.pass_rate[i])
+                assert_stats_bitwise_equal(GroupStats(*one, block.advantages[i]), want)
+
+
+def test_as_rollout_batch_rejects_groups_of_unequal_size():
+    prompt = Prompt("copy", 1, (3,), (3, VOCAB.sep))
+    two = RolloutGroup(prompt, (make_response(2),) * 2, np.asarray([1.0, -1.0]))
+    three = RolloutGroup(prompt, (make_response(2),) * 3, np.asarray([1.0, -1.0, 1.0]))
+    assert as_rollout_batch([two, two], VOCAB, 3).group_size == 2
+    with pytest.raises(ContractViolation, match="same number of responses"):
+        as_rollout_batch([two, three], VOCAB, 3)

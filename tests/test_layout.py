@@ -6,10 +6,12 @@ the package, another line of its own module, the acceptance suite, or the
 benchmark (``perfbench/*.py``, which also probes names as strings). Test
 files other than the acceptance suite do not count, nor do ``__all__``
 lists, so a helper kept alive only by its own unit tests or a re-export
-fails here.
+fails here. The names the benchmark probes must also exist, since its
+probes look them up without a default.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,3 +97,43 @@ def test_guard_flags_helpers_named_only_by_themselves_or_all():
     probe = ast.parse('getattr(a, "probed")\n')
     assert unreached_definitions({"a": module, "b": caller}, [probe]) == ["a.helper", "a.Spare"]
     assert unreached_definitions({"a": module}, []) == ["a.helper", "a.used", "a.probed", "a.Spare"]
+
+
+def probed_names(tree: ast.AST) -> list[tuple[str, str]]:
+    """``(owner, attribute)`` of every ``Probe(owner, "attribute", ...)`` call."""
+    return [
+        (ast.unparse(node.args[0]), node.args[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Probe"
+    ]
+
+
+def unresolved_probes(tree: ast.AST) -> list[str]:
+    """``owner.attribute`` of each probe whose attribute is missing on etrlab."""
+    missing = []
+    for owner, attr in probed_names(tree):
+        module, *path = owner.split(".")
+        obj = importlib.import_module(f"etrlab.{module}")
+        for name in path:
+            obj = getattr(obj, name)
+        if not hasattr(obj, attr):
+            missing.append(f"{owner}.{attr}")
+    return missing
+
+
+def test_every_probed_name_exists_on_etrlab():
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text())
+    probed = probed_names(tree)
+    assert ("trainer", "group_stats") in probed and ("autodiff.Record", "backward") in probed
+    assert unresolved_probes(tree) == []
+
+
+def test_probe_guard_flags_a_missing_name():
+    tree = ast.parse(
+        'Probe(trainer, "rollout_batch", "trainer.rollout")\n'
+        'Probe(trainer, "no_such_name", "x")\n'
+        'Probe(autodiff.Record, "no_such_method", "y")\n'
+    )
+    assert unresolved_probes(tree) == ["trainer.no_such_name", "autodiff.Record.no_such_method"]

@@ -368,14 +368,15 @@ def reference_prepare_batch(batch, strategy, ref_params, xi=1e-6, temperature=1.
 
 
 def uneven_batch(seed):
-    """Groups of three task families whose responses differ in length."""
+    """Four groups of 4 from three task families whose responses differ in length."""
     rng = np.random.default_rng(seed)
     batch = []
-    for family, payload, size in (
-        ("digitsum", (4,), 3),
-        ("copy", (2, 8, 5), 5),
-        ("parity", (1, 0), 4),
-        ("digitsum", (0,), 2),
+    size = 4
+    for family, payload in (
+        ("digitsum", (4,)),
+        ("copy", (2, 8, 5)),
+        ("parity", (1, 0)),
+        ("digitsum", (0,)),
     ):
         difficulty = len(payload) if family != "digitsum" else 3
         prompt = Prompt(family, difficulty, payload, encode_payload(family, payload, VOCAB))
@@ -443,10 +444,9 @@ def sampled_rollout(params, k, seed, n=4, max_len=4):
     tokens, logprobs, lengths, entropies = sample_groups(
         params, [p.tokens for p in prompts], n, 0.8, rngs, masks, max_len, collect_entropy=True
     )
-    sizes = np.full(k, n)
-    correct = verify_rows(prompts, sizes, tokens[:, params.window :], lengths, VOCAB)
+    correct = verify_rows(prompts, n, tokens[:, params.window :], lengths, VOCAB)
     batch = RolloutBatch(
-        tuple(prompts), grammars, sizes, tokens, logprobs, lengths, reward(correct), tuple(entropies)
+        tuple(prompts), grammars, n, tokens, logprobs, lengths, reward(correct), tuple(entropies)
     )
     return batch, masks, rngs
 
@@ -485,9 +485,10 @@ def test_rollout_buffer_cases_are_exercised():
     for seed in (0, 1):
         params = eos_leaning(seed)
         batch, masks, _ = sampled_rollout(params, len(ROLLOUT_PROMPTS), seed)
-        for rows, mask in zip(batch.group_rows(), masks):
-            ends = batch.tokens[rows][np.arange(4), params.window + batch.lengths[rows] - 1]
-            if mask is None and np.any((batch.lengths[rows] < 4) & (ends == VOCAB.eos)):
+        ends = batch.tokens[np.arange(batch.lengths.size), params.window + batch.lengths - 1]
+        stops = ((batch.lengths < 4) & (ends == VOCAB.eos)).reshape(len(batch), 4)
+        for stop, mask in zip(stops, masks):
+            if mask is None and np.any(stop):
                 seen.add("unmasked row stops at EOS")
         if len(set(batch.lengths.tolist())) > 2:
             seen.add("mixed lengths")

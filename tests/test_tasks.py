@@ -271,19 +271,19 @@ def test_verify_rows_matches_scalar_verify(n_content, seed):
     families = ("copy", "parity") + (("digitsum",) if n_content >= 10 else ())
     specs = [TaskSpec(f, d) for f in families for d in (1, 2, 4)]
     prompts = [generate_prompt(specs[i % len(specs)], vocab, rng) for i in range(24)]
-    sizes = rng.integers(1, 9, size=len(prompts))
+    n = int(rng.integers(2, 9))
     # Some buffers are narrower than the longest answer, as when max_len cuts rows.
     horizon = int(rng.integers(2, 7))
-    tokens = rng.integers(vocab.size, size=(int(sizes.sum()), horizon))
-    lengths = np.zeros(int(sizes.sum()), dtype=np.int64)
-    rows = [p for p, size in zip(prompts, sizes) for _ in range(size)]
+    tokens = rng.integers(vocab.size, size=(len(prompts) * n, horizon))
+    lengths = np.zeros(len(prompts) * n, dtype=np.int64)
+    rows = [p for p in prompts for _ in range(n)]
     kinds = set()
     for i, prompt in enumerate(rows):
         row, kind = malformed_row(prompt, vocab, rng, horizon)
         tokens[i, : len(row)] = row
         lengths[i] = len(row)
         kinds.add(kind)
-    got = verify_rows(prompts, sizes, tokens, lengths, vocab)
+    got = verify_rows(prompts, n, tokens, lengths, vocab)
     want = [verify(p, tokens[i, : lengths[i]].tolist(), vocab) for i, p in enumerate(rows)]
     assert got.dtype == bool
     assert got.tolist() == want
@@ -309,10 +309,9 @@ def test_verify_rows_edge_buffers():
         ((3, 5, 5), 3, False),  # EOS missing
         ((3, 5, eos), 0, False),  # empty row over a right answer
     ]
-    sizes = [3, 3, 3]
     tokens = np.asarray([row for row, _, _ in rows])
     lengths = np.asarray([length for _, length, _ in rows])
-    got = verify_rows(prompts, sizes, tokens, lengths, VOCAB)
+    got = verify_rows(prompts, 3, tokens, lengths, VOCAB)
     assert got.tolist() == [ok for _, _, ok in rows]
     scalar = [
         verify(prompts[i // 3], row[:length], VOCAB) for i, (row, length, _) in enumerate(rows)
@@ -320,21 +319,26 @@ def test_verify_rows_edge_buffers():
     assert got.tolist() == scalar
     # A zero-width buffer (every row empty) and rows cut below the answer length.
     empty = np.zeros((9, 0), dtype=np.int64)
-    assert not verify_rows(prompts, sizes, empty, np.zeros(9), VOCAB).any()
-    assert not verify_rows([copy], [2], tokens[6:8, :2], np.asarray([2, 2]), VOCAB).any()
+    assert not verify_rows(prompts, 3, empty, np.zeros(9), VOCAB).any()
+    assert not verify_rows([copy], 2, tokens[6:8, :2], np.asarray([2, 2]), VOCAB).any()
+    with pytest.raises(ContractViolation):
+        verify_rows(prompts, 2, tokens, lengths, VOCAB)
+    with pytest.raises(ContractViolation):
+        verify_rows(prompts, 3, tokens, lengths[:-1], VOCAB)
+    with pytest.raises(ContractViolation):
+        verify_rows(prompts, 3, tokens, lengths + 1, VOCAB)
     # Hand-built prompts: a copy payload that does not fill its slots has
     # no right answer, and a parity answer is a bit even when the payload
     # holds other ids.
     short = Prompt("copy", 3, (3, 5), encode_payload("copy", (3, 5), VOCAB))
     odd = Prompt("parity", 1, (2,), encode_payload("parity", (2,), VOCAB))
-    rows = [(short, (3, 5, 0, eos)), (short, (0, 0, 0, eos)), (odd, (2, eos, 0, 0))]
-    lengths = np.asarray([4, 4, 2])
+    rows = [
+        (short, (3, 5, 0, eos)),
+        (short, (0, 0, 0, eos)),
+        (odd, (2, eos, 0, 0)),
+        (odd, (0, eos, 0, 0)),
+    ]
+    lengths = np.asarray([4, 4, 2, 2])
     assert not any(verify(p, row[:n], VOCAB) for (p, row), n in zip(rows, lengths))
     tokens = np.asarray([row for _, row in rows])
-    assert not verify_rows([short, odd], [2, 1], tokens, lengths, VOCAB).any()
-    with pytest.raises(ContractViolation):
-        verify_rows(prompts, [3, 3], tokens, lengths, VOCAB)
-    with pytest.raises(ContractViolation):
-        verify_rows(prompts, sizes, tokens, lengths[:-1], VOCAB)
-    with pytest.raises(ContractViolation):
-        verify_rows(prompts, sizes, tokens, lengths + 1, VOCAB)
+    assert not verify_rows([short, odd], 2, tokens, lengths, VOCAB).any()

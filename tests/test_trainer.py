@@ -146,7 +146,7 @@ def test_rollout_pass_rates_span_low_and_high():
     cfg = tiny_cfg(groups_per_step=200, group_size=8)
     params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 0, 0.1)
     batch = rollout_batch(params, cfg, VOCAB, step=1)
-    rates = sorted({float(np.mean(batch.rewards[rows] > 0)) for rows in batch.group_rows()})
+    rates = sorted(set(np.mean(batch.rewards.reshape(len(batch), -1) > 0, axis=1).tolist()))
     assert rates[0] == 0.0
     assert rates[-1] >= 0.25
     assert len(rates) >= 3
@@ -182,13 +182,11 @@ def test_train_step_on_rollout_batch_reports_the_diverged_group():
     batch = rollout_batch(params, cfg, VOCAB, step=1)
     # The last group with mixed rewards; one of its losing rows gets stored
     # log-probs so low that its ratio overflows and the surrogate is -inf.
-    mixed = [
-        k for k, rows in enumerate(batch.group_rows()) if len(set(batch.rewards[rows])) == 2
-    ]
+    groups = batch.rewards.reshape(len(batch), cfg.group_size)
+    mixed = [k for k, rewards in enumerate(groups) if len(set(rewards)) == 2]
     assert mixed and mixed[-1] > 0
     k = mixed[-1]
-    rows = batch.group_rows()[k]
-    loser = rows.start + int(np.flatnonzero(batch.rewards[rows] < 0)[0])
+    loser = k * cfg.group_size + int(np.flatnonzero(groups[k] < 0)[0])
     logprobs = batch.logprobs.copy()
     logprobs[loser] = -1e6
     broken = dataclasses.replace(batch, logprobs=logprobs)
@@ -196,7 +194,7 @@ def test_train_step_on_rollout_batch_reports_the_diverged_group():
         train_step(params.copy(), params, OptimizerState.zeros(params.param_count), broken, cfg)
     assert caught.value.group_index == k
     assert caught.value.prompt_tokens == batch.prompts[k].tokens
-    np.testing.assert_array_equal(caught.value.rewards, batch.rewards[rows])
+    np.testing.assert_array_equal(caught.value.rewards, groups[k])
     assert f"group {k}, prompt {batch.prompts[k].tokens}" in str(caught.value)
 
 
@@ -381,6 +379,37 @@ def test_compare_runs_results_do_not_depend_on_jobs():
     serial = compare_runs(cfg, ["grpo", "etr"], [1, 2], jobs=1)
     parallel = compare_runs(cfg, ["grpo", "etr"], [1, 2], jobs=2)
     assert parallel == serial
+
+
+def test_compare_runs_asks_for_no_more_workers_than_runs(monkeypatch):
+    # A stand-in pool records its size and maps in this process, so no
+    # worker is ever forked however large jobs is.
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = tiny_cfg(steps=1, eval_every=1)
+    serial = compare_runs(cfg, ["grpo", "etr"], [1], jobs=1)
+    assert sizes == []
+    assert compare_runs(cfg, ["grpo", "etr"], [1], jobs=64) == serial
+    assert sizes == [2]
+    # A single run needs no pool at all.
+    assert compare_runs(cfg, ["etr"], [1], jobs=64) == serial[1:]
+    assert sizes == [2]
 
 
 def reference_adamw(vec, grad, m1, m2, step, lr, b1, b2, eps, wd):
