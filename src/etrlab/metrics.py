@@ -241,6 +241,16 @@ def config_digest(cfg: TrainConfig) -> bytes:
     return hashlib.sha256(render_config(cfg).encode("utf-8")).digest()
 
 
+def _bad_values(params: np.ndarray, moment1: np.ndarray, moment2: np.ndarray) -> str | None:
+    """What no checkpoint may hold, or None: AdamW keeps all three finite
+    and the second moments non-negative."""
+    if not all(np.isfinite(a).all() for a in (params, moment1, moment2)):
+        return "non-finite parameters or moments"
+    if (moment2 < 0.0).any():
+        return "negative second moments"
+    return None
+
+
 def save_checkpoint(
     path,
     params: np.ndarray,
@@ -255,8 +265,9 @@ def save_checkpoint(
     moment2 = np.ascontiguousarray(moment2, dtype="<f8")
     if moment1.shape != params.shape or moment2.shape != params.shape:
         raise ContractViolation("optimizer moments must match the parameter count")
-    if not np.all(np.isfinite(params)):
-        raise ContractViolation("refusing to checkpoint non-finite parameters")
+    bad = _bad_values(params, moment1, moment2)
+    if bad:
+        raise ContractViolation(f"refusing to checkpoint {bad}")
     if len(digest) != 32:
         raise ContractViolation("config digest must be 32 bytes")
     if step < 0:
@@ -279,7 +290,10 @@ def save_checkpoint(
 def load_checkpoint(path, expected_digest: bytes | None = None, strict: bool = False) -> Checkpoint:
     """Read a checkpoint back; bit-exact inverse of :func:`save_checkpoint`.
 
-    A digest mismatch raises when ``strict`` and warns otherwise.
+    Values :func:`save_checkpoint` refuses to write raise
+    :class:`CheckpointFormatError`; among them, non-finite parameters
+    would break the sampler's exact masks. A digest mismatch raises when
+    ``strict`` and warns otherwise.
     """
     blob = Path(path).read_bytes()
     head = len(CHECKPOINT_MAGIC) + 4 + 8
@@ -302,6 +316,9 @@ def load_checkpoint(path, expected_digest: bytes | None = None, strict: bool = F
     for _ in range(3):
         arrays.append(np.frombuffer(blob, dtype="<f8", count=count, offset=at).copy())
         at += count * 8
+    bad = _bad_values(*arrays)
+    if bad:
+        raise CheckpointFormatError(f"checkpoint holds {bad}")
     (step,) = struct.unpack_from("<Q", blob, at)
     digest = blob[at + 8 :]
     if expected_digest is not None and digest != expected_digest:

@@ -248,16 +248,20 @@ def mask_matrix(vocab_size: int, masks: PositionMasks | None, n_rows: int) -> np
     return out
 
 
-@dataclass(frozen=True)
 class SampledResponse:
-    """One sampled response: token ids and their stored log-probabilities."""
+    """One sampled response: token ids and their stored log-probabilities.
 
-    tokens: tuple[int, ...]
-    logprobs: np.ndarray
+    A plain slotted class: an eval call cuts one per row, and a frozen
+    dataclass's ``__init__`` costs twice as much.
+    """
 
-    def __post_init__(self):
-        if len(self.tokens) != len(self.logprobs):
+    __slots__ = ("tokens", "logprobs")
+
+    def __init__(self, tokens: tuple[int, ...], logprobs: np.ndarray):
+        if len(tokens) != len(logprobs):
             raise ContractViolation("token and log-probability lengths differ")
+        self.tokens = tokens
+        self.logprobs = logprobs
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -302,6 +306,16 @@ def sample_groups(
       group-major, and within a group position-major over the rows still
       alive at that position (empty unless ``collect_entropy``).
 
+    A position is one-token when every group whose budget reaches it has
+    a mask there with exactly one legal id, as the EOS position that ends
+    every answer grammar. Such a position runs no forward pass: each open
+    group still draws its n uniforms, and each row gets the forced id with
+    log-probability 0.0. That is what the full path gives for every draw
+    in (0, 1) whenever masked renormalisation is exact (finite logits,
+    which ``MASK_LOGIT`` then outweighs). Padding at such a position in
+    the columns of groups already past their budget may therefore differ
+    from what a forward pass would have left there.
+
     Prompt-tail ids are checked once per call, before any position runs,
     so a call with a zero budget still rejects an id outside the vocabulary.
     """
@@ -326,16 +340,29 @@ def sample_groups(
     rows = k_groups * n
     # Mask rows are built once per group and laid out per position and row,
     # so each position adds one contiguous (rows, V) block. Rows of a
-    # group past its budget are never read.
+    # group past its budget are never read. In the same pass, a position
+    # stays one-token while every group that reaches it allows one id
+    # there, and forced[pos] holds that id per row.
     row_masks = np.zeros((horizon, rows, v))
+    choice = np.zeros((k_groups, horizon), dtype=bool)
+    one_token = [True] * horizon
+    forced = np.zeros((horizon, rows), dtype=np.int64)
     for k, (m, b) in enumerate(zip(position_masks, budgets)):
-        if m is not None and b > 0:
+        if m is None:
+            choice[k, :b] = True
+            one_token[:b] = [False] * b
+            continue
+        if b > 0:
             row_masks[:b, k * n : (k + 1) * n] = mask_matrix(v, m, b)[:, None, :]
+        for pos in range(b):
+            legal = tuple(m[pos])
+            if len(legal) == 1:
+                forced[pos, k * n : (k + 1) * n] = legal[0]
+            else:
+                choice[k, pos] = True
+                one_token[pos] = False
     if collect_entropy:
         # Entropies are kept where a row is alive and its mask leaves a choice.
-        choice = np.zeros((k_groups, horizon), dtype=bool)
-        for k, (m, b) in enumerate(zip(position_masks, budgets)):
-            choice[k, :b] = True if m is None else [len(tuple(m[p])) >= 2 for p in range(b)]
         choice = np.repeat(choice.T, n, axis=1)
         entropy = np.zeros((horizon, rows))
         kept = np.zeros((horizon, rows), dtype=bool)
@@ -358,19 +385,24 @@ def sample_groups(
         open_groups = alive.reshape(k_groups, n).any(axis=1).nonzero()[0].tolist()
         if not open_groups:
             break
-        logits = _logits(params, _hidden_rows_unchecked(params, tokens[:, pos : pos + window])[1])
-        logits *= scale
-        logits += row_masks[pos]
-        lp = _log_softmax_rows(logits)
         for k in open_groups:
             rngs[k].random(out=draws[k * n : (k + 1) * n])
-        probs = np.exp(lp)
-        picks = _sample_rows(probs, draws)
-        if collect_entropy:
-            entropy[pos] = -(probs * lp).sum(axis=1)
-            kept[pos] = alive & choice[pos]
+        if one_token[pos]:
+            # No choice anywhere: the draws are spent, the log-probs stay 0.0.
+            picks = forced[pos]
+        else:
+            hidden = _hidden_rows_unchecked(params, tokens[:, pos : pos + window])[1]
+            logits = _logits(params, hidden)
+            logits *= scale
+            logits += row_masks[pos]
+            lp = _log_softmax_rows(logits)
+            probs = np.exp(lp)
+            picks = _sample_rows(probs, draws)
+            if collect_entropy:
+                entropy[pos] = -(probs * lp).sum(axis=1)
+                kept[pos] = alive & choice[pos]
+            logprobs[:, pos] = lp.take(row_starts + picks)
         tokens[:, window + pos] = picks
-        logprobs[:, pos] = lp.take(row_starts + picks)
         lengths += alive
         alive &= picks != eos
     if not collect_entropy:

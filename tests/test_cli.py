@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -305,6 +306,23 @@ def test_eval_garbage_checkpoint_is_a_usage_error(tmp_path, capsys):
     path.write_bytes(b"not a checkpoint")
     assert main(["eval", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "array, value", [(0, float("nan")), (1, float("inf")), (2, float("nan")), (2, -1e-12)]
+)
+def test_eval_rejects_nonfinite_or_negative_checkpoint_values(tmp_path, capsys, array, value):
+    # One value of the parameters (0), first (1) or second (2) moments is
+    # overwritten in place; the config digest still matches.
+    path = _uniform_checkpoint(tmp_path, [])
+    blob = bytearray(path.read_bytes())
+    count = _param_count(TrainConfig())
+    at = len(blob) - 8 - 32 - (3 - array) * count * 8 + 8 * (count // 2)
+    blob[at : at + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(blob))
+    assert main(["eval", str(path), "--strict-digest"]) == 2
+    out = capsys.readouterr()
+    assert "error:" in out.err and "mean@" not in out.out
 
 
 def test_eval_strict_digest_mismatch_is_a_usage_error(tmp_path, capsys):

@@ -187,6 +187,11 @@ def test_checkpoint_save_contracts(tmp_path):
     with pytest.raises(ContractViolation):
         save_checkpoint(path, np.asarray([1.0, np.nan]), np.zeros(2), np.zeros(2), 0, bytes(32))
     with pytest.raises(ContractViolation):
+        save_checkpoint(path, good, np.asarray([0, 0, np.inf, 0]), good, 0, bytes(32))
+    with pytest.raises(ContractViolation):
+        save_checkpoint(path, good, good, np.asarray([0, 0, -1e-12, 0]), 0, bytes(32))
+    assert not path.exists()
+    with pytest.raises(ContractViolation):
         save_checkpoint(path, good, good, good, 0, bytes(31))
     with pytest.raises(ContractViolation):
         save_checkpoint(path, good, good, good, -1, bytes(32))

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from etrlab import policy
 from etrlab.autodiff import ContractViolation
+from etrlab.config import TrainConfig
 from etrlab.policy import (
     MASK_LOGIT,
     _forward_logits_rows,
@@ -17,6 +21,7 @@ from etrlab.policy import (
     score_tokens,
 )
 from etrlab.tasks import TaskSpec, generate_prompt, response_grammar
+from etrlab.trainer import rollout_batch
 from rollout_reference import buffer_responses, stacked_contexts
 
 VOCAB = Vocab()
@@ -376,8 +381,10 @@ def eos_leaning_params(seed):
 
 
 # Mixed budgets: grammars of 2, 4 and 3 positions, a mask without EOS that
-# cuts its rows off at 2, a grammar that max_len = 6 cuts short, and
-# unmasked groups that run to max_len or stop once every row emitted EOS.
+# cuts its rows off at 2, a grammar that max_len = 6 cuts short, unmasked
+# groups that run to max_len or stop once every row emitted EOS, and a
+# grammar that forces an id mid-response. The first two groups alone leave
+# position 3 one-token, after the first group's budget ran out.
 BATCH_PROMPTS = [
     ([VOCAB.sep, 3, VOCAB.sep], ((0, 1), (VOCAB.eos,))),
     ([5, 2, 8, VOCAB.sep], (VOCAB.content_ids(),) * 3 + ((VOCAB.eos,),)),
@@ -387,6 +394,7 @@ BATCH_PROMPTS = [
     ([4, VOCAB.sep], None),
     ([6, 1, 1, 5, 0, 2, 9, VOCAB.sep], (VOCAB.content_ids(),) * 7 + ((VOCAB.eos,),)),
     ([7, 7, VOCAB.sep], None),
+    ([2, VOCAB.sep], ((0, 1), (7,), (VOCAB.eos,))),
 ]
 
 
@@ -445,6 +453,32 @@ def test_batched_sampler_cases_are_exercised():
     assert stops == {"all rows at EOS", "max_len"}
 
 
+def test_one_token_positions_run_no_forward(monkeypatch):
+    calls = []
+    full = policy._hidden_rows_unchecked
+
+    def counted(params, contexts):
+        calls.append(contexts.shape[0])
+        return full(params, contexts)
+
+    monkeypatch.setattr(policy, "_hidden_rows_unchecked", counted)
+    p = tiny_params(seed=4)
+    prompt = generate_prompt(TaskSpec("parity", 2), VOCAB, np.random.default_rng(0))
+    grammar = response_grammar(prompt, VOCAB)
+    assert grammar == ((0, 1), (VOCAB.eos,))
+    group, _ = sample_group(p, prompt.tokens, 32, 1.0, np.random.default_rng(1), grammar, 2)
+    assert calls == [32]
+    assert all(r.tokens[-1] == VOCAB.eos and r.logprobs[-1] == 0.0 for r in group)
+
+    # A default step whose longest grammar has 3 positions: the last is EOS
+    # for every group that reaches it, so 2 forwards instead of 3.
+    calls.clear()
+    cfg = TrainConfig()
+    batch = rollout_batch(p, cfg, VOCAB, 1)
+    assert max(len(g) for g in batch.grammars) == 3
+    assert calls == [cfg.groups_per_step * cfg.group_size] * 2
+
+
 def test_sample_groups_contracts():
     p = tiny_params()
     rng = np.random.default_rng(0)
@@ -470,3 +504,67 @@ def test_sampling_rejects_prompt_ids_out_of_range(bad, max_len):
         sample_groups(p, [good, [bad]], 2, 1.0, [rng, rng], max_len=max_len)
     tokens, _, lengths, _ = sample_groups(p, [good, good], 2, 1.0, [rng, rng], max_len=max_len)
     assert tokens.shape == (4, p.window + max_len) and np.all(lengths <= max_len)
+
+
+@st.composite
+def sampler_cases(draw):
+    """Random shapes, budgets and grammars for the lockstep sampler.
+
+    Positions flagged in ``pinned`` give every masked group one legal id
+    there, mostly EOS, so one-token positions come up often; a group left
+    unmasked runs to max_len and keeps those it reaches open. Groups have
+    at least two rows: numpy multiplies a single row by a matrix-vector
+    product, whose last bits can differ from the same row's in a larger
+    block, so a one-row reference call is not bit-equal to a batched one.
+    """
+    ids = st.integers(0, VOCAB.size - 1)
+    k = draw(st.integers(1, 4))
+    pinned = [draw(st.integers(0, 3)) > 0 for _ in range(6)]
+    masks = []
+    for _ in range(k):
+        if draw(st.integers(0, 7)) == 0:
+            masks.append(None)
+            continue
+        grammar = []
+        for pos in range(draw(st.integers(0, 6))):
+            if pinned[pos]:
+                grammar.append((draw(st.one_of(st.just(VOCAB.eos), ids)),))
+            else:
+                grammar.append(tuple(sorted(draw(st.sets(ids, min_size=1)))))
+        masks.append(tuple(grammar))
+    return dict(
+        param_seed=draw(st.integers(0, 3)),
+        prompts=draw(st.lists(st.lists(ids, max_size=5), min_size=k, max_size=k)),
+        n=draw(st.integers(2, 5)),
+        temperature=draw(st.floats(0.25, 2.0)),
+        masks=masks,
+        max_len=draw(st.integers(0, 6)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(sampler_cases())
+def test_sample_groups_equals_reference_sampler(case):
+    p = eos_leaning_params(case["param_seed"])
+    prompts, n, masks = case["prompts"], case["n"], case["masks"]
+    k = len(prompts)
+
+    def streams():
+        return [np.random.default_rng([case["seed"], g]) for g in range(k)]
+
+    rngs = streams()
+    tokens, logprobs, lengths, entropies = sample_groups(
+        p, prompts, n, case["temperature"], rngs, masks, case["max_len"], collect_entropy=True
+    )
+    groups = buffer_responses(tokens, logprobs, lengths, n)
+    ref_rngs = streams()
+    want_entropies = []
+    for g in range(k):
+        want, ent = reference_sample_group(
+            p, prompts[g], n, case["temperature"], ref_rngs[g], masks[g], case["max_len"]
+        )
+        assert_same_responses(groups[g], want)
+        want_entropies += ent
+        assert rngs[g].bit_generator.state == ref_rngs[g].bit_generator.state
+    assert entropies == want_entropies
