@@ -18,6 +18,7 @@ from .config import ConfigError, TrainConfig, apply_overrides, load_config
 from .metrics import (
     CheckpointDigestError,
     CheckpointFormatError,
+    _fmt,
     config_digest,
     load_checkpoint,
     write_atomic,
@@ -36,10 +37,6 @@ from .trainer import (
 )
 
 GRADCHECK_THRESHOLD = 1e-4
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
 
 
 def parse_seed_list(text: str) -> list[int]:

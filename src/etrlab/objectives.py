@@ -173,7 +173,11 @@ class PreparedBatch:
     """Constant per-token arrays shared by every inner-epoch evaluation.
 
     ``distinct_contexts`` holds each context row once (``np.unique`` order)
-    and ``contexts[i] == distinct_contexts[distinct_index[i]]``.
+    and ``contexts[i] == distinct_contexts[distinct_index[i]]``. When a
+    batch of several tokens has a single distinct context, it holds that
+    row twice and the copy maps to no token: a one-row product takes
+    BLAS's matrix-vector kernel, which rounds differently from the
+    matrix-matrix kernel that scores full batches.
     """
 
     contexts: np.ndarray
@@ -207,20 +211,6 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[new], index
 
 
-def _distinct_forward(params: PolicyParams, distinct: np.ndarray, n_rows: int):
-    """The MLP on each distinct context: (contexts, x, hidden, logits).
-
-    When a batch of several rows has a single distinct context, the
-    returned contexts hold it twice (the copy maps to no token): a one-row
-    product takes BLAS's matrix-vector kernel, which rounds differently
-    from the matrix-matrix kernel that scores full batches.
-    """
-    if distinct.shape[0] == 1 < n_rows:
-        distinct = np.repeat(distinct, 2, axis=0)
-    x, hidden = policy_mod.hidden_rows(params, distinct)
-    return distinct, x, hidden, hidden @ params.w_out + params.b_out
-
-
 def prepare_batch(
     batch: RolloutBatch | Sequence[RolloutGroup],
     strategy: ClipStrategy,
@@ -234,7 +224,8 @@ def prepare_batch(
     rates and clip bands are per response, so they are computed as
     per-response vectors and repeated over response lengths; targets,
     contexts and stored log-probs are the batch's buffers read through
-    the mask of positions inside each response.
+    the mask of positions inside each response. Every id a context or
+    target reads is checked here, once per batch.
     """
     vocab = ref_params.vocab
     window = ref_params.window
@@ -257,16 +248,21 @@ def prepare_batch(
     if isinstance(strategy, Elastic):
         trace = np.repeat(dynamic_epsilon(adv, rate, strategy), lengths)
     horizon = batch.logprobs.shape[1]
-    inside = np.arange(horizon) < lengths[:, None]
+    # Columns a context or target reads: the prompt tail, then the response.
+    read = np.arange(window + horizon) < (window + lengths)[:, None]
+    policy_mod._check_ids(batch.tokens[read], vocab.size)
+    inside = read[:, window:]
     windows = np.lib.stride_tricks.sliding_window_view(batch.tokens, window, axis=1)
     contexts = windows[:, :horizon][inside]
     distinct, index = _distinct_rows(contexts)
+    if distinct.shape[0] == 1 < index.size:
+        distinct = np.repeat(distinct, 2, axis=0)
     targets = batch.tokens[:, window:][inside]
     # Token t of a response reads row t of its group's grammar table.
     table_starts = np.cumsum(longest) - longest
     row_table = np.repeat(np.repeat(table_starts, g), lengths)
     masks = np.concatenate(mask_tables)[row_table + np.nonzero(inside)[1]]
-    *_, ref_logits = _distinct_forward(ref_params, distinct, targets.size)
+    ref_logits = policy_mod.forward(ref_params, distinct)[2]
     _, ref_lp = policy_mod.token_logprobs(ref_logits[index], targets, masks, temperature)
     group_ends = np.cumsum(lengths)[g - 1 :: g].tolist()
     return PreparedBatch(
@@ -305,9 +301,7 @@ def evaluate_prepared(
     """
     if kl_coef < 0.0:
         raise ContractViolation("kl_coef must be non-negative")
-    contexts, x, hidden, logits = _distinct_forward(
-        params, prep.distinct_contexts, prep.targets.size
-    )
+    x, hidden, logits = policy_mod.forward(params, prep.distinct_contexts)
     lp_rows, lp = policy_mod.token_logprobs(
         logits[prep.distinct_index], prep.targets, prep.masks, prep.temperature
     )
@@ -327,7 +321,7 @@ def evaluate_prepared(
         d_rows[np.arange(d_lp.size), prep.targets] += d_lp
         d_logits = np.zeros_like(logits)
         np.add.at(d_logits, prep.distinct_index, d_rows * (1.0 / prep.temperature))
-        gradient = policy_mod.logits_gradient(params, contexts, x, hidden, d_logits)
+        gradient = policy_mod.logits_gradient(params, prep.distinct_contexts, x, hidden, d_logits)
     trace = prep.epsilon_trace
     return LossBreakdown(
         surrogate=float(surrogate),

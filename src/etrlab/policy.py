@@ -2,9 +2,9 @@
 
 The policy reads the last ``window`` token ids (left-padded with BOS),
 concatenates their embeddings, and maps them through one tanh hidden
-layer to logits over the vocabulary. Sampling and scoring both accept
-optional per-position token masks so a task can constrain responses to
-its legal alphabet; masked distributions are renormalized, so the stored
+layer to logits over the vocabulary. Sampling and scoring always run
+under per-position token masks, so a task constrains responses to its
+legal alphabet; masked distributions are renormalized, so the stored
 log-probabilities are log-probabilities of the constrained policy.
 
 All randomness flows through explicitly passed numpy generators; sampling
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -155,31 +156,22 @@ def _check_ids(ids: np.ndarray, size: int) -> None:
         raise ContractViolation("token id out of vocabulary range")
 
 
-def hidden_rows(params: PolicyParams, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated context embeddings (n, W*D) and tanh activations (n, H)."""
-    _check_ids(contexts, params.vocab.size)
-    return _hidden_rows_unchecked(params, contexts)
-
-
-def _hidden_rows_unchecked(
+def forward(
     params: PolicyParams, contexts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hidden_rows` for contexts whose ids are known to be in range."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The MLP on (n, W) padded contexts: embeddings, activations, logits.
+
+    Returns the concatenated context embeddings (n, W*D), the tanh
+    activations (n, H) and the logits (n, V). Ids are not checked here:
+    callers check them once, where they enter the program.
+    """
     x = params.embed.take(contexts, axis=0).reshape(contexts.shape[0], -1)
     pre = x @ params.w_hidden
     pre += params.b_hidden
-    return x, np.tanh(pre, out=pre)
-
-
-def _logits(params: PolicyParams, hidden: np.ndarray) -> np.ndarray:
+    hidden = np.tanh(pre, out=pre)
     logits = hidden @ params.w_out
     logits += params.b_out
-    return logits
-
-
-def _forward_logits_rows(params: PolicyParams, contexts: np.ndarray) -> np.ndarray:
-    """Row-wise logits for a batch of padded contexts, shape (n, V)."""
-    return _logits(params, hidden_rows(params, contexts)[1])
+    return x, hidden, logits
 
 
 def logits_gradient(
@@ -191,7 +183,7 @@ def logits_gradient(
 ) -> np.ndarray:
     """Flat parameter gradient of sum(d_logits * logits) over the given rows.
 
-    ``x`` and ``hidden`` are :func:`hidden_rows` of the same contexts. The
+    ``x`` and ``hidden`` are :func:`forward` of the same contexts. The
     tanh derivative is looked up on :mod:`autodiff` at call time, so the
     gradient check and this backward share one definition.
     """
@@ -214,18 +206,17 @@ def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def token_logprobs(
-    logits: np.ndarray, targets: np.ndarray, masks: np.ndarray | None, temperature: float
+    logits: np.ndarray, targets: np.ndarray, masks: np.ndarray, temperature: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row log-softmax of scaled, masked logits, and each row's target entry."""
     scaled = logits * (1.0 / temperature)
-    if masks is not None:
-        scaled += masks
+    scaled += masks
     lp = _log_softmax_rows(scaled)
     return lp, lp[np.arange(lp.shape[0]), np.asarray(targets, dtype=np.int64)]
 
 
 @functools.lru_cache(maxsize=256)
-def mask_matrix(vocab_size: int, masks: PositionMasks | None, n_rows: int) -> np.ndarray:
+def mask_matrix(vocab_size: int, masks: PositionMasks, n_rows: int) -> np.ndarray:
     """Additive-logit mask rows: 0 for legal ids, MASK_LOGIT otherwise.
 
     Tables are memoised on the arguments, so masks must be hashable, as
@@ -233,17 +224,15 @@ def mask_matrix(vocab_size: int, masks: PositionMasks | None, n_rows: int) -> np
     read-only. A call with an illegal id raises every time, since a failed
     build is never cached.
     """
-    out = np.zeros((n_rows, vocab_size))
-    if masks is not None:
-        if len(masks) < n_rows:
-            raise ContractViolation("fewer mask rows than generated positions")
-        out += MASK_LOGIT
-        for i in range(n_rows):
-            legal = np.asarray(tuple(masks[i]), dtype=np.int64)
-            if legal.size == 0:
-                raise ContractViolation("a position mask must allow at least one token")
-            _check_ids(legal, vocab_size)
-            out[i, legal] = 0.0
+    if len(masks) < n_rows:
+        raise ContractViolation("fewer mask rows than generated positions")
+    out = np.full((n_rows, vocab_size), MASK_LOGIT)
+    for i in range(n_rows):
+        legal = np.asarray(tuple(masks[i]), dtype=np.int64)
+        if legal.size == 0:
+            raise ContractViolation("a position mask must allow at least one token")
+        _check_ids(legal, vocab_size)
+        out[i, legal] = 0.0
     out.flags.writeable = False
     return out
 
@@ -279,8 +268,8 @@ def sample_groups(
     n: int,
     temperature: float,
     rngs: Sequence[np.random.Generator],
-    position_masks: Sequence[PositionMasks | None] | None = None,
-    max_len: int = 64,
+    position_masks: Sequence[PositionMasks],
+    max_len: int = sys.maxsize,
     collect_entropy: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """Sample n responses to each of K prompts in lockstep.
@@ -289,8 +278,8 @@ def sample_groups(
     only from ``rngs[k]``: n uniforms per position while the group is
     open, for every row whether or not it already finished, so its stream
     consumption depends only on its own prompt and n, never on the other
-    groups. A group closes at its own budget (``max_len``, capped by the
-    length of its masks) or once all its rows emitted EOS.
+    groups. A group closes at its own budget (the length of its masks,
+    capped by ``max_len``) or once all its rows emitted EOS.
 
     Returns the sampler's padded buffers, rows group-major (rows
     ``k * n`` to ``(k + 1) * n - 1`` answer prompt k):
@@ -328,14 +317,12 @@ def sample_groups(
         raise ContractViolation("temperature must be positive")
     if len(rngs) != k_groups:
         raise ContractViolation("one generator per prompt is required")
-    if position_masks is None:
-        position_masks = [None] * k_groups
-    elif len(position_masks) != k_groups:
+    if len(position_masks) != k_groups:
         raise ContractViolation("one mask sequence per prompt is required")
     vocab = params.vocab
     v = vocab.size
     window = params.window
-    budgets = [max(0, max_len if m is None else min(max_len, len(m))) for m in position_masks]
+    budgets = [max(0, min(max_len, len(m))) for m in position_masks]
     horizon = max(budgets)
     rows = k_groups * n
     # Mask rows are built once per group and laid out per position and row,
@@ -348,10 +335,6 @@ def sample_groups(
     one_token = [True] * horizon
     forced = np.zeros((horizon, rows), dtype=np.int64)
     for k, (m, b) in enumerate(zip(position_masks, budgets)):
-        if m is None:
-            choice[k, :b] = True
-            one_token[:b] = [False] * b
-            continue
         if b > 0:
             row_masks[:b, k * n : (k + 1) * n] = mask_matrix(v, m, b)[:, None, :]
         for pos in range(b):
@@ -391,8 +374,7 @@ def sample_groups(
             # No choice anywhere: the draws are spent, the log-probs stay 0.0.
             picks = forced[pos]
         else:
-            hidden = _hidden_rows_unchecked(params, tokens[:, pos : pos + window])[1]
-            logits = _logits(params, hidden)
+            logits = forward(params, tokens[:, pos : pos + window])[2]
             logits *= scale
             logits += row_masks[pos]
             lp = _log_softmax_rows(logits)
@@ -420,8 +402,8 @@ def sample_group(
     n: int,
     temperature: float,
     rng: np.random.Generator,
-    position_masks: PositionMasks | None = None,
-    max_len: int = 64,
+    position_masks: PositionMasks,
+    max_len: int = sys.maxsize,
     collect_entropy: bool = False,
 ) -> tuple[list[SampledResponse], list[float]]:
     """Sample n responses to one prompt in lockstep from a single stream.
@@ -436,7 +418,7 @@ def sample_group(
         n,
         temperature,
         [rng],
-        None if position_masks is None else [position_masks],
+        [position_masks],
         max_len,
         collect_entropy,
     )
@@ -452,9 +434,14 @@ def score_tokens(
     params: PolicyParams,
     contexts: np.ndarray,
     targets: np.ndarray,
-    masks: np.ndarray | None,
+    masks: np.ndarray,
     temperature: float = 1.0,
 ) -> np.ndarray:
-    """Log-probabilities of target tokens under the masked policy, shape (T,)."""
-    _, picked = token_logprobs(_forward_logits_rows(params, contexts), targets, masks, temperature)
+    """Log-probabilities of target tokens under the masked policy, shape (T,).
+
+    Context and target ids are checked here, before the forward pass.
+    """
+    _check_ids(contexts, params.vocab.size)
+    _check_ids(targets, params.vocab.size)
+    _, picked = token_logprobs(forward(params, contexts)[2], targets, masks, temperature)
     return picked

@@ -277,15 +277,7 @@ def evaluate(
             )
             prompt = generate_prompt(spec, vocab, rng)
             grammar = response_grammar(prompt, vocab)
-            responses, _ = sample_group(
-                params,
-                prompt.tokens,
-                n,
-                temperature,
-                rng,
-                position_masks=grammar,
-                max_len=len(grammar),
-            )
+            responses, _ = sample_group(params, prompt.tokens, n, temperature, rng, grammar)
             ok = [verify(prompt, r.tokens, vocab) for r in responses]
             correct += sum(ok)
             hits += bool(any(ok))
@@ -411,7 +403,6 @@ class RunSummary:
     final_entropy: float
     initial_entropy: float
     mean_clip_frac: float
-    final_pass_rate: float
 
     @classmethod
     def from_result(cls, result: TrainingResult) -> "RunSummary":
@@ -427,7 +418,6 @@ class RunSummary:
             final_entropy=log[-1].entropy,
             initial_entropy=log[0].entropy,
             mean_clip_frac=float(np.mean([m.clip_frac for m in log])),
-            final_pass_rate=log[-1].pass_rate,
         )
 
 

@@ -1,13 +1,13 @@
 """Guard against program code that only the tests reach.
 
-Every public top-level function or class in ``src/etrlab`` must be named
-somewhere the program or its fixed checks look it up: another module of
-the package, another line of its own module, the acceptance suite, or the
-benchmark (``perfbench/*.py``, which also probes names as strings). Test
-files other than the acceptance suite do not count, nor do ``__all__``
-lists, so a helper kept alive only by its own unit tests or a re-export
-fails here. The names the benchmark probes must also exist, since its
-probes look them up without a default.
+Every top-level function or class in ``src/etrlab``, public or private,
+must be named somewhere the program or its fixed checks look it up:
+another module of the package, another line of its own module, the
+acceptance suite, or the benchmark (``perfbench/*.py``, which also probes
+names as strings). Test files other than the acceptance suite do not
+count, nor do ``__all__`` lists, so a helper kept alive only by its own
+unit tests or a re-export fails here. The names the benchmark probes must
+also exist, since its probes look them up without a default.
 """
 
 import ast
@@ -22,12 +22,11 @@ OUTSIDE_READERS = [
 ]
 
 
-def public_definitions(tree: ast.Module) -> list[ast.AST]:
+def top_level_definitions(tree: ast.Module) -> list[ast.AST]:
     return [
         node
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
     ]
 
 
@@ -61,7 +60,7 @@ def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
 def unreached_definitions(
     modules: dict[str, ast.Module], readers: list[ast.Module]
 ) -> list[str]:
-    """``module.name`` of each public definition no module or reader names."""
+    """``module.name`` of each top-level definition no module or reader names."""
     outside: set[str] = set()
     for tree in readers:
         outside |= referenced_names(tree)
@@ -71,13 +70,13 @@ def unreached_definitions(
         for other, other_tree in modules.items():
             if other != name:
                 elsewhere |= referenced_names(other_tree)
-        for node in public_definitions(tree):
+        for node in top_level_definitions(tree):
             if node.name not in elsewhere | referenced_names(tree, skip=node):
                 unreached.append(f"{name}.{node.name}")
     return unreached
 
 
-def test_every_public_definition_is_reached_outside_the_unit_tests():
+def test_every_definition_is_reached_outside_the_unit_tests():
     assert all(path.is_file() for path in OUTSIDE_READERS) and len(OUTSIDE_READERS) > 1
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     readers = [ast.parse(path.read_text()) for path in OUTSIDE_READERS]
@@ -91,12 +90,25 @@ def test_guard_flags_helpers_named_only_by_themselves_or_all():
         "def used():\n    pass\n"
         "def probed():\n    pass\n"
         "def _private():\n    pass\n"
+        "def _called():\n    pass\n"
         "class Spare:\n    pass\n"
+        "def run():\n    return _called()\n"
     )
-    caller = ast.parse("from a import used\nused()\n")
+    caller = ast.parse("from a import used, run\nused()\nrun()\n")
     probe = ast.parse('getattr(a, "probed")\n')
-    assert unreached_definitions({"a": module, "b": caller}, [probe]) == ["a.helper", "a.Spare"]
-    assert unreached_definitions({"a": module}, []) == ["a.helper", "a.used", "a.probed", "a.Spare"]
+    assert unreached_definitions({"a": module, "b": caller}, [probe]) == [
+        "a.helper",
+        "a._private",
+        "a.Spare",
+    ]
+    assert unreached_definitions({"a": module}, []) == [
+        "a.helper",
+        "a.used",
+        "a.probed",
+        "a._private",
+        "a.Spare",
+        "a.run",
+    ]
 
 
 def probed_names(tree: ast.AST) -> list[tuple[str, str]]:

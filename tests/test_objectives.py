@@ -301,6 +301,20 @@ def test_prepare_batch_contracts_and_weights():
         evaluate_prepared(prep, params, -0.5)
 
 
+@pytest.mark.parametrize("bad", [-1, VOCAB.size])
+@pytest.mark.parametrize("position", [0, 1])
+def test_prepare_batch_rejects_response_ids_out_of_range(bad, position):
+    # A bad id is a target at its own position and a context id after it.
+    prompt = Prompt("parity", 1, (1,), encode_payload("parity", (1,), VOCAB))
+    tokens = [1, VOCAB.eos]
+    tokens[position] = bad
+    responses = (SampledResponse(tuple(tokens), np.zeros(2)),) * 2
+    group = RolloutGroup(prompt, responses, np.asarray([1.0, -1.0]))
+    params = init_params(VOCAB, 3, 5, 7, 0, 0.4)
+    with pytest.raises(ContractViolation):
+        batch_objective([group], Static(0.2), 0.001, params, params)
+
+
 def test_static_band_mismatch_from_prepared_advantages():
     # With beta = 1 a token's ideal ratio step is |A|; a static band of
     # width eps cannot reach it where |A| > eps. One winner among sixteen
@@ -423,9 +437,9 @@ def prompt_of(family, difficulty, payload):
     return Prompt(family, difficulty, payload, encode_payload(family, payload, VOCAB))
 
 
-# Answer budgets of 4, 2, 3, 4 and 2 positions. Unmasked groups are
-# sampled without their grammar, so their rows stop at EOS or at
-# max_len = 4, which their grammar also allows.
+# Answer budgets of 4, 2, 3, 4 and 2 positions. Groups flagged False are
+# sampled under a full-vocabulary grammar instead of their own, so their
+# rows stop at EOS or at max_len = 4, which their grammar also allows.
 ROLLOUT_PROMPTS = [
     (prompt_of("copy", 3, (2, 8, 5)), False),
     (prompt_of("parity", 2, (1, 1)), True),
@@ -439,7 +453,8 @@ def sampled_rollout(params, k, seed, n=4, max_len=4):
     """A RolloutBatch straight from ``sample_groups``, its masks and its generators."""
     prompts = [prompt for prompt, _ in ROLLOUT_PROMPTS[:k]]
     grammars = tuple(response_grammar(prompt, VOCAB) for prompt in prompts)
-    masks = [g if masked else None for g, (_, masked) in zip(grammars, ROLLOUT_PROMPTS)]
+    free = (tuple(range(VOCAB.size)),) * max_len
+    masks = [g if masked else free for g, (_, masked) in zip(grammars, ROLLOUT_PROMPTS)]
     rngs = [np.random.default_rng([seed, g]) for g in range(k)]
     tokens, logprobs, lengths, entropies = sample_groups(
         params, [p.tokens for p in prompts], n, 0.8, rngs, masks, max_len, collect_entropy=True
@@ -484,17 +499,17 @@ def test_rollout_buffer_cases_are_exercised():
     seen = set()
     for seed in (0, 1):
         params = eos_leaning(seed)
-        batch, masks, _ = sampled_rollout(params, len(ROLLOUT_PROMPTS), seed)
+        batch, _, _ = sampled_rollout(params, len(ROLLOUT_PROMPTS), seed)
         ends = batch.tokens[np.arange(batch.lengths.size), params.window + batch.lengths - 1]
         stops = ((batch.lengths < 4) & (ends == VOCAB.eos)).reshape(len(batch), 4)
-        for stop, mask in zip(stops, masks):
-            if mask is None and np.any(stop):
-                seen.add("unmasked row stops at EOS")
+        for stop, (_, masked) in zip(stops, ROLLOUT_PROMPTS):
+            if not masked and np.any(stop):
+                seen.add("full-vocabulary row stops at EOS")
         if len(set(batch.lengths.tolist())) > 2:
             seen.add("mixed lengths")
         if 0 < np.sum(batch.rewards > 0) < batch.rewards.size:
             seen.add("mixed rewards")
-    assert seen == {"unmasked row stops at EOS", "mixed lengths", "mixed rewards"}
+    assert seen == {"full-vocabulary row stops at EOS", "mixed lengths", "mixed rewards"}
 
 
 class PolicyLeaves:
@@ -637,7 +652,10 @@ def test_closed_form_matches_tape_on_one_shared_context():
     group = RolloutGroup(prompt, responses, np.asarray([1.0, -1.0, 1.0]))
     params = init_params(VOCAB, 3, 5, 7, 4, 0.4)
     prep = prepare_batch([group], Static(0.2), params)
-    assert prep.distinct_contexts.shape[0] == 1 < prep.targets.size
+    # The one context is held twice, so both forwards take the matrix-matrix kernel.
+    assert prep.distinct_contexts.shape[0] == 2 < prep.targets.size
+    assert np.array_equal(prep.distinct_contexts[0], prep.distinct_contexts[1])
+    assert not prep.distinct_index.any()
     want = score_tokens(params, prep.contexts, prep.targets, prep.masks)
     assert np.array_equal(prep.ref_logprobs, want)
     assert_matches_tape(prep, moved(params, 4), 0.001)

@@ -8,11 +8,11 @@ from etrlab.autodiff import ContractViolation
 from etrlab.config import TrainConfig
 from etrlab.policy import (
     MASK_LOGIT,
-    _forward_logits_rows,
     _log_softmax_rows,
     PolicyParams,
     SampledResponse,
     Vocab,
+    forward,
     init_params,
     mask_matrix,
     pad_context,
@@ -29,6 +29,11 @@ VOCAB = Vocab()
 
 def tiny_params(seed=0, scale=0.1, window=4, d=16, h=64, vocab=VOCAB):
     return init_params(vocab, window, d, h, seed, scale)
+
+
+def full_grammar(length, vocab=VOCAB):
+    """A grammar that allows every id at each of ``length`` positions."""
+    return (tuple(range(vocab.size)),) * length
 
 
 def test_vocab_layout():
@@ -74,7 +79,7 @@ def test_init_different_seeds_differ_almost_everywhere():
 def test_init_scale_zero_gives_uniform_distribution():
     p = init_params(VOCAB, 4, 16, 64, 0, 0.0)
     assert np.array_equal(p.to_vector(), np.zeros(p.param_count))
-    logits = _forward_logits_rows(p, np.full((1, 4), VOCAB.bos))
+    logits = forward(p, np.full((1, 4), VOCAB.bos))[2]
     assert np.array_equal(logits, np.zeros((1, VOCAB.size)))
     with pytest.raises(ContractViolation):
         init_params(VOCAB, 4, 16, 64, 0, -0.1)
@@ -86,19 +91,24 @@ def test_pad_context():
     assert pad_context([], 3, VOCAB.bos).tolist() == [10, 10, 10]
 
 
-def test_forward_logits_contracts():
+def test_score_tokens_rejects_ids_out_of_range():
     p = tiny_params()
-    with pytest.raises(ContractViolation):
-        _forward_logits_rows(p, np.asarray([[0, 1, 2, 3], [0, 1, 2, VOCAB.size]]))
-    with pytest.raises(ContractViolation):
-        _forward_logits_rows(p, np.asarray([[0, 1, -1, 3]]))
+    masks = mask_matrix(VOCAB.size, full_grammar(2), 2)
+    good = np.asarray([[0, 1, 2, 3], [1, 2, 3, 4]])
+    for contexts in ([[0, 1, 2, 3], [0, 1, 2, VOCAB.size]], [[0, 1, -1, 3], [1, 2, 3, 4]]):
+        with pytest.raises(ContractViolation):
+            score_tokens(p, np.asarray(contexts), np.asarray([4, 5]), masks)
+    for targets in ([4, VOCAB.size], [-1, 5]):
+        with pytest.raises(ContractViolation):
+            score_tokens(p, good, np.asarray(targets), masks)
+    assert score_tokens(p, good, np.asarray([4, 5]), masks).shape == (2,)
 
 
 def test_one_hot_output_bias_sets_argmax_everywhere():
     p = init_params(VOCAB, 4, 16, 64, 0, 0.0)
     p.b_out[5] = 3.0
     contexts = np.asarray([[10, 10, 10, 10], [0, 1, 2, 3], [9, 9, 9, 9]])
-    assert np.argmax(_forward_logits_rows(p, contexts), axis=1).tolist() == [5, 5, 5]
+    assert np.argmax(forward(p, contexts)[2], axis=1).tolist() == [5, 5, 5]
 
 
 def test_embedding_permutation_invariance():
@@ -109,7 +119,7 @@ def test_embedding_permutation_invariance():
     q.embed[perm] = p.embed
     ctx = np.array([[3, 1, 12, 10]])
     np.testing.assert_allclose(
-        _forward_logits_rows(q, perm[ctx]), _forward_logits_rows(p, ctx), rtol=0, atol=0
+        forward(q, perm[ctx])[2], forward(p, ctx)[2], rtol=0, atol=0
     )
 
 
@@ -118,7 +128,6 @@ def test_mask_matrix_rows_and_errors():
     assert m.shape == (2, 5)
     assert m[0].tolist() == [0.0, MASK_LOGIT, 0.0, MASK_LOGIT, MASK_LOGIT]
     assert m[1].tolist() == [MASK_LOGIT] * 4 + [0.0]
-    assert np.array_equal(mask_matrix(5, None, 3), np.zeros((3, 5)))
     with pytest.raises(ContractViolation):
         mask_matrix(5, ((0,),), 2)
     with pytest.raises(ContractViolation):
@@ -129,11 +138,9 @@ def test_mask_matrix_rows_and_errors():
 
 def fresh_mask_matrix(vocab_size, masks, n_rows):
     """The uncached builder ``mask_matrix`` had before it was memoised."""
-    out = np.zeros((n_rows, vocab_size))
-    if masks is None:
-        return out
     if len(masks) < n_rows:
         raise ContractViolation("fewer mask rows than generated positions")
+    out = np.zeros((n_rows, vocab_size))
     out += MASK_LOGIT
     for i in range(n_rows):
         legal = np.asarray(tuple(masks[i]), dtype=np.int64)
@@ -162,7 +169,6 @@ def test_cached_mask_tables_equal_a_fresh_build_and_are_read_only():
             assert not first.flags.writeable
             with pytest.raises(ValueError):
                 first[0, 0] = 1.0
-    assert mask_matrix(vocab.size, None, 3).tobytes() == np.zeros((3, vocab.size)).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -185,14 +191,14 @@ def test_sampled_response_length_contract():
 def test_all_mass_on_eos_yields_length_one():
     p = init_params(VOCAB, 4, 16, 64, 0, 0.0)
     p.b_out[VOCAB.eos] = 1e3
-    group, _ = sample_group(p, [VOCAB.sep], 3, 1.0, np.random.default_rng(0), max_len=16)
+    group, _ = sample_group(p, [VOCAB.sep], 3, 1.0, np.random.default_rng(0), full_grammar(16))
     assert [r.tokens for r in group] == [(VOCAB.eos,)] * 3
 
 
 def test_uniform_policy_logprobs():
     p = init_params(VOCAB, 4, 16, 64, 0, 0.0)
     rng = np.random.default_rng(5)
-    free, _ = sample_group(p, [VOCAB.sep], 4, 1.0, rng, max_len=3)
+    free, _ = sample_group(p, [VOCAB.sep], 4, 1.0, rng, full_grammar(3))
     for resp in free:
         np.testing.assert_allclose(
             resp.logprobs, np.full(len(resp), -np.log(VOCAB.size)), atol=1e-12
@@ -208,17 +214,17 @@ def test_uniform_policy_logprobs():
 def test_sampling_contracts():
     p = tiny_params()
     with pytest.raises(ContractViolation):
-        sample_group(p, [], 4, 0.0, np.random.default_rng(0))
+        sample_group(p, [], 4, 0.0, np.random.default_rng(0), full_grammar(2))
     with pytest.raises(ContractViolation):
-        sample_group(p, [], 4, -1.0, np.random.default_rng(0))
+        sample_group(p, [], 4, -1.0, np.random.default_rng(0), full_grammar(2))
     with pytest.raises(ContractViolation):
-        sample_group(p, [], 0, 1.0, np.random.default_rng(0))
+        sample_group(p, [], 0, 1.0, np.random.default_rng(0), full_grammar(2))
 
 
 def test_same_seed_same_tokens():
     p = tiny_params(seed=2)
-    a, _ = sample_group(p, [1, 2], 3, 1.0, np.random.default_rng(42), max_len=8)
-    b, _ = sample_group(p, [1, 2], 3, 1.0, np.random.default_rng(42), max_len=8)
+    a, _ = sample_group(p, [1, 2], 3, 1.0, np.random.default_rng(42), full_grammar(8))
+    b, _ = sample_group(p, [1, 2], 3, 1.0, np.random.default_rng(42), full_grammar(8))
     assert [r.tokens for r in a] == [r.tokens for r in b]
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.logprobs, rb.logprobs)
@@ -257,7 +263,8 @@ def test_self_rescore_identity():
 def test_zero_params_score_log_v():
     p = init_params(VOCAB, 4, 16, 64, 0, 0.0)
     contexts = stacked_contexts([([VOCAB.sep], [3, 1, VOCAB.eos])], p.window, VOCAB.bos)
-    lp = score_tokens(p, contexts, np.asarray([3, 1, VOCAB.eos]), None)
+    masks = mask_matrix(VOCAB.size, full_grammar(3), 3)
+    lp = score_tokens(p, contexts, np.asarray([3, 1, VOCAB.eos]), masks)
     np.testing.assert_allclose(lp, np.full(3, -np.log(VOCAB.size)), atol=1e-12)
 
 
@@ -265,11 +272,11 @@ def test_chain_rule_matches_brute_force_two_token_vocab():
     vocab = Vocab(2)
     p = init_params(vocab, 3, 4, 8, 13, 0.3)
     prompt = [vocab.sep]
-    (resp,), _ = sample_group(p, prompt, 1, 1.0, np.random.default_rng(1), max_len=4)
+    (resp,), _ = sample_group(p, prompt, 1, 1.0, np.random.default_rng(1), full_grammar(4, vocab))
     prob = 1.0
     seq = list(prompt)
     for tok in resp.tokens:
-        logits = _forward_logits_rows(p, pad_context(seq, p.window, vocab.bos)[None, :])[0]
+        logits = forward(p, pad_context(seq, p.window, vocab.bos)[None, :])[2][0]
         shifted = logits - logits.max()
         probs = np.exp(shifted) / np.exp(shifted).sum()
         prob *= probs[tok]
@@ -325,26 +332,25 @@ def test_entropy_skips_pinned_positions():
 def test_entropy_bounds_hold_for_random_params():
     p = tiny_params(seed=21, scale=0.5)
     prompt = [VOCAB.sep, 2, VOCAB.sep]
-    group, h = sample_group(p, prompt, 4, 1.0, np.random.default_rng(2), collect_entropy=True)
+    rng = np.random.default_rng(2)
+    group, h = sample_group(p, prompt, 4, 1.0, rng, full_grammar(64), collect_entropy=True)
     assert len(h) == sum(len(r) for r in group)
     assert all(0.0 <= x <= np.log(VOCAB.size) + 1e-12 for x in h)
 
 
-def reference_sample_group(params, prompt, n, temperature, rng, position_masks=None, max_len=64):
+def reference_sample_group(params, prompt, n, temperature, rng, position_masks, max_len):
     """Row-by-row lockstep sampler for one prompt, kept as the reference."""
     vocab = params.vocab
     contexts = np.tile(pad_context(prompt, params.window, vocab.bos), (n, 1))
-    budget = max_len if position_masks is None else min(max_len, len(position_masks))
+    budget = min(max_len, len(position_masks))
     tokens = [[] for _ in range(n)]
     logprobs = [[] for _ in range(n)]
     entropies = []
     alive = np.ones(n, dtype=bool)
     for pos in range(budget):
-        logits = _forward_logits_rows(params, contexts) * (1.0 / temperature)
-        open_choice = True
-        if position_masks is not None:
-            logits = logits + mask_matrix(vocab.size, (position_masks[pos],), 1)[0]
-            open_choice = len(tuple(position_masks[pos])) >= 2
+        logits = forward(params, contexts)[2] * (1.0 / temperature)
+        logits = logits + mask_matrix(vocab.size, (position_masks[pos],), 1)[0]
+        open_choice = len(tuple(position_masks[pos])) >= 2
         lp = _log_softmax_rows(logits)
         cums = np.cumsum(np.exp(lp), axis=1)
         draws = rng.random(n)
@@ -381,19 +387,21 @@ def eos_leaning_params(seed):
 
 
 # Mixed budgets: grammars of 2, 4 and 3 positions, a mask without EOS that
-# cuts its rows off at 2, a grammar that max_len = 6 cuts short, unmasked
-# groups that run to max_len or stop once every row emitted EOS, and a
-# grammar that forces an id mid-response. The first two groups alone leave
-# position 3 one-token, after the first group's budget ran out.
+# cuts its rows off at 2, a grammar that max_len = 6 cuts short,
+# full-vocabulary groups (FREE) that run to max_len or stop once every row
+# emitted EOS, and a grammar that forces an id mid-response. The first two
+# groups alone leave position 3 one-token, after the first group's budget
+# ran out.
+FREE = full_grammar(6)
 BATCH_PROMPTS = [
     ([VOCAB.sep, 3, VOCAB.sep], ((0, 1), (VOCAB.eos,))),
     ([5, 2, 8, VOCAB.sep], (VOCAB.content_ids(),) * 3 + ((VOCAB.eos,),)),
-    ([1, 0, VOCAB.sep, VOCAB.sep], None),
+    ([1, 0, VOCAB.sep, VOCAB.sep], FREE),
     ([3, VOCAB.sep], (VOCAB.content_ids(),) * 2),
     ([VOCAB.sep, 9, VOCAB.sep], (VOCAB.content_ids(),) * 2 + ((VOCAB.eos,),)),
-    ([4, VOCAB.sep], None),
+    ([4, VOCAB.sep], FREE),
     ([6, 1, 1, 5, 0, 2, 9, VOCAB.sep], (VOCAB.content_ids(),) * 7 + ((VOCAB.eos,),)),
-    ([7, 7, VOCAB.sep], None),
+    ([7, 7, VOCAB.sep], FREE),
     ([2, VOCAB.sep], ((0, 1), (7,), (VOCAB.eos,))),
 ]
 
@@ -444,7 +452,7 @@ def test_batched_sampler_cases_are_exercised():
         )
         groups = buffer_responses(tokens, logprobs, lengths, 4)
         for (_, masks), group in zip(BATCH_PROMPTS, groups):
-            if masks is None:
+            if masks is FREE:
                 lengths = [len(r) for r in group]
                 if max(lengths) < 6:
                     stops.add("all rows at EOS")
@@ -455,13 +463,13 @@ def test_batched_sampler_cases_are_exercised():
 
 def test_one_token_positions_run_no_forward(monkeypatch):
     calls = []
-    full = policy._hidden_rows_unchecked
+    full = policy.forward
 
     def counted(params, contexts):
         calls.append(contexts.shape[0])
         return full(params, contexts)
 
-    monkeypatch.setattr(policy, "_hidden_rows_unchecked", counted)
+    monkeypatch.setattr(policy, "forward", counted)
     p = tiny_params(seed=4)
     prompt = generate_prompt(TaskSpec("parity", 2), VOCAB, np.random.default_rng(0))
     grammar = response_grammar(prompt, VOCAB)
@@ -483,11 +491,11 @@ def test_sample_groups_contracts():
     p = tiny_params()
     rng = np.random.default_rng(0)
     with pytest.raises(ContractViolation):
-        sample_groups(p, [], 2, 1.0, [])
+        sample_groups(p, [], 2, 1.0, [], [])
     with pytest.raises(ContractViolation):
-        sample_groups(p, [[1], [2]], 2, 1.0, [rng])
+        sample_groups(p, [[1], [2]], 2, 1.0, [rng], [full_grammar(2)] * 2)
     with pytest.raises(ContractViolation):
-        sample_groups(p, [[1], [2]], 2, 1.0, [rng, rng], [None])
+        sample_groups(p, [[1], [2]], 2, 1.0, [rng, rng], [full_grammar(2)])
 
 
 @pytest.mark.parametrize("bad", [VOCAB.size, VOCAB.size + 7, -1])
@@ -498,11 +506,12 @@ def test_sampling_rejects_prompt_ids_out_of_range(bad, max_len):
     p = tiny_params()
     good = [1, VOCAB.sep]
     rng = np.random.default_rng(0)
+    free = [full_grammar(3)] * 2
     with pytest.raises(ContractViolation):
-        sample_group(p, [2, bad, VOCAB.sep], 3, 1.0, rng, max_len=max_len)
+        sample_group(p, [2, bad, VOCAB.sep], 3, 1.0, rng, free[0], max_len)
     with pytest.raises(ContractViolation):
-        sample_groups(p, [good, [bad]], 2, 1.0, [rng, rng], max_len=max_len)
-    tokens, _, lengths, _ = sample_groups(p, [good, good], 2, 1.0, [rng, rng], max_len=max_len)
+        sample_groups(p, [good, [bad]], 2, 1.0, [rng, rng], free, max_len)
+    tokens, _, lengths, _ = sample_groups(p, [good, good], 2, 1.0, [rng, rng], free, max_len)
     assert tokens.shape == (4, p.window + max_len) and np.all(lengths <= max_len)
 
 
@@ -510,12 +519,13 @@ def test_sampling_rejects_prompt_ids_out_of_range(bad, max_len):
 def sampler_cases(draw):
     """Random shapes, budgets and grammars for the lockstep sampler.
 
-    Positions flagged in ``pinned`` give every masked group one legal id
-    there, mostly EOS, so one-token positions come up often; a group left
-    unmasked runs to max_len and keeps those it reaches open. Groups have
-    at least two rows: numpy multiplies a single row by a matrix-vector
-    product, whose last bits can differ from the same row's in a larger
-    block, so a one-row reference call is not bit-equal to a batched one.
+    Positions flagged in ``pinned`` give every other group one legal id
+    there, mostly EOS, so one-token positions come up often; a group with
+    a full-vocabulary grammar runs to max_len and keeps those it reaches
+    open. Groups have at least two rows: numpy multiplies a single row by
+    a matrix-vector product, whose last bits can differ from the same
+    row's in a larger block, so a one-row reference call is not bit-equal
+    to a batched one.
     """
     ids = st.integers(0, VOCAB.size - 1)
     k = draw(st.integers(1, 4))
@@ -523,7 +533,7 @@ def sampler_cases(draw):
     masks = []
     for _ in range(k):
         if draw(st.integers(0, 7)) == 0:
-            masks.append(None)
+            masks.append(full_grammar(6))
             continue
         grammar = []
         for pos in range(draw(st.integers(0, 6))):
