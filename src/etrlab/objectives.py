@@ -172,19 +172,26 @@ class LossBreakdown:
 class PreparedBatch:
     """Constant per-token arrays shared by every inner-epoch evaluation.
 
-    ``distinct_contexts`` holds each context row once (``np.unique`` order)
-    and ``contexts[i] == distinct_contexts[distinct_index[i]]``. When a
-    batch of several tokens has a single distinct context, it holds that
-    row twice and the copy maps to no token: a one-row product takes
-    BLAS's matrix-vector kernel, which rounds differently from the
-    matrix-matrix kernel that scores full batches.
+    ``distinct_contexts`` holds each context row once (``np.unique`` order).
+    Token i is scored on row ``pair_index[i]`` of the distinct (context,
+    mask-table row) pairs: pair p reads logits row ``pair_contexts[p]``
+    under the additive mask ``pair_masks[p]``, so the masked log-softmax
+    runs once per pair. ``scatter_index`` holds, token by token, the V
+    flat positions of the token's distinct-context row in the logits,
+    where the gradient is summed. When a batch of several tokens has a
+    single distinct context, ``distinct_contexts`` holds that row twice
+    and the copy maps to no token: a one-row product takes BLAS's
+    matrix-vector kernel, which rounds differently from the matrix-matrix
+    kernel that scores full batches.
     """
 
     contexts: np.ndarray
     distinct_contexts: np.ndarray
-    distinct_index: np.ndarray
+    pair_contexts: np.ndarray
+    pair_masks: np.ndarray
+    pair_index: np.ndarray
+    scatter_index: np.ndarray
     targets: np.ndarray
-    masks: np.ndarray
     old_logprobs: np.ndarray
     ref_logprobs: np.ndarray
     advantages: np.ndarray
@@ -194,6 +201,11 @@ class PreparedBatch:
     epsilon_trace: np.ndarray | None
     group_slices: list[tuple[int, int]]
     temperature: float
+
+    @property
+    def masks(self) -> np.ndarray:
+        """Each token's additive mask row, (T, V)."""
+        return self.pair_masks[self.pair_index]
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,8 +236,9 @@ def prepare_batch(
     rates and clip bands are per response, so they are computed as
     per-response vectors and repeated over response lengths; targets,
     contexts and stored log-probs are the batch's buffers read through
-    the mask of positions inside each response. Every id a context or
-    target reads is checked here, once per batch.
+    the mask of positions inside each response. Each distinct grammar gets
+    one mask table, as long as its longest response. Every id a context
+    or target reads is checked here, once per batch.
     """
     vocab = ref_params.vocab
     window = ref_params.window
@@ -236,10 +249,6 @@ def prepare_batch(
     if lengths.min() == 0:
         raise ContractViolation("cannot score an empty response")
     stats = group_stats(batch.rewards.reshape(k, g), xi)
-    longest = lengths.reshape(k, g).max(axis=1).tolist()
-    mask_tables = [
-        mask_matrix(vocab.size, grammar, n_rows) for grammar, n_rows in zip(batch.grammars, longest)
-    ]
     adv = stats.advantages.reshape(-1)
     rate = np.repeat(stats.pass_rate, g)
     lo, hi = clip_bounds(strategy, adv, rate)
@@ -258,21 +267,32 @@ def prepare_batch(
     if distinct.shape[0] == 1 < index.size:
         distinct = np.repeat(distinct, 2, axis=0)
     targets = batch.tokens[:, window:][inside]
-    # Token t of a response reads row t of its group's grammar table.
-    table_starts = np.cumsum(longest) - longest
-    row_table = np.repeat(np.repeat(table_starts, g), lengths)
-    masks = np.concatenate(mask_tables)[row_table + np.nonzero(inside)[1]]
+    # Token t of a response reads row t of its grammar's table.
+    longest = {}
+    for grammar, n_rows in zip(batch.grammars, lengths.reshape(k, g).max(axis=1).tolist()):
+        longest[grammar] = max(n_rows, longest.get(grammar, 0))
+    table = np.concatenate(
+        [mask_matrix(vocab.size, grammar, n_rows) for grammar, n_rows in longest.items()]
+    )
+    table_starts = dict(zip(longest, np.cumsum([0, *longest.values()]).tolist()))
+    row_starts = np.repeat([table_starts[grammar] for grammar in batch.grammars], g)
+    mask_rows = np.repeat(row_starts, lengths) + np.nonzero(inside)[1]
+    pairs, pair_index = _distinct_rows((index * len(table) + mask_rows)[:, None])
+    pair_contexts, pair_rows = np.divmod(pairs[:, 0], len(table))
+    pair_masks = table[pair_rows]
     ref_logits = policy_mod.forward(ref_params, distinct)[2]
-    _, ref_lp = policy_mod.token_logprobs(ref_logits[index], targets, masks, temperature)
+    ref_rows = policy_mod.masked_logprobs(ref_logits[pair_contexts], pair_masks, temperature)
     group_ends = np.cumsum(lengths)[g - 1 :: g].tolist()
     return PreparedBatch(
         contexts=contexts,
         distinct_contexts=distinct,
-        distinct_index=index,
+        pair_contexts=pair_contexts,
+        pair_masks=pair_masks,
+        pair_index=pair_index,
+        scatter_index=(index[:, None] * vocab.size + np.arange(vocab.size)).reshape(-1),
         targets=targets,
-        masks=masks,
         old_logprobs=batch.logprobs[inside],
-        ref_logprobs=ref_lp,
+        ref_logprobs=ref_rows[pair_index, targets],
         advantages=np.repeat(adv, lengths),
         lo=np.repeat(lo, lengths),
         hi=np.repeat(hi, lengths),
@@ -291,20 +311,22 @@ def evaluate_prepared(
 ) -> LossBreakdown:
     """Evaluate the clipped surrogate minus the KL penalty, with its gradient.
 
-    The MLP runs once per distinct context; the mask, log-softmax and
-    target pick stay per token. The gradient is closed-form: per token,
-    d(total)/d(log-prob) is ``w * A * r`` where the unclipped branch is the
-    minimum (always so inside the band, where both branches are equal) and
-    zero where the clipped one is, minus ``kl_coef * w * (1 - u)``. It goes
-    back through the softmax, is summed per distinct context and
-    backpropagated through the MLP there.
+    The MLP runs once per distinct context and the masked log-softmax once
+    per (context, mask row) pair; tokens read their pair's row. The
+    gradient is closed-form: per token, d(total)/d(log-prob) is
+    ``w * A * r`` where the unclipped branch is the minimum (always so
+    inside the band, where both branches are equal) and zero where the
+    clipped one is, minus ``kl_coef * w * (1 - u)``. It goes back through
+    the softmax per token, is summed per distinct context in token order
+    by one ``bincount`` and backpropagated through the MLP there.
     """
     if kl_coef < 0.0:
         raise ContractViolation("kl_coef must be non-negative")
     x, hidden, logits = policy_mod.forward(params, prep.distinct_contexts)
-    lp_rows, lp = policy_mod.token_logprobs(
-        logits[prep.distinct_index], prep.targets, prep.masks, prep.temperature
+    lp_pairs = policy_mod.masked_logprobs(
+        logits[prep.pair_contexts], prep.pair_masks, prep.temperature
     )
+    lp = lp_pairs[prep.pair_index, prep.targets]
     ratio = np.exp(lp - prep.old_logprobs)
     unclipped_branch = ratio * prep.advantages
     clipped_branch = np.clip(ratio, prep.lo, prep.hi) * prep.advantages
@@ -317,11 +339,13 @@ def evaluate_prepared(
     gradient = None
     if with_grad:
         d_lp = prep.weights * (prep.advantages * ratio * first - kl_coef * (1.0 - u))
-        d_rows = np.exp(lp_rows) * -d_lp[:, None]
+        d_rows = np.exp(lp_pairs)[prep.pair_index] * -d_lp[:, None]
         d_rows[np.arange(d_lp.size), prep.targets] += d_lp
-        d_logits = np.zeros_like(logits)
-        np.add.at(d_logits, prep.distinct_index, d_rows * (1.0 / prep.temperature))
-        gradient = policy_mod.logits_gradient(params, prep.distinct_contexts, x, hidden, d_logits)
+        d_rows *= 1.0 / prep.temperature
+        d_logits = np.bincount(prep.scatter_index, d_rows.reshape(-1), minlength=logits.size)
+        gradient = policy_mod.logits_gradient(
+            params, prep.distinct_contexts, x, hidden, d_logits.reshape(logits.shape)
+        )
     trace = prep.epsilon_trace
     return LossBreakdown(
         surrogate=float(surrogate),

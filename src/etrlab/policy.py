@@ -205,14 +205,15 @@ def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def token_logprobs(
-    logits: np.ndarray, targets: np.ndarray, masks: np.ndarray, temperature: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row log-softmax of scaled, masked logits, and each row's target entry."""
+def masked_logprobs(logits: np.ndarray, masks: np.ndarray, temperature: float) -> np.ndarray:
+    """Row log-softmax of scaled, masked logits.
+
+    Every step works row by row, so a row's values do not depend on the
+    other rows of the block.
+    """
     scaled = logits * (1.0 / temperature)
     scaled += masks
-    lp = _log_softmax_rows(scaled)
-    return lp, lp[np.arange(lp.shape[0]), np.asarray(targets, dtype=np.int64)]
+    return _log_softmax_rows(scaled)
 
 
 @functools.lru_cache(maxsize=256)
@@ -305,6 +306,9 @@ def sample_groups(
     the columns of groups already past their budget may therefore differ
     from what a forward pass would have left there.
 
+    A call of one row (K = n = 1) forwards that row twice and keeps the
+    first, so its bits equal the same row's inside a batched call.
+
     Prompt-tail ids are checked once per call, before any position runs,
     so a call with a zero budget still rejects an id outside the vocabulary.
     """
@@ -374,7 +378,12 @@ def sample_groups(
             # No choice anywhere: the draws are spent, the log-probs stay 0.0.
             picks = forced[pos]
         else:
-            logits = forward(params, tokens[:, pos : pos + window])[2]
+            contexts = tokens[:, pos : pos + window]
+            if rows == 1:
+                # A one-row product takes BLAS's matrix-vector kernel, which
+                # rounds differently from the rows of a larger block.
+                contexts = np.repeat(contexts, 2, axis=0)
+            logits = forward(params, contexts)[2][:rows]
             logits *= scale
             logits += row_masks[pos]
             lp = _log_softmax_rows(logits)
@@ -443,5 +452,5 @@ def score_tokens(
     """
     _check_ids(contexts, params.vocab.size)
     _check_ids(targets, params.vocab.size)
-    _, picked = token_logprobs(forward(params, contexts)[2], targets, masks, temperature)
-    return picked
+    lp = masked_logprobs(forward(params, contexts)[2], masks, temperature)
+    return lp[np.arange(lp.shape[0]), np.asarray(targets, dtype=np.int64)]

@@ -9,7 +9,9 @@ The mixed suite puts groups with different answer lengths into one
 rollout batch, so batched sampling across groups is covered too. The
 golden configs are small (12-row batches, n = 4), so a default-sized run
 is pinned as well: 16 x 8 rollouts and one eval round at n = 32, the
-shapes the sampler runs at by default.
+shapes the sampler runs at by default. An update-heavy-shaped run (grpo,
+8 inner epochs, a 32 x 256 MLP) pins the objective and its gradient on a
+hidden layer wider than the golden configs' 8 and the default 64.
 """
 
 import dataclasses
@@ -49,6 +51,20 @@ def default_size_cfg():
         max_response_len=5,
         steps=15,
         eval_every=15,
+    )
+
+
+def update_heavy_cfg():
+    return dataclasses.replace(
+        TrainConfig(),
+        method="grpo",
+        seed=5,
+        inner_epochs=8,
+        embed_dim=32,
+        hidden_dim=256,
+        steps=4,
+        eval_every=4,
+        eval_prompts=8,
     )
 
 
@@ -99,6 +115,13 @@ GOLDEN_DEFAULT_SIZE = (
 )
 
 
+# metrics.csv and final-parameter digests of update_heavy_cfg().
+GOLDEN_UPDATE_HEAVY = (
+    "bef056735eb8b5d39afe5f4fc7d8b8e6040b51bb6a51c57c93b72a27008aa787",
+    "346fd657868a88e0dc90cbe65553e2a14eeefa4e2e25898a3f4ce1942ef1d831",
+)
+
+
 @pytest.mark.parametrize("method,suite", sorted(GOLDEN), ids=lambda v: str(v))
 def test_golden_digests(method, suite, tmp_path):
     assert run_digests(golden_cfg(method, suite), tmp_path) == GOLDEN[(method, suite)]
@@ -106,6 +129,10 @@ def test_golden_digests(method, suite, tmp_path):
 
 def test_default_size_digests(tmp_path):
     assert run_digests(default_size_cfg(), tmp_path) == GOLDEN_DEFAULT_SIZE
+
+
+def test_update_heavy_digests(tmp_path):
+    assert run_digests(update_heavy_cfg(), tmp_path) == GOLDEN_UPDATE_HEAVY
 
 
 # Artifact bytes of one golden run. config.txt's digest is the one a

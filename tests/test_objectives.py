@@ -2,7 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from etrlab import objectives
 from etrlab.autodiff import ContractViolation, Record, exp, sum_all
 from etrlab.config import METHODS, TrainConfig, build_strategy
 from etrlab.groups import RolloutBatch, RolloutGroup, group_stats
@@ -23,6 +27,7 @@ from etrlab.objectives import (
     token_surrogate,
 )
 from etrlab.policy import (
+    MASK_LOGIT,
     PolicyParams,
     SampledResponse,
     Vocab,
@@ -331,7 +336,10 @@ def test_static_band_mismatch_from_prepared_advantages():
 
 
 def reference_prepare_batch(batch, strategy, ref_params, xi=1e-6, temperature=1.0):
-    """Per-response loop that builds every field token by token, kept as the reference."""
+    """Per-response loop that builds every per-token quantity, kept as the reference.
+
+    Returns the quantities :func:`token_view` reads off a prepared batch.
+    """
     vocab = ref_params.vocab
     ctx_parts, tgt_parts, mask_parts = [], [], []
     old_parts, adv_parts, lo_parts, hi_parts, w_parts = [], [], [], [], []
@@ -363,7 +371,7 @@ def reference_prepare_batch(batch, strategy, ref_params, xi=1e-6, temperature=1.
     targets = np.concatenate(tgt_parts)
     masks = np.concatenate(mask_parts, axis=0)
     distinct, index = np.unique(contexts, axis=0, return_inverse=True)
-    return PreparedBatch(
+    return dict(
         contexts=contexts,
         distinct_contexts=distinct,
         distinct_index=index.reshape(-1),
@@ -419,18 +427,44 @@ def test_prepare_batch_equals_per_response_reference(strategy, seed):
     assert len({len(r) for g in batch for r in g.responses}) > 1
     params = init_params(VOCAB, 3, 5, 7, seed, 0.4)
     got = prepare_batch(batch, strategy, params, 1e-6, 0.8)
-    assert_same_prepared(got, reference_prepare_batch(batch, strategy, params, 1e-6, 0.8))
+    assert_same(token_view(got), reference_prepare_batch(batch, strategy, params, 1e-6, 0.8))
 
 
-def assert_same_prepared(got, want):
-    for field in dataclasses.fields(PreparedBatch):
-        a, b = getattr(got, field.name), getattr(want, field.name)
+def assert_same(got, want):
+    assert got.keys() == want.keys()
+    for name, b in want.items():
+        a = got[name]
         if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype, field.name
-            assert a.shape == b.shape, field.name
-            assert a.tobytes() == b.tobytes(), field.name
+            assert a.dtype == b.dtype, name
+            assert a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
         else:
-            assert a == b, field.name
+            assert a == b, name
+
+
+def prepared_fields(prep):
+    return {field.name: getattr(prep, field.name) for field in dataclasses.fields(PreparedBatch)}
+
+
+def token_view(prep):
+    """A prepared batch's per-token quantities, with its pair rows read back per token.
+
+    Checks on the way that each pair is read by some token, that each
+    token's pair has the token's context, and that its scatter block is
+    its distinct context's row of V flat positions.
+    """
+    v = prep.pair_masks.shape[1]
+    blocks = prep.scatter_index.reshape(prep.targets.size, v)
+    distinct_index = blocks[:, 0] // v
+    assert np.array_equal(blocks, distinct_index[:, None] * v + np.arange(v))
+    assert np.array_equal(prep.pair_contexts[prep.pair_index], distinct_index)
+    assert np.array_equal(prep.distinct_contexts[distinct_index], prep.contexts)
+    assert np.unique(prep.pair_index).size == prep.pair_contexts.size
+    names = (
+        "contexts", "distinct_contexts", "targets", "masks", "old_logprobs", "ref_logprobs",
+        "advantages", "lo", "hi", "weights", "epsilon_trace", "group_slices", "temperature",
+    )
+    return dict(distinct_index=distinct_index, **{name: getattr(prep, name) for name in names})
 
 
 def prompt_of(family, difficulty, payload):
@@ -480,8 +514,9 @@ def test_prepare_batch_reads_rollout_buffers_like_groups(strategy, k, seed):
     batch, masks, rngs = sampled_rollout(params, k, seed)
     groups = unpack_batch(batch)
     got = prepare_batch(batch, strategy, params, 1e-6, 0.8)
-    assert_same_prepared(got, prepare_batch(groups, strategy, params, 1e-6, 0.8))
-    assert_same_prepared(got, reference_prepare_batch(groups, strategy, params, 1e-6, 0.8))
+    from_groups = prepare_batch(groups, strategy, params, 1e-6, 0.8)
+    assert_same(prepared_fields(got), prepared_fields(from_groups))
+    assert_same(token_view(got), reference_prepare_batch(groups, strategy, params, 1e-6, 0.8))
     # One prompt at a time on a fresh copy of its stream: the same rows,
     # and the generator is left in the same state.
     for g, group in enumerate(groups):
@@ -632,16 +667,21 @@ def test_closed_form_matches_tape_on_all_distinct_contexts():
     full = prepare_batch(uneven_batch(3), Elastic(0.2, 0.1, 0.15), params, 1e-6, 0.8)
     keep = np.sort(np.unique(full.contexts, axis=0, return_index=True)[1])
     per_token = (
-        "contexts", "targets", "masks", "old_logprobs", "ref_logprobs",
+        "contexts", "targets", "old_logprobs", "ref_logprobs",
         "advantages", "lo", "hi", "weights", "epsilon_trace",
     )
+    # Every token is its own distinct context and its own pair.
     prep = dataclasses.replace(
         full,
         **{name: getattr(full, name)[keep] for name in per_token},
         distinct_contexts=full.contexts[keep],
-        distinct_index=np.arange(keep.size),
+        pair_contexts=np.arange(keep.size),
+        pair_masks=full.masks[keep],
+        pair_index=np.arange(keep.size),
+        scatter_index=np.arange(keep.size * VOCAB.size),
         group_slices=[(0, keep.size)],
     )
+    token_view(prep)
     assert len(np.unique(prep.contexts, axis=0)) == prep.targets.size > 2
     assert_matches_tape(prep, moved(params, 3), 0.001)
 
@@ -655,7 +695,8 @@ def test_closed_form_matches_tape_on_one_shared_context():
     # The one context is held twice, so both forwards take the matrix-matrix kernel.
     assert prep.distinct_contexts.shape[0] == 2 < prep.targets.size
     assert np.array_equal(prep.distinct_contexts[0], prep.distinct_contexts[1])
-    assert not prep.distinct_index.any()
+    assert not prep.pair_contexts.any()
+    assert token_view(prep)["distinct_index"].tolist() == [0] * prep.targets.size
     want = score_tokens(params, prep.contexts, prep.targets, prep.masks)
     assert np.array_equal(prep.ref_logprobs, want)
     assert_matches_tape(prep, moved(params, 4), 0.001)
@@ -699,3 +740,70 @@ def test_prepare_batch_rejects_empty_and_overlong_responses():
             Static(0.2),
             params,
         )
+
+
+def test_prepare_batch_builds_one_mask_table_per_distinct_grammar(monkeypatch):
+    calls = []
+
+    def counted(vocab_size, masks, n_rows):
+        calls.append(masks)
+        return mask_matrix(vocab_size, masks, n_rows)
+
+    monkeypatch.setattr(objectives, "mask_matrix", counted)
+    batch = uneven_batch(0)
+    grammars = [response_grammar(group.prompt, VOCAB) for group in batch]
+    assert len(set(grammars)) < len(grammars)
+    params = init_params(VOCAB, 3, 5, 7, 0, 0.4)
+    prep = prepare_batch(batch, Static(0.2), params)
+    assert sorted(calls) == sorted(set(grammars))
+    assert prep.pair_masks.shape[0] < prep.targets.size
+
+
+@st.composite
+def row_tables(draw):
+    """Small integer tables whose rows repeat often; one row and all-equal rows included."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 4)))
+    return draw(hnp.arrays(np.int64, shape, elements=st.integers(0, draw(st.integers(0, 3)))))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(row_tables())
+@example(np.zeros((1, 3), dtype=np.int64))
+@example(np.full((6, 2), 7, dtype=np.int64))
+def test_distinct_rows_equals_np_unique(rows):
+    # Integer context rows, and the same rows as float mask rows.
+    for table in (rows, rows * MASK_LOGIT):
+        got, index = objectives._distinct_rows(table)
+        want, inverse = np.unique(table, axis=0, return_inverse=True)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.array_equal(index, inverse.reshape(-1))
+
+
+@st.composite
+def scatter_cases(draw):
+    """Token blocks scattered into distinct-context rows, maybe with one unread row.
+
+    The unread row is the doubled copy of a batch's one distinct context.
+    """
+    n_distinct = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 5))
+    index = draw(
+        hnp.arrays(np.int64, draw(st.integers(1, 30)), elements=st.integers(0, n_distinct - 1))
+    )
+    magnitudes = st.floats(-1e300, 1e300, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0])
+    values = draw(hnp.arrays(np.float64, (index.size, width), elements=magnitudes))
+    return n_distinct + draw(st.integers(0, 1)), index, values
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(scatter_cases())
+def test_bincount_scatter_equals_add_at(case):
+    n_rows, index, values = case
+    width = values.shape[1]
+    want = np.zeros((n_rows, width))
+    np.add.at(want, index, values)
+    # The flat layout of PreparedBatch.scatter_index (token_view checks it).
+    scatter = (index[:, None] * width + np.arange(width)).reshape(-1)
+    got = np.bincount(scatter, values.reshape(-1), minlength=n_rows * width)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.reshape(-1).tobytes()

@@ -441,6 +441,28 @@ def test_batched_sampler_equals_one_prompt_reference(k, seed):
     assert entropies == want_entropies
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_row_groups_equal_their_rows_in_a_batched_call(seed):
+    # With n = 1 a one-prompt call has a single row, which the sampler
+    # forwards doubled, so it gets the bits its row gets among K rows.
+    p = eos_leaning_params(seed)
+    prompts = [pr for pr, _ in BATCH_PROMPTS[:3]]
+    masks = [m for _, m in BATCH_PROMPTS[:3]]
+    rngs = [np.random.default_rng([seed, g]) for g in range(3)]
+    tokens, logprobs, lengths, entropies = sample_groups(
+        p, prompts, 1, 0.9, rngs, masks, 6, collect_entropy=True
+    )
+    groups = buffer_responses(tokens, logprobs, lengths, 1)
+    want_entropies = []
+    for g in range(3):
+        rng = np.random.default_rng([seed, g])
+        one, ent = sample_group(p, prompts[g], 1, 0.9, rng, masks[g], 6, collect_entropy=True)
+        assert_same_responses(groups[g], one)
+        want_entropies += ent
+        assert rng.bit_generator.state == rngs[g].bit_generator.state
+    assert entropies == want_entropies
+
+
 def test_batched_sampler_cases_are_exercised():
     # The fixtures above must hit every stopping rule they claim to cover.
     stops = set()

@@ -4,7 +4,8 @@ Each golden config of ``test_golden`` is trained in a fresh interpreter
 under one and under two BLAS threads (the count is read when numpy loads,
 so it cannot be switched within one process). Both runs must write the
 same ``metrics.csv`` and ``final.ckpt``. A default-sized 15-step run
-rides along: its final parameters once differed between thread counts.
+rides along (its final parameters once differed between thread counts),
+and so does the update-heavy-shaped run, the widest hidden layer pinned.
 Every run must also match its pinned digests, so a change that moved both
 thread counts the same way fails too.
 """
@@ -15,7 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_golden import GOLDEN, GOLDEN_DEFAULT_SIZE
+from test_golden import GOLDEN, GOLDEN_DEFAULT_SIZE, GOLDEN_UPDATE_HEAVY
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -23,10 +24,11 @@ SRC = TESTS.parent / "src"
 CHILD = """
 import hashlib, json, sys, tempfile
 from pathlib import Path
-from test_golden import GOLDEN, default_size_cfg, golden_cfg, run_digests
+from test_golden import GOLDEN, default_size_cfg, golden_cfg, run_digests, update_heavy_cfg
 
 configs = {f"{method} {suite}": golden_cfg(method, suite) for method, suite in sorted(GOLDEN)}
 configs["default-size"] = default_size_cfg()
+configs["update-heavy"] = update_heavy_cfg()
 digests = {}
 for name, cfg in configs.items():
     with tempfile.TemporaryDirectory() as tmp:
@@ -51,8 +53,9 @@ def golden_digests(threads: int) -> dict[str, list[str]]:
 
 def test_golden_runs_are_byte_identical_under_one_and_two_blas_threads():
     one, two = golden_digests(1), golden_digests(2)
-    assert len(one) == len(GOLDEN) + 1
+    assert len(one) == len(GOLDEN) + 2
     assert one == two
     for (method, suite), pinned in GOLDEN.items():
         assert tuple(one[f"{method} {suite}"][:2]) == pinned
     assert tuple(one["default-size"][:2]) == GOLDEN_DEFAULT_SIZE
+    assert tuple(one["update-heavy"][:2]) == GOLDEN_UPDATE_HEAVY
