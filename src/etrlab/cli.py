@@ -86,6 +86,7 @@ def _add_config_flags(sub) -> None:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     result = run_training(cfg)
     write_run_artifacts(result, args.out)
     last = result.metrics[-1]
@@ -130,9 +131,7 @@ def cmd_compare(args) -> int:
     # One row per diverged run, labelled like its run directory.
     for s in diverged:
         lines.append(",".join([f"{s.method}-seed{s.seed}"] + ["diverged"] * (len(header) - 1)))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_atomic(out / "summary.csv", ("\n".join(lines) + "\n").encode("utf-8"))
+    write_atomic(Path(args.out) / "summary.csv", ("\n".join(lines) + "\n").encode("utf-8"))
     print("medians across seeds:")
     for line in lines:
         print("  " + line)
@@ -274,8 +273,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         ContractViolation,
         CheckpointFormatError,
         CheckpointDigestError,
+        FileExistsError,
         FileNotFoundError,
         IsADirectoryError,
+        NotADirectoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

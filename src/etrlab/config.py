@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .autodiff import ContractViolation
 from .objectives import ClipHigh, ClipStrategy, Elastic, Static
+from .policy import MIN_TEMPERATURE
 from .tasks import FAMILIES, TaskSpec, answer_length
 
 METHODS = ("grpo", "cliphigh", "etr", "etr-micro", "etr-macro", "etr-inverse")
@@ -146,7 +147,11 @@ _KEYS = {
     # suite built in code that is not a tuple.
     "suite": (parse_suite, bool, "{key} must be a tuple of TaskSpec entries"),
     "max_response_len": _POS_INT,
-    "temperature": _POS_FLOAT,
+    "temperature": (
+        float,
+        lambda v: v >= MIN_TEMPERATURE,
+        f"{{key}} must be at least {MIN_TEMPERATURE!r}",
+    ),
     "inner_epochs": _POS_INT,
     "eval_every": _POS_INT,
     "eval_n": _POS_INT,
@@ -231,8 +236,8 @@ def validate_config(cfg: TrainConfig, lines: dict[str, int] | None = None) -> No
             err("digitsum tasks need content_tokens >= 10", "suite", "content_tokens")
         if spec.family == "parity" and cfg.content_tokens < 2:
             err("parity tasks need content_tokens >= 2", "suite", "content_tokens")
-        # A rollout cut off before EOS is always wrong, so every reward and
-        # advantage of that task would be exactly zero signal.
+        # A response takes its grammar's answer_length tokens; the key
+        # bounds that length for every task of the suite.
         if answer_length(spec) > cfg.max_response_len:
             err(
                 f"{spec.label} answers take {answer_length(spec)} tokens, "

@@ -22,7 +22,7 @@ import numpy as np
 from . import policy as policy_mod
 from .autodiff import ContractViolation, Tensor, clip_gated, min_pair
 from .groups import DEFAULT_XI, RolloutBatch, RolloutGroup, as_rollout_batch, group_stats
-from .policy import PolicyParams, mask_matrix
+from .policy import MIN_TEMPERATURE, PolicyParams, mask_matrix
 
 @dataclass(frozen=True)
 class Static:
@@ -245,6 +245,8 @@ def prepare_batch(
     batch = as_rollout_batch(batch, vocab, window)
     if batch.window != window:
         raise ContractViolation("batch was sampled with another context window")
+    if not temperature >= MIN_TEMPERATURE:
+        raise ContractViolation(f"temperature must be at least {MIN_TEMPERATURE!r}")
     lengths, k, g = batch.lengths, len(batch), batch.group_size
     if lengths.min() == 0:
         raise ContractViolation("cannot score an empty response")

@@ -29,6 +29,11 @@ from .autodiff import ContractViolation
 # renormalization exact in float64.
 MASK_LOGIT = -1e9
 
+# Lowest sampling and scoring temperature. Logits are scaled by
+# 1 / temperature before MASK_LOGIT is added, so masks stay exact while
+# the raw logit spread is below 1e6.
+MIN_TEMPERATURE = 1e-3
+
 # Legal token ids per response position; tuples, so mask tables can be memoised.
 PositionMasks = tuple[tuple[int, ...], ...]
 
@@ -270,17 +275,19 @@ def sample_groups(
     temperature: float,
     rngs: Sequence[np.random.Generator],
     position_masks: Sequence[PositionMasks],
-    max_len: int = sys.maxsize,
+    *,
     collect_entropy: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """Sample n responses to each of K prompts in lockstep.
 
+    A response has one token per position of its prompt's masks, so the
+    masks alone decide its length: EOS is an id like any other here, and
+    a grammar that ends in EOS ends its responses there.
+
     All K * n rows share one forward pass per position. Group k draws
-    only from ``rngs[k]``: n uniforms per position while the group is
-    open, for every row whether or not it already finished, so its stream
-    consumption depends only on its own prompt and n, never on the other
-    groups. A group closes at its own budget (the length of its masks,
-    capped by ``max_len``) or once all its rows emitted EOS.
+    only from ``rngs[k]``: n uniforms at each of its positions, so its
+    stream consumption depends only on its own masks and n, never on the
+    other groups.
 
     Returns the sampler's padded buffers, rows group-major (rows
     ``k * n`` to ``(k + 1) * n - 1`` answer prompt k):
@@ -290,35 +297,35 @@ def sample_groups(
       the context of response token t in row i is
       ``tokens[i, t : t + window]``;
     - ``logprobs`` (K * n, horizon): each response token's log-probability;
-    - ``lengths`` (K * n,): response lengths. Columns past a row's length
-      are padding;
+    - ``lengths`` (K * n,): each row's number of masks. Columns past a
+      row's length are padding;
     - entropies of the positions whose mask allows at least two tokens,
-      group-major, and within a group position-major over the rows still
-      alive at that position (empty unless ``collect_entropy``).
+      group-major, and within a group position-major over its rows (empty
+      unless ``collect_entropy``).
 
-    A position is one-token when every group whose budget reaches it has
-    a mask there with exactly one legal id, as the EOS position that ends
+    A position is one-token when every group whose masks reach it has a
+    mask there with exactly one legal id, as the EOS position that ends
     every answer grammar. Such a position runs no forward pass: each open
     group still draws its n uniforms, and each row gets the forced id with
     log-probability 0.0. That is what the full path gives for every draw
-    in (0, 1) whenever masked renormalisation is exact (finite logits,
-    which ``MASK_LOGIT`` then outweighs). Padding at such a position in
-    the columns of groups already past their budget may therefore differ
+    in (0, 1) whenever masked renormalisation is exact (finite logits and
+    ``temperature >= MIN_TEMPERATURE``). Padding at such a position in
+    the columns of groups already past their masks may therefore differ
     from what a forward pass would have left there.
 
     A call of one row (K = n = 1) forwards that row twice and keeps the
     first, so its bits equal the same row's inside a batched call.
 
     Prompt-tail ids are checked once per call, before any position runs,
-    so a call with a zero budget still rejects an id outside the vocabulary.
+    so a call with no positions still rejects an id outside the vocabulary.
     """
     k_groups = len(prompts)
     if k_groups < 1:
         raise ContractViolation("sampling needs at least one prompt")
     if n < 1:
         raise ContractViolation("group size must be at least 1")
-    if not temperature > 0.0:
-        raise ContractViolation("temperature must be positive")
+    if not temperature >= MIN_TEMPERATURE:
+        raise ContractViolation(f"temperature must be at least {MIN_TEMPERATURE!r}")
     if len(rngs) != k_groups:
         raise ContractViolation("one generator per prompt is required")
     if len(position_masks) != k_groups:
@@ -326,7 +333,7 @@ def sample_groups(
     vocab = params.vocab
     v = vocab.size
     window = params.window
-    budgets = [max(0, min(max_len, len(m))) for m in position_masks]
+    budgets = [len(m) for m in position_masks]
     horizon = max(budgets)
     rows = k_groups * n
     # Mask rows are built once per group and laid out per position and row,
@@ -339,8 +346,7 @@ def sample_groups(
     one_token = [True] * horizon
     forced = np.zeros((horizon, rows), dtype=np.int64)
     for k, (m, b) in enumerate(zip(position_masks, budgets)):
-        if b > 0:
-            row_masks[:b, k * n : (k + 1) * n] = mask_matrix(v, m, b)[:, None, :]
+        row_masks[:b, k * n : (k + 1) * n] = mask_matrix(v, m, b)[:, None, :]
         for pos in range(b):
             legal = tuple(m[pos])
             if len(legal) == 1:
@@ -349,31 +355,20 @@ def sample_groups(
                 choice[k, pos] = True
                 one_token[pos] = False
     if collect_entropy:
-        # Entropies are kept where a row is alive and its mask leaves a choice.
-        choice = np.repeat(choice.T, n, axis=1)
         entropy = np.zeros((horizon, rows))
-        kept = np.zeros((horizon, rows), dtype=bool)
-    row_budgets = np.repeat(budgets, n)
     # Only prompt tails need a check: _sample_rows clamps sampled ids.
     tails = np.asarray([pad_context(p, window, vocab.bos) for p in prompts])
     _check_ids(tails, v)
     tokens = np.zeros((rows, window + horizon), dtype=np.int64)
     tokens[:, :window] = np.repeat(tails, n, axis=0)
     logprobs = np.zeros((rows, horizon))
-    lengths = np.zeros(rows, dtype=np.int64)
-    alive = np.ones(rows, dtype=bool)
     draws = np.zeros(rows)
     row_starts = np.arange(0, rows * v, v)
     scale = 1.0 / temperature
-    eos = vocab.eos
     for pos in range(horizon):
-        if pos in budgets:
-            alive &= pos < row_budgets
-        open_groups = alive.reshape(k_groups, n).any(axis=1).nonzero()[0].tolist()
-        if not open_groups:
-            break
-        for k in open_groups:
-            rngs[k].random(out=draws[k * n : (k + 1) * n])
+        for k, b in enumerate(budgets):
+            if b > pos:
+                rngs[k].random(out=draws[k * n : (k + 1) * n])
         if one_token[pos]:
             # No choice anywhere: the draws are spent, the log-probs stay 0.0.
             picks = forced[pos]
@@ -391,18 +386,14 @@ def sample_groups(
             picks = _sample_rows(probs, draws)
             if collect_entropy:
                 entropy[pos] = -(probs * lp).sum(axis=1)
-                kept[pos] = alive & choice[pos]
             logprobs[:, pos] = lp.take(row_starts + picks)
         tokens[:, window + pos] = picks
-        lengths += alive
-        alive &= picks != eos
+    lengths = np.repeat(budgets, n)
     if not collect_entropy:
         return tokens, logprobs, lengths, []
-    # Group-major, then position-major over the rows kept at that position.
-    by_group = (1, 0, 2)
-    entropy = entropy.reshape(horizon, k_groups, n).transpose(by_group)
-    kept = kept.reshape(horizon, k_groups, n).transpose(by_group)
-    return tokens, logprobs, lengths, entropy[kept].tolist()
+    # Group-major, then position-major over the positions with a choice.
+    entropy = entropy.reshape(horizon, k_groups, n).transpose(1, 0, 2)
+    return tokens, logprobs, lengths, entropy[choice].ravel().tolist()
 
 
 def sample_group(
@@ -417,25 +408,23 @@ def sample_group(
 ) -> tuple[list[SampledResponse], list[float]]:
     """Sample n responses to one prompt in lockstep from a single stream.
 
-    The one-prompt case of :func:`sample_groups`, with each buffer row cut
-    to its length as a :class:`SampledResponse`; the log-probs are views of
-    the call's own buffer.
+    The one-prompt case of :func:`sample_groups` on the first ``max_len``
+    masks, each buffer row a :class:`SampledResponse`; the log-probs are
+    views of the call's own buffer.
     """
-    tokens, logprobs, lengths, entropies = sample_groups(
+    if max_len < 0:
+        raise ContractViolation("max_len must be non-negative")
+    tokens, logprobs, _, entropies = sample_groups(
         params,
         [prompt],
         n,
         temperature,
         [rng],
-        [position_masks],
-        max_len,
-        collect_entropy,
+        [position_masks[:max_len]],
+        collect_entropy=collect_entropy,
     )
     rows = tokens[:, params.window :].tolist()
-    responses = [
-        SampledResponse(tuple(row[:size]), row_lp[:size])
-        for row, size, row_lp in zip(rows, lengths.tolist(), logprobs)
-    ]
+    responses = [SampledResponse(tuple(row), row_lp) for row, row_lp in zip(rows, logprobs)]
     return responses, entropies
 
 

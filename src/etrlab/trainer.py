@@ -138,7 +138,7 @@ class TrainingDiverged(RuntimeError):
         if group_index is not None:
             message = (
                 f"{message} [group {group_index}, prompt {prompt_tokens}, "
-                f"rewards {None if rewards is None else list(np.asarray(rewards))}]"
+                f"rewards {None if rewards is None else self.rewards.tolist()}]"
             )
         super().__init__(message)
 
@@ -170,7 +170,6 @@ def rollout_batch(
         cfg.temperature,
         rngs,
         position_masks=grammars,
-        max_len=cfg.max_response_len,
         collect_entropy=True,
     )
     correct = verify_rows(prompts, cfg.group_size, tokens[:, params.window :], lengths, vocab)
@@ -451,8 +450,9 @@ def compare_runs(
     """Run every (method, seed) pair; order of results is deterministic.
 
     Every pair's config is checked, and each pair must be distinct, before
-    the first run starts. A diverged run comes back as a
-    :class:`DivergedRun` in its place, so the other runs still finish.
+    ``out_dir`` is created and the first run starts. A diverged run comes
+    back as a :class:`DivergedRun` in its place, so the other runs still
+    finish.
     """
     if len(methods) == 0 or len(seeds) == 0:
         raise ContractViolation("compare needs at least one method and one seed")
@@ -472,6 +472,8 @@ def compare_runs(
         )
         for (method, seed), name in zip(pairs, names)
     ]
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     workers = min(jobs, len(job_list))
     if workers == 1:
         return [_compare_worker(job) for job in job_list]

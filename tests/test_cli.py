@@ -182,6 +182,26 @@ def test_compare_repeated_pair_is_a_usage_error(tmp_path, capsys, methods, seeds
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_naming_a_file_is_a_usage_error_before_any_training(
+    tmp_path, monkeypatch, capsys, command, below
+):
+    def unreachable(cfg):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("etrlab.cli.run_training", unreachable)
+    monkeypatch.setattr("etrlab.trainer.run_training", unreachable)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / below if below else taken
+    extra = ["--methods", "grpo", "--seeds", "1"] if command == "compare" else []
+    assert main([command, "--out", str(out), *extra, *TINY]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_compare_reversed_seed_range_is_a_usage_error(capsys):
     assert main(["compare", "--methods", "grpo", "--seeds", "5..3"]) == 2
     assert "reversed" in capsys.readouterr().err

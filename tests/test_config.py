@@ -169,6 +169,7 @@ def test_answers_longer_than_the_rollout_budget_rejected():
         "kl_coef = -0.001",
         "advantage_xi = 0",
         "temperature = 0",
+        "temperature = 1e-4",
         "inner_epochs = 0",
         "eval_n = 0",
         "max_response_len = 0",
@@ -235,6 +236,16 @@ def test_every_float_key_is_checked_for_finiteness():
         # A config built in code is caught by validate_config, by key name.
         with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
             validate_config(dataclasses.replace(TrainConfig(), **{key: float("inf")}))
+
+
+def test_temperature_floor_holds_for_files_overrides_and_code():
+    assert parse_config("temperature = 0.001\n").temperature == 0.001
+    with pytest.raises(ConfigError, match="line 1: temperature must be at least 0.001"):
+        parse_config("temperature = 1e-4\n")
+    with pytest.raises(ConfigError, match="temperature must be at least 0.001"):
+        apply_overrides(TrainConfig(), ["temperature=1e-300"])
+    with pytest.raises(ConfigError, match="temperature must be at least 0.001"):
+        validate_config(dataclasses.replace(TrainConfig(), temperature=1e-10))
 
 
 def test_build_strategy_per_method():

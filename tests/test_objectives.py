@@ -472,8 +472,9 @@ def prompt_of(family, difficulty, payload):
 
 
 # Answer budgets of 4, 2, 3, 4 and 2 positions. Groups flagged False are
-# sampled under a full-vocabulary grammar instead of their own, so their
-# rows stop at EOS or at max_len = 4, which their grammar also allows.
+# sampled under a full-vocabulary grammar of max_len = 4 positions instead
+# of their own, so their rows can hold EOS mid-response and ids outside
+# their grammar.
 ROLLOUT_PROMPTS = [
     (prompt_of("copy", 3, (2, 8, 5)), False),
     (prompt_of("parity", 2, (1, 1)), True),
@@ -491,7 +492,7 @@ def sampled_rollout(params, k, seed, n=4, max_len=4):
     masks = [g if masked else free for g, (_, masked) in zip(grammars, ROLLOUT_PROMPTS)]
     rngs = [np.random.default_rng([seed, g]) for g in range(k)]
     tokens, logprobs, lengths, entropies = sample_groups(
-        params, [p.tokens for p in prompts], n, 0.8, rngs, masks, max_len, collect_entropy=True
+        params, [p.tokens for p in prompts], n, 0.8, rngs, masks, collect_entropy=True
     )
     correct = verify_rows(prompts, n, tokens[:, params.window :], lengths, VOCAB)
     batch = RolloutBatch(
@@ -535,16 +536,17 @@ def test_rollout_buffer_cases_are_exercised():
     for seed in (0, 1):
         params = eos_leaning(seed)
         batch, _, _ = sampled_rollout(params, len(ROLLOUT_PROMPTS), seed)
-        ends = batch.tokens[np.arange(batch.lengths.size), params.window + batch.lengths - 1]
-        stops = ((batch.lengths < 4) & (ends == VOCAB.eos)).reshape(len(batch), 4)
-        for stop, (_, masked) in zip(stops, ROLLOUT_PROMPTS):
-            if not masked and np.any(stop):
-                seen.add("full-vocabulary row stops at EOS")
+        early = batch.tokens[:, params.window : params.window + 3] == VOCAB.eos
+        for rows, (_, masked) in zip(early.reshape(len(batch), -1), ROLLOUT_PROMPTS):
+            if not masked and np.any(rows):
+                seen.add("full-vocabulary row emits EOS mid-response")
         if len(set(batch.lengths.tolist())) > 2:
             seen.add("mixed lengths")
         if 0 < np.sum(batch.rewards > 0) < batch.rewards.size:
             seen.add("mixed rewards")
-    assert seen == {"full-vocabulary row stops at EOS", "mixed lengths", "mixed rewards"}
+    assert seen == {
+        "full-vocabulary row emits EOS mid-response", "mixed lengths", "mixed rewards"
+    }
 
 
 class PolicyLeaves:

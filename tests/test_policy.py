@@ -188,11 +188,12 @@ def test_sampled_response_length_contract():
         SampledResponse((1, 2), np.zeros(1))
 
 
-def test_all_mass_on_eos_yields_length_one():
+def test_all_mass_on_eos_fills_every_position():
+    # EOS does not end a response: the grammar alone decides its length.
     p = init_params(VOCAB, 4, 16, 64, 0, 0.0)
     p.b_out[VOCAB.eos] = 1e3
     group, _ = sample_group(p, [VOCAB.sep], 3, 1.0, np.random.default_rng(0), full_grammar(16))
-    assert [r.tokens for r in group] == [(VOCAB.eos,)] * 3
+    assert [r.tokens for r in group] == [(VOCAB.eos,) * 16] * 3
 
 
 def test_uniform_policy_logprobs():
@@ -241,7 +242,7 @@ def test_sample_group_lockstep_determinism():
     )
     assert [r.tokens for r in ga] == [r.tokens for r in gb]
     assert ea == eb
-    # two open-choice positions per still-alive row, none stop early here
+    # two open-choice positions per row
     assert len(ea) == 12
     for r in ga:
         assert r.tokens[-1] == VOCAB.eos
@@ -339,36 +340,30 @@ def test_entropy_bounds_hold_for_random_params():
 
 
 def reference_sample_group(params, prompt, n, temperature, rng, position_masks, max_len):
-    """Row-by-row lockstep sampler for one prompt, kept as the reference."""
+    """Row-by-row lockstep sampler for one prompt, kept as the reference.
+
+    Every row takes one token at each position of ``position_masks[:max_len]``.
+    """
     vocab = params.vocab
     contexts = np.tile(pad_context(prompt, params.window, vocab.bos), (n, 1))
-    budget = min(max_len, len(position_masks))
     tokens = [[] for _ in range(n)]
     logprobs = [[] for _ in range(n)]
     entropies = []
-    alive = np.ones(n, dtype=bool)
-    for pos in range(budget):
+    for legal in position_masks[:max_len]:
         logits = forward(params, contexts)[2] * (1.0 / temperature)
-        logits = logits + mask_matrix(vocab.size, (position_masks[pos],), 1)[0]
-        open_choice = len(tuple(position_masks[pos])) >= 2
+        logits = logits + mask_matrix(vocab.size, (legal,), 1)[0]
         lp = _log_softmax_rows(logits)
         cums = np.cumsum(np.exp(lp), axis=1)
         draws = rng.random(n)
         picks = np.minimum(np.sum(cums < draws[:, None], axis=1), vocab.size - 1)
-        if open_choice:
+        if len(tuple(legal)) >= 2:
             probs = np.exp(lp)
-            entropies.extend((-np.sum(probs * lp, axis=1))[alive].tolist())
+            entropies.extend((-np.sum(probs * lp, axis=1)).tolist())
         for i in range(n):
-            if not alive[i]:
-                continue
             tok = int(picks[i])
             tokens[i].append(tok)
             logprobs[i].append(float(lp[i, tok]))
-            if tok == vocab.eos:
-                alive[i] = False
         contexts = np.concatenate([contexts[:, 1:], picks[:, None]], axis=1)
-        if not alive.any():
-            break
     responses = [SampledResponse(tuple(t), np.asarray(l)) for t, l in zip(tokens, logprobs)]
     return responses, entropies
 
@@ -387,11 +382,10 @@ def eos_leaning_params(seed):
 
 
 # Mixed budgets: grammars of 2, 4 and 3 positions, a mask without EOS that
-# cuts its rows off at 2, a grammar that max_len = 6 cuts short,
-# full-vocabulary groups (FREE) that run to max_len or stop once every row
-# emitted EOS, and a grammar that forces an id mid-response. The first two
-# groups alone leave position 3 one-token, after the first group's budget
-# ran out.
+# ends its rows at 2, a grammar that max_len = 6 cuts short,
+# full-vocabulary groups (FREE) whose rows emit EOS mid-response and sample
+# on, and a grammar that forces an id mid-response. The first two groups
+# alone leave position 3 one-token, after the first group's budget ran out.
 FREE = full_grammar(6)
 BATCH_PROMPTS = [
     ([VOCAB.sep, 3, VOCAB.sep], ((0, 1), (VOCAB.eos,))),
@@ -418,8 +412,9 @@ def test_batched_sampler_equals_one_prompt_reference(k, seed):
         return [np.random.default_rng([seed, g]) for g in range(k)]
 
     batched_rngs = streams()
+    cut = [m[:max_len] for m in masks]
     tokens, logprobs, lengths, entropies = sample_groups(
-        p, prompts, n, temperature, batched_rngs, masks, max_len, collect_entropy=True
+        p, prompts, n, temperature, batched_rngs, cut, collect_entropy=True
     )
     groups = buffer_responses(tokens, logprobs, lengths, n)
     ref_rngs = streams()
@@ -450,7 +445,7 @@ def test_one_row_groups_equal_their_rows_in_a_batched_call(seed):
     masks = [m for _, m in BATCH_PROMPTS[:3]]
     rngs = [np.random.default_rng([seed, g]) for g in range(3)]
     tokens, logprobs, lengths, entropies = sample_groups(
-        p, prompts, 1, 0.9, rngs, masks, 6, collect_entropy=True
+        p, prompts, 1, 0.9, rngs, [m[:6] for m in masks], collect_entropy=True
     )
     groups = buffer_responses(tokens, logprobs, lengths, 1)
     want_entropies = []
@@ -464,23 +459,23 @@ def test_one_row_groups_equal_their_rows_in_a_batched_call(seed):
 
 
 def test_batched_sampler_cases_are_exercised():
-    # The fixtures above must hit every stopping rule they claim to cover.
-    stops = set()
+    # The fixtures above must hit the cases they claim to cover.
+    seen = set()
     for seed in range(3):
         p = eos_leaning_params(seed)
         rngs = [np.random.default_rng([seed, g]) for g in range(len(BATCH_PROMPTS))]
+        masks = [m[:6] for _, m in BATCH_PROMPTS]
         tokens, logprobs, lengths, _ = sample_groups(
-            p, [pr for pr, _ in BATCH_PROMPTS], 4, 0.9, rngs, [m for _, m in BATCH_PROMPTS], 6
+            p, [pr for pr, _ in BATCH_PROMPTS], 4, 0.9, rngs, masks
         )
         groups = buffer_responses(tokens, logprobs, lengths, 4)
-        for (_, masks), group in zip(BATCH_PROMPTS, groups):
-            if masks is FREE:
-                lengths = [len(r) for r in group]
-                if max(lengths) < 6:
-                    stops.add("all rows at EOS")
-                if any(len(r) == 6 and r.tokens[-1] != VOCAB.eos for r in group):
-                    stops.add("max_len")
-    assert stops == {"all rows at EOS", "max_len"}
+        for (_, grammar), group in zip(BATCH_PROMPTS, groups):
+            assert [len(r) for r in group] == [min(len(grammar), 6)] * 4
+            if grammar is FREE and any(VOCAB.eos in r.tokens[:-1] for r in group):
+                seen.add("EOS mid-response")
+            if len(grammar) > 6:
+                seen.add("cut by max_len")
+    assert seen == {"EOS mid-response", "cut by max_len"}
 
 
 def test_one_token_positions_run_no_forward(monkeypatch):
@@ -518,6 +513,50 @@ def test_sample_groups_contracts():
         sample_groups(p, [[1], [2]], 2, 1.0, [rng], [full_grammar(2)] * 2)
     with pytest.raises(ContractViolation):
         sample_groups(p, [[1], [2]], 2, 1.0, [rng, rng], [full_grammar(2)])
+    # collect_entropy is keyword-only, so a positional length cap is an error.
+    with pytest.raises(TypeError):
+        sample_groups(p, [[1]], 2, 1.0, [rng], [full_grammar(4)], 2)
+    with pytest.raises(ContractViolation):
+        sample_group(p, [1], 2, 1.0, rng, full_grammar(4), -1)
+
+
+def test_masks_that_allow_eos_mid_response_give_one_token_per_position():
+    # EOS is legal, and likely, at every position; rows never end early.
+    p = eos_leaning_params(0)
+    p.b_out[VOCAB.eos] += 3.0
+    masks = [full_grammar(5), (VOCAB.content_ids() + (VOCAB.eos,),) * 3, full_grammar(1)]
+    rngs = [np.random.default_rng([7, g]) for g in range(3)]
+    tokens, logprobs, lengths, _ = sample_groups(p, [[1, VOCAB.sep]] * 3, 4, 1.0, rngs, masks)
+    assert np.array_equal(lengths, np.repeat([len(m) for m in masks], 4))
+    response = tokens[:, p.window :]
+    assert np.sum(response[:4, :4] == VOCAB.eos) > 4
+    assert np.all(logprobs[:4] < 0.0) and np.all(logprobs[4:8, :3] < 0.0)
+
+
+@pytest.mark.parametrize("temperature", [1e-10, policy.MIN_TEMPERATURE / 2, float("nan")])
+def test_sampling_below_min_temperature_raises(temperature):
+    # Logits are scaled before the mask is added: at a low enough
+    # temperature illegal ids would outweigh MASK_LOGIT.
+    p = tiny_params()
+    prompt = generate_prompt(TaskSpec("digitsum", 2), VOCAB, np.random.default_rng(0))
+    grammar = response_grammar(prompt, VOCAB)
+    rng = np.random.default_rng(1)
+    with pytest.raises(ContractViolation, match="temperature must be at least 0.001"):
+        sample_group(p, prompt.tokens, 8, temperature, rng, grammar)
+    with pytest.raises(ContractViolation):
+        sample_groups(p, [prompt.tokens], 8, temperature, [rng], [grammar])
+
+
+def test_masks_hold_at_the_min_temperature_below_a_raw_logit_spread_of_1e6():
+    p = init_params(VOCAB, 4, 16, 64, 0, 0.0)
+    p.b_out[VOCAB.sep] = 9.99e5
+    masks = (VOCAB.content_ids(),) * 3 + ((VOCAB.eos,),)
+    group, _ = sample_group(
+        p, [VOCAB.sep], 8, policy.MIN_TEMPERATURE, np.random.default_rng(0), masks
+    )
+    for r in group:
+        assert all(t in legal for t, legal in zip(r.tokens, masks))
+        np.testing.assert_allclose(r.logprobs, [-np.log(10)] * 3 + [0.0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [VOCAB.size, VOCAB.size + 7, -1])
@@ -529,12 +568,13 @@ def test_sampling_rejects_prompt_ids_out_of_range(bad, max_len):
     good = [1, VOCAB.sep]
     rng = np.random.default_rng(0)
     free = [full_grammar(3)] * 2
+    cut = [m[:max_len] for m in free]
     with pytest.raises(ContractViolation):
         sample_group(p, [2, bad, VOCAB.sep], 3, 1.0, rng, free[0], max_len)
     with pytest.raises(ContractViolation):
-        sample_groups(p, [good, [bad]], 2, 1.0, [rng, rng], free, max_len)
-    tokens, _, lengths, _ = sample_groups(p, [good, good], 2, 1.0, [rng, rng], free, max_len)
-    assert tokens.shape == (4, p.window + max_len) and np.all(lengths <= max_len)
+        sample_groups(p, [good, [bad]], 2, 1.0, [rng, rng], cut)
+    tokens, _, lengths, _ = sample_groups(p, [good, good], 2, 1.0, [rng, rng], cut)
+    assert tokens.shape == (4, p.window + max_len) and np.all(lengths == max_len)
 
 
 @st.composite
@@ -544,10 +584,11 @@ def sampler_cases(draw):
     Positions flagged in ``pinned`` give every other group one legal id
     there, mostly EOS, so one-token positions come up often; a group with
     a full-vocabulary grammar runs to max_len and keeps those it reaches
-    open. Groups have at least two rows: numpy multiplies a single row by
-    a matrix-vector product, whose last bits can differ from the same
-    row's in a larger block, so a one-row reference call is not bit-equal
-    to a batched one.
+    open; masks are cut at max_len before they reach ``sample_groups``.
+    Groups have at least two rows: numpy multiplies a single row by a
+    matrix-vector product, whose last bits can differ from the same row's
+    in a larger block, so a one-row reference call is not bit-equal to a
+    batched one.
     """
     ids = st.integers(0, VOCAB.size - 1)
     k = draw(st.integers(1, 4))
@@ -586,8 +627,9 @@ def test_sample_groups_equals_reference_sampler(case):
         return [np.random.default_rng([case["seed"], g]) for g in range(k)]
 
     rngs = streams()
+    cut = [m[: case["max_len"]] for m in masks]
     tokens, logprobs, lengths, entropies = sample_groups(
-        p, prompts, n, case["temperature"], rngs, masks, case["max_len"], collect_entropy=True
+        p, prompts, n, case["temperature"], rngs, cut, collect_entropy=True
     )
     groups = buffer_responses(tokens, logprobs, lengths, n)
     ref_rngs = streams()
@@ -600,3 +642,4 @@ def test_sample_groups_equals_reference_sampler(case):
         want_entropies += ent
         assert rngs[g].bit_generator.state == ref_rngs[g].bit_generator.state
     assert entropies == want_entropies
+    assert np.array_equal(lengths, np.repeat([len(m) for m in cut], n))

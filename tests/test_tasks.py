@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etrlab.autodiff import ContractViolation
 from etrlab.policy import Vocab
@@ -9,6 +11,7 @@ from etrlab.tasks import (
     FAMILIES,
     Prompt,
     TaskSpec,
+    answer_length,
     encode_payload,
     generate_prompt,
     response_grammar,
@@ -342,3 +345,69 @@ def test_verify_rows_edge_buffers():
     assert not any(verify(p, row[:n], VOCAB) for (p, row), n in zip(rows, lengths))
     tokens = np.asarray([row for _, row in rows])
     assert not verify_rows([short, odd], 2, tokens, lengths, VOCAB).any()
+
+
+@pytest.mark.parametrize("n_content", [10, 13])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_grammar_is_content_slots_then_one_forced_eos(family, n_content):
+    # The sampler gives one token per grammar position, so a response
+    # ends at EOS only because the grammar puts EOS last and nowhere else.
+    vocab = Vocab(n_content)
+    rng = np.random.default_rng(5)
+    for difficulty in range(1, 7):
+        prompt = generate_prompt(TaskSpec(family, difficulty), vocab, rng)
+        grammar = response_grammar(prompt, vocab)
+        assert len(grammar) == answer_length(prompt) == answer_length(TaskSpec(family, difficulty))
+        assert grammar[-1] == (vocab.eos,)
+        assert all(legal and vocab.eos not in legal for legal in grammar[:-1])
+        assert all(max(legal) < vocab.n_content for legal in grammar[:-1])
+
+
+@st.composite
+def padded_buffers(draw):
+    """Prompts of all three families and a padded buffer of n rows each.
+
+    Rows start from a right answer, from a random list of any ids (EOS
+    included, anywhere) or from nothing; one id may then be replaced and
+    the length moved off the row, so wrong lengths, stray EOS and ids
+    outside the content range all come up.
+    """
+    vocab = Vocab(draw(st.sampled_from([2, 10, 12])))
+    families = [f for f in FAMILIES if f != "digitsum" or vocab.n_content >= 10]
+    any_id = st.integers(0, vocab.size - 1)
+    k, n, horizon = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    prompts = [
+        generate_prompt(
+            TaskSpec(draw(st.sampled_from(families)), draw(st.integers(1, 4))),
+            vocab,
+            np.random.default_rng(draw(st.integers(0, 2**16))),
+        )
+        for _ in range(k)
+    ]
+    # Padding: any ids, as the sampler leaves past a row's length.
+    padding = np.random.default_rng(draw(st.integers(0, 2**16)))
+    tokens = padding.integers(vocab.size, size=(k * n, horizon))
+    lengths = np.zeros(k * n, dtype=np.int64)
+    for i in range(k * n):
+        prompt = prompts[i // n]
+        right = answer(prompt) + [vocab.eos]
+        row = draw(st.sampled_from([right, []]) | st.lists(any_id, max_size=horizon + 1))
+        row = list(row)
+        if row and draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = draw(any_id)
+        row = row[:horizon]
+        tokens[i, : len(row)] = row
+        lengths[i] = len(row) if draw(st.booleans()) else draw(st.integers(0, horizon))
+    return vocab, prompts, n, tokens, lengths
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(padded_buffers())
+def test_verify_rows_equals_verify_on_arbitrary_buffers(case):
+    vocab, prompts, n, tokens, lengths = case
+    got = verify_rows(prompts, n, tokens, lengths, vocab)
+    want = [
+        verify(prompts[i // n], tokens[i, : lengths[i]].tolist(), vocab)
+        for i in range(tokens.shape[0])
+    ]
+    assert got.dtype == bool and got.tolist() == want

@@ -196,6 +196,17 @@ def test_train_step_on_rollout_batch_reports_the_diverged_group():
     assert caught.value.prompt_tokens == batch.prompts[k].tokens
     np.testing.assert_array_equal(caught.value.rewards, groups[k])
     assert f"group {k}, prompt {batch.prompts[k].tokens}" in str(caught.value)
+    assert "np.float64" not in str(caught.value)
+
+
+def test_training_diverged_message_lists_plain_rewards():
+    exc = TrainingDiverged("non-finite loss or gradient", 2, (12, 1, 12), np.asarray([1.0, -1.0]))
+    assert str(exc) == (
+        "non-finite loss or gradient [group 2, prompt (12, 1, 12), rewards [1.0, -1.0]]"
+    )
+    assert str(TrainingDiverged("non-finite parameters after update")) == (
+        "non-finite parameters after update"
+    )
 
 
 def test_train_step_empty_batch_rejected():
