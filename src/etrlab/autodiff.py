@@ -226,7 +226,10 @@ def exp(a) -> Tensor:
 
 
 def _tanh_backward(out: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return g * (1.0 - out * out)
+    # g * (1 - out * out), formed in one buffer.
+    d = np.multiply(out, out)
+    np.subtract(1.0, d, out=d)
+    return np.multiply(g, d, out=d)
 
 
 def clip_gated(x, lo, hi) -> Tensor:

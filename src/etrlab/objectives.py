@@ -310,6 +310,7 @@ def evaluate_prepared(
     params: PolicyParams,
     kl_coef: float,
     with_grad: bool = False,
+    gradient_out: np.ndarray | None = None,
 ) -> LossBreakdown:
     """Evaluate the clipped surrogate minus the KL penalty, with its gradient.
 
@@ -320,7 +321,8 @@ def evaluate_prepared(
     inside the band, where both branches are equal) and zero where the
     clipped one is, minus ``kl_coef * w * (1 - u)``. It goes back through
     the softmax per token, is summed per distinct context in token order
-    by one ``bincount`` and backpropagated through the MLP there.
+    by one ``bincount`` and backpropagated through the MLP there, into
+    ``gradient_out`` when given.
     """
     if kl_coef < 0.0:
         raise ContractViolation("kl_coef must be non-negative")
@@ -346,7 +348,12 @@ def evaluate_prepared(
         d_rows *= 1.0 / prep.temperature
         d_logits = np.bincount(prep.scatter_index, d_rows.reshape(-1), minlength=logits.size)
         gradient = policy_mod.logits_gradient(
-            params, prep.distinct_contexts, x, hidden, d_logits.reshape(logits.shape)
+            params,
+            prep.distinct_contexts,
+            x,
+            hidden,
+            d_logits.reshape(logits.shape),
+            gradient_out,
         )
     trace = prep.epsilon_trace
     return LossBreakdown(

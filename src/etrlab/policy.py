@@ -91,11 +91,9 @@ class PolicyParams:
             (hidden_dim, v),
             (v,),
         )
-        sizes = [math.prod(shape) for shape in shapes]
-        self.vector = np.zeros(sum(sizes))
-        blocks = np.split(self.vector, np.cumsum(sizes)[:-1])
-        self.embed, self.w_hidden, self.b_hidden, self.w_out, self.b_out = (
-            block.reshape(shape) for block, shape in zip(blocks, shapes)
+        self.vector = np.zeros(sum(math.prod(shape) for shape in shapes))
+        self.embed, self.w_hidden, self.b_hidden, self.w_out, self.b_out = _split(
+            self.vector, shapes
         )
 
     @property
@@ -109,6 +107,11 @@ class PolicyParams:
     @property
     def param_count(self) -> int:
         return self.vector.size
+
+    def blocks(self, vector: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views of a flat vector laid out as this policy's five blocks."""
+        blocks = (self.embed, self.w_hidden, self.b_hidden, self.w_out, self.b_out)
+        return _split(vector, [block.shape for block in blocks])
 
     def to_vector(self) -> np.ndarray:
         return self.vector.copy()
@@ -132,6 +135,16 @@ class PolicyParams:
         params = cls(vocab, window, embed_dim, hidden_dim)
         params.set_vector(vec)
         return params
+
+
+def _split(vector: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
+    blocks = []
+    start = 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        blocks.append(vector[start:stop].reshape(shape))
+        start = stop
+    return tuple(blocks)
 
 
 def init_params(
@@ -185,19 +198,27 @@ def logits_gradient(
     x: np.ndarray,
     hidden: np.ndarray,
     d_logits: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Flat parameter gradient of sum(d_logits * logits) over the given rows.
 
     ``x`` and ``hidden`` are :func:`forward` of the same contexts. The
     tanh derivative is looked up on :mod:`autodiff` at call time, so the
-    gradient check and this backward share one definition.
+    gradient check and this backward share one definition. Each block is
+    written straight into its place in ``out`` (a new vector when not
+    given), which is returned.
     """
     d_pre = autodiff._tanh_backward(hidden, d_logits @ params.w_out.T)
     d_x = (d_pre @ params.w_hidden.T).reshape(-1, params.embed_dim)
+    grad = np.empty(params.param_count) if out is None else out
+    d_embed, d_w_hidden, d_b_hidden, d_w_out, d_b_out = params.blocks(grad)
     # Scatter-add into embedding rows as a (V, n*W) one-hot product.
-    d_embed = (contexts.reshape(-1) == np.arange(params.vocab.size)[:, None]) @ d_x
-    parts = (d_embed, x.T @ d_pre, d_pre.sum(axis=0), hidden.T @ d_logits, d_logits.sum(axis=0))
-    return np.concatenate([part.ravel() for part in parts])
+    np.matmul(contexts.reshape(-1) == np.arange(params.vocab.size)[:, None], d_x, out=d_embed)
+    np.matmul(x.T, d_pre, out=d_w_hidden)
+    d_pre.sum(axis=0, out=d_b_hidden)
+    np.matmul(hidden.T, d_logits, out=d_w_out)
+    d_logits.sum(axis=0, out=d_b_out)
+    return grad
 
 
 def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -284,7 +305,10 @@ def sample_groups(
     masks alone decide its length: EOS is an id like any other here, and
     a grammar that ends in EOS ends its responses there.
 
-    All K * n rows share one forward pass per position. Group k draws
+    All K * n rows share one forward pass per position. Up to the first
+    position with a choice, the rows of a group have read the same prompt
+    tail and forced ids, so that position forwards one context per group
+    and repeats each group's log-prob row n times. Group k draws
     only from ``rngs[k]``: n uniforms at each of its positions, so its
     stream consumption depends only on its own masks and n, never on the
     other groups.
@@ -313,8 +337,8 @@ def sample_groups(
     the columns of groups already past their masks may therefore differ
     from what a forward pass would have left there.
 
-    A call of one row (K = n = 1) forwards that row twice and keeps the
-    first, so its bits equal the same row's inside a batched call.
+    A forward pass of one row forwards it twice and keeps the first, so its
+    bits equal the same row's inside a batched call.
 
     Prompt-tail ids are checked once per call, before any position runs,
     so a call with no positions still rejects an id outside the vocabulary.
@@ -365,6 +389,8 @@ def sample_groups(
     draws = np.zeros(rows)
     row_starts = np.arange(0, rows * v, v)
     scale = 1.0 / temperature
+    # Rows per distinct context: n until the first position with a choice.
+    stride = n
     for pos in range(horizon):
         for k, b in enumerate(budgets):
             if b > pos:
@@ -373,16 +399,21 @@ def sample_groups(
             # No choice anywhere: the draws are spent, the log-probs stay 0.0.
             picks = forced[pos]
         else:
-            contexts = tokens[:, pos : pos + window]
-            if rows == 1:
+            contexts = tokens[::stride, pos : pos + window]
+            count = contexts.shape[0]
+            if count == 1:
                 # A one-row product takes BLAS's matrix-vector kernel, which
                 # rounds differently from the rows of a larger block.
                 contexts = np.repeat(contexts, 2, axis=0)
-            logits = forward(params, contexts)[2][:rows]
+            logits = forward(params, contexts)[2][:count]
             logits *= scale
-            logits += row_masks[pos]
+            logits += row_masks[pos][::stride]
             lp = _log_softmax_rows(logits)
             probs = np.exp(lp)
+            if stride > 1:
+                lp = np.repeat(lp, stride, axis=0)
+                probs = np.repeat(probs, stride, axis=0)
+                stride = 1
             picks = _sample_rows(probs, draws)
             if collect_entropy:
                 entropy[pos] = -(probs * lp).sum(axis=1)

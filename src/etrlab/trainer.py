@@ -79,11 +79,21 @@ def adamw_update(
     beta2: float = 0.999,
     eps: float = 1e-8,
     weight_decay: float = 0.0,
+    *,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """One decoupled-weight-decay adaptive-moment step; mutates ``state``.
 
-    Returns ``vec - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * vec)``
-    as a new array, evaluated in that order in two full-length buffers.
+    Returns ``vec - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * vec)``,
+    evaluated in that order in two full-length buffers: ``work`` holds the
+    moment terms and the denominator, and ``out`` the step, which becomes
+    the result. Each is a new array when not given. ``out`` may be
+    ``grad``, which is spent before ``out`` is written; otherwise neither
+    may share memory with ``vec``, ``grad`` or the moments. With
+    ``weight_decay == 0`` the decay term is skipped: for finite ``vec``,
+    adding ``0 * vec`` leaves every bit of the result as it is, signed
+    zeros included.
     """
     vec = np.asarray(vec, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
@@ -92,7 +102,7 @@ def adamw_update(
     if not lr > 0.0:
         raise ContractViolation("learning rate must be positive")
     state.step += 1
-    scratch = np.multiply(grad, 1.0 - beta1)
+    scratch = np.multiply(grad, 1.0 - beta1, out=work)
     state.moment1 *= beta1
     state.moment1 += scratch
     np.multiply(grad, 1.0 - beta2, out=scratch)
@@ -103,23 +113,80 @@ def adamw_update(
     np.divide(state.moment2, 1.0 - beta2**state.step, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += eps
-    step = np.divide(state.moment1, 1.0 - beta1**state.step)
+    step = np.divide(state.moment1, 1.0 - beta1**state.step, out=out)
     step /= scratch
-    np.multiply(vec, weight_decay, out=scratch)
-    step += scratch
+    if weight_decay != 0.0:
+        np.multiply(vec, weight_decay, out=scratch)
+        step += scratch
     step *= lr
     return np.subtract(vec, step, out=step)
 
 
-def clip_grad_norm(grad: np.ndarray, max_norm: float) -> tuple[np.ndarray, float]:
-    """Scale the gradient so its global L2 norm is at most ``max_norm``."""
+def clip_grad_norm(
+    grad: np.ndarray,
+    max_norm: float,
+    *,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> tuple[np.ndarray, float]:
+    """Scale the gradient so its global L2 norm is at most ``max_norm``.
+
+    Returns the gradient and its norm before scaling. A gradient within
+    the bound comes back as it is; a longer one is scaled into ``out``, a
+    new array when not given and possibly ``grad`` itself. The squares are
+    formed in ``work`` when given. When their sum overflows although every
+    entry is finite, the norm is taken of the gradient over its largest
+    magnitude, so a huge finite gradient is scaled to ``max_norm``, not to
+    zeros.
+    """
     if not max_norm > 0.0:
         raise ContractViolation("max_norm must be positive")
     grad = np.asarray(grad, dtype=np.float64)
-    norm = float(np.sqrt(np.sum(grad * grad)))
-    if norm > max_norm:
-        return grad * (max_norm / norm), norm
-    return grad, norm
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.sum(np.multiply(grad, grad, out=work))))
+    scale = max_norm / norm if norm > max_norm else 1.0
+    if norm == np.inf and np.isfinite(grad).all():
+        peak = float(np.max(np.abs(grad)))
+        unit = float(np.sqrt(np.sum(np.square(grad / peak))))
+        norm, scale = peak * unit, max_norm / peak / unit
+    if not norm > max_norm:
+        return grad, norm
+    return np.multiply(grad, scale, out=out), norm
+
+
+def apply_gradient(
+    params: PolicyParams,
+    gradient: np.ndarray,
+    opt: OptimizerState,
+    cfg: TrainConfig,
+    work: np.ndarray,
+) -> None:
+    """One clipped AdamW step of ``params`` up the objective's ``gradient``.
+
+    The optimizer descends the negated objective. ``gradient`` is negated
+    and clipped in place and then receives the new parameters, while
+    ``work`` holds the squares and moment terms. The new parameters are
+    copied into ``params`` only once every entry is finite: a step that
+    would leave a non-finite parameter raises :class:`TrainingDiverged`
+    and leaves ``params`` as they were.
+    """
+    grad = np.negative(gradient, out=gradient)
+    clip_grad_norm(grad, cfg.grad_clip, out=grad, work=work)
+    update = adamw_update(
+        params.vector,
+        grad,
+        opt,
+        cfg.learning_rate,
+        cfg.adam_beta1,
+        cfg.adam_beta2,
+        cfg.adam_eps,
+        cfg.weight_decay,
+        out=grad,
+        work=work,
+    )
+    if not np.isfinite(update).all():
+        raise TrainingDiverged("non-finite parameters after update")
+    params.set_vector(update)
 
 
 class TrainingDiverged(RuntimeError):
@@ -211,17 +278,24 @@ def train_step(
 
     The objective is maximized, so the optimizer steps on its negation.
     Returns the breakdown evaluated at the start of the last inner epoch;
-    with one inner epoch every ratio is 1 and the clip fraction is 0.
+    with one inner epoch every ratio is 1 and the clip fraction is 0. Its
+    gradient buffer is spent on the update, so it comes back as None.
     """
     if strategy is None:
         strategy = build_strategy(cfg)
     batch = as_rollout_batch(batch, ref_params.vocab, ref_params.window)
     prep = prepare_batch(batch, strategy, ref_params, cfg.advantage_xi, cfg.temperature)
+    # The update's two work vectors, reused by every inner epoch. They live
+    # for this call only: kept between steps, they would only raise the
+    # resident set, and made afresh each epoch, they churn the heap.
+    gradient, work = np.empty((2, params.param_count))
     last: LossBreakdown | None = None
     for _ in range(cfg.inner_epochs):
         # Overflow here is diagnosed explicitly below, not via warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            breakdown = evaluate_prepared(prep, params, cfg.kl_coef, with_grad=True)
+            breakdown = evaluate_prepared(
+                prep, params, cfg.kl_coef, with_grad=True, gradient_out=gradient
+            )
         if not np.isfinite(breakdown.total) or not np.all(np.isfinite(breakdown.gradient)):
             index = _locate_nonfinite_group(prep, params)
             raise TrainingDiverged(
@@ -230,20 +304,8 @@ def train_step(
                 prompt_tokens=None if index is None else batch.prompts[index].tokens,
                 rewards=None if index is None else batch.rewards.reshape(len(batch), -1)[index],
             )
-        grad, _ = clip_grad_norm(-breakdown.gradient, cfg.grad_clip)
-        vec = adamw_update(
-            params.vector,
-            grad,
-            opt,
-            cfg.learning_rate,
-            cfg.adam_beta1,
-            cfg.adam_beta2,
-            cfg.adam_eps,
-            cfg.weight_decay,
-        )
-        if not np.all(np.isfinite(vec)):
-            raise TrainingDiverged("non-finite parameters after update")
-        params.set_vector(vec)
+        apply_gradient(params, gradient, opt, cfg, work)
+        breakdown.gradient = None
         last = breakdown
     return last
 

@@ -1,6 +1,9 @@
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etrlab.config import (
     DEFAULT_SUITE,
@@ -17,7 +20,8 @@ from etrlab.config import (
     validate_config,
 )
 from etrlab.objectives import ClipHigh, Elastic, Static
-from etrlab.tasks import TaskSpec
+from etrlab.policy import MIN_TEMPERATURE
+from etrlab.tasks import FAMILIES, TaskSpec
 
 
 def test_empty_file_gives_defaults():
@@ -279,3 +283,120 @@ def test_load_config(tmp_path):
     cfg = load_config(path)
     assert cfg.seed == 3
     assert cfg.method == "etr-macro"
+
+
+def _floats(low: float, high: float = math.inf, exclude_low: bool = False):
+    return st.floats(low, high, exclude_min=exclude_low, exclude_max=True)
+
+
+_SUITES = st.lists(
+    st.builds(
+        TaskSpec,
+        st.sampled_from(FAMILIES),
+        st.integers(1, 4),
+        _floats(0.0, exclude_low=True),
+    ),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda spec: (spec.family, spec.difficulty),
+).map(tuple)
+
+# One strategy per key, each drawing only values inside the key's own bound.
+_KEY_VALUES = {
+    "method": st.sampled_from(METHODS),
+    "seed": st.integers(0, 2**64),
+    "group_size": st.integers(2, 10**6),
+    "learning_rate": _floats(0.0, exclude_low=True),
+    "adam_beta1": _floats(0.0, 1.0),
+    "adam_beta2": _floats(0.0, 1.0),
+    "adam_eps": _floats(0.0, exclude_low=True),
+    "weight_decay": _floats(0.0),
+    "grad_clip": _floats(0.0, exclude_low=True),
+    "kl_coef": _floats(0.0),
+    "epsilon_base": _floats(0.0),
+    "epsilon_high": _floats(0.0),
+    "lambda1": _floats(0.0),
+    "lambda2": _floats(0.0),
+    "advantage_xi": _floats(0.0, exclude_low=True),
+    "suite": _SUITES,
+    "temperature": _floats(MIN_TEMPERATURE),
+    "init_scale": _floats(0.0),
+    **{
+        key: st.integers(1, 10**6)
+        for key in (
+            "steps",
+            "groups_per_step",
+            "max_response_len",
+            "inner_epochs",
+            "eval_every",
+            "eval_n",
+            "eval_prompts",
+            "context_window",
+            "embed_dim",
+            "hidden_dim",
+            "content_tokens",
+        )
+    },
+}
+
+
+def test_key_strategies_cover_every_key():
+    assert set(_KEY_VALUES) == {f.name for f in dataclasses.fields(TrainConfig)}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.fixed_dictionaries({}, optional=_KEY_VALUES))
+def test_every_key_round_trips_through_its_text(updates):
+    cfg = dataclasses.replace(TrainConfig(), **updates)
+    try:
+        validate_config(cfg)
+    except ConfigError as exc:
+        # Within each key's bound only a cross-key invariant can fail, and
+        # the text form fails it the same way, naming a line.
+        with pytest.raises(ConfigError) as from_text:
+            parse_config(render_config(cfg))
+        assert str(from_text.value) == f"line {from_text.value.line}: {exc}"
+        return
+    back = parse_config(render_config(cfg))
+    assert back == cfg
+    for f in dataclasses.fields(TrainConfig):
+        assert type(getattr(back, f.name)) is type(getattr(cfg, f.name))
+    assert [type(spec.weight) for spec in back.suite] == [float] * len(cfg.suite)
+
+
+_RAW_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(METHODS + ("parity:2,copy:1@0.5", "digitsum:0", "copy:1,copy:1")),
+)
+_LINES = st.one_of(
+    st.text(max_size=24),
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from([f.name for f in dataclasses.fields(TrainConfig)] + ["velocity", ""]),
+        _RAW_VALUES,
+    ),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.lists(_LINES, max_size=6).map("\n".join))
+def test_arbitrary_config_text_parses_or_names_its_line(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError as exc:
+        assert exc.line is not None and 1 <= exc.line <= len(text.splitlines())
+        assert str(exc).startswith(f"line {exc.line}: ")
+        return
+    assert parse_config(render_config(cfg)) == cfg
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.one_of(st.text(max_size=24), _LINES.map(lambda s: s.replace(" ", ""))), max_size=4))
+def test_arbitrary_overrides_apply_or_raise_config_error(overrides):
+    try:
+        cfg = apply_overrides(TrainConfig(), overrides)
+    except ConfigError:
+        return
+    assert parse_config(render_config(cfg)) == cfg

@@ -492,16 +492,18 @@ def test_one_token_positions_run_no_forward(monkeypatch):
     grammar = response_grammar(prompt, VOCAB)
     assert grammar == ((0, 1), (VOCAB.eos,))
     group, _ = sample_group(p, prompt.tokens, 32, 1.0, np.random.default_rng(1), grammar, 2)
-    assert calls == [32]
+    # The first position forwards the group's one prompt tail, doubled.
+    assert calls == [2]
     assert all(r.tokens[-1] == VOCAB.eos and r.logprobs[-1] == 0.0 for r in group)
 
     # A default step whose longest grammar has 3 positions: the last is EOS
-    # for every group that reaches it, so 2 forwards instead of 3.
+    # for every group that reaches it, so 2 forwards instead of 3, and the
+    # first of them runs one prompt tail per group.
     calls.clear()
     cfg = TrainConfig()
     batch = rollout_batch(p, cfg, VOCAB, 1)
     assert max(len(g) for g in batch.grammars) == 3
-    assert calls == [cfg.groups_per_step * cfg.group_size] * 2
+    assert calls == [cfg.groups_per_step, cfg.groups_per_step * cfg.group_size]
 
 
 def test_sample_groups_contracts():

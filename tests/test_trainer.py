@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from etrlab.autodiff import ContractViolation
 from etrlab.config import METHODS, ConfigError, TrainConfig, parse_suite, validate_config
@@ -113,6 +116,22 @@ def test_clip_grad_norm():
         clip_grad_norm(grad, 0.0)
 
 
+def test_clip_grad_norm_scales_a_finite_gradient_whose_squares_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clipped, norm = clip_grad_norm(np.asarray([1e200, 1.0]), 1.0)
+        assert norm == 1e200
+        np.testing.assert_allclose(clipped, [1.0, 1e-200], rtol=1e-15)
+        # A norm past the float64 range is reported as inf; the scaled
+        # gradient still has norm max_norm.
+        clipped, norm = clip_grad_norm(np.full(4, -1e308), 2.0)
+        assert norm == np.inf
+        np.testing.assert_allclose(clipped, np.full(4, -1.0), rtol=1e-15)
+    # A non-finite gradient is not repaired: train_step rejects it first.
+    clipped, norm = clip_grad_norm(np.asarray([np.nan, 1.0]), 1.0)
+    assert np.isnan(norm) and np.isnan(clipped[0])
+
+
 def test_rollout_batch_shape_and_replay():
     cfg = tiny_cfg(groups_per_step=3, group_size=8)
     params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 0, 0.1)
@@ -197,6 +216,23 @@ def test_train_step_on_rollout_batch_reports_the_diverged_group():
     np.testing.assert_array_equal(caught.value.rewards, groups[k])
     assert f"group {k}, prompt {batch.prompts[k].tokens}" in str(caught.value)
     assert "np.float64" not in str(caught.value)
+
+
+def test_non_finite_update_leaves_the_parameters_as_they_were():
+    cfg = tiny_cfg(weight_decay=10.0)
+    params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 1, 0.1)
+    ref = params.copy()
+    batch = rollout_batch(params, cfg, VOCAB, step=1)
+    # EOS only ever ends a response, so no context reads its embedding row:
+    # its gradient is zero and only weight decay moves it, past float64.
+    params.embed[VOCAB.eos] = 1e308
+    before = params.to_vector()
+    opt = OptimizerState.zeros(params.param_count)
+    with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as caught:
+        train_step(params, ref, opt, batch, cfg)
+    assert str(caught.value) == "non-finite parameters after update"
+    assert params.vector.tobytes() == before.tobytes()
+    assert opt.step == 1
 
 
 def test_training_diverged_message_lists_plain_rewards():
@@ -450,6 +486,69 @@ def test_adamw_update_is_bitwise_the_reference_step(wd):
         assert state.moment2.tobytes() == m2.tobytes()
         assert state.step == step
         vec = new
+
+
+def reference_clip(grad, max_norm):
+    """``clip_grad_norm`` as it was before it took buffers."""
+    norm = float(np.sqrt(np.sum(grad * grad)))
+    return grad * (max_norm / norm) if norm > max_norm else grad
+
+
+def _signed_magnitudes(draw, size):
+    """Signed zeros and values of either sign from 1e-300 to 1e150.
+
+    The decades span a drawn window, so some vectors hold values of like
+    size, whose sums depend on the order of summation.
+    """
+    low = draw(st.floats(-300.0, 150.0))
+    width = draw(st.floats(0.0, 150.0 - low))
+    exponent = low + width * draw(hnp.arrays(np.float64, size, elements=st.floats(0.0, 1.0)))
+    kind = draw(hnp.arrays(np.int8, size, elements=st.integers(0, 3)))
+    sign = np.where(kind % 2 == 1, -1.0, 1.0)
+    return sign * np.where(kind >= 2, 10.0**exponent, 0.0)
+
+
+@st.composite
+def update_cases(draw):
+    size = PolicyParams(VOCAB, 1, 1, 1).param_count
+    vec = _signed_magnitudes(draw, size)
+    grads = [_signed_magnitudes(draw, size) for _ in range(draw(st.integers(1, 4)))]
+    cfg = tiny_cfg(
+        grad_clip=draw(st.sampled_from([1e-3, 1.0, 1e300])),
+        weight_decay=draw(st.sampled_from([0.0, 0.01, 0.5])),
+        learning_rate=draw(st.sampled_from([1e-3, 0.1])),
+    )
+    return vec, grads, cfg
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(update_cases())
+def test_update_path_is_bitwise_the_allocating_sequence(case):
+    vec, grads, cfg = case
+    params = PolicyParams.from_vector(VOCAB, 1, 1, 1, vec)
+    opt = OptimizerState.zeros(vec.size)
+    gradient, work = np.empty((2, vec.size))
+    want, m1, m2 = vec.copy(), np.zeros(vec.size), np.zeros(vec.size)
+    for step, grad in enumerate(grads, start=1):
+        clipped = reference_clip(-grad, cfg.grad_clip)
+        want, m1, m2 = reference_adamw(
+            want,
+            clipped,
+            m1,
+            m2,
+            step,
+            cfg.learning_rate,
+            cfg.adam_beta1,
+            cfg.adam_beta2,
+            cfg.adam_eps,
+            cfg.weight_decay,
+        )
+        gradient[...] = grad
+        trainer_mod.apply_gradient(params, gradient, opt, cfg, work)
+        assert params.vector.tobytes() == want.tobytes()
+        assert opt.moment1.tobytes() == m1.tobytes()
+        assert opt.moment2.tobytes() == m2.tobytes()
+        assert opt.step == step
 
 
 def diverging_cfg():
