@@ -158,7 +158,6 @@ class LossBreakdown:
     clipped_tokens: int
     total_tokens: int
     mean_epsilon: float | None = None
-    epsilon_trace: np.ndarray | None = None
     gradient: np.ndarray | None = None
 
     @property
@@ -178,14 +177,11 @@ class PreparedBatch:
     under the additive mask ``pair_masks[p]``, so the masked log-softmax
     runs once per pair. ``scatter_index`` holds, token by token, the V
     flat positions of the token's distinct-context row in the logits,
-    where the gradient is summed. When a batch of several tokens has a
-    single distinct context, ``distinct_contexts`` holds that row twice
-    and the copy maps to no token: a one-row product takes BLAS's
-    matrix-vector kernel, which rounds differently from the matrix-matrix
-    kernel that scores full batches.
+    where the gradient is summed. Token i's context is
+    ``distinct_contexts[pair_contexts[pair_index[i]]]`` and its mask row
+    ``pair_masks[pair_index[i]]``.
     """
 
-    contexts: np.ndarray
     distinct_contexts: np.ndarray
     pair_contexts: np.ndarray
     pair_masks: np.ndarray
@@ -201,11 +197,6 @@ class PreparedBatch:
     epsilon_trace: np.ndarray | None
     group_slices: list[tuple[int, int]]
     temperature: float
-
-    @property
-    def masks(self) -> np.ndarray:
-        """Each token's additive mask row, (T, V)."""
-        return self.pair_masks[self.pair_index]
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,8 +257,6 @@ def prepare_batch(
     windows = np.lib.stride_tricks.sliding_window_view(batch.tokens, window, axis=1)
     contexts = windows[:, :horizon][inside]
     distinct, index = _distinct_rows(contexts)
-    if distinct.shape[0] == 1 < index.size:
-        distinct = np.repeat(distinct, 2, axis=0)
     targets = batch.tokens[:, window:][inside]
     # Token t of a response reads row t of its grammar's table.
     longest = {}
@@ -281,20 +270,16 @@ def prepare_batch(
     mask_rows = np.repeat(row_starts, lengths) + np.nonzero(inside)[1]
     pairs, pair_index = _distinct_rows((index * len(table) + mask_rows)[:, None])
     pair_contexts, pair_rows = np.divmod(pairs[:, 0], len(table))
-    pair_masks = table[pair_rows]
-    ref_logits = policy_mod.forward(ref_params, distinct)[2]
-    ref_rows = policy_mod.masked_logprobs(ref_logits[pair_contexts], pair_masks, temperature)
     group_ends = np.cumsum(lengths)[g - 1 :: g].tolist()
-    return PreparedBatch(
-        contexts=contexts,
+    prep = PreparedBatch(
         distinct_contexts=distinct,
         pair_contexts=pair_contexts,
-        pair_masks=pair_masks,
+        pair_masks=table[pair_rows],
         pair_index=pair_index,
         scatter_index=(index[:, None] * vocab.size + np.arange(vocab.size)).reshape(-1),
         targets=targets,
         old_logprobs=batch.logprobs[inside],
-        ref_logprobs=ref_rows[pair_index, targets],
+        ref_logprobs=None,  # scored on the pair rows below
         advantages=np.repeat(adv, lengths),
         lo=np.repeat(lo, lengths),
         hi=np.repeat(hi, lengths),
@@ -303,6 +288,23 @@ def prepare_batch(
         group_slices=list(zip([0] + group_ends[:-1], group_ends)),
         temperature=temperature,
     )
+    prep.ref_logprobs = score_prepared(prep, ref_params)[-1]
+    return prep
+
+
+def score_prepared(prep: PreparedBatch, params: PolicyParams) -> tuple[np.ndarray, ...]:
+    """Score a prepared batch's tokens under ``params``.
+
+    The MLP runs once per distinct context and the masked log-softmax once
+    per (context, mask row) pair; tokens read their pair's row. Returns the
+    forward's ``(x, hidden, logits)``, the pair rows' log-probs and the
+    per-token log-probs, shape (T,).
+    """
+    x, hidden, logits = policy_mod.forward(params, prep.distinct_contexts)
+    lp_pairs = policy_mod.masked_logprobs(
+        logits[prep.pair_contexts], prep.pair_masks, prep.temperature
+    )
+    return x, hidden, logits, lp_pairs, lp_pairs[prep.pair_index, prep.targets]
 
 
 def evaluate_prepared(
@@ -314,23 +316,17 @@ def evaluate_prepared(
 ) -> LossBreakdown:
     """Evaluate the clipped surrogate minus the KL penalty, with its gradient.
 
-    The MLP runs once per distinct context and the masked log-softmax once
-    per (context, mask row) pair; tokens read their pair's row. The
-    gradient is closed-form: per token, d(total)/d(log-prob) is
-    ``w * A * r`` where the unclipped branch is the minimum (always so
-    inside the band, where both branches are equal) and zero where the
-    clipped one is, minus ``kl_coef * w * (1 - u)``. It goes back through
-    the softmax per token, is summed per distinct context in token order
-    by one ``bincount`` and backpropagated through the MLP there, into
-    ``gradient_out`` when given.
+    Tokens are scored by :func:`score_prepared`. The gradient is
+    closed-form: per token, d(total)/d(log-prob) is ``w * A * r`` where
+    the unclipped branch is the minimum (always so inside the band, where
+    both branches are equal) and zero where the clipped one is, minus
+    ``kl_coef * w * (1 - u)``. It goes back through the softmax per token,
+    is summed per distinct context in token order by one ``bincount`` and
+    backpropagated through the MLP there, into ``gradient_out`` when given.
     """
     if kl_coef < 0.0:
         raise ContractViolation("kl_coef must be non-negative")
-    x, hidden, logits = policy_mod.forward(params, prep.distinct_contexts)
-    lp_pairs = policy_mod.masked_logprobs(
-        logits[prep.pair_contexts], prep.pair_masks, prep.temperature
-    )
-    lp = lp_pairs[prep.pair_index, prep.targets]
+    x, hidden, logits, lp_pairs, lp = score_prepared(prep, params)
     ratio = np.exp(lp - prep.old_logprobs)
     unclipped_branch = ratio * prep.advantages
     clipped_branch = np.clip(ratio, prep.lo, prep.hi) * prep.advantages
@@ -363,7 +359,6 @@ def evaluate_prepared(
         clipped_tokens=int(np.sum(clipped_branch < unclipped_branch)),
         total_tokens=int(prep.targets.size),
         mean_epsilon=None if trace is None else float(np.mean(trace)),
-        epsilon_trace=trace,
         gradient=gradient,
     )
 

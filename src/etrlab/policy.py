@@ -182,14 +182,22 @@ def forward(
     Returns the concatenated context embeddings (n, W*D), the tanh
     activations (n, H) and the logits (n, V). Ids are not checked here:
     callers check them once, where they enter the program.
+
+    A single row is forwarded twice and the first copy returned: a one-row
+    product takes BLAS's matrix-vector kernel, which rounds differently
+    from the rows of a larger block, so this keeps a row's bits the same
+    however many rows it is forwarded with.
     """
+    n = contexts.shape[0]
+    if n == 1:
+        contexts = np.repeat(contexts, 2, axis=0)
     x = params.embed.take(contexts, axis=0).reshape(contexts.shape[0], -1)
     pre = x @ params.w_hidden
     pre += params.b_hidden
     hidden = np.tanh(pre, out=pre)
     logits = hidden @ params.w_out
     logits += params.b_out
-    return x, hidden, logits
+    return x[:n], hidden[:n], logits[:n]
 
 
 def logits_gradient(
@@ -221,25 +229,23 @@ def logits_gradient(
     return grad
 
 
-def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
-    # ndarray reductions and in-place steps skip numpy's Python wrappers.
-    # Each step must stay the same ufunc on the same operands: stored
-    # log-probs are pinned byte for byte.
-    shifted = x - x.max(axis=-1, keepdims=True)
-    norm = np.exp(shifted).sum(axis=-1, keepdims=True)
-    shifted -= np.log(norm, out=norm)
-    return shifted
-
-
 def masked_logprobs(logits: np.ndarray, masks: np.ndarray, temperature: float) -> np.ndarray:
     """Row log-softmax of scaled, masked logits.
 
-    Every step works row by row, so a row's values do not depend on the
-    other rows of the block.
+    The logits are scaled and masked in place, so callers pass rows they
+    own: fresh :func:`forward` output or a fancy-index copy of it. Every
+    step works row by row, so a row's values do not depend on the other
+    rows of the block.
     """
-    scaled = logits * (1.0 / temperature)
-    scaled += masks
-    return _log_softmax_rows(scaled)
+    # ndarray reductions and in-place steps skip numpy's Python wrappers.
+    # Each step must stay the same ufunc on the same operands: stored
+    # log-probs are pinned byte for byte.
+    logits *= 1.0 / temperature
+    logits += masks
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    norm = np.exp(shifted).sum(axis=-1, keepdims=True)
+    shifted -= np.log(norm, out=norm)
+    return shifted
 
 
 @functools.lru_cache(maxsize=256)
@@ -337,9 +343,6 @@ def sample_groups(
     the columns of groups already past their masks may therefore differ
     from what a forward pass would have left there.
 
-    A forward pass of one row forwards it twice and keeps the first, so its
-    bits equal the same row's inside a batched call.
-
     Prompt-tail ids are checked once per call, before any position runs,
     so a call with no positions still rejects an id outside the vocabulary.
     """
@@ -388,7 +391,6 @@ def sample_groups(
     logprobs = np.zeros((rows, horizon))
     draws = np.zeros(rows)
     row_starts = np.arange(0, rows * v, v)
-    scale = 1.0 / temperature
     # Rows per distinct context: n until the first position with a choice.
     stride = n
     for pos in range(horizon):
@@ -399,16 +401,8 @@ def sample_groups(
             # No choice anywhere: the draws are spent, the log-probs stay 0.0.
             picks = forced[pos]
         else:
-            contexts = tokens[::stride, pos : pos + window]
-            count = contexts.shape[0]
-            if count == 1:
-                # A one-row product takes BLAS's matrix-vector kernel, which
-                # rounds differently from the rows of a larger block.
-                contexts = np.repeat(contexts, 2, axis=0)
-            logits = forward(params, contexts)[2][:count]
-            logits *= scale
-            logits += row_masks[pos][::stride]
-            lp = _log_softmax_rows(logits)
+            logits = forward(params, tokens[::stride, pos : pos + window])[2]
+            lp = masked_logprobs(logits, row_masks[pos][::stride], temperature)
             probs = np.exp(lp)
             if stride > 1:
                 lp = np.repeat(lp, stride, axis=0)
@@ -468,7 +462,11 @@ def score_tokens(
 ) -> np.ndarray:
     """Log-probabilities of target tokens under the masked policy, shape (T,).
 
-    Context and target ids are checked here, before the forward pass.
+    The per-token reference: one row per token, where the program scores a
+    prepared batch once per distinct (context, mask row) pair
+    (``objectives.score_prepared``). The tests compare the two, and the
+    benchmark's ``policy.score`` probe names it. Context and target ids
+    are checked here, before the forward pass.
     """
     _check_ids(contexts, params.vocab.size)
     _check_ids(targets, params.vocab.size)

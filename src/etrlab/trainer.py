@@ -34,7 +34,13 @@ from .metrics import (
     write_atomic,
     write_metrics_csv,
 )
-from .objectives import ClipStrategy, LossBreakdown, evaluate_prepared, prepare_batch
+from .objectives import (
+    ClipStrategy,
+    LossBreakdown,
+    evaluate_prepared,
+    prepare_batch,
+    score_prepared,
+)
 from .policy import PolicyParams, Vocab, init_params, sample_group, sample_groups
 from .tasks import (
     TaskSpec,
@@ -253,10 +259,8 @@ def rollout_batch(
 
 
 def _locate_nonfinite_group(prep, params: PolicyParams) -> int | None:
-    from .policy import score_tokens
-
     with np.errstate(over="ignore", invalid="ignore"):
-        lp = score_tokens(params, prep.contexts, prep.targets, prep.masks, prep.temperature)
+        lp = score_prepared(prep, params)[-1]
         u = np.exp(prep.ref_logprobs - lp)
         ratio = np.exp(lp - prep.old_logprobs)
     bad = ~(np.isfinite(lp) & np.isfinite(u) & np.isfinite(ratio))
@@ -625,12 +629,7 @@ def gradient_check(method: str = "etr", seed: int = 0) -> float:
         probe = PolicyParams.from_vector(
             vocab, trial.context_window, trial.embed_dim, trial.hidden_dim, theta
         )
-        from .policy import score_tokens
-
-        ratio = np.exp(
-            score_tokens(probe, prep.contexts, prep.targets, prep.masks, prep.temperature)
-            - prep.old_logprobs
-        )
+        ratio = np.exp(score_prepared(prep, probe)[-1] - prep.old_logprobs)
         margin = float(np.min(np.minimum(np.abs(ratio - prep.lo), np.abs(ratio - prep.hi))))
         below = np.any(ratio < prep.lo) or np.any(ratio > prep.hi)
         inside = np.any((ratio > prep.lo) & (ratio < prep.hi))

@@ -20,7 +20,7 @@ import hashlib
 import pytest
 
 from etrlab.config import TrainConfig, parse_suite
-from etrlab.trainer import run_training, write_run_artifacts
+from etrlab.trainer import gradient_check_suite, run_training, write_run_artifacts
 
 
 def golden_cfg(method, suite):
@@ -148,3 +148,20 @@ def test_golden_artifact_bytes(tmp_path):
     write_run_artifacts(run_training(golden_cfg("etr", "parity:1,digitsum:2,copy:1")), tmp_path)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_FILES}
     assert got == GOLDEN_FILES
+
+
+# gradient_check_suite(seed=0): each method's worst relative error, as
+# float.hex. The kink-safe trial choice and the objective both score the
+# prepared batch, so a change to either scoring path shows here.
+GOLDEN_GRADCHECK = [
+    ("grpo", "0x1.3bd0b60000000p-35"),
+    ("cliphigh", "0x1.a91cad3c00000p-38"),
+    ("etr", "0x1.7d6a300000000p-35"),
+    ("etr-micro", "0x1.06bd97c000000p-35"),
+    ("etr-macro", "0x1.c486e20000000p-36"),
+    ("etr-inverse", "0x1.ac864f6c00000p-39"),
+]
+
+
+def test_gradient_check_suite_errors():
+    assert [(m, err.hex()) for m, err in gradient_check_suite(seed=0)] == GOLDEN_GRADCHECK

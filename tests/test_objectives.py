@@ -226,13 +226,15 @@ def test_loss_breakdown_identity_and_epsilon_trace():
     group, params = make_group([1.0, 1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0], seed=9)
     moved = params.copy()
     moved.set_vector(moved.to_vector() + 0.03)
-    bd = batch_objective([group], Elastic(0.2, 0.1, 0.1), 0.001, moved, params)
+    strategy = Elastic(0.2, 0.1, 0.1)
+    bd = batch_objective([group], strategy, 0.001, moved, params)
     assert abs(bd.total - (bd.surrogate - 0.001 * bd.kl)) < 1e-15
-    assert bd.epsilon_trace is not None
-    assert bd.epsilon_trace.shape == (bd.total_tokens,)
-    assert abs(bd.mean_epsilon - bd.epsilon_trace.mean()) < 1e-15
-    assert np.all(bd.epsilon_trace >= 0.1 - 1e-12)
-    assert np.all(bd.epsilon_trace <= 0.4 + 1e-12)
+    trace = prepare_batch([group], strategy, params).epsilon_trace
+    assert trace is not None
+    assert trace.shape == (bd.total_tokens,)
+    assert abs(bd.mean_epsilon - trace.mean()) < 1e-15
+    assert np.all(trace >= 0.1 - 1e-12)
+    assert np.all(trace <= 0.4 + 1e-12)
 
 
 def row_logits(params, context):
@@ -427,7 +429,14 @@ def test_prepare_batch_equals_per_response_reference(strategy, seed):
     assert len({len(r) for g in batch for r in g.responses}) > 1
     params = init_params(VOCAB, 3, 5, 7, seed, 0.4)
     got = prepare_batch(batch, strategy, params, 1e-6, 0.8)
-    assert_same(token_view(got), reference_prepare_batch(batch, strategy, params, 1e-6, 0.8))
+    want = reference_prepare_batch(batch, strategy, params, 1e-6, 0.8)
+    assert_same(token_view(got), want)
+    # Off the reference policy too, the pair rows give each token the bits
+    # the per-token reference scorer gives it.
+    probe = moved(params, seed)
+    lp = objectives.score_prepared(got, probe)[-1]
+    ref = score_tokens(probe, want["contexts"], want["targets"], want["masks"], 0.8)
+    assert lp.tobytes() == ref.tobytes()
 
 
 def assert_same(got, want):
@@ -446,6 +455,12 @@ def prepared_fields(prep):
     return {field.name: getattr(prep, field.name) for field in dataclasses.fields(PreparedBatch)}
 
 
+def token_rows(prep):
+    """Each token's context row and additive mask row, read back from the pair rows."""
+    pairs = prep.pair_index
+    return prep.distinct_contexts[prep.pair_contexts[pairs]], prep.pair_masks[pairs]
+
+
 def token_view(prep):
     """A prepared batch's per-token quantities, with its pair rows read back per token.
 
@@ -458,13 +473,18 @@ def token_view(prep):
     distinct_index = blocks[:, 0] // v
     assert np.array_equal(blocks, distinct_index[:, None] * v + np.arange(v))
     assert np.array_equal(prep.pair_contexts[prep.pair_index], distinct_index)
-    assert np.array_equal(prep.distinct_contexts[distinct_index], prep.contexts)
     assert np.unique(prep.pair_index).size == prep.pair_contexts.size
+    contexts, masks = token_rows(prep)
     names = (
-        "contexts", "distinct_contexts", "targets", "masks", "old_logprobs", "ref_logprobs",
+        "distinct_contexts", "targets", "old_logprobs", "ref_logprobs",
         "advantages", "lo", "hi", "weights", "epsilon_trace", "group_slices", "temperature",
     )
-    return dict(distinct_index=distinct_index, **{name: getattr(prep, name) for name in names})
+    return dict(
+        distinct_index=distinct_index,
+        contexts=contexts,
+        masks=masks,
+        **{name: getattr(prep, name) for name in names},
+    )
 
 
 def prompt_of(family, difficulty, payload):
@@ -593,7 +613,8 @@ def tape_evaluate(prep, params, kl_coef):
     """
     record = Record()
     leaves = PolicyLeaves(record, params)
-    lp = score_tokens_diff(leaves, prep.contexts, prep.targets, prep.masks, prep.temperature)
+    contexts, masks = token_rows(prep)
+    lp = score_tokens_diff(leaves, contexts, prep.targets, masks, prep.temperature)
     ratio = exp(lp - prep.old_logprobs)
     surrogate_tokens, clip_mask = token_surrogate(ratio, prep.advantages, prep.lo, prep.hi)
     surrogate = sum_all(surrogate_tokens * prep.weights)
@@ -667,24 +688,24 @@ def test_closed_form_matches_tape_on_all_distinct_contexts():
     # token row of each distinct context to get a batch without repeats.
     params = init_params(VOCAB, 3, 5, 7, 3, 0.4)
     full = prepare_batch(uneven_batch(3), Elastic(0.2, 0.1, 0.15), params, 1e-6, 0.8)
-    keep = np.sort(np.unique(full.contexts, axis=0, return_index=True)[1])
+    contexts, masks = token_rows(full)
+    keep = np.sort(np.unique(contexts, axis=0, return_index=True)[1])
     per_token = (
-        "contexts", "targets", "old_logprobs", "ref_logprobs",
+        "targets", "old_logprobs", "ref_logprobs",
         "advantages", "lo", "hi", "weights", "epsilon_trace",
     )
     # Every token is its own distinct context and its own pair.
     prep = dataclasses.replace(
         full,
         **{name: getattr(full, name)[keep] for name in per_token},
-        distinct_contexts=full.contexts[keep],
+        distinct_contexts=contexts[keep],
         pair_contexts=np.arange(keep.size),
-        pair_masks=full.masks[keep],
+        pair_masks=masks[keep],
         pair_index=np.arange(keep.size),
         scatter_index=np.arange(keep.size * VOCAB.size),
         group_slices=[(0, keep.size)],
     )
-    token_view(prep)
-    assert len(np.unique(prep.contexts, axis=0)) == prep.targets.size > 2
+    assert len(np.unique(token_view(prep)["contexts"], axis=0)) == prep.targets.size > 2
     assert_matches_tape(prep, moved(params, 3), 0.001)
 
 
@@ -694,12 +715,12 @@ def test_closed_form_matches_tape_on_one_shared_context():
     group = RolloutGroup(prompt, responses, np.asarray([1.0, -1.0, 1.0]))
     params = init_params(VOCAB, 3, 5, 7, 4, 0.4)
     prep = prepare_batch([group], Static(0.2), params)
-    # The one context is held twice, so both forwards take the matrix-matrix kernel.
-    assert prep.distinct_contexts.shape[0] == 2 < prep.targets.size
-    assert np.array_equal(prep.distinct_contexts[0], prep.distinct_contexts[1])
+    # Every token reads the one context, which policy.forward runs doubled.
+    assert prep.distinct_contexts.shape[0] == 1 < prep.targets.size
     assert not prep.pair_contexts.any()
     assert token_view(prep)["distinct_index"].tolist() == [0] * prep.targets.size
-    want = score_tokens(params, prep.contexts, prep.targets, prep.masks)
+    contexts, masks = token_rows(prep)
+    want = score_tokens(params, contexts, prep.targets, masks)
     assert np.array_equal(prep.ref_logprobs, want)
     assert_matches_tape(prep, moved(params, 4), 0.001)
 
@@ -785,7 +806,7 @@ def test_distinct_rows_equals_np_unique(rows):
 def scatter_cases(draw):
     """Token blocks scattered into distinct-context rows, maybe with one unread row.
 
-    The unread row is the doubled copy of a batch's one distinct context.
+    No token maps to the unread row, so ``minlength`` alone must leave it zero.
     """
     n_distinct = draw(st.integers(1, 6))
     width = draw(st.integers(1, 5))
