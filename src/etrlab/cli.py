@@ -26,6 +26,7 @@ from .metrics import (
 from .objectives import kl_cubic_bound, kl_quadratic_residual, theoretical_epsilon
 from .policy import PolicyParams, Vocab
 from .trainer import (
+    SUMMARY_FIELDS,
     DivergedRun,
     TrainingDiverged,
     compare_runs,
@@ -116,13 +117,7 @@ def cmd_compare(args) -> int:
             f"clip {_fmt(s.mean_clip_frac)}"
         )
     rows = method_medians(summaries)
-    header = (
-        "method",
-        "median_final_mean",
-        "median_final_best",
-        "median_final_entropy",
-        "median_mean_clip_frac",
-    )
+    header = ("method", *(f"median_{name}" for name in SUMMARY_FIELDS))
     lines = [",".join(header)]
     for row in rows:
         lines.append(

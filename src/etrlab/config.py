@@ -17,8 +17,6 @@ from .objectives import ClipHigh, ClipStrategy, Elastic, Static
 from .policy import MIN_TEMPERATURE
 from .tasks import FAMILIES, TaskSpec, answer_length
 
-METHODS = ("grpo", "cliphigh", "etr", "etr-micro", "etr-macro", "etr-inverse")
-
 # copy:2 is effectively unlearnable at this scale; its half weight keeps a
 # stream of all-wrong groups in the mix without drowning the learnable tasks.
 DEFAULT_SUITE = (
@@ -37,39 +35,6 @@ class ConfigError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    method: str = "etr"
-    seed: int = 1
-    steps: int = 300
-    groups_per_step: int = 16
-    group_size: int = 8
-    learning_rate: float = 1e-2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
-    grad_clip: float = 1.0
-    kl_coef: float = 0.001
-    epsilon_base: float = 0.2
-    epsilon_high: float = 0.28
-    lambda1: float = 0.1
-    lambda2: float = 0.1
-    advantage_xi: float = 1e-6
-    suite: tuple[TaskSpec, ...] = field(default_factory=lambda: DEFAULT_SUITE)
-    max_response_len: int = 8
-    temperature: float = 1.0
-    inner_epochs: int = 2
-    eval_every: int = 50
-    eval_n: int = 32
-    eval_prompts: int = 64
-    init_scale: float = 0.1
-    context_window: int = 4
-    embed_dim: int = 16
-    hidden_dim: int = 64
-    content_tokens: int = 10
 
 
 def parse_suite(text: str) -> tuple[TaskSpec, ...]:
@@ -113,7 +78,20 @@ def render_suite(suite: tuple[TaskSpec, ...]) -> str:
     return ",".join(f"{s.family}:{s.difficulty}@{s.weight!r}" for s in suite)
 
 
-# Each key's parser, the bound its value must meet, and the message naming
+# The clip band each method builds from the config. The etr ablations drop
+# one term of the elastic band by zeroing its lambda; etr-inverse flips the
+# sign of the advantage term.
+_BANDS = {
+    "grpo": lambda cfg: Static(cfg.epsilon_base),
+    "cliphigh": lambda cfg: ClipHigh(cfg.epsilon_base, cfg.epsilon_high),
+    "etr": lambda cfg: Elastic(cfg.epsilon_base, cfg.lambda1, cfg.lambda2),
+    "etr-micro": lambda cfg: Elastic(cfg.epsilon_base, cfg.lambda1, 0.0),
+    "etr-macro": lambda cfg: Elastic(cfg.epsilon_base, 0.0, cfg.lambda2),
+    "etr-inverse": lambda cfg: Elastic(cfg.epsilon_base, cfg.lambda1, cfg.lambda2, inverse=True),
+}
+METHODS = tuple(_BANDS)
+
+# A key's parser, the bound its value must meet, and the message naming
 # that bound. A value that does not parse gets the same message.
 _POS_INT = (int, lambda v: v >= 1, "{key} must be a positive integer")
 _NONNEG_INT = (int, lambda v: v >= 0, "{key} must be a non-negative integer")
@@ -121,47 +99,56 @@ _POS_FLOAT = (float, lambda v: v > 0.0, "{key} must be a positive number")
 _NONNEG_FLOAT = (float, lambda v: v >= 0.0, "{key} must be a non-negative number")
 _UNIT_FLOAT = (float, lambda v: 0.0 <= v < 1.0, "{key} must lie in [0, 1)")
 
-_KEYS = {
-    "method": (
-        str,
-        METHODS.__contains__,
-        "unknown method {raw!r}; must be one of " + ", ".join(METHODS),
-    ),
-    "seed": _NONNEG_INT,
-    "steps": _POS_INT,
-    "groups_per_step": _POS_INT,
-    "group_size": (int, lambda v: v >= 2, "{key} must be at least 2"),
-    "learning_rate": _POS_FLOAT,
-    "adam_beta1": _UNIT_FLOAT,
-    "adam_beta2": _UNIT_FLOAT,
-    "adam_eps": _POS_FLOAT,
-    "weight_decay": _NONNEG_FLOAT,
-    "grad_clip": _POS_FLOAT,
-    "kl_coef": _NONNEG_FLOAT,
-    "epsilon_base": _NONNEG_FLOAT,
-    "epsilon_high": _NONNEG_FLOAT,
-    "lambda1": _NONNEG_FLOAT,
-    "lambda2": _NONNEG_FLOAT,
-    "advantage_xi": _POS_FLOAT,
+
+def _key(default, check):
+    """A config field with its default and its (parser, bound, message)."""
+    return field(default=default, metadata={"check": check})
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    method: str = _key(
+        "etr",
+        (str, METHODS.__contains__, "unknown method {raw!r}; must be one of " + ", ".join(METHODS)),
+    )
+    seed: int = _key(1, _NONNEG_INT)
+    steps: int = _key(300, _POS_INT)
+    groups_per_step: int = _key(16, _POS_INT)
+    group_size: int = _key(8, (int, lambda v: v >= 2, "{key} must be at least 2"))
+    learning_rate: float = _key(1e-2, _POS_FLOAT)
+    adam_beta1: float = _key(0.9, _UNIT_FLOAT)
+    adam_beta2: float = _key(0.999, _UNIT_FLOAT)
+    adam_eps: float = _key(1e-8, _POS_FLOAT)
+    weight_decay: float = _key(0.0, _NONNEG_FLOAT)
+    grad_clip: float = _key(1.0, _POS_FLOAT)
+    kl_coef: float = _key(0.001, _NONNEG_FLOAT)
+    epsilon_base: float = _key(0.2, _NONNEG_FLOAT)
+    epsilon_high: float = _key(0.28, _NONNEG_FLOAT)
+    lambda1: float = _key(0.1, _NONNEG_FLOAT)
+    lambda2: float = _key(0.1, _NONNEG_FLOAT)
+    advantage_xi: float = _key(1e-6, _POS_FLOAT)
     # parse_suite names the entry at fault itself; the message serves a
     # suite built in code that is not a tuple.
-    "suite": (parse_suite, bool, "{key} must be a tuple of TaskSpec entries"),
-    "max_response_len": _POS_INT,
-    "temperature": (
-        float,
-        lambda v: v >= MIN_TEMPERATURE,
-        f"{{key}} must be at least {MIN_TEMPERATURE!r}",
-    ),
-    "inner_epochs": _POS_INT,
-    "eval_every": _POS_INT,
-    "eval_n": _POS_INT,
-    "eval_prompts": _POS_INT,
-    "init_scale": _NONNEG_FLOAT,
-    "context_window": _POS_INT,
-    "embed_dim": _POS_INT,
-    "hidden_dim": _POS_INT,
-    "content_tokens": _POS_INT,
-}
+    suite: tuple[TaskSpec, ...] = _key(
+        DEFAULT_SUITE, (parse_suite, bool, "{key} must be a tuple of TaskSpec entries")
+    )
+    max_response_len: int = _key(8, _POS_INT)
+    temperature: float = _key(
+        1.0,
+        (float, lambda v: v >= MIN_TEMPERATURE, f"{{key}} must be at least {MIN_TEMPERATURE!r}"),
+    )
+    inner_epochs: int = _key(2, _POS_INT)
+    eval_every: int = _key(50, _POS_INT)
+    eval_n: int = _key(32, _POS_INT)
+    eval_prompts: int = _key(64, _POS_INT)
+    init_scale: float = _key(0.1, _NONNEG_FLOAT)
+    context_window: int = _key(4, _POS_INT)
+    embed_dim: int = _key(16, _POS_INT)
+    hidden_dim: int = _key(64, _POS_INT)
+    content_tokens: int = _key(10, _POS_INT)
+
+
+_KEYS = {f.name: f.metadata["check"] for f in dataclasses.fields(TrainConfig)}
 
 
 def _coerce(key: str, raw: str, line: int | None = None):
@@ -189,23 +176,10 @@ def _render(key: str, value) -> str:
 
 
 def build_strategy(cfg: TrainConfig) -> ClipStrategy:
-    """Clip strategy implied by the configured method name.
-
-    The etr ablations drop one term of the elastic band by zeroing its
-    lambda; etr-inverse flips the sign of the advantage term.
-    """
-    if cfg.method == "grpo":
-        return Static(cfg.epsilon_base)
-    if cfg.method == "cliphigh":
-        return ClipHigh(cfg.epsilon_base, cfg.epsilon_high)
-    if cfg.method not in METHODS:
+    """Clip strategy implied by the configured method name."""
+    if cfg.method not in _BANDS:
         raise ConfigError(f"unknown method {cfg.method!r}")
-    return Elastic(
-        cfg.epsilon_base,
-        0.0 if cfg.method == "etr-macro" else cfg.lambda1,
-        0.0 if cfg.method == "etr-micro" else cfg.lambda2,
-        inverse=cfg.method == "etr-inverse",
-    )
+    return _BANDS[cfg.method](cfg)
 
 
 def validate_config(cfg: TrainConfig, lines: dict[str, int] | None = None) -> None:
@@ -288,5 +262,14 @@ def apply_overrides(cfg: TrainConfig, overrides: list[str]) -> TrainConfig:
 
 
 def load_config(path) -> TrainConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Parse a config file; a byte that is not UTF-8 fails on its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Numbered as parse_config numbers lines, by str.splitlines; the "x"
+        # stands for the line the byte is on.
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ConfigError(f"byte {data[exc.start]:#04x} is not UTF-8 text", line) from None
+    return parse_config(text)

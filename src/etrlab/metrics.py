@@ -12,7 +12,7 @@ import hashlib
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from html import escape
 from pathlib import Path
 from typing import Sequence
@@ -21,18 +21,6 @@ import numpy as np
 
 from .autodiff import ContractViolation
 from .config import TrainConfig, render_config
-
-CSV_BASE_COLUMNS = (
-    "step",
-    "total",
-    "surrogate",
-    "kl",
-    "entropy",
-    "clip_frac",
-    "mean_eps",
-    "resp_len",
-    "pass_rate",
-)
 
 CHECKPOINT_MAGIC = b"ETRCKPT1"
 CHECKPOINT_VERSION = 1
@@ -52,6 +40,11 @@ class StepMetrics:
     resp_len: float
     pass_rate: float
     evals: dict[str, tuple[float, float]] | None = field(default=None)
+
+
+# metrics.csv's leading columns: every StepMetrics field but the evals,
+# which add a mean and a best column per task.
+CSV_BASE_COLUMNS = tuple(f.name for f in fields(StepMetrics) if f.name != "evals")
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -88,17 +81,10 @@ def write_metrics_csv(log: Sequence[StepMetrics], path, labels: Sequence[str]) -
     """Write the run log with a fixed column order and empty non-eval cells."""
     rows = [",".join(metrics_header(labels))]
     for m in log:
-        cells = [
-            str(m.step),
-            _fmt(m.total),
-            _fmt(m.surrogate),
-            _fmt(m.kl),
-            _fmt(m.entropy),
-            _fmt(m.clip_frac),
-            "" if m.mean_eps is None else _fmt(m.mean_eps),
-            _fmt(m.resp_len),
-            _fmt(m.pass_rate),
-        ]
+        cells = [str(m.step)]  # the first column, and the one integer
+        for name in CSV_BASE_COLUMNS[1:]:
+            value = getattr(m, name)
+            cells.append("" if value is None else _fmt(value))
         for label in labels:
             if m.evals is None or label not in m.evals:
                 cells.extend(("", ""))

@@ -486,6 +486,11 @@ class RunSummary:
         )
 
 
+# The RunSummary fields whose per-method medians summary.csv reports, in
+# column order.
+SUMMARY_FIELDS = ("final_mean", "final_best", "final_entropy", "mean_clip_frac")
+
+
 @dataclass(frozen=True)
 class DivergedRun:
     """A sweep run that raised :class:`TrainingDiverged`; it has no artifacts."""
@@ -558,27 +563,16 @@ def method_medians(
     Diverged runs are skipped; a method none of whose runs finished has
     no row.
     """
-    order: list[str] = []
     by_method: dict[str, list[RunSummary]] = {}
     for s in summaries:
-        if isinstance(s, DivergedRun):
-            continue
-        if s.method not in by_method:
-            by_method[s.method] = []
-            order.append(s.method)
-        by_method[s.method].append(s)
+        if not isinstance(s, DivergedRun):
+            by_method.setdefault(s.method, []).append(s)
     rows = []
-    for method in order:
-        runs = by_method[method]
-        rows.append(
-            {
-                "method": method,
-                "median_final_mean": float(np.median([r.final_mean for r in runs])),
-                "median_final_best": float(np.median([r.final_best for r in runs])),
-                "median_final_entropy": float(np.median([r.final_entropy for r in runs])),
-                "median_mean_clip_frac": float(np.median([r.mean_clip_frac for r in runs])),
-            }
-        )
+    for method, runs in by_method.items():
+        row: dict[str, float | str] = {"method": method}
+        for name in SUMMARY_FIELDS:
+            row[f"median_{name}"] = float(np.median([getattr(r, name) for r in runs]))
+        rows.append(row)
     return rows
 
 

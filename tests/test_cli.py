@@ -83,6 +83,17 @@ def test_train_bad_config_path_is_a_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data,line",
+    [(b"\xff\xfe steps = 3\n", 1), (b"steps = 3\r\nseed = 2\n# caf\xe9\n", 3)],
+)
+def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, data, line):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_bytes(data)
+    assert main(["eval", str(tmp_path / "x.ckpt"), "--config", str(cfg_path)]) == 2
+    assert f"error: line {line}: byte 0x" in capsys.readouterr().err
+
+
 def test_train_bad_override_is_a_usage_error(capsys):
     assert main(["train", "--override", "steps=banana"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -19,7 +19,8 @@ import hashlib
 
 import pytest
 
-from etrlab.config import TrainConfig, parse_suite
+from etrlab.cli import main
+from etrlab.config import TrainConfig, parse_suite, render_config
 from etrlab.trainer import gradient_check_suite, run_training, write_run_artifacts
 
 
@@ -148,6 +149,21 @@ def test_golden_artifact_bytes(tmp_path):
     write_run_artifacts(run_training(golden_cfg("etr", "parity:1,digitsum:2,copy:1")), tmp_path)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_FILES}
     assert got == GOLDEN_FILES
+
+
+# summary.csv of a two-method, two-seed compare sweep of one golden config.
+# Every median differs between the two rows and within each row, so cells
+# written under the wrong column change the digest.
+GOLDEN_SUMMARY = "e22611df3961adb1877a2d6d4595dcb264de1743e93510384c0e842fb56ec317"
+
+
+def test_golden_summary_bytes(tmp_path):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(render_config(golden_cfg("etr", "parity:2,digitsum:1")))
+    out = tmp_path / "sweep"
+    args = ["compare", "--config", str(cfg_path), "--out", str(out)]
+    assert main([*args, "--methods", "grpo,etr-inverse", "--seeds", "1,2"]) == 0
+    assert hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest() == GOLDEN_SUMMARY
 
 
 # gradient_check_suite(seed=0): each method's worst relative error, as
