@@ -12,6 +12,11 @@ is pinned as well: 16 x 8 rollouts and one eval round at n = 32, the
 shapes the sampler runs at by default. An update-heavy-shaped run (grpo,
 8 inner epochs, a 32 x 256 MLP) pins the objective and its gradient on a
 hidden layer wider than the golden configs' 8 and the default 64.
+
+Evaluation is pinned on its own too, as ``float.hex`` per task: the
+default suite at eval-ckpt's size on moved parameters, a prompt count
+that no chunk size of 64 divides, and the one-sample path of
+``etrlab eval --n 1``.
 """
 
 import dataclasses
@@ -21,7 +26,8 @@ import pytest
 
 from etrlab.cli import main
 from etrlab.config import TrainConfig, parse_suite, render_config
-from etrlab.trainer import gradient_check_suite, run_training, write_run_artifacts
+from etrlab.policy import Vocab, init_params
+from etrlab.trainer import evaluate, gradient_check_suite, run_training, write_run_artifacts
 
 
 def golden_cfg(method, suite):
@@ -181,3 +187,56 @@ GOLDEN_GRADCHECK = [
 
 def test_gradient_check_suite_errors():
     assert [(m, err.hex()) for m, err in gradient_check_suite(seed=0)] == GOLDEN_GRADCHECK
+
+
+def eval_results(n, n_prompts, round_index=0):
+    """``evaluate`` of the default suite on moved default-shaped parameters.
+
+    Returns (mean@N, best@N) per task label as ``float.hex`` strings.
+    """
+    cfg = TrainConfig()
+    vocab = Vocab(cfg.content_tokens)
+    params = init_params(
+        vocab, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, seed=7, scale=0.5
+    )
+    results = evaluate(
+        params,
+        cfg.suite,
+        vocab,
+        n,
+        n_prompts,
+        cfg.seed,
+        round_index=round_index,
+        temperature=cfg.temperature,
+    )
+    return {label: (mean.hex(), best.hex()) for label, (mean, best) in results.items()}
+
+
+# eval_results of the three cases below: eval-ckpt's size (512 prompts at
+# n = 32), a prompt count with a remainder (130) and the one-sample path.
+EVAL_CASES = {"default": (32, 512, 0), "130-prompts": (8, 130, 50), "one-sample": (1, 512, 0)}
+GOLDEN_EVAL = {
+    "default": {
+        "copy2": ("0x1.1800000000000p-7", "0x1.7000000000000p-3"),
+        "digitsum1": ("0x1.dcc0000000000p-4", "0x1.ad00000000000p-1"),
+        "digitsum2": ("0x1.d480000000000p-4", "0x1.f000000000000p-1"),
+        "parity2": ("0x1.f6a0000000000p-2", "0x1.c000000000000p-1"),
+    },
+    "130-prompts": {
+        "copy2": ("0x1.1b91b91b91b92p-7", "0x1.f81f81f81f820p-5"),
+        "digitsum1": ("0x1.e46e46e46e46ep-4", "0x1.1f81f81f81f82p-1"),
+        "digitsum2": ("0x1.81f81f81f81f8p-4", "0x1.0000000000000p-1"),
+        "parity2": ("0x1.fe07e07e07e08p-2", "0x1.56a56a56a56a5p-1"),
+    },
+    "one-sample": {
+        "copy2": ("0x1.8000000000000p-8", "0x1.8000000000000p-8"),
+        "digitsum1": ("0x1.1800000000000p-3", "0x1.1800000000000p-3"),
+        "digitsum2": ("0x1.a000000000000p-4", "0x1.a000000000000p-4"),
+        "parity2": ("0x1.f600000000000p-2", "0x1.f600000000000p-2"),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_CASES))
+def test_golden_eval_results(case):
+    assert eval_results(*EVAL_CASES[case]) == GOLDEN_EVAL[case]

@@ -5,7 +5,8 @@ under one and under two BLAS threads (the count is read when numpy loads,
 so it cannot be switched within one process). Both runs must write the
 same ``metrics.csv`` and ``final.ckpt``. A default-sized 15-step run
 rides along (its final parameters once differed between thread counts),
-and so does the update-heavy-shaped run, the widest hidden layer pinned.
+and so does the update-heavy-shaped run, the widest hidden layer pinned,
+and an eval-ckpt-sized ``evaluate`` on moved parameters.
 Every run must also match its pinned digests, so a change that moved both
 thread counts the same way fails too.
 """
@@ -16,7 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_golden import GOLDEN, GOLDEN_DEFAULT_SIZE, GOLDEN_UPDATE_HEAVY
+from test_golden import GOLDEN, GOLDEN_DEFAULT_SIZE, GOLDEN_EVAL, GOLDEN_UPDATE_HEAVY
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -24,7 +25,9 @@ SRC = TESTS.parent / "src"
 CHILD = """
 import hashlib, json, sys, tempfile
 from pathlib import Path
-from test_golden import GOLDEN, default_size_cfg, golden_cfg, run_digests, update_heavy_cfg
+from test_golden import (
+    EVAL_CASES, GOLDEN, default_size_cfg, eval_results, golden_cfg, run_digests, update_heavy_cfg
+)
 
 configs = {f"{method} {suite}": golden_cfg(method, suite) for method, suite in sorted(GOLDEN)}
 configs["default-size"] = default_size_cfg()
@@ -35,6 +38,7 @@ for name, cfg in configs.items():
         csv, params = run_digests(cfg, Path(tmp))
         ckpt = hashlib.sha256((Path(tmp) / "final.ckpt").read_bytes()).hexdigest()
         digests[name] = [csv, params, ckpt]
+digests["eval"] = eval_results(*EVAL_CASES["default"])
 json.dump(digests, sys.stdout)
 """
 
@@ -53,9 +57,10 @@ def golden_digests(threads: int) -> dict[str, list[str]]:
 
 def test_golden_runs_are_byte_identical_under_one_and_two_blas_threads():
     one, two = golden_digests(1), golden_digests(2)
-    assert len(one) == len(GOLDEN) + 2
+    assert len(one) == len(GOLDEN) + 3
     assert one == two
     for (method, suite), pinned in GOLDEN.items():
         assert tuple(one[f"{method} {suite}"][:2]) == pinned
     assert tuple(one["default-size"][:2]) == GOLDEN_DEFAULT_SIZE
     assert tuple(one["update-heavy"][:2]) == GOLDEN_UPDATE_HEAVY
+    assert {label: tuple(pair) for label, pair in one["eval"].items()} == GOLDEN_EVAL["default"]
