@@ -66,6 +66,16 @@ def parse_seed_list(text: str) -> list[int]:
     return seeds
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+
+
 def _load_cfg(args) -> TrainConfig:
     if args.config is not None:
         cfg = load_config(args.config)
@@ -235,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = subs.add_parser("eval", help="evaluate a checkpoint")
     ev.add_argument("checkpoint", help="path to a .ckpt file")
     _add_config_flags(ev)
-    ev.add_argument("--n", type=int, default=None, help="samples per prompt")
+    ev.add_argument("--n", type=_positive_int, default=None, help="samples per prompt")
     ev.add_argument(
         "--strict-digest",
         action="store_true",

@@ -271,11 +271,7 @@ def mask_matrix(vocab_size: int, masks: PositionMasks, n_rows: int) -> np.ndarra
 
 
 class SampledResponse:
-    """One sampled response: token ids and their stored log-probabilities.
-
-    A plain slotted class: an eval call cuts one per row, and a frozen
-    dataclass's ``__init__`` costs twice as much.
-    """
+    """One sampled response: token ids and their stored log-probabilities."""
 
     __slots__ = ("tokens", "logprobs")
 
@@ -287,6 +283,35 @@ class SampledResponse:
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+
+class SampledRows(Sequence[SampledResponse]):
+    """The rows of one :func:`sample_group` call, read-only, over its buffers.
+
+    ``tokens`` and ``logprobs`` are the call's (n, L) response ids and
+    their log-probabilities, both read-only. Indexing and iteration build
+    a :class:`SampledResponse` per row on demand, its log-probs a view of
+    the row; a slice is a view of the same rows.
+    """
+
+    __slots__ = ("tokens", "logprobs")
+
+    def __init__(self, tokens: np.ndarray, logprobs: np.ndarray):
+        tokens.flags.writeable = logprobs.flags.writeable = False
+        self.tokens = tokens
+        self.logprobs = logprobs
+
+    def __len__(self) -> int:
+        return self.tokens.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SampledRows(self.tokens[i], self.logprobs[i])
+        return SampledResponse(tuple(self.tokens[i].tolist()), self.logprobs[i])
+
+    def __iter__(self):
+        for row, row_lp in zip(self.tokens.tolist(), self.logprobs):
+            yield SampledResponse(tuple(row), row_lp)
 
 
 def _sample_rows(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -430,12 +455,13 @@ def sample_group(
     position_masks: PositionMasks,
     max_len: int = sys.maxsize,
     collect_entropy: bool = False,
-) -> tuple[list[SampledResponse], list[float]]:
+) -> tuple[SampledRows, list[float]]:
     """Sample n responses to one prompt in lockstep from a single stream.
 
     The one-prompt case of :func:`sample_groups` on the first ``max_len``
-    masks, each buffer row a :class:`SampledResponse`; the log-probs are
-    views of the call's own buffer.
+    masks. Every row has one token per mask, so the rows come back as
+    :class:`SampledRows` over the response columns of the call's own
+    buffers, and no per-row object is built unless a caller reads one.
     """
     if max_len < 0:
         raise ContractViolation("max_len must be non-negative")
@@ -448,9 +474,7 @@ def sample_group(
         [position_masks[:max_len]],
         collect_entropy=collect_entropy,
     )
-    rows = tokens[:, params.window :].tolist()
-    responses = [SampledResponse(tuple(row), row_lp) for row, row_lp in zip(rows, logprobs)]
-    return responses, entropies
+    return SampledRows(tokens[:, params.window :], logprobs), entropies
 
 
 def score_tokens(

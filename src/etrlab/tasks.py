@@ -85,15 +85,19 @@ def answer_length(task: TaskSpec | Prompt) -> int:
     return (1 if task.family == "parity" else task.difficulty) + 1
 
 
-def response_grammar(prompt: Prompt, vocab: Vocab) -> tuple[tuple[int, ...], ...]:
-    """Legal token ids per response position: content slots, then EOS."""
-    if prompt.family == "digitsum":
+def response_grammar(task: TaskSpec | Prompt, vocab: Vocab) -> tuple[tuple[int, ...], ...]:
+    """Legal token ids per response position: content slots, then EOS.
+
+    It depends only on the family and difficulty, so every prompt of a
+    task spec shares the spec's grammar.
+    """
+    if task.family == "digitsum":
         content: tuple[int, ...] = tuple(range(10))
-    elif prompt.family == "parity":
+    elif task.family == "parity":
         content = (0, 1)
     else:
         content = vocab.content_ids()
-    return tuple([content] * (answer_length(prompt) - 1) + [(vocab.eos,)])
+    return tuple([content] * (answer_length(task) - 1) + [(vocab.eos,)])
 
 
 def verify(prompt: Prompt, tokens: Sequence[int], vocab: Vocab) -> bool:

@@ -3,7 +3,9 @@
 The program keeps a step's rollout in padded arrays
 (``policy.sample_groups``, ``groups.RolloutBatch``). These helpers rebuild
 the per-response objects and context rows that the array code replaced,
-so tests can compare the two layouts field by field.
+so tests can compare the two layouts field by field. ``reference_evaluate``
+is the per-row evaluation loop that ``trainer.evaluate``'s chunked checks
+must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from etrlab.groups import RolloutBatch, RolloutGroup
-from etrlab.policy import SampledResponse
+from etrlab.policy import PolicyParams, SampledResponse, Vocab, sample_group
+from etrlab.tasks import TaskSpec, generate_prompt, response_grammar, verify
+from etrlab.trainer import _EVAL_TAG
 
 
 def stacked_contexts(
@@ -63,3 +67,37 @@ def unpack_batch(batch: RolloutBatch) -> list[RolloutGroup]:
         RolloutGroup(prompt, tuple(responses), group_rewards)
         for prompt, responses, group_rewards in zip(batch.prompts, groups, rewards)
     ]
+
+
+def reference_evaluate(
+    params: PolicyParams,
+    suite: Sequence[TaskSpec],
+    vocab: Vocab,
+    n: int,
+    n_prompts: int,
+    seed: int,
+    round_index: int = 0,
+    temperature: float = 1.0,
+) -> dict[str, tuple[float, float]]:
+    """Mean@N and best@N with one scalar ``verify`` per sampled response.
+
+    Same prompts, streams and ``sample_group`` calls as
+    ``trainer.evaluate``, but each prompt's grammar is rebuilt from the
+    prompt and every row is checked on its own as a ``SampledResponse``.
+    """
+    out: dict[str, tuple[float, float]] = {}
+    for li, spec in enumerate(suite):
+        correct = 0
+        hits = 0
+        for pi in range(n_prompts):
+            rng = np.random.default_rng(
+                np.random.SeedSequence((seed, _EVAL_TAG, li, pi, round_index))
+            )
+            prompt = generate_prompt(spec, vocab, rng)
+            grammar = response_grammar(prompt, vocab)
+            responses, _ = sample_group(params, prompt.tokens, n, temperature, rng, grammar)
+            ok = [verify(prompt, r.tokens, vocab) for r in responses]
+            correct += sum(ok)
+            hits += bool(any(ok))
+        out[spec.label] = (correct / (n_prompts * n), hits / n_prompts)
+    return out

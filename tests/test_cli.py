@@ -361,3 +361,14 @@ def test_eval_strict_digest_mismatch_is_a_usage_error(tmp_path, capsys):
     args = ["eval", str(path), "--override", "kl_coef=0.5", "--strict-digest"]
     assert main(args) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize("n_first", [False, True], ids=["n-last", "n-first"])
+def test_eval_nonpositive_n_is_rejected_before_the_checkpoint_is_read(tmp_path, capsys, n, n_first):
+    # The checkpoint does not exist, so reading it first would report that.
+    missing = str(tmp_path / "nope.ckpt")
+    args = ["eval", "--n", n, missing] if n_first else ["eval", missing, "--n", n]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "--n" in err and "nope.ckpt" not in err

@@ -22,7 +22,7 @@ from etrlab.policy import (
 )
 from etrlab.tasks import TaskSpec, generate_prompt, response_grammar
 from etrlab.trainer import rollout_batch
-from rollout_reference import buffer_responses, stacked_contexts
+from rollout_reference import buffer_responses, row_responses, stacked_contexts
 
 VOCAB = Vocab()
 
@@ -433,6 +433,35 @@ def test_batched_sampler_equals_one_prompt_reference(k, seed):
         assert batched_rngs[g].bit_generator.state == ref_rngs[g].bit_generator.state
         assert one_rngs[g].bit_generator.state == ref_rngs[g].bit_generator.state
     assert entropies == want_entropies
+
+
+def test_sample_group_rows_are_a_read_only_view_of_the_call_buffers():
+    p = eos_leaning_params(0)
+    prompt, masks = BATCH_PROMPTS[1]
+    tokens, logprobs, lengths, _ = sample_groups(
+        p, [prompt], 6, 0.9, [np.random.default_rng(4)], [masks]
+    )
+    # What one call returned as a list: a SampledResponse per buffer row.
+    want = row_responses(tokens, logprobs, lengths)
+    rows, _ = sample_group(p, prompt, 6, 0.9, np.random.default_rng(4), masks)
+    assert len(rows) == len(want) == 6
+    assert all(type(r) is SampledResponse for r in rows)
+    assert_same_responses(rows, want)
+    assert_same_responses([rows[i] for i in range(6)], want)
+    assert_same_responses([rows[i] for i in range(-6, 0)], want)
+    assert_same_responses(rows[1:5], want[1:5])
+    assert_same_responses(rows[::-2], want[::-2])
+    for i in (6, -7):
+        with pytest.raises(IndexError):
+            rows[i]
+    with pytest.raises(ValueError):
+        rows.tokens[0, 0] = 0
+    with pytest.raises(ValueError):
+        rows[0].logprobs[0] = 0.0
+    # A later call fills buffers of its own.
+    other, _ = sample_group(p, prompt, 6, 0.9, np.random.default_rng(5), masks)
+    assert [r.tokens for r in other] != [r.tokens for r in want]
+    assert_same_responses(rows, want)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -3,15 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from etrlab.autodiff import ContractViolation
 from etrlab.config import METHODS, ConfigError, TrainConfig, parse_suite, validate_config
 from etrlab.metrics import suite_labels, write_metrics_csv
-from etrlab.policy import PolicyParams, Vocab, init_params
-from etrlab.tasks import TaskSpec, reward, verify
+from etrlab.policy import MIN_TEMPERATURE, PolicyParams, Vocab, init_params
+from etrlab.tasks import FAMILIES, TaskSpec, reward, verify
 import etrlab.trainer as trainer_mod
 from etrlab.trainer import (
     DivergedRun,
@@ -30,7 +30,7 @@ from etrlab.trainer import (
     train_step,
     write_run_artifacts,
 )
-from rollout_reference import unpack_batch
+from rollout_reference import reference_evaluate, unpack_batch
 
 VOCAB = Vocab()
 
@@ -278,6 +278,54 @@ def test_evaluate_n_one_mean_equals_best():
     assert out == again
     with pytest.raises(ContractViolation):
         evaluate(params, suite, VOCAB, n=0, n_prompts=4, seed=0)
+
+
+@st.composite
+def eval_cases(draw):
+    """Suites of up to three tasks, sample and prompt counts, moved parameters.
+
+    Prompt counts run past two chunks of ``trainer._EVAL_CHUNK``.
+    """
+    specs = st.builds(TaskSpec, st.sampled_from(FAMILIES), st.integers(1, 3))
+    return dict(
+        suite=tuple(draw(st.lists(specs, min_size=1, max_size=3, unique_by=lambda s: s.label))),
+        n=draw(st.integers(1, 8)),
+        n_prompts=draw(st.integers(1, 150)),
+        temperature=draw(st.floats(MIN_TEMPERATURE, 4.0)),
+        param_seed=draw(st.integers(0, 2**16)),
+        scale=draw(st.floats(0.1, 2.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        round_index=draw(st.integers(0, 300)),
+    )
+
+
+def _chunk_edge(n_prompts):
+    return dict(
+        suite=(TaskSpec("parity", 2), TaskSpec("digitsum", 1)),
+        n=3,
+        n_prompts=n_prompts,
+        temperature=1.0,
+        param_seed=1,
+        scale=1.0,
+        seed=9,
+        round_index=0,
+    )
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(eval_cases())
+@example(_chunk_edge(64))
+@example(_chunk_edge(65))
+@example(_chunk_edge(129))
+def test_evaluate_equals_the_per_row_reference(case):
+    params = init_params(VOCAB, 3, 4, 8, case["param_seed"], case["scale"])
+    args = (params, case["suite"], VOCAB, case["n"], case["n_prompts"], case["seed"])
+    kwargs = dict(round_index=case["round_index"], temperature=case["temperature"])
+
+    def hexed(results):
+        return {label: (mean.hex(), best.hex()) for label, (mean, best) in results.items()}
+
+    assert hexed(evaluate(*args, **kwargs)) == hexed(reference_evaluate(*args, **kwargs))
 
 
 def test_reward_improves_on_copy_smoke():
