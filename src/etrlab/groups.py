@@ -54,11 +54,12 @@ class RolloutBatch:
     and so on, so ``rewards.reshape(len(prompts), group_size)`` holds one
     group per row. Row i of ``tokens`` is the BOS-padded tail of its prompt
     (the first ``window`` columns) followed by its response, so the
-    context of response token t is ``tokens[i, t : t + window]``;
-    ``logprobs[i, t]`` is that token's stored log-probability and
-    ``lengths[i]`` the response length. Columns past a row's length are
-    padding and never read. ``entropies`` are the sampling entropies
-    recorded during the rollout (empty for packed groups).
+    context of response token t is ``tokens[i, t : t + window]``, and
+    ``logprobs[i, t]`` is that token's stored log-probability. A response
+    has one token per position of its group's grammar, so the grammar
+    alone sets its length (``lengths``); later columns are padding and
+    never read. ``entropies`` are the sampling entropies recorded during
+    the rollout (empty for packed groups).
     """
 
     prompts: tuple[Prompt, ...]
@@ -66,13 +67,11 @@ class RolloutBatch:
     group_size: int
     tokens: np.ndarray
     logprobs: np.ndarray
-    lengths: np.ndarray
     rewards: np.ndarray
     entropies: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for name in ("tokens", "lengths"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        object.__setattr__(self, "tokens", np.asarray(self.tokens, dtype=np.int64))
         for name in ("logprobs", "rewards"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         rows = len(self.prompts) * self.group_size
@@ -82,10 +81,15 @@ class RolloutBatch:
             raise ContractViolation("a rollout group needs at least two responses")
         if self.logprobs.shape != (rows, self.tokens.shape[1] - self.window) or self.window < 1:
             raise ContractViolation("token and log-probability buffers do not match")
-        if self.lengths.shape != (rows,) or np.any(self.lengths > self.logprobs.shape[1]):
-            raise ContractViolation("one length per row, within the buffer, is required")
+        if not all(1 <= len(g) <= self.logprobs.shape[1] for g in self.grammars):
+            raise ContractViolation("a grammar needs 1 to horizon positions")
         if self.rewards.shape != (rows,) or not np.all(np.abs(self.rewards) == 1.0):
             raise ContractViolation("one reward of +1 or -1 per row is required")
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Each row's response length: its grammar's number of positions."""
+        return np.repeat([len(g) for g in self.grammars], self.group_size)
 
     @property
     def window(self) -> int:
@@ -98,7 +102,12 @@ class RolloutBatch:
 def as_rollout_batch(
     batch: RolloutBatch | Sequence[RolloutGroup], vocab: Vocab, window: int
 ) -> RolloutBatch:
-    """A :class:`RolloutBatch` as it is; groups of one size packed into one."""
+    """A :class:`RolloutBatch` as it is; groups of one size packed into one.
+
+    A group's responses must share one length L, 1 <= L <= len(grammar):
+    it is packed under the first L positions of its grammar, which is what
+    ``sample_group(..., max_len=L)`` sampled them under.
+    """
     if isinstance(batch, RolloutBatch):
         return batch
     if len(batch) == 0:
@@ -106,10 +115,18 @@ def as_rollout_batch(
     size = batch[0].size
     if any(g.size != size for g in batch):
         raise ContractViolation("every group of a batch needs the same number of responses")
+    grammars = []
+    for g in batch:
+        grammar, length = response_grammar(g.prompt, vocab), len(g.responses[0])
+        if any(len(r) != length for r in g.responses):
+            raise ContractViolation("the responses of a group must share one length")
+        if not 1 <= length <= len(grammar):
+            raise ContractViolation("a response needs 1 to len(grammar) tokens")
+        grammars.append(grammar[:length])
+    horizon = max(map(len, grammars))
     responses = [r for g in batch for r in g.responses]
-    lengths = np.asarray([len(r) for r in responses], dtype=np.int64)
-    tokens = np.zeros((len(responses), window + int(lengths.max())), dtype=np.int64)
-    logprobs = np.zeros((len(responses), int(lengths.max())))
+    tokens = np.zeros((len(responses), window + horizon), dtype=np.int64)
+    logprobs = np.zeros((len(responses), horizon))
     tokens[:, :window] = np.repeat(
         [pad_context(g.prompt.tokens, window, vocab.bos) for g in batch], size, axis=0
     )
@@ -118,11 +135,10 @@ def as_rollout_batch(
         logprobs[i, : len(r)] = r.logprobs
     return RolloutBatch(
         prompts=tuple(g.prompt for g in batch),
-        grammars=tuple(response_grammar(g.prompt, vocab) for g in batch),
+        grammars=tuple(grammars),
         group_size=size,
         tokens=tokens,
         logprobs=logprobs,
-        lengths=lengths,
         rewards=np.concatenate([g.rewards for g in batch]),
     )
 

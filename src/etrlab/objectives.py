@@ -194,7 +194,7 @@ class PreparedBatch:
     lo: np.ndarray
     hi: np.ndarray
     weights: np.ndarray
-    epsilon_trace: np.ndarray | None
+    mean_epsilon: float | None
     group_slices: list[tuple[int, int]]
     temperature: float
 
@@ -228,8 +228,9 @@ def prepare_batch(
     per-response vectors and repeated over response lengths; targets,
     contexts and stored log-probs are the batch's buffers read through
     the mask of positions inside each response. Each distinct grammar gets
-    one mask table, as long as its longest response. Every id a context
-    or target reads is checked here, once per batch.
+    one mask table, and token t of a response reads row t of its
+    grammar's. Every id a context or target reads is checked here, once
+    per batch.
     """
     vocab = ref_params.vocab
     window = ref_params.window
@@ -239,16 +240,14 @@ def prepare_batch(
     if not temperature >= MIN_TEMPERATURE:
         raise ContractViolation(f"temperature must be at least {MIN_TEMPERATURE!r}")
     lengths, k, g = batch.lengths, len(batch), batch.group_size
-    if lengths.min() == 0:
-        raise ContractViolation("cannot score an empty response")
     stats = group_stats(batch.rewards.reshape(k, g), xi)
     adv = stats.advantages.reshape(-1)
     rate = np.repeat(stats.pass_rate, g)
     lo, hi = clip_bounds(strategy, adv, rate)
     weights = 1.0 / (k * g * lengths)
-    trace = None
+    mean_eps = None
     if isinstance(strategy, Elastic):
-        trace = np.repeat(dynamic_epsilon(adv, rate, strategy), lengths)
+        mean_eps = float(np.mean(np.repeat(dynamic_epsilon(adv, rate, strategy), lengths)))
     horizon = batch.logprobs.shape[1]
     # Columns a context or target reads: the prompt tail, then the response.
     read = np.arange(window + horizon) < (window + lengths)[:, None]
@@ -258,14 +257,9 @@ def prepare_batch(
     contexts = windows[:, :horizon][inside]
     distinct, index = _distinct_rows(contexts)
     targets = batch.tokens[:, window:][inside]
-    # Token t of a response reads row t of its grammar's table.
-    longest = {}
-    for grammar, n_rows in zip(batch.grammars, lengths.reshape(k, g).max(axis=1).tolist()):
-        longest[grammar] = max(n_rows, longest.get(grammar, 0))
-    table = np.concatenate(
-        [mask_matrix(vocab.size, grammar, n_rows) for grammar, n_rows in longest.items()]
-    )
-    table_starts = dict(zip(longest, np.cumsum([0, *longest.values()]).tolist()))
+    grammars = dict.fromkeys(batch.grammars)
+    table = np.concatenate([mask_matrix(vocab.size, grammar) for grammar in grammars])
+    table_starts = dict(zip(grammars, np.cumsum([0, *map(len, grammars)]).tolist()))
     row_starts = np.repeat([table_starts[grammar] for grammar in batch.grammars], g)
     mask_rows = np.repeat(row_starts, lengths) + np.nonzero(inside)[1]
     pairs, pair_index = _distinct_rows((index * len(table) + mask_rows)[:, None])
@@ -284,7 +278,7 @@ def prepare_batch(
         lo=np.repeat(lo, lengths),
         hi=np.repeat(hi, lengths),
         weights=np.repeat(weights, lengths),
-        epsilon_trace=trace,
+        mean_epsilon=mean_eps,
         group_slices=list(zip([0] + group_ends[:-1], group_ends)),
         temperature=temperature,
     )
@@ -351,14 +345,13 @@ def evaluate_prepared(
             d_logits.reshape(logits.shape),
             gradient_out,
         )
-    trace = prep.epsilon_trace
     return LossBreakdown(
         surrogate=float(surrogate),
         kl=float(kl),
         total=float(total),
         clipped_tokens=int(np.sum(clipped_branch < unclipped_branch)),
         total_tokens=int(prep.targets.size),
-        mean_epsilon=None if trace is None else float(np.mean(trace)),
+        mean_epsilon=prep.mean_epsilon,
         gradient=gradient,
     )
 

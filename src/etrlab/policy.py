@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -249,19 +250,17 @@ def masked_logprobs(logits: np.ndarray, masks: np.ndarray, temperature: float) -
 
 
 @functools.lru_cache(maxsize=256)
-def mask_matrix(vocab_size: int, masks: PositionMasks, n_rows: int) -> np.ndarray:
-    """Additive-logit mask rows: 0 for legal ids, MASK_LOGIT otherwise.
+def mask_matrix(vocab_size: int, masks: PositionMasks) -> np.ndarray:
+    """One additive-logit row per position: 0 for legal ids, MASK_LOGIT otherwise.
 
     Tables are memoised on the arguments, so masks must be hashable, as
     the tuples ``tasks.response_grammar`` returns are; they are returned
     read-only. A call with an illegal id raises every time, since a failed
     build is never cached.
     """
-    if len(masks) < n_rows:
-        raise ContractViolation("fewer mask rows than generated positions")
-    out = np.full((n_rows, vocab_size), MASK_LOGIT)
-    for i in range(n_rows):
-        legal = np.asarray(tuple(masks[i]), dtype=np.int64)
+    out = np.full((len(masks), vocab_size), MASK_LOGIT)
+    for i, legal in enumerate(masks):
+        legal = np.asarray(tuple(legal), dtype=np.int64)
         if legal.size == 0:
             raise ContractViolation("a position mask must allow at least one token")
         _check_ids(legal, vocab_size)
@@ -291,7 +290,7 @@ class SampledRows(Sequence[SampledResponse]):
     ``tokens`` and ``logprobs`` are the call's (n, L) response ids and
     their log-probabilities, both read-only. Indexing and iteration build
     a :class:`SampledResponse` per row on demand, its log-probs a view of
-    the row; a slice is a view of the same rows.
+    the row.
     """
 
     __slots__ = ("tokens", "logprobs")
@@ -304,10 +303,8 @@ class SampledRows(Sequence[SampledResponse]):
     def __len__(self) -> int:
         return self.tokens.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return SampledRows(self.tokens[i], self.logprobs[i])
-        return SampledResponse(tuple(self.tokens[i].tolist()), self.logprobs[i])
+    def __getitem__(self, i: int) -> SampledResponse:
+        return SampledResponse(tuple(self.tokens[operator.index(i)].tolist()), self.logprobs[i])
 
     def __iter__(self):
         for row, row_lp in zip(self.tokens.tolist(), self.logprobs):
@@ -329,7 +326,7 @@ def sample_groups(
     position_masks: Sequence[PositionMasks],
     *,
     collect_entropy: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Sample n responses to each of K prompts in lockstep.
 
     A response has one token per position of its prompt's masks, so the
@@ -351,9 +348,8 @@ def sample_groups(
       hold the row's BOS-padded prompt tail and the rest its response, so
       the context of response token t in row i is
       ``tokens[i, t : t + window]``;
-    - ``logprobs`` (K * n, horizon): each response token's log-probability;
-    - ``lengths`` (K * n,): each row's number of masks. Columns past a
-      row's length are padding;
+    - ``logprobs`` (K * n, horizon): each response token's log-probability.
+      Columns past a row's number of masks are padding;
     - entropies of the positions whose mask allows at least two tokens,
       group-major, and within a group position-major over its rows (empty
       unless ``collect_entropy``).
@@ -361,9 +357,10 @@ def sample_groups(
     A position is one-token when every group whose masks reach it has a
     mask there with exactly one legal id, as the EOS position that ends
     every answer grammar. Such a position runs no forward pass: each open
-    group still draws its n uniforms, and each row gets the forced id with
-    log-probability 0.0. That is what the full path gives for every draw
-    in (0, 1) whenever masked renormalisation is exact (finite logits and
+    group still draws its n uniforms, and each row gets the one id its
+    mask row allows (0 past its masks) with log-probability 0.0. That is
+    what the full path gives for every draw in (0, 1) whenever masked
+    renormalisation is exact (finite logits and
     ``temperature >= MIN_TEMPERATURE``). Padding at such a position in
     the columns of groups already past their masks may therefore differ
     from what a forward pass would have left there.
@@ -390,22 +387,14 @@ def sample_groups(
     rows = k_groups * n
     # Mask rows are built once per group and laid out per position and row,
     # so each position adds one contiguous (rows, V) block. Rows of a
-    # group past its budget are never read. In the same pass, a position
-    # stays one-token while every group that reaches it allows one id
-    # there, and forced[pos] holds that id per row.
+    # group past its budget stay all zero: they only fill its padding. A
+    # position is one-token when no group that reaches it has a choice there.
     row_masks = np.zeros((horizon, rows, v))
     choice = np.zeros((k_groups, horizon), dtype=bool)
-    one_token = [True] * horizon
-    forced = np.zeros((horizon, rows), dtype=np.int64)
     for k, (m, b) in enumerate(zip(position_masks, budgets)):
-        row_masks[:b, k * n : (k + 1) * n] = mask_matrix(v, m, b)[:, None, :]
-        for pos in range(b):
-            legal = tuple(m[pos])
-            if len(legal) == 1:
-                forced[pos, k * n : (k + 1) * n] = legal[0]
-            else:
-                choice[k, pos] = True
-                one_token[pos] = False
+        row_masks[:b, k * n : (k + 1) * n] = mask_matrix(v, m)[:, None, :]
+        choice[k, :b] = [len(legal) > 1 for legal in m]
+    one_token = ~choice.any(axis=0)
     if collect_entropy:
         entropy = np.zeros((horizon, rows))
     # Only prompt tails need a check: _sample_rows clamps sampled ids.
@@ -423,8 +412,10 @@ def sample_groups(
             if b > pos:
                 rngs[k].random(out=draws[k * n : (k + 1) * n])
         if one_token[pos]:
-            # No choice anywhere: the draws are spent, the log-probs stay 0.0.
-            picks = forced[pos]
+            # No choice anywhere: the draws are spent, the log-probs stay 0.0,
+            # and each row takes its mask row's one 0.0 entry (id 0 on an
+            # all-zero row, past its group's budget).
+            picks = row_masks[pos].argmax(axis=1)
         else:
             logits = forward(params, tokens[::stride, pos : pos + window])[2]
             lp = masked_logprobs(logits, row_masks[pos][::stride], temperature)
@@ -438,12 +429,11 @@ def sample_groups(
                 entropy[pos] = -(probs * lp).sum(axis=1)
             logprobs[:, pos] = lp.take(row_starts + picks)
         tokens[:, window + pos] = picks
-    lengths = np.repeat(budgets, n)
     if not collect_entropy:
-        return tokens, logprobs, lengths, []
+        return tokens, logprobs, []
     # Group-major, then position-major over the positions with a choice.
     entropy = entropy.reshape(horizon, k_groups, n).transpose(1, 0, 2)
-    return tokens, logprobs, lengths, entropy[choice].ravel().tolist()
+    return tokens, logprobs, entropy[choice].ravel().tolist()
 
 
 def sample_group(
@@ -465,7 +455,7 @@ def sample_group(
     """
     if max_len < 0:
         raise ContractViolation("max_len must be non-negative")
-    tokens, logprobs, _, entropies = sample_groups(
+    tokens, logprobs, entropies = sample_groups(
         params,
         [prompt],
         n,

@@ -127,24 +127,21 @@ def verify_rows(
     prompts: Sequence[Prompt],
     n: int,
     tokens: np.ndarray,
-    lengths: np.ndarray,
     vocab: Vocab,
 ) -> np.ndarray:
     """:func:`verify` on every row of a padded response buffer at once.
 
-    Row i of ``tokens`` (rows, horizon) holds a response of ``lengths[i]``
-    ids, then padding that is never read. Rows answer the prompts in
-    order, n rows each: the first n rows ``prompts[0]``, the next n
-    ``prompts[1]``, and so on. Entry i of the result is
-    ``verify(prompt, tokens[i, :lengths[i]], vocab)``.
+    Rows of ``tokens`` (rows, horizon) answer the prompts in order, n rows
+    each: the first n rows ``prompts[0]``, the next n ``prompts[1]``, and
+    so on. A row is read up to its prompt's :func:`answer_length`, so
+    entry i of the result is ``verify(prompt, tokens[i, :length], vocab)``.
+    A buffer narrower than an answer reads 0 at the EOS slot, and EOS is
+    never id 0, so such a row is incorrect, as its short response is.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
     rows = tokens.shape[0]
     if not prompts or n < 1 or len(prompts) * n != rows:
         raise ContractViolation("one prompt per group of rows is required")
-    if lengths.shape != (rows,) or np.any((lengths < 0) | (lengths > tokens.shape[1])):
-        raise ContractViolation("one length per row, within the buffer, is required")
     # Per prompt: its content slots and the ids they must hold (the copy
     # payload, the digit target or the parity bit in slot 0). A copy
     # prompt whose payload does not fill its slots has no correct answer.
@@ -169,11 +166,7 @@ def verify_rows(
     cut = min(width, tokens.shape[1])
     head[:, :cut] = tokens[:, :cut]
     outside = np.arange(width) >= slot[:, None]
-    well_formed = (
-        np.repeat(solvable, n)
-        & (lengths == slot + 1)
-        & (head[np.arange(rows), slot] == vocab.eos)
-    )
+    well_formed = np.repeat(solvable, n) & (head[np.arange(rows), slot] == vocab.eos)
     first = head[:, 0]
     by_family = {
         "copy": np.all((head == want) | outside, axis=1),

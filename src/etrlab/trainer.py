@@ -24,7 +24,7 @@ from .config import (
     render_config,
     validate_config,
 )
-from .groups import RolloutBatch, RolloutGroup, as_rollout_batch, group_stats
+from .groups import RolloutBatch, group_stats
 from .metrics import (
     StepMetrics,
     config_digest,
@@ -241,7 +241,7 @@ def rollout_batch(
         rngs.append(rng)
         prompts.append(prompt)
         grammars.append(response_grammar(prompt, vocab))
-    tokens, logprobs, lengths, entropies = sample_groups(
+    tokens, logprobs, entropies = sample_groups(
         params,
         [prompt.tokens for prompt in prompts],
         cfg.group_size,
@@ -250,14 +250,13 @@ def rollout_batch(
         position_masks=grammars,
         collect_entropy=True,
     )
-    correct = verify_rows(prompts, cfg.group_size, tokens[:, params.window :], lengths, vocab)
+    correct = verify_rows(prompts, cfg.group_size, tokens[:, params.window :], vocab)
     return RolloutBatch(
         prompts=tuple(prompts),
         grammars=tuple(grammars),
         group_size=cfg.group_size,
         tokens=tokens,
         logprobs=logprobs,
-        lengths=lengths,
         rewards=reward(correct),
         entropies=tuple(entropies),
     )
@@ -279,7 +278,7 @@ def train_step(
     params: PolicyParams,
     ref_params: PolicyParams,
     opt: OptimizerState,
-    batch: RolloutBatch | Sequence[RolloutGroup],
+    batch: RolloutBatch,
     cfg: TrainConfig,
     strategy: ClipStrategy | None = None,
 ) -> LossBreakdown:
@@ -292,7 +291,6 @@ def train_step(
     """
     if strategy is None:
         strategy = build_strategy(cfg)
-    batch = as_rollout_batch(batch, ref_params.vocab, ref_params.window)
     prep = prepare_batch(batch, strategy, ref_params, cfg.advantage_xi, cfg.temperature)
     # The update's two work vectors, reused by every inner epoch. They live
     # for this call only: kept between steps, they would only raise the
@@ -360,8 +358,7 @@ def evaluate(
                 rows, _ = sample_group(params, prompt.tokens, n, temperature, rng, grammar)
                 tokens[j * n : (j + 1) * n] = rows.tokens
                 prompts.append(prompt)
-            lengths = np.full(len(tokens), len(grammar))
-            ok = verify_rows(prompts, n, tokens, lengths, vocab).reshape(len(chunk), n)
+            ok = verify_rows(prompts, n, tokens, vocab).reshape(len(chunk), n)
             correct += int(ok.sum())
             hits += int(ok.any(axis=1).sum())
         out[spec.label] = (correct / (n_prompts * n), hits / n_prompts)

@@ -40,28 +40,29 @@ def stacked_contexts(
     return windows[row_starts]
 
 
-def row_responses(
-    tokens: np.ndarray, logprobs: np.ndarray, lengths: np.ndarray
-) -> list[SampledResponse]:
-    """Each row of a padded token/log-prob buffer cut to its length."""
+def buffer_responses(
+    tokens: np.ndarray, logprobs: np.ndarray, masks: Sequence[Sequence], n: int
+) -> list[list[SampledResponse]]:
+    """``sample_groups`` buffers cut into responses, n rows per group.
+
+    Group k's rows are cut to ``len(masks[k])`` tokens, its number of
+    positions.
+    """
     window = tokens.shape[1] - logprobs.shape[1]
     return [
-        SampledResponse(tuple(tokens[i, window : window + size].tolist()), logprobs[i, :size].copy())
-        for i, size in enumerate(lengths.tolist())
+        [
+            SampledResponse(
+                tuple(tokens[i, window : window + len(m)].tolist()), logprobs[i, : len(m)].copy()
+            )
+            for i in range(k * n, (k + 1) * n)
+        ]
+        for k, m in enumerate(masks)
     ]
-
-
-def buffer_responses(
-    tokens: np.ndarray, logprobs: np.ndarray, lengths: np.ndarray, n: int
-) -> list[list[SampledResponse]]:
-    """``sample_groups`` buffers cut into responses, n rows per group."""
-    responses = row_responses(tokens, logprobs, lengths)
-    return [responses[k : k + n] for k in range(0, len(responses), n)]
 
 
 def unpack_batch(batch: RolloutBatch) -> list[RolloutGroup]:
     """A rollout batch as one :class:`RolloutGroup` per prompt."""
-    groups = buffer_responses(batch.tokens, batch.logprobs, batch.lengths, batch.group_size)
+    groups = buffer_responses(batch.tokens, batch.logprobs, batch.grammars, batch.group_size)
     rewards = batch.rewards.reshape(len(batch), batch.group_size)
     return [
         RolloutGroup(prompt, tuple(responses), group_rewards)

@@ -344,7 +344,7 @@ def test_key_strategies_cover_every_key():
     assert set(_KEY_VALUES) == {f.name for f in dataclasses.fields(TrainConfig)}
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(st.fixed_dictionaries({}, optional=_KEY_VALUES))
 def test_every_key_round_trips_through_its_text(updates):
     cfg = dataclasses.replace(TrainConfig(), **updates)
@@ -380,7 +380,7 @@ _LINES = st.one_of(
 )
 
 
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@settings(max_examples=400)
 @given(st.lists(_LINES, max_size=6).map("\n".join))
 def test_arbitrary_config_text_parses_or_names_its_line(text):
     try:
@@ -392,7 +392,7 @@ def test_arbitrary_config_text_parses_or_names_its_line(text):
     assert parse_config(render_config(cfg)) == cfg
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(st.one_of(st.text(max_size=24), _LINES.map(lambda s: s.replace(" ", ""))), max_size=4))
 def test_arbitrary_overrides_apply_or_raise_config_error(overrides):
     try:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,30 @@ def test_as_rollout_batch_rejects_groups_of_unequal_size():
     assert as_rollout_batch([two, two], VOCAB, 3).group_size == 2
     with pytest.raises(ContractViolation, match="same number of responses"):
         as_rollout_batch([two, three], VOCAB, 3)
+
+
+def test_as_rollout_batch_packs_each_group_under_its_grammar_prefix():
+    # Lengths are not stored: a group's responses share one length, which
+    # cuts its grammar, and RolloutBatch.lengths reads the grammars.
+    copy = Prompt("copy", 3, (3, 1, 4), encode_payload("copy", (3, 1, 4), VOCAB))
+    parity = Prompt("parity", 1, (1,), encode_payload("parity", (1,), VOCAB))
+    groups = [
+        RolloutGroup(copy, (make_response(2),) * 2, np.asarray([1.0, -1.0])),
+        RolloutGroup(parity, (make_response(2),) * 2, np.asarray([1.0, -1.0])),
+    ]
+    batch = as_rollout_batch(groups, VOCAB, 3)
+    assert "lengths" not in {f.name for f in dataclasses.fields(batch)}
+    assert batch.grammars == (response_grammar(copy, VOCAB)[:2], response_grammar(parity, VOCAB))
+    assert batch.lengths.dtype == np.int64 and batch.lengths.tolist() == [2, 2, 2, 2]
+    assert batch.tokens.shape == (4, 5) and batch.logprobs.shape == (4, 2)
+    with pytest.raises(ContractViolation, match="share one length"):
+        mixed = (make_response(2), make_response(3))
+        as_rollout_batch([RolloutGroup(copy, mixed, np.asarray([1.0, -1.0]))], VOCAB, 3)
+    for response in (SampledResponse((), np.zeros(0)), make_response(3)):
+        group = RolloutGroup(parity, (response,) * 2, np.asarray([1.0, -1.0]))
+        with pytest.raises(ContractViolation, match="1 to len"):
+            as_rollout_batch([group], VOCAB, 3)
+    # A batch built directly is held to the same rule by its grammars.
+    for grammars in (((),), (response_grammar(copy, VOCAB),)):
+        with pytest.raises(ContractViolation, match="1 to horizon"):
+            dataclasses.replace(batch, prompts=(copy,), grammars=grammars, group_size=4)

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from etrlab import objectives
 from etrlab.autodiff import ContractViolation, Record, exp, sum_all
 from etrlab.config import METHODS, TrainConfig, build_strategy
-from etrlab.groups import RolloutBatch, RolloutGroup, group_stats
+from etrlab.groups import RolloutBatch, RolloutGroup, as_rollout_batch, group_stats
 from etrlab.objectives import (
     ClipHigh,
     Elastic,
@@ -39,7 +39,7 @@ from etrlab.policy import (
     score_tokens,
 )
 from etrlab.tasks import Prompt, encode_payload, response_grammar, reward, verify_rows
-from etrlab.trainer import OptimizerState, TrainingDiverged, train_step
+from etrlab.trainer import OptimizerState, TrainingDiverged, rollout_batch, train_step
 from rollout_reference import stacked_contexts, unpack_batch
 from tape_reference import gather_pairs, matmul, reshape, softmax_logprobs, take_rows, tanh
 
@@ -222,19 +222,20 @@ def test_lambda_zero_degenerates_to_static():
     np.testing.assert_array_equal(a.gradient, b.gradient)
 
 
-def test_loss_breakdown_identity_and_epsilon_trace():
+def test_loss_breakdown_identity_and_mean_epsilon():
     group, params = make_group([1.0, 1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0], seed=9)
     moved = params.copy()
     moved.set_vector(moved.to_vector() + 0.03)
     strategy = Elastic(0.2, 0.1, 0.1)
     bd = batch_objective([group], strategy, 0.001, moved, params)
     assert abs(bd.total - (bd.surrogate - 0.001 * bd.kl)) < 1e-15
-    trace = prepare_batch([group], strategy, params).epsilon_trace
-    assert trace is not None
-    assert trace.shape == (bd.total_tokens,)
-    assert abs(bd.mean_epsilon - trace.mean()) < 1e-15
-    assert np.all(trace >= 0.1 - 1e-12)
-    assert np.all(trace <= 0.4 + 1e-12)
+    stats = group_stats(group.rewards)
+    eps = dynamic_epsilon(stats.advantages, stats.pass_rate, strategy)
+    assert np.all(eps >= 0.1 - 1e-12) and np.all(eps <= 0.4 + 1e-12)
+    # The mean half-width over every token, the same bits on any parameters.
+    want = reference_prepare_batch([group], strategy, params)["mean_epsilon"]
+    assert bd.mean_epsilon == prepare_batch([group], strategy, params).mean_epsilon == want
+    assert abs(want - eps.mean()) < 1e-15
 
 
 def row_logits(params, context):
@@ -259,7 +260,7 @@ def brute_force_objective(groups, params, ref, eps, beta):
             lp_new, lp_ref = [], []
             seq = list(group.prompt.tokens)
             for j, tok in enumerate(resp.tokens):
-                mask = mask_matrix(params.vocab.size, (grammar[j],), 1)[0]
+                mask = mask_matrix(params.vocab.size, (grammar[j],))[0]
                 for p, sink in ((params, lp_new), (ref, lp_ref)):
                     logits = row_logits(p, pad_context(seq, p.window, p.vocab.bos)) + mask
                     shifted = logits - logits.max()
@@ -358,7 +359,7 @@ def reference_prepare_batch(batch, strategy, ref_params, xi=1e-6, temperature=1.
                 stacked_contexts([(group.prompt.tokens, resp.tokens)], ref_params.window, vocab.bos)
             )
             tgt_parts.append(np.asarray(resp.tokens, dtype=np.int64))
-            mask_parts.append(mask_matrix(vocab.size, grammar, length))
+            mask_parts.append(mask_matrix(vocab.size, grammar[:length]))
             old_parts.append(np.asarray(resp.logprobs, dtype=np.float64))
             adv_parts.append(np.full(length, adv))
             lo_i, hi_i = clip_bounds(strategy, adv, stats.pass_rate)
@@ -385,14 +386,18 @@ def reference_prepare_batch(batch, strategy, ref_params, xi=1e-6, temperature=1.
         lo=np.concatenate(lo_parts),
         hi=np.concatenate(hi_parts),
         weights=np.concatenate(w_parts),
-        epsilon_trace=np.concatenate(eps_parts) if eps_parts else None,
+        mean_epsilon=float(np.mean(np.concatenate(eps_parts))) if eps_parts else None,
         group_slices=group_slices,
         temperature=temperature,
     )
 
 
 def uneven_batch(seed):
-    """Four groups of 4 from three task families whose responses differ in length."""
+    """Four groups of 4 from three task families whose responses differ in length.
+
+    Each group draws one length from 1 to its grammar's, as a group sampled
+    with ``max_len`` has, so some groups are cut short of their answer.
+    """
     rng = np.random.default_rng(seed)
     batch = []
     size = 4
@@ -406,8 +411,8 @@ def uneven_batch(seed):
         prompt = Prompt(family, difficulty, payload, encode_payload(family, payload, VOCAB))
         grammar = response_grammar(prompt, VOCAB)
         responses = []
+        length = int(rng.integers(1, len(grammar) + 1))
         for _ in range(size):
-            length = int(rng.integers(1, len(grammar) + 1))
             tokens = tuple(int(rng.choice(grammar[j])) for j in range(length))
             responses.append(SampledResponse(tokens, -rng.exponential(size=length)))
         rewards = rng.choice([-1.0, 1.0], size=size)
@@ -477,7 +482,7 @@ def token_view(prep):
     contexts, masks = token_rows(prep)
     names = (
         "distinct_contexts", "targets", "old_logprobs", "ref_logprobs",
-        "advantages", "lo", "hi", "weights", "epsilon_trace", "group_slices", "temperature",
+        "advantages", "lo", "hi", "weights", "mean_epsilon", "group_slices", "temperature",
     )
     return dict(
         distinct_index=distinct_index,
@@ -511,12 +516,12 @@ def sampled_rollout(params, k, seed, n=4, max_len=4):
     free = (tuple(range(VOCAB.size)),) * max_len
     masks = [g if masked else free for g, (_, masked) in zip(grammars, ROLLOUT_PROMPTS)]
     rngs = [np.random.default_rng([seed, g]) for g in range(k)]
-    tokens, logprobs, lengths, entropies = sample_groups(
+    tokens, logprobs, entropies = sample_groups(
         params, [p.tokens for p in prompts], n, 0.8, rngs, masks, collect_entropy=True
     )
-    correct = verify_rows(prompts, n, tokens[:, params.window :], lengths, VOCAB)
+    correct = verify_rows(prompts, n, tokens[:, params.window :], VOCAB)
     batch = RolloutBatch(
-        tuple(prompts), grammars, n, tokens, logprobs, lengths, reward(correct), tuple(entropies)
+        tuple(prompts), grammars, n, tokens, logprobs, reward(correct), tuple(entropies)
     )
     return batch, masks, rngs
 
@@ -635,7 +640,7 @@ def test_tape_scorer_matches_plain_scorer():
     p = init_params(VOCAB, 4, 16, 64, 8, 0.1)
     prompt = [VOCAB.sep, 4, VOCAB.sep]
     tokens = [2, 9, VOCAB.eos]
-    masks = mask_matrix(VOCAB.size, (VOCAB.content_ids(),) * 2 + ((VOCAB.eos,),), 3)
+    masks = mask_matrix(VOCAB.size, (VOCAB.content_ids(),) * 2 + ((VOCAB.eos,),))
     contexts = stacked_contexts([(prompt, tokens)], p.window, VOCAB.bos)
     targets = np.asarray(tokens)
     rec = Record()
@@ -690,10 +695,7 @@ def test_closed_form_matches_tape_on_all_distinct_contexts():
     full = prepare_batch(uneven_batch(3), Elastic(0.2, 0.1, 0.15), params, 1e-6, 0.8)
     contexts, masks = token_rows(full)
     keep = np.sort(np.unique(contexts, axis=0, return_index=True)[1])
-    per_token = (
-        "targets", "old_logprobs", "ref_logprobs",
-        "advantages", "lo", "hi", "weights", "epsilon_trace",
-    )
+    per_token = ("targets", "old_logprobs", "ref_logprobs", "advantages", "lo", "hi", "weights")
     # Every token is its own distinct context and its own pair.
     prep = dataclasses.replace(
         full,
@@ -733,8 +735,9 @@ def test_non_finite_objective_raises_training_diverged():
     )
     broken = params.copy()
     broken.w_out[0, 0] = np.nan
+    packed = as_rollout_batch(batch, VOCAB, params.window)
     with pytest.raises(TrainingDiverged):
-        train_step(broken, params, OptimizerState.zeros(params.param_count), batch, cfg)
+        train_step(broken, params, OptimizerState.zeros(params.param_count), packed, cfg)
     # A ratio that overflows on a negative-advantage response of the third
     # group drives the surrogate to -inf; the group is located and reported.
     responses = list(batch[2].responses)
@@ -742,44 +745,59 @@ def test_non_finite_objective_raises_training_diverged():
     responses[0] = SampledResponse(first.tokens, np.full(len(first), -1e6))
     rewards = np.asarray([-1.0, 1.0, 1.0, 1.0])
     batch[2] = RolloutGroup(batch[2].prompt, tuple(responses), rewards)
+    packed = as_rollout_batch(batch, VOCAB, params.window)
     with pytest.raises(TrainingDiverged) as caught:
-        train_step(params.copy(), params, OptimizerState.zeros(params.param_count), batch, cfg)
+        train_step(params.copy(), params, OptimizerState.zeros(params.param_count), packed, cfg)
     assert caught.value.group_index == 2
 
 
-def test_prepare_batch_rejects_empty_and_overlong_responses():
+def test_prepare_batch_rejects_empty_overlong_and_mixed_length_responses():
     group, params = make_group([1.0, -1.0], seed=1)
+    first = group.responses[0]
     empty = SampledResponse((), np.zeros(0))
-    with pytest.raises(ContractViolation):
-        prepare_batch(
-            [RolloutGroup(group.prompt, (group.responses[0], empty), group.rewards)],
-            Static(0.2),
-            params,
-        )
     overlong = SampledResponse((1, 2, 3), np.zeros(3))
-    with pytest.raises(ContractViolation):
-        prepare_batch(
-            [RolloutGroup(group.prompt, (group.responses[0], overlong), group.rewards)],
-            Static(0.2),
-            params,
-        )
+    cases = [((empty, empty), "1 to len"), ((overlong, overlong), "1 to len")]
+    cases += [((first, r), "share one length") for r in (empty, overlong)]
+    for responses, message in cases:
+        with pytest.raises(ContractViolation, match=message):
+            prepare_batch([RolloutGroup(group.prompt, responses, group.rewards)], Static(0.2), params)
 
 
 def test_prepare_batch_builds_one_mask_table_per_distinct_grammar(monkeypatch):
     calls = []
 
-    def counted(vocab_size, masks, n_rows):
+    def counted(vocab_size, masks):
         calls.append(masks)
-        return mask_matrix(vocab_size, masks, n_rows)
+        return mask_matrix(vocab_size, masks)
 
     monkeypatch.setattr(objectives, "mask_matrix", counted)
-    batch = uneven_batch(0)
-    grammars = [response_grammar(group.prompt, VOCAB) for group in batch]
-    assert len(set(grammars)) < len(grammars)
     params = init_params(VOCAB, 3, 5, 7, 0, 0.4)
+    cfg = dataclasses.replace(TrainConfig(), context_window=3)
+    batch = rollout_batch(params, cfg, VOCAB, 1)
+    assert len(set(batch.grammars)) < len(batch.grammars)
     prep = prepare_batch(batch, Static(0.2), params)
-    assert sorted(calls) == sorted(set(grammars))
+    # One table per grammar, in first-seen order.
+    assert calls == list(dict.fromkeys(batch.grammars))
     assert prep.pair_masks.shape[0] < prep.targets.size
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=repr)
+@pytest.mark.parametrize("max_len", [1, 2, 3])
+def test_group_cut_by_max_len_packs_under_its_grammar_prefix(strategy, max_len):
+    # sample_group samples under grammar[:max_len]; the packed group keeps
+    # exactly that grammar and prepares as the per-response reference does.
+    params = init_params(VOCAB, 3, 5, 7, max_len, 0.4)
+    prompt = prompt_of("copy", 3, (2, 8, 5))
+    grammar = response_grammar(prompt, VOCAB)
+    rows, _ = sample_group(
+        params, prompt.tokens, 4, 0.8, np.random.default_rng(max_len), grammar, max_len
+    )
+    group = RolloutGroup(prompt, tuple(rows), np.asarray([1.0, -1.0, -1.0, 1.0]))
+    packed = as_rollout_batch([group], VOCAB, params.window)
+    assert packed.grammars == (grammar[:max_len],)
+    assert packed.lengths.tolist() == [max_len] * 4
+    got = prepare_batch([group], strategy, params, 1e-6, 0.8)
+    assert_same(token_view(got), reference_prepare_batch([group], strategy, params, 1e-6, 0.8))
 
 
 @st.composite
@@ -789,7 +807,7 @@ def row_tables(draw):
     return draw(hnp.arrays(np.int64, shape, elements=st.integers(0, draw(st.integers(0, 3)))))
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(row_tables())
 @example(np.zeros((1, 3), dtype=np.int64))
 @example(np.full((6, 2), 7, dtype=np.int64))
@@ -818,7 +836,7 @@ def scatter_cases(draw):
     return n_distinct + draw(st.integers(0, 1)), index, values
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(scatter_cases())
 def test_bincount_scatter_equals_add_at(case):
     n_rows, index, values = case

@@ -239,7 +239,7 @@ def malformed_row(prompt, vocab, rng, horizon):
     right = answer(prompt) + [vocab.eos]
     kind = rng.choice(
         ["right", "one slot off", "too long", "too short", "early eos", "no eos",
-         "out of range", "cut at max_len", "empty", "random"]
+         "out of range", "random"]
     )
     row = list(right)
     slot = int(rng.integers(len(right) - 1))
@@ -256,11 +256,6 @@ def malformed_row(prompt, vocab, rng, horizon):
     elif kind == "out of range":
         # Any id of the vocabulary, as an unmasked row can emit.
         row[slot] = int(rng.choice([vocab.bos, vocab.eos, vocab.sep, vocab.n_content - 1]))
-    elif kind == "cut at max_len":
-        # Sampling stopped at the budget before the answer's EOS.
-        row = row[: min(horizon, len(row) - 1)]
-    elif kind == "empty":
-        row = []
     elif kind == "random":
         row = rng.integers(vocab.size, size=int(rng.integers(horizon + 1))).tolist()
     return row[:horizon], kind
@@ -275,23 +270,21 @@ def test_verify_rows_matches_scalar_verify(n_content, seed):
     specs = [TaskSpec(f, d) for f in families for d in (1, 2, 4)]
     prompts = [generate_prompt(specs[i % len(specs)], vocab, rng) for i in range(24)]
     n = int(rng.integers(2, 9))
-    # Some buffers are narrower than the longest answer, as when max_len cuts rows.
+    # Some buffers are narrower than the longest answer, so those rows are cut.
     horizon = int(rng.integers(2, 7))
     tokens = rng.integers(vocab.size, size=(len(prompts) * n, horizon))
-    lengths = np.zeros(len(prompts) * n, dtype=np.int64)
     rows = [p for p in prompts for _ in range(n)]
     kinds = set()
     for i, prompt in enumerate(rows):
         row, kind = malformed_row(prompt, vocab, rng, horizon)
         tokens[i, : len(row)] = row
-        lengths[i] = len(row)
         kinds.add(kind)
-    got = verify_rows(prompts, n, tokens, lengths, vocab)
-    want = [verify(p, tokens[i, : lengths[i]].tolist(), vocab) for i, p in enumerate(rows)]
+    got = verify_rows(prompts, n, tokens, vocab)
+    want = [verify(p, tokens[i, : answer_length(p)].tolist(), vocab) for i, p in enumerate(rows)]
     assert got.dtype == bool
     assert got.tolist() == want
     assert 0 < sum(want) < len(want)
-    assert len(kinds) >= 8
+    assert len(kinds) >= 7
 
 
 def test_verify_rows_edge_buffers():
@@ -300,36 +293,33 @@ def test_verify_rows_edge_buffers():
     copy = make_prompt("copy", 2, (3, 5))
     prompts = [digitsum, parity, copy]
     eos = VOCAB.eos
-    # (buffer row, length, verdict); ids past the length are padding.
+    # (buffer row, verdict); a row is read up to its prompt's answer length
+    # (3, 2 and 3 here), and ids past it are padding.
     rows = [
-        ((9, 8, eos), 3, True),
-        ((3, 5, eos), 3, False),
-        ((eos, 7, eos), 3, False),  # EOS in a digit slot
-        ((1, eos, 0), 2, True),
-        ((1, 0, eos), 3, False),  # parity answer with an extra slot
-        ((VOCAB.sep, eos, 0), 2, False),
-        ((3, 5, eos), 3, True),
-        ((3, 5, 5), 3, False),  # EOS missing
-        ((3, 5, eos), 0, False),  # empty row over a right answer
+        ((9, 8, eos), True),
+        ((3, 5, eos), False),
+        ((eos, 7, eos), False),  # EOS in a digit slot
+        ((1, eos, 0), True),
+        ((1, 0, eos), False),  # parity answer with an extra slot
+        ((VOCAB.sep, eos, 0), False),
+        ((3, 5, eos), True),
+        ((3, 5, 5), False),  # EOS missing
+        ((3, eos, eos), False),  # EOS in a copy slot
     ]
-    tokens = np.asarray([row for row, _, _ in rows])
-    lengths = np.asarray([length for _, length, _ in rows])
-    got = verify_rows(prompts, 3, tokens, lengths, VOCAB)
-    assert got.tolist() == [ok for _, _, ok in rows]
+    tokens = np.asarray([row for row, _ in rows])
+    got = verify_rows(prompts, 3, tokens, VOCAB)
+    assert got.tolist() == [ok for _, ok in rows]
     scalar = [
-        verify(prompts[i // 3], row[:length], VOCAB) for i, (row, length, _) in enumerate(rows)
+        verify(prompts[i // 3], row[: answer_length(prompts[i // 3])], VOCAB)
+        for i, (row, _) in enumerate(rows)
     ]
     assert got.tolist() == scalar
-    # A zero-width buffer (every row empty) and rows cut below the answer length.
+    # A zero-width buffer and one narrower than the answer: no EOS slot.
     empty = np.zeros((9, 0), dtype=np.int64)
-    assert not verify_rows(prompts, 3, empty, np.zeros(9), VOCAB).any()
-    assert not verify_rows([copy], 2, tokens[6:8, :2], np.asarray([2, 2]), VOCAB).any()
+    assert not verify_rows(prompts, 3, empty, VOCAB).any()
+    assert not verify_rows([copy], 2, tokens[6:8, :2], VOCAB).any()
     with pytest.raises(ContractViolation):
-        verify_rows(prompts, 2, tokens, lengths, VOCAB)
-    with pytest.raises(ContractViolation):
-        verify_rows(prompts, 3, tokens, lengths[:-1], VOCAB)
-    with pytest.raises(ContractViolation):
-        verify_rows(prompts, 3, tokens, lengths + 1, VOCAB)
+        verify_rows(prompts, 2, tokens, VOCAB)
     # Hand-built prompts: a copy payload that does not fill its slots has
     # no right answer, and a parity answer is a bit even when the payload
     # holds other ids.
@@ -341,10 +331,9 @@ def test_verify_rows_edge_buffers():
         (odd, (2, eos, 0, 0)),
         (odd, (0, eos, 0, 0)),
     ]
-    lengths = np.asarray([4, 4, 2, 2])
-    assert not any(verify(p, row[:n], VOCAB) for (p, row), n in zip(rows, lengths))
+    assert not any(verify(p, row[: answer_length(p)], VOCAB) for p, row in rows)
     tokens = np.asarray([row for _, row in rows])
-    assert not verify_rows([short, odd], 2, tokens, lengths, VOCAB).any()
+    assert not verify_rows([short, odd], 2, tokens, VOCAB).any()
 
 
 @pytest.mark.parametrize("n_content", [10, 13])
@@ -367,10 +356,10 @@ def test_every_grammar_is_content_slots_then_one_forced_eos(family, n_content):
 def padded_buffers(draw):
     """Prompts of all three families and a padded buffer of n rows each.
 
-    Rows start from a right answer, from a random list of any ids (EOS
-    included, anywhere) or from nothing; one id may then be replaced and
-    the length moved off the row, so wrong lengths, stray EOS and ids
-    outside the content range all come up.
+    Rows start from a right answer or from a random list of any ids (EOS
+    included, anywhere); one id may then be replaced, so stray EOS and ids
+    outside the content range come up. Buffers are 0 to 6 columns wide,
+    so some are narrower than an answer and cut its rows short.
     """
     vocab = Vocab(draw(st.sampled_from([2, 10, 12])))
     families = [f for f in FAMILIES if f != "digitsum" or vocab.n_content >= 10]
@@ -384,30 +373,30 @@ def padded_buffers(draw):
         )
         for _ in range(k)
     ]
-    # Padding: any ids, as the sampler leaves past a row's length.
+    # Padding: any ids, as the sampler leaves past a row's answer.
     padding = np.random.default_rng(draw(st.integers(0, 2**16)))
     tokens = padding.integers(vocab.size, size=(k * n, horizon))
-    lengths = np.zeros(k * n, dtype=np.int64)
     for i in range(k * n):
-        prompt = prompts[i // n]
-        right = answer(prompt) + [vocab.eos]
-        row = draw(st.sampled_from([right, []]) | st.lists(any_id, max_size=horizon + 1))
-        row = list(row)
+        right = answer(prompts[i // n]) + [vocab.eos]
+        row = list(draw(st.just(right) | st.lists(any_id, max_size=horizon + 1)))
         if row and draw(st.booleans()):
             row[draw(st.integers(0, len(row) - 1))] = draw(any_id)
         row = row[:horizon]
         tokens[i, : len(row)] = row
-        lengths[i] = len(row) if draw(st.booleans()) else draw(st.integers(0, horizon))
-    return vocab, prompts, n, tokens, lengths
+    return vocab, prompts, n, tokens
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(padded_buffers())
-def test_verify_rows_equals_verify_on_arbitrary_buffers(case):
-    vocab, prompts, n, tokens, lengths = case
-    got = verify_rows(prompts, n, tokens, lengths, vocab)
+@settings(max_examples=150)
+@given(padded_buffers(), st.integers(1, 4))
+def test_verify_rows_equals_verify_on_arbitrary_buffers(case, extra):
+    vocab, prompts, n, tokens = case
+    got = verify_rows(prompts, n, tokens, vocab)
     want = [
-        verify(prompts[i // n], tokens[i, : lengths[i]].tolist(), vocab)
+        verify(prompts[i // n], tokens[i, : answer_length(prompts[i // n])].tolist(), vocab)
         for i in range(tokens.shape[0])
     ]
     assert got.dtype == bool and got.tolist() == want
+    # Columns past every answer are never read.
+    wider = np.concatenate([tokens, np.full((tokens.shape[0], extra), vocab.eos)], axis=1)
+    if tokens.shape[1] >= max(map(answer_length, prompts)):
+        assert verify_rows(prompts, n, wider, vocab).tolist() == want

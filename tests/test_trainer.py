@@ -9,9 +9,10 @@ from hypothesis.extra import numpy as hnp
 
 from etrlab.autodiff import ContractViolation
 from etrlab.config import METHODS, ConfigError, TrainConfig, parse_suite, validate_config
+from etrlab.groups import as_rollout_batch
 from etrlab.metrics import suite_labels, write_metrics_csv
 from etrlab.policy import MIN_TEMPERATURE, PolicyParams, Vocab, init_params
-from etrlab.tasks import FAMILIES, TaskSpec, reward, verify
+from etrlab.tasks import FAMILIES, TaskSpec, answer_length, reward, verify
 import etrlab.trainer as trainer_mod
 from etrlab.trainer import (
     DivergedRun,
@@ -161,6 +162,28 @@ def test_rollout_batch_shape_and_replay():
         rollout_batch(params, cfg, VOCAB, step=0)
 
 
+@settings(max_examples=40)
+@given(
+    st.lists(
+        st.builds(TaskSpec, st.sampled_from(FAMILIES), st.integers(1, 4)),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda s: s.label,
+    ),
+    st.integers(1, 5),
+    st.integers(2, 4),
+    st.integers(0, 2**16),
+    st.integers(1, 300),
+)
+def test_rollout_lengths_are_the_answer_lengths(suite, k, g, seed, step):
+    cfg = tiny_cfg(suite=tuple(suite), groups_per_step=k, group_size=g, seed=seed)
+    params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, seed, 0.5)
+    batch = rollout_batch(params, cfg, VOCAB, step)
+    want = np.repeat([answer_length(p) for p in batch.prompts], g)
+    assert batch.lengths.dtype == np.int64 and np.array_equal(batch.lengths, want)
+    assert batch.logprobs.shape == (k * g, want.max())
+
+
 def test_rollout_pass_rates_span_low_and_high():
     cfg = tiny_cfg(groups_per_step=200, group_size=8)
     params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 0, 0.1)
@@ -245,11 +268,14 @@ def test_training_diverged_message_lists_plain_rewards():
     )
 
 
-def test_train_step_empty_batch_rejected():
+def test_empty_batch_cannot_be_built():
+    # train_step takes a RolloutBatch, and no empty one can be made.
     cfg = tiny_cfg()
-    params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 1, 0.1)
+    batch = rollout_batch(init_params(VOCAB, 3, 4, 8, 1, 0.1), cfg, VOCAB, step=1)
     with pytest.raises(ContractViolation):
-        train_step(params, params.copy(), OptimizerState.zeros(params.param_count), [], cfg)
+        as_rollout_batch([], VOCAB, cfg.context_window)
+    with pytest.raises(ContractViolation):
+        dataclasses.replace(batch, prompts=(), grammars=())
 
 
 def always_correct_parity_params():
@@ -312,7 +338,7 @@ def _chunk_edge(n_prompts):
     )
 
 
-@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@settings(max_examples=50)
 @given(eval_cases())
 @example(_chunk_edge(64))
 @example(_chunk_edge(65))
@@ -569,7 +595,7 @@ def update_cases(draw):
     return vec, grads, cfg
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(update_cases())
 def test_update_path_is_bitwise_the_allocating_sequence(case):
     vec, grads, cfg = case
