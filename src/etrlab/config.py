@@ -202,9 +202,27 @@ def validate_config(cfg: TrainConfig, lines: dict[str, int] | None = None) -> No
         if type(back) is not type(value) or back != value:
             err(_KEYS[key][2].format(key=key, raw=text), key)
     try:
-        build_strategy(cfg)
+        band = build_strategy(cfg)
     except ContractViolation as exc:
         err(str(exc), "epsilon_base", "lambda1", "method")
+    # A ratio is positive, so a lower bound 1 - epsilon at or below 0 never
+    # binds and the band clips one side only. The band classes take any
+    # width (a unit test may want one); a run's config may not. Below ratio
+    # 1 the static bands are epsilon_base wide. An elastic band approaches
+    # the sum of its terms, summed as dynamic_epsilon sums them: tanh
+    # saturates and the macro term peaks at pass rate 0.5. A lambda the
+    # method zeroes is not named.
+    keys, width = ("epsilon_base",), cfg.epsilon_base
+    if isinstance(band, Elastic):
+        keys += tuple(key for key in ("lambda1", "lambda2") if getattr(band, key))
+        width = band.epsilon_base + band.lambda1 + band.lambda2
+    if not width < 1.0:
+        err(
+            f"{cfg.method} clip band reaches half-width {' + '.join(keys)} = {width!r}; "
+            "it must stay below 1",
+            *keys,
+            "method",
+        )
     for spec in cfg.suite:
         if spec.family == "digitsum" and cfg.content_tokens < 10:
             err("digitsum tasks need content_tokens >= 10", "suite", "content_tokens")

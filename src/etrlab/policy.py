@@ -171,7 +171,9 @@ def pad_context(tokens: Sequence[int], window: int, bos: int) -> np.ndarray:
 
 
 def _check_ids(ids: np.ndarray, size: int) -> None:
-    if ids.size and (ids.min() < 0 or ids.max() >= size):
+    if ids.size and (
+        np.minimum.reduce(ids, axis=None) < 0 or np.maximum.reduce(ids, axis=None) >= size
+    ):
         raise ContractViolation("token id out of vocabulary range")
 
 
@@ -191,7 +193,7 @@ def forward(
     """
     n = contexts.shape[0]
     if n == 1:
-        contexts = np.repeat(contexts, 2, axis=0)
+        contexts = contexts.repeat(2, axis=0)
     x = params.embed.take(contexts, axis=0).reshape(contexts.shape[0], -1)
     pre = x @ params.w_hidden
     pre += params.b_hidden
@@ -231,20 +233,23 @@ def logits_gradient(
 
 
 def masked_logprobs(logits: np.ndarray, masks: np.ndarray, temperature: float) -> np.ndarray:
-    """Row log-softmax of scaled, masked logits.
+    """Log-softmax over the last axis of scaled, masked logits.
 
     The logits are scaled and masked in place, so callers pass rows they
-    own: fresh :func:`forward` output or a fancy-index copy of it. Every
-    step works row by row, so a row's values do not depend on the other
-    rows of the block.
+    own: fresh :func:`forward` output or a fancy-index copy of it.
+    ``masks`` broadcasts against ``logits``. Every step works row by row,
+    so a row's values do not depend on the other rows of the block.
     """
-    # ndarray reductions and in-place steps skip numpy's Python wrappers.
-    # Each step must stay the same ufunc on the same operands: stored
-    # log-probs are pinned byte for byte.
-    logits *= 1.0 / temperature
+    # The reductions call their ufuncs directly: ndarray.max and .sum would
+    # reach the same ufuncs through numpy's Python wrappers in
+    # numpy/_core/_methods.py. Each step must stay the same ufunc on the same
+    # operands: stored log-probs are pinned byte for byte. Scaling by 1.0
+    # would change no bit, so temperature 1 skips it.
+    if temperature != 1.0:
+        logits *= 1.0 / temperature
     logits += masks
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    norm = np.exp(shifted).sum(axis=-1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    norm = np.add.reduce(np.exp(shifted), axis=-1, keepdims=True)
     shifted -= np.log(norm, out=norm)
     return shifted
 
@@ -312,8 +317,8 @@ class SampledRows(Sequence[SampledResponse]):
 
 
 def _sample_rows(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Inverse-CDF pick per row, one uniform draw per row."""
-    idx = (probs.cumsum(axis=1) < draws[:, None]).sum(axis=1)
+    """Inverse-CDF picks (R, m): the m draws of row r against probs row r."""
+    idx = np.add.reduce(probs.cumsum(axis=1)[:, None, :] < draws[:, :, None], axis=2)
     return np.minimum(idx, probs.shape[1] - 1, out=idx)
 
 
@@ -336,10 +341,14 @@ def sample_groups(
     All K * n rows share one forward pass per position. Up to the first
     position with a choice, the rows of a group have read the same prompt
     tail and forced ids, so that position forwards one context per group
-    and repeats each group's log-prob row n times. Group k draws
-    only from ``rngs[k]``: n uniforms at each of its positions, so its
-    stream consumption depends only on its own masks and n, never on the
-    other groups.
+    and samples the group's n rows from its one log-prob row. Group k
+    draws only from ``rngs[k]``: n uniforms for each of its positions, in
+    one call once every check has passed, position-major, so its stream
+    consumption depends only on its own masks and n, never on the other
+    groups, and a rejected call consumes nothing.
+
+    Masks may be any sequences of ids; they are made tuples here, so the
+    memoised :func:`mask_matrix` can hash them.
 
     Returns the sampler's padded buffers, rows group-major (rows
     ``k * n`` to ``(k + 1) * n - 1`` answer prompt k):
@@ -382,52 +391,59 @@ def sample_groups(
     vocab = params.vocab
     v = vocab.size
     window = params.window
+    position_masks = [tuple(map(tuple, m)) for m in position_masks]
     budgets = [len(m) for m in position_masks]
     horizon = max(budgets)
     rows = k_groups * n
-    # Mask rows are built once per group and laid out per position and row,
-    # so each position adds one contiguous (rows, V) block. Rows of a
-    # group past its budget stay all zero: they only fill its padding. A
-    # position is one-token when no group that reaches it has a choice there.
-    row_masks = np.zeros((horizon, rows, v))
+    # One mask row per group and position, broadcast over the group's rows.
+    # A group past its budget has all-zero rows: they only fill its padding.
+    # A position is one-token when no group that reaches it has a choice there.
+    group_masks = np.zeros((k_groups, horizon, v))
     choice = np.zeros((k_groups, horizon), dtype=bool)
     for k, (m, b) in enumerate(zip(position_masks, budgets)):
-        row_masks[:b, k * n : (k + 1) * n] = mask_matrix(v, m)[:, None, :]
+        group_masks[k, :b] = mask_matrix(v, m)
         choice[k, :b] = [len(legal) > 1 for legal in m]
-    one_token = ~choice.any(axis=0)
+    one_token = ~np.logical_or.reduce(choice, axis=0)
     if collect_entropy:
         entropy = np.zeros((horizon, rows))
-    # Only prompt tails need a check: _sample_rows clamps sampled ids.
+    # Only prompt tails need a check: _sample_rows clamps sampled ids. A few
+    # Python ints are checked faster in Python than in two numpy reductions.
+    if not all(0 <= t < v for p in prompts for t in p[-window:]):
+        raise ContractViolation("token id out of vocabulary range")
     tails = np.asarray([pad_context(p, window, vocab.bos) for p in prompts])
-    _check_ids(tails, v)
     tokens = np.zeros((rows, window + horizon), dtype=np.int64)
-    tokens[:, :window] = np.repeat(tails, n, axis=0)
+    tokens[:, :window] = tails.repeat(n, axis=0)
     logprobs = np.zeros((rows, horizon))
-    draws = np.zeros(rows)
+    # Every check has passed: each group draws its uniforms now, position by
+    # position. Rows past a group's budget reuse its last draw: they only
+    # fill padding, and the padding's bytes are pinned with the rest.
+    draws = np.zeros((k_groups, horizon, n))
+    for k, b in enumerate(budgets):
+        if b:
+            rngs[k].random(out=draws[k, :b])
+            draws[k, b:] = draws[k, b - 1]
     row_starts = np.arange(0, rows * v, v)
     # Rows per distinct context: n until the first position with a choice.
     stride = n
     for pos in range(horizon):
-        for k, b in enumerate(budgets):
-            if b > pos:
-                rngs[k].random(out=draws[k * n : (k + 1) * n])
         if one_token[pos]:
             # No choice anywhere: the draws are spent, the log-probs stay 0.0,
             # and each row takes its mask row's one 0.0 entry (id 0 on an
             # all-zero row, past its group's budget).
-            picks = row_masks[pos].argmax(axis=1)
+            picks = group_masks[:, pos].argmax(axis=1).repeat(n)
         else:
             logits = forward(params, tokens[::stride, pos : pos + window])[2]
-            lp = masked_logprobs(logits, row_masks[pos][::stride], temperature)
+            lp = masked_logprobs(
+                logits.reshape(k_groups, -1, v), group_masks[:, pos, None], temperature
+            ).reshape(len(logits), v)
             probs = np.exp(lp)
-            if stride > 1:
-                lp = np.repeat(lp, stride, axis=0)
-                probs = np.repeat(probs, stride, axis=0)
-                stride = 1
-            picks = _sample_rows(probs, draws)
+            # Each distinct context's rows sample from its one row.
+            picks = _sample_rows(probs, draws[:, pos].reshape(len(lp), stride))
+            logprobs[:, pos] = lp.take(row_starts[: len(lp), None] + picks).reshape(rows)
             if collect_entropy:
-                entropy[pos] = -(probs * lp).sum(axis=1)
-            logprobs[:, pos] = lp.take(row_starts + picks)
+                entropy[pos] = (-np.add.reduce(probs * lp, axis=1)).repeat(stride)
+            picks = picks.reshape(rows)
+            stride = 1
         tokens[:, window + pos] = picks
     if not collect_entropy:
         return tokens, logprobs, []

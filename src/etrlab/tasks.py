@@ -72,11 +72,9 @@ def generate_prompt(spec: TaskSpec, vocab: Vocab, rng: np.random.Generator) -> P
     elif spec.family == "parity":
         if vocab.n_content < 2:
             raise ContractViolation("parity requires the two bit tokens")
-        payload = tuple(int(b) for b in rng.integers(0, 2, size=spec.difficulty))
+        payload = tuple(rng.integers(0, 2, size=spec.difficulty).tolist())
     else:
-        payload = tuple(
-            int(t) for t in rng.integers(0, vocab.n_content, size=spec.difficulty)
-        )
+        payload = tuple(rng.integers(0, vocab.n_content, size=spec.difficulty).tolist())
     return Prompt(spec.family, spec.difficulty, payload, encode_payload(spec.family, payload, vocab))
 
 

@@ -9,6 +9,7 @@ training trajectories.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -60,6 +61,27 @@ _EVAL_TAG = 0x45564C31
 # to spread the call's fixed cost, few enough that a chunk's buffers stay
 # small at any eval size (a whole task's rows at once raise peak memory).
 _EVAL_CHUNK = 64
+
+
+def stream_seed(key: Sequence[int]) -> np.random.SeedSequence:
+    """``np.random.SeedSequence(tuple(key))`` at about half its cost.
+
+    Each int is split as numpy splits an int in a tuple: into little-endian
+    32-bit words, one word for 0, and a negative one raises the same
+    ``ValueError``. numpy takes a uint32 array of those words much faster
+    than the tuple, and they give the same generator state. Every rollout,
+    evaluation and gradcheck stream is seeded here.
+    """
+    words = []
+    for value in key:
+        value = operator.index(value)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & 0xFFFFFFFF)
+        while value > 0xFFFFFFFF:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 @dataclass
@@ -236,7 +258,7 @@ def rollout_batch(
         raise ContractViolation("step index starts at 1")
     rngs, prompts, grammars = [], [], []
     for g in range(cfg.groups_per_step):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, step, g)))
+        rng = np.random.default_rng(stream_seed((cfg.seed, step, g)))
         prompt = generate_prompt(sample_task(cfg.suite, rng), vocab, rng)
         rngs.append(rng)
         prompts.append(prompt)
@@ -351,9 +373,7 @@ def evaluate(
             prompts = []
             tokens = np.empty((len(chunk) * n, len(grammar)), dtype=np.int64)
             for j, pi in enumerate(chunk):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((seed, _EVAL_TAG, li, pi, round_index))
-                )
+                rng = np.random.default_rng(stream_seed((seed, _EVAL_TAG, li, pi, round_index)))
                 prompt = generate_prompt(spec, vocab, rng)
                 rows, _ = sample_group(params, prompt.tokens, n, temperature, rng, grammar)
                 tokens[j * n : (j + 1) * n] = rows.tokens
@@ -633,7 +653,7 @@ def gradient_check(method: str = "etr", seed: int = 0) -> float:
         if np.all(rewards == rewards[:, :1]):
             continue
         prep = prepare_batch(batch, strategy, params, trial.advantage_xi, trial.temperature)
-        rng = np.random.default_rng(np.random.SeedSequence((trial.seed, 7777)))
+        rng = np.random.default_rng(stream_seed((trial.seed, 7777)))
         theta = params.to_vector() + rng.normal(0.0, _GRADCHECK_SIGMA, size=params.param_count)
         probe = PolicyParams.from_vector(
             vocab, trial.context_window, trial.embed_dim, trial.hidden_dim, theta

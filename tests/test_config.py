@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from etrlab.config import (
     render_suite,
     validate_config,
 )
-from etrlab.objectives import ClipHigh, Elastic, Static
+from etrlab.objectives import ClipHigh, Elastic, Static, clip_bounds
 from etrlab.policy import MIN_TEMPERATURE
 from etrlab.tasks import FAMILIES, TaskSpec
 
@@ -124,6 +126,76 @@ def test_band_inversion_rejected():
     # static methods ignore the elastic band, so the same value is fine
     cfg = parse_config("epsilon_base = 0.05\nmethod = grpo\n")
     assert cfg.epsilon_base == 0.05
+
+
+# Per method: overrides whose band reaches half-width 1 under the ratio,
+# and the keys the message names (a lambda the method zeroes is not named).
+WIDE_BANDS = [
+    ("grpo", ["epsilon_base=1.0"], "epsilon_base"),
+    ("cliphigh", ["epsilon_base=1.5"], "epsilon_base"),
+    ("etr", ["epsilon_base=0.6", "lambda1=0.3", "lambda2=0.5"], "epsilon_base + lambda1 + lambda2"),
+    ("etr-micro", ["epsilon_base=0.6", "lambda1=0.4"], "epsilon_base + lambda1"),
+    ("etr-macro", ["epsilon_base=0.5", "lambda2=0.5"], "epsilon_base + lambda2"),
+    ("etr-inverse", ["lambda2=0.7"], "epsilon_base + lambda1 + lambda2"),
+]
+
+
+@pytest.mark.parametrize("method, wide, keys", WIDE_BANDS)
+def test_band_reaching_half_width_one_is_rejected_in_files_overrides_and_code(method, wide, keys):
+    message = f"{method} clip band reaches half-width {re.escape(keys)} = .*; it must stay below 1"
+    # The line named is the band key's last line, not the file's last line.
+    text = "\n".join(["seed = 3", f"method = {method}", *(w.replace("=", " = ") for w in wide)])
+    with pytest.raises(ConfigError, match=f"line {2 + len(wide)}: {message}"):
+        parse_config(text + "\nsteps = 5\n")
+    with pytest.raises(ConfigError, match=message):
+        apply_overrides(TrainConfig(), [f"method={method}", *wide])
+    values = {k: float(v) for k, v in (w.split("=") for w in wide)}
+    with pytest.raises(ConfigError, match=message):
+        validate_config(dataclasses.replace(TrainConfig(), method=method, **values))
+
+
+def test_band_check_counts_only_the_half_widths_a_method_keeps():
+    # etr-micro zeroes lambda2, etr-macro zeroes lambda1, and cliphigh's
+    # upper half-width bounds no ratio from below.
+    for overrides in (
+        ["method=etr-micro", "lambda2=5.0"],
+        ["method=etr-macro", "lambda1=5.0"],
+        ["method=cliphigh", "epsilon_high=5.0"],
+        ["method=grpo", "lambda1=0.15", "lambda2=5.0"],
+        # 0.6 + 0.3 + 0.1 sums to just below 1 in floating point, as the
+        # program's own half-widths do.
+        ["epsilon_base=0.6", "lambda1=0.3", "lambda2=0.1"],
+    ):
+        apply_overrides(TrainConfig(), overrides)
+    for method in METHODS:
+        validate_config(dataclasses.replace(TrainConfig(), method=method))
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(METHODS),
+    *(st.floats(0.0, 2.0) for _ in range(4)),
+    st.floats(-1e300, 1e300),
+    st.floats(0.0, 1.0),
+)
+def test_every_accepted_band_keeps_its_ratio_bounds_around_one(
+    method, base, high, lambda1, lambda2, advantage, pass_rate
+):
+    cfg = dataclasses.replace(
+        TrainConfig(),
+        method=method,
+        epsilon_base=base,
+        epsilon_high=high,
+        lambda1=lambda1,
+        lambda2=lambda2,
+    )
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        return
+    for a in (advantage, -np.inf, np.inf, 0.0):
+        lo, hi = clip_bounds(build_strategy(cfg), a, pass_rate)
+        assert 0.0 < lo <= 1.0 <= hi
 
 
 def test_cross_key_validation():

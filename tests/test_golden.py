@@ -17,16 +17,22 @@ Evaluation is pinned on its own too, as ``float.hex`` per task: the
 default suite at eval-ckpt's size on moved parameters, a prompt count
 that no chunk size of 64 divides, and the one-sample path of
 ``etrlab eval --n 1``.
+
+One ``sample_groups`` call is pinned whole: groups of five different
+budgets, 0 included, so the padding past each group's masks and every
+generator's state after the call are pinned with the sampled rows.
 """
 
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from etrlab.cli import main
 from etrlab.config import TrainConfig, parse_suite, render_config
-from etrlab.policy import Vocab, init_params
+from etrlab.policy import Vocab, init_params, sample_groups
+from etrlab.tasks import TaskSpec, response_grammar
 from etrlab.trainer import evaluate, gradient_check_suite, run_training, write_run_artifacts
 
 
@@ -240,3 +246,32 @@ GOLDEN_EVAL = {
 @pytest.mark.parametrize("case", sorted(EVAL_CASES))
 def test_golden_eval_results(case):
     assert eval_results(*EVAL_CASES[case]) == GOLDEN_EVAL[case]
+
+
+def sampler_buffer_digest():
+    """sha256 of one mixed-budget ``sample_groups`` call's whole output.
+
+    Covers the token, log-prob and entropy buffers, padding included, and
+    the state each generator is left in.
+    """
+    vocab = Vocab()
+    params = init_params(vocab, 4, 16, 64, seed=7, scale=0.5)
+    specs = (("copy", 4), ("parity", 2), ("digitsum", 3), ("copy", 1))
+    grammars = [response_grammar(TaskSpec(f, d), vocab) for f, d in specs] + [()]
+    prompts = [[1, 2, vocab.sep], [0, 1, vocab.sep, vocab.sep], [vocab.sep, 7, vocab.sep], [3], [5]]
+    rngs = [np.random.default_rng([11, k]) for k in range(len(prompts))]
+    tokens, logprobs, entropies = sample_groups(
+        params, prompts, 8, 0.8, rngs, grammars, collect_entropy=True
+    )
+    digest = hashlib.sha256()
+    for buf in (tokens, logprobs, np.asarray(entropies)):
+        digest.update(buf.tobytes())
+    digest.update(repr([rng.bit_generator.state for rng in rngs]).encode())
+    return digest.hexdigest()
+
+
+GOLDEN_SAMPLER = "53198db7a2e2f71374b2a61a99905aa58f79a07cb73499dbe47a1cbb3c367683"
+
+
+def test_golden_sampler_buffers():
+    assert sampler_buffer_digest() == GOLDEN_SAMPLER

@@ -597,6 +597,44 @@ def test_sampling_rejects_prompt_ids_out_of_range(bad, max_len):
     assert tokens.shape == (4, p.window + max_len) and logprobs.shape == (4, max_len)
 
 
+@pytest.mark.parametrize("bad", ["prompt id", "mask id", "empty mask"])
+def test_rejected_sampling_call_leaves_every_generator_untouched(bad):
+    # Each group's uniforms are drawn up front, so the draws must come after
+    # every check; the bad group is the last, after groups that pass.
+    p = tiny_params()
+    prompts = [[1, VOCAB.sep], [2, VOCAB.sep], [3, VOCAB.sep]]
+    masks = [full_grammar(3), full_grammar(2), full_grammar(3)]
+    if bad == "prompt id":
+        prompts[-1] = [2, VOCAB.size]
+    elif bad == "mask id":
+        masks[-1] = ((0, 1), (0, VOCAB.size), (VOCAB.eos,))
+    else:
+        masks[-1] = ((0, 1), (), (VOCAB.eos,))
+    rngs = [np.random.default_rng([9, g]) for g in range(3)]
+    before = [rng.bit_generator.state for rng in rngs]
+    with pytest.raises(ContractViolation):
+        sample_groups(p, prompts, 4, 1.0, rngs, masks)
+    assert [rng.bit_generator.state for rng in rngs] == before
+    with pytest.raises(ContractViolation):
+        sample_group(p, prompts[-1], 4, 1.0, rngs[-1], masks[-1])
+    assert [rng.bit_generator.state for rng in rngs] == before
+
+
+def test_masks_given_as_lists_sample_as_the_same_tuples():
+    p = tiny_params(seed=3, scale=1.0)
+    as_tuples = ((0, 1), (2, 3, 4), (VOCAB.eos,))
+    as_lists = [list(legal) for legal in as_tuples]
+    got, _ = sample_group(p, [1], 5, 1.0, np.random.default_rng(4), as_lists)
+    want, _ = sample_group(p, [1], 5, 1.0, np.random.default_rng(4), as_tuples)
+    assert got.tokens.tobytes() == want.tokens.tobytes()
+    assert got.logprobs.tobytes() == want.logprobs.tobytes()
+    masks = [as_lists, (np.arange(10), [VOCAB.eos])]
+    got = sample_groups(p, [[1], [2]], 5, 1.0, [np.random.default_rng(g) for g in (5, 6)], masks)
+    masks = [as_tuples, (tuple(range(10)), (VOCAB.eos,))]
+    want = sample_groups(p, [[1], [2]], 5, 1.0, [np.random.default_rng(g) for g in (5, 6)], masks)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got[:2], want[:2]))
+
+
 @st.composite
 def sampler_cases(draw):
     """Random shapes, budgets and grammars for the lockstep sampler.

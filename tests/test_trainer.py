@@ -28,6 +28,7 @@ from etrlab.trainer import (
     method_medians,
     rollout_batch,
     run_training,
+    stream_seed,
     train_step,
     write_run_artifacts,
 )
@@ -131,6 +132,36 @@ def test_clip_grad_norm_scales_a_finite_gradient_whose_squares_overflow():
     # A non-finite gradient is not repaired: train_step rejects it first.
     clipped, norm = clip_grad_norm(np.asarray([np.nan, 1.0]), 1.0)
     assert np.isnan(norm) and np.isnan(clipped[0])
+
+
+# Key values at and around the 32-bit word boundaries, and multi-word ones.
+_KEY_VALUES = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**96 + 7]),
+    st.integers(0, 2**130),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_KEY_VALUES, max_size=6))
+def test_stream_seed_gives_the_state_of_the_tuple_seed(key):
+    want = np.random.SeedSequence(tuple(key))
+    got = stream_seed(tuple(key))
+    assert got.generate_state(4).tolist() == want.generate_state(4).tolist()
+    assert (
+        np.random.default_rng(got).bit_generator.state
+        == np.random.default_rng(want).bit_generator.state
+    )
+
+
+@settings(max_examples=100)
+@given(st.lists(_KEY_VALUES, max_size=4), st.integers(max_value=-1), st.integers(0, 4))
+def test_stream_seed_rejects_negative_ints_as_numpy_does(key, negative, at):
+    key = (*key[:at], negative, *key[at:])
+    with pytest.raises(ValueError) as want:
+        np.random.SeedSequence(key)
+    with pytest.raises(ValueError) as got:
+        stream_seed(key)
+    assert str(got.value) == str(want.value)
 
 
 def test_rollout_batch_shape_and_replay():
