@@ -18,6 +18,9 @@ default suite at eval-ckpt's size on moved parameters, a prompt count
 that no chunk size of 64 divides, and the one-sample path of
 ``etrlab eval --n 1``.
 
+The line plots are pinned as SVG bytes, with the runs short enough that
+a plot is left out.
+
 One ``sample_groups`` call is pinned whole: groups of five different
 budgets, 0 included, so the padding past each group's masks and every
 generator's state after the call are pinned with the sampled rows.
@@ -161,6 +164,47 @@ def test_golden_artifact_bytes(tmp_path):
     write_run_artifacts(run_training(golden_cfg("etr", "parity:1,digitsum:2,copy:1")), tmp_path)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_FILES}
     assert got == GOLDEN_FILES
+
+
+# Line plots: sha256 of every SVG a run writes. "etr" is the run
+# GOLDEN_FILES pins; grpo's clipping.svg has no mean_eps series; a plot
+# needs two points, so a one-step run writes none and a run with one eval
+# round writes no eval_mean.svg.
+PLOT_CASES = {
+    "etr": golden_cfg("etr", "parity:1,digitsum:2,copy:1"),
+    "grpo": golden_cfg("grpo", "parity:2,digitsum:1"),
+    "one-step": dataclasses.replace(golden_cfg("etr", "parity:2,digitsum:1"), steps=1),
+    "one-eval-round": dataclasses.replace(
+        golden_cfg("etr", "parity:2,digitsum:1"), steps=3, eval_every=3
+    ),
+}
+GOLDEN_PLOTS = {
+    "etr": {
+        "clipping.svg": "ce9e5588405763c1cf9eae82136dc096616d55fc32d2ca736da075c7e7231ca7",
+        "entropy.svg": "f42f654fbfcb7d58e978152e9af02601c4e5081b4e12ee1a7c7639a092d56254",
+        "eval_mean.svg": "775a080e83302ddd935d7dd4982abcc9e7d30f82e3df1b2d62950b1f70db9506",
+        "pass_rate.svg": "e5b9a2ca9819ce3003aa759d4da9fbf7005663782cd8a2a8cdaccfbefd9db48c",
+    },
+    "grpo": {
+        "clipping.svg": "df5b6d91ff2d541167886c71710665cebaa1468f158f94791bd5294cd08dd965",
+        "entropy.svg": "1f49a0968447070ee21988e7b2aa79c3f9e061462d5980daf7381d4d675a034b",
+        "eval_mean.svg": "627f31fd059c2d85fc7b0dff6ca029adea8b72d6d9515f2611fa899f60854f8c",
+        "pass_rate.svg": "e80a75c9b87fbd9db06f6a82b14b02e88a02dd98772d2cb472539a2c8c9fc78b",
+    },
+    "one-eval-round": {
+        "clipping.svg": "6f8ed59695f4fca8f4ed4f1bb450ee89aa396cd08e7ba5ee1fcdd75d02c7df64",
+        "entropy.svg": "f6371508f6b827d9e339a0a8970439789015ddd27afe759850fd63c40f463781",
+        "pass_rate.svg": "2da3d41e30d42b84b2b0ca781e9737df0a3ab080435e7a1d0c2d4c00fc9fa4b7",
+    },
+    "one-step": {},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLOT_CASES))
+def test_golden_plot_bytes(case, tmp_path):
+    write_run_artifacts(run_training(PLOT_CASES[case]), tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.glob("*.svg"))}
+    assert got == GOLDEN_PLOTS[case]
 
 
 # summary.csv of a two-method, two-seed compare sweep of one golden config.
