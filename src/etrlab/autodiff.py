@@ -92,20 +92,18 @@ class Record:
     """
 
     def __init__(self):
-        self._ops: list[str] = []
         self._inputs: list[tuple[int | None, ...]] = []
         self._backs: list[Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None] = []
 
     def leaf(self, data) -> Tensor:
         """Register a parameter array and return its tape-attached tensor."""
-        nid = self._push("leaf", (), None)
+        nid = self._push((), None)
         return Tensor(data, self, nid)
 
-    def _push(self, op: str, inputs: tuple[int | None, ...], back) -> int:
-        self._ops.append(op)
+    def _push(self, inputs: tuple[int | None, ...], back) -> int:
         self._inputs.append(inputs)
         self._backs.append(back)
-        return len(self._ops) - 1
+        return len(self._backs) - 1
 
     def backward(self, root: Tensor) -> dict[int, np.ndarray]:
         """Accumulate gradients of a scalar root over the tape.
@@ -158,59 +156,40 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.sum(g).reshape(shape)
 
 
-def add(a, b) -> Tensor:
+def _binary(op: str, a, b, value, grads) -> Tensor:
+    """``value(a, b)``, recorded with ``grads(g, a, b)``: both operands' gradients.
+
+    A scalar operand's gradient is summed down to its shape.
+    """
     ta, tb = _lift(a), _lift(b)
     rec = _joint_record(ta, tb)
-    _check_shapes(ta.data, tb.data, "add")
-    out = ta.data + tb.data
+    _check_shapes(ta.data, tb.data, op)
+    da, db = ta.data, tb.data
+    out = value(da, db)
     if rec is None:
         return Tensor(out)
     sa, sb, na, nb = ta.shape, tb.shape, ta.node, tb.node
 
     def back(g):
+        ga, gb = grads(g, da, db)
         return (
-            _reduce_to(g, sa) if na is not None else None,
-            _reduce_to(g, sb) if nb is not None else None,
+            _reduce_to(ga, sa) if na is not None else None,
+            _reduce_to(gb, sb) if nb is not None else None,
         )
 
-    return Tensor(out, rec, rec._push("add", (na, nb), back))
+    return Tensor(out, rec, rec._push((na, nb), back))
+
+
+def add(a, b) -> Tensor:
+    return _binary("add", a, b, np.add, lambda g, da, db: (g, g))
 
 
 def subtract(a, b) -> Tensor:
-    ta, tb = _lift(a), _lift(b)
-    rec = _joint_record(ta, tb)
-    _check_shapes(ta.data, tb.data, "subtract")
-    out = ta.data - tb.data
-    if rec is None:
-        return Tensor(out)
-    sa, sb, na, nb = ta.shape, tb.shape, ta.node, tb.node
-
-    def back(g):
-        return (
-            _reduce_to(g, sa) if na is not None else None,
-            _reduce_to(-g, sb) if nb is not None else None,
-        )
-
-    return Tensor(out, rec, rec._push("subtract", (na, nb), back))
+    return _binary("subtract", a, b, np.subtract, lambda g, da, db: (g, -g))
 
 
 def multiply(a, b) -> Tensor:
-    ta, tb = _lift(a), _lift(b)
-    rec = _joint_record(ta, tb)
-    _check_shapes(ta.data, tb.data, "multiply")
-    out = ta.data * tb.data
-    if rec is None:
-        return Tensor(out)
-    da, db = ta.data, tb.data
-    sa, sb, na, nb = ta.shape, tb.shape, ta.node, tb.node
-
-    def back(g):
-        return (
-            _reduce_to(g * db, sa) if na is not None else None,
-            _reduce_to(g * da, sb) if nb is not None else None,
-        )
-
-    return Tensor(out, rec, rec._push("multiply", (na, nb), back))
+    return _binary("multiply", a, b, np.multiply, lambda g, da, db: (g * db, g * da))
 
 
 def exp(a) -> Tensor:
@@ -222,7 +201,7 @@ def exp(a) -> Tensor:
     def back(g):
         return (g * out,)
 
-    return Tensor(out, ta.record, ta.record._push("exp", (ta.node,), back))
+    return Tensor(out, ta.record, ta.record._push((ta.node,), back))
 
 
 def _tanh_backward(out: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -254,7 +233,7 @@ def clip_gated(x, lo, hi) -> Tensor:
     def back(g):
         return (g * interior,)
 
-    return Tensor(out, tx.record, tx.record._push("clip", (tx.node,), back))
+    return Tensor(out, tx.record, tx.record._push((tx.node,), back))
 
 
 def min_pair(a, b) -> Tensor:
@@ -275,7 +254,7 @@ def min_pair(a, b) -> Tensor:
             g * ~first if nb is not None else None,
         )
 
-    return Tensor(out, rec, rec._push("min", (na, nb), back))
+    return Tensor(out, rec, rec._push((na, nb), back))
 
 
 def sum_all(a) -> Tensor:
@@ -288,7 +267,7 @@ def sum_all(a) -> Tensor:
     def back(g):
         return (np.full(shape, g),)
 
-    return Tensor(out, ta.record, ta.record._push("sum", (ta.node,), back))
+    return Tensor(out, ta.record, ta.record._push((ta.node,), back))
 
 
 def finite_diff_check(f, theta, step: float) -> float:

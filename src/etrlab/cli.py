@@ -21,20 +21,18 @@ from .metrics import (
     _fmt,
     config_digest,
     load_checkpoint,
-    write_atomic,
 )
 from .objectives import kl_cubic_bound, kl_quadratic_residual, theoretical_epsilon
 from .policy import PolicyParams, Vocab
 from .trainer import (
-    SUMMARY_FIELDS,
     DivergedRun,
     TrainingDiverged,
     compare_runs,
     evaluate,
     gradient_check_suite,
-    method_medians,
     run_training,
     write_run_artifacts,
+    write_summary,
 )
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -126,17 +124,7 @@ def cmd_compare(args) -> int:
             f"best@{cfg.eval_n} {_fmt(s.final_best)}, entropy {_fmt(s.final_entropy)}, "
             f"clip {_fmt(s.mean_clip_frac)}"
         )
-    rows = method_medians(summaries)
-    header = ("method", *(f"median_{name}" for name in SUMMARY_FIELDS))
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join([str(row["method"])] + [_fmt(float(row[k])) for k in header[1:]])
-        )
-    # One row per diverged run, labelled like its run directory.
-    for s in diverged:
-        lines.append(",".join([f"{s.method}-seed{s.seed}"] + ["diverged"] * (len(header) - 1)))
-    write_atomic(Path(args.out) / "summary.csv", ("\n".join(lines) + "\n").encode("utf-8"))
+    lines = write_summary(summaries, args.out)
     print("medians across seeds:")
     for line in lines:
         print("  " + line)

@@ -28,6 +28,7 @@ from .config import (
 from .groups import RolloutBatch, group_stats
 from .metrics import (
     StepMetrics,
+    _fmt,
     config_digest,
     render_lineplot,
     save_checkpoint,
@@ -36,7 +37,6 @@ from .metrics import (
     write_metrics_csv,
 )
 from .objectives import (
-    ClipStrategy,
     LossBreakdown,
     evaluate_prepared,
     prepare_batch,
@@ -302,7 +302,6 @@ def train_step(
     opt: OptimizerState,
     batch: RolloutBatch,
     cfg: TrainConfig,
-    strategy: ClipStrategy | None = None,
 ) -> LossBreakdown:
     """Run the inner-epoch updates for one rollout batch.
 
@@ -311,9 +310,7 @@ def train_step(
     with one inner epoch every ratio is 1 and the clip fraction is 0. Its
     gradient buffer is spent on the update, so it comes back as None.
     """
-    if strategy is None:
-        strategy = build_strategy(cfg)
-    prep = prepare_batch(batch, strategy, ref_params, cfg.advantage_xi, cfg.temperature)
+    prep = prepare_batch(batch, build_strategy(cfg), ref_params, cfg.advantage_xi, cfg.temperature)
     # The update's two work vectors, reused by every inner epoch. They live
     # for this call only: kept between steps, they would only raise the
     # resident set, and made afresh each epoch, they churn the heap.
@@ -403,12 +400,11 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
         vocab, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, cfg.seed, cfg.init_scale
     )
     ref_params = params.copy()
-    strategy = build_strategy(cfg)
     opt = OptimizerState.zeros(params.param_count)
     log: list[StepMetrics] = []
     for step in range(1, cfg.steps + 1):
         batch = rollout_batch(params, cfg, vocab, step)
-        breakdown = train_step(params, ref_params, opt, batch, cfg, strategy)
+        breakdown = train_step(params, ref_params, opt, batch, cfg)
         evals = None
         if step % cfg.eval_every == 0 or step == cfg.steps:
             evals = evaluate(
@@ -448,40 +444,27 @@ def write_run_artifacts(result: TrainingResult, out_dir) -> None:
     labels = suite_labels(cfg.suite)
     write_metrics_csv(result.metrics, out / "metrics.csv", labels)
     log = result.metrics
-    if len(log) >= 2:
-        steps = [m.step for m in log]
-        render_lineplot(
-            [("entropy", steps, [m.entropy for m in log])],
-            out / "entropy.svg",
-            title="Mean token entropy",
-            y_label="nats",
-        )
-        render_lineplot(
-            [("pass_rate", steps, [m.pass_rate for m in log])],
-            out / "pass_rate.svg",
-            title="Batch pass rate",
-            y_label="fraction",
-        )
-        clip_series = [("clip_frac", steps, [m.clip_frac for m in log])]
-        if all(m.mean_eps is not None for m in log):
-            clip_series.append(("mean_eps", steps, [m.mean_eps for m in log]))
-        render_lineplot(
-            clip_series,
-            out / "clipping.svg",
-            title="Clipping behavior",
-            y_label="fraction / half-width",
-        )
-        eval_rows = [m for m in log if m.evals]
-        if len(eval_rows) >= 2:
-            render_lineplot(
-                [
-                    (label, [m.step for m in eval_rows], [m.evals[label][0] for m in eval_rows])
-                    for label in labels
-                ],
-                out / "eval_mean.svg",
-                title=f"Mean@{cfg.eval_n} by task",
-                y_label="accuracy",
-            )
+    steps = [m.step for m in log]
+
+    def series(name: str):
+        return (name, steps, [getattr(m, name) for m in log])
+
+    clipping = [series("clip_frac")]
+    if all(m.mean_eps is not None for m in log):
+        clipping.append(series("mean_eps"))
+    rounds = [m for m in log if m.evals]
+    by_task = [(t, [m.step for m in rounds], [m.evals[t][0] for m in rounds]) for t in labels]
+    # (file, title, y label, series); a plot is written when its series
+    # have two points.
+    plots = [
+        ("entropy.svg", "Mean token entropy", "nats", [series("entropy")]),
+        ("pass_rate.svg", "Batch pass rate", "fraction", [series("pass_rate")]),
+        ("clipping.svg", "Clipping behavior", "fraction / half-width", clipping),
+        ("eval_mean.svg", f"Mean@{cfg.eval_n} by task", "accuracy", by_task),
+    ]
+    for name, title, y_label, lines in plots:
+        if len(lines[0][1]) >= 2:
+            render_lineplot(lines, out / name, title=title, y_label=y_label)
     save_checkpoint(
         out / "final.ckpt",
         result.params.to_vector(),
@@ -519,11 +502,6 @@ class RunSummary:
             initial_entropy=log[0].entropy,
             mean_clip_frac=float(np.mean([m.clip_frac for m in log])),
         )
-
-
-# The RunSummary fields whose per-method medians summary.csv reports, in
-# column order.
-SUMMARY_FIELDS = ("final_mean", "final_best", "final_entropy", "mean_clip_frac")
 
 
 @dataclass(frozen=True)
@@ -590,25 +568,27 @@ def compare_runs(
         return list(pool.map(_compare_worker, job_list))
 
 
-def method_medians(
-    summaries: Sequence[RunSummary | DivergedRun],
-) -> list[dict[str, float | str]]:
-    """Per-method medians across finished seeds, in first-seen method order.
+def write_summary(summaries: Sequence[RunSummary | DivergedRun], out_dir) -> list[str]:
+    """Write a sweep's ``summary.csv`` into ``out_dir`` and return its lines.
 
-    Diverged runs are skipped; a method none of whose runs finished has
-    no row.
+    Each method with a finished run gets a row of medians across those
+    runs, in first-seen method order. Then each diverged run gets a row,
+    labelled like its run directory.
     """
-    by_method: dict[str, list[RunSummary]] = {}
+    fields = ("final_mean", "final_best", "final_entropy", "mean_clip_frac")
+    finished: dict[str, list[RunSummary]] = {}
     for s in summaries:
         if not isinstance(s, DivergedRun):
-            by_method.setdefault(s.method, []).append(s)
-    rows = []
-    for method, runs in by_method.items():
-        row: dict[str, float | str] = {"method": method}
-        for name in SUMMARY_FIELDS:
-            row[f"median_{name}"] = float(np.median([getattr(r, name) for r in runs]))
-        rows.append(row)
-    return rows
+            finished.setdefault(s.method, []).append(s)
+    lines = [",".join(["method"] + [f"median_{name}" for name in fields])]
+    for method, runs in finished.items():
+        medians = [float(np.median([getattr(r, name) for r in runs])) for name in fields]
+        lines.append(",".join([method] + [_fmt(m) for m in medians]))
+    for s in summaries:
+        if isinstance(s, DivergedRun):
+            lines.append(",".join([f"{s.method}-seed{s.seed}"] + ["diverged"] * len(fields)))
+    write_atomic(Path(out_dir) / "summary.csv", ("\n".join(lines) + "\n").encode("utf-8"))
+    return lines
 
 
 # Small dimensions keep the per-coordinate finite-difference sweep fast;

@@ -26,7 +26,7 @@ def tanh(a) -> Tensor:
     def back(g):
         return (autodiff._tanh_backward(out, g),)
 
-    return Tensor(out, ta.record, ta.record._push("tanh", (ta.node,), back))
+    return Tensor(out, ta.record, ta.record._push((ta.node,), back))
 
 
 def matmul(a, b) -> Tensor:
@@ -49,7 +49,7 @@ def matmul(a, b) -> Tensor:
             da.T @ g if nb is not None else None,
         )
 
-    return Tensor(out, rec, rec._push("matmul", (na, nb), back))
+    return Tensor(out, rec, rec._push((na, nb), back))
 
 
 def softmax_logprobs(logits, temperature: float = 1.0) -> Tensor:
@@ -75,7 +75,7 @@ def softmax_logprobs(logits, temperature: float = 1.0) -> Tensor:
     def back(g):
         return ((g - probs * np.sum(g, axis=-1, keepdims=True)) / temperature,)
 
-    return Tensor(out, ta.record, ta.record._push("softmax_logprobs", (na,), back))
+    return Tensor(out, ta.record, ta.record._push((na,), back))
 
 
 def take_rows(matrix, ids) -> Tensor:
@@ -98,7 +98,7 @@ def take_rows(matrix, ids) -> Tensor:
         np.add.at(acc, idx, g)
         return (acc,)
 
-    return Tensor(out, tm.record, tm.record._push("take_rows", (tm.node,), back))
+    return Tensor(out, tm.record, tm.record._push((tm.node,), back))
 
 
 def gather_pairs(matrix, rows, cols) -> Tensor:
@@ -123,7 +123,7 @@ def gather_pairs(matrix, rows, cols) -> Tensor:
         np.add.at(acc, (r, c), g)
         return (acc,)
 
-    return Tensor(out, tm.record, tm.record._push("gather_pairs", (tm.node,), back))
+    return Tensor(out, tm.record, tm.record._push((tm.node,), back))
 
 
 def reshape(a, shape) -> Tensor:
@@ -139,4 +139,4 @@ def reshape(a, shape) -> Tensor:
     def back(g):
         return (g.reshape(orig),)
 
-    return Tensor(out, ta.record, ta.record._push("reshape", (ta.node,), back))
+    return Tensor(out, ta.record, ta.record._push((ta.node,), back))

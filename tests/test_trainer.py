@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from etrlab.autodiff import ContractViolation
 from etrlab.config import METHODS, ConfigError, TrainConfig, parse_suite, validate_config
 from etrlab.groups import as_rollout_batch
-from etrlab.metrics import suite_labels, write_metrics_csv
+from etrlab.metrics import _fmt, suite_labels, write_metrics_csv
 from etrlab.policy import MIN_TEMPERATURE, PolicyParams, Vocab, init_params
 from etrlab.tasks import FAMILIES, TaskSpec, answer_length, reward, verify
 import etrlab.trainer as trainer_mod
@@ -25,12 +25,12 @@ from etrlab.trainer import (
     evaluate,
     gradient_check,
     gradient_check_suite,
-    method_medians,
     rollout_batch,
     run_training,
     stream_seed,
     train_step,
     write_run_artifacts,
+    write_summary,
 )
 from rollout_reference import reference_evaluate, unpack_batch
 
@@ -516,12 +516,15 @@ def test_compare_runs_cardinality_and_medians(tmp_path):
     ]
     for s in summaries:
         assert (tmp_path / f"{s.method}-seed{s.seed}" / "metrics.csv").exists()
-    rows = method_medians(summaries)
-    assert [r["method"] for r in rows] == ["grpo", "etr"]
-    grpo_rows = [s for s in summaries if s.method == "grpo"]
-    assert rows[0]["median_final_mean"] == float(
-        np.median([s.final_mean for s in grpo_rows])
-    )
+    lines = write_summary(summaries, tmp_path)
+    assert (tmp_path / "summary.csv").read_text() == "\n".join(lines) + "\n"
+    header, *rows = [line.split(",") for line in lines]
+    assert [row[0] for row in rows] == ["grpo", "etr"]
+    fields = [name.removeprefix("median_") for name in header[1:]]
+    assert fields == ["final_mean", "final_best", "final_entropy", "mean_clip_frac"]
+    for method, *cells in rows:
+        runs = [s for s in summaries if s.method == method]
+        assert cells == [_fmt(float(np.median([getattr(s, f) for s in runs]))) for f in fields]
     with pytest.raises(ContractViolation):
         compare_runs(cfg, [], [1])
 
@@ -688,9 +691,15 @@ def test_compare_runs_isolates_a_diverged_run(tmp_path, jobs):
     ]
     assert "non-finite" in results[0].message
     assert sorted(p.name for p in tmp_path.iterdir()) == ["etr-seed3", "grpo-seed3"]
-    assert [r["method"] for r in method_medians(results)] == ["grpo", "etr"]
-    assert method_medians(results)[0]["median_final_mean"] == results[1].final_mean
-    assert method_medians(results[:1]) == []
+    # Median rows in first-seen method order, then the diverged runs in
+    # input order; etr's only run in results[:3] diverged, so it has no
+    # median row there.
+    labels = [line.split(",")[0] for line in write_summary(results, tmp_path)[1:]]
+    assert labels == ["grpo", "etr", "grpo-seed2", "etr-seed2"]
+    lines = write_summary(results[:3], tmp_path)
+    assert lines[1].split(",")[:2] == ["grpo", _fmt(results[1].final_mean)]
+    cells = ",diverged" * 4
+    assert lines[2:] == [f"grpo-seed2{cells}", f"etr-seed2{cells}"]
 
 
 def test_gradient_check_single_variant(monkeypatch):
