@@ -171,18 +171,33 @@ class LossBreakdown:
 class PreparedBatch:
     """Constant per-token arrays shared by every inner-epoch evaluation.
 
-    ``distinct_contexts`` holds each context row once (``np.unique`` order).
-    Token i is scored on row ``pair_index[i]`` of the distinct (context,
-    mask-table row) pairs: pair p reads logits row ``pair_contexts[p]``
-    under the additive mask ``pair_masks[p]``, so the masked log-softmax
-    runs once per pair. ``scatter_index`` holds, token by token, the V
-    flat positions of the token's distinct-context row in the logits,
-    where the gradient is summed. Token i's context is
-    ``distinct_contexts[pair_contexts[pair_index[i]]]`` and its mask row
-    ``pair_masks[pair_index[i]]``.
+    A forced token is one whose mask row allows a single id and that is
+    this id, as the closing EOS of every answer grammar. Under the
+    precondition ``policy.sample_groups`` states for its one-token
+    positions (finite logits and ``temperature >= MIN_TEMPERATURE``), its
+    log-probability is exactly 0.0, the value the sampler stores for it,
+    and with a finite ratio its gradient contribution is exactly +-0. So
+    only the other tokens, ``scored``, are scored, and a forced token's
+    log-probability is set to 0.0.
+
+    ``distinct_contexts`` holds each context row once (``np.unique``
+    order), and ``forward_contexts`` its rows ``forward_rows``, the ones a
+    scored token reads: the MLP runs on that block. Scored token j, token
+    ``scored[j]`` of the batch, reads row ``pair_index[j]`` of the
+    distinct (context, mask-table row) pairs at id ``scored_targets[j]``:
+    pair p reads block row ``pair_contexts[p]`` under the additive mask
+    ``pair_masks[p]``, so the masked log-softmax runs once per pair.
+    ``scatter_index`` holds, scored token by scored token, the V flat
+    positions of its row of ``distinct_contexts`` in an (N, V) block, where
+    the logits' gradient is summed. The other per-token arrays cover every
+    token, in batch order.
     """
 
     distinct_contexts: np.ndarray
+    forward_rows: np.ndarray
+    forward_contexts: np.ndarray
+    scored: np.ndarray
+    scored_targets: np.ndarray
     pair_contexts: np.ndarray
     pair_masks: np.ndarray
     pair_index: np.ndarray
@@ -229,8 +244,9 @@ def prepare_batch(
     contexts and stored log-probs are the batch's buffers read through
     the mask of positions inside each response. Each distinct grammar gets
     one mask table, and token t of a response reads row t of its
-    grammar's. Every id a context or target reads is checked here, once
-    per batch.
+    grammar's. Forced tokens get no pair and no scatter block
+    (:class:`PreparedBatch`). Every id a context or target reads is
+    checked here, once per batch.
     """
     vocab = ref_params.vocab
     window = ref_params.window
@@ -262,15 +278,31 @@ def prepare_batch(
     table_starts = dict(zip(grammars, np.cumsum([0, *map(len, grammars)]).tolist()))
     row_starts = np.repeat([table_starts[grammar] for grammar in batch.grammars], g)
     mask_rows = np.repeat(row_starts, lengths) + np.nonzero(inside)[1]
-    pairs, pair_index = _distinct_rows((index * len(table) + mask_rows)[:, None])
+    # sole: each mask-table row's one legal id, -1 on rows with a choice. A
+    # token that is its row's sole id is forced; every other token is
+    # scored, an id outside a one-id row included (its log-probability is
+    # not 0.0). The forward block is the distinct contexts scored tokens
+    # read, and block_index each scored token's row in it.
+    sole = np.asarray([m[0] if len(m) == 1 else -1 for grammar in grammars for m in grammar])
+    scored = np.flatnonzero(sole[mask_rows] != targets)
+    scored_index = index[scored]
+    forwarded = np.zeros(len(distinct), dtype=bool)
+    forwarded[scored_index] = True
+    block_index = (np.cumsum(forwarded) - 1)[scored_index]
+    pairs, pair_index = _distinct_rows((block_index * len(table) + mask_rows[scored])[:, None])
     pair_contexts, pair_rows = np.divmod(pairs[:, 0], len(table))
+    forward_rows = np.flatnonzero(forwarded)
     group_ends = np.cumsum(lengths)[g - 1 :: g].tolist()
     prep = PreparedBatch(
         distinct_contexts=distinct,
+        forward_rows=forward_rows,
+        forward_contexts=distinct[forward_rows],
+        scored=scored,
+        scored_targets=targets[scored],
         pair_contexts=pair_contexts,
         pair_masks=table[pair_rows],
         pair_index=pair_index,
-        scatter_index=(index[:, None] * vocab.size + np.arange(vocab.size)).reshape(-1),
+        scatter_index=(scored_index[:, None] * vocab.size + np.arange(vocab.size)).reshape(-1),
         targets=targets,
         old_logprobs=batch.logprobs[inside],
         ref_logprobs=None,  # scored on the pair rows below
@@ -289,16 +321,22 @@ def prepare_batch(
 def score_prepared(prep: PreparedBatch, params: PolicyParams) -> tuple[np.ndarray, ...]:
     """Score a prepared batch's tokens under ``params``.
 
-    The MLP runs once per distinct context and the masked log-softmax once
-    per (context, mask row) pair; tokens read their pair's row. Returns the
-    forward's ``(x, hidden, logits)``, the pair rows' log-probs and the
-    per-token log-probs, shape (T,).
+    The MLP runs once per context a scored token reads and the masked
+    log-softmax once per (context, mask row) pair; scored tokens read their
+    pair's row, and forced tokens score exactly 0.0 (the rule and its
+    precondition are :class:`PreparedBatch`'s). A context that only forced
+    tokens read is not forwarded, so a non-finite logit row there no
+    longer gives a non-finite score. Returns the forward's ``(x, hidden,
+    logits)``, the pair rows' log-probs and the per-token log-probs,
+    shape (T,).
     """
-    x, hidden, logits = policy_mod.forward(params, prep.distinct_contexts)
+    x, hidden, logits = policy_mod.forward(params, prep.forward_contexts)
     lp_pairs = policy_mod.masked_logprobs(
         logits[prep.pair_contexts], prep.pair_masks, prep.temperature
     )
-    return x, hidden, logits, lp_pairs, lp_pairs[prep.pair_index, prep.targets]
+    lp = np.zeros(prep.targets.size)
+    lp[prep.scored] = lp_pairs[prep.pair_index, prep.scored_targets]
+    return x, hidden, logits, lp_pairs, lp
 
 
 def evaluate_prepared(
@@ -310,13 +348,21 @@ def evaluate_prepared(
 ) -> LossBreakdown:
     """Evaluate the clipped surrogate minus the KL penalty, with its gradient.
 
-    Tokens are scored by :func:`score_prepared`. The gradient is
-    closed-form: per token, d(total)/d(log-prob) is ``w * A * r`` where
-    the unclipped branch is the minimum (always so inside the band, where
-    both branches are equal) and zero where the clipped one is, minus
-    ``kl_coef * w * (1 - u)``. It goes back through the softmax per token,
-    is summed per distinct context in token order by one ``bincount`` and
-    backpropagated through the MLP there, into ``gradient_out`` when given.
+    Tokens are scored by :func:`score_prepared`; the surrogate, the KL
+    term and the clip count sum over every token in batch order. The
+    gradient is closed-form: per token, d(total)/d(log-prob) is
+    ``w * A * r`` where the unclipped branch is the minimum (always so
+    inside the band, where both branches are equal) and zero where the
+    clipped one is, minus ``kl_coef * w * (1 - u)``. It goes back through
+    the softmax per scored token, is summed per distinct context in token
+    order by one ``bincount`` and backpropagated through the MLP from the
+    forwarded contexts, into ``gradient_out`` when given. A forced token
+    scores 0.0 and would add exactly +-0 there under the precondition
+    :class:`PreparedBatch` states, so it is left out; a batch of forced
+    tokens only forwards an empty block and gets an exactly zero gradient.
+    A non-finite logit row that only forced tokens read therefore no longer
+    makes the objective non-finite, and ``train_step`` no longer raises on
+    it.
     """
     if kl_coef < 0.0:
         raise ContractViolation("kl_coef must be non-negative")
@@ -333,16 +379,19 @@ def evaluate_prepared(
     gradient = None
     if with_grad:
         d_lp = prep.weights * (prep.advantages * ratio * first - kl_coef * (1.0 - u))
+        d_lp = d_lp[prep.scored]
         d_rows = np.exp(lp_pairs)[prep.pair_index] * -d_lp[:, None]
-        d_rows[np.arange(d_lp.size), prep.targets] += d_lp
+        d_rows[np.arange(d_lp.size), prep.scored_targets] += d_lp
         d_rows *= 1.0 / prep.temperature
-        d_logits = np.bincount(prep.scatter_index, d_rows.reshape(-1), minlength=logits.size)
+        n, v = len(prep.distinct_contexts), logits.shape[1]
+        d_logits = np.bincount(prep.scatter_index, d_rows.reshape(-1), minlength=n * v)
         gradient = policy_mod.logits_gradient(
             params,
             prep.distinct_contexts,
+            prep.forward_rows,
             x,
             hidden,
-            d_logits.reshape(logits.shape),
+            d_logits.reshape(n, v),
             gradient_out,
         )
     return LossBreakdown(

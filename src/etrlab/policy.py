@@ -189,12 +189,13 @@ def forward(
     A single row is forwarded twice and the first copy returned: a one-row
     product takes BLAS's matrix-vector kernel, which rounds differently
     from the rows of a larger block, so this keeps a row's bits the same
-    however many rows it is forwarded with.
+    however many rows it is forwarded with. An empty block gives empty
+    arrays.
     """
     n = contexts.shape[0]
     if n == 1:
         contexts = contexts.repeat(2, axis=0)
-    x = params.embed.take(contexts, axis=0).reshape(contexts.shape[0], -1)
+    x = params.embed.take(contexts, axis=0).reshape(len(contexts), params.w_hidden.shape[0])
     pre = x @ params.w_hidden
     pre += params.b_hidden
     hidden = np.tanh(pre, out=pre)
@@ -206,28 +207,36 @@ def forward(
 def logits_gradient(
     params: PolicyParams,
     contexts: np.ndarray,
+    rows: np.ndarray,
     x: np.ndarray,
     hidden: np.ndarray,
     d_logits: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Flat parameter gradient of sum(d_logits * logits) over the given rows.
+    """Flat parameter gradient of sum(d_logits * logits) over the (N, W) ``contexts``.
 
-    ``x`` and ``hidden`` are :func:`forward` of the same contexts. The
+    Only ``contexts[rows]`` was forwarded, to ``x`` and ``hidden``, and the
+    (N, V) ``d_logits`` is zero on the other rows. Those rows stay in the
+    products whose size is N, as zero rows, so the result has the bits it
+    has with every row forwarded: BLAS rounds the rows of an ``a @ b.T``
+    product differently at some row counts, and the embedding's one-hot
+    product at widths of 4 or less when its inner dimension shrinks. The
     tanh derivative is looked up on :mod:`autodiff` at call time, so the
     gradient check and this backward share one definition. Each block is
     written straight into its place in ``out`` (a new vector when not
     given), which is returned.
     """
-    d_pre = autodiff._tanh_backward(hidden, d_logits @ params.w_out.T)
+    d_pre_rows = autodiff._tanh_backward(hidden, (d_logits @ params.w_out.T)[rows])
+    d_pre = np.zeros((len(contexts), params.hidden_dim))
+    d_pre[rows] = d_pre_rows
     d_x = (d_pre @ params.w_hidden.T).reshape(-1, params.embed_dim)
     grad = np.empty(params.param_count) if out is None else out
     d_embed, d_w_hidden, d_b_hidden, d_w_out, d_b_out = params.blocks(grad)
-    # Scatter-add into embedding rows as a (V, n*W) one-hot product.
+    # Scatter-add into embedding rows as a (V, N*W) one-hot product.
     np.matmul(contexts.reshape(-1) == np.arange(params.vocab.size)[:, None], d_x, out=d_embed)
-    np.matmul(x.T, d_pre, out=d_w_hidden)
+    np.matmul(x.T, d_pre_rows, out=d_w_hidden)
     d_pre.sum(axis=0, out=d_b_hidden)
-    np.matmul(hidden.T, d_logits, out=d_w_out)
+    np.matmul(hidden.T, d_logits[rows], out=d_w_out)
     d_logits.sum(axis=0, out=d_b_out)
     return grad
 

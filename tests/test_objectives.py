@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from etrlab import objectives
 from etrlab.autodiff import ContractViolation, Record, exp, sum_all
-from etrlab.config import METHODS, TrainConfig, build_strategy
+from etrlab.config import METHODS, TrainConfig, build_strategy, parse_suite
 from etrlab.groups import RolloutBatch, RolloutGroup, as_rollout_batch, group_stats
 from etrlab.objectives import (
     ClipHigh,
@@ -31,6 +31,7 @@ from etrlab.policy import (
     PolicyParams,
     SampledResponse,
     Vocab,
+    forward,
     init_params,
     mask_matrix,
     pad_context,
@@ -40,6 +41,7 @@ from etrlab.policy import (
 )
 from etrlab.tasks import Prompt, encode_payload, response_grammar, reward, verify_rows
 from etrlab.trainer import OptimizerState, TrainingDiverged, rollout_batch, train_step
+from objective_reference import full_layout_gradient
 from rollout_reference import stacked_contexts, unpack_batch
 from tape_reference import gather_pairs, matmul, reshape, softmax_logprobs, take_rows, tanh
 
@@ -338,28 +340,47 @@ def test_static_band_mismatch_from_prepared_advantages():
     assert not np.any(prepare_batch([same], Static(0.0), params).advantages)
 
 
+def token_rows(batch, params):
+    """Every token's context row and additive mask row, forced tokens included.
+
+    Built response by response from the groups, in batch order.
+    """
+    vocab = params.vocab
+    ctx_parts, mask_parts = [], []
+    for group in batch:
+        grammar = response_grammar(group.prompt, vocab)
+        for resp in group.responses:
+            ctx_parts.append(
+                stacked_contexts([(group.prompt.tokens, resp.tokens)], params.window, vocab.bos)
+            )
+            mask_parts.append(mask_matrix(vocab.size, grammar[: len(resp)]))
+    return np.concatenate(ctx_parts, axis=0), np.concatenate(mask_parts, axis=0)
+
+
+def forced(masks, targets):
+    """Tokens that are the one id their mask row allows."""
+    legal = masks[np.arange(targets.size), targets] == 0.0
+    return legal & (np.count_nonzero(masks == 0.0, axis=1) == 1)
+
+
 def reference_prepare_batch(batch, strategy, ref_params, xi=1e-6, temperature=1.0):
     """Per-response loop that builds every per-token quantity, kept as the reference.
 
-    Returns the quantities :func:`token_view` reads off a prepared batch.
+    Every token is scored on its own row, forced ones included. Returns the
+    quantities :func:`token_view` reads off a prepared batch: the rows of
+    the tokens that are not forced, and every token's constants.
     """
     vocab = ref_params.vocab
-    ctx_parts, tgt_parts, mask_parts = [], [], []
-    old_parts, adv_parts, lo_parts, hi_parts, w_parts = [], [], [], [], []
+    tgt_parts, old_parts, adv_parts, lo_parts, hi_parts, w_parts = [], [], [], [], [], []
     eps_parts = []
     group_slices = []
     at = 0
     for group in batch:
         stats = group_stats(group.rewards, xi)
-        grammar = response_grammar(group.prompt, vocab)
         start = at
         for resp, adv in zip(group.responses, stats.advantages):
             length = len(resp)
-            ctx_parts.append(
-                stacked_contexts([(group.prompt.tokens, resp.tokens)], ref_params.window, vocab.bos)
-            )
             tgt_parts.append(np.asarray(resp.tokens, dtype=np.int64))
-            mask_parts.append(mask_matrix(vocab.size, grammar[:length]))
             old_parts.append(np.asarray(resp.logprobs, dtype=np.float64))
             adv_parts.append(np.full(length, adv))
             lo_i, hi_i = clip_bounds(strategy, adv, stats.pass_rate)
@@ -370,16 +391,17 @@ def reference_prepare_batch(batch, strategy, ref_params, xi=1e-6, temperature=1.
             w_parts.append(np.full(length, 1.0 / (len(batch) * group.size * length)))
             at += length
         group_slices.append((start, at))
-    contexts = np.concatenate(ctx_parts, axis=0)
+    contexts, masks = token_rows(batch, ref_params)
     targets = np.concatenate(tgt_parts)
-    masks = np.concatenate(mask_parts, axis=0)
+    scored = np.flatnonzero(~forced(masks, targets))
     distinct, index = np.unique(contexts, axis=0, return_inverse=True)
     return dict(
-        contexts=contexts,
+        scored=scored,
+        distinct_index=index.reshape(-1)[scored],
+        contexts=contexts[scored],
+        masks=masks[scored],
         distinct_contexts=distinct,
-        distinct_index=index.reshape(-1),
         targets=targets,
-        masks=masks,
         old_logprobs=np.concatenate(old_parts),
         ref_logprobs=score_tokens(ref_params, contexts, targets, masks, temperature),
         advantages=np.concatenate(adv_parts),
@@ -437,10 +459,12 @@ def test_prepare_batch_equals_per_response_reference(strategy, seed):
     want = reference_prepare_batch(batch, strategy, params, 1e-6, 0.8)
     assert_same(token_view(got), want)
     # Off the reference policy too, the pair rows give each token the bits
-    # the per-token reference scorer gives it.
+    # the per-token reference scorer gives it, and a forced token's 0.0 is
+    # the reference's.
     probe = moved(params, seed)
     lp = objectives.score_prepared(got, probe)[-1]
-    ref = score_tokens(probe, want["contexts"], want["targets"], want["masks"], 0.8)
+    contexts, masks = token_rows(batch, params)
+    ref = score_tokens(probe, contexts, want["targets"], masks, 0.8)
     assert lp.tobytes() == ref.tobytes()
 
 
@@ -460,34 +484,31 @@ def prepared_fields(prep):
     return {field.name: getattr(prep, field.name) for field in dataclasses.fields(PreparedBatch)}
 
 
-def token_rows(prep):
-    """Each token's context row and additive mask row, read back from the pair rows."""
-    pairs = prep.pair_index
-    return prep.distinct_contexts[prep.pair_contexts[pairs]], prep.pair_masks[pairs]
-
-
 def token_view(prep):
-    """A prepared batch's per-token quantities, with its pair rows read back per token.
+    """A prepared batch's per-token quantities, with its pair rows read back per scored token.
 
-    Checks on the way that each pair is read by some token, that each
-    token's pair has the token's context, and that its scatter block is
-    its distinct context's row of V flat positions.
+    Checks on the way that each scored token's scatter block is its
+    distinct context's row of V flat positions; that the forward block is
+    the distinct contexts some scored token reads, in order; and that each
+    pair is read by some scored token and has the token's block row.
     """
     v = prep.pair_masks.shape[1]
-    blocks = prep.scatter_index.reshape(prep.targets.size, v)
+    blocks = prep.scatter_index.reshape(prep.scored.size, v)
     distinct_index = blocks[:, 0] // v
     assert np.array_equal(blocks, distinct_index[:, None] * v + np.arange(v))
-    assert np.array_equal(prep.pair_contexts[prep.pair_index], distinct_index)
+    assert np.array_equal(prep.forward_rows, np.unique(distinct_index))
+    assert np.array_equal(prep.forward_contexts, prep.distinct_contexts[prep.forward_rows])
+    assert np.array_equal(prep.forward_rows[prep.pair_contexts[prep.pair_index]], distinct_index)
     assert np.unique(prep.pair_index).size == prep.pair_contexts.size
-    contexts, masks = token_rows(prep)
+    assert np.array_equal(prep.scored_targets, prep.targets[prep.scored])
     names = (
-        "distinct_contexts", "targets", "old_logprobs", "ref_logprobs",
+        "scored", "distinct_contexts", "targets", "old_logprobs", "ref_logprobs",
         "advantages", "lo", "hi", "weights", "mean_epsilon", "group_slices", "temperature",
     )
     return dict(
         distinct_index=distinct_index,
-        contexts=contexts,
-        masks=masks,
+        contexts=prep.distinct_contexts[distinct_index],
+        masks=prep.pair_masks[prep.pair_index],
         **{name: getattr(prep, name) for name in names},
     )
 
@@ -611,14 +632,16 @@ def score_tokens_diff(leaves, contexts, targets, masks, temperature=1.0):
     return gather_pairs(lp, np.arange(n), targets)
 
 
-def tape_evaluate(prep, params, kl_coef):
+def tape_evaluate(prep, rows, params, kl_coef):
     """The objective and its gradient on the autodiff tape, every token row by row.
 
-    Kept as the reference for the closed-form :func:`evaluate_prepared`.
+    ``rows`` are every token's context and mask rows, forced tokens
+    included (:func:`token_rows`). Kept as the reference for the
+    closed-form :func:`evaluate_prepared`.
     """
     record = Record()
     leaves = PolicyLeaves(record, params)
-    contexts, masks = token_rows(prep)
+    contexts, masks = rows
     lp = score_tokens_diff(leaves, contexts, prep.targets, masks, prep.temperature)
     ratio = exp(lp - prep.old_logprobs)
     surrogate_tokens, clip_mask = token_surrogate(ratio, prep.advantages, prep.lo, prep.hi)
@@ -662,9 +685,9 @@ def moved(params, seed, sigma=0.3):
     )
 
 
-def assert_matches_tape(prep, params, kl_coef):
+def assert_matches_tape(prep, rows, params, kl_coef):
     got = evaluate_prepared(prep, params, kl_coef, with_grad=True)
-    total, surrogate, kl, clipped, gradient = tape_evaluate(prep, params, kl_coef)
+    total, surrogate, kl, clipped, gradient = tape_evaluate(prep, rows, params, kl_coef)
     assert got.total == total
     assert got.surrogate == surrogate
     assert got.kl == kl
@@ -683,7 +706,7 @@ def test_closed_form_objective_matches_tape(strategy, seed, kl_coef):
     params = init_params(VOCAB, 3, 5, 7, seed, 0.4)
     prep = prepare_batch(batch, strategy, params, 1e-6, 0.8)
     assert prep.distinct_contexts.shape[0] < prep.targets.size
-    got = assert_matches_tape(prep, moved(params, seed), kl_coef)
+    got = assert_matches_tape(prep, token_rows(batch, params), moved(params, seed), kl_coef)
     # Both clip branches fire: some tokens clipped, some inside the band.
     assert 0 < got.clipped_tokens < got.total_tokens
 
@@ -692,23 +715,31 @@ def test_closed_form_matches_tape_on_all_distinct_contexts():
     # Responses of a group share their first context, so keep the first
     # token row of each distinct context to get a batch without repeats.
     params = init_params(VOCAB, 3, 5, 7, 3, 0.4)
-    full = prepare_batch(uneven_batch(3), Elastic(0.2, 0.1, 0.15), params, 1e-6, 0.8)
-    contexts, masks = token_rows(full)
+    batch = uneven_batch(3)
+    full = prepare_batch(batch, Elastic(0.2, 0.1, 0.15), params, 1e-6, 0.8)
+    contexts, masks = token_rows(batch, params)
     keep = np.sort(np.unique(contexts, axis=0, return_index=True)[1])
     per_token = ("targets", "old_logprobs", "ref_logprobs", "advantages", "lo", "hi", "weights")
-    # Every token is its own distinct context and its own pair.
+    # Every token is its own distinct context, and every scored one its own
+    # forward row and pair.
+    scored = np.flatnonzero(~forced(masks[keep], full.targets[keep]))
     prep = dataclasses.replace(
         full,
         **{name: getattr(full, name)[keep] for name in per_token},
         distinct_contexts=contexts[keep],
-        pair_contexts=np.arange(keep.size),
-        pair_masks=masks[keep],
-        pair_index=np.arange(keep.size),
-        scatter_index=np.arange(keep.size * VOCAB.size),
+        forward_rows=scored,
+        forward_contexts=contexts[keep][scored],
+        scored=scored,
+        scored_targets=full.targets[keep][scored],
+        pair_contexts=np.arange(scored.size),
+        pair_masks=masks[keep][scored],
+        pair_index=np.arange(scored.size),
+        scatter_index=(scored[:, None] * VOCAB.size + np.arange(VOCAB.size)).reshape(-1),
         group_slices=[(0, keep.size)],
     )
-    assert len(np.unique(token_view(prep)["contexts"], axis=0)) == prep.targets.size > 2
-    assert_matches_tape(prep, moved(params, 3), 0.001)
+    assert len(np.unique(token_view(prep)["contexts"], axis=0)) == prep.scored.size > 2
+    assert prep.scored.size < prep.targets.size
+    assert_matches_tape(prep, (contexts[keep], masks[keep]), moved(params, 3), 0.001)
 
 
 def test_closed_form_matches_tape_on_one_shared_context():
@@ -721,10 +752,89 @@ def test_closed_form_matches_tape_on_one_shared_context():
     assert prep.distinct_contexts.shape[0] == 1 < prep.targets.size
     assert not prep.pair_contexts.any()
     assert token_view(prep)["distinct_index"].tolist() == [0] * prep.targets.size
-    contexts, masks = token_rows(prep)
+    contexts, masks = token_rows([group], params)
     want = score_tokens(params, contexts, prep.targets, masks)
     assert np.array_equal(prep.ref_logprobs, want)
-    assert_matches_tape(prep, moved(params, 4), 0.001)
+    assert_matches_tape(prep, (contexts, masks), moved(params, 4), 0.001)
+
+
+def default_rollout(embed_dim, hidden_dim, seed):
+    """A default-size step-1 rollout batch of a policy of the given widths, as groups."""
+    cfg = dataclasses.replace(TrainConfig(), embed_dim=embed_dim, hidden_dim=hidden_dim)
+    params = init_params(VOCAB, cfg.context_window, embed_dim, hidden_dim, seed, 0.4)
+    return unpack_batch(rollout_batch(params, cfg, VOCAB, 1)), params
+
+
+@pytest.mark.parametrize("embed_dim", [3, 4, 16])
+@pytest.mark.parametrize("hidden_dim", [5, 64, 256])
+@pytest.mark.parametrize("case", ["uneven-0", "uneven-2", "uneven-3", "rollout-1"])
+def test_gradient_equals_every_distinct_context_layout_bit_for_bit(embed_dim, hidden_dim, case):
+    # Forced tokens leave the forward block and the scatter, yet the
+    # gradient keeps the bits of the layout that forwarded every distinct
+    # context: at the narrow embeddings, and with a forward block small
+    # enough for BLAS to round its rows another way than the full one's.
+    kind, seed = case.split("-")
+    seed = int(seed)
+    if kind == "uneven":
+        batch = uneven_batch(seed)
+        params = init_params(VOCAB, 3, embed_dim, hidden_dim, seed, 0.4)
+    else:
+        batch, params = default_rollout(embed_dim, hidden_dim, seed)
+    prep = prepare_batch(batch, Elastic(0.2, 0.1, 0.15), params, 1e-6, 0.8)
+    assert prep.forward_rows.size < prep.distinct_contexts.shape[0]
+    contexts, masks = token_rows(batch, params)
+    probe = moved(params, seed)
+    got = evaluate_prepared(prep, probe, 0.001, with_grad=True).gradient
+    want = full_layout_gradient(prep, contexts, masks, probe, 0.001)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_batch_without_a_choice_forwards_nothing_and_has_a_zero_gradient():
+    # One content id and copy:2: every position allows one id. Mixed rewards
+    # give every forced token a nonzero d(total)/d(log-prob), whose gradient
+    # is still exactly +-0.
+    cfg = dataclasses.replace(
+        TrainConfig(), content_tokens=1, suite=parse_suite("copy:2"), groups_per_step=2,
+        group_size=2, context_window=3, embed_dim=5, hidden_dim=7,
+    )
+    vocab = Vocab(cfg.content_tokens)
+    params = init_params(vocab, 3, 5, 7, 0, 0.4)
+    batch = rollout_batch(params, cfg, vocab, 1)
+    batch = dataclasses.replace(batch, rewards=np.asarray([1.0, -1.0, -1.0, 1.0]))
+    prep = prepare_batch(batch, Static(0.2), params, 1e-6, 0.8)
+    assert prep.scored.size == 0 < prep.targets.size
+    assert prep.forward_contexts.shape[0] == 0
+    assert np.any(prep.advantages)
+    probe = moved(params, 5)
+    got = evaluate_prepared(prep, probe, 0.001, with_grad=True)
+    total, surrogate, kl, clipped, gradient = tape_evaluate(
+        prep, token_rows(unpack_batch(batch), params), probe, 0.001
+    )
+    assert (got.total, got.surrogate, got.kl, got.clipped_tokens) == (total, surrogate, kl, clipped)
+    assert got.gradient.tobytes() == np.zeros(params.param_count).tobytes()
+    assert not np.any(gradient)
+
+
+def test_forward_runs_on_the_contexts_of_tokens_with_a_choice_only(monkeypatch):
+    cfg = TrainConfig()
+    params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 1, 0.1)
+    batch = rollout_batch(params, cfg, VOCAB, 1)
+    contexts, masks = token_rows(unpack_batch(batch), params)
+    choice = np.count_nonzero(masks == 0.0, axis=1) > 1
+    want = np.unique(contexts[choice], axis=0)
+    assert want.shape[0] < np.unique(contexts, axis=0).shape[0]
+    forwarded = []
+
+    def recorded(params, contexts):
+        forwarded.append(contexts.copy())
+        return forward(params, contexts)
+
+    monkeypatch.setattr(objectives.policy_mod, "forward", recorded)
+    prep = prepare_batch(batch, build_strategy(cfg), params, cfg.advantage_xi, cfg.temperature)
+    evaluate_prepared(prep, moved(params, 1), cfg.kl_coef, with_grad=True)
+    assert len(forwarded) == 2
+    for block in forwarded:
+        assert np.array_equal(block, want)
 
 
 def test_non_finite_objective_raises_training_diverged():

@@ -404,6 +404,20 @@ def test_reward_improves_on_copy_smoke():
     assert float(np.median(deltas)) > 0.0
 
 
+def test_run_training_with_no_choice_anywhere():
+    # One content id and copy:2: every position allows one id, so no token
+    # is scored, the gradient is exactly zero and the parameters stay put.
+    result = run_training(
+        tiny_cfg(content_tokens=1, suite=parse_suite("copy:2"), inner_epochs=2, steps=4)
+    )
+    assert [m.pass_rate for m in result.metrics] == [1.0] * 4
+    for m in result.metrics:
+        assert (m.total, m.surrogate, m.kl, m.clip_frac) == (0.0, 0.0, 0.0, 0.0)
+    assert [m.evals for m in result.metrics if m.evals] == [{"copy2": (1.0, 1.0)}] * 2
+    assert result.params.vector.tobytes() == result.ref_params.vector.tobytes()
+    assert not np.any(result.opt.moment1) and not np.any(result.opt.moment2)
+
+
 def test_run_training_rejects_bad_configs():
     with pytest.raises(ConfigError):
         run_training(tiny_cfg(steps=0))
