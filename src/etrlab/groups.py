@@ -79,6 +79,8 @@ class RolloutBatch:
             raise ContractViolation("one prompt and grammar per group is required")
         if self.group_size < 2:
             raise ContractViolation("a rollout group needs at least two responses")
+        if self.tokens.ndim != 2 or len(self.tokens) != rows:
+            raise ContractViolation("the token buffer needs one row per response")
         if self.logprobs.shape != (rows, self.tokens.shape[1] - self.window) or self.window < 1:
             raise ContractViolation("token and log-probability buffers do not match")
         if not all(1 <= len(g) <= self.logprobs.shape[1] for g in self.grammars):

@@ -98,15 +98,14 @@ def write_metrics_csv(log: Sequence[StepMetrics], path, labels: Sequence[str]) -
 _PALETTE = ("#1f6fb4", "#d45500", "#2b8a3e", "#a01a7d", "#6a4c93", "#b3861a")
 
 
-def _axis_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _axis_ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def render_lineplot(
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     path,
     title: str = "",
-    x_label: str = "step",
     y_label: str = "",
 ) -> None:
     """Write a multi-series line plot as a standalone SVG file.
@@ -174,7 +173,7 @@ def render_lineplot(
         )
     parts.append(
         f'<text x="{left + plot_w / 2:g}" y="{height - 8:g}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{escape(x_label, quote=False)}</text>'
+        'font-family="sans-serif" font-size="12">step</text>'
     )
     if y_label:
         parts.append(

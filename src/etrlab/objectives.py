@@ -89,17 +89,12 @@ def dynamic_epsilon(advantage, pass_rate, strategy: Elastic):
 
 def clip_bounds(strategy: ClipStrategy, advantage, pass_rate):
     """Ratio bounds (lo, hi) for a token under the given strategy."""
-    if isinstance(strategy, Static):
-        eps = np.broadcast_to(
-            np.float64(strategy.epsilon), np.asarray(advantage, dtype=np.float64).shape
-        )
-        return 1.0 - eps, 1.0 + eps
-    if isinstance(strategy, ClipHigh):
-        shape = np.asarray(advantage, dtype=np.float64).shape
-        return (
-            1.0 - np.broadcast_to(np.float64(strategy.epsilon_low), shape),
-            1.0 + np.broadcast_to(np.float64(strategy.epsilon_high), shape),
-        )
+    if not isinstance(strategy, Elastic):
+        static = isinstance(strategy, Static)
+        low = strategy.epsilon if static else strategy.epsilon_low
+        high = strategy.epsilon if static else strategy.epsilon_high
+        lo, hi = (np.broadcast_to(np.float64(w), np.shape(advantage)) for w in (low, high))
+        return 1.0 - lo, 1.0 + hi
     eps = dynamic_epsilon(advantage, pass_rate, strategy)
     return 1.0 - eps, 1.0 + eps
 
@@ -210,7 +205,6 @@ class PreparedBatch:
     hi: np.ndarray
     weights: np.ndarray
     mean_epsilon: float | None
-    group_slices: list[tuple[int, int]]
     temperature: float
 
 
@@ -223,7 +217,7 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort(rows.T[::-1])
     ranked = rows[order]
     new = np.ones(len(rows), dtype=bool)
-    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
     index = np.empty(len(rows), dtype=np.int64)
     index[order] = np.cumsum(new) - 1
     return ranked[new], index
@@ -281,26 +275,24 @@ def prepare_batch(
     # sole: each mask-table row's one legal id, -1 on rows with a choice. A
     # token that is its row's sole id is forced; every other token is
     # scored, an id outside a one-id row included (its log-probability is
-    # not 0.0). The forward block is the distinct contexts scored tokens
-    # read, and block_index each scored token's row in it.
+    # not 0.0). Pairs come sorted by context, then mask row: the forward
+    # block, the distinct contexts scored tokens read, has one row per run
+    # of column 0, and pair_contexts is each pair's run.
     sole = np.asarray([m[0] if len(m) == 1 else -1 for grammar in grammars for m in grammar])
     scored = np.flatnonzero(sole[mask_rows] != targets)
     scored_index = index[scored]
-    forwarded = np.zeros(len(distinct), dtype=bool)
-    forwarded[scored_index] = True
-    block_index = (np.cumsum(forwarded) - 1)[scored_index]
-    pairs, pair_index = _distinct_rows((block_index * len(table) + mask_rows[scored])[:, None])
-    pair_contexts, pair_rows = np.divmod(pairs[:, 0], len(table))
-    forward_rows = np.flatnonzero(forwarded)
-    group_ends = np.cumsum(lengths)[g - 1 :: g].tolist()
+    pairs, pair_index = _distinct_rows(np.column_stack((scored_index, mask_rows[scored])))
+    head = np.ones(len(pairs), dtype=bool)
+    head[1:] = pairs[1:, 0] != pairs[:-1, 0]
+    forward_rows = pairs[head, 0]
     prep = PreparedBatch(
         distinct_contexts=distinct,
         forward_rows=forward_rows,
         forward_contexts=distinct[forward_rows],
         scored=scored,
         scored_targets=targets[scored],
-        pair_contexts=pair_contexts,
-        pair_masks=table[pair_rows],
+        pair_contexts=np.cumsum(head) - 1,
+        pair_masks=table[pairs[:, 1]],
         pair_index=pair_index,
         scatter_index=(scored_index[:, None] * vocab.size + np.arange(vocab.size)).reshape(-1),
         targets=targets,
@@ -311,7 +303,6 @@ def prepare_batch(
         hi=np.repeat(hi, lengths),
         weights=np.repeat(weights, lengths),
         mean_epsilon=mean_eps,
-        group_slices=list(zip([0] + group_ends[:-1], group_ends)),
         temperature=temperature,
     )
     prep.ref_logprobs = score_prepared(prep, ref_params)[-1]
@@ -411,8 +402,6 @@ def batch_objective(
     kl_coef: float,
     params: PolicyParams,
     ref_params: PolicyParams,
-    xi: float = DEFAULT_XI,
-    temperature: float = 1.0,
     with_grad: bool = False,
 ) -> LossBreakdown:
     """Group-averaged, token-mean clipped surrogate with a KL penalty.
@@ -421,5 +410,5 @@ def batch_objective(
     result is the mean over groups of the mean over responses of the
     token-mean objective.
     """
-    prep = prepare_batch(batch, strategy, ref_params, xi, temperature)
+    prep = prepare_batch(batch, strategy, ref_params)
     return evaluate_prepared(prep, params, kl_coef, with_grad)

@@ -284,16 +284,17 @@ def rollout_batch(
     )
 
 
-def _locate_nonfinite_group(prep, params: PolicyParams) -> int | None:
+def _locate_nonfinite_group(batch: RolloutBatch, prep, params: PolicyParams) -> int | None:
+    """Group of the first token whose score, ratio or KL term is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         lp = score_prepared(prep, params)[-1]
         u = np.exp(prep.ref_logprobs - lp)
         ratio = np.exp(lp - prep.old_logprobs)
-    bad = ~(np.isfinite(lp) & np.isfinite(u) & np.isfinite(ratio))
-    for i, (start, stop) in enumerate(prep.group_slices):
-        if bad[start:stop].any():
-            return i
-    return None
+    bad = np.flatnonzero(~(np.isfinite(lp) & np.isfinite(u) & np.isfinite(ratio)))
+    if bad.size == 0:
+        return None
+    response = np.searchsorted(np.cumsum(batch.lengths), bad[0], side="right")
+    return int(response) // batch.group_size
 
 
 def train_step(
@@ -323,7 +324,7 @@ def train_step(
                 prep, params, cfg.kl_coef, with_grad=True, gradient_out=gradient
             )
         if not np.isfinite(breakdown.total) or not np.all(np.isfinite(breakdown.gradient)):
-            index = _locate_nonfinite_group(prep, params)
+            index = _locate_nonfinite_group(batch, prep, params)
             raise TrainingDiverged(
                 "non-finite loss or gradient",
                 group_index=index,
@@ -389,7 +390,6 @@ class TrainingResult:
     params: PolicyParams
     ref_params: PolicyParams
     opt: OptimizerState
-    vocab: Vocab
 
 
 def run_training(cfg: TrainConfig) -> TrainingResult:
@@ -432,7 +432,7 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
                 evals=evals,
             )
         )
-    return TrainingResult(cfg, log, params, ref_params, opt, vocab)
+    return TrainingResult(cfg, log, params, ref_params, opt)
 
 
 def write_run_artifacts(result: TrainingResult, out_dir) -> None:

@@ -11,7 +11,11 @@ golden configs are small (12-row batches, n = 4), so a default-sized run
 is pinned as well: 16 x 8 rollouts and one eval round at n = 32, the
 shapes the sampler runs at by default. An update-heavy-shaped run (grpo,
 8 inner epochs, a 32 x 256 MLP) pins the objective and its gradient on a
-hidden layer wider than the golden configs' 8 and the default 64.
+hidden layer wider than the golden configs' 8 and the default 64. A
+full-length default run (``TrainConfig()``, 300 steps) is pinned too:
+late in training a step has few distinct contexts, the block sizes at
+which BLAS rounds the rows of a backward product differently, which the
+short runs never reach.
 
 Evaluation is pinned on its own too, as ``float.hex`` per task: the
 default suite at eval-ckpt's size on moved parameters, a prompt count
@@ -138,6 +142,13 @@ GOLDEN_UPDATE_HEAVY = (
 )
 
 
+# metrics.csv and final-parameter digests of TrainConfig().
+GOLDEN_FULL_DEFAULT = (
+    "7d91a182e106b4e1877aa21e7937e11eda43a14416f7d8950eab81cac0fd88b2",
+    "f81d44c335c65bcd332778038cc9e2fa99b96997864d1b8b247ab309d29edf02",
+)
+
+
 @pytest.mark.parametrize("method,suite", sorted(GOLDEN), ids=lambda v: str(v))
 def test_golden_digests(method, suite, tmp_path):
     assert run_digests(golden_cfg(method, suite), tmp_path) == GOLDEN[(method, suite)]
@@ -149,6 +160,10 @@ def test_default_size_digests(tmp_path):
 
 def test_update_heavy_digests(tmp_path):
     assert run_digests(update_heavy_cfg(), tmp_path) == GOLDEN_UPDATE_HEAVY
+
+
+def test_full_length_default_digests(tmp_path):
+    assert run_digests(TrainConfig(), tmp_path) == GOLDEN_FULL_DEFAULT
 
 
 # Artifact bytes of one golden run. config.txt's digest is the one a

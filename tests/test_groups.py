@@ -243,3 +243,17 @@ def test_as_rollout_batch_packs_each_group_under_its_grammar_prefix():
     for grammars in (((),), (response_grammar(copy, VOCAB),)):
         with pytest.raises(ContractViolation, match="1 to horizon"):
             dataclasses.replace(batch, prompts=(copy,), grammars=grammars, group_size=4)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+def test_rollout_batch_rejects_a_token_buffer_without_one_row_per_response(rows):
+    parity = Prompt("parity", 1, (1,), encode_payload("parity", (1,), VOCAB))
+    group = RolloutGroup(parity, (make_response(2),) * 2, np.asarray([1.0, -1.0]))
+    batch = as_rollout_batch([group], VOCAB, 3)
+    tokens = np.resize(batch.tokens, (rows, batch.tokens.shape[1]))
+    with pytest.raises(ContractViolation, match="one row per response"):
+        dataclasses.replace(batch, tokens=tokens)
+    with pytest.raises(ContractViolation, match="one row per response"):
+        dataclasses.replace(batch, tokens=batch.tokens.reshape(-1))
+    with pytest.raises(ContractViolation, match="buffers do not match"):
+        dataclasses.replace(batch, logprobs=np.resize(batch.logprobs, (rows, 2)))

@@ -9,6 +9,10 @@ count, nor do ``__all__`` lists, so a helper kept alive only by its own
 unit tests or a re-export fails here. The names the benchmark probes must
 also exist: its probe installer skips a missing attribute without a word,
 so a renamed function would otherwise read 0 calls and 0 seconds.
+
+Every name a module imports must be used in it, unless its line is marked
+``# noqa``: no linter runs on the package, so an import a deletion leaves
+behind would otherwise stay.
 """
 
 import ast
@@ -150,3 +154,48 @@ def test_probe_guard_flags_a_missing_name():
         'Probe(autodiff.Record, "no_such_method", "y")\n'
     )
     assert unresolved_probes(tree) == ["trainer.no_such_name", "autodiff.Record.no_such_method"]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, but those on a ``# noqa`` line.
+
+    ``import a.b`` binds ``a``; ``__future__`` imports bind nothing.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used and "# noqa" not in lines[alias.lineno - 1]:
+                    unused.append(bound)
+    return unused
+
+
+def test_every_import_is_used():
+    unused = {
+        path.stem: unused_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_import_guard_flags_unused_names_and_skips_noqa():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "import json\n"
+        "from . import policy as policy_mod\n"
+        "from .a import (\n"
+        "    used,\n"
+        "    spare,\n"
+        "    probed,  # noqa: F401\n"
+        ")\n"
+        "def f() -> np.ndarray:\n"
+        "    return used(policy_mod, os)\n"
+    )
+    assert unused_imports(source) == ["json", "spare"]

@@ -121,20 +121,18 @@ def test_lineplot_escapes_markup_in_text_and_keeps_quotes(tmp_path):
         [("a<b> & \"c\" 'd'", [0, 1], [0.0, 1.0])],
         path,
         title="T&<x>\"'",
-        x_label="X<&>\"'",
         y_label="Y>&<\"'",
     )
     text = path.read_text()
     for escaped in (
         "a&lt;b&gt; &amp; \"c\" 'd'",
         "T&amp;&lt;x&gt;\"'",
-        "X&lt;&amp;&gt;\"'",
         "Y&gt;&amp;&lt;\"'",
     ):
         assert f">{escaped}</text>" in text
     assert "&quot;" not in text and "&#x27;" not in text and "&#39;" not in text
     labels = [t.firstChild.data for t in minidom.parse(str(path)).getElementsByTagName("text")]
-    assert {"a<b> & \"c\" 'd'", "T&<x>\"'", "X<&>\"'", "Y>&<\"'"} <= set(labels)
+    assert {"a<b> & \"c\" 'd'", "T&<x>\"'", "Y>&<\"'"} <= set(labels)
 
 
 def test_lineplot_two_point_and_constant_series(tmp_path):

@@ -302,7 +302,6 @@ def test_prepare_batch_contracts_and_weights():
     group, params = make_group([1.0, -1.0], seed=1, difficulty=2)
     prep = prepare_batch([group], Static(0.2), params)
     assert abs(prep.weights.sum() - 1.0) < 1e-12
-    assert prep.group_slices == [(0, prep.targets.size)]
     np.testing.assert_allclose(prep.lo, 0.8)
     np.testing.assert_allclose(prep.hi, 1.2)
     with pytest.raises(ContractViolation):
@@ -373,11 +372,8 @@ def reference_prepare_batch(batch, strategy, ref_params, xi=1e-6, temperature=1.
     vocab = ref_params.vocab
     tgt_parts, old_parts, adv_parts, lo_parts, hi_parts, w_parts = [], [], [], [], [], []
     eps_parts = []
-    group_slices = []
-    at = 0
     for group in batch:
         stats = group_stats(group.rewards, xi)
-        start = at
         for resp, adv in zip(group.responses, stats.advantages):
             length = len(resp)
             tgt_parts.append(np.asarray(resp.tokens, dtype=np.int64))
@@ -389,8 +385,6 @@ def reference_prepare_batch(batch, strategy, ref_params, xi=1e-6, temperature=1.
             if isinstance(strategy, Elastic):
                 eps_parts.append(np.full(length, dynamic_epsilon(adv, stats.pass_rate, strategy)))
             w_parts.append(np.full(length, 1.0 / (len(batch) * group.size * length)))
-            at += length
-        group_slices.append((start, at))
     contexts, masks = token_rows(batch, ref_params)
     targets = np.concatenate(tgt_parts)
     scored = np.flatnonzero(~forced(masks, targets))
@@ -409,7 +403,6 @@ def reference_prepare_batch(batch, strategy, ref_params, xi=1e-6, temperature=1.
         hi=np.concatenate(hi_parts),
         weights=np.concatenate(w_parts),
         mean_epsilon=float(np.mean(np.concatenate(eps_parts))) if eps_parts else None,
-        group_slices=group_slices,
         temperature=temperature,
     )
 
@@ -503,7 +496,7 @@ def token_view(prep):
     assert np.array_equal(prep.scored_targets, prep.targets[prep.scored])
     names = (
         "scored", "distinct_contexts", "targets", "old_logprobs", "ref_logprobs",
-        "advantages", "lo", "hi", "weights", "mean_epsilon", "group_slices", "temperature",
+        "advantages", "lo", "hi", "weights", "mean_epsilon", "temperature",
     )
     return dict(
         distinct_index=distinct_index,
@@ -735,7 +728,6 @@ def test_closed_form_matches_tape_on_all_distinct_contexts():
         pair_masks=masks[keep][scored],
         pair_index=np.arange(scored.size),
         scatter_index=(scored[:, None] * VOCAB.size + np.arange(VOCAB.size)).reshape(-1),
-        group_slices=[(0, keep.size)],
     )
     assert len(np.unique(token_view(prep)["contexts"], axis=0)) == prep.scored.size > 2
     assert prep.scored.size < prep.targets.size
