@@ -153,7 +153,10 @@ def cmd_eval(args) -> int:
         round_index=0,
         temperature=cfg.temperature,
     )
-    print(f"checkpoint step {checkpoint.step}, {cfg.eval_prompts} prompts per task")
+    print(
+        f"checkpoint after {checkpoint.step} optimizer updates, "
+        f"{cfg.eval_prompts} prompts per task"
+    )
     for label in sorted(results):
         mean_n, best_n = results[label]
         print(f"  {label}: mean@{n} {_fmt(mean_n)}  best@{n} {_fmt(best_n)}")

@@ -79,15 +79,15 @@ def render_suite(suite: tuple[TaskSpec, ...]) -> str:
 
 
 # The clip band each method builds from the config. The etr ablations drop
-# one term of the elastic band by zeroing its lambda; etr-inverse flips the
-# sign of the advantage term.
+# one term of the elastic band by zeroing its lambda; etr-inverse negates
+# the advantage term's coefficient.
 _BANDS = {
     "grpo": lambda cfg: Static(cfg.epsilon_base),
     "cliphigh": lambda cfg: ClipHigh(cfg.epsilon_base, cfg.epsilon_high),
     "etr": lambda cfg: Elastic(cfg.epsilon_base, cfg.lambda1, cfg.lambda2),
     "etr-micro": lambda cfg: Elastic(cfg.epsilon_base, cfg.lambda1, 0.0),
     "etr-macro": lambda cfg: Elastic(cfg.epsilon_base, 0.0, cfg.lambda2),
-    "etr-inverse": lambda cfg: Elastic(cfg.epsilon_base, cfg.lambda1, cfg.lambda2, inverse=True),
+    "etr-inverse": lambda cfg: Elastic(cfg.epsilon_base, -cfg.lambda1, cfg.lambda2),
 }
 METHODS = tuple(_BANDS)
 
@@ -215,7 +215,7 @@ def validate_config(cfg: TrainConfig, lines: dict[str, int] | None = None) -> No
     keys, width = ("epsilon_base",), cfg.epsilon_base
     if isinstance(band, Elastic):
         keys += tuple(key for key in ("lambda1", "lambda2") if getattr(band, key))
-        width = band.epsilon_base + band.lambda1 + band.lambda2
+        width = band.epsilon_base + abs(band.lambda1) + band.lambda2
     if not width < 1.0:
         err(
             f"{cfg.method} clip band reaches half-width {' + '.join(keys)} = {width!r}; "

@@ -149,19 +149,17 @@ def as_rollout_batch(
 class GroupStats:
     """Statistics of the groups along the last axis of a reward array.
 
-    For rewards of shape (K, G) the three statistics have shape (K,) and
-    ``advantages`` (K, G); for one group of shape (G,) they are numpy
-    float64 scalars.
+    For rewards of shape (K, G) ``pass_rate`` has shape (K,) and
+    ``advantages`` (K, G); for one group of shape (G,) the pass rate is a
+    numpy float64 scalar.
     """
 
-    mean_reward: np.ndarray
-    std_reward: np.ndarray
     pass_rate: np.ndarray
     advantages: np.ndarray
 
 
 def group_stats(rewards: np.ndarray, xi: float = DEFAULT_XI) -> GroupStats:
-    """Mean, population std, pass rate and normalized advantages in one pass.
+    """Pass rate and advantages normalized by the group mean and population std.
 
     Every group is reduced along the last axis. Means are ``sum / G``,
     which is exactly what ``np.mean`` computes, and the pass rate is the
@@ -177,8 +175,6 @@ def group_stats(rewards: np.ndarray, xi: float = DEFAULT_XI) -> GroupStats:
     centered = rewards - np.expand_dims(mean, -1)
     std = np.sqrt((centered * centered).sum(axis=-1) / n)
     return GroupStats(
-        mean_reward=mean,
-        std_reward=std,
         pass_rate=np.count_nonzero(rewards > 0.0, axis=-1) / n,
         advantages=centered / (np.expand_dims(std, -1) + xi),
     )

@@ -214,7 +214,6 @@ class CheckpointDigestError(ValueError):
 
 @dataclass(frozen=True)
 class Checkpoint:
-    version: int
     params: np.ndarray
     moment1: np.ndarray
     moment2: np.ndarray
@@ -310,4 +309,4 @@ def load_checkpoint(path, expected_digest: bytes | None = None, strict: bool = F
         if strict:
             raise CheckpointDigestError("checkpoint config digest mismatch")
         warnings.warn("checkpoint config digest mismatch", stacklevel=2)
-    return Checkpoint(version, arrays[0], arrays[1], arrays[2], step, digest)
+    return Checkpoint(arrays[0], arrays[1], arrays[2], step, digest)

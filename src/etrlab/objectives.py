@@ -51,19 +51,18 @@ class ClipHigh:
 class Elastic:
     """Signal-aware band; half-width depends on advantage and pass rate.
 
-    ``inverse`` flips the sign of the advantage term only; the
+    A negative ``lambda1`` flips the sign of the advantage term only; the
     difficulty term keeps its sign.
     """
 
     epsilon_base: float
     lambda1: float
     lambda2: float
-    inverse: bool = False
 
     def __post_init__(self):
-        if self.lambda1 < 0.0 or self.lambda2 < 0.0:
-            raise ContractViolation("lambda terms must be non-negative")
-        if not self.epsilon_base - self.lambda1 > 0.0:
+        if self.lambda2 < 0.0:
+            raise ContractViolation("lambda2 must be non-negative")
+        if not self.epsilon_base - abs(self.lambda1) > 0.0:
             raise ContractViolation(
                 "band inversion: epsilon_base - lambda1 must stay positive"
             )
@@ -81,9 +80,8 @@ def macro_adjustment(pass_rate, lambda2: float):
 
 
 def dynamic_epsilon(advantage, pass_rate, strategy: Elastic):
-    """Elastic half-width; bounded by [base - lam1, base + lam1 + lam2]."""
-    sign = -1.0 if strategy.inverse else 1.0
-    micro = sign * strategy.lambda1 * np.tanh(np.asarray(advantage, dtype=np.float64))
+    """Elastic half-width; bounded by [base - |lam1|, base + |lam1| + lam2]."""
+    micro = strategy.lambda1 * np.tanh(np.asarray(advantage, dtype=np.float64))
     return strategy.epsilon_base + micro + macro_adjustment(pass_rate, strategy.lambda2)
 
 

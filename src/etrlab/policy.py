@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -298,12 +297,12 @@ class SampledResponse:
         return len(self.tokens)
 
 
-class SampledRows(Sequence[SampledResponse]):
+class SampledRows:
     """The rows of one :func:`sample_group` call, read-only, over its buffers.
 
     ``tokens`` and ``logprobs`` are the call's (n, L) response ids and
-    their log-probabilities, both read-only. Indexing and iteration build
-    a :class:`SampledResponse` per row on demand, its log-probs a view of
+    their log-probabilities, both read-only. Iteration builds a
+    :class:`SampledResponse` per row on demand, its log-probs a view of
     the row.
     """
 
@@ -316,9 +315,6 @@ class SampledRows(Sequence[SampledResponse]):
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
-
-    def __getitem__(self, i: int) -> SampledResponse:
-        return SampledResponse(tuple(self.tokens[operator.index(i)].tolist()), self.logprobs[i])
 
     def __iter__(self):
         for row, row_lp in zip(self.tokens.tolist(), self.logprobs):

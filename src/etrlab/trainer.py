@@ -243,12 +243,7 @@ class TrainingDiverged(RuntimeError):
         super().__init__(message)
 
 
-def rollout_batch(
-    params: PolicyParams,
-    cfg: TrainConfig,
-    vocab: Vocab,
-    step: int,
-) -> RolloutBatch:
+def rollout_batch(params: PolicyParams, cfg: TrainConfig, step: int) -> RolloutBatch:
     """Sample groups-per-step prompt groups for one training step.
 
     Every row is checked against its prompt in one vectorised pass; the
@@ -256,6 +251,7 @@ def rollout_batch(
     """
     if step < 1:
         raise ContractViolation("step index starts at 1")
+    vocab = params.vocab
     rngs, prompts, grammars = [], [], []
     for g in range(cfg.groups_per_step):
         rng = np.random.default_rng(stream_seed((cfg.seed, step, g)))
@@ -388,7 +384,6 @@ class TrainingResult:
     config: TrainConfig
     metrics: list[StepMetrics]
     params: PolicyParams
-    ref_params: PolicyParams
     opt: OptimizerState
 
 
@@ -403,7 +398,7 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
     opt = OptimizerState.zeros(params.param_count)
     log: list[StepMetrics] = []
     for step in range(1, cfg.steps + 1):
-        batch = rollout_batch(params, cfg, vocab, step)
+        batch = rollout_batch(params, cfg, step)
         breakdown = train_step(params, ref_params, opt, batch, cfg)
         evals = None
         if step % cfg.eval_every == 0 or step == cfg.steps:
@@ -432,7 +427,7 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
                 evals=evals,
             )
         )
-    return TrainingResult(cfg, log, params, ref_params, opt)
+    return TrainingResult(cfg, log, params, opt)
 
 
 def write_run_artifacts(result: TrainingResult, out_dir) -> None:
@@ -490,7 +485,8 @@ class RunSummary:
     @classmethod
     def from_result(cls, result: TrainingResult) -> "RunSummary":
         log = result.metrics
-        final_evals = next(m.evals for m in reversed(log) if m.evals)
+        # run_training evaluates at its last step.
+        final_evals = log[-1].evals
         means = [v[0] for v in final_evals.values()]
         bests = [v[1] for v in final_evals.values()]
         return cls(
@@ -628,16 +624,15 @@ def gradient_check(method: str = "etr", seed: int = 0) -> float:
         params = init_params(
             vocab, trial.context_window, trial.embed_dim, trial.hidden_dim, trial.seed, trial.init_scale
         )
-        batch = rollout_batch(params, trial, vocab, step=1)
+        batch = rollout_batch(params, trial, step=1)
         rewards = batch.rewards.reshape(len(batch), -1)
         if np.all(rewards == rewards[:, :1]):
             continue
         prep = prepare_batch(batch, strategy, params, trial.advantage_xi, trial.temperature)
         rng = np.random.default_rng(stream_seed((trial.seed, 7777)))
         theta = params.to_vector() + rng.normal(0.0, _GRADCHECK_SIGMA, size=params.param_count)
-        probe = PolicyParams.from_vector(
-            vocab, trial.context_window, trial.embed_dim, trial.hidden_dim, theta
-        )
+        probe = params.copy()
+        probe.set_vector(theta)
         ratio = np.exp(score_prepared(prep, probe)[-1] - prep.old_logprobs)
         margin = float(np.min(np.minimum(np.abs(ratio - prep.lo), np.abs(ratio - prep.hi))))
         below = np.any(ratio < prep.lo) or np.any(ratio > prep.hi)
@@ -646,10 +641,8 @@ def gradient_check(method: str = "etr", seed: int = 0) -> float:
             continue
 
         def f(vec: np.ndarray) -> tuple[float, np.ndarray]:
-            p = PolicyParams.from_vector(
-                vocab, trial.context_window, trial.embed_dim, trial.hidden_dim, vec
-            )
-            bd = evaluate_prepared(prep, p, trial.kl_coef, with_grad=True)
+            probe.set_vector(vec)
+            bd = evaluate_prepared(prep, probe, trial.kl_coef, with_grad=True)
             return bd.total, bd.gradient
 
         return finite_diff_check(f, theta, _GRADCHECK_FD_STEP)

@@ -327,6 +327,17 @@ def test_eval_with_one_sample_has_mean_equal_best(tmp_path, capsys):
     assert mean_n == best_n
 
 
+def test_eval_names_the_checkpoint_counter_as_optimizer_updates(tmp_path, capsys):
+    # The checkpoint stores AdamW's update counter: two inner epochs per
+    # step make 4 training steps 8 updates.
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out), *TINY]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(out / "final.ckpt"), *TINY, "--strict-digest"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "checkpoint after 8 optimizer updates, 4 prompts per task"
+
+
 def test_eval_missing_checkpoint_is_a_usage_error(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "nope.ckpt")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -137,6 +137,8 @@ WIDE_BANDS = [
     ("etr-micro", ["epsilon_base=0.6", "lambda1=0.4"], "epsilon_base + lambda1"),
     ("etr-macro", ["epsilon_base=0.5", "lambda2=0.5"], "epsilon_base + lambda2"),
     ("etr-inverse", ["lambda2=0.7"], "epsilon_base + lambda1 + lambda2"),
+    # lambda1 = 0 makes etr-inverse's coefficient -0.0, which is falsy.
+    ("etr-inverse", ["lambda1=0.0", "lambda2=0.8"], "epsilon_base + lambda2"),
 ]
 
 
@@ -152,6 +154,15 @@ def test_band_reaching_half_width_one_is_rejected_in_files_overrides_and_code(me
     values = {k: float(v) for k, v in (w.split("=") for w in wide)}
     with pytest.raises(ConfigError, match=message):
         validate_config(dataclasses.replace(TrainConfig(), method=method, **values))
+
+
+def test_inverse_band_width_is_a_positive_sum():
+    # etr-inverse's band is built with -lambda1; it reaches base + lambda1 +
+    # lambda2 as A -> -inf, so the message sums the magnitudes.
+    keys = "epsilon_base + lambda1 + lambda2"
+    message = f"etr-inverse clip band reaches half-width {keys} = {0.2 + 0.1 + 0.7!r};"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        apply_overrides(TrainConfig(), ["method=etr-inverse", "lambda2=0.7"])
 
 
 def test_band_check_counts_only_the_half_widths_a_method_keeps():
@@ -331,9 +342,7 @@ def test_build_strategy_per_method():
     assert build_strategy(dataclasses.replace(cfg, method="etr")) == Elastic(0.2, 0.1, 0.1)
     assert build_strategy(dataclasses.replace(cfg, method="etr-micro")) == Elastic(0.2, 0.1, 0.0)
     assert build_strategy(dataclasses.replace(cfg, method="etr-macro")) == Elastic(0.2, 0.0, 0.1)
-    assert build_strategy(dataclasses.replace(cfg, method="etr-inverse")) == Elastic(
-        0.2, 0.1, 0.1, inverse=True
-    )
+    assert build_strategy(dataclasses.replace(cfg, method="etr-inverse")) == Elastic(0.2, -0.1, 0.1)
     assert set(METHODS) == {"grpo", "cliphigh", "etr", "etr-micro", "etr-macro", "etr-inverse"}
 
 

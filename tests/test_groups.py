@@ -78,10 +78,7 @@ def test_normalize_contracts():
 def test_group_stats_fields():
     rewards = np.asarray([1.0, 1.0, -1.0, -1.0])
     stats = group_stats(rewards)
-    assert stats.mean_reward == 0.0
-    assert stats.std_reward == 1.0
     assert stats.pass_rate == 0.5
-    assert abs(stats.mean_reward - (2.0 * stats.pass_rate - 1.0)) < 1e-15
     np.testing.assert_allclose(stats.advantages, rewards / (1.0 + DEFAULT_XI))
 
 
@@ -150,24 +147,16 @@ def test_sum_near_zero_over_many_random_groups():
 
 
 def reference_group_stats(rewards, xi):
-    """The five-``np.mean`` formula that ``group_stats`` replaced."""
+    """Pass rate and advantages by the ``np.mean`` formula ``group_stats`` replaced."""
     rewards = np.asarray(rewards, dtype=np.float64)
     centered = rewards - np.mean(rewards)
     std = float(np.sqrt(np.mean(centered * centered)))
-    return (
-        float(np.mean(rewards)),
-        std,
-        float(np.mean(rewards > 0.0)),
-        centered / (std + xi),
-    )
+    return float(np.mean(rewards > 0.0)), centered / (std + xi)
 
 
 def assert_stats_bitwise_equal(stats, want):
-    mean, std, rate, adv = want
-    assert np.float64(stats.mean_reward).tobytes() == np.float64(mean).tobytes()
-    assert np.float64(stats.std_reward).tobytes() == np.float64(std).tobytes()
-    assert stats.pass_rate == rate
-    assert all(isinstance(v, float) for v in (stats.mean_reward, stats.std_reward, stats.pass_rate))
+    rate, adv = want
+    assert stats.pass_rate == rate and isinstance(stats.pass_rate, float)
     assert stats.advantages.dtype == adv.dtype and stats.advantages.tobytes() == adv.tobytes()
 
 
@@ -190,7 +179,6 @@ def test_all_equal_groups_give_exact_zeros(n, value):
     rewards = np.full(n, value)
     stats = group_stats(rewards)
     assert_stats_bitwise_equal(stats, reference_group_stats(rewards, DEFAULT_XI))
-    assert stats.std_reward == 0.0
     assert not np.any(stats.advantages)
 
 
@@ -201,12 +189,12 @@ def test_group_stats_of_a_block_is_bitwise_its_rows(xi):
         for rewards in (rng.choice([-1.0, 1.0], size=(k, g)), rng.normal(0.3, 2.0, size=(k, g))):
             block = group_stats(rewards, xi)
             assert block.advantages.shape == (k, g)
-            assert all(v.shape == (k,) for v in (block.mean_reward, block.std_reward, block.pass_rate))
+            assert block.pass_rate.shape == (k,)
             for i, row in enumerate(rewards):
                 want = reference_group_stats(row, xi)
                 assert_stats_bitwise_equal(group_stats(row, xi), want)
-                one = (block.mean_reward[i], block.std_reward[i], block.pass_rate[i])
-                assert_stats_bitwise_equal(GroupStats(*one, block.advantages[i]), want)
+                one = GroupStats(block.pass_rate[i], block.advantages[i])
+                assert_stats_bitwise_equal(one, want)
 
 
 def test_as_rollout_batch_rejects_groups_of_unequal_size():

@@ -10,6 +10,10 @@ unit tests or a re-export fails here. The names the benchmark probes must
 also exist: its probe installer skips a missing attribute without a word,
 so a renamed function would otherwise read 0 calls and 0 seconds.
 
+Every dataclass field and ``__slots__`` name in ``src/etrlab`` must be
+read in the same places: loaded as an attribute or named in an identifier
+string. A field that is only ever stored is state kept for nobody.
+
 Every name a module imports must be used in it, unless its line is marked
 ``# noqa``: no linter runs on the package, so an import a deletion leaves
 behind would otherwise stay.
@@ -113,6 +117,107 @@ def test_guard_flags_helpers_named_only_by_themselves_or_all():
         "a._private",
         "a.Spare",
         "a.run",
+    ]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _is_assignment_to(node: ast.AST, names: tuple[str, ...]) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id in names for t in node.targets
+    )
+
+
+def declared_fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """``(class, field)`` of each dataclass field and ``__slots__`` name."""
+    fields = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if _is_dataclass(node) and isinstance(stmt, ast.AnnAssign):
+                fields.append((node.name, stmt.target.id))
+            elif _is_assignment_to(stmt, ("__slots__",)):
+                slots = [c for c in ast.walk(stmt.value) if isinstance(c, ast.Constant)]
+                fields += [(node.name, c.value) for c in slots]
+    return fields
+
+
+def read_attributes(tree: ast.AST) -> set[str]:
+    """Attribute loads and identifier strings, but ``__slots__`` and ``__all__``."""
+    names: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if _is_assignment_to(node, ("__slots__", "__all__")):
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def unread_fields(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """``module.Class.field`` of each field no module or reader reads."""
+    read: set[str] = set()
+    for tree in [*modules.values(), *readers]:
+        read |= read_attributes(tree)
+    return [
+        f"{name}.{cls}.{field}"
+        for name, tree in modules.items()
+        for cls, field in declared_fields(tree)
+        if field not in read
+    ]
+
+
+def test_every_field_is_read_outside_the_unit_tests():
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    readers = [ast.parse(path.read_text()) for path in OUTSIDE_READERS]
+    assert ("groups", "GroupStats") in {
+        (name, cls) for name, tree in modules.items() for cls, _ in declared_fields(tree)
+    }
+    assert unread_fields(modules, readers) == []
+
+
+def test_field_guard_flags_fields_that_are_only_stored():
+    module = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Stats:\n"
+        "    kept: float\n"
+        "    stored: float\n"
+        "    probed: float = 0.0\n"
+        "@dataclass\n"
+        "class Log:\n"
+        "    written: int\n"
+        "class Plain:\n"
+        "    ignored: int\n"
+        "class Rows:\n"
+        '    __slots__ = ("tokens", "spare")\n'
+        "    def __init__(self, tokens):\n"
+        "        self.tokens = tokens\n"
+        "        self.spare = None\n"
+        "def run(log):\n"
+        "    log.written += 1\n"
+        "    return Stats(kept=1.0, stored=2.0).kept, Rows(()).tokens\n"
+    )
+    probe = ast.parse('getattr(stats, "probed")\n')
+    want = ["a.Stats.stored", "a.Log.written", "a.Rows.spare"]
+    assert unread_fields({"a": module}, [probe]) == want
+    assert unread_fields({"a": module}, []) == [
+        "a.Stats.stored",
+        "a.Stats.probed",
+        "a.Log.written",
+        "a.Rows.spare",
     ]
 
 

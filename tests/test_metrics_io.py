@@ -166,7 +166,6 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     path = tmp_path / "run.ckpt"
     save_checkpoint(path, params, m1, m2, 42, digest)
     ck = load_checkpoint(path)
-    assert ck.version == 1
     assert ck.step == 42
     assert ck.digest == digest
     assert np.array_equal(ck.params, params)

@@ -72,7 +72,7 @@ def test_strategy_constructor_contracts():
         Elastic(0.1, 0.2, 0.1)
     with pytest.raises(ContractViolation):
         Elastic(0.2, 0.1, -0.1)
-    assert Elastic(0.2, 0.1, 0.1).inverse is False
+    assert Elastic(0.2, -0.1, 0.1).lambda1 == -0.1
 
 
 def test_advantage_term_examples():
@@ -82,7 +82,7 @@ def test_advantage_term_examples():
     assert abs(dynamic_epsilon(1.732049, 0.0, strat) - 0.2 - 0.09393) < 5e-5
     grid = np.linspace(-50, 50, 1001)
     np.testing.assert_array_equal(dynamic_epsilon(grid, 0.0, strat), 0.2 + 0.1 * np.tanh(grid))
-    flipped = Elastic(0.2, 0.1, 0.1, inverse=True)
+    flipped = Elastic(0.2, -0.1, 0.1)
     np.testing.assert_array_equal(dynamic_epsilon(grid, 0.0, flipped), 0.2 - 0.1 * np.tanh(grid))
     # etr-macro zeroes lam1, which drops the advantage term.
     np.testing.assert_array_equal(dynamic_epsilon(grid, 0.0, Elastic(0.2, 0.0, 0.1)), 0.2)
@@ -129,13 +129,33 @@ def test_dynamic_epsilon_envelope_grid():
 
 def test_sign_asymmetry_standard_and_inverse():
     micro = Elastic(0.2, 0.1, 0.0)
-    flipped = Elastic(0.2, 0.1, 0.1, inverse=True)
+    flipped = Elastic(0.2, -0.1, 0.1)
     for a in (0.5, 2.0, 7.0):
         assert dynamic_epsilon(a, 0.3, micro) > 0.2
         assert dynamic_epsilon(-a, 0.3, micro) < 0.2
         base_inv = 0.2 + macro_adjustment(0.3, 0.1)
         assert dynamic_epsilon(a, 0.3, flipped) < base_inv
         assert dynamic_epsilon(-a, 0.3, flipped) > base_inv
+
+
+def test_inverse_band_edge_cases():
+    # The bound is on |lambda1|: a negative lambda1 as wide as the base
+    # inverts the band as a positive one does; lambda2 stays non-negative.
+    with pytest.raises(ContractViolation, match="band inversion"):
+        Elastic(0.2, -0.2, 0.1)
+    with pytest.raises(ContractViolation, match="lambda2"):
+        Elastic(0.2, 0.1, -0.1)
+    # At lambda1 = 0, etr-inverse's -0.0 coefficient gives etr-macro's band
+    # bit for bit.
+    cfg = dataclasses.replace(TrainConfig(), lambda1=0.0)
+    inverse = build_strategy(dataclasses.replace(cfg, method="etr-inverse"))
+    macro = build_strategy(dataclasses.replace(cfg, method="etr-macro"))
+    assert np.signbit(inverse.lambda1) and not np.signbit(macro.lambda1)
+    rng = np.random.default_rng(41)
+    adv = np.concatenate([rng.normal(0.0, 3.0, 500), [0.0, -0.0, 50.0, -50.0]])
+    rate = rng.integers(0, 9, adv.size) / 8
+    for got, want in zip(clip_bounds(inverse, adv, rate), clip_bounds(macro, adv, rate)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_clip_bounds_per_strategy():
@@ -754,7 +774,7 @@ def default_rollout(embed_dim, hidden_dim, seed):
     """A default-size step-1 rollout batch of a policy of the given widths, as groups."""
     cfg = dataclasses.replace(TrainConfig(), embed_dim=embed_dim, hidden_dim=hidden_dim)
     params = init_params(VOCAB, cfg.context_window, embed_dim, hidden_dim, seed, 0.4)
-    return unpack_batch(rollout_batch(params, cfg, VOCAB, 1)), params
+    return unpack_batch(rollout_batch(params, cfg, 1)), params
 
 
 @pytest.mark.parametrize("embed_dim", [3, 4, 16])
@@ -791,7 +811,7 @@ def test_batch_without_a_choice_forwards_nothing_and_has_a_zero_gradient():
     )
     vocab = Vocab(cfg.content_tokens)
     params = init_params(vocab, 3, 5, 7, 0, 0.4)
-    batch = rollout_batch(params, cfg, vocab, 1)
+    batch = rollout_batch(params, cfg, 1)
     batch = dataclasses.replace(batch, rewards=np.asarray([1.0, -1.0, -1.0, 1.0]))
     prep = prepare_batch(batch, Static(0.2), params, 1e-6, 0.8)
     assert prep.scored.size == 0 < prep.targets.size
@@ -810,7 +830,7 @@ def test_batch_without_a_choice_forwards_nothing_and_has_a_zero_gradient():
 def test_forward_runs_on_the_contexts_of_tokens_with_a_choice_only(monkeypatch):
     cfg = TrainConfig()
     params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 1, 0.1)
-    batch = rollout_batch(params, cfg, VOCAB, 1)
+    batch = rollout_batch(params, cfg, 1)
     contexts, masks = token_rows(unpack_batch(batch), params)
     choice = np.count_nonzero(masks == 0.0, axis=1) > 1
     want = np.unique(contexts[choice], axis=0)
@@ -875,7 +895,7 @@ def test_prepare_batch_builds_one_mask_table_per_distinct_grammar(monkeypatch):
     monkeypatch.setattr(objectives, "mask_matrix", counted)
     params = init_params(VOCAB, 3, 5, 7, 0, 0.4)
     cfg = dataclasses.replace(TrainConfig(), context_window=3)
-    batch = rollout_batch(params, cfg, VOCAB, 1)
+    batch = rollout_batch(params, cfg, 1)
     assert len(set(batch.grammars)) < len(batch.grammars)
     prep = prepare_batch(batch, Static(0.2), params)
     # One table per grammar, in first-seen order.

@@ -57,6 +57,14 @@ def tiny_cfg(**overrides):
     return TrainConfig(**base)
 
 
+def initial_params(cfg):
+    """The parameters a run of ``cfg`` starts from, and its reference policy."""
+    vocab = Vocab(cfg.content_tokens)
+    return init_params(
+        vocab, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, cfg.seed, cfg.init_scale
+    )
+
+
 def test_optimizer_state_contracts():
     state = OptimizerState.zeros(5)
     assert state.step == 0
@@ -167,7 +175,7 @@ def test_stream_seed_rejects_negative_ints_as_numpy_does(key, negative, at):
 def test_rollout_batch_shape_and_replay():
     cfg = tiny_cfg(groups_per_step=3, group_size=8)
     params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 0, 0.1)
-    batch = rollout_batch(params, cfg, VOCAB, step=1)
+    batch = rollout_batch(params, cfg, step=1)
     groups = unpack_batch(batch)
     assert len(batch) == len(groups) == 3
     assert all(g.size == 8 for g in groups)
@@ -177,20 +185,20 @@ def test_rollout_batch_shape_and_replay():
     for g in groups:
         want = [reward(verify(g.prompt, r.tokens, VOCAB)) for r in g.responses]
         assert g.rewards.tolist() == want
-    again = rollout_batch(params, cfg, VOCAB, step=1)
+    again = rollout_batch(params, cfg, step=1)
     for a, b in zip(groups, unpack_batch(again)):
         assert a.prompt == b.prompt
         assert [r.tokens for r in a.responses] == [r.tokens for r in b.responses]
         np.testing.assert_array_equal(a.rewards, b.rewards)
     assert batch.entropies == again.entropies
     assert np.array_equal(batch.lengths, again.lengths)
-    other = unpack_batch(rollout_batch(params, cfg, VOCAB, step=2))
+    other = unpack_batch(rollout_batch(params, cfg, step=2))
     assert any(
         a.prompt != b.prompt or [r.tokens for r in a.responses] != [r.tokens for r in b.responses]
         for a, b in zip(groups, other)
     )
     with pytest.raises(ContractViolation):
-        rollout_batch(params, cfg, VOCAB, step=0)
+        rollout_batch(params, cfg, step=0)
 
 
 @settings(max_examples=40)
@@ -209,7 +217,7 @@ def test_rollout_batch_shape_and_replay():
 def test_rollout_lengths_are_the_answer_lengths(suite, k, g, seed, step):
     cfg = tiny_cfg(suite=tuple(suite), groups_per_step=k, group_size=g, seed=seed)
     params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, seed, 0.5)
-    batch = rollout_batch(params, cfg, VOCAB, step)
+    batch = rollout_batch(params, cfg, step)
     want = np.repeat([answer_length(p) for p in batch.prompts], g)
     assert batch.lengths.dtype == np.int64 and np.array_equal(batch.lengths, want)
     assert batch.logprobs.shape == (k * g, want.max())
@@ -218,7 +226,7 @@ def test_rollout_lengths_are_the_answer_lengths(suite, k, g, seed, step):
 def test_rollout_pass_rates_span_low_and_high():
     cfg = tiny_cfg(groups_per_step=200, group_size=8)
     params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 0, 0.1)
-    batch = rollout_batch(params, cfg, VOCAB, step=1)
+    batch = rollout_batch(params, cfg, step=1)
     rates = sorted(set(np.mean(batch.rewards.reshape(len(batch), -1) > 0, axis=1).tolist()))
     assert rates[0] == 0.0
     assert rates[-1] >= 0.25
@@ -228,7 +236,7 @@ def test_rollout_pass_rates_span_low_and_high():
 def test_zero_advantage_batch_leaves_parameters_unchanged():
     cfg = tiny_cfg(kl_coef=0.0, inner_epochs=2)
     params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 3, 0.1)
-    batch = rollout_batch(params, cfg, VOCAB, step=1)
+    batch = rollout_batch(params, cfg, step=1)
     degenerate = dataclasses.replace(batch, rewards=np.full(batch.rewards.size, -1.0))
     before = params.to_vector()
     ref = params.copy()
@@ -245,14 +253,14 @@ def test_train_step_divergence_abort():
     opt = OptimizerState.zeros(params.param_count)
     with pytest.raises(TrainingDiverged):
         for step in range(1, 40):
-            batch = rollout_batch(params, cfg, VOCAB, step)
+            batch = rollout_batch(params, cfg, step)
             train_step(params, params.copy(), opt, batch, cfg)
 
 
 def test_train_step_on_rollout_batch_reports_the_diverged_group():
     cfg = tiny_cfg(groups_per_step=6, group_size=4, suite=parse_suite("parity:1"))
     params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 2, 0.1)
-    batch = rollout_batch(params, cfg, VOCAB, step=1)
+    batch = rollout_batch(params, cfg, step=1)
     # The last group with mixed rewards; one of its losing rows gets stored
     # log-probs so low that its ratio overflows and the surrogate is -inf.
     groups = batch.rewards.reshape(len(batch), cfg.group_size)
@@ -276,7 +284,7 @@ def test_non_finite_update_leaves_the_parameters_as_they_were():
     cfg = tiny_cfg(weight_decay=10.0)
     params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 1, 0.1)
     ref = params.copy()
-    batch = rollout_batch(params, cfg, VOCAB, step=1)
+    batch = rollout_batch(params, cfg, step=1)
     # EOS only ever ends a response, so no context reads its embedding row:
     # its gradient is zero and only weight decay moves it, past float64.
     params.embed[VOCAB.eos] = 1e308
@@ -302,7 +310,7 @@ def test_training_diverged_message_lists_plain_rewards():
 def test_empty_batch_cannot_be_built():
     # train_step takes a RolloutBatch, and no empty one can be made.
     cfg = tiny_cfg()
-    batch = rollout_batch(init_params(VOCAB, 3, 4, 8, 1, 0.1), cfg, VOCAB, step=1)
+    batch = rollout_batch(init_params(VOCAB, 3, 4, 8, 1, 0.1), cfg, step=1)
     with pytest.raises(ContractViolation):
         as_rollout_batch([], VOCAB, cfg.context_window)
     with pytest.raises(ContractViolation):
@@ -407,14 +415,13 @@ def test_reward_improves_on_copy_smoke():
 def test_run_training_with_no_choice_anywhere():
     # One content id and copy:2: every position allows one id, so no token
     # is scored, the gradient is exactly zero and the parameters stay put.
-    result = run_training(
-        tiny_cfg(content_tokens=1, suite=parse_suite("copy:2"), inner_epochs=2, steps=4)
-    )
+    cfg = tiny_cfg(content_tokens=1, suite=parse_suite("copy:2"), inner_epochs=2, steps=4)
+    result = run_training(cfg)
     assert [m.pass_rate for m in result.metrics] == [1.0] * 4
     for m in result.metrics:
         assert (m.total, m.surrogate, m.kl, m.clip_frac) == (0.0, 0.0, 0.0, 0.0)
     assert [m.evals for m in result.metrics if m.evals] == [{"copy2": (1.0, 1.0)}] * 2
-    assert result.params.vector.tobytes() == result.ref_params.vector.tobytes()
+    assert result.params.vector.tobytes() == initial_params(cfg).vector.tobytes()
     assert not np.any(result.opt.moment1) and not np.any(result.opt.moment2)
 
 
@@ -470,8 +477,8 @@ def test_run_training_deterministic_and_csv_stable(tmp_path):
     write_metrics_csv(a.metrics, pa, labels)
     write_metrics_csv(b.metrics, pb, labels)
     assert pa.read_bytes() == pb.read_bytes()
-    # reference stays at the init snapshot while the policy moves
-    assert not np.array_equal(a.params.to_vector(), a.ref_params.to_vector())
+    # the policy moves away from the parameters it started from
+    assert not np.array_equal(a.params.to_vector(), initial_params(cfg).to_vector())
 
 
 def test_run_metrics_contents():
