@@ -6,6 +6,18 @@ diverges, 2 for usage and configuration errors.
 
 from __future__ import annotations
 
+import os
+
+# BLAS on one thread unless the environment names a count: on a host with
+# few cores, idle BLAS worker threads spin against the run's own work, and
+# the bytes are the same at any count. Set before numpy is first imported,
+# since it reads them once. A count set for any one of them leaves all three
+# alone: OpenBLAS would read a default OPENBLAS_NUM_THREADS before a user's
+# OMP_NUM_THREADS.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
 import argparse
 import sys
 from pathlib import Path

@@ -143,6 +143,7 @@ class LossBreakdown:
 
     ``total`` is the maximized objective; the trainer negates it. The
     identity total = surrogate - kl_coef * kl holds by construction.
+    ``pass_rate`` and ``mean_epsilon`` are the prepared batch's.
     """
 
     surrogate: float
@@ -150,6 +151,7 @@ class LossBreakdown:
     total: float
     clipped_tokens: int
     total_tokens: int
+    pass_rate: float
     mean_epsilon: float | None = None
     gradient: np.ndarray | None = None
 
@@ -183,7 +185,8 @@ class PreparedBatch:
     ``scatter_index`` holds, scored token by scored token, the V flat
     positions of its row of ``distinct_contexts`` in an (N, V) block, where
     the logits' gradient is summed. The other per-token arrays cover every
-    token, in batch order.
+    token, in batch order. ``pass_rate`` is the mean of the groups' pass
+    rates, from the same group statistics as the advantages.
     """
 
     distinct_contexts: np.ndarray
@@ -202,23 +205,34 @@ class PreparedBatch:
     lo: np.ndarray
     hi: np.ndarray
     weights: np.ndarray
+    pass_rate: float
     mean_epsilon: float | None
     temperature: float
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(rows, axis=0, return_inverse=True)``, as a lexsort.
+def _distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` for integer rows in [0, base).
 
-    Same table, order and index; ``np.unique`` sorts the rows as structured
-    records, which takes about eight times as long on a batch of contexts.
+    Same table, order and index, from one sort of integer keys: each row is
+    read as a number in base ``base``, first column most significant, so
+    the keys sort as the rows do. A row too wide for one 62-bit key is cut
+    into several, compared in column order.
     """
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
+    # base**digits <= 2**62, so every key fits in an int64.
+    digits = max(1, 62 // base.bit_length())
+    powers = base ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+    width = rows.shape[1]
+    keys = np.empty((-(-width // digits), len(rows)), dtype=np.int64)
+    for word, start in enumerate(range(0, width, digits)):
+        chunk = rows[:, start : start + digits]
+        np.matmul(chunk, powers[digits - chunk.shape[1] :], out=keys[word])
+    order = np.lexsort(keys[::-1])
+    ranked = keys[:, order]
     new = np.ones(len(rows), dtype=bool)
-    np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    np.logical_or.reduce(ranked[:, 1:] != ranked[:, :-1], axis=0, out=new[1:])
     index = np.empty(len(rows), dtype=np.int64)
     index[order] = np.cumsum(new) - 1
-    return ranked[new], index
+    return rows[order[new]], index
 
 
 def prepare_batch(
@@ -232,9 +246,9 @@ def prepare_batch(
 
     Groups are first packed into a :class:`RolloutBatch`. Advantages, pass
     rates and clip bands are per response, so they are computed as
-    per-response vectors and repeated over response lengths; targets,
-    contexts and stored log-probs are the batch's buffers read through
-    the mask of positions inside each response. Each distinct grammar gets
+    per-response vectors that each token reads at its response; targets,
+    contexts and stored log-probs are the batch's buffers read at the
+    positions inside each response. Each distinct grammar gets
     one mask table, and token t of a response reads row t of its
     grammar's. Forced tokens get no pair and no scatter block
     (:class:`PreparedBatch`). Every id a context or target reads is
@@ -248,41 +262,56 @@ def prepare_batch(
     if not temperature >= MIN_TEMPERATURE:
         raise ContractViolation(f"temperature must be at least {MIN_TEMPERATURE!r}")
     lengths, k, g = batch.lengths, len(batch), batch.group_size
+    horizon = batch.logprobs.shape[1]
+    # Columns a context or target reads: the prompt tail, then the response.
+    # Token j of the batch is response[j]'s token at position[j].
+    read = np.arange(window + horizon) < (window + lengths)[:, None]
+    policy_mod._check_ids(batch.tokens[read], vocab.size)
+    response, position = np.nonzero(read[:, window:])
     stats = group_stats(batch.rewards.reshape(k, g), xi)
     adv = stats.advantages.reshape(-1)
     rate = np.repeat(stats.pass_rate, g)
-    lo, hi = clip_bounds(strategy, adv, rate)
     weights = 1.0 / (k * g * lengths)
     mean_eps = None
     if isinstance(strategy, Elastic):
-        mean_eps = float(np.mean(np.repeat(dynamic_epsilon(adv, rate, strategy), lengths)))
-    horizon = batch.logprobs.shape[1]
-    # Columns a context or target reads: the prompt tail, then the response.
-    read = np.arange(window + horizon) < (window + lengths)[:, None]
-    policy_mod._check_ids(batch.tokens[read], vocab.size)
-    inside = read[:, window:]
-    windows = np.lib.stride_tricks.sliding_window_view(batch.tokens, window, axis=1)
-    contexts = windows[:, :horizon][inside]
-    distinct, index = _distinct_rows(contexts)
-    targets = batch.tokens[:, window:][inside]
+        eps = dynamic_epsilon(adv, rate, strategy)
+        lo, hi = 1.0 - eps, 1.0 + eps
+        mean_eps = float(np.mean(eps[response]))
+    else:
+        lo, hi = clip_bounds(strategy, adv, rate)
+    contexts = batch.tokens[response[:, None], position[:, None] + np.arange(window)]
+    targets = batch.tokens[response, window + position]
     grammars = dict.fromkeys(batch.grammars)
     table = np.concatenate([mask_matrix(vocab.size, grammar) for grammar in grammars])
     table_starts = dict(zip(grammars, np.cumsum([0, *map(len, grammars)]).tolist()))
-    row_starts = np.repeat([table_starts[grammar] for grammar in batch.grammars], g)
-    mask_rows = np.repeat(row_starts, lengths) + np.nonzero(inside)[1]
+    group_starts = np.asarray([table_starts[grammar] for grammar in batch.grammars])
+    mask_rows = group_starts[response // g] + position
     # sole: each mask-table row's one legal id, -1 on rows with a choice. A
     # token that is its row's sole id is forced; every other token is
     # scored, an id outside a one-id row included (its log-probability is
-    # not 0.0). Pairs come sorted by context, then mask row: the forward
-    # block, the distinct contexts scored tokens read, has one row per run
-    # of column 0, and pair_contexts is each pair's run.
-    sole = np.asarray([m[0] if len(m) == 1 else -1 for grammar in grammars for m in grammar])
+    # not 0.0).
+    sole = np.concatenate([policy_mod.sole_ids(grammar) for grammar in grammars])
     scored = np.flatnonzero(sole[mask_rows] != targets)
-    scored_index = index[scored]
-    pairs, pair_index = _distinct_rows(np.column_stack((scored_index, mask_rows[scored])))
-    head = np.ones(len(pairs), dtype=bool)
-    head[1:] = pairs[1:, 0] != pairs[:-1, 0]
-    forward_rows = pairs[head, 0]
+    # One sort ranks every token's (context, mask-table row). The distinct
+    # contexts are the runs of its first ``window`` columns, and the pairs
+    # are the rows some scored token reads, in the same order: the forward
+    # block, the distinct contexts scored tokens read, has one row per run
+    # of pair contexts, and pair_contexts is each pair's run.
+    rows, row_index = _distinct_rows(
+        np.column_stack((contexts, mask_rows)), max(vocab.size, len(table))
+    )
+    new_context = np.ones(len(rows), dtype=bool)
+    np.logical_or.reduce(rows[1:, :window] != rows[:-1, :window], axis=1, out=new_context[1:])
+    row_context = np.cumsum(new_context) - 1
+    distinct = rows[new_context, :window]
+    scored_rows = row_index[scored]
+    scored_index = row_context[scored_rows]
+    paired = np.zeros(len(rows), dtype=bool)
+    paired[scored_rows] = True
+    pair_context = row_context[paired]
+    head = np.ones(len(pair_context), dtype=bool)
+    head[1:] = pair_context[1:] != pair_context[:-1]
+    forward_rows = pair_context[head]
     prep = PreparedBatch(
         distinct_contexts=distinct,
         forward_rows=forward_rows,
@@ -290,16 +319,17 @@ def prepare_batch(
         scored=scored,
         scored_targets=targets[scored],
         pair_contexts=np.cumsum(head) - 1,
-        pair_masks=table[pairs[:, 1]],
-        pair_index=pair_index,
+        pair_masks=table[rows[paired, window]],
+        pair_index=(np.cumsum(paired) - 1)[scored_rows],
         scatter_index=(scored_index[:, None] * vocab.size + np.arange(vocab.size)).reshape(-1),
         targets=targets,
-        old_logprobs=batch.logprobs[inside],
+        old_logprobs=batch.logprobs[response, position],
         ref_logprobs=None,  # scored on the pair rows below
-        advantages=np.repeat(adv, lengths),
-        lo=np.repeat(lo, lengths),
-        hi=np.repeat(hi, lengths),
-        weights=np.repeat(weights, lengths),
+        advantages=adv[response],
+        lo=lo[response],
+        hi=hi[response],
+        weights=weights[response],
+        pass_rate=float(np.mean(stats.pass_rate)),
         mean_epsilon=mean_eps,
         temperature=temperature,
     )
@@ -389,6 +419,7 @@ def evaluate_prepared(
         total=float(total),
         clipped_tokens=int(np.sum(clipped_branch < unclipped_branch)),
         total_tokens=int(prep.targets.size),
+        pass_rate=prep.pass_rate,
         mean_epsilon=prep.mean_epsilon,
         gradient=gradient,
     )

@@ -282,6 +282,18 @@ def mask_matrix(vocab_size: int, masks: PositionMasks) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def sole_ids(masks: PositionMasks) -> np.ndarray:
+    """Each position's one legal id, or -1 where its mask allows a choice.
+
+    Memoised and read-only like :func:`mask_matrix`, whose table says the
+    same: a position with a sole id has one 0.0 entry, at that id.
+    """
+    out = np.asarray([m[0] if len(m) == 1 else -1 for m in masks], dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
 class SampledResponse:
     """One sampled response: token ids and their stored log-probabilities."""
 
@@ -353,7 +365,7 @@ def sample_groups(
     groups, and a rejected call consumes nothing.
 
     Masks may be any sequences of ids; they are made tuples here, so the
-    memoised :func:`mask_matrix` can hash them.
+    memoised :func:`mask_matrix` and :func:`sole_ids` can hash them.
 
     Returns the sampler's padded buffers, rows group-major (rows
     ``k * n`` to ``(k + 1) * n - 1`` answer prompt k):
@@ -400,23 +412,31 @@ def sample_groups(
     budgets = [len(m) for m in position_masks]
     horizon = max(budgets)
     rows = k_groups * n
-    # One mask row per group and position, broadcast over the group's rows.
-    # A group past its budget has all-zero rows: they only fill its padding.
-    # A position is one-token when no group that reaches it has a choice there.
-    group_masks = np.zeros((k_groups, horizon, v))
-    choice = np.zeros((k_groups, horizon), dtype=bool)
-    for k, (m, b) in enumerate(zip(position_masks, budgets)):
-        group_masks[k, :b] = mask_matrix(v, m)
-        choice[k, :b] = [len(legal) > 1 for legal in m]
+    # One mask row and one-id pick per group and position, from the tables
+    # of each distinct grammar, which are already in group order when no two
+    # groups share one. A group past its budget has all-zero mask rows and
+    # picks id 0: they only fill its padding. A position is one-token when
+    # no group that reaches it has a choice there.
+    grammars: dict[PositionMasks, int] = {}
+    which = [grammars.setdefault(m, len(grammars)) for m in position_masks]
+    group_masks = np.zeros((len(grammars), horizon, v))
+    group_sole = np.zeros((len(grammars), horizon), dtype=np.int64)
+    for i, m in enumerate(grammars):
+        group_masks[i, : len(m)] = mask_matrix(v, m)
+        group_sole[i, : len(m)] = sole_ids(m)
+    if len(grammars) < k_groups:
+        group_masks, group_sole = group_masks[which], group_sole[which]
+    choice = group_sole < 0
     one_token = ~np.logical_or.reduce(choice, axis=0)
     if collect_entropy:
         entropy = np.zeros((horizon, rows))
     # Only prompt tails need a check: _sample_rows clamps sampled ids. A few
-    # Python ints are checked faster in Python than in two numpy reductions.
-    if not all(0 <= t < v for p in prompts for t in p[-window:]):
+    # Python ints are checked and padded faster in Python than in numpy.
+    tails = [list(p[-window:]) for p in prompts]
+    if not all(0 <= t < v for tail in tails for t in tail):
         raise ContractViolation("token id out of vocabulary range")
-    tails = np.asarray([pad_context(p, window, vocab.bos) for p in prompts])
     tokens = np.zeros((rows, window + horizon), dtype=np.int64)
+    tails = np.asarray([[vocab.bos] * (window - len(t)) + t for t in tails])
     tokens[:, :window] = tails.repeat(n, axis=0)
     logprobs = np.zeros((rows, horizon))
     # Every check has passed: each group draws its uniforms now, position by
@@ -435,7 +455,7 @@ def sample_groups(
             # No choice anywhere: the draws are spent, the log-probs stay 0.0,
             # and each row takes its mask row's one 0.0 entry (id 0 on an
             # all-zero row, past its group's budget).
-            picks = group_masks[:, pos].argmax(axis=1).repeat(n)
+            picks = group_sole[:, pos].repeat(n)
         else:
             logits = forward(params, tokens[::stride, pos : pos + window])[2]
             lp = masked_logprobs(

@@ -69,12 +69,13 @@ def generate_prompt(spec: TaskSpec, vocab: Vocab, rng: np.random.Generator) -> P
         if vocab.n_content < 10:
             raise ContractViolation("digitsum requires the ten digit tokens")
         payload = (int(rng.integers(0, 10)),)
-    elif spec.family == "parity":
-        if vocab.n_content < 2:
-            raise ContractViolation("parity requires the two bit tokens")
-        payload = tuple(rng.integers(0, 2, size=spec.difficulty).tolist())
     else:
-        payload = tuple(rng.integers(0, vocab.n_content, size=spec.difficulty).tolist())
+        if spec.family == "parity" and vocab.n_content < 2:
+            raise ContractViolation("parity requires the two bit tokens")
+        # One scalar draw per id takes the same stream as one draw of
+        # ``size=difficulty``, at less cost for payloads of a few ids.
+        high = 2 if spec.family == "parity" else vocab.n_content
+        payload = tuple([int(rng.integers(0, high)) for _ in range(spec.difficulty)])
     return Prompt(spec.family, spec.difficulty, payload, encode_payload(spec.family, payload, vocab))
 
 

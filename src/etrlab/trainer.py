@@ -25,7 +25,10 @@ from .config import (
     render_config,
     validate_config,
 )
-from .groups import RolloutBatch, group_stats
+from .groups import (
+    RolloutBatch,
+    group_stats,  # noqa: F401  (prepare_batch calls it; the benchmark probes trainer.group_stats)
+)
 from .metrics import (
     StepMetrics,
     _fmt,
@@ -146,8 +149,14 @@ def adamw_update(
     np.divide(state.moment2, 1.0 - beta2**state.step, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += eps
-    step = np.divide(state.moment1, 1.0 - beta1**state.step, out=out)
-    step /= scratch
+    correction = 1.0 - beta1**state.step
+    if correction == 1.0:
+        # Late in a run the correction rounds to 1.0 (from step 356 at
+        # beta1 = 0.9), and m / 1.0 is m bit for bit.
+        step = np.divide(state.moment1, scratch, out=out)
+    else:
+        step = np.divide(state.moment1, correction, out=out)
+        step /= scratch
     if weight_decay != 0.0:
         np.multiply(vec, weight_decay, out=scratch)
         step += scratch
@@ -412,7 +421,6 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
                 round_index=step,
                 temperature=cfg.temperature,
             )
-        stats = group_stats(batch.rewards.reshape(len(batch), -1))
         log.append(
             StepMetrics(
                 step=step,
@@ -423,7 +431,7 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
                 clip_frac=breakdown.clip_fraction,
                 mean_eps=breakdown.mean_epsilon,
                 resp_len=float(np.mean(batch.lengths)),
-                pass_rate=float(np.mean(stats.pass_rate)),
+                pass_rate=breakdown.pass_rate,
                 evals=evals,
             )
         )

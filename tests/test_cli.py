@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import json
 import os
 import struct
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import etrlab
 import etrlab.autodiff as autodiff
-from etrlab.cli import main, parse_seed_list
+from etrlab.cli import BLAS_THREAD_VARS, main, parse_seed_list
 from etrlab.config import ConfigError, TrainConfig, apply_overrides
 from etrlab.metrics import config_digest, save_checkpoint
 
@@ -244,6 +245,29 @@ def test_importing_the_cli_loads_no_process_pool_or_network_stack():
     loaded = done.stdout.split()
     assert "etrlab.cli" in loaded
     assert [m for m in loaded if m in banned or m.startswith(tuple(b + "." for b in banned))] == []
+
+
+@pytest.mark.parametrize(
+    "given, want",
+    [
+        ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}),
+        ({"OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}),
+        ({"OPENBLAS_NUM_THREADS": "3"}, {"OPENBLAS_NUM_THREADS": "3"}),
+    ],
+)
+def test_cli_runs_blas_on_one_thread_unless_a_count_is_set(given, want):
+    src = str(Path(etrlab.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import json, os, sys, etrlab.cli\n"
+        "names = ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')\n"
+        "print(json.dumps({k: os.environ[k] for k in names if k in os.environ}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**env, **given}, capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout) == want
 
 
 def test_parse_seed_list_accepts_commas_and_ranges():

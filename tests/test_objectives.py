@@ -462,7 +462,7 @@ STRATEGIES = [
 ]
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES, ids=repr)
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=METHODS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_prepare_batch_equals_per_response_reference(strategy, seed):
     batch = uneven_batch(seed)
@@ -566,7 +566,7 @@ def eos_leaning(seed):
     return params
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES, ids=repr)
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=METHODS)
 @pytest.mark.parametrize("k", [1, len(ROLLOUT_PROMPTS)])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_prepare_batch_reads_rollout_buffers_like_groups(strategy, k, seed):
@@ -712,7 +712,7 @@ def assert_matches_tape(prep, rows, params, kl_coef):
 
 
 @pytest.mark.parametrize("kl_coef", [0.0, 0.001])
-@pytest.mark.parametrize("strategy", STRATEGIES, ids=repr)
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=METHODS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_closed_form_objective_matches_tape(strategy, seed, kl_coef):
     batch = uneven_batch(seed)
@@ -903,7 +903,7 @@ def test_prepare_batch_builds_one_mask_table_per_distinct_grammar(monkeypatch):
     assert prep.pair_masks.shape[0] < prep.targets.size
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES, ids=repr)
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=METHODS)
 @pytest.mark.parametrize("max_len", [1, 2, 3])
 def test_group_cut_by_max_len_packs_under_its_grammar_prefix(strategy, max_len):
     # sample_group samples under grammar[:max_len]; the packed group keeps
@@ -924,22 +924,34 @@ def test_group_cut_by_max_len_packs_under_its_grammar_prefix(strategy, max_len):
 
 @st.composite
 def row_tables(draw):
-    """Small integer tables whose rows repeat often; one row and all-equal rows included."""
-    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 4)))
-    return draw(hnp.arrays(np.int64, shape, elements=st.integers(0, draw(st.integers(0, 3)))))
+    """Tables of ids in [0, base) whose rows repeat often.
+
+    Rows are up to 24 ids wide, so at bases above 6 some take more than
+    one 62-bit key; one row and all-equal rows are included.
+    """
+    base = draw(st.integers(1, 70))
+    pool = draw(st.lists(st.integers(0, base - 1), min_size=1, max_size=3))
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 24)))
+    return base, draw(hnp.arrays(np.int64, shape, elements=st.sampled_from(pool)))
+
+
+# Base 13 puts 15 ids in one 62-bit key, so these 20-wide rows take two keys
+# and differ in the first, the second or both.
+WIDE_ROWS = np.asarray([[12] * 20, [12] * 19 + [0], [0] + [12] * 19, [12] * 20, [0] * 20])
 
 
 @settings(max_examples=200)
 @given(row_tables())
-@example(np.zeros((1, 3), dtype=np.int64))
-@example(np.full((6, 2), 7, dtype=np.int64))
-def test_distinct_rows_equals_np_unique(rows):
-    # Integer context rows, and the same rows as float mask rows.
-    for table in (rows, rows * MASK_LOGIT):
-        got, index = objectives._distinct_rows(table)
-        want, inverse = np.unique(table, axis=0, return_inverse=True)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert np.array_equal(index, inverse.reshape(-1))
+@example((1, np.zeros((1, 3), dtype=np.int64)))
+@example((8, np.full((6, 2), 7, dtype=np.int64)))
+@example((13, WIDE_ROWS))
+@example((13, WIDE_ROWS[:1]))
+def test_distinct_rows_equals_np_unique(case):
+    base, rows = case
+    got, index = objectives._distinct_rows(rows, base)
+    want, inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(index, inverse.reshape(-1))
 
 
 @st.composite

@@ -69,6 +69,21 @@ def test_generate_prompt_is_deterministic_and_in_range():
     assert a.payload[0] in VOCAB.content_ids()
 
 
+@pytest.mark.parametrize("n_content", [2, 7, 10, 13])
+@pytest.mark.parametrize("family", ["copy", "parity"])
+def test_payload_takes_the_stream_of_one_sized_draw(family, n_content):
+    # generate_prompt draws a payload one id at a time; numpy's sized draw
+    # over the same range must give the same ids and leave the stream at
+    # the same place.
+    high = 2 if family == "parity" else n_content
+    for seed, difficulty in itertools.product(range(100), [1, 2, 3, 5]):
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        prompt = generate_prompt(TaskSpec(family, difficulty), Vocab(n_content), rng)
+        assert prompt.payload == tuple(want_rng.integers(0, high, size=difficulty).tolist())
+        assert all(type(t) is int for t in prompt.payload)
+        assert rng.random() == want_rng.random()
+
+
 def test_digitsum_targets_cover_all_values():
     spec = TaskSpec("digitsum", 2)
     rng = np.random.default_rng(0)

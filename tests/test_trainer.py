@@ -588,6 +588,26 @@ def test_compare_runs_asks_for_no_more_workers_than_runs(monkeypatch):
     assert sizes == [2]
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_one_inner_epoch_gives_every_method_the_same_run(seed, tmp_path):
+    # With one inner epoch every ratio is 1, inside every band, so the bands
+    # can only differ in the half-width they report: the mean_eps column.
+    runs, mean_eps = {}, {}
+    for method in METHODS:
+        cfg = dataclasses.replace(
+            TrainConfig(), method=method, seed=seed, inner_epochs=1, steps=40, eval_every=20
+        )
+        result = run_training(cfg)
+        write_metrics_csv(result.metrics, tmp_path / "metrics.csv", suite_labels(cfg.suite))
+        rows = [line.split(",") for line in (tmp_path / "metrics.csv").read_text().splitlines()]
+        drop = rows[0].index("mean_eps")
+        mean_eps[method] = tuple(row[drop] for row in rows[1:])
+        table = tuple(tuple(c for i, c in enumerate(row) if i != drop) for row in rows)
+        runs[method] = (result.params.vector.tobytes(), table)
+    assert len(set(runs.values())) == 1
+    assert len(set(mean_eps.values())) > 1
+
+
 def reference_adamw(vec, grad, m1, m2, step, lr, b1, b2, eps, wd):
     """The expression-per-line AdamW step that ``adamw_update`` replaced."""
     m1 = m1 * b1 + (1.0 - b1) * grad
@@ -615,6 +635,24 @@ def test_adamw_update_is_bitwise_the_reference_step(wd):
         assert state.moment2.tobytes() == m2.tobytes()
         assert state.step == step
         vec = new
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.01])
+@pytest.mark.parametrize("step", [355, 356, 357, 1000])
+def test_adamw_late_steps_are_bitwise_the_reference_step(step, wd):
+    # From step 356 on, 1 - 0.9**step rounds to 1.0 and adamw_update skips
+    # the first moment's bias correction.
+    assert 1.0 - 0.9**355 < 1.0 == 1.0 - 0.9**356
+    rng = np.random.default_rng(step)
+    vec, grad = rng.normal(size=(2, 301))
+    m1 = rng.normal(scale=1e-2, size=301)
+    m2 = rng.uniform(0.0, 1e-3, size=301)
+    state = OptimizerState(m1.copy(), m2.copy(), step - 1)
+    new = adamw_update(vec, grad, state, 3e-3, 0.9, 0.999, 1e-8, wd)
+    want, m1, m2 = reference_adamw(vec, grad, m1, m2, step, 3e-3, 0.9, 0.999, 1e-8, wd)
+    assert new.tobytes() == want.tobytes()
+    assert state.moment1.tobytes() == m1.tobytes()
+    assert state.moment2.tobytes() == m2.tobytes()
 
 
 def reference_clip(grad, max_norm):
