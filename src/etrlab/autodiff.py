@@ -37,10 +37,6 @@ class ContractViolation(ValueError):
     """An operation was invoked in violation of its documented contract."""
 
 
-def _as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
 class Tensor:
     """A float64 array, optionally attached to a node on a Record."""
 
@@ -51,7 +47,7 @@ class Tensor:
     __array_ufunc__ = None
 
     def __init__(self, data, record: "Record | None" = None, node: int | None = None):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.record = record
         self.node = node
 

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 1 when a verification bound fails or training
-diverges, 2 for usage and configuration errors.
+diverges, 2 for usage, configuration and file-system errors.
 """
 
 from __future__ import annotations
@@ -281,10 +281,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         ContractViolation,
         CheckpointFormatError,
         CheckpointDigestError,
-        FileExistsError,
-        FileNotFoundError,
-        IsADirectoryError,
-        NotADirectoryError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

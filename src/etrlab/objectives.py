@@ -25,19 +25,8 @@ from .groups import DEFAULT_XI, RolloutBatch, RolloutGroup, as_rollout_batch, gr
 from .policy import MIN_TEMPERATURE, PolicyParams, mask_matrix
 
 @dataclass(frozen=True)
-class Static:
-    """Fixed symmetric clipping band of half-width epsilon."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ContractViolation("epsilon must be non-negative")
-
-
-@dataclass(frozen=True)
 class ClipHigh:
-    """Decoupled band: lower half-width epsilon_low, upper epsilon_high."""
+    """Static band: lower half-width epsilon_low, upper epsilon_high."""
 
     epsilon_low: float
     epsilon_high: float
@@ -68,7 +57,12 @@ class Elastic:
             )
 
 
-ClipStrategy = Union[Static, ClipHigh, Elastic]
+def Static(epsilon: float) -> ClipHigh:
+    """GRPO's symmetric static band of half-width epsilon: the equal-width ClipHigh."""
+    return ClipHigh(epsilon, epsilon)
+
+
+ClipStrategy = Union[ClipHigh, Elastic]
 
 
 def macro_adjustment(pass_rate, lambda2: float):
@@ -87,14 +81,12 @@ def dynamic_epsilon(advantage, pass_rate, strategy: Elastic):
 
 def clip_bounds(strategy: ClipStrategy, advantage, pass_rate):
     """Ratio bounds (lo, hi) for a token under the given strategy."""
-    if not isinstance(strategy, Elastic):
-        static = isinstance(strategy, Static)
-        low = strategy.epsilon if static else strategy.epsilon_low
-        high = strategy.epsilon if static else strategy.epsilon_high
-        lo, hi = (np.broadcast_to(np.float64(w), np.shape(advantage)) for w in (low, high))
-        return 1.0 - lo, 1.0 + hi
-    eps = dynamic_epsilon(advantage, pass_rate, strategy)
-    return 1.0 - eps, 1.0 + eps
+    if isinstance(strategy, Elastic):
+        eps = dynamic_epsilon(advantage, pass_rate, strategy)
+        return 1.0 - eps, 1.0 + eps
+    widths = (strategy.epsilon_low, strategy.epsilon_high)
+    lo, hi = (np.broadcast_to(np.float64(w), np.shape(advantage)) for w in widths)
+    return 1.0 - lo, 1.0 + hi
 
 
 def token_surrogate(ratio: Tensor, advantage, lo, hi) -> tuple[Tensor, np.ndarray]:
@@ -172,8 +164,10 @@ class PreparedBatch:
     positions (finite logits and ``temperature >= MIN_TEMPERATURE``), its
     log-probability is exactly 0.0, the value the sampler stores for it,
     and with a finite ratio its gradient contribution is exactly +-0. So
-    only the other tokens, ``scored``, are scored, and a forced token's
-    log-probability is set to 0.0.
+    only the other tokens, ``scored``, are scored and reach the gradient,
+    and a forced token's log-probability is 0.0 whatever the logits. A
+    context that only forced tokens read is not forwarded, so a non-finite
+    logit row there leaves the objective and its gradient finite.
 
     ``distinct_contexts`` holds each context row once (``np.unique``
     order), and ``forward_contexts`` its rows ``forward_rows``, the ones a
@@ -342,12 +336,9 @@ def score_prepared(prep: PreparedBatch, params: PolicyParams) -> tuple[np.ndarra
 
     The MLP runs once per context a scored token reads and the masked
     log-softmax once per (context, mask row) pair; scored tokens read their
-    pair's row, and forced tokens score exactly 0.0 (the rule and its
-    precondition are :class:`PreparedBatch`'s). A context that only forced
-    tokens read is not forwarded, so a non-finite logit row there no
-    longer gives a non-finite score. Returns the forward's ``(x, hidden,
-    logits)``, the pair rows' log-probs and the per-token log-probs,
-    shape (T,).
+    pair's row, and forced tokens score 0.0 by :class:`PreparedBatch`'s
+    rule. Returns the forward's ``(x, hidden, logits)``, the pair rows'
+    log-probs and the per-token log-probs, shape (T,).
     """
     x, hidden, logits = policy_mod.forward(params, prep.forward_contexts)
     lp_pairs = policy_mod.masked_logprobs(
@@ -375,13 +366,9 @@ def evaluate_prepared(
     clipped one is, minus ``kl_coef * w * (1 - u)``. It goes back through
     the softmax per scored token, is summed per distinct context in token
     order by one ``bincount`` and backpropagated through the MLP from the
-    forwarded contexts, into ``gradient_out`` when given. A forced token
-    scores 0.0 and would add exactly +-0 there under the precondition
-    :class:`PreparedBatch` states, so it is left out; a batch of forced
-    tokens only forwards an empty block and gets an exactly zero gradient.
-    A non-finite logit row that only forced tokens read therefore no longer
-    makes the objective non-finite, and ``train_step`` no longer raises on
-    it.
+    forwarded contexts, into ``gradient_out`` when given. Forced tokens are
+    left out by :class:`PreparedBatch`'s rule, so a batch of forced tokens
+    only gets an exactly zero gradient.
     """
     if kl_coef < 0.0:
         raise ContractViolation("kl_coef must be non-negative")

@@ -189,7 +189,11 @@ def reward(correct):
 @functools.lru_cache(maxsize=64)
 def _cumulative_weights(suite: tuple[TaskSpec, ...]) -> list[float]:
     weights = np.asarray([s.weight for s in suite])
-    return np.cumsum(weights / weights.sum()).tolist()
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not np.isfinite(total):
+        raise ContractViolation("suite weights must sum to a finite number")
+    return np.cumsum(weights / total).tolist()
 
 
 def sample_task(suite: Sequence[TaskSpec], rng: np.random.Generator) -> TaskSpec:

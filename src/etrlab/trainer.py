@@ -321,7 +321,6 @@ def train_step(
     # for this call only: kept between steps, they would only raise the
     # resident set, and made afresh each epoch, they churn the heap.
     gradient, work = np.empty((2, params.param_count))
-    last: LossBreakdown | None = None
     for _ in range(cfg.inner_epochs):
         # Overflow here is diagnosed explicitly below, not via warnings.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -338,8 +337,7 @@ def train_step(
             )
         apply_gradient(params, gradient, opt, cfg, work)
         breakdown.gradient = None
-        last = breakdown
-    return last
+    return breakdown
 
 
 def evaluate(
@@ -359,10 +357,9 @@ def evaluate(
     the two coincide.
 
     Each prompt is drawn and answered from its own (seed, round, task,
-    prompt) stream by one :func:`sample_group` call. A task's prompts are
-    taken ``_EVAL_CHUNK`` at a time: their response ids are copied into
-    one buffer, checked with one ``verify_rows`` call, and only the
-    correct and hit counts are kept.
+    prompt) stream by one :func:`sample_group` call. A task's answers are
+    checked ``_EVAL_CHUNK`` prompts at a time by one ``verify_rows`` call,
+    and only the correct and hit counts are kept.
     """
     if n < 1 or n_prompts < 1:
         raise ContractViolation("evaluation needs n >= 1 and n_prompts >= 1")
@@ -373,15 +370,14 @@ def evaluate(
         hits = 0
         for start in range(0, n_prompts, _EVAL_CHUNK):
             chunk = range(start, min(start + _EVAL_CHUNK, n_prompts))
-            prompts = []
-            tokens = np.empty((len(chunk) * n, len(grammar)), dtype=np.int64)
-            for j, pi in enumerate(chunk):
+            prompts, tokens = [], []
+            for pi in chunk:
                 rng = np.random.default_rng(stream_seed((seed, _EVAL_TAG, li, pi, round_index)))
                 prompt = generate_prompt(spec, vocab, rng)
                 rows, _ = sample_group(params, prompt.tokens, n, temperature, rng, grammar)
-                tokens[j * n : (j + 1) * n] = rows.tokens
+                tokens.append(rows.tokens)
                 prompts.append(prompt)
-            ok = verify_rows(prompts, n, tokens, vocab).reshape(len(chunk), n)
+            ok = verify_rows(prompts, n, np.concatenate(tokens), vocab).reshape(len(chunk), n)
             correct += int(ok.sum())
             hits += int(ok.any(axis=1).sum())
         out[spec.label] = (correct / (n_prompts * n), hits / n_prompts)

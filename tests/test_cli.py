@@ -84,6 +84,15 @@ def test_train_bad_config_path_is_a_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_file_system_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    assert main(["train", "--out", str(tmp_path / "run"), *TINY]) == 2
+    assert "error: [Errno 13] Permission denied" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "data,line",
     [(b"\xff\xfe steps = 3\n", 1), (b"steps = 3\r\nseed = 2\n# caf\xe9\n", 3)],

@@ -314,6 +314,19 @@ def test_suite_weights_must_be_finite(raw):
         apply_overrides(TrainConfig(), [f"suite=parity:2@{raw}"])
 
 
+def test_suite_weights_must_sum_to_a_finite_number():
+    # Each weight is finite; the sum the sampler normalizes by is not.
+    message = "suite weights must sum to a finite number"
+    with pytest.raises(ConfigError, match=f"^line 2: {message}$"):
+        parse_config("seed = 3\nsuite = copy:1@1e308,parity:1@1e308\n")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        apply_overrides(TrainConfig(), ["suite=copy:1@1e308,parity:1@1e308"])
+    huge = (TaskSpec("copy", 1, 1e308), TaskSpec("parity", 1, 1e308))
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        validate_config(dataclasses.replace(TrainConfig(), suite=huge))
+    assert parse_config("suite = copy:1@1e308,parity:1@7e307\n").suite[1].weight == 7e307
+
+
 def test_every_float_key_is_checked_for_finiteness():
     float_keys = [f.name for f in dataclasses.fields(TrainConfig) if f.type == "float"]
     assert len(float_keys) == 14

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,20 @@ def test_task_spec_rejects_non_finite_weights():
     for weight in (np.inf, np.nan, -1.0, 0.0):
         with pytest.raises(ContractViolation):
             TaskSpec("copy", 1, weight)
+
+
+def test_sample_task_rejects_weights_that_sum_to_infinity():
+    suite = (TaskSpec("copy", 1, 1e308), TaskSpec("parity", 1, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for specs in (suite, list(suite)):
+            with pytest.raises(ContractViolation, match="suite weights must sum to a finite number"):
+                sample_task(specs, np.random.default_rng(0))
+    # Equal weights just below the overflow draw both tasks alike.
+    rng = np.random.default_rng(0)
+    half = (TaskSpec("copy", 1, 8e307), TaskSpec("parity", 1, 8e307))
+    draws = [sample_task(half, rng).label for _ in range(1000)]
+    assert 400 < draws.count("parity1") < 600
 
 
 def test_families_tuple_is_stable():

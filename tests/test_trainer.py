@@ -608,6 +608,26 @@ def test_one_inner_epoch_gives_every_method_the_same_run(seed, tmp_path):
     assert len(set(mean_eps.values())) > 1
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_grpo_is_cliphigh_with_equal_widths(seed, tmp_path):
+    # GRPO's band is the clip-high band with epsilon_high = epsilon_base,
+    # so the two runs are the same run, byte for byte.
+    runs = {}
+    for method in ("grpo", "cliphigh"):
+        cfg = dataclasses.replace(
+            TrainConfig(), method=method, seed=seed, steps=40, eval_every=20,
+            epsilon_high=TrainConfig().epsilon_base,
+        )
+        result = run_training(cfg)
+        write_metrics_csv(result.metrics, tmp_path / "metrics.csv", suite_labels(cfg.suite))
+        text = (tmp_path / "metrics.csv").read_text()
+        rows = [line.split(",") for line in text.splitlines()]
+        drop = rows[0].index("mean_eps")
+        assert all(row[drop] == "" for row in rows[1:])
+        runs[method] = (result.params.vector.tobytes(), text)
+    assert runs["grpo"] == runs["cliphigh"]
+
+
 def reference_adamw(vec, grad, m1, m2, step, lr, b1, b2, eps, wd):
     """The expression-per-line AdamW step that ``adamw_update`` replaced."""
     m1 = m1 * b1 + (1.0 - b1) * grad
