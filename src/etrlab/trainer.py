@@ -9,8 +9,14 @@ training trajectories.
 from __future__ import annotations
 
 import dataclasses
+import marshal
 import operator
+import os
+import signal
+import sys
+import threading
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -392,8 +398,55 @@ class TrainingResult:
     opt: OptimizerState
 
 
+def _fork_round(job):
+    """Run ``job()`` in a forked child; return its pid and result pipe, or None.
+
+    The child sends ``job()``'s result through the pipe with ``marshal``, so
+    floats keep every bit, and leaves with ``os._exit``. None means the
+    round is to be run inline: no ``os.fork`` (or not Linux), a second
+    thread alive (forking it is unsafe), or a fork that failed.
+    """
+    fork = getattr(os, "fork", None)
+    if fork is None or not sys.platform.startswith("linux") or threading.active_count() != 1:
+        return None
+    read, write = os.pipe()
+    try:
+        pid = fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            with open(write, "wb") as pipe:
+                pipe.write(marshal.dumps(job()))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _collect_round(pid: int, pipe) -> bytes | None:
+    """Read a forked round's result and reap its child; None if the child failed."""
+    with pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    return data if os.waitstatus_to_exitcode(status) == 0 else None
+
+
 def run_training(cfg: TrainConfig) -> TrainingResult:
-    """Execute a full run; pure function of the configuration."""
+    """Execute a full run; pure function of the configuration.
+
+    Every evaluation round but the last runs in a forked child (see
+    ``_fork_round``) on a copy-on-write snapshot of the parameters while
+    training goes on. A round is collected before the next one forks and
+    at the end, so at most one child runs at a time. A round that cannot
+    fork, or whose child fails, is evaluated inline from a copy of the
+    parameters kept for it, by the same call: the rows come out the same
+    either way. No child outlives the call.
+    """
     validate_config(cfg)
     vocab = Vocab(cfg.content_tokens)
     params = init_params(
@@ -402,35 +455,56 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
     ref_params = params.copy()
     opt = OptimizerState.zeros(params.param_count)
     log: list[StepMetrics] = []
-    for step in range(1, cfg.steps + 1):
-        batch = rollout_batch(params, cfg, step)
-        breakdown = train_step(params, ref_params, opt, batch, cfg)
-        evals = None
-        if step % cfg.eval_every == 0 or step == cfg.steps:
-            evals = evaluate(
-                params,
-                cfg.suite,
-                vocab,
-                cfg.eval_n,
-                cfg.eval_prompts,
-                cfg.seed,
-                round_index=step,
-                temperature=cfg.temperature,
+    # (row, job, pid, pipe) of the round a child is evaluating.
+    pending = None
+    try:
+        for step in range(1, cfg.steps + 1):
+            batch = rollout_batch(params, cfg, step)
+            breakdown = train_step(params, ref_params, opt, batch, cfg)
+            evals = None
+            last = step == cfg.steps
+            if last or step % cfg.eval_every == 0:
+                if pending is not None:
+                    row, job, pid, pipe = pending
+                    data = _collect_round(pid, pipe)
+                    pending = None
+                    log[row].evals = job() if data is None else marshal.loads(data)
+                job = partial(
+                    evaluate,
+                    params if last else params.copy(),
+                    cfg.suite,
+                    vocab,
+                    cfg.eval_n,
+                    cfg.eval_prompts,
+                    cfg.seed,
+                    round_index=step,
+                    temperature=cfg.temperature,
+                )
+                child = None if last else _fork_round(job)
+                if child is None:
+                    evals = job()
+                else:
+                    pending = (len(log), job, *child)
+            log.append(
+                StepMetrics(
+                    step=step,
+                    total=breakdown.total,
+                    surrogate=breakdown.surrogate,
+                    kl=breakdown.kl,
+                    entropy=float(np.mean(batch.entropies)) if batch.entropies else 0.0,
+                    clip_frac=breakdown.clip_fraction,
+                    mean_eps=breakdown.mean_epsilon,
+                    resp_len=float(np.mean(batch.lengths)),
+                    pass_rate=breakdown.pass_rate,
+                    evals=evals,
+                )
             )
-        log.append(
-            StepMetrics(
-                step=step,
-                total=breakdown.total,
-                surrogate=breakdown.surrogate,
-                kl=breakdown.kl,
-                entropy=float(np.mean(batch.entropies)) if batch.entropies else 0.0,
-                clip_frac=breakdown.clip_fraction,
-                mean_eps=breakdown.mean_epsilon,
-                resp_len=float(np.mean(batch.lengths)),
-                pass_rate=breakdown.pass_rate,
-                evals=evals,
-            )
-        )
+    finally:
+        if pending is not None:
+            _, _, pid, pipe = pending
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return TrainingResult(cfg, log, params, opt)
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import os
 import warnings
 
 import numpy as np
@@ -779,6 +781,90 @@ def test_compare_runs_isolates_a_diverged_run(tmp_path, jobs):
     assert lines[1].split(",")[:2] == ["grpo", _fmt(results[1].final_mean)]
     cells = ",diverged" * 4
     assert lines[2:] == [f"grpo-seed2{cells}", f"etr-seed2{cells}"]
+
+
+class ChildCounter:
+    """Wraps ``os.fork`` and ``os.waitpid`` to count forks and unreaped children."""
+
+    def __init__(self, monkeypatch):
+        self.forks = 0
+        self.alive: set[int] = set()
+        self.peak = 0
+        fork, waitpid = os.fork, os.waitpid
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                self.forks += 1
+                self.alive.add(pid)
+                self.peak = max(self.peak, len(self.alive))
+            return pid
+
+        def reaping_waitpid(pid, options):
+            got = waitpid(pid, options)
+            self.alive.discard(got[0])
+            return got
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "waitpid", reaping_waitpid)
+
+
+@pytest.mark.parametrize("method", ["etr", "grpo"])
+def test_forked_and_inline_rounds_give_the_same_bytes(method, tmp_path, monkeypatch):
+    # Rounds at steps 3, 6 and 9 run in children; step 12's runs inline.
+    cfg = tiny_cfg(method=method, steps=12, eval_every=3)
+    children = ChildCounter(monkeypatch)
+    parent = os.getpid()
+    real_evaluate = trainer_mod.evaluate
+    inline_rounds = []
+
+    def child_exits_non_zero(params, *args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        inline_rounds.append(kwargs["round_index"])
+        return real_evaluate(params, *args, **kwargs)
+
+    def fork_refused():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    def artifacts(name, patch=None):
+        with monkeypatch.context() as m:
+            if patch is not None:
+                patch(m)
+            write_run_artifacts(run_training(cfg), tmp_path / name)
+        return {f: (tmp_path / name / f).read_bytes() for f in ("metrics.csv", "final.ckpt")}
+
+    forked = artifacts("forked")
+    assert (children.forks, children.peak, children.alive) == (3, 1, set())
+    assert artifacts("no-fork", lambda m: m.delattr(os, "fork")) == forked
+    assert artifacts("fork-fails", lambda m: m.setattr(os, "fork", fork_refused)) == forked
+    failed = artifacts(
+        "child-fails", lambda m: m.setattr(trainer_mod, "evaluate", child_exits_non_zero)
+    )
+    assert failed == forked
+    assert inline_rounds == [3, 6, 9, 12]
+    assert (children.forks, children.alive) == (6, set())
+
+
+def test_no_child_outlives_a_diverged_run(monkeypatch):
+    # Weight decay 10 at learning rate 1 flips and grows the parameters
+    # ninefold per update; the run diverges at step 3, while step 2's round
+    # is still being evaluated in a child.
+    cfg = tiny_cfg(weight_decay=10.0, learning_rate=1.0, eval_every=1, steps=10)
+    children = ChildCounter(monkeypatch)
+    with np.errstate(all="ignore"):
+        results = compare_runs(cfg, ["etr"], [1])
+    assert [(type(r), r.method, r.seed) for r in results] == [(DivergedRun, "etr", 1)]
+    assert children.forks == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_evaluating_every_step_keeps_one_child_at_a_time(monkeypatch):
+    children = ChildCounter(monkeypatch)
+    result = run_training(tiny_cfg(steps=8, eval_every=1))
+    assert (children.forks, children.peak, children.alive) == (7, 1, set())
+    assert all(m.evals for m in result.metrics)
 
 
 def test_gradient_check_single_variant(monkeypatch):
