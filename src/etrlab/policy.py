@@ -359,10 +359,9 @@ def sample_groups(
     position with a choice, the rows of a group have read the same prompt
     tail and forced ids, so that position forwards one context per group
     and samples the group's n rows from its one log-prob row. Group k
-    draws only from ``rngs[k]``: n uniforms for each of its positions, in
-    one call once every check has passed, position-major, so its stream
-    consumption depends only on its own masks and n, never on the other
-    groups, and a rejected call consumes nothing.
+    draws only from ``rngs[k]``, by :func:`draw_uniforms` once every check
+    has passed, so its stream consumption depends only on its own masks
+    and n, never on the other groups, and a rejected call consumes nothing.
 
     Masks may be any sequences of ids; they are made tuples here, so the
     memoised :func:`mask_matrix` and :func:`sole_ids` can hash them.
@@ -394,6 +393,71 @@ def sample_groups(
     Prompt-tail ids are checked once per call, before any position runs,
     so a call with no positions still rejects an id outside the vocabulary.
     """
+    budgets, masks, sole, tokens = _lockstep(
+        params, prompts, n, temperature, len(rngs), position_masks
+    )
+    draws = draw_uniforms(rngs, budgets, n)
+    return _sample_positions(params, masks, sole, tokens, draws, temperature, collect_entropy)
+
+
+def sample_drawn(
+    params: PolicyParams,
+    prompts: Sequence[Sequence[int]],
+    n: int,
+    temperature: float,
+    draws: np.ndarray,
+    position_masks: Sequence[PositionMasks],
+    *,
+    collect_entropy: bool = False,
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """:func:`sample_groups` on uniforms drawn ahead by :func:`draw_uniforms`.
+
+    ``draws`` is the (K, horizon, n) block that ``draw_uniforms`` gives for
+    the generators ``sample_groups`` would have been handed, so the result
+    is that call's, byte for byte. The same checks run first.
+    """
+    budgets, masks, sole, tokens = _lockstep(
+        params, prompts, n, temperature, len(draws), position_masks
+    )
+    if draws.shape != (len(prompts), max(budgets), n):
+        raise ContractViolation("one (horizon, n) block of uniforms per prompt is required")
+    return _sample_positions(params, masks, sole, tokens, draws, temperature, collect_entropy)
+
+
+def draw_uniforms(
+    rngs: Sequence[np.random.Generator], budgets: Sequence[int], n: int
+) -> np.ndarray:
+    """The (K, horizon, n) uniforms a lockstep call samples with.
+
+    Group k reads ``rngs[k]`` once: n uniforms for each of its
+    ``budgets[k]`` positions, position-major. Rows past a group's budget
+    repeat its last draw: they only fill padding, and the padding's bytes
+    are pinned with the rest. This is the one place a sampling generator
+    is read.
+    """
+    draws = np.zeros((len(budgets), max(budgets, default=0), n))
+    for k, b in enumerate(budgets):
+        if b:
+            rngs[k].random(out=draws[k, :b])
+            draws[k, b:] = draws[k, b - 1]
+    return draws
+
+
+def _lockstep(
+    params: PolicyParams,
+    prompts: Sequence[Sequence[int]],
+    n: int,
+    temperature: float,
+    sources: int,
+    position_masks: Sequence[PositionMasks],
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Checks and set-up of a lockstep call, before any uniform is drawn.
+
+    ``sources`` counts the caller's uniform sources, one per prompt.
+    Returns each group's budget (its number of masks), the (K, horizon, V)
+    mask rows, the (K, horizon) one-id picks and the token buffer with
+    every row's prompt tail in place.
+    """
     k_groups = len(prompts)
     if k_groups < 1:
         raise ContractViolation("sampling needs at least one prompt")
@@ -401,8 +465,8 @@ def sample_groups(
         raise ContractViolation("group size must be at least 1")
     if not temperature >= MIN_TEMPERATURE:
         raise ContractViolation(f"temperature must be at least {MIN_TEMPERATURE!r}")
-    if len(rngs) != k_groups:
-        raise ContractViolation("one generator per prompt is required")
+    if sources != k_groups:
+        raise ContractViolation("one uniform source per prompt is required")
     if len(position_masks) != k_groups:
         raise ContractViolation("one mask sequence per prompt is required")
     vocab = params.vocab
@@ -411,12 +475,10 @@ def sample_groups(
     position_masks = [tuple(map(tuple, m)) for m in position_masks]
     budgets = [len(m) for m in position_masks]
     horizon = max(budgets)
-    rows = k_groups * n
     # One mask row and one-id pick per group and position, from the tables
     # of each distinct grammar, which are already in group order when no two
     # groups share one. A group past its budget has all-zero mask rows and
-    # picks id 0: they only fill its padding. A position is one-token when
-    # no group that reaches it has a choice there.
+    # picks id 0: they only fill its padding.
     grammars: dict[PositionMasks, int] = {}
     which = [grammars.setdefault(m, len(grammars)) for m in position_masks]
     group_masks = np.zeros((len(grammars), horizon, v))
@@ -426,27 +488,37 @@ def sample_groups(
         group_sole[i, : len(m)] = sole_ids(m)
     if len(grammars) < k_groups:
         group_masks, group_sole = group_masks[which], group_sole[which]
-    choice = group_sole < 0
-    one_token = ~np.logical_or.reduce(choice, axis=0)
-    if collect_entropy:
-        entropy = np.zeros((horizon, rows))
     # Only prompt tails need a check: _sample_rows clamps sampled ids. A few
     # Python ints are checked and padded faster in Python than in numpy.
     tails = [list(p[-window:]) for p in prompts]
     if not all(0 <= t < v for tail in tails for t in tail):
         raise ContractViolation("token id out of vocabulary range")
-    tokens = np.zeros((rows, window + horizon), dtype=np.int64)
+    tokens = np.zeros((k_groups * n, window + horizon), dtype=np.int64)
     tails = np.asarray([[vocab.bos] * (window - len(t)) + t for t in tails])
     tokens[:, :window] = tails.repeat(n, axis=0)
+    return budgets, group_masks, group_sole, tokens
+
+
+def _sample_positions(
+    params: PolicyParams,
+    group_masks: np.ndarray,
+    group_sole: np.ndarray,
+    tokens: np.ndarray,
+    draws: np.ndarray,
+    temperature: float,
+    collect_entropy: bool,
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """The position loop of a lockstep call, on :func:`_lockstep`'s set-up and its uniforms."""
+    k_groups, horizon, n = draws.shape
+    v = params.vocab.size
+    window = params.window
+    rows = k_groups * n
+    # A position is one-token when no group that reaches it has a choice there.
+    choice = group_sole < 0
+    one_token = ~np.logical_or.reduce(choice, axis=0)
+    if collect_entropy:
+        entropy = np.zeros((horizon, rows))
     logprobs = np.zeros((rows, horizon))
-    # Every check has passed: each group draws its uniforms now, position by
-    # position. Rows past a group's budget reuse its last draw: they only
-    # fill padding, and the padding's bytes are pinned with the rest.
-    draws = np.zeros((k_groups, horizon, n))
-    for k, b in enumerate(budgets):
-        if b:
-            rngs[k].random(out=draws[k, :b])
-            draws[k, b:] = draws[k, b - 1]
     row_starts = np.arange(0, rows * v, v)
     # Rows per distinct context: n until the first position with a choice.
     stride = n

@@ -51,8 +51,17 @@ from .objectives import (
     prepare_batch,
     score_prepared,
 )
-from .policy import PolicyParams, Vocab, init_params, sample_group, sample_groups
+from .policy import (
+    PolicyParams,
+    PositionMasks,
+    Vocab,
+    draw_uniforms,
+    init_params,
+    sample_drawn,
+    sample_group,
+)
 from .tasks import (
+    Prompt,
     TaskSpec,
     generate_prompt,
     response_grammar,
@@ -258,15 +267,19 @@ class TrainingDiverged(RuntimeError):
         super().__init__(message)
 
 
-def rollout_batch(params: PolicyParams, cfg: TrainConfig, step: int) -> RolloutBatch:
-    """Sample groups-per-step prompt groups for one training step.
+# A training step's draws: its prompts, their grammars and its uniforms.
+StepDraws = tuple[list[Prompt], list[PositionMasks], np.ndarray]
 
-    Every row is checked against its prompt in one vectorised pass; the
-    batch keeps the sampler's buffers and entropies.
+
+def draw_step(cfg: TrainConfig, vocab: Vocab, step: int) -> StepDraws:
+    """Everything training step ``step`` draws before it reads the parameters.
+
+    Group g's stream ``(seed, step, g)`` gives its task, its prompt's
+    payload and then its sampling uniforms, read in that order exactly as
+    one ``sample_groups`` call reads them. Returns the prompts, their
+    grammars and the (K, horizon, n) uniform block of
+    :func:`policy.draw_uniforms`.
     """
-    if step < 1:
-        raise ContractViolation("step index starts at 1")
-    vocab = params.vocab
     rngs, prompts, grammars = [], [], []
     for g in range(cfg.groups_per_step):
         rng = np.random.default_rng(stream_seed((cfg.seed, step, g)))
@@ -274,13 +287,32 @@ def rollout_batch(params: PolicyParams, cfg: TrainConfig, step: int) -> RolloutB
         rngs.append(rng)
         prompts.append(prompt)
         grammars.append(response_grammar(prompt, vocab))
-    tokens, logprobs, entropies = sample_groups(
+    return prompts, grammars, draw_uniforms(rngs, [len(m) for m in grammars], cfg.group_size)
+
+
+def rollout_batch(
+    params: PolicyParams,
+    cfg: TrainConfig,
+    step: int,
+    draws: StepDraws | None = None,
+) -> RolloutBatch:
+    """Sample groups-per-step prompt groups for one training step.
+
+    ``draws`` is the step's :func:`draw_step`, drawn here when not given.
+    Every row is checked against its prompt in one vectorised pass; the
+    batch keeps the sampler's buffers and entropies.
+    """
+    if step < 1:
+        raise ContractViolation("step index starts at 1")
+    vocab = params.vocab
+    prompts, grammars, uniforms = draw_step(cfg, vocab, step) if draws is None else draws
+    tokens, logprobs, entropies = sample_drawn(
         params,
         [prompt.tokens for prompt in prompts],
         cfg.group_size,
         cfg.temperature,
-        rngs,
-        position_masks=grammars,
+        uniforms,
+        grammars,
         collect_entropy=True,
     )
     correct = verify_rows(prompts, cfg.group_size, tokens[:, params.window :], vocab)
@@ -398,12 +430,12 @@ class TrainingResult:
     opt: OptimizerState
 
 
-def _fork_round(job):
-    """Run ``job()`` in a forked child; return its pid and result pipe, or None.
+def _fork(frames):
+    """Run ``frames()`` in a forked child; return its pid and read pipe, or None.
 
-    The child sends ``job()``'s result through the pipe with ``marshal``, so
-    floats keep every bit, and leaves with ``os._exit``. None means the
-    round is to be run inline: no ``os.fork`` (or not Linux), a second
+    The child sends each value ``frames()`` yields through the pipe as one
+    frame (see ``_receive``) and leaves with ``os._exit``. None means the
+    work is to be done inline: no ``os.fork`` (or not Linux), a second
     thread alive (forking it is unsafe), or a fork that failed.
     """
     fork = getattr(os, "fork", None)
@@ -419,8 +451,12 @@ def _fork_round(job):
     if pid == 0:
         code = 1
         try:
+            os.close(read)
             with open(write, "wb") as pipe:
-                pipe.write(marshal.dumps(job()))
+                for value in frames():
+                    data = marshal.dumps(value)
+                    pipe.write(len(data).to_bytes(8, "little") + data)
+                    pipe.flush()
             code = 0
         finally:
             os._exit(code)
@@ -428,24 +464,65 @@ def _fork_round(job):
     return pid, open(read, "rb")
 
 
-def _collect_round(pid: int, pipe) -> bytes | None:
-    """Read a forked round's result and reap its child; None if the child failed."""
-    with pipe:
-        data = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    return data if os.waitstatus_to_exitcode(status) == 0 else None
+def _receive(pipe):
+    """The next value a forked child sent, or None if it left before sending it whole.
+
+    A frame is the value's ``marshal`` bytes (floats keep every bit) after
+    their length as 8 little-endian bytes, so a child that dies mid-frame
+    gives a short read, never a wrong value.
+    """
+    head = pipe.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    return marshal.loads(data) if len(data) == size else None
+
+
+def _reap(child) -> None:
+    """Close a forked child's pipe, kill it and wait for it, whatever it was doing."""
+    pid, pipe = child
+    pipe.close()
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+
+
+def _produce(cfg: TrainConfig, vocab: Vocab):
+    """Every step's :func:`draw_step`, packed for a frame, at low priority.
+
+    Run in the draw producer, which keeps ahead of training until the
+    pipe is full.
+    """
+    os.nice(10)
+    for step in range(1, cfg.steps + 1):
+        prompts, grammars, uniforms = draw_step(cfg, vocab, step)
+        fields = [(p.family, p.difficulty, p.payload, p.tokens) for p in prompts]
+        yield fields, grammars, uniforms.shape, uniforms.tobytes()
+
+
+def _unpack_step(frame) -> StepDraws:
+    """A step's draws from one of ``_produce``'s frames."""
+    fields, grammars, shape, data = frame
+    return [Prompt(*f) for f in fields], grammars, np.frombuffer(data).reshape(shape)
 
 
 def run_training(cfg: TrainConfig) -> TrainingResult:
     """Execute a full run; pure function of the configuration.
 
-    Every evaluation round but the last runs in a forked child (see
-    ``_fork_round``) on a copy-on-write snapshot of the parameters while
-    training goes on. A round is collected before the next one forks and
-    at the end, so at most one child runs at a time. A round that cannot
-    fork, or whose child fails, is evaluated inline from a copy of the
-    parameters kept for it, by the same call: the rows come out the same
-    either way. No child outlives the call.
+    Two kinds of forked child (see ``_fork``) take work off the training
+    loop, and the rows come out the same with or without them:
+
+    - A draw producer, forked at the start, makes every step's
+      :func:`draw_step` ahead of training. If it cannot fork or dies, the
+      steps it has not sent are drawn inline from the same streams.
+    - Every evaluation round but the last runs in a child on a
+      copy-on-write snapshot of the parameters while training goes on. A
+      round is collected before the next one forks and at the end, so at
+      most one such child runs at a time. A round that cannot fork, or
+      whose child fails, is evaluated inline from a copy of the parameters
+      kept for it, by the same call.
+
+    No child or pipe outlives the call.
     """
     validate_config(cfg)
     vocab = Vocab(cfg.content_tokens)
@@ -455,20 +532,31 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
     ref_params = params.copy()
     opt = OptimizerState.zeros(params.param_count)
     log: list[StepMetrics] = []
-    # (row, job, pid, pipe) of the round a child is evaluating.
+    producer = None
+    # (row, job, child) of the round a child is evaluating.
     pending = None
     try:
+        producer = _fork(partial(_produce, cfg, vocab))
         for step in range(1, cfg.steps + 1):
-            batch = rollout_batch(params, cfg, step)
+            draws = None
+            if producer is not None:
+                frame = _receive(producer[1])
+                if frame is None:
+                    _reap(producer)
+                    producer = None
+                else:
+                    draws = _unpack_step(frame)
+            batch = rollout_batch(params, cfg, step, draws)
             breakdown = train_step(params, ref_params, opt, batch, cfg)
             evals = None
             last = step == cfg.steps
             if last or step % cfg.eval_every == 0:
                 if pending is not None:
-                    row, job, pid, pipe = pending
-                    data = _collect_round(pid, pipe)
+                    row, job, child = pending
                     pending = None
-                    log[row].evals = job() if data is None else marshal.loads(data)
+                    sent = _receive(child[1])
+                    _reap(child)
+                    log[row].evals = job() if sent is None else sent
                 job = partial(
                     evaluate,
                     params if last else params.copy(),
@@ -480,11 +568,11 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
                     round_index=step,
                     temperature=cfg.temperature,
                 )
-                child = None if last else _fork_round(job)
+                child = None if last else _fork(lambda: (job(),))
                 if child is None:
                     evals = job()
                 else:
-                    pending = (len(log), job, *child)
+                    pending = (len(log), job, child)
             log.append(
                 StepMetrics(
                     step=step,
@@ -501,10 +589,9 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
             )
     finally:
         if pending is not None:
-            _, _, pid, pipe = pending
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            _reap(pending[2])
+        if producer is not None:
+            _reap(producer)
     return TrainingResult(cfg, log, params, opt)
 
 

@@ -1,7 +1,9 @@
 import dataclasses
 import errno
 import os
+import sys
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +16,17 @@ from etrlab.config import METHODS, ConfigError, TrainConfig, parse_suite, valida
 from etrlab.groups import as_rollout_batch
 from etrlab.metrics import _fmt, suite_labels, write_metrics_csv
 from etrlab.policy import MIN_TEMPERATURE, PolicyParams, Vocab, init_params
-from etrlab.tasks import FAMILIES, TaskSpec, answer_length, reward, verify
+from etrlab.policy import sample_groups
+from etrlab.tasks import (
+    FAMILIES,
+    TaskSpec,
+    answer_length,
+    generate_prompt,
+    response_grammar,
+    reward,
+    sample_task,
+    verify,
+)
 import etrlab.trainer as trainer_mod
 from etrlab.trainer import (
     DivergedRun,
@@ -24,6 +36,7 @@ from etrlab.trainer import (
     adamw_update,
     clip_grad_norm,
     compare_runs,
+    draw_step,
     evaluate,
     gradient_check,
     gradient_check_suite,
@@ -784,28 +797,41 @@ def test_compare_runs_isolates_a_diverged_run(tmp_path, jobs):
 
 
 class ChildCounter:
-    """Wraps ``os.fork`` and ``os.waitpid`` to count forks and unreaped children."""
+    """Wraps ``trainer._fork`` and ``os.waitpid`` to count forked children and unreaped ones.
+
+    ``forks``, ``alive`` and ``peak`` (most alive at once) count
+    evaluation-round children; ``producers`` and ``producers_alive`` count
+    draw producers, told apart by the work they are forked with.
+    """
 
     def __init__(self, monkeypatch):
         self.forks = 0
         self.alive: set[int] = set()
         self.peak = 0
-        fork, waitpid = os.fork, os.waitpid
+        self.producers = 0
+        self.producers_alive: set[int] = set()
+        fork, waitpid = trainer_mod._fork, os.waitpid
 
-        def counting_fork():
-            pid = fork()
-            if pid:
+        def counting_fork(frames):
+            child = fork(frames)
+            if child is None:
+                return child
+            if getattr(frames, "func", None) is trainer_mod._produce:
+                self.producers += 1
+                self.producers_alive.add(child[0])
+            else:
                 self.forks += 1
-                self.alive.add(pid)
+                self.alive.add(child[0])
                 self.peak = max(self.peak, len(self.alive))
-            return pid
+            return child
 
         def reaping_waitpid(pid, options):
             got = waitpid(pid, options)
             self.alive.discard(got[0])
+            self.producers_alive.discard(got[0])
             return got
 
-        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(trainer_mod, "_fork", counting_fork)
         monkeypatch.setattr(os, "waitpid", reaping_waitpid)
 
 
@@ -836,6 +862,7 @@ def test_forked_and_inline_rounds_give_the_same_bytes(method, tmp_path, monkeypa
 
     forked = artifacts("forked")
     assert (children.forks, children.peak, children.alive) == (3, 1, set())
+    assert (children.producers, children.producers_alive) == (1, set())
     assert artifacts("no-fork", lambda m: m.delattr(os, "fork")) == forked
     assert artifacts("fork-fails", lambda m: m.setattr(os, "fork", fork_refused)) == forked
     failed = artifacts(
@@ -844,6 +871,7 @@ def test_forked_and_inline_rounds_give_the_same_bytes(method, tmp_path, monkeypa
     assert failed == forked
     assert inline_rounds == [3, 6, 9, 12]
     assert (children.forks, children.alive) == (6, set())
+    assert (children.producers, children.producers_alive) == (2, set())
 
 
 def test_no_child_outlives_a_diverged_run(monkeypatch):
@@ -856,6 +884,7 @@ def test_no_child_outlives_a_diverged_run(monkeypatch):
         results = compare_runs(cfg, ["etr"], [1])
     assert [(type(r), r.method, r.seed) for r in results] == [(DivergedRun, "etr", 1)]
     assert children.forks == 2
+    assert (children.producers, children.producers_alive) == (1, set())
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -864,7 +893,135 @@ def test_evaluating_every_step_keeps_one_child_at_a_time(monkeypatch):
     children = ChildCounter(monkeypatch)
     result = run_training(tiny_cfg(steps=8, eval_every=1))
     assert (children.forks, children.peak, children.alive) == (7, 1, set())
+    assert (children.producers, children.producers_alive) == (1, set())
     assert all(m.evals for m in result.metrics)
+
+
+def test_runs_with_and_without_the_draw_producer_give_the_same_bytes(tmp_path, monkeypatch):
+    # Default shapes; rounds at steps 10, 20 and 30 fork, step 40's runs inline.
+    cfg = dataclasses.replace(TrainConfig(), steps=40, eval_every=10)
+    children = ChildCounter(monkeypatch)
+    parent = os.getpid()
+    real_draw_step = trainer_mod.draw_step
+    inline_steps = []
+
+    def producer_dies_after_step_17(cfg, vocab, step):
+        if os.getpid() == parent:
+            inline_steps.append(step)
+        elif step == 18:
+            os._exit(3)
+        return real_draw_step(cfg, vocab, step)
+
+    def fork_refused():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    def artifacts(name, patch=None):
+        with monkeypatch.context() as m:
+            if patch is not None:
+                patch(m)
+            write_run_artifacts(run_training(cfg), tmp_path / name)
+        return {f: (tmp_path / name / f).read_bytes() for f in ("metrics.csv", "final.ckpt")}
+
+    produced = artifacts("produced")
+    assert (children.producers, children.producers_alive, children.forks) == (1, set(), 3)
+    assert artifacts("no-fork", lambda m: m.delattr(os, "fork")) == produced
+    assert artifacts("fork-fails", lambda m: m.setattr(os, "fork", fork_refused)) == produced
+    assert (children.producers, children.forks) == (1, 3)
+    died = artifacts(
+        "producer-dies",
+        lambda m: m.setattr(trainer_mod, "draw_step", producer_dies_after_step_17),
+    )
+    assert died == produced
+    assert inline_steps == list(range(18, 41))
+    assert (children.producers, children.producers_alive, children.alive) == (2, set(), set())
+
+
+def test_draw_step_reads_each_stream_as_the_sampler_did():
+    # Over 40 default steps: the prompts, grammars and uniforms draw_step
+    # gives, the producer sends and rollout_batch samples with are those a
+    # sample_groups call on the step's fresh streams reads.
+    cfg = dataclasses.replace(TrainConfig(), steps=40)
+    vocab = Vocab(cfg.content_tokens)
+    params = initial_params(cfg)
+    n = cfg.group_size
+    producer = trainer_mod._fork(partial(trainer_mod._produce, cfg, vocab))
+    assert producer is not None
+    try:
+        for step in range(1, cfg.steps + 1):
+            prompts, grammars, uniforms = draw_step(cfg, vocab, step)
+            rngs = [
+                np.random.default_rng(np.random.SeedSequence((cfg.seed, step, g)))
+                for g in range(cfg.groups_per_step)
+            ]
+            want_prompts = [generate_prompt(sample_task(cfg.suite, rng), vocab, rng) for rng in rngs]
+            want_grammars = [response_grammar(p, vocab) for p in want_prompts]
+            assert prompts == want_prompts and grammars == want_grammars
+            streams = [rng.bit_generator.state for rng in rngs]
+            horizon = max(len(m) for m in grammars)
+            want = np.stack(
+                [
+                    np.concatenate([rows, rows[-1:].repeat(horizon - len(rows), axis=0)])
+                    for rows in (rng.random((len(m), n)) for rng, m in zip(rngs, grammars))
+                ]
+            )
+            assert uniforms.shape == (cfg.groups_per_step, horizon, n)
+            assert uniforms.tobytes() == want.tobytes()
+            sent_prompts, sent_grammars, sent = trainer_mod._unpack_step(
+                trainer_mod._receive(producer[1])
+            )
+            assert sent_prompts == prompts and sent_grammars == grammars
+            assert sent.tobytes() == uniforms.tobytes()
+            for rng, state in zip(rngs, streams):
+                rng.bit_generator.state = state
+            tokens, logprobs, entropies = sample_groups(
+                params,
+                [p.tokens for p in prompts],
+                n,
+                cfg.temperature,
+                rngs,
+                grammars,
+                collect_entropy=True,
+            )
+            for batch in (
+                rollout_batch(params, cfg, step),
+                rollout_batch(params, cfg, step, (sent_prompts, sent_grammars, sent)),
+            ):
+                assert list(batch.prompts) == prompts
+                assert batch.tokens.tobytes() == tokens.tobytes()
+                assert batch.logprobs.tobytes() == logprobs.tobytes()
+                assert list(batch.entropies) == entropies
+        assert trainer_mod._receive(producer[1]) is None
+    finally:
+        trainer_mod._reap(producer)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
+@pytest.mark.parametrize("case", ["finished", "diverged", "eval child fails"])
+def test_run_training_leaves_no_pipe_or_child_behind(case, monkeypatch):
+    fds = sorted(os.listdir("/proc/self/fd"))
+    if case == "eval child fails":
+        parent = os.getpid()
+        real_evaluate = trainer_mod.evaluate
+
+        def child_exits_non_zero(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "evaluate", child_exits_non_zero)
+    if case == "diverged":
+        # As in test_no_child_outlives_a_diverged_run: diverges at step 3,
+        # with step 2's round in a child. The fds are counted while the
+        # exception, whose traceback holds run_training's locals, is alive.
+        cfg = tiny_cfg(weight_decay=10.0, learning_rate=1.0, eval_every=1, steps=10)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as diverged:
+            run_training(cfg)
+        assert diverged.value.__traceback__ is not None
+    else:
+        run_training(tiny_cfg(steps=8, eval_every=2))
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_gradient_check_single_variant(monkeypatch):
