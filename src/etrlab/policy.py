@@ -344,12 +344,15 @@ def sample_groups(
     prompts: Sequence[Sequence[int]],
     n: int,
     temperature: float,
-    rngs: Sequence[np.random.Generator],
+    draws: np.ndarray,
     position_masks: Sequence[PositionMasks],
     *,
     collect_entropy: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Sample n responses to each of K prompts in lockstep.
+
+    ``draws`` is the (K, horizon, n) block :func:`draw_uniforms` gives
+    for the prompts' generators and budgets; it is checked, then only read.
 
     A response has one token per position of its prompt's masks, so the
     masks alone decide its length: EOS is an id like any other here, and
@@ -358,10 +361,7 @@ def sample_groups(
     All K * n rows share one forward pass per position. Up to the first
     position with a choice, the rows of a group have read the same prompt
     tail and forced ids, so that position forwards one context per group
-    and samples the group's n rows from its one log-prob row. Group k
-    draws only from ``rngs[k]``, by :func:`draw_uniforms` once every check
-    has passed, so its stream consumption depends only on its own masks
-    and n, never on the other groups, and a rejected call consumes nothing.
+    and samples the group's n rows from its one log-prob row.
 
     Masks may be any sequences of ids; they are made tuples here, so the
     memoised :func:`mask_matrix` and :func:`sole_ids` can hash them.
@@ -381,44 +381,19 @@ def sample_groups(
 
     A position is one-token when every group whose masks reach it has a
     mask there with exactly one legal id, as the EOS position that ends
-    every answer grammar. Such a position runs no forward pass: each open
-    group still draws its n uniforms, and each row gets the one id its
-    mask row allows (0 past its masks) with log-probability 0.0. That is
-    what the full path gives for every draw in (0, 1) whenever masked
-    renormalisation is exact (finite logits and
-    ``temperature >= MIN_TEMPERATURE``). Padding at such a position in
-    the columns of groups already past their masks may therefore differ
-    from what a forward pass would have left there.
+    every answer grammar. Such a position runs no forward pass: its
+    uniforms go unused, and each row gets the one id its mask row allows
+    (0 past its masks) with log-probability 0.0. That is what the full
+    path gives for every draw in (0, 1) whenever masked renormalisation
+    is exact (finite logits and ``temperature >= MIN_TEMPERATURE``).
+    Padding at such a position in the columns of groups already past
+    their masks may therefore differ from what a forward pass would have
+    left there.
 
     Prompt-tail ids are checked once per call, before any position runs,
     so a call with no positions still rejects an id outside the vocabulary.
     """
-    budgets, masks, sole, tokens = _lockstep(
-        params, prompts, n, temperature, len(rngs), position_masks
-    )
-    draws = draw_uniforms(rngs, budgets, n)
-    return _sample_positions(params, masks, sole, tokens, draws, temperature, collect_entropy)
-
-
-def sample_drawn(
-    params: PolicyParams,
-    prompts: Sequence[Sequence[int]],
-    n: int,
-    temperature: float,
-    draws: np.ndarray,
-    position_masks: Sequence[PositionMasks],
-    *,
-    collect_entropy: bool = False,
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """:func:`sample_groups` on uniforms drawn ahead by :func:`draw_uniforms`.
-
-    ``draws`` is the (K, horizon, n) block that ``draw_uniforms`` gives for
-    the generators ``sample_groups`` would have been handed, so the result
-    is that call's, byte for byte. The same checks run first.
-    """
-    budgets, masks, sole, tokens = _lockstep(
-        params, prompts, n, temperature, len(draws), position_masks
-    )
+    budgets, masks, sole, tokens = _lockstep(params, prompts, n, temperature, position_masks)
     if draws.shape != (len(prompts), max(budgets), n):
         raise ContractViolation("one (horizon, n) block of uniforms per prompt is required")
     return _sample_positions(params, masks, sole, tokens, draws, temperature, collect_entropy)
@@ -430,7 +405,9 @@ def draw_uniforms(
     """The (K, horizon, n) uniforms a lockstep call samples with.
 
     Group k reads ``rngs[k]`` once: n uniforms for each of its
-    ``budgets[k]`` positions, position-major. Rows past a group's budget
+    ``budgets[k]`` positions, position-major, one-token positions
+    included. So a generator's consumption depends only on its own
+    budget and n, never on the other groups. Rows past a group's budget
     repeat its last draw: they only fill padding, and the padding's bytes
     are pinned with the rest. This is the one place a sampling generator
     is read.
@@ -448,12 +425,10 @@ def _lockstep(
     prompts: Sequence[Sequence[int]],
     n: int,
     temperature: float,
-    sources: int,
     position_masks: Sequence[PositionMasks],
 ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
     """Checks and set-up of a lockstep call, before any uniform is drawn.
 
-    ``sources`` counts the caller's uniform sources, one per prompt.
     Returns each group's budget (its number of masks), the (K, horizon, V)
     mask rows, the (K, horizon) one-id picks and the token buffer with
     every row's prompt tail in place.
@@ -465,8 +440,6 @@ def _lockstep(
         raise ContractViolation("group size must be at least 1")
     if not temperature >= MIN_TEMPERATURE:
         raise ContractViolation(f"temperature must be at least {MIN_TEMPERATURE!r}")
-    if sources != k_groups:
-        raise ContractViolation("one uniform source per prompt is required")
     if len(position_masks) != k_groups:
         raise ContractViolation("one mask sequence per prompt is required")
     vocab = params.vocab
@@ -562,20 +535,21 @@ def sample_group(
     """Sample n responses to one prompt in lockstep from a single stream.
 
     The one-prompt case of :func:`sample_groups` on the first ``max_len``
-    masks. Every row has one token per mask, so the rows come back as
-    :class:`SampledRows` over the response columns of the call's own
-    buffers, and no per-row object is built unless a caller reads one.
+    masks, and the one sampler entry handed a generator: ``rng`` is read
+    by :func:`draw_uniforms` once every check has passed, so a rejected
+    call leaves it untouched. Every row has one token per mask, so the
+    rows come back as :class:`SampledRows` over the response columns of
+    the call's own buffers, and no per-row object is built unless a
+    caller reads one.
     """
     if max_len < 0:
         raise ContractViolation("max_len must be non-negative")
-    tokens, logprobs, entropies = sample_groups(
-        params,
-        [prompt],
-        n,
-        temperature,
-        [rng],
-        [position_masks[:max_len]],
-        collect_entropy=collect_entropy,
+    budgets, masks, sole, tokens = _lockstep(
+        params, [prompt], n, temperature, [position_masks[:max_len]]
+    )
+    draws = draw_uniforms([rng], budgets, n)
+    tokens, logprobs, entropies = _sample_positions(
+        params, masks, sole, tokens, draws, temperature, collect_entropy
     )
     return SampledRows(tokens[:, params.window :], logprobs), entropies
 

@@ -9,9 +9,9 @@ training trajectories.
 from __future__ import annotations
 
 import dataclasses
-import marshal
 import operator
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -57,8 +57,8 @@ from .policy import (
     Vocab,
     draw_uniforms,
     init_params,
-    sample_drawn,
     sample_group,
+    sample_groups,
 )
 from .tasks import (
     Prompt,
@@ -275,10 +275,9 @@ def draw_step(cfg: TrainConfig, vocab: Vocab, step: int) -> StepDraws:
     """Everything training step ``step`` draws before it reads the parameters.
 
     Group g's stream ``(seed, step, g)`` gives its task, its prompt's
-    payload and then its sampling uniforms, read in that order exactly as
-    one ``sample_groups`` call reads them. Returns the prompts, their
-    grammars and the (K, horizon, n) uniform block of
-    :func:`policy.draw_uniforms`.
+    payload and then its sampling uniforms, read in that order; the
+    uniforms are read by one :func:`policy.draw_uniforms` call. Returns
+    the prompts, their grammars and that call's (K, horizon, n) block.
     """
     rngs, prompts, grammars = [], [], []
     for g in range(cfg.groups_per_step):
@@ -306,7 +305,7 @@ def rollout_batch(
         raise ContractViolation("step index starts at 1")
     vocab = params.vocab
     prompts, grammars, uniforms = draw_step(cfg, vocab, step) if draws is None else draws
-    tokens, logprobs, entropies = sample_drawn(
+    tokens, logprobs, entropies = sample_groups(
         params,
         [prompt.tokens for prompt in prompts],
         cfg.group_size,
@@ -433,10 +432,11 @@ class TrainingResult:
 def _fork(frames):
     """Run ``frames()`` in a forked child; return its pid and read pipe, or None.
 
-    The child sends each value ``frames()`` yields through the pipe as one
-    frame (see ``_receive``) and leaves with ``os._exit``. None means the
-    work is to be done inline: no ``os.fork`` (or not Linux), a second
-    thread alive (forking it is unsafe), or a fork that failed.
+    The child sends each value ``frames()`` yields as one pickle frame
+    (see ``_receive``) through a pipe private to it, and leaves with
+    ``os._exit``. None means the work is to be done inline: no ``os.fork``
+    (or not Linux), a second thread alive (forking it is unsafe), or a
+    fork that failed.
     """
     fork = getattr(os, "fork", None)
     if fork is None or not sys.platform.startswith("linux") or threading.active_count() != 1:
@@ -454,7 +454,7 @@ def _fork(frames):
             os.close(read)
             with open(write, "wb") as pipe:
                 for value in frames():
-                    data = marshal.dumps(value)
+                    data = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
                     pipe.write(len(data).to_bytes(8, "little") + data)
                     pipe.flush()
             code = 0
@@ -467,16 +467,17 @@ def _fork(frames):
 def _receive(pipe):
     """The next value a forked child sent, or None if it left before sending it whole.
 
-    A frame is the value's ``marshal`` bytes (floats keep every bit) after
-    their length as 8 little-endian bytes, so a child that dies mid-frame
-    gives a short read, never a wrong value.
+    A frame is the value's pickle bytes (arrays and floats keep every
+    bit) after their length as 8 little-endian bytes, so a child that dies
+    mid-frame gives a short read, never a bad pickle. Only the forked
+    child writes the pipe :func:`_fork` made private to it.
     """
     head = pipe.read(8)
     if len(head) < 8:
         return None
     size = int.from_bytes(head, "little")
     data = pipe.read(size)
-    return marshal.loads(data) if len(data) == size else None
+    return pickle.loads(data) if len(data) == size else None
 
 
 def _reap(child) -> None:
@@ -488,22 +489,14 @@ def _reap(child) -> None:
 
 
 def _produce(cfg: TrainConfig, vocab: Vocab):
-    """Every step's :func:`draw_step`, packed for a frame, at low priority.
+    """Every step's :func:`draw_step`, one frame each, at low priority.
 
     Run in the draw producer, which keeps ahead of training until the
     pipe is full.
     """
     os.nice(10)
     for step in range(1, cfg.steps + 1):
-        prompts, grammars, uniforms = draw_step(cfg, vocab, step)
-        fields = [(p.family, p.difficulty, p.payload, p.tokens) for p in prompts]
-        yield fields, grammars, uniforms.shape, uniforms.tobytes()
-
-
-def _unpack_step(frame) -> StepDraws:
-    """A step's draws from one of ``_produce``'s frames."""
-    fields, grammars, shape, data = frame
-    return [Prompt(*f) for f in fields], grammars, np.frombuffer(data).reshape(shape)
+        yield draw_step(cfg, vocab, step)
 
 
 def run_training(cfg: TrainConfig) -> TrainingResult:
@@ -540,12 +533,10 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
         for step in range(1, cfg.steps + 1):
             draws = None
             if producer is not None:
-                frame = _receive(producer[1])
-                if frame is None:
+                draws = _receive(producer[1])
+                if draws is None:
                     _reap(producer)
                     producer = None
-                else:
-                    draws = _unpack_step(frame)
             batch = rollout_batch(params, cfg, step, draws)
             breakdown = train_step(params, ref_params, opt, batch, cfg)
             evals = None

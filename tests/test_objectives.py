@@ -31,6 +31,7 @@ from etrlab.policy import (
     PolicyParams,
     SampledResponse,
     Vocab,
+    draw_uniforms,
     forward,
     init_params,
     mask_matrix,
@@ -550,8 +551,9 @@ def sampled_rollout(params, k, seed, n=4, max_len=4):
     free = (tuple(range(VOCAB.size)),) * max_len
     masks = [g if masked else free for g, (_, masked) in zip(grammars, ROLLOUT_PROMPTS)]
     rngs = [np.random.default_rng([seed, g]) for g in range(k)]
+    draws = draw_uniforms(rngs, [len(m) for m in masks], n)
     tokens, logprobs, entropies = sample_groups(
-        params, [p.tokens for p in prompts], n, 0.8, rngs, masks, collect_entropy=True
+        params, [p.tokens for p in prompts], n, 0.8, draws, masks, collect_entropy=True
     )
     correct = verify_rows(prompts, n, tokens[:, params.window :], VOCAB)
     batch = RolloutBatch(

@@ -11,6 +11,7 @@ from etrlab.policy import (
     PolicyParams,
     SampledResponse,
     Vocab,
+    draw_uniforms,
     forward,
     init_params,
     mask_matrix,
@@ -302,8 +303,9 @@ def test_entropy_uniform_and_deterministic_mixture():
 
     def entropies(prompts):
         rngs = [np.random.default_rng(g) for g in range(len(prompts))]
+        draws = draw_uniforms(rngs, [len(masks)] * len(prompts), 3)
         *_, ent = sample_groups(
-            uniform, prompts, 3, 1.0, rngs, [masks] * len(prompts), collect_entropy=True
+            uniform, prompts, 3, 1.0, draws, [masks] * len(prompts), collect_entropy=True
         )
         return ent
 
@@ -406,8 +408,9 @@ def test_batched_sampler_equals_one_prompt_reference(k, seed):
 
     batched_rngs = streams()
     cut = [m[:max_len] for m in masks]
+    draws = draw_uniforms(batched_rngs, [len(m) for m in cut], n)
     tokens, logprobs, entropies = sample_groups(
-        p, prompts, n, temperature, batched_rngs, cut, collect_entropy=True
+        p, prompts, n, temperature, draws, cut, collect_entropy=True
     )
     groups = buffer_responses(tokens, logprobs, cut, n)
     ref_rngs = streams()
@@ -432,7 +435,8 @@ def test_batched_sampler_equals_one_prompt_reference(k, seed):
 def test_sample_group_rows_are_a_read_only_view_of_the_call_buffers():
     p = eos_leaning_params(0)
     prompt, masks = BATCH_PROMPTS[1]
-    tokens, logprobs, _ = sample_groups(p, [prompt], 6, 0.9, [np.random.default_rng(4)], [masks])
+    draws = draw_uniforms([np.random.default_rng(4)], [len(masks)], 6)
+    tokens, logprobs, _ = sample_groups(p, [prompt], 6, 0.9, draws, [masks])
     # What one call returned as a list: a SampledResponse per buffer row.
     (want,) = buffer_responses(tokens, logprobs, [masks], 6)
     rows, _ = sample_group(p, prompt, 6, 0.9, np.random.default_rng(4), masks)
@@ -465,7 +469,10 @@ def test_one_row_groups_equal_their_rows_in_a_batched_call(seed):
     masks = [m for _, m in BATCH_PROMPTS[:3]]
     rngs = [np.random.default_rng([seed, g]) for g in range(3)]
     cut = [m[:6] for m in masks]
-    tokens, logprobs, entropies = sample_groups(p, prompts, 1, 0.9, rngs, cut, collect_entropy=True)
+    draws = draw_uniforms(rngs, [len(m) for m in cut], 1)
+    tokens, logprobs, entropies = sample_groups(
+        p, prompts, 1, 0.9, draws, cut, collect_entropy=True
+    )
     groups = buffer_responses(tokens, logprobs, cut, 1)
     want_entropies = []
     for g in range(3):
@@ -484,7 +491,9 @@ def test_batched_sampler_cases_are_exercised():
         p = eos_leaning_params(seed)
         rngs = [np.random.default_rng([seed, g]) for g in range(len(BATCH_PROMPTS))]
         masks = [m[:6] for _, m in BATCH_PROMPTS]
-        tokens, logprobs, _ = sample_groups(p, [pr for pr, _ in BATCH_PROMPTS], 4, 0.9, rngs, masks)
+        draws = draw_uniforms(rngs, [len(m) for m in masks], 4)
+        prompts = [pr for pr, _ in BATCH_PROMPTS]
+        tokens, logprobs, _ = sample_groups(p, prompts, 4, 0.9, draws, masks)
         groups = buffer_responses(tokens, logprobs, masks, 4)
         for (_, grammar), group in zip(BATCH_PROMPTS, groups):
             assert [len(r) for r in group] == [min(len(grammar), 6)] * 4
@@ -527,16 +536,27 @@ def test_sample_groups_contracts():
     p = tiny_params()
     rng = np.random.default_rng(0)
     with pytest.raises(ContractViolation):
-        sample_groups(p, [], 2, 1.0, [], [])
+        sample_groups(p, [], 2, 1.0, draw_uniforms([], [], 2), [])
     with pytest.raises(ContractViolation):
-        sample_groups(p, [[1], [2]], 2, 1.0, [rng], [full_grammar(2)] * 2)
+        sample_groups(p, [[1], [2]], 2, 1.0, draw_uniforms([rng], [2], 2), [full_grammar(2)] * 2)
     with pytest.raises(ContractViolation):
-        sample_groups(p, [[1], [2]], 2, 1.0, [rng, rng], [full_grammar(2)])
+        sample_groups(p, [[1], [2]], 2, 1.0, draw_uniforms([rng] * 2, [2, 2], 2), [full_grammar(2)])
     # collect_entropy is keyword-only, so a positional length cap is an error.
     with pytest.raises(TypeError):
-        sample_groups(p, [[1]], 2, 1.0, [rng], [full_grammar(4)], 2)
+        sample_groups(p, [[1]], 2, 1.0, draw_uniforms([rng], [4], 2), [full_grammar(4)], 2)
     with pytest.raises(ContractViolation):
         sample_group(p, [1], 2, 1.0, rng, full_grammar(4), -1)
+    # The block must be (K, horizon, n) for the K prompts, their longest
+    # budget and n: a wrong K, horizon or n is rejected before it is read.
+    masks = [full_grammar(3), full_grammar(2)]
+    block = draw_uniforms([rng] * 2, [3, 2], 4)
+    for bad in (block[:1], np.concatenate([block, block[:1]]), block[:, :2], block[:, :, :3]):
+        with pytest.raises(ContractViolation, match="block of uniforms"):
+            sample_groups(p, [[1], [2]], 4, 1.0, bad, masks)
+    with pytest.raises(ContractViolation, match="block of uniforms"):
+        sample_groups(p, [[1], [2]], 4, 1.0, draw_uniforms([rng] * 2, [4, 2], 4), masks)
+    tokens, _, _ = sample_groups(p, [[1], [2]], 4, 1.0, block, masks)
+    assert tokens.shape == (8, p.window + 3)
 
 
 def test_masks_that_allow_eos_mid_response_give_one_token_per_position():
@@ -545,7 +565,8 @@ def test_masks_that_allow_eos_mid_response_give_one_token_per_position():
     p.b_out[VOCAB.eos] += 3.0
     masks = [full_grammar(5), (VOCAB.content_ids() + (VOCAB.eos,),) * 3, full_grammar(1)]
     rngs = [np.random.default_rng([7, g]) for g in range(3)]
-    tokens, logprobs, _ = sample_groups(p, [[1, VOCAB.sep]] * 3, 4, 1.0, rngs, masks)
+    draws = draw_uniforms(rngs, [len(m) for m in masks], 4)
+    tokens, logprobs, _ = sample_groups(p, [[1, VOCAB.sep]] * 3, 4, 1.0, draws, masks)
     assert tokens.shape == (12, p.window + 5) and logprobs.shape == (12, 5)
     response = tokens[:, p.window :]
     assert np.sum(response[:4, :4] == VOCAB.eos) > 4
@@ -562,8 +583,9 @@ def test_sampling_below_min_temperature_raises(temperature):
     rng = np.random.default_rng(1)
     with pytest.raises(ContractViolation, match="temperature must be at least 0.001"):
         sample_group(p, prompt.tokens, 8, temperature, rng, grammar)
+    draws = draw_uniforms([rng], [len(grammar)], 8)
     with pytest.raises(ContractViolation):
-        sample_groups(p, [prompt.tokens], 8, temperature, [rng], [grammar])
+        sample_groups(p, [prompt.tokens], 8, temperature, draws, [grammar])
 
 
 def test_masks_hold_at_the_min_temperature_below_a_raw_logit_spread_of_1e6():
@@ -590,16 +612,18 @@ def test_sampling_rejects_prompt_ids_out_of_range(bad, max_len):
     cut = [m[:max_len] for m in free]
     with pytest.raises(ContractViolation):
         sample_group(p, [2, bad, VOCAB.sep], 3, 1.0, rng, free[0], max_len)
+    draws = draw_uniforms([rng, rng], [len(m) for m in cut], 2)
     with pytest.raises(ContractViolation):
-        sample_groups(p, [good, [bad]], 2, 1.0, [rng, rng], cut)
-    tokens, logprobs, _ = sample_groups(p, [good, good], 2, 1.0, [rng, rng], cut)
+        sample_groups(p, [good, [bad]], 2, 1.0, draws, cut)
+    tokens, logprobs, _ = sample_groups(p, [good, good], 2, 1.0, draws, cut)
     assert tokens.shape == (4, p.window + max_len) and logprobs.shape == (4, max_len)
 
 
 @pytest.mark.parametrize("bad", ["prompt id", "mask id", "empty mask"])
 def test_rejected_sampling_call_leaves_every_generator_untouched(bad):
-    # Each group's uniforms are drawn up front, so the draws must come after
-    # every check; the bad group is the last, after groups that pass.
+    # sample_group draws its uniforms up front, so the draw must come after
+    # every check; sample_groups is handed a block, which a rejected call
+    # must leave as it was. The bad group is the last, after groups that pass.
     p = tiny_params()
     prompts = [[1, VOCAB.sep], [2, VOCAB.sep], [3, VOCAB.sep]]
     masks = [full_grammar(3), full_grammar(2), full_grammar(3)]
@@ -609,11 +633,13 @@ def test_rejected_sampling_call_leaves_every_generator_untouched(bad):
         masks[-1] = ((0, 1), (0, VOCAB.size), (VOCAB.eos,))
     else:
         masks[-1] = ((0, 1), (), (VOCAB.eos,))
+    draws = draw_uniforms([np.random.default_rng([9, g]) for g in range(3)], [3, 2, 3], 4)
+    block = draws.tobytes()
+    with pytest.raises(ContractViolation):
+        sample_groups(p, prompts, 4, 1.0, draws, masks)
+    assert draws.tobytes() == block
     rngs = [np.random.default_rng([9, g]) for g in range(3)]
     before = [rng.bit_generator.state for rng in rngs]
-    with pytest.raises(ContractViolation):
-        sample_groups(p, prompts, 4, 1.0, rngs, masks)
-    assert [rng.bit_generator.state for rng in rngs] == before
     with pytest.raises(ContractViolation):
         sample_group(p, prompts[-1], 4, 1.0, rngs[-1], masks[-1])
     assert [rng.bit_generator.state for rng in rngs] == before
@@ -627,10 +653,11 @@ def test_masks_given_as_lists_sample_as_the_same_tuples():
     want, _ = sample_group(p, [1], 5, 1.0, np.random.default_rng(4), as_tuples)
     assert got.tokens.tobytes() == want.tokens.tobytes()
     assert got.logprobs.tobytes() == want.logprobs.tobytes()
+    draws = draw_uniforms([np.random.default_rng(g) for g in (5, 6)], [3, 2], 5)
     masks = [as_lists, (np.arange(10), [VOCAB.eos])]
-    got = sample_groups(p, [[1], [2]], 5, 1.0, [np.random.default_rng(g) for g in (5, 6)], masks)
+    got = sample_groups(p, [[1], [2]], 5, 1.0, draws, masks)
     masks = [as_tuples, (tuple(range(10)), (VOCAB.eos,))]
-    want = sample_groups(p, [[1], [2]], 5, 1.0, [np.random.default_rng(g) for g in (5, 6)], masks)
+    want = sample_groups(p, [[1], [2]], 5, 1.0, draws, masks)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got[:2], want[:2]))
 
 
@@ -681,8 +708,9 @@ def test_sample_groups_equals_reference_sampler(case):
 
     rngs = streams()
     cut = [m[: case["max_len"]] for m in masks]
+    draws = draw_uniforms(rngs, [len(m) for m in cut], n)
     tokens, logprobs, entropies = sample_groups(
-        p, prompts, n, case["temperature"], rngs, cut, collect_entropy=True
+        p, prompts, n, case["temperature"], draws, cut, collect_entropy=True
     )
     groups = buffer_responses(tokens, logprobs, cut, n)
     ref_rngs = streams()

@@ -16,7 +16,7 @@ from etrlab.config import METHODS, ConfigError, TrainConfig, parse_suite, valida
 from etrlab.groups import as_rollout_batch
 from etrlab.metrics import _fmt, suite_labels, write_metrics_csv
 from etrlab.policy import MIN_TEMPERATURE, PolicyParams, Vocab, init_params
-from etrlab.policy import sample_groups
+from etrlab.policy import draw_uniforms, sample_groups
 from etrlab.tasks import (
     FAMILIES,
     TaskSpec,
@@ -966,9 +966,7 @@ def test_draw_step_reads_each_stream_as_the_sampler_did():
             )
             assert uniforms.shape == (cfg.groups_per_step, horizon, n)
             assert uniforms.tobytes() == want.tobytes()
-            sent_prompts, sent_grammars, sent = trainer_mod._unpack_step(
-                trainer_mod._receive(producer[1])
-            )
+            sent_prompts, sent_grammars, sent = trainer_mod._receive(producer[1])
             assert sent_prompts == prompts and sent_grammars == grammars
             assert sent.tobytes() == uniforms.tobytes()
             for rng, state in zip(rngs, streams):
@@ -978,7 +976,7 @@ def test_draw_step_reads_each_stream_as_the_sampler_did():
                 [p.tokens for p in prompts],
                 n,
                 cfg.temperature,
-                rngs,
+                draw_uniforms(rngs, [len(m) for m in grammars], n),
                 grammars,
                 collect_entropy=True,
             )
@@ -993,6 +991,35 @@ def test_draw_step_reads_each_stream_as_the_sampler_did():
         assert trainer_mod._receive(producer[1]) is None
     finally:
         trainer_mod._reap(producer)
+
+
+def test_receive_reads_a_frame_cut_short_as_none():
+    # A child killed mid-frame leaves fewer than 8 header bytes or a payload
+    # shorter than its header says; either reads as None, never as a bad
+    # pickle. The whole frame, as the child wrote it, reads as its value.
+    cfg = TrainConfig()
+    vocab = Vocab(cfg.content_tokens)
+    prompts, grammars, uniforms = draw_step(cfg, vocab, 1)
+    one_step = dataclasses.replace(cfg, steps=1)
+    child = trainer_mod._fork(partial(trainer_mod._produce, one_step, vocab))
+    assert child is not None
+    try:
+        frame = child[1].read()
+    finally:
+        trainer_mod._reap(child)
+
+    def received(sent):
+        read, write = os.pipe()
+        with open(write, "wb") as pipe:
+            pipe.write(sent)
+        with open(read, "rb") as pipe:
+            return trainer_mod._receive(pipe)
+
+    got_prompts, got_grammars, got = received(frame)
+    assert got_prompts == prompts and got_grammars == grammars
+    assert got.shape == uniforms.shape and got.tobytes() == uniforms.tobytes()
+    for cut in (0, 5, 8, 9, len(frame) // 2, len(frame) - 1):
+        assert received(frame[:cut]) is None
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
