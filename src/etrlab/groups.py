@@ -11,13 +11,16 @@ exactly zero advantages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .autodiff import ContractViolation
 from .policy import SampledResponse, Vocab, pad_context
 from .tasks import Prompt, response_grammar
+
+if TYPE_CHECKING:
+    from .objectives import TokenLayout
 
 DEFAULT_XI = 1e-6
 
@@ -59,7 +62,9 @@ class RolloutBatch:
     has one token per position of its group's grammar, so the grammar
     alone sets its length (``lengths``); later columns are padding and
     never read. ``entropies`` are the sampling entropies recorded during
-    the rollout (empty for packed groups).
+    the rollout (empty for packed groups). ``layout`` is the batch's
+    ``objectives.TokenLayout`` when it was made with the rollout's set-up;
+    ``prepare_batch`` makes it from the grammars when it is None.
     """
 
     prompts: tuple[Prompt, ...]
@@ -69,6 +74,7 @@ class RolloutBatch:
     logprobs: np.ndarray
     rewards: np.ndarray
     entropies: tuple[float, ...] = ()
+    layout: TokenLayout | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", np.asarray(self.tokens, dtype=np.int64))

@@ -15,14 +15,14 @@ one half and vanishes for saturated or hopeless groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from . import policy as policy_mod
 from .autodiff import ContractViolation, Tensor, clip_gated, min_pair
 from .groups import DEFAULT_XI, RolloutBatch, RolloutGroup, as_rollout_batch, group_stats
-from .policy import MIN_TEMPERATURE, PolicyParams, mask_matrix
+from .policy import MIN_TEMPERATURE, PolicyParams, PositionMasks, mask_matrix
 
 @dataclass(frozen=True)
 class ClipHigh:
@@ -229,6 +229,46 @@ def _distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]
     return rows[order[new]], index
 
 
+class TokenLayout(NamedTuple):
+    """Which cells of a batch's buffers its tokens are, and which mask rows they read.
+
+    ``read`` (rows, horizon) marks each row's response positions, and
+    ``weights`` (rows,) holds each row's token weight, 1 / (groups * G *
+    length). ``table`` stacks the mask tables of the distinct grammars, a
+    row's token t reads its row ``starts[row] + t``, and ``sole`` holds
+    each table row's one legal id (-1 where it allows a choice). A batch's
+    grammars, group size and horizon decide all of it, so a training
+    step's layout is made ahead of the step (``trainer.step_setup``).
+    """
+
+    read: np.ndarray
+    weights: np.ndarray
+    table: np.ndarray
+    starts: np.ndarray
+    sole: np.ndarray
+
+
+def token_layout(
+    grammars: Sequence[PositionMasks], group_size: int, horizon: int, vocab_size: int
+) -> TokenLayout:
+    """The :class:`TokenLayout` of a batch whose groups answer under ``grammars``.
+
+    Every response has one token per position of its group's grammar, and
+    each distinct grammar gets one mask table.
+    """
+    k, g = len(grammars), group_size
+    lengths = np.repeat([len(grammar) for grammar in grammars], g)
+    distinct = dict.fromkeys(grammars)
+    table_starts = dict(zip(distinct, np.cumsum([0, *map(len, distinct)]).tolist()))
+    return TokenLayout(
+        read=np.arange(horizon) < lengths[:, None],
+        weights=1.0 / (k * g * lengths),
+        table=np.concatenate([mask_matrix(vocab_size, grammar) for grammar in distinct]),
+        starts=np.repeat([table_starts[grammar] for grammar in grammars], g),
+        sole=np.concatenate([policy_mod.sole_ids(grammar) for grammar in distinct]),
+    )
+
+
 def prepare_batch(
     batch: RolloutBatch | Sequence[RolloutGroup],
     strategy: ClipStrategy,
@@ -238,13 +278,12 @@ def prepare_batch(
 ) -> PreparedBatch:
     """Flatten a batch of groups into per-token constants for the objective.
 
-    Groups are first packed into a :class:`RolloutBatch`. Advantages, pass
-    rates and clip bands are per response, so they are computed as
+    Groups are first packed into a :class:`RolloutBatch`. Its
+    :class:`TokenLayout` is the one it carries, or made here. Advantages,
+    pass rates and clip bands are per response, so they are computed as
     per-response vectors that each token reads at its response; targets,
     contexts and stored log-probs are the batch's buffers read at the
-    positions inside each response. Each distinct grammar gets
-    one mask table, and token t of a response reads row t of its
-    grammar's. Forced tokens get no pair and no scatter block
+    layout's positions. Forced tokens get no pair and no scatter block
     (:class:`PreparedBatch`). Every id a context or target reads is
     checked here, once per batch.
     """
@@ -255,17 +294,23 @@ def prepare_batch(
         raise ContractViolation("batch was sampled with another context window")
     if not temperature >= MIN_TEMPERATURE:
         raise ContractViolation(f"temperature must be at least {MIN_TEMPERATURE!r}")
-    lengths, k, g = batch.lengths, len(batch), batch.group_size
-    horizon = batch.logprobs.shape[1]
-    # Columns a context or target reads: the prompt tail, then the response.
+    k, g = len(batch), batch.group_size
+    layout = batch.layout
+    if layout is None:
+        layout = token_layout(batch.grammars, g, batch.logprobs.shape[1], vocab.size)
     # Token j of the batch is response[j]'s token at position[j].
-    read = np.arange(window + horizon) < (window + lengths)[:, None]
-    policy_mod._check_ids(batch.tokens[read], vocab.size)
-    response, position = np.nonzero(read[:, window:])
+    response, position = np.nonzero(layout.read)
+    table = layout.table
+    mask_rows = layout.starts[response] + position
+    # Every prompt tail is read by its response's first context, and every
+    # response token is a target.
+    contexts = batch.tokens[response[:, None], position[:, None] + np.arange(window)]
+    targets = batch.tokens[response, window + position]
+    policy_mod._check_ids(batch.tokens[:, :window], vocab.size)
+    policy_mod._check_ids(targets, vocab.size)
     stats = group_stats(batch.rewards.reshape(k, g), xi)
     adv = stats.advantages.reshape(-1)
     rate = np.repeat(stats.pass_rate, g)
-    weights = 1.0 / (k * g * lengths)
     mean_eps = None
     if isinstance(strategy, Elastic):
         eps = dynamic_epsilon(adv, rate, strategy)
@@ -273,19 +318,10 @@ def prepare_batch(
         mean_eps = float(np.mean(eps[response]))
     else:
         lo, hi = clip_bounds(strategy, adv, rate)
-    contexts = batch.tokens[response[:, None], position[:, None] + np.arange(window)]
-    targets = batch.tokens[response, window + position]
-    grammars = dict.fromkeys(batch.grammars)
-    table = np.concatenate([mask_matrix(vocab.size, grammar) for grammar in grammars])
-    table_starts = dict(zip(grammars, np.cumsum([0, *map(len, grammars)]).tolist()))
-    group_starts = np.asarray([table_starts[grammar] for grammar in batch.grammars])
-    mask_rows = group_starts[response // g] + position
-    # sole: each mask-table row's one legal id, -1 on rows with a choice. A
-    # token that is its row's sole id is forced; every other token is
+    # A token that is its mask row's sole id is forced; every other token is
     # scored, an id outside a one-id row included (its log-probability is
     # not 0.0).
-    sole = np.concatenate([policy_mod.sole_ids(grammar) for grammar in grammars])
-    scored = np.flatnonzero(sole[mask_rows] != targets)
+    scored = np.flatnonzero(layout.sole[mask_rows] != targets)
     # One sort ranks every token's (context, mask-table row). The distinct
     # contexts are the runs of its first ``window`` columns, and the pairs
     # are the rows some scored token reads, in the same order: the forward
@@ -322,7 +358,7 @@ def prepare_batch(
         advantages=adv[response],
         lo=lo[response],
         hi=hi[response],
-        weights=weights[response],
+        weights=layout.weights[response],
         pass_rate=float(np.mean(stats.pass_rate)),
         mean_epsilon=mean_eps,
         temperature=temperature,

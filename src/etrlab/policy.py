@@ -17,7 +17,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -339,20 +339,109 @@ def _sample_rows(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.minimum(idx, probs.shape[1] - 1, out=idx)
 
 
-def sample_groups(
-    params: PolicyParams,
+def draw_uniforms(
+    rngs: Sequence[np.random.Generator], budgets: Sequence[int], n: int
+) -> np.ndarray:
+    """The (K, horizon, n) uniforms a lockstep call samples with.
+
+    Group k reads ``rngs[k]`` once: n uniforms for each of its
+    ``budgets[k]`` positions, position-major, one-token positions
+    included. So a generator's consumption depends only on its own
+    budget and n, never on the other groups. Rows past a group's budget
+    repeat its last draw: they only fill padding, and the padding's bytes
+    are pinned with the rest. This is the one place a sampling generator
+    is read.
+    """
+    draws = np.zeros((len(budgets), max(budgets, default=0), n))
+    for k, b in enumerate(budgets):
+        if b:
+            rngs[k].random(out=draws[k, :b])
+            draws[k, b:] = draws[k, b - 1]
+    return draws
+
+
+class Lockstep(NamedTuple):
+    """The set-up of a lockstep call: what its prompts, masks and n decide.
+
+    ``masks`` (K, horizon, V) holds each group's additive mask rows,
+    ``sole`` (K, horizon) the id each of them allows alone (-1 where it
+    allows a choice), ``tokens`` (K, window + horizon) each group's row of
+    the token buffer (its BOS-padded prompt tail, then zeros) and ``n``
+    the rows per group. A group past its budget (its number of masks) has
+    all-zero mask rows and sole id 0: they only fill its padding.
+    """
+
+    masks: np.ndarray
+    sole: np.ndarray
+    tokens: np.ndarray
+    n: int
+
+
+def lockstep_setup(
+    vocab: Vocab,
+    window: int,
     prompts: Sequence[Sequence[int]],
     n: int,
     temperature: float,
-    draws: np.ndarray,
     position_masks: Sequence[PositionMasks],
+) -> Lockstep:
+    """Checks and set-up of a lockstep call on K prompts, before any uniform is drawn.
+
+    Masks may be any sequences of ids; they are made tuples here, so the
+    memoised :func:`mask_matrix` and :func:`sole_ids` can hash them.
+    Prompt-tail ids are checked here, so a call with no positions still
+    rejects an id outside the vocabulary. Nothing here reads the
+    parameters, so a training step's set-up is made ahead of the step
+    (``trainer.step_setup``).
+    """
+    k_groups = len(prompts)
+    if k_groups < 1:
+        raise ContractViolation("sampling needs at least one prompt")
+    if n < 1:
+        raise ContractViolation("group size must be at least 1")
+    if not temperature >= MIN_TEMPERATURE:
+        raise ContractViolation(f"temperature must be at least {MIN_TEMPERATURE!r}")
+    if len(position_masks) != k_groups:
+        raise ContractViolation("one mask sequence per prompt is required")
+    v = vocab.size
+    position_masks = [tuple(map(tuple, m)) for m in position_masks]
+    horizon = max(len(m) for m in position_masks)
+    # One mask row and one-id pick per group and position, from the tables
+    # of each distinct grammar, which are already in group order when no two
+    # groups share one.
+    grammars: dict[PositionMasks, int] = {}
+    which = [grammars.setdefault(m, len(grammars)) for m in position_masks]
+    group_masks = np.zeros((len(grammars), horizon, v))
+    group_sole = np.zeros((len(grammars), horizon), dtype=np.int64)
+    for i, m in enumerate(grammars):
+        group_masks[i, : len(m)] = mask_matrix(v, m)
+        group_sole[i, : len(m)] = sole_ids(m)
+    if len(grammars) < k_groups:
+        group_masks, group_sole = group_masks[which], group_sole[which]
+    # Only prompt tails need a check: _sample_rows clamps sampled ids. A few
+    # Python ints are checked and padded faster in Python than in numpy.
+    tails = [list(p[-window:]) for p in prompts]
+    if not all(0 <= t < v for tail in tails for t in tail):
+        raise ContractViolation("token id out of vocabulary range")
+    tokens = np.zeros((k_groups, window + horizon), dtype=np.int64)
+    tokens[:, :window] = [[vocab.bos] * (window - len(t)) + t for t in tails]
+    return Lockstep(group_masks, group_sole, tokens, n)
+
+
+def sample_groups(
+    params: PolicyParams,
+    setup: Lockstep,
+    draws: np.ndarray,
+    temperature: float,
     *,
     collect_entropy: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Sample n responses to each of K prompts in lockstep.
 
-    ``draws`` is the (K, horizon, n) block :func:`draw_uniforms` gives
-    for the prompts' generators and budgets; it is checked, then only read.
+    ``setup`` is the prompts' :func:`lockstep_setup`, made for the
+    parameters' vocabulary and window, and ``draws`` the (K, horizon, n)
+    block :func:`draw_uniforms` gives for the prompts' generators and
+    budgets; both are checked, as the temperature is, then only read.
 
     A response has one token per position of its prompt's masks, so the
     masks alone decide its length: EOS is an id like any other here, and
@@ -362,9 +451,6 @@ def sample_groups(
     position with a choice, the rows of a group have read the same prompt
     tail and forced ids, so that position forwards one context per group
     and samples the group's n rows from its one log-prob row.
-
-    Masks may be any sequences of ids; they are made tuples here, so the
-    memoised :func:`mask_matrix` and :func:`sole_ids` can hash them.
 
     Returns the sampler's padded buffers, rows group-major (rows
     ``k * n`` to ``(k + 1) * n - 1`` answer prompt k):
@@ -389,103 +475,19 @@ def sample_groups(
     Padding at such a position in the columns of groups already past
     their masks may therefore differ from what a forward pass would have
     left there.
-
-    Prompt-tail ids are checked once per call, before any position runs,
-    so a call with no positions still rejects an id outside the vocabulary.
     """
-    budgets, masks, sole, tokens = _lockstep(params, prompts, n, temperature, position_masks)
-    if draws.shape != (len(prompts), max(budgets), n):
-        raise ContractViolation("one (horizon, n) block of uniforms per prompt is required")
-    return _sample_positions(params, masks, sole, tokens, draws, temperature, collect_entropy)
-
-
-def draw_uniforms(
-    rngs: Sequence[np.random.Generator], budgets: Sequence[int], n: int
-) -> np.ndarray:
-    """The (K, horizon, n) uniforms a lockstep call samples with.
-
-    Group k reads ``rngs[k]`` once: n uniforms for each of its
-    ``budgets[k]`` positions, position-major, one-token positions
-    included. So a generator's consumption depends only on its own
-    budget and n, never on the other groups. Rows past a group's budget
-    repeat its last draw: they only fill padding, and the padding's bytes
-    are pinned with the rest. This is the one place a sampling generator
-    is read.
-    """
-    draws = np.zeros((len(budgets), max(budgets, default=0), n))
-    for k, b in enumerate(budgets):
-        if b:
-            rngs[k].random(out=draws[k, :b])
-            draws[k, b:] = draws[k, b - 1]
-    return draws
-
-
-def _lockstep(
-    params: PolicyParams,
-    prompts: Sequence[Sequence[int]],
-    n: int,
-    temperature: float,
-    position_masks: Sequence[PositionMasks],
-) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """Checks and set-up of a lockstep call, before any uniform is drawn.
-
-    Returns each group's budget (its number of masks), the (K, horizon, V)
-    mask rows, the (K, horizon) one-id picks and the token buffer with
-    every row's prompt tail in place.
-    """
-    k_groups = len(prompts)
-    if k_groups < 1:
-        raise ContractViolation("sampling needs at least one prompt")
-    if n < 1:
-        raise ContractViolation("group size must be at least 1")
+    group_masks, group_sole = setup.masks, setup.sole
+    k_groups, horizon, v = group_masks.shape
+    window = params.window
+    n = setup.n
     if not temperature >= MIN_TEMPERATURE:
         raise ContractViolation(f"temperature must be at least {MIN_TEMPERATURE!r}")
-    if len(position_masks) != k_groups:
-        raise ContractViolation("one mask sequence per prompt is required")
-    vocab = params.vocab
-    v = vocab.size
-    window = params.window
-    position_masks = [tuple(map(tuple, m)) for m in position_masks]
-    budgets = [len(m) for m in position_masks]
-    horizon = max(budgets)
-    # One mask row and one-id pick per group and position, from the tables
-    # of each distinct grammar, which are already in group order when no two
-    # groups share one. A group past its budget has all-zero mask rows and
-    # picks id 0: they only fill its padding.
-    grammars: dict[PositionMasks, int] = {}
-    which = [grammars.setdefault(m, len(grammars)) for m in position_masks]
-    group_masks = np.zeros((len(grammars), horizon, v))
-    group_sole = np.zeros((len(grammars), horizon), dtype=np.int64)
-    for i, m in enumerate(grammars):
-        group_masks[i, : len(m)] = mask_matrix(v, m)
-        group_sole[i, : len(m)] = sole_ids(m)
-    if len(grammars) < k_groups:
-        group_masks, group_sole = group_masks[which], group_sole[which]
-    # Only prompt tails need a check: _sample_rows clamps sampled ids. A few
-    # Python ints are checked and padded faster in Python than in numpy.
-    tails = [list(p[-window:]) for p in prompts]
-    if not all(0 <= t < v for tail in tails for t in tail):
-        raise ContractViolation("token id out of vocabulary range")
-    tokens = np.zeros((k_groups * n, window + horizon), dtype=np.int64)
-    tails = np.asarray([[vocab.bos] * (window - len(t)) + t for t in tails])
-    tokens[:, :window] = tails.repeat(n, axis=0)
-    return budgets, group_masks, group_sole, tokens
-
-
-def _sample_positions(
-    params: PolicyParams,
-    group_masks: np.ndarray,
-    group_sole: np.ndarray,
-    tokens: np.ndarray,
-    draws: np.ndarray,
-    temperature: float,
-    collect_entropy: bool,
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """The position loop of a lockstep call, on :func:`_lockstep`'s set-up and its uniforms."""
-    k_groups, horizon, n = draws.shape
-    v = params.vocab.size
-    window = params.window
+    if draws.shape != (k_groups, horizon, n):
+        raise ContractViolation("one (horizon, n) block of uniforms per prompt is required")
+    if v != params.vocab.size or setup.tokens.shape[1] != window + horizon:
+        raise ContractViolation("the set-up was made for another vocabulary or window")
     rows = k_groups * n
+    tokens = setup.tokens.repeat(n, axis=0)
     # A position is one-token when no group that reaches it has a choice there.
     choice = group_sole < 0
     one_token = ~np.logical_or.reduce(choice, axis=0)
@@ -544,12 +546,11 @@ def sample_group(
     """
     if max_len < 0:
         raise ContractViolation("max_len must be non-negative")
-    budgets, masks, sole, tokens = _lockstep(
-        params, [prompt], n, temperature, [position_masks[:max_len]]
-    )
-    draws = draw_uniforms([rng], budgets, n)
-    tokens, logprobs, entropies = _sample_positions(
-        params, masks, sole, tokens, draws, temperature, collect_entropy
+    masks = position_masks[:max_len]
+    setup = lockstep_setup(params.vocab, params.window, [prompt], n, temperature, [masks])
+    draws = draw_uniforms([rng], [len(masks)], n)
+    tokens, logprobs, entropies = sample_groups(
+        params, setup, draws, temperature, collect_entropy=collect_entropy
     )
     return SampledRows(tokens[:, params.window :], logprobs), entropies
 

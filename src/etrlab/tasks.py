@@ -14,7 +14,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,31 +122,27 @@ def verify(prompt: Prompt, tokens: Sequence[int], vocab: Vocab) -> bool:
     return toks[:k] == prompt.payload
 
 
-def verify_rows(
-    prompts: Sequence[Prompt],
-    n: int,
-    tokens: np.ndarray,
-    vocab: Vocab,
-) -> np.ndarray:
-    """:func:`verify` on every row of a padded response buffer at once.
+class AnswerKey(NamedTuple):
+    """What a correct answer to each of K prompts holds, for :func:`verify_rows`.
 
-    Rows of ``tokens`` (rows, horizon) answer the prompts in order, n rows
-    each: the first n rows ``prompts[0]``, the next n ``prompts[1]``, and
-    so on. A row is read up to its prompt's :func:`answer_length`, so
-    entry i of the result is ``verify(prompt, tokens[i, :length], vocab)``.
-    A buffer narrower than an answer reads 0 at the EOS slot, and EOS is
-    never id 0, so such a row is incorrect, as its short response is.
+    ``family`` (K,) indexes :data:`FAMILIES`; ``slots`` (K,) counts the
+    content slots, so EOS belongs in column ``slots[k]``; ``want`` (K,
+    width) holds the ids the slots must hold (the copy payload, the digit
+    target or the parity bit in slot 0), ``width`` one past the most
+    slots; and ``solvable`` (K,) is False for a copy prompt whose payload
+    does not fill its slots, which has no correct answer.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    rows = tokens.shape[0]
-    if not prompts or n < 1 or len(prompts) * n != rows:
-        raise ContractViolation("one prompt per group of rows is required")
-    # Per prompt: its content slots and the ids they must hold (the copy
-    # payload, the digit target or the parity bit in slot 0). A copy
-    # prompt whose payload does not fill its slots has no correct answer.
+
+    family: np.ndarray
+    slots: np.ndarray
+    want: np.ndarray
+    solvable: np.ndarray
+
+
+def answer_key(prompts: Sequence[Prompt]) -> AnswerKey:
+    """The :class:`AnswerKey` of ``prompts``; it reads no response."""
     slots = [answer_length(p) - 1 for p in prompts]
-    width = max(slots) + 1
-    want = np.zeros((len(prompts), width), dtype=np.int64)
+    want = np.zeros((len(prompts), max(slots, default=0) + 1), dtype=np.int64)
     solvable = np.ones(len(prompts), dtype=bool)
     for k, p in enumerate(prompts):
         if p.family == "copy":
@@ -157,24 +153,53 @@ def verify_rows(
             want[k, 0] = p.payload[0]
         else:
             want[k, 0] = functools.reduce(operator.xor, p.payload, 0)
-    family = np.repeat([FAMILIES.index(p.family) for p in prompts], n)
-    slot = np.repeat(slots, n)
-    want = np.repeat(want, n, axis=0)
-    # The first ``width`` columns, zero-padded where the buffer is narrower.
+    family = np.asarray([FAMILIES.index(p.family) for p in prompts], dtype=np.int64)
+    return AnswerKey(family, np.asarray(slots, dtype=np.int64), want, solvable)
+
+
+def verify_rows(
+    prompts: Sequence[Prompt],
+    n: int,
+    tokens: np.ndarray,
+    vocab: Vocab,
+    key: AnswerKey | None = None,
+) -> np.ndarray:
+    """:func:`verify` on every row of a padded response buffer at once.
+
+    Rows of ``tokens`` (rows, horizon) answer the prompts in order, n rows
+    each: the first n rows ``prompts[0]``, the next n ``prompts[1]``, and
+    so on. A row is read up to its prompt's :func:`answer_length`, so
+    entry i of the result is ``verify(prompt, tokens[i, :length], vocab)``.
+    A buffer narrower than an answer reads 0 at the EOS slot, and EOS is
+    never id 0, so such a row is incorrect, as its short response is.
+    ``key`` is the prompts' :func:`answer_key`, made here when not given.
+    """
+    tokens = np.asarray(tokens, dtype=np.int64)
+    rows = tokens.shape[0]
+    if not prompts or n < 1 or len(prompts) * n != rows:
+        raise ContractViolation("one prompt per group of rows is required")
+    family, slots, want, solvable = answer_key(prompts) if key is None else key
+    k_groups, width = want.shape
+    # The first ``width`` columns, zero-padded where the buffer is narrower,
+    # one (n, width) block per prompt; the key broadcasts over its rows.
     head = np.zeros((rows, width), dtype=np.int64)
     cut = min(width, tokens.shape[1])
     head[:, :cut] = tokens[:, :cut]
-    outside = np.arange(width) >= slot[:, None]
-    well_formed = np.repeat(solvable, n) & (head[np.arange(rows), slot] == vocab.eos)
-    first = head[:, 0]
+    head = head.reshape(k_groups, n, width)
+    outside = (np.arange(width) >= slots[:, None])[:, None, :]
+    eos = np.take_along_axis(head, slots[:, None, None], axis=2)[:, :, 0] == vocab.eos
+    well_formed = solvable[:, None] & eos
+    first = head[:, :, 0]
+    target = want[:, None, 0]
     by_family = {
-        "copy": np.all((head == want) | outside, axis=1),
-        "digitsum": np.all(((head >= 0) & (head <= 9)) | outside, axis=1)
-        & (np.where(outside, 0, head).sum(axis=1) % 10 == want[:, 0]),
+        "copy": np.all((head == want[:, None, :]) | outside, axis=2),
+        "digitsum": np.all(((head >= 0) & (head <= 9)) | outside, axis=2)
+        & (np.where(outside, 0, head).sum(axis=2) % 10 == target),
         # One slot holding the xor bit.
-        "parity": (first == want[:, 0]) & ((first == 0) | (first == 1)),
+        "parity": (first == target) & ((first == 0) | (first == 1)),
     }
-    return well_formed & np.choose(family, [by_family[f] for f in FAMILIES])
+    correct = well_formed & np.choose(family[:, None], [by_family[f] for f in FAMILIES])
+    return correct.reshape(rows)
 
 
 def reward(correct):

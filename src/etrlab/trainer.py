@@ -9,6 +9,7 @@ training trajectories.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 import os
 import pickle
@@ -18,7 +19,7 @@ import threading
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,22 +48,28 @@ from .metrics import (
 )
 from .objectives import (
     LossBreakdown,
+    TokenLayout,
     evaluate_prepared,
     prepare_batch,
     score_prepared,
+    token_layout,
 )
 from .policy import (
+    Lockstep,
     PolicyParams,
     PositionMasks,
     Vocab,
     draw_uniforms,
     init_params,
+    lockstep_setup,
     sample_group,
     sample_groups,
 )
 from .tasks import (
+    AnswerKey,
     Prompt,
     TaskSpec,
+    answer_key,
     generate_prompt,
     response_grammar,
     reward,
@@ -74,6 +81,12 @@ from .tasks import (
 # Stream tag separating evaluation rng from (seed, step, group) rollout
 # streams; eval entropy tuples also differ in length.
 _EVAL_TAG = 0x45564C31
+
+# Pipe buffer a forked child asks for: about 70 default training steps'
+# frames, so the draw producer runs far ahead of training and through an
+# evaluation round. Linux grants an unprivileged process up to
+# /proc/sys/fs/pipe-max-size, 1 MiB by default.
+_PIPE_BYTES = 1 << 20
 
 # Prompts whose answers evaluate checks with one verify_rows call: enough
 # to spread the call's fixed cost, few enough that a chunk's buffers stay
@@ -289,40 +302,105 @@ def draw_step(cfg: TrainConfig, vocab: Vocab, step: int) -> StepDraws:
     return prompts, grammars, draw_uniforms(rngs, [len(m) for m in grammars], cfg.group_size)
 
 
+class StepSetup(NamedTuple):
+    """Everything a training step needs that the parameters do not decide.
+
+    The step's :func:`draw_step`, its sampler's :class:`policy.Lockstep`,
+    its prompts' :class:`tasks.AnswerKey` and its batch's
+    :class:`objectives.TokenLayout`.
+    """
+
+    prompts: list[Prompt]
+    grammars: list[PositionMasks]
+    uniforms: np.ndarray
+    lockstep: Lockstep
+    key: AnswerKey
+    layout: TokenLayout
+
+    def __reduce__(self):
+        # Pickling and unpickling an array cost more than its bytes at these
+        # sizes, so a frame carries the arrays as one buffer, each padded to
+        # 8 bytes, and _unpickle_setup makes them read-only views of it.
+        arrays = [self.uniforms, *self.lockstep[:-1], *self.key, *self.layout]
+        specs = [(a.dtype.str, a.shape) for a in arrays]
+        data = b"".join(a.tobytes().ljust(_padded(a.nbytes), b"\0") for a in arrays)
+        return _unpickle_setup, (self.prompts, self.grammars, self.lockstep.n, specs, data)
+
+
+def _padded(nbytes: int) -> int:
+    return -(-nbytes // 8) * 8
+
+
+def _unpickle_setup(prompts, grammars, n, specs, data) -> StepSetup:
+    """The :class:`StepSetup` ``StepSetup.__reduce__`` packed, its arrays views of ``data``."""
+    arrays, at = [], 0
+    for dtype, shape in specs:
+        array = np.frombuffer(data, dtype, math.prod(shape), at).reshape(shape)
+        arrays.append(array)
+        at += _padded(array.nbytes)
+    uniforms, masks, sole, tokens, *rest = arrays
+    keys = len(AnswerKey._fields)
+    return StepSetup(
+        prompts,
+        grammars,
+        uniforms,
+        Lockstep(masks, sole, tokens, n),
+        AnswerKey(*rest[:keys]),
+        TokenLayout(*rest[keys:]),
+    )
+
+
+def step_setup(cfg: TrainConfig, vocab: Vocab, step: int) -> StepSetup:
+    """Training step ``step``'s draws and everything they alone decide.
+
+    The draw producer sends one per frame; :func:`rollout_batch` makes
+    it when handed none.
+    """
+    prompts, grammars, uniforms = draw_step(cfg, vocab, step)
+    n = cfg.group_size
+    tokens = [prompt.tokens for prompt in prompts]
+    return StepSetup(
+        prompts,
+        grammars,
+        uniforms,
+        lockstep_setup(vocab, cfg.context_window, tokens, n, cfg.temperature, grammars),
+        answer_key(prompts),
+        token_layout(grammars, n, uniforms.shape[1], vocab.size),
+    )
+
+
 def rollout_batch(
     params: PolicyParams,
     cfg: TrainConfig,
     step: int,
-    draws: StepDraws | None = None,
+    draws: StepSetup | None = None,
 ) -> RolloutBatch:
     """Sample groups-per-step prompt groups for one training step.
 
-    ``draws`` is the step's :func:`draw_step`, drawn here when not given.
-    Every row is checked against its prompt in one vectorised pass; the
-    batch keeps the sampler's buffers and entropies.
+    ``draws`` is the step's :func:`step_setup`, made here when not given;
+    the sampler, the answer check and the batch's layout read it. Every
+    row is checked against its prompt in one vectorised pass; the batch
+    keeps the sampler's buffers and entropies.
     """
     if step < 1:
         raise ContractViolation("step index starts at 1")
     vocab = params.vocab
-    prompts, grammars, uniforms = draw_step(cfg, vocab, step) if draws is None else draws
+    setup = step_setup(cfg, vocab, step) if draws is None else draws
     tokens, logprobs, entropies = sample_groups(
-        params,
-        [prompt.tokens for prompt in prompts],
-        cfg.group_size,
-        cfg.temperature,
-        uniforms,
-        grammars,
-        collect_entropy=True,
+        params, setup.lockstep, setup.uniforms, cfg.temperature, collect_entropy=True
     )
-    correct = verify_rows(prompts, cfg.group_size, tokens[:, params.window :], vocab)
+    correct = verify_rows(
+        setup.prompts, cfg.group_size, tokens[:, params.window :], vocab, setup.key
+    )
     return RolloutBatch(
-        prompts=tuple(prompts),
-        grammars=tuple(grammars),
+        prompts=tuple(setup.prompts),
+        grammars=tuple(setup.grammars),
         group_size=cfg.group_size,
         tokens=tokens,
         logprobs=logprobs,
         rewards=reward(correct),
         entropies=tuple(entropies),
+        layout=setup.layout,
     )
 
 
@@ -434,14 +512,27 @@ def _fork(frames):
 
     The child sends each value ``frames()`` yields as one pickle frame
     (see ``_receive``) through a pipe private to it, and leaves with
-    ``os._exit``. None means the work is to be done inline: no ``os.fork``
-    (or not Linux), a second thread alive (forking it is unsafe), or a
-    fork that failed.
+    ``os._exit``. The pipe asks for ``_PIPE_BYTES`` of buffer, so a child
+    can run that far ahead of its reader; a refused request keeps the
+    system's default size, which only holds the child back sooner. None
+    means the work is to be done inline: no ``os.fork`` (or not Linux), a
+    second thread alive (forking it is unsafe), or a pipe or fork that
+    could not be made.
     """
     fork = getattr(os, "fork", None)
     if fork is None or not sys.platform.startswith("linux") or threading.active_count() != 1:
         return None
-    read, write = os.pipe()
+    # Imported here: fcntl exists only where the fork path runs.
+    import fcntl
+
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except OSError:
+        pass
     try:
         pid = fork()
     except OSError:
@@ -488,15 +579,15 @@ def _reap(child) -> None:
     os.waitpid(pid, 0)
 
 
-def _produce(cfg: TrainConfig, vocab: Vocab):
-    """Every step's :func:`draw_step`, one frame each, at low priority.
+def _produce(cfg: TrainConfig, vocab: Vocab, first: int):
+    """:func:`step_setup` of every step from ``first`` on, one frame each, at low priority.
 
     Run in the draw producer, which keeps ahead of training until the
     pipe is full.
     """
     os.nice(10)
-    for step in range(1, cfg.steps + 1):
-        yield draw_step(cfg, vocab, step)
+    for step in range(first, cfg.steps + 1):
+        yield step_setup(cfg, vocab, step)
 
 
 def run_training(cfg: TrainConfig) -> TrainingResult:
@@ -505,9 +596,10 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
     Two kinds of forked child (see ``_fork``) take work off the training
     loop, and the rows come out the same with or without them:
 
-    - A draw producer, forked at the start, makes every step's
-      :func:`draw_step` ahead of training. If it cannot fork or dies, the
-      steps it has not sent are drawn inline from the same streams.
+    - A draw producer, forked at the start, makes the :func:`step_setup`
+      of every step after the first ahead of training, while the first is
+      made inline. If it cannot fork or dies, the steps it has not sent
+      are made inline by the same call.
     - Every evaluation round but the last runs in a child on a
       copy-on-write snapshot of the parameters while training goes on. A
       round is collected before the next one forks and at the end, so at
@@ -529,10 +621,10 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
     # (row, job, child) of the round a child is evaluating.
     pending = None
     try:
-        producer = _fork(partial(_produce, cfg, vocab))
+        producer = _fork(partial(_produce, cfg, vocab, 2))
         for step in range(1, cfg.steps + 1):
             draws = None
-            if producer is not None:
+            if producer is not None and step > 1:
                 draws = _receive(producer[1])
                 if draws is None:
                     _reap(producer)

@@ -15,7 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from etrlab.groups import RolloutBatch, RolloutGroup
-from etrlab.policy import PolicyParams, SampledResponse, Vocab, sample_group
+from etrlab.policy import (
+    PolicyParams,
+    SampledResponse,
+    Vocab,
+    lockstep_setup,
+    sample_group,
+    sample_groups,
+)
 from etrlab.tasks import TaskSpec, generate_prompt, response_grammar, verify
 from etrlab.trainer import _EVAL_TAG
 
@@ -38,6 +45,12 @@ def stacked_contexts(
         flat += tokens
     windows = np.lib.stride_tricks.sliding_window_view(np.asarray(flat, dtype=np.int64), window)
     return windows[row_starts]
+
+
+def sample_prompts(params, prompts, n, temperature, draws, masks, **kwargs):
+    """``sample_groups`` on the prompts' ``lockstep_setup`` for ``params``."""
+    setup = lockstep_setup(params.vocab, params.window, prompts, n, temperature, masks)
+    return sample_groups(params, setup, draws, temperature, **kwargs)
 
 
 def buffer_responses(

@@ -38,7 +38,7 @@ import pytest
 
 from etrlab.cli import main
 from etrlab.config import TrainConfig, parse_suite, render_config
-from etrlab.policy import Vocab, draw_uniforms, init_params, sample_groups
+from etrlab.policy import Vocab, draw_uniforms, init_params, lockstep_setup, sample_groups
 from etrlab.tasks import TaskSpec, response_grammar
 from etrlab.trainer import evaluate, gradient_check_suite, run_training, write_run_artifacts
 
@@ -320,9 +320,8 @@ def sampler_buffer_digest():
     prompts = [[1, 2, vocab.sep], [0, 1, vocab.sep, vocab.sep], [vocab.sep, 7, vocab.sep], [3], [5]]
     rngs = [np.random.default_rng([11, k]) for k in range(len(prompts))]
     draws = draw_uniforms(rngs, [len(m) for m in grammars], 8)
-    tokens, logprobs, entropies = sample_groups(
-        params, prompts, 8, 0.8, draws, grammars, collect_entropy=True
-    )
+    setup = lockstep_setup(vocab, 4, prompts, 8, 0.8, grammars)
+    tokens, logprobs, entropies = sample_groups(params, setup, draws, 0.8, collect_entropy=True)
     digest = hashlib.sha256()
     for buf in (tokens, logprobs, np.asarray(entropies)):
         digest.update(buf.tobytes())

@@ -37,13 +37,12 @@ from etrlab.policy import (
     mask_matrix,
     pad_context,
     sample_group,
-    sample_groups,
     score_tokens,
 )
 from etrlab.tasks import Prompt, encode_payload, response_grammar, reward, verify_rows
 from etrlab.trainer import OptimizerState, TrainingDiverged, rollout_batch, train_step
 from objective_reference import full_layout_gradient
-from rollout_reference import stacked_contexts, unpack_batch
+from rollout_reference import sample_prompts, stacked_contexts, unpack_batch
 from tape_reference import gather_pairs, matmul, reshape, softmax_logprobs, take_rows, tanh
 
 VOCAB = Vocab()
@@ -545,14 +544,14 @@ ROLLOUT_PROMPTS = [
 
 
 def sampled_rollout(params, k, seed, n=4, max_len=4):
-    """A RolloutBatch straight from ``sample_groups``, its masks and its generators."""
+    """A RolloutBatch straight from the lockstep sampler, its masks and its generators."""
     prompts = [prompt for prompt, _ in ROLLOUT_PROMPTS[:k]]
     grammars = tuple(response_grammar(prompt, VOCAB) for prompt in prompts)
     free = (tuple(range(VOCAB.size)),) * max_len
     masks = [g if masked else free for g, (_, masked) in zip(grammars, ROLLOUT_PROMPTS)]
     rngs = [np.random.default_rng([seed, g]) for g in range(k)]
     draws = draw_uniforms(rngs, [len(m) for m in masks], n)
-    tokens, logprobs, entropies = sample_groups(
+    tokens, logprobs, entropies = sample_prompts(
         params, [p.tokens for p in prompts], n, 0.8, draws, masks, collect_entropy=True
     )
     correct = verify_rows(prompts, n, tokens[:, params.window :], VOCAB)

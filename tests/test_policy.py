@@ -16,6 +16,7 @@ from etrlab.policy import (
     init_params,
     mask_matrix,
     masked_logprobs,
+    lockstep_setup,
     pad_context,
     sample_group,
     sample_groups,
@@ -23,7 +24,7 @@ from etrlab.policy import (
 )
 from etrlab.tasks import TaskSpec, generate_prompt, response_grammar
 from etrlab.trainer import rollout_batch
-from rollout_reference import buffer_responses, stacked_contexts
+from rollout_reference import buffer_responses, sample_prompts, stacked_contexts
 
 VOCAB = Vocab()
 
@@ -304,7 +305,7 @@ def test_entropy_uniform_and_deterministic_mixture():
     def entropies(prompts):
         rngs = [np.random.default_rng(g) for g in range(len(prompts))]
         draws = draw_uniforms(rngs, [len(masks)] * len(prompts), 3)
-        *_, ent = sample_groups(
+        *_, ent = sample_prompts(
             uniform, prompts, 3, 1.0, draws, [masks] * len(prompts), collect_entropy=True
         )
         return ent
@@ -409,7 +410,7 @@ def test_batched_sampler_equals_one_prompt_reference(k, seed):
     batched_rngs = streams()
     cut = [m[:max_len] for m in masks]
     draws = draw_uniforms(batched_rngs, [len(m) for m in cut], n)
-    tokens, logprobs, entropies = sample_groups(
+    tokens, logprobs, entropies = sample_prompts(
         p, prompts, n, temperature, draws, cut, collect_entropy=True
     )
     groups = buffer_responses(tokens, logprobs, cut, n)
@@ -436,7 +437,7 @@ def test_sample_group_rows_are_a_read_only_view_of_the_call_buffers():
     p = eos_leaning_params(0)
     prompt, masks = BATCH_PROMPTS[1]
     draws = draw_uniforms([np.random.default_rng(4)], [len(masks)], 6)
-    tokens, logprobs, _ = sample_groups(p, [prompt], 6, 0.9, draws, [masks])
+    tokens, logprobs, _ = sample_prompts(p, [prompt], 6, 0.9, draws, [masks])
     # What one call returned as a list: a SampledResponse per buffer row.
     (want,) = buffer_responses(tokens, logprobs, [masks], 6)
     rows, _ = sample_group(p, prompt, 6, 0.9, np.random.default_rng(4), masks)
@@ -470,7 +471,7 @@ def test_one_row_groups_equal_their_rows_in_a_batched_call(seed):
     rngs = [np.random.default_rng([seed, g]) for g in range(3)]
     cut = [m[:6] for m in masks]
     draws = draw_uniforms(rngs, [len(m) for m in cut], 1)
-    tokens, logprobs, entropies = sample_groups(
+    tokens, logprobs, entropies = sample_prompts(
         p, prompts, 1, 0.9, draws, cut, collect_entropy=True
     )
     groups = buffer_responses(tokens, logprobs, cut, 1)
@@ -493,7 +494,7 @@ def test_batched_sampler_cases_are_exercised():
         masks = [m[:6] for _, m in BATCH_PROMPTS]
         draws = draw_uniforms(rngs, [len(m) for m in masks], 4)
         prompts = [pr for pr, _ in BATCH_PROMPTS]
-        tokens, logprobs, _ = sample_groups(p, prompts, 4, 0.9, draws, masks)
+        tokens, logprobs, _ = sample_prompts(p, prompts, 4, 0.9, draws, masks)
         groups = buffer_responses(tokens, logprobs, masks, 4)
         for (_, grammar), group in zip(BATCH_PROMPTS, groups):
             assert [len(r) for r in group] == [min(len(grammar), 6)] * 4
@@ -536,14 +537,15 @@ def test_sample_groups_contracts():
     p = tiny_params()
     rng = np.random.default_rng(0)
     with pytest.raises(ContractViolation):
-        sample_groups(p, [], 2, 1.0, draw_uniforms([], [], 2), [])
+        sample_prompts(p, [], 2, 1.0, draw_uniforms([], [], 2), [])
     with pytest.raises(ContractViolation):
-        sample_groups(p, [[1], [2]], 2, 1.0, draw_uniforms([rng], [2], 2), [full_grammar(2)] * 2)
+        sample_prompts(p, [[1], [2]], 2, 1.0, draw_uniforms([rng], [2], 2), [full_grammar(2)] * 2)
     with pytest.raises(ContractViolation):
-        sample_groups(p, [[1], [2]], 2, 1.0, draw_uniforms([rng] * 2, [2, 2], 2), [full_grammar(2)])
-    # collect_entropy is keyword-only, so a positional length cap is an error.
+        sample_prompts(p, [[1], [2]], 2, 1.0, draw_uniforms([rng] * 2, [2, 2], 2), [full_grammar(2)])
+    # collect_entropy is keyword-only.
+    setup = lockstep_setup(VOCAB, p.window, [[1]], 2, 1.0, [full_grammar(4)])
     with pytest.raises(TypeError):
-        sample_groups(p, [[1]], 2, 1.0, draw_uniforms([rng], [4], 2), [full_grammar(4)], 2)
+        sample_groups(p, setup, draw_uniforms([rng], [4], 2), 1.0, True)
     with pytest.raises(ContractViolation):
         sample_group(p, [1], 2, 1.0, rng, full_grammar(4), -1)
     # The block must be (K, horizon, n) for the K prompts, their longest
@@ -552,11 +554,16 @@ def test_sample_groups_contracts():
     block = draw_uniforms([rng] * 2, [3, 2], 4)
     for bad in (block[:1], np.concatenate([block, block[:1]]), block[:, :2], block[:, :, :3]):
         with pytest.raises(ContractViolation, match="block of uniforms"):
-            sample_groups(p, [[1], [2]], 4, 1.0, bad, masks)
+            sample_prompts(p, [[1], [2]], 4, 1.0, bad, masks)
     with pytest.raises(ContractViolation, match="block of uniforms"):
-        sample_groups(p, [[1], [2]], 4, 1.0, draw_uniforms([rng] * 2, [4, 2], 4), masks)
-    tokens, _, _ = sample_groups(p, [[1], [2]], 4, 1.0, block, masks)
+        sample_prompts(p, [[1], [2]], 4, 1.0, draw_uniforms([rng] * 2, [4, 2], 4), masks)
+    tokens, _, _ = sample_prompts(p, [[1], [2]], 4, 1.0, block, masks)
     assert tokens.shape == (8, p.window + 3)
+    # A set-up made for another window or vocabulary is rejected.
+    for vocab, window in ((VOCAB, p.window - 1), (Vocab(VOCAB.n_content + 1), p.window)):
+        setup = lockstep_setup(vocab, window, [[1], [2]], 4, 1.0, masks)
+        with pytest.raises(ContractViolation, match="another vocabulary or window"):
+            sample_groups(p, setup, block, 1.0)
 
 
 def test_masks_that_allow_eos_mid_response_give_one_token_per_position():
@@ -566,7 +573,7 @@ def test_masks_that_allow_eos_mid_response_give_one_token_per_position():
     masks = [full_grammar(5), (VOCAB.content_ids() + (VOCAB.eos,),) * 3, full_grammar(1)]
     rngs = [np.random.default_rng([7, g]) for g in range(3)]
     draws = draw_uniforms(rngs, [len(m) for m in masks], 4)
-    tokens, logprobs, _ = sample_groups(p, [[1, VOCAB.sep]] * 3, 4, 1.0, draws, masks)
+    tokens, logprobs, _ = sample_prompts(p, [[1, VOCAB.sep]] * 3, 4, 1.0, draws, masks)
     assert tokens.shape == (12, p.window + 5) and logprobs.shape == (12, 5)
     response = tokens[:, p.window :]
     assert np.sum(response[:4, :4] == VOCAB.eos) > 4
@@ -585,7 +592,10 @@ def test_sampling_below_min_temperature_raises(temperature):
         sample_group(p, prompt.tokens, 8, temperature, rng, grammar)
     draws = draw_uniforms([rng], [len(grammar)], 8)
     with pytest.raises(ContractViolation):
-        sample_groups(p, [prompt.tokens], 8, temperature, draws, [grammar])
+        sample_prompts(p, [prompt.tokens], 8, temperature, draws, [grammar])
+    setup = lockstep_setup(VOCAB, p.window, [prompt.tokens], 8, 1.0, [grammar])
+    with pytest.raises(ContractViolation, match="temperature must be at least 0.001"):
+        sample_groups(p, setup, draws, temperature)
 
 
 def test_masks_hold_at_the_min_temperature_below_a_raw_logit_spread_of_1e6():
@@ -614,8 +624,8 @@ def test_sampling_rejects_prompt_ids_out_of_range(bad, max_len):
         sample_group(p, [2, bad, VOCAB.sep], 3, 1.0, rng, free[0], max_len)
     draws = draw_uniforms([rng, rng], [len(m) for m in cut], 2)
     with pytest.raises(ContractViolation):
-        sample_groups(p, [good, [bad]], 2, 1.0, draws, cut)
-    tokens, logprobs, _ = sample_groups(p, [good, good], 2, 1.0, draws, cut)
+        sample_prompts(p, [good, [bad]], 2, 1.0, draws, cut)
+    tokens, logprobs, _ = sample_prompts(p, [good, good], 2, 1.0, draws, cut)
     assert tokens.shape == (4, p.window + max_len) and logprobs.shape == (4, max_len)
 
 
@@ -636,7 +646,7 @@ def test_rejected_sampling_call_leaves_every_generator_untouched(bad):
     draws = draw_uniforms([np.random.default_rng([9, g]) for g in range(3)], [3, 2, 3], 4)
     block = draws.tobytes()
     with pytest.raises(ContractViolation):
-        sample_groups(p, prompts, 4, 1.0, draws, masks)
+        sample_prompts(p, prompts, 4, 1.0, draws, masks)
     assert draws.tobytes() == block
     rngs = [np.random.default_rng([9, g]) for g in range(3)]
     before = [rng.bit_generator.state for rng in rngs]
@@ -655,9 +665,9 @@ def test_masks_given_as_lists_sample_as_the_same_tuples():
     assert got.logprobs.tobytes() == want.logprobs.tobytes()
     draws = draw_uniforms([np.random.default_rng(g) for g in (5, 6)], [3, 2], 5)
     masks = [as_lists, (np.arange(10), [VOCAB.eos])]
-    got = sample_groups(p, [[1], [2]], 5, 1.0, draws, masks)
+    got = sample_prompts(p, [[1], [2]], 5, 1.0, draws, masks)
     masks = [as_tuples, (tuple(range(10)), (VOCAB.eos,))]
-    want = sample_groups(p, [[1], [2]], 5, 1.0, draws, masks)
+    want = sample_prompts(p, [[1], [2]], 5, 1.0, draws, masks)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got[:2], want[:2]))
 
 
@@ -709,7 +719,7 @@ def test_sample_groups_equals_reference_sampler(case):
     rngs = streams()
     cut = [m[: case["max_len"]] for m in masks]
     draws = draw_uniforms(rngs, [len(m) for m in cut], n)
-    tokens, logprobs, entropies = sample_groups(
+    tokens, logprobs, entropies = sample_prompts(
         p, prompts, n, case["temperature"], draws, cut, collect_entropy=True
     )
     groups = buffer_responses(tokens, logprobs, cut, n)

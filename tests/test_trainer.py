@@ -16,7 +16,7 @@ from etrlab.config import METHODS, ConfigError, TrainConfig, parse_suite, valida
 from etrlab.groups import as_rollout_batch
 from etrlab.metrics import _fmt, suite_labels, write_metrics_csv
 from etrlab.policy import MIN_TEMPERATURE, PolicyParams, Vocab, init_params
-from etrlab.policy import draw_uniforms, sample_groups
+from etrlab.policy import draw_uniforms
 from etrlab.tasks import (
     FAMILIES,
     TaskSpec,
@@ -42,12 +42,13 @@ from etrlab.trainer import (
     gradient_check_suite,
     rollout_batch,
     run_training,
+    step_setup,
     stream_seed,
     train_step,
     write_run_artifacts,
     write_summary,
 )
-from rollout_reference import reference_evaluate, unpack_batch
+from rollout_reference import reference_evaluate, sample_prompts, unpack_batch
 
 VOCAB = Vocab()
 
@@ -905,15 +906,26 @@ def test_runs_with_and_without_the_draw_producer_give_the_same_bytes(tmp_path, m
     real_draw_step = trainer_mod.draw_step
     inline_steps = []
 
-    def producer_dies_after_step_17(cfg, vocab, step):
+    def drawn_inline(cfg, vocab, step):
         if os.getpid() == parent:
             inline_steps.append(step)
-        elif step == 18:
-            os._exit(3)
         return real_draw_step(cfg, vocab, step)
+
+    def producer_dies_after_step_17(cfg, vocab, step):
+        if os.getpid() != parent and step == 18:
+            os._exit(3)
+        return drawn_inline(cfg, vocab, step)
 
     def fork_refused():
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    def pipe_refused():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    def resize_refused(fd, cmd, arg):
+        raise OSError(errno.EPERM, "Operation not permitted")
+
+    import fcntl  # the fork path, which asks for the pipe size, runs on Linux only
 
     def artifacts(name, patch=None):
         with monkeypatch.context() as m:
@@ -922,29 +934,46 @@ def test_runs_with_and_without_the_draw_producer_give_the_same_bytes(tmp_path, m
             write_run_artifacts(run_training(cfg), tmp_path / name)
         return {f: (tmp_path / name / f).read_bytes() for f in ("metrics.csv", "final.ckpt")}
 
-    produced = artifacts("produced")
+    # The training process makes step 1's set-up while the producer starts.
+    produced = artifacts("produced", lambda m: m.setattr(trainer_mod, "draw_step", drawn_inline))
+    assert inline_steps == [1]
     assert (children.producers, children.producers_alive, children.forks) == (1, set(), 3)
     assert artifacts("no-fork", lambda m: m.delattr(os, "fork")) == produced
     assert artifacts("fork-fails", lambda m: m.setattr(os, "fork", fork_refused)) == produced
+    assert artifacts("pipe-fails", lambda m: m.setattr(os, "pipe", pipe_refused)) == produced
     assert (children.producers, children.forks) == (1, 3)
+    resized = artifacts("resize-refused", lambda m: m.setattr(fcntl, "fcntl", resize_refused))
+    assert resized == produced
+    assert (children.producers, children.forks) == (2, 6)
+    inline_steps.clear()
     died = artifacts(
         "producer-dies",
         lambda m: m.setattr(trainer_mod, "draw_step", producer_dies_after_step_17),
     )
     assert died == produced
-    assert inline_steps == list(range(18, 41))
-    assert (children.producers, children.producers_alive, children.alive) == (2, set(), set())
+    assert inline_steps == [1, *range(18, 41)]
+    assert (children.producers, children.producers_alive, children.alive) == (3, set(), set())
+
+
+def comparable(value):
+    """A step set-up with every array as its dtype, shape and bytes, for ``==``."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return tuple(comparable(v) for v in value)
+    return value
 
 
 def test_draw_step_reads_each_stream_as_the_sampler_did():
     # Over 40 default steps: the prompts, grammars and uniforms draw_step
     # gives, the producer sends and rollout_batch samples with are those a
-    # sample_groups call on the step's fresh streams reads.
+    # sample_groups call on the step's fresh streams reads, and the rest of
+    # the set-up the producer sends is step_setup's, byte for byte.
     cfg = dataclasses.replace(TrainConfig(), steps=40)
     vocab = Vocab(cfg.content_tokens)
     params = initial_params(cfg)
     n = cfg.group_size
-    producer = trainer_mod._fork(partial(trainer_mod._produce, cfg, vocab))
+    producer = trainer_mod._fork(partial(trainer_mod._produce, cfg, vocab, 1))
     assert producer is not None
     try:
         for step in range(1, cfg.steps + 1):
@@ -966,12 +995,14 @@ def test_draw_step_reads_each_stream_as_the_sampler_did():
             )
             assert uniforms.shape == (cfg.groups_per_step, horizon, n)
             assert uniforms.tobytes() == want.tobytes()
-            sent_prompts, sent_grammars, sent = trainer_mod._receive(producer[1])
-            assert sent_prompts == prompts and sent_grammars == grammars
-            assert sent.tobytes() == uniforms.tobytes()
+            sent = trainer_mod._receive(producer[1])
+            assert sent.prompts == prompts and sent.grammars == grammars
+            assert sent.uniforms.tobytes() == uniforms.tobytes()
+            inline = step_setup(cfg, vocab, step)
+            assert comparable(sent) == comparable(inline)
             for rng, state in zip(rngs, streams):
                 rng.bit_generator.state = state
-            tokens, logprobs, entropies = sample_groups(
+            tokens, logprobs, entropies = sample_prompts(
                 params,
                 [p.tokens for p in prompts],
                 n,
@@ -980,14 +1011,13 @@ def test_draw_step_reads_each_stream_as_the_sampler_did():
                 grammars,
                 collect_entropy=True,
             )
-            for batch in (
-                rollout_batch(params, cfg, step),
-                rollout_batch(params, cfg, step, (sent_prompts, sent_grammars, sent)),
-            ):
+            for batch in (rollout_batch(params, cfg, step), rollout_batch(params, cfg, step, sent)):
                 assert list(batch.prompts) == prompts
                 assert batch.tokens.tobytes() == tokens.tobytes()
                 assert batch.logprobs.tobytes() == logprobs.tobytes()
                 assert list(batch.entropies) == entropies
+            # Sampling left the set-up as it was sent.
+            assert comparable(sent) == comparable(inline)
         assert trainer_mod._receive(producer[1]) is None
     finally:
         trainer_mod._reap(producer)
@@ -999,9 +1029,10 @@ def test_receive_reads_a_frame_cut_short_as_none():
     # pickle. The whole frame, as the child wrote it, reads as its value.
     cfg = TrainConfig()
     vocab = Vocab(cfg.content_tokens)
+    setup = step_setup(cfg, vocab, 1)
     prompts, grammars, uniforms = draw_step(cfg, vocab, 1)
     one_step = dataclasses.replace(cfg, steps=1)
-    child = trainer_mod._fork(partial(trainer_mod._produce, one_step, vocab))
+    child = trainer_mod._fork(partial(trainer_mod._produce, one_step, vocab, 1))
     assert child is not None
     try:
         frame = child[1].read()
@@ -1015,9 +1046,10 @@ def test_receive_reads_a_frame_cut_short_as_none():
         with open(read, "rb") as pipe:
             return trainer_mod._receive(pipe)
 
-    got_prompts, got_grammars, got = received(frame)
-    assert got_prompts == prompts and got_grammars == grammars
-    assert got.shape == uniforms.shape and got.tobytes() == uniforms.tobytes()
+    got = received(frame)
+    assert got.prompts == prompts and got.grammars == grammars
+    assert got.uniforms.shape == uniforms.shape and got.uniforms.tobytes() == uniforms.tobytes()
+    assert comparable(got) == comparable(setup)
     for cut in (0, 5, 8, 9, len(frame) // 2, len(frame) - 1):
         assert received(frame[:cut]) is None
 
