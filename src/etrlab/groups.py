@@ -61,10 +61,11 @@ class RolloutBatch:
     ``logprobs[i, t]`` is that token's stored log-probability. A response
     has one token per position of its group's grammar, so the grammar
     alone sets its length (``lengths``); later columns are padding and
-    never read. ``entropies`` are the sampling entropies recorded during
-    the rollout (empty for packed groups). ``layout`` is the batch's
-    ``objectives.TokenLayout`` when it was made with the rollout's set-up;
-    ``prepare_batch`` makes it from the grammars when it is None.
+    never read. ``entropies`` is the float64 array of the sampling
+    entropies recorded during the rollout (empty for packed groups).
+    ``layout`` is the batch's ``objectives.TokenLayout`` when it was made
+    with the rollout's set-up; ``prepare_batch`` makes it from the
+    grammars when it is None.
     """
 
     prompts: tuple[Prompt, ...]
@@ -73,12 +74,12 @@ class RolloutBatch:
     tokens: np.ndarray
     logprobs: np.ndarray
     rewards: np.ndarray
-    entropies: tuple[float, ...] = ()
+    entropies: np.ndarray = ()
     layout: TokenLayout | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", np.asarray(self.tokens, dtype=np.int64))
-        for name in ("logprobs", "rewards"):
+        for name in ("logprobs", "rewards", "entropies"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         rows = len(self.prompts) * self.group_size
         if not len(self.prompts) == len(self.grammars) >= 1:
@@ -91,7 +92,8 @@ class RolloutBatch:
             raise ContractViolation("token and log-probability buffers do not match")
         if not all(1 <= len(g) <= self.logprobs.shape[1] for g in self.grammars):
             raise ContractViolation("a grammar needs 1 to horizon positions")
-        if self.rewards.shape != (rows,) or not np.all(np.abs(self.rewards) == 1.0):
+        unit = np.abs(self.rewards) == 1.0
+        if self.rewards.shape != (rows,) or not np.logical_and.reduce(unit, axis=None):
             raise ContractViolation("one reward of +1 or -1 per row is required")
 
     @property
@@ -177,10 +179,10 @@ def group_stats(rewards: np.ndarray, xi: float = DEFAULT_XI) -> GroupStats:
     if rewards.ndim == 0 or rewards.shape[-1] < 2:
         raise ContractViolation("advantage normalization needs at least two rewards")
     n = rewards.shape[-1]
-    mean = rewards.sum(axis=-1) / n
-    centered = rewards - np.expand_dims(mean, -1)
-    std = np.sqrt((centered * centered).sum(axis=-1) / n)
+    mean = np.add.reduce(rewards, axis=-1) / n
+    centered = rewards - mean[..., None]
+    std = np.sqrt(np.add.reduce(centered * centered, axis=-1) / n)
     return GroupStats(
-        pass_rate=np.count_nonzero(rewards > 0.0, axis=-1) / n,
-        advantages=centered / (np.expand_dims(std, -1) + xi),
+        pass_rate=np.add.reduce(rewards > 0.0, axis=-1) / n,
+        advantages=centered / (std[..., None] + xi),
     )

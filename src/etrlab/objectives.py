@@ -66,9 +66,14 @@ ClipStrategy = Union[ClipHigh, Elastic]
 
 
 def macro_adjustment(pass_rate, lambda2: float):
-    """Difficulty-driven half-width bonus, maximal at pass rate 0.5."""
+    """Difficulty-driven half-width bonus, maximal at pass rate 0.5.
+
+    A NaN pass rate lies outside [0, 1] and is rejected.
+    """
     p = np.asarray(pass_rate, dtype=np.float64)
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if p.size and not (
+        np.minimum.reduce(p, axis=None) >= 0.0 and np.maximum.reduce(p, axis=None) <= 1.0
+    ):
         raise ContractViolation("pass rate must lie in [0, 1]")
     return lambda2 * 4.0 * p * (1.0 - p)
 
@@ -315,13 +320,13 @@ def prepare_batch(
     if isinstance(strategy, Elastic):
         eps = dynamic_epsilon(adv, rate, strategy)
         lo, hi = 1.0 - eps, 1.0 + eps
-        mean_eps = float(np.mean(eps[response]))
+        mean_eps = float(np.add.reduce(eps[response]) / response.size)
     else:
         lo, hi = clip_bounds(strategy, adv, rate)
     # A token that is its mask row's sole id is forced; every other token is
     # scored, an id outside a one-id row included (its log-probability is
     # not 0.0).
-    scored = np.flatnonzero(layout.sole[mask_rows] != targets)
+    scored = (layout.sole[mask_rows] != targets).nonzero()[0]
     # One sort ranks every token's (context, mask-table row). The distinct
     # contexts are the runs of its first ``window`` columns, and the pairs
     # are the rows some scored token reads, in the same order: the forward
@@ -359,7 +364,7 @@ def prepare_batch(
         lo=lo[response],
         hi=hi[response],
         weights=layout.weights[response],
-        pass_rate=float(np.mean(stats.pass_rate)),
+        pass_rate=float(np.add.reduce(stats.pass_rate) / k),
         mean_epsilon=mean_eps,
         temperature=temperature,
     )
@@ -411,12 +416,13 @@ def evaluate_prepared(
     x, hidden, logits, lp_pairs, lp = score_prepared(prep, params)
     ratio = np.exp(lp - prep.old_logprobs)
     unclipped_branch = ratio * prep.advantages
-    clipped_branch = np.clip(ratio, prep.lo, prep.hi) * prep.advantages
+    # np.clip's bits, NaN ratios included, without its Python wrapper.
+    clipped_branch = np.minimum(np.maximum(ratio, prep.lo), prep.hi) * prep.advantages
     first = unclipped_branch <= clipped_branch
-    surrogate = np.sum(np.where(first, unclipped_branch, clipped_branch) * prep.weights)
+    surrogate = np.add.reduce(np.where(first, unclipped_branch, clipped_branch) * prep.weights)
     diff = prep.ref_logprobs - lp
     u = np.exp(diff)
-    kl = np.sum((u - diff - 1.0) * prep.weights)
+    kl = np.add.reduce((u - diff - 1.0) * prep.weights)
     total = surrogate - kl_coef * kl
     gradient = None
     if with_grad:
@@ -440,7 +446,7 @@ def evaluate_prepared(
         surrogate=float(surrogate),
         kl=float(kl),
         total=float(total),
-        clipped_tokens=int(np.sum(clipped_branch < unclipped_branch)),
+        clipped_tokens=int(np.add.reduce(clipped_branch < unclipped_branch)),
         total_tokens=int(prep.targets.size),
         pass_rate=prep.pass_rate,
         mean_epsilon=prep.mean_epsilon,

@@ -234,9 +234,9 @@ def logits_gradient(
     # Scatter-add into embedding rows as a (V, N*W) one-hot product.
     np.matmul(contexts.reshape(-1) == np.arange(params.vocab.size)[:, None], d_x, out=d_embed)
     np.matmul(x.T, d_pre_rows, out=d_w_hidden)
-    d_pre.sum(axis=0, out=d_b_hidden)
+    np.add.reduce(d_pre, axis=0, out=d_b_hidden)
     np.matmul(hidden.T, d_logits[rows], out=d_w_out)
-    d_logits.sum(axis=0, out=d_b_out)
+    np.add.reduce(d_logits, axis=0, out=d_b_out)
     return grad
 
 
@@ -248,11 +248,14 @@ def masked_logprobs(logits: np.ndarray, masks: np.ndarray, temperature: float) -
     ``masks`` broadcasts against ``logits``. Every step works row by row,
     so a row's values do not depend on the other rows of the block.
     """
-    # The reductions call their ufuncs directly: ndarray.max and .sum would
-    # reach the same ufuncs through numpy's Python wrappers in
-    # numpy/_core/_methods.py. Each step must stay the same ufunc on the same
-    # operands: stored log-probs are pinned byte for byte. Scaling by 1.0
-    # would change no bit, so temperature 1 skips it.
+    # Code on a training step's path calls ufuncs directly: ndarray.max and
+    # .sum, np.sum, np.mean, np.all, np.any, np.clip and their kin reach the
+    # same ufuncs through numpy's Python wrappers (numpy/_core/_methods.py,
+    # fromnumeric.py), whose fixed cost rivals the work on arrays of a few
+    # hundred elements. Each step must stay the same ufunc on the same
+    # operands, axis and dtype: stored log-probs and metrics are pinned byte
+    # for byte (tests/test_layout.py lists the functions it checks). Scaling
+    # by 1.0 would change no bit, so temperature 1 skips it.
     if temperature != 1.0:
         logits *= 1.0 / temperature
     logits += masks
@@ -435,7 +438,7 @@ def sample_groups(
     temperature: float,
     *,
     collect_entropy: bool = False,
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample n responses to each of K prompts in lockstep.
 
     ``setup`` is the prompts' :func:`lockstep_setup`, made for the
@@ -461,9 +464,9 @@ def sample_groups(
       ``tokens[i, t : t + window]``;
     - ``logprobs`` (K * n, horizon): each response token's log-probability.
       Columns past a row's number of masks are padding;
-    - entropies of the positions whose mask allows at least two tokens,
-      group-major, and within a group position-major over its rows (empty
-      unless ``collect_entropy``).
+    - a float64 array of the entropies of the positions whose mask allows
+      at least two tokens, group-major, and within a group position-major
+      over its rows (empty unless ``collect_entropy``).
 
     A position is one-token when every group whose masks reach it has a
     mask there with exactly one legal id, as the EOS position that ends
@@ -518,10 +521,10 @@ def sample_groups(
             stride = 1
         tokens[:, window + pos] = picks
     if not collect_entropy:
-        return tokens, logprobs, []
+        return tokens, logprobs, np.empty(0)
     # Group-major, then position-major over the positions with a choice.
     entropy = entropy.reshape(horizon, k_groups, n).transpose(1, 0, 2)
-    return tokens, logprobs, entropy[choice].ravel().tolist()
+    return tokens, logprobs, entropy[choice].ravel()
 
 
 def sample_group(
@@ -542,7 +545,7 @@ def sample_group(
     call leaves it untouched. Every row has one token per mask, so the
     rows come back as :class:`SampledRows` over the response columns of
     the call's own buffers, and no per-row object is built unless a
-    caller reads one.
+    caller reads one. The entropies come back as a list.
     """
     if max_len < 0:
         raise ContractViolation("max_len must be non-negative")
@@ -552,7 +555,7 @@ def sample_group(
     tokens, logprobs, entropies = sample_groups(
         params, setup, draws, temperature, collect_entropy=collect_entropy
     )
-    return SampledRows(tokens[:, params.window :], logprobs), entropies
+    return SampledRows(tokens[:, params.window :], logprobs), entropies.tolist()
 
 
 def score_tokens(

@@ -125,36 +125,62 @@ def verify(prompt: Prompt, tokens: Sequence[int], vocab: Vocab) -> bool:
 class AnswerKey(NamedTuple):
     """What a correct answer to each of K prompts holds, for :func:`verify_rows`.
 
-    ``family`` (K,) indexes :data:`FAMILIES`; ``slots`` (K,) counts the
-    content slots, so EOS belongs in column ``slots[k]``; ``want`` (K,
-    width) holds the ids the slots must hold (the copy payload, the digit
-    target or the parity bit in slot 0), ``width`` one past the most
-    slots; and ``solvable`` (K,) is False for a copy prompt whose payload
-    does not fill its slots, which has no correct answer.
+    Columns are answer slots, ``width`` one past the most content slots of
+    any prompt. ``want`` (K, width) holds the id each column must hold: the
+    copy payload or the parity bit in the content slots, EOS in the slot
+    after them, and -1 where any id will do (a digit slot, a column past
+    EOS). ``digits`` (K, width) marks a digit-sum prompt's content slots,
+    which must hold ids 0 to 9 whose sum mod 10 is its ``target`` (K,); the
+    other prompts have no digit slots and target 0. ``solvable`` (K,) is
+    False for a prompt no answer solves: a copy payload that does not fill
+    its slots or holds a negative id (none that a response can hold), or a
+    parity payload whose xor is not a bit.
     """
 
-    family: np.ndarray
-    slots: np.ndarray
     want: np.ndarray
+    digits: np.ndarray
+    target: np.ndarray
     solvable: np.ndarray
 
 
-def answer_key(prompts: Sequence[Prompt]) -> AnswerKey:
-    """The :class:`AnswerKey` of ``prompts``; it reads no response."""
-    slots = [answer_length(p) - 1 for p in prompts]
-    want = np.zeros((len(prompts), max(slots, default=0) + 1), dtype=np.int64)
-    solvable = np.ones(len(prompts), dtype=bool)
-    for k, p in enumerate(prompts):
+def answer_key(prompts: Sequence[Prompt], vocab: Vocab) -> AnswerKey:
+    """The :class:`AnswerKey` of ``prompts`` under ``vocab``; it reads no response.
+
+    The rows are gathered as flat lists of Python ints and each field is
+    made by one array call: a per-prompt numpy write costs more than a
+    prompt's whole row.
+    """
+    width = max(map(answer_length, prompts), default=1)
+    # After s content slots a row holds EOS, then any id; a digit-sum row's
+    # content slots are its digit columns.
+    tails = [(vocab.eos,) + (-1,) * (width - 1 - s) for s in range(width)]
+    marks = [(True,) * s + (False,) * (width - s) for s in range(width)]
+    want: list[int] = []
+    digits: list[bool] = []
+    target, solvable = [], []
+    for p in prompts:
+        slots, payload, goal, ok = answer_length(p) - 1, p.payload, 0, True
         if p.family == "copy":
-            solvable[k] = len(p.payload) == slots[k]
-            if solvable[k]:
-                want[k, : slots[k]] = p.payload
+            ok = len(payload) == slots and min(payload, default=0) >= 0
+            want += payload if ok else (-1,) * slots
         elif p.family == "digitsum":
-            want[k, 0] = p.payload[0]
+            want += (-1,) * slots
+            goal = payload[0]
         else:
-            want[k, 0] = functools.reduce(operator.xor, p.payload, 0)
-    family = np.asarray([FAMILIES.index(p.family) for p in prompts], dtype=np.int64)
-    return AnswerKey(family, np.asarray(slots, dtype=np.int64), want, solvable)
+            bit = functools.reduce(operator.xor, payload, 0)
+            ok = bit in (0, 1)
+            want.append(bit if ok else -1)
+        want += tails[slots]
+        digits += marks[slots if p.family == "digitsum" else 0]
+        target.append(goal)
+        solvable.append(ok)
+    k = len(prompts)
+    return AnswerKey(
+        np.array(want, dtype=np.int64).reshape(k, width),
+        np.array(digits, dtype=bool).reshape(k, width),
+        np.array(target, dtype=np.int64),
+        np.array(solvable, dtype=bool),
+    )
 
 
 def verify_rows(
@@ -172,34 +198,29 @@ def verify_rows(
     entry i of the result is ``verify(prompt, tokens[i, :length], vocab)``.
     A buffer narrower than an answer reads 0 at the EOS slot, and EOS is
     never id 0, so such a row is incorrect, as its short response is.
-    ``key`` is the prompts' :func:`answer_key`, made here when not given.
+    ``key`` is the prompts' :func:`answer_key` for ``vocab``, made here
+    when not given.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     rows = tokens.shape[0]
     if not prompts or n < 1 or len(prompts) * n != rows:
         raise ContractViolation("one prompt per group of rows is required")
-    family, slots, want, solvable = answer_key(prompts) if key is None else key
+    want, digits, target, solvable = answer_key(prompts, vocab) if key is None else key
     k_groups, width = want.shape
     # The first ``width`` columns, zero-padded where the buffer is narrower,
     # one (n, width) block per prompt; the key broadcasts over its rows.
-    head = np.zeros((rows, width), dtype=np.int64)
-    cut = min(width, tokens.shape[1])
-    head[:, :cut] = tokens[:, :cut]
+    if tokens.shape[1] >= width:
+        head = tokens[:, :width]
+    else:
+        head = np.zeros((rows, width), dtype=np.int64)
+        head[:, : tokens.shape[1]] = tokens
     head = head.reshape(k_groups, n, width)
-    outside = (np.arange(width) >= slots[:, None])[:, None, :]
-    eos = np.take_along_axis(head, slots[:, None, None], axis=2)[:, :, 0] == vocab.eos
-    well_formed = solvable[:, None] & eos
-    first = head[:, :, 0]
-    target = want[:, None, 0]
-    by_family = {
-        "copy": np.all((head == want[:, None, :]) | outside, axis=2),
-        "digitsum": np.all(((head >= 0) & (head <= 9)) | outside, axis=2)
-        & (np.where(outside, 0, head).sum(axis=2) % 10 == target),
-        # One slot holding the xor bit.
-        "parity": (first == target) & ((first == 0) | (first == 1)),
-    }
-    correct = well_formed & np.choose(family[:, None], [by_family[f] for f in FAMILIES])
-    return correct.reshape(rows)
+    digits = digits[:, None]
+    fits = np.logical_and.reduce((head == want[:, None]) | (want < 0)[:, None], axis=2)
+    # Read as unsigned, a negative id is above 9 too.
+    in_range = np.logical_and.reduce((head.view(np.uint64) <= 9) | ~digits, axis=2)
+    sums = np.add.reduce(head * digits, axis=2) % 10 == target[:, None]
+    return (fits & in_range & sums & solvable[:, None]).reshape(rows)
 
 
 def reward(correct):

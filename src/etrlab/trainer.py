@@ -213,11 +213,11 @@ def clip_grad_norm(
         raise ContractViolation("max_norm must be positive")
     grad = np.asarray(grad, dtype=np.float64)
     with np.errstate(over="ignore"):
-        norm = float(np.sqrt(np.sum(np.multiply(grad, grad, out=work))))
+        norm = float(np.sqrt(np.add.reduce(np.multiply(grad, grad, out=work), axis=None)))
     scale = max_norm / norm if norm > max_norm else 1.0
-    if norm == np.inf and np.isfinite(grad).all():
-        peak = float(np.max(np.abs(grad)))
-        unit = float(np.sqrt(np.sum(np.square(grad / peak))))
+    if norm == np.inf and np.logical_and.reduce(np.isfinite(grad), axis=None):
+        peak = float(np.maximum.reduce(np.abs(grad), axis=None))
+        unit = float(np.sqrt(np.add.reduce(np.square(grad / peak), axis=None)))
         norm, scale = peak * unit, max_norm / peak / unit
     if not norm > max_norm:
         return grad, norm
@@ -254,7 +254,7 @@ def apply_gradient(
         out=grad,
         work=work,
     )
-    if not np.isfinite(update).all():
+    if not np.logical_and.reduce(np.isfinite(update), axis=None):
         raise TrainingDiverged("non-finite parameters after update")
     params.set_vector(update)
 
@@ -364,7 +364,7 @@ def step_setup(cfg: TrainConfig, vocab: Vocab, step: int) -> StepSetup:
         grammars,
         uniforms,
         lockstep_setup(vocab, cfg.context_window, tokens, n, cfg.temperature, grammars),
-        answer_key(prompts),
+        answer_key(prompts, vocab),
         token_layout(grammars, n, uniforms.shape[1], vocab.size),
     )
 
@@ -399,7 +399,7 @@ def rollout_batch(
         tokens=tokens,
         logprobs=logprobs,
         rewards=reward(correct),
-        entropies=tuple(entropies),
+        entropies=entropies,
         layout=setup.layout,
     )
 
@@ -442,7 +442,8 @@ def train_step(
             breakdown = evaluate_prepared(
                 prep, params, cfg.kl_coef, with_grad=True, gradient_out=gradient
             )
-        if not np.isfinite(breakdown.total) or not np.all(np.isfinite(breakdown.gradient)):
+        finite = np.logical_and.reduce(np.isfinite(breakdown.gradient), axis=None)
+        if not np.isfinite(breakdown.total) or not finite:
             index = _locate_nonfinite_group(batch, prep, params)
             raise TrainingDiverged(
                 "non-finite loss or gradient",
@@ -493,8 +494,8 @@ def evaluate(
                 tokens.append(rows.tokens)
                 prompts.append(prompt)
             ok = verify_rows(prompts, n, np.concatenate(tokens), vocab).reshape(len(chunk), n)
-            correct += int(ok.sum())
-            hits += int(ok.any(axis=1).sum())
+            correct += int(np.count_nonzero(ok))
+            hits += int(np.count_nonzero(np.logical_or.reduce(ok, axis=1)))
         out[spec.label] = (correct / (n_prompts * n), hits / n_prompts)
     return out
 
@@ -512,9 +513,10 @@ def _fork(frames):
 
     The child sends each value ``frames()`` yields as one pickle frame
     (see ``_receive``) through a pipe private to it, and leaves with
-    ``os._exit``. The pipe asks for ``_PIPE_BYTES`` of buffer, so a child
-    can run that far ahead of its reader; a refused request keeps the
-    system's default size, which only holds the child back sooner. None
+    ``os._exit``; it runs without the parent's profile function. The
+    pipe asks for ``_PIPE_BYTES`` of buffer, so a child can run that far
+    ahead of its reader; a refused request keeps the system's default
+    size, which only holds the child back sooner. None
     means the work is to be done inline: no ``os.fork`` (or not Linux), a
     second thread alive (forking it is unsafe), or a pipe or fork that
     could not be made.
@@ -542,6 +544,9 @@ def _fork(frames):
     if pid == 0:
         code = 1
         try:
+            # A profiler the parent runs (cProfile) would slow the child
+            # several times over and profile none of its work.
+            sys.setprofile(None)
             os.close(read)
             with open(write, "wb") as pipe:
                 for value in frames():
@@ -656,16 +661,19 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
                     evals = job()
                 else:
                     pending = (len(log), job, child)
+            entropies, lengths = batch.entropies, batch.lengths
             log.append(
                 StepMetrics(
                     step=step,
                     total=breakdown.total,
                     surrogate=breakdown.surrogate,
                     kl=breakdown.kl,
-                    entropy=float(np.mean(batch.entropies)) if batch.entropies else 0.0,
+                    entropy=float(np.add.reduce(entropies) / entropies.size)
+                    if entropies.size
+                    else 0.0,
                     clip_frac=breakdown.clip_fraction,
                     mean_eps=breakdown.mean_epsilon,
-                    resp_len=float(np.mean(batch.lengths)),
+                    resp_len=float(np.add.reduce(lengths) / lengths.size),
                     pass_rate=breakdown.pass_rate,
                     evals=evals,
                 )

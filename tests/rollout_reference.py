@@ -5,7 +5,8 @@ The program keeps a step's rollout in padded arrays
 the per-response objects and context rows that the array code replaced,
 so tests can compare the two layouts field by field. ``reference_evaluate``
 is the per-row evaluation loop that ``trainer.evaluate``'s chunked checks
-must equal bit for bit.
+must equal bit for bit, and ``wrapper_group_stats`` the numpy-wrapper form
+of ``groups.group_stats`` that its direct ufunc calls must equal.
 """
 
 from __future__ import annotations
@@ -115,3 +116,18 @@ def reference_evaluate(
             hits += bool(any(ok))
         out[spec.label] = (correct / (n_prompts * n), hits / n_prompts)
     return out
+
+
+def wrapper_group_stats(rewards: np.ndarray, xi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pass rate and advantages of a reward block through numpy's Python wrappers.
+
+    ``ndarray.sum``, ``np.expand_dims`` and ``np.count_nonzero(axis=)``,
+    as ``group_stats`` computed them before it called the ufuncs directly.
+    """
+    rewards = np.asarray(rewards, dtype=np.float64)
+    n = rewards.shape[-1]
+    mean = rewards.sum(axis=-1) / n
+    centered = rewards - np.expand_dims(mean, -1)
+    std = np.sqrt((centered * centered).sum(axis=-1) / n)
+    rate = np.count_nonzero(rewards > 0.0, axis=-1) / n
+    return rate, centered / (np.expand_dims(std, -1) + xi)

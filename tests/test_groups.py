@@ -8,6 +8,7 @@ from etrlab.groups import DEFAULT_XI, GroupStats, RolloutGroup, as_rollout_batch
 from etrlab.objectives import Static, prepare_batch
 from etrlab.policy import SampledResponse, Vocab, init_params, sample_group
 from etrlab.tasks import Prompt, encode_payload, response_grammar
+from rollout_reference import wrapper_group_stats
 
 VOCAB = Vocab()
 
@@ -195,6 +196,23 @@ def test_group_stats_of_a_block_is_bitwise_its_rows(xi):
                 assert_stats_bitwise_equal(group_stats(row, xi), want)
                 one = GroupStats(block.pass_rate[i], block.advantages[i])
                 assert_stats_bitwise_equal(one, want)
+
+
+@pytest.mark.parametrize("g", [2, 3, 5, 6, 8, 12])
+def test_group_stats_is_bitwise_the_numpy_wrapper_expressions(g):
+    # Sums of G values not a power of two round in an order the reduction
+    # picks, so the direct ufunc calls must reduce exactly as the wrappers do.
+    rng = np.random.default_rng(37 + g)
+    for k in (1, 3, 16, 33):
+        for rewards in (rng.choice([-1.0, 1.0], size=(k, g)), rng.normal(0.3, 2.0, size=(k, g))):
+            for block in (rewards, rewards[0]):
+                for xi in (DEFAULT_XI, 0.5):
+                    stats = group_stats(block, xi)
+                    for got, want in zip(
+                        (stats.pass_rate, stats.advantages), wrapper_group_stats(block, xi)
+                    ):
+                        assert np.shape(got) == np.shape(want)
+                        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_as_rollout_batch_rejects_groups_of_unequal_size():

@@ -17,6 +17,10 @@ string. A field that is only ever stored is state kept for nobody.
 Every name a module imports must be used in it, unless its line is marked
 ``# noqa``: no linter runs on the package, so an import a deletion leaves
 behind would otherwise stay.
+
+The functions on a training step's path call numpy's ufuncs directly
+(``policy.masked_logprobs`` says why), so none of them may call a
+Python-level wrapper that reaches the same ufunc at a fixed extra cost.
 """
 
 import ast
@@ -304,3 +308,72 @@ def test_import_guard_flags_unused_names_and_skips_noqa():
         "    return used(policy_mod, os)\n"
     )
     assert unused_imports(source) == ["json", "spare"]
+
+
+# Functions on a training step's path, by module; "Class.method" names a method.
+STEP_PATH = {
+    "groups": ["group_stats", "RolloutBatch.__post_init__"],
+    "objectives": ["macro_adjustment", "prepare_batch", "evaluate_prepared"],
+    "policy": ["sample_groups", "masked_logprobs", "logits_gradient"],
+    "tasks": ["answer_key", "verify_rows"],
+    "trainer": ["rollout_batch", "train_step", "apply_gradient", "clip_grad_norm", "run_training"],
+}
+NUMPY_WRAPPERS = {"sum", "mean", "any", "all", "clip", "expand_dims", "flatnonzero"}
+ARRAY_WRAPPERS = {"sum", "mean", "any", "all"}
+
+
+def find_function(tree: ast.Module, name: str) -> ast.FunctionDef | None:
+    """The definition of ``name`` ("function" or "Class.method") in a module."""
+    scope: list[ast.stmt] = tree.body
+    *owners, leaf = name.split(".")
+    for owner in owners:
+        classes = [n for n in scope if isinstance(n, ast.ClassDef) and n.name == owner]
+        if not classes:
+            return None
+        scope = classes[0].body
+    found = [n for n in scope if isinstance(n, ast.FunctionDef) and n.name == leaf]
+    return found[0] if found else None
+
+
+def wrapper_calls(function: ast.AST) -> list[str]:
+    """Calls in a function of ``np.<wrapper>`` or an array's ``.<wrapper>`` method."""
+    calls = []
+    for node in ast.walk(function):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        if isinstance(func.value, ast.Name) and func.value.id == "np":
+            if func.attr in NUMPY_WRAPPERS:
+                calls.append(f"np.{func.attr}")
+        elif func.attr in ARRAY_WRAPPERS:
+            calls.append(f".{func.attr}")
+    return calls
+
+
+def test_step_path_calls_no_numpy_wrappers():
+    found = {}
+    for module, names in STEP_PATH.items():
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for name in names:
+            function = find_function(tree, name)
+            assert function is not None, f"{module}.{name} is gone; update STEP_PATH"
+            calls = wrapper_calls(function)
+            if calls:
+                found[f"{module}.{name}"] = calls
+    assert found == {}
+
+
+def test_wrapper_guard_flags_wrappers_and_methods_only():
+    tree = ast.parse(
+        "class Batch:\n"
+        "    def check(self, x):\n"
+        "        return np.all(x > 0) and x.any() and all(x)\n"
+        "def stats(x):\n"
+        "    m = np.add.reduce(x) / x.size\n"
+        "    return np.clip(x, 0, 1), x.sum(axis=0), np.expand_dims(m, -1), np.minimum(x, m)\n"
+    )
+    assert wrapper_calls(find_function(tree, "Batch.check")) == ["np.all", ".any"]
+    assert sorted(wrapper_calls(find_function(tree, "stats"))) == [
+        ".sum", "np.clip", "np.expand_dims"
+    ]
+    assert find_function(tree, "check") is None and find_function(tree, "Other.stats") is None

@@ -100,6 +100,13 @@ def test_macro_adjustment_examples():
         macro_adjustment(-0.1, 0.1)
     with pytest.raises(ContractViolation):
         macro_adjustment(1.1, 0.1)
+    # NaN is no pass rate: it would pass a NaN band on to the clip bounds.
+    for bad in (np.nan, [0.5, np.nan]):
+        with pytest.raises(ContractViolation):
+            macro_adjustment(bad, 0.1)
+        with pytest.raises(ContractViolation):
+            clip_bounds(Elastic(0.2, 0.1, 0.1), np.zeros(np.shape(bad)), bad)
+    assert macro_adjustment(np.zeros(0), 0.1).shape == (0,)
 
 
 def test_macro_unimodality_on_grid():

@@ -321,14 +321,17 @@ def test_verify_rows_edge_buffers():
     digitsum = make_prompt("digitsum", 2, (7,))
     parity = make_prompt("parity", 3, (1, 0, 0))
     copy = make_prompt("copy", 2, (3, 5))
-    prompts = [digitsum, parity, copy]
+    prompts = [digitsum, digitsum, parity, copy]
     eos = VOCAB.eos
     # (buffer row, verdict); a row is read up to its prompt's answer length
-    # (3, 2 and 3 here), and ids past it are padding.
+    # (3, 3, 2 and 3 here), and ids past it are padding.
     rows = [
         ((9, 8, eos), True),
         ((3, 5, eos), False),
         ((eos, 7, eos), False),  # EOS in a digit slot
+        ((-1, 8, eos), False),  # digits summing to 7, one of them negative
+        ((11, 6, eos), False),  # digits summing to 17, one of them 11
+        ((0, 7, eos), True),
         ((1, eos, 0), True),
         ((1, 0, eos), False),  # parity answer with an extra slot
         ((VOCAB.sep, eos, 0), False),
@@ -345,9 +348,9 @@ def test_verify_rows_edge_buffers():
     ]
     assert got.tolist() == scalar
     # A zero-width buffer and one narrower than the answer: no EOS slot.
-    empty = np.zeros((9, 0), dtype=np.int64)
+    empty = np.zeros((12, 0), dtype=np.int64)
     assert not verify_rows(prompts, 3, empty, VOCAB).any()
-    assert not verify_rows([copy], 2, tokens[6:8, :2], VOCAB).any()
+    assert not verify_rows([copy], 2, tokens[9:11, :2], VOCAB).any()
     with pytest.raises(ContractViolation):
         verify_rows(prompts, 2, tokens, VOCAB)
     # Hand-built prompts: a copy payload that does not fill its slots has
@@ -386,23 +389,31 @@ def test_every_grammar_is_content_slots_then_one_forced_eos(family, n_content):
 def padded_buffers(draw):
     """Prompts of all three families and a padded buffer of n rows each.
 
-    Rows start from a right answer or from a random list of any ids (EOS
-    included, anywhere); one id may then be replaced, so stray EOS and ids
-    outside the content range come up. Buffers are 0 to 6 columns wide,
-    so some are narrower than an answer and cut its rows short.
+    Some prompts are hand-built to have no right answer: a parity payload
+    with a 2 added, whose xor is 2 or 3, or a copy payload one id short of
+    its slots. Rows start from a right answer or from a random list of ids
+    (EOS included, anywhere, and ids outside the vocabulary: negative ones
+    and ones past it); one id may then be replaced by such an id or by
+    EOS, so stray EOS in content slots and ids outside the digit range
+    come up. Buffers are 0 to 6 columns wide, so some are narrower than an
+    answer and cut its rows short.
     """
     vocab = Vocab(draw(st.sampled_from([2, 10, 12])))
     families = [f for f in FAMILIES if f != "digitsum" or vocab.n_content >= 10]
-    any_id = st.integers(0, vocab.size - 1)
+    any_id = st.integers(-3, vocab.size + 12)
     k, n, horizon = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 6))
-    prompts = [
-        generate_prompt(
+    prompts = []
+    for _ in range(k):
+        prompt = generate_prompt(
             TaskSpec(draw(st.sampled_from(families)), draw(st.integers(1, 4))),
             vocab,
             np.random.default_rng(draw(st.integers(0, 2**16))),
         )
-        for _ in range(k)
-    ]
+        if prompt.family != "digitsum" and draw(st.booleans()):
+            family, payload = prompt.family, prompt.payload
+            payload = payload[:-1] if family == "copy" else payload + (2,)
+            prompt = Prompt(family, prompt.difficulty, payload, encode_payload(family, payload, vocab))
+        prompts.append(prompt)
     # Padding: any ids, as the sampler leaves past a row's answer.
     padding = np.random.default_rng(draw(st.integers(0, 2**16)))
     tokens = padding.integers(vocab.size, size=(k * n, horizon))
@@ -410,7 +421,7 @@ def padded_buffers(draw):
         right = answer(prompts[i // n]) + [vocab.eos]
         row = list(draw(st.just(right) | st.lists(any_id, max_size=horizon + 1)))
         if row and draw(st.booleans()):
-            row[draw(st.integers(0, len(row) - 1))] = draw(any_id)
+            row[draw(st.integers(0, len(row) - 1))] = draw(any_id | st.just(vocab.eos))
         row = row[:horizon]
         tokens[i, : len(row)] = row
     return vocab, prompts, n, tokens

@@ -1,3 +1,4 @@
+import cProfile
 import dataclasses
 import errno
 import os
@@ -206,7 +207,8 @@ def test_rollout_batch_shape_and_replay():
         assert a.prompt == b.prompt
         assert [r.tokens for r in a.responses] == [r.tokens for r in b.responses]
         np.testing.assert_array_equal(a.rewards, b.rewards)
-    assert batch.entropies == again.entropies
+    assert batch.entropies.dtype == np.float64
+    assert batch.entropies.tolist() == again.entropies.tolist()
     assert np.array_equal(batch.lengths, again.lengths)
     other = unpack_batch(rollout_batch(params, cfg, step=2))
     assert any(
@@ -1015,7 +1017,7 @@ def test_draw_step_reads_each_stream_as_the_sampler_did():
                 assert list(batch.prompts) == prompts
                 assert batch.tokens.tobytes() == tokens.tobytes()
                 assert batch.logprobs.tobytes() == logprobs.tobytes()
-                assert list(batch.entropies) == entropies
+                assert batch.entropies.tolist() == entropies.tolist()
             # Sampling left the set-up as it was sent.
             assert comparable(sent) == comparable(inline)
         assert trainer_mod._receive(producer[1]) is None
@@ -1052,6 +1054,23 @@ def test_receive_reads_a_frame_cut_short_as_none():
     assert comparable(got) == comparable(setup)
     for cut in (0, 5, 8, 9, len(frame) // 2, len(frame) - 1):
         assert received(frame[:cut]) is None
+
+
+def test_forked_child_runs_without_the_parents_profiler():
+    # An inherited cProfile profiler would slow the draw producer several
+    # times over while it profiles nothing the parent reports.
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        profiled = sys.getprofile() is not None
+        child = trainer_mod._fork(lambda: (sys.getprofile() is None,))
+    finally:
+        profiler.disable()
+    assert profiled and child is not None
+    try:
+        assert trainer_mod._receive(child[1]) is True
+    finally:
+        trainer_mod._reap(child)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
