@@ -99,7 +99,7 @@ class RolloutBatch:
     @property
     def lengths(self) -> np.ndarray:
         """Each row's response length: its grammar's number of positions."""
-        return np.repeat([len(g) for g in self.grammars], self.group_size)
+        return np.asarray([len(g) for g in self.grammars]).repeat(self.group_size)
 
     @property
     def window(self) -> int:

@@ -230,7 +230,7 @@ def _distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]
     new = np.ones(len(rows), dtype=bool)
     np.logical_or.reduce(ranked[:, 1:] != ranked[:, :-1], axis=0, out=new[1:])
     index = np.empty(len(rows), dtype=np.int64)
-    index[order] = np.cumsum(new) - 1
+    index[order] = new.cumsum() - 1
     return rows[order[new]], index
 
 
@@ -304,7 +304,7 @@ def prepare_batch(
     if layout is None:
         layout = token_layout(batch.grammars, g, batch.logprobs.shape[1], vocab.size)
     # Token j of the batch is response[j]'s token at position[j].
-    response, position = np.nonzero(layout.read)
+    response, position = layout.read.nonzero()
     table = layout.table
     mask_rows = layout.starts[response] + position
     # Every prompt tail is read by its response's first context, and every
@@ -315,7 +315,7 @@ def prepare_batch(
     policy_mod._check_ids(targets, vocab.size)
     stats = group_stats(batch.rewards.reshape(k, g), xi)
     adv = stats.advantages.reshape(-1)
-    rate = np.repeat(stats.pass_rate, g)
+    rate = stats.pass_rate.repeat(g)
     mean_eps = None
     if isinstance(strategy, Elastic):
         eps = dynamic_epsilon(adv, rate, strategy)
@@ -333,11 +333,11 @@ def prepare_batch(
     # block, the distinct contexts scored tokens read, has one row per run
     # of pair contexts, and pair_contexts is each pair's run.
     rows, row_index = _distinct_rows(
-        np.column_stack((contexts, mask_rows)), max(vocab.size, len(table))
+        np.concatenate((contexts, mask_rows[:, None]), axis=1), max(vocab.size, len(table))
     )
     new_context = np.ones(len(rows), dtype=bool)
     np.logical_or.reduce(rows[1:, :window] != rows[:-1, :window], axis=1, out=new_context[1:])
-    row_context = np.cumsum(new_context) - 1
+    row_context = new_context.cumsum() - 1
     distinct = rows[new_context, :window]
     scored_rows = row_index[scored]
     scored_index = row_context[scored_rows]
@@ -353,9 +353,9 @@ def prepare_batch(
         forward_contexts=distinct[forward_rows],
         scored=scored,
         scored_targets=targets[scored],
-        pair_contexts=np.cumsum(head) - 1,
+        pair_contexts=head.cumsum() - 1,
         pair_masks=table[rows[paired, window]],
-        pair_index=(np.cumsum(paired) - 1)[scored_rows],
+        pair_index=(paired.cumsum() - 1)[scored_rows],
         scatter_index=(scored_index[:, None] * vocab.size + np.arange(vocab.size)).reshape(-1),
         targets=targets,
         old_logprobs=batch.logprobs[response, position],

@@ -438,6 +438,7 @@ def sample_groups(
     temperature: float,
     *,
     collect_entropy: bool = False,
+    memo: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample n responses to each of K prompts in lockstep.
 
@@ -454,6 +455,15 @@ def sample_groups(
     position with a choice, the rows of a group have read the same prompt
     tail and forced ids, so that position forwards one context per group
     and samples the group's n rows from its one log-prob row.
+
+    ``memo`` is a dict the caller keeps for one parameter set, temperature
+    and grammar. A position that forwards a single context (a one-prompt
+    call's first position with a choice, or any position when K = n = 1)
+    looks its masked log-prob row up there by position and context ids,
+    and stores it on a miss. Such a row always comes from the same
+    one-context :func:`forward` and :func:`masked_logprobs`, so a stored
+    row has the bits a new forward would give; calls that forward more
+    than one context never read or write the memo.
 
     Returns the sampler's padded buffers, rows group-major (rows
     ``k * n`` to ``(k + 1) * n - 1`` answer prompt k):
@@ -507,10 +517,17 @@ def sample_groups(
             # all-zero row, past its group's budget).
             picks = group_sole[:, pos].repeat(n)
         else:
-            logits = forward(params, tokens[::stride, pos : pos + window])[2]
-            lp = masked_logprobs(
-                logits.reshape(k_groups, -1, v), group_masks[:, pos, None], temperature
-            ).reshape(len(logits), v)
+            contexts = tokens[::stride, pos : pos + window]
+            key = (pos, contexts.tobytes()) if memo is not None and len(contexts) == 1 else None
+            lp = None if key is None else memo.get(key)
+            if lp is None:
+                logits = forward(params, contexts)[2]
+                lp = masked_logprobs(
+                    logits.reshape(k_groups, -1, v), group_masks[:, pos, None], temperature
+                ).reshape(len(logits), v)
+                if key is not None:
+                    lp.flags.writeable = False
+                    memo[key] = lp
             probs = np.exp(lp)
             # Each distinct context's rows sample from its one row.
             picks = _sample_rows(probs, draws[:, pos].reshape(len(lp), stride))
@@ -536,6 +553,7 @@ def sample_group(
     position_masks: PositionMasks,
     max_len: int = sys.maxsize,
     collect_entropy: bool = False,
+    memo: dict | None = None,
 ) -> tuple[SampledRows, list[float]]:
     """Sample n responses to one prompt in lockstep from a single stream.
 
@@ -545,7 +563,8 @@ def sample_group(
     call leaves it untouched. Every row has one token per mask, so the
     rows come back as :class:`SampledRows` over the response columns of
     the call's own buffers, and no per-row object is built unless a
-    caller reads one. The entropies come back as a list.
+    caller reads one. The entropies come back as a list. ``memo`` is
+    passed on to :func:`sample_groups`.
     """
     if max_len < 0:
         raise ContractViolation("max_len must be non-negative")
@@ -553,7 +572,7 @@ def sample_group(
     setup = lockstep_setup(params.vocab, params.window, [prompt], n, temperature, [masks])
     draws = draw_uniforms([rng], [len(masks)], n)
     tokens, logprobs, entropies = sample_groups(
-        params, setup, draws, temperature, collect_entropy=collect_entropy
+        params, setup, draws, temperature, collect_entropy=collect_entropy, memo=memo
     )
     return SampledRows(tokens[:, params.window :], logprobs), entropies.tolist()
 

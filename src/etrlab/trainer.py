@@ -473,15 +473,18 @@ def evaluate(
     the two coincide.
 
     Each prompt is drawn and answered from its own (seed, round, task,
-    prompt) stream by one :func:`sample_group` call. A task's answers are
-    checked ``_EVAL_CHUNK`` prompts at a time by one ``verify_rows`` call,
-    and only the correct and hit counts are kept.
+    prompt) stream by one :func:`sample_group` call. The calls of a task
+    share one memo, so a prompt that repeats one already answered reuses
+    its first choice's log-prob row. A task's answers are checked
+    ``_EVAL_CHUNK`` prompts at a time by one ``verify_rows`` call, and
+    only the correct and hit counts are kept.
     """
     if n < 1 or n_prompts < 1:
         raise ContractViolation("evaluation needs n >= 1 and n_prompts >= 1")
     out: dict[str, tuple[float, float]] = {}
     for li, spec in enumerate(suite):
         grammar = response_grammar(spec, vocab)
+        memo: dict = {}
         correct = 0
         hits = 0
         for start in range(0, n_prompts, _EVAL_CHUNK):
@@ -490,7 +493,9 @@ def evaluate(
             for pi in chunk:
                 rng = np.random.default_rng(stream_seed((seed, _EVAL_TAG, li, pi, round_index)))
                 prompt = generate_prompt(spec, vocab, rng)
-                rows, _ = sample_group(params, prompt.tokens, n, temperature, rng, grammar)
+                rows, _ = sample_group(
+                    params, prompt.tokens, n, temperature, rng, grammar, memo=memo
+                )
                 tokens.append(rows.tokens)
                 prompts.append(prompt)
             ok = verify_rows(prompts, n, np.concatenate(tokens), vocab).reshape(len(chunk), n)

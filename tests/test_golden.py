@@ -19,8 +19,8 @@ short runs never reach.
 
 Evaluation is pinned on its own too, as ``float.hex`` per task: the
 default suite at eval-ckpt's size on moved parameters, a prompt count
-that no chunk size of 64 divides, and the one-sample path of
-``etrlab eval --n 1``.
+that no chunk size of 64 divides, the one-sample path of
+``etrlab eval --n 1``, and update-heavy shapes at temperature 0.7.
 
 The line plots are pinned as SVG bytes, with the runs short enough that
 a plot is left out.
@@ -254,12 +254,14 @@ def test_gradient_check_suite_errors():
     assert [(m, err.hex()) for m, err in gradient_check_suite(seed=0)] == GOLDEN_GRADCHECK
 
 
-def eval_results(n, n_prompts, round_index=0):
-    """``evaluate`` of the default suite on moved default-shaped parameters.
+def eval_results(n, n_prompts, round_index=0, **config):
+    """``evaluate`` of the default suite on moved parameters.
 
-    Returns (mean@N, best@N) per task label as ``float.hex`` strings.
+    The parameters have the default shapes and the default temperature is
+    used, unless ``config`` sets other ``TrainConfig`` values. Returns
+    (mean@N, best@N) per task label as ``float.hex`` strings.
     """
-    cfg = TrainConfig()
+    cfg = TrainConfig(**config)
     vocab = Vocab(cfg.content_tokens)
     params = init_params(
         vocab, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, seed=7, scale=0.5
@@ -277,9 +279,16 @@ def eval_results(n, n_prompts, round_index=0):
     return {label: (mean.hex(), best.hex()) for label, (mean, best) in results.items()}
 
 
-# eval_results of the three cases below: eval-ckpt's size (512 prompts at
-# n = 32), a prompt count with a remainder (130) and the one-sample path.
-EVAL_CASES = {"default": (32, 512, 0), "130-prompts": (8, 130, 50), "one-sample": (1, 512, 0)}
+# eval_results of the four cases below: eval-ckpt's size (512 prompts at
+# n = 32), a prompt count with a remainder (130), the one-sample path, and
+# eval-ckpt's size on update-heavy shapes at a temperature other than 1.
+EVAL_CASES = {
+    "default": (32, 512, 0),
+    "130-prompts": (8, 130, 50),
+    "one-sample": (1, 512, 0),
+    "update-heavy-t0.7": (32, 512, 0),
+}
+EVAL_CONFIGS = {"update-heavy-t0.7": {"embed_dim": 32, "hidden_dim": 256, "temperature": 0.7}}
 GOLDEN_EVAL = {
     "default": {
         "copy2": ("0x1.1800000000000p-7", "0x1.7000000000000p-3"),
@@ -299,12 +308,18 @@ GOLDEN_EVAL = {
         "digitsum2": ("0x1.a000000000000p-4", "0x1.a000000000000p-4"),
         "parity2": ("0x1.f600000000000p-2", "0x1.f600000000000p-2"),
     },
+    "update-heavy-t0.7": {
+        "copy2": ("0x1.7800000000000p-9", "0x1.a000000000000p-5"),
+        "digitsum1": ("0x1.9f40000000000p-3", "0x1.5800000000000p-2"),
+        "digitsum2": ("0x1.43c0000000000p-4", "0x1.b800000000000p-2"),
+        "parity2": ("0x1.dee0000000000p-2", "0x1.9900000000000p-1"),
+    },
 }
 
 
 @pytest.mark.parametrize("case", sorted(EVAL_CASES))
 def test_golden_eval_results(case):
-    assert eval_results(*EVAL_CASES[case]) == GOLDEN_EVAL[case]
+    assert eval_results(*EVAL_CASES[case], **EVAL_CONFIGS.get(case, {})) == GOLDEN_EVAL[case]
 
 
 def sampler_buffer_digest():

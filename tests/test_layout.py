@@ -18,9 +18,10 @@ Every name a module imports must be used in it, unless its line is marked
 ``# noqa``: no linter runs on the package, so an import a deletion leaves
 behind would otherwise stay.
 
-The functions on a training step's path call numpy's ufuncs directly
-(``policy.masked_logprobs`` says why), so none of them may call a
-Python-level wrapper that reaches the same ufunc at a fixed extra cost.
+The functions on a training step's or an evaluation's path call numpy's
+ufuncs and array methods directly (``policy.masked_logprobs`` says why),
+so none of them may call a Python-level wrapper that reaches the same C
+code at a fixed extra cost.
 """
 
 import ast
@@ -310,15 +311,42 @@ def test_import_guard_flags_unused_names_and_skips_noqa():
     assert unused_imports(source) == ["json", "spare"]
 
 
-# Functions on a training step's path, by module; "Class.method" names a method.
+# Functions on a training step's or an evaluation's path, by module;
+# "Class.method" names a method.
 STEP_PATH = {
-    "groups": ["group_stats", "RolloutBatch.__post_init__"],
-    "objectives": ["macro_adjustment", "prepare_batch", "evaluate_prepared"],
-    "policy": ["sample_groups", "masked_logprobs", "logits_gradient"],
+    "groups": ["group_stats", "RolloutBatch.__post_init__", "RolloutBatch.lengths"],
+    "objectives": ["macro_adjustment", "prepare_batch", "_distinct_rows", "evaluate_prepared"],
+    "policy": [
+        "sample_groups",
+        "sample_group",
+        "lockstep_setup",
+        "draw_uniforms",
+        "masked_logprobs",
+        "logits_gradient",
+    ],
     "tasks": ["answer_key", "verify_rows"],
-    "trainer": ["rollout_batch", "train_step", "apply_gradient", "clip_grad_norm", "run_training"],
+    "trainer": [
+        "rollout_batch",
+        "train_step",
+        "apply_gradient",
+        "clip_grad_norm",
+        "run_training",
+        "evaluate",
+    ],
 }
-NUMPY_WRAPPERS = {"sum", "mean", "any", "all", "clip", "expand_dims", "flatnonzero"}
+NUMPY_WRAPPERS = {
+    "sum",
+    "mean",
+    "any",
+    "all",
+    "clip",
+    "expand_dims",
+    "flatnonzero",
+    "cumsum",
+    "repeat",
+    "nonzero",
+    "column_stack",
+}
 ARRAY_WRAPPERS = {"sum", "mean", "any", "all"}
 
 
@@ -368,12 +396,23 @@ def test_wrapper_guard_flags_wrappers_and_methods_only():
         "class Batch:\n"
         "    def check(self, x):\n"
         "        return np.all(x > 0) and x.any() and all(x)\n"
+        "    def rows(self, x, g):\n"
+        "        return np.repeat(x, g), x.repeat(g)\n"
         "def stats(x):\n"
         "    m = np.add.reduce(x) / x.size\n"
         "    return np.clip(x, 0, 1), x.sum(axis=0), np.expand_dims(m, -1), np.minimum(x, m)\n"
+        "def layout(read, new):\n"
+        "    r, p = np.nonzero(read)\n"
+        "    q, c = read.nonzero()\n"
+        "    index = np.cumsum(new) - 1, new.cumsum() - 1\n"
+        "    return np.column_stack((r, p)), np.concatenate((q[:, None], c[:, None]), axis=1)\n"
     )
     assert wrapper_calls(find_function(tree, "Batch.check")) == ["np.all", ".any"]
     assert sorted(wrapper_calls(find_function(tree, "stats"))) == [
         ".sum", "np.clip", "np.expand_dims"
+    ]
+    assert wrapper_calls(find_function(tree, "Batch.rows")) == ["np.repeat"]
+    assert sorted(wrapper_calls(find_function(tree, "layout"))) == [
+        "np.column_stack", "np.cumsum", "np.nonzero"
     ]
     assert find_function(tree, "check") is None and find_function(tree, "Other.stats") is None

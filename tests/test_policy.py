@@ -671,6 +671,60 @@ def test_masks_given_as_lists_sample_as_the_same_tuples():
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got[:2], want[:2]))
 
 
+MEMO_GRAMMAR = ((0, 1, 2, 3), tuple(range(4, 10)), (VOCAB.eos,))
+MEMO_PROMPTS = [[1, 2, VOCAB.sep], [3, VOCAB.sep], [VOCAB.sep], [4, 1, 2, VOCAB.sep]]
+
+
+@pytest.mark.parametrize("shape", [(16, 64), (32, 256)], ids=["default", "update-heavy"])
+@pytest.mark.parametrize("n", [1, 2, 32])
+@pytest.mark.parametrize("temperature", [1.0, 0.7])
+@pytest.mark.parametrize("as_lists", [False, True], ids=["tuples", "lists"])
+def test_a_shared_memo_leaves_every_sampled_byte_unchanged(shape, n, temperature, as_lists):
+    d, h = shape
+    p = tiny_params(seed=5, scale=1.0, d=d, h=h)
+    masks = [list(legal) for legal in MEMO_GRAMMAR] if as_lists else MEMO_GRAMMAR
+    picks = np.random.default_rng(n).integers(0, len(MEMO_PROMPTS), 12).tolist()
+    memo = {}
+    for i, which in enumerate(picks):
+        prompt = MEMO_PROMPTS[which]
+        rng, fresh = np.random.default_rng([i, 1]), np.random.default_rng([i, 1])
+        got, got_entropies = sample_group(
+            p, prompt, n, temperature, rng, masks, collect_entropy=True, memo=memo
+        )
+        want, want_entropies = sample_group(
+            p, prompt, n, temperature, fresh, masks, collect_entropy=True
+        )
+        assert got.tokens.tobytes() == want.tokens.tobytes()
+        assert got.logprobs.tobytes() == want.logprobs.tobytes()
+        assert np.asarray(got_entropies).tobytes() == np.asarray(want_entropies).tobytes()
+        assert rng.bit_generator.state == fresh.bit_generator.state
+    # A group forwards one context at its first choice, and a lone row at
+    # every choice; the forced EOS position forwards nothing.
+    assert len(set(picks)) < len(picks)
+    if n > 1:
+        assert sorted(pos for pos, _ in memo) == [0] * len(set(picks))
+    else:
+        assert {pos for pos, _ in memo} == {0, 1}
+    assert all(not row.flags.writeable for row in memo.values())
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_calls_on_several_prompts_leave_a_memo_alone(n):
+    p = tiny_params(seed=5, scale=1.0)
+    prompts = [MEMO_PROMPTS[0], MEMO_PROMPTS[0], MEMO_PROMPTS[1]]
+
+    def sample(**kwargs):
+        rngs = [np.random.default_rng([7, k]) for k in range(len(prompts))]
+        draws = draw_uniforms(rngs, [len(MEMO_GRAMMAR)] * len(prompts), n)
+        masks = [MEMO_GRAMMAR] * len(prompts)
+        return sample_prompts(p, prompts, n, 0.7, draws, masks, collect_entropy=True, **kwargs)
+
+    memo = {}
+    got = sample(memo=memo)
+    assert memo == {}
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, sample()))
+
+
 @st.composite
 def sampler_cases(draw):
     """Random shapes, budgets and grammars for the lockstep sampler.

@@ -28,6 +28,7 @@ from etrlab.tasks import (
     sample_task,
     verify,
 )
+import etrlab.policy as policy_mod
 import etrlab.trainer as trainer_mod
 from etrlab.trainer import (
     DivergedRun,
@@ -361,6 +362,26 @@ def test_evaluate_n_one_mean_equals_best():
     assert out == again
     with pytest.raises(ContractViolation):
         evaluate(params, suite, VOCAB, n=0, n_prompts=4, seed=0)
+
+
+def test_evaluate_forwards_each_distinct_first_context_once_per_call(monkeypatch):
+    calls = []
+    full = policy_mod.forward
+
+    def counted(params, contexts):
+        calls.append(contexts.shape[0])
+        return full(params, contexts)
+
+    monkeypatch.setattr(policy_mod, "forward", counted)
+    params = init_params(VOCAB, 4, 16, 64, 3, 0.5)
+    suite = (TaskSpec("parity", 2),)
+    first = evaluate(params, suite, VOCAB, n=32, n_prompts=64, seed=0)
+    # parity:2 has 4 distinct prompts and one position with a choice, so at
+    # most 4 of its 64 calls forward; the memo is dropped with the call.
+    assert 1 <= len(calls) <= 4 and set(calls) == {1}
+    forwards = len(calls)
+    assert evaluate(params, suite, VOCAB, n=32, n_prompts=64, seed=0) == first
+    assert len(calls) == 2 * forwards
 
 
 @st.composite
