@@ -262,14 +262,14 @@ def token_layout(
     each distinct grammar gets one mask table.
     """
     k, g = len(grammars), group_size
-    lengths = np.repeat([len(grammar) for grammar in grammars], g)
+    lengths = np.asarray([len(grammar) for grammar in grammars]).repeat(g)
     distinct = dict.fromkeys(grammars)
-    table_starts = dict(zip(distinct, np.cumsum([0, *map(len, distinct)]).tolist()))
+    table_starts = dict(zip(distinct, np.asarray([0, *map(len, distinct)]).cumsum().tolist()))
     return TokenLayout(
         read=np.arange(horizon) < lengths[:, None],
         weights=1.0 / (k * g * lengths),
         table=np.concatenate([mask_matrix(vocab_size, grammar) for grammar in distinct]),
-        starts=np.repeat([table_starts[grammar] for grammar in grammars], g),
+        starts=np.asarray([table_starts[grammar] for grammar in grammars]).repeat(g),
         sole=np.concatenate([policy_mod.sole_ids(grammar) for grammar in distinct]),
     )
 

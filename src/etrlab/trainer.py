@@ -9,7 +9,6 @@ training trajectories.
 from __future__ import annotations
 
 import dataclasses
-import math
 import operator
 import os
 import pickle
@@ -317,44 +316,13 @@ class StepSetup(NamedTuple):
     key: AnswerKey
     layout: TokenLayout
 
-    def __reduce__(self):
-        # Pickling and unpickling an array cost more than its bytes at these
-        # sizes, so a frame carries the arrays as one buffer, each padded to
-        # 8 bytes, and _unpickle_setup makes them read-only views of it.
-        arrays = [self.uniforms, *self.lockstep[:-1], *self.key, *self.layout]
-        specs = [(a.dtype.str, a.shape) for a in arrays]
-        data = b"".join(a.tobytes().ljust(_padded(a.nbytes), b"\0") for a in arrays)
-        return _unpickle_setup, (self.prompts, self.grammars, self.lockstep.n, specs, data)
-
-
-def _padded(nbytes: int) -> int:
-    return -(-nbytes // 8) * 8
-
-
-def _unpickle_setup(prompts, grammars, n, specs, data) -> StepSetup:
-    """The :class:`StepSetup` ``StepSetup.__reduce__`` packed, its arrays views of ``data``."""
-    arrays, at = [], 0
-    for dtype, shape in specs:
-        array = np.frombuffer(data, dtype, math.prod(shape), at).reshape(shape)
-        arrays.append(array)
-        at += _padded(array.nbytes)
-    uniforms, masks, sole, tokens, *rest = arrays
-    keys = len(AnswerKey._fields)
-    return StepSetup(
-        prompts,
-        grammars,
-        uniforms,
-        Lockstep(masks, sole, tokens, n),
-        AnswerKey(*rest[:keys]),
-        TokenLayout(*rest[keys:]),
-    )
-
 
 def step_setup(cfg: TrainConfig, vocab: Vocab, step: int) -> StepSetup:
     """Training step ``step``'s draws and everything they alone decide.
 
-    The draw producer sends one per frame; :func:`rollout_batch` makes
-    it when handed none.
+    A run's steps get theirs from :meth:`_SideWork.draws`: the draw
+    producer's frame, or made inline. :func:`rollout_batch` makes it
+    when handed none.
     """
     prompts, grammars, uniforms = draw_step(cfg, vocab, step)
     n = cfg.group_size
@@ -377,7 +345,8 @@ def rollout_batch(
 ) -> RolloutBatch:
     """Sample groups-per-step prompt groups for one training step.
 
-    ``draws`` is the step's :func:`step_setup`, made here when not given;
+    ``draws`` is the step's :func:`step_setup`, which a run's loop takes
+    from :meth:`_SideWork.draws` and which is made here when not given;
     the sampler, the answer check and the batch's layout read it. Every
     row is checked against its prompt in one vectorised pass; the batch
     keeps the sampler's buffers and entropies.
@@ -600,24 +569,72 @@ def _produce(cfg: TrainConfig, vocab: Vocab, first: int):
         yield step_setup(cfg, vocab, step)
 
 
+class _SideWork:
+    """A run's work off its training loop, each piece in a forked child (see ``_fork``).
+
+    - A draw producer, forked here, makes the :func:`step_setup` of every
+      step after the first ahead of training.
+    - Every evaluation round but the last runs on a copy-on-write snapshot
+      of the parameters while training goes on, one such child at a time.
+
+    Work whose child cannot fork or fails is done inline by the same call,
+    so the rows come out the same either way. The rounds write ``log``.
+    """
+
+    def __init__(self, cfg: TrainConfig, vocab: Vocab, log: list[StepMetrics]):
+        self.cfg, self.vocab, self.log = cfg, vocab, log
+        self.producer = _fork(partial(_produce, cfg, vocab, 2))
+        # (row, job, child) of the round a child is evaluating.
+        self.pending = None
+
+    def draws(self, step: int) -> StepSetup:
+        """Step ``step``'s :func:`step_setup`, sent by the producer from step 2 on.
+
+        It is made here for step 1, and for every step once the producer
+        could not fork or sent no whole frame (then it is reaped).
+        """
+        if self.producer is not None and step > 1:
+            setup = _receive(self.producer[1])
+            if setup is not None:
+                return setup
+            _reap(self.producer)
+            self.producer = None
+        return step_setup(self.cfg, self.vocab, step)
+
+    def submit(self, row: int, job) -> None:
+        """Collect the pending round, then start evaluating ``job()`` into row ``row``.
+
+        The round runs inline when no child forks, and once ``log`` holds
+        every step's row, when no training is left to overlap it.
+        """
+        self.collect()
+        child = _fork(lambda: (job(),)) if len(self.log) < self.cfg.steps else None
+        if child is None:
+            self.log[row].evals = job()
+        else:
+            self.pending = (row, job, child)
+
+    def collect(self) -> None:
+        """Write the pending round's evals, or ``job()``'s if its child failed, to its row."""
+        if self.pending is not None:
+            (row, job, child), self.pending = self.pending, None
+            sent = _receive(child[1])
+            _reap(child)
+            self.log[row].evals = job() if sent is None else sent
+
+    def close(self) -> None:
+        """Kill and reap every child left, whatever it was doing."""
+        for child in (self.pending and self.pending[2], self.producer):
+            if child is not None:
+                _reap(child)
+        self.pending = self.producer = None
+
+
 def run_training(cfg: TrainConfig) -> TrainingResult:
     """Execute a full run; pure function of the configuration.
 
-    Two kinds of forked child (see ``_fork``) take work off the training
-    loop, and the rows come out the same with or without them:
-
-    - A draw producer, forked at the start, makes the :func:`step_setup`
-      of every step after the first ahead of training, while the first is
-      made inline. If it cannot fork or dies, the steps it has not sent
-      are made inline by the same call.
-    - Every evaluation round but the last runs in a child on a
-      copy-on-write snapshot of the parameters while training goes on. A
-      round is collected before the next one forks and at the end, so at
-      most one such child runs at a time. A round that cannot fork, or
-      whose child fails, is evaluated inline from a copy of the parameters
-      kept for it, by the same call.
-
-    No child or pipe outlives the call.
+    A :class:`_SideWork` takes the draws and evaluation rounds off the
+    loop, and no child or pipe of it outlives the call.
     """
     validate_config(cfg)
     vocab = Vocab(cfg.content_tokens)
@@ -627,45 +644,11 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
     ref_params = params.copy()
     opt = OptimizerState.zeros(params.param_count)
     log: list[StepMetrics] = []
-    producer = None
-    # (row, job, child) of the round a child is evaluating.
-    pending = None
+    side = _SideWork(cfg, vocab, log)
     try:
-        producer = _fork(partial(_produce, cfg, vocab, 2))
         for step in range(1, cfg.steps + 1):
-            draws = None
-            if producer is not None and step > 1:
-                draws = _receive(producer[1])
-                if draws is None:
-                    _reap(producer)
-                    producer = None
-            batch = rollout_batch(params, cfg, step, draws)
+            batch = rollout_batch(params, cfg, step, side.draws(step))
             breakdown = train_step(params, ref_params, opt, batch, cfg)
-            evals = None
-            last = step == cfg.steps
-            if last or step % cfg.eval_every == 0:
-                if pending is not None:
-                    row, job, child = pending
-                    pending = None
-                    sent = _receive(child[1])
-                    _reap(child)
-                    log[row].evals = job() if sent is None else sent
-                job = partial(
-                    evaluate,
-                    params if last else params.copy(),
-                    cfg.suite,
-                    vocab,
-                    cfg.eval_n,
-                    cfg.eval_prompts,
-                    cfg.seed,
-                    round_index=step,
-                    temperature=cfg.temperature,
-                )
-                child = None if last else _fork(lambda: (job(),))
-                if child is None:
-                    evals = job()
-                else:
-                    pending = (len(log), job, child)
             entropies, lengths = batch.entropies, batch.lengths
             log.append(
                 StepMetrics(
@@ -680,14 +663,24 @@ def run_training(cfg: TrainConfig) -> TrainingResult:
                     mean_eps=breakdown.mean_epsilon,
                     resp_len=float(np.add.reduce(lengths) / lengths.size),
                     pass_rate=breakdown.pass_rate,
-                    evals=evals,
                 )
             )
+            last = step == cfg.steps
+            if last or step % cfg.eval_every == 0:
+                job = partial(
+                    evaluate,
+                    params if last else params.copy(),
+                    cfg.suite,
+                    vocab,
+                    cfg.eval_n,
+                    cfg.eval_prompts,
+                    cfg.seed,
+                    round_index=step,
+                    temperature=cfg.temperature,
+                )
+                side.submit(len(log) - 1, job)
     finally:
-        if pending is not None:
-            _reap(pending[2])
-        if producer is not None:
-            _reap(producer)
+        side.close()
     return TrainingResult(cfg, log, params, opt)
 
 

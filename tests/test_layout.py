@@ -311,11 +311,17 @@ def test_import_guard_flags_unused_names_and_skips_noqa():
     assert unused_imports(source) == ["json", "spare"]
 
 
-# Functions on a training step's or an evaluation's path, by module;
-# "Class.method" names a method.
+# Functions on a training step's or an evaluation's path, by module, the
+# draw producer's per-step work included; "Class.method" names a method.
 STEP_PATH = {
     "groups": ["group_stats", "RolloutBatch.__post_init__", "RolloutBatch.lengths"],
-    "objectives": ["macro_adjustment", "prepare_batch", "_distinct_rows", "evaluate_prepared"],
+    "objectives": [
+        "macro_adjustment",
+        "token_layout",
+        "prepare_batch",
+        "_distinct_rows",
+        "evaluate_prepared",
+    ],
     "policy": [
         "sample_groups",
         "sample_group",
@@ -326,10 +332,16 @@ STEP_PATH = {
     ],
     "tasks": ["answer_key", "verify_rows"],
     "trainer": [
+        "draw_step",
+        "step_setup",
         "rollout_batch",
         "train_step",
         "apply_gradient",
         "clip_grad_norm",
+        "_SideWork.draws",
+        "_SideWork.submit",
+        "_SideWork.collect",
+        "_SideWork.close",
         "run_training",
         "evaluate",
     ],

@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import os
 import sys
+import threading
 import warnings
 from functools import partial
 
@@ -919,6 +920,37 @@ def test_evaluating_every_step_keeps_one_child_at_a_time(monkeypatch):
     assert (children.forks, children.peak, children.alive) == (7, 1, set())
     assert (children.producers, children.producers_alive) == (1, set())
     assert all(m.evals for m in result.metrics)
+
+
+@pytest.mark.parametrize("case", ["second thread alive", "not linux"])
+def test_fork_leaves_the_work_inline_where_forking_is_unsafe(case, tmp_path, monkeypatch):
+    # Rounds at steps 2 and 4 fork, step 6's runs inline; then _fork
+    # forks nothing, and every round and step runs inline to the same bytes.
+    cfg = tiny_cfg(steps=6, eval_every=2)
+    children = ChildCounter(monkeypatch)
+
+    def artifacts(name):
+        write_run_artifacts(run_training(cfg), tmp_path / name)
+        return {f: (tmp_path / name / f).read_bytes() for f in ("metrics.csv", "final.ckpt")}
+
+    forked = artifacts("forked")
+    assert (children.forks, children.producers) == (2, 1)
+    if case == "not linux":
+        with monkeypatch.context() as m:
+            m.setattr(sys, "platform", "darwin")
+            inline = artifacts("inline")
+    else:
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            inline = artifacts("inline")
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert (children.forks, children.producers) == (2, 1)
+    assert inline == forked
 
 
 def test_runs_with_and_without_the_draw_producer_give_the_same_bytes(tmp_path, monkeypatch):
