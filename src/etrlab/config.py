@@ -118,7 +118,12 @@ class TrainConfig:
     adam_beta2: float = _key(0.999, _UNIT_FLOAT)
     adam_eps: float = _key(1e-8, _POS_FLOAT)
     weight_decay: float = _key(0.0, _NONNEG_FLOAT)
-    grad_clip: float = _key(1.0, _POS_FLOAT)
+    # Clipping leaves every gradient entry at most grad_clip, and AdamW's
+    # second moment is a running mean of their squares: the bound keeps the
+    # squares finite with room to spare.
+    grad_clip: float = _key(
+        1.0, (float, lambda v: 0.0 < v <= 1e150, "{key} must be a positive number at most 1e150")
+    )
     kl_coef: float = _key(0.001, _NONNEG_FLOAT)
     epsilon_base: float = _key(0.2, _NONNEG_FLOAT)
     epsilon_high: float = _key(0.28, _NONNEG_FLOAT)

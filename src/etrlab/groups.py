@@ -11,16 +11,13 @@ exactly zero advantages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .autodiff import ContractViolation
-from .policy import SampledResponse, Vocab, pad_context
+from .policy import GrammarTable, SampledResponse, Vocab, pad_context
 from .tasks import Prompt, response_grammar
-
-if TYPE_CHECKING:
-    from .objectives import TokenLayout
 
 DEFAULT_XI = 1e-6
 
@@ -63,9 +60,9 @@ class RolloutBatch:
     alone sets its length (``lengths``); later columns are padding and
     never read. ``entropies`` is the float64 array of the sampling
     entropies recorded during the rollout (empty for packed groups).
-    ``layout`` is the batch's ``objectives.TokenLayout`` when it was made
-    with the rollout's set-up; ``prepare_batch`` makes it from the
-    grammars when it is None.
+    ``table`` is the rollout's own ``policy.GrammarTable`` for a training
+    step's batch, and None for packed groups, whose table
+    ``prepare_batch`` takes from the grammars.
     """
 
     prompts: tuple[Prompt, ...]
@@ -75,7 +72,7 @@ class RolloutBatch:
     logprobs: np.ndarray
     rewards: np.ndarray
     entropies: np.ndarray = ()
-    layout: TokenLayout | None = None
+    table: GrammarTable | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", np.asarray(self.tokens, dtype=np.int64))

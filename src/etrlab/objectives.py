@@ -15,14 +15,18 @@ one half and vanishes for saturated or hopeless groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from . import policy as policy_mod
 from .autodiff import ContractViolation, Tensor, clip_gated, min_pair
 from .groups import DEFAULT_XI, RolloutBatch, RolloutGroup, as_rollout_batch, group_stats
-from .policy import MIN_TEMPERATURE, PolicyParams, PositionMasks, mask_matrix
+from .policy import (
+    MIN_TEMPERATURE,
+    PolicyParams,
+    mask_matrix,  # noqa: F401  (nothing here calls it; the benchmark probes it here)
+)
 
 @dataclass(frozen=True)
 class ClipHigh:
@@ -234,46 +238,6 @@ def _distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]
     return rows[order[new]], index
 
 
-class TokenLayout(NamedTuple):
-    """Which cells of a batch's buffers its tokens are, and which mask rows they read.
-
-    ``read`` (rows, horizon) marks each row's response positions, and
-    ``weights`` (rows,) holds each row's token weight, 1 / (groups * G *
-    length). ``table`` stacks the mask tables of the distinct grammars, a
-    row's token t reads its row ``starts[row] + t``, and ``sole`` holds
-    each table row's one legal id (-1 where it allows a choice). A batch's
-    grammars, group size and horizon decide all of it, so a training
-    step's layout is made ahead of the step (``trainer.step_setup``).
-    """
-
-    read: np.ndarray
-    weights: np.ndarray
-    table: np.ndarray
-    starts: np.ndarray
-    sole: np.ndarray
-
-
-def token_layout(
-    grammars: Sequence[PositionMasks], group_size: int, horizon: int, vocab_size: int
-) -> TokenLayout:
-    """The :class:`TokenLayout` of a batch whose groups answer under ``grammars``.
-
-    Every response has one token per position of its group's grammar, and
-    each distinct grammar gets one mask table.
-    """
-    k, g = len(grammars), group_size
-    lengths = np.asarray([len(grammar) for grammar in grammars]).repeat(g)
-    distinct = dict.fromkeys(grammars)
-    table_starts = dict(zip(distinct, np.asarray([0, *map(len, distinct)]).cumsum().tolist()))
-    return TokenLayout(
-        read=np.arange(horizon) < lengths[:, None],
-        weights=1.0 / (k * g * lengths),
-        table=np.concatenate([mask_matrix(vocab_size, grammar) for grammar in distinct]),
-        starts=np.asarray([table_starts[grammar] for grammar in grammars]).repeat(g),
-        sole=np.concatenate([policy_mod.sole_ids(grammar) for grammar in distinct]),
-    )
-
-
 def prepare_batch(
     batch: RolloutBatch | Sequence[RolloutGroup],
     strategy: ClipStrategy,
@@ -284,11 +248,14 @@ def prepare_batch(
     """Flatten a batch of groups into per-token constants for the objective.
 
     Groups are first packed into a :class:`RolloutBatch`. Its
-    :class:`TokenLayout` is the one it carries, or made here. Advantages,
-    pass rates and clip bands are per response, so they are computed as
-    per-response vectors that each token reads at its response; targets,
-    contexts and stored log-probs are the batch's buffers read at the
-    layout's positions. Forced tokens get no pair and no scatter block
+    ``policy.GrammarTable`` is the one it carries, or
+    ``policy.grammar_table`` of its grammars: a row's cells give its
+    response positions, each token's mask row and its response's length,
+    so its token weight, 1 / (groups * G * length). Advantages, pass rates
+    and clip bands are per response, so they are computed as per-response
+    vectors that each token reads at its response; targets, contexts and
+    stored log-probs are the batch's buffers read at the response
+    positions. Forced tokens get no pair and no scatter block
     (:class:`PreparedBatch`). Every id a context or target reads is
     checked here, once per batch.
     """
@@ -300,13 +267,16 @@ def prepare_batch(
     if not temperature >= MIN_TEMPERATURE:
         raise ContractViolation(f"temperature must be at least {MIN_TEMPERATURE!r}")
     k, g = len(batch), batch.group_size
-    layout = batch.layout
-    if layout is None:
-        layout = token_layout(batch.grammars, g, batch.logprobs.shape[1], vocab.size)
+    table = batch.table
+    if table is None:
+        table = policy_mod.grammar_table(vocab.size, batch.grammars, batch.logprobs.shape[1])
+    # Each row reads its group's cells; past its grammar, the padding row.
     # Token j of the batch is response[j]'s token at position[j].
-    response, position = layout.read.nonzero()
-    table = layout.table
-    mask_rows = layout.starts[response] + position
+    cells = table.cells.repeat(g, axis=0)
+    read = cells < len(table.masks) - 1
+    response, position = read.nonzero()
+    mask_rows = cells[response, position]
+    weights = 1.0 / (k * g * np.add.reduce(read, axis=1))
     # Every prompt tail is read by its response's first context, and every
     # response token is a target.
     contexts = batch.tokens[response[:, None], position[:, None] + np.arange(window)]
@@ -326,14 +296,14 @@ def prepare_batch(
     # A token that is its mask row's sole id is forced; every other token is
     # scored, an id outside a one-id row included (its log-probability is
     # not 0.0).
-    scored = (layout.sole[mask_rows] != targets).nonzero()[0]
+    scored = (table.sole[mask_rows] != targets).nonzero()[0]
     # One sort ranks every token's (context, mask-table row). The distinct
     # contexts are the runs of its first ``window`` columns, and the pairs
     # are the rows some scored token reads, in the same order: the forward
     # block, the distinct contexts scored tokens read, has one row per run
     # of pair contexts, and pair_contexts is each pair's run.
     rows, row_index = _distinct_rows(
-        np.concatenate((contexts, mask_rows[:, None]), axis=1), max(vocab.size, len(table))
+        np.concatenate((contexts, mask_rows[:, None]), axis=1), max(vocab.size, len(table.masks))
     )
     new_context = np.ones(len(rows), dtype=bool)
     np.logical_or.reduce(rows[1:, :window] != rows[:-1, :window], axis=1, out=new_context[1:])
@@ -354,7 +324,7 @@ def prepare_batch(
         scored=scored,
         scored_targets=targets[scored],
         pair_contexts=head.cumsum() - 1,
-        pair_masks=table[rows[paired, window]],
+        pair_masks=table.masks[rows[paired, window]],
         pair_index=(paired.cumsum() - 1)[scored_rows],
         scatter_index=(scored_index[:, None] * vocab.size + np.arange(vocab.size)).reshape(-1),
         targets=targets,
@@ -363,7 +333,7 @@ def prepare_batch(
         advantages=adv[response],
         lo=lo[response],
         hi=hi[response],
-        weights=layout.weights[response],
+        weights=weights[response],
         pass_rate=float(np.add.reduce(stats.pass_rate) / k),
         mean_epsilon=mean_eps,
         temperature=temperature,

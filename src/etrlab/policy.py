@@ -285,16 +285,46 @@ def mask_matrix(vocab_size: int, masks: PositionMasks) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def sole_ids(masks: PositionMasks) -> np.ndarray:
-    """Each position's one legal id, or -1 where its mask allows a choice.
+class GrammarTable(NamedTuple):
+    """Which additive mask row each (group, position) cell of K groups reads.
 
-    Memoised and read-only like :func:`mask_matrix`, whose table says the
-    same: a position with a sole id has one 0.0 entry, at that id.
+    ``masks`` (R + 1, V) stacks the :func:`mask_matrix` of each distinct
+    grammar in first-seen order, then one all-zero padding row. ``sole``
+    (R + 1,) holds each row's one legal id: -1 where the row allows a
+    choice, 0 on the padding row. ``cells`` (K, horizon) holds the row
+    group k reads at position t, the padding row past its grammar. The
+    sampler and the objective both read it, so this is the one place a
+    cell is mapped to its mask row.
     """
-    out = np.asarray([m[0] if len(m) == 1 else -1 for m in masks], dtype=np.int64)
-    out.flags.writeable = False
-    return out
+
+    masks: np.ndarray
+    sole: np.ndarray
+    cells: np.ndarray
+
+
+@functools.lru_cache(maxsize=256)
+def grammar_table(
+    vocab_size: int, grammars: tuple[PositionMasks, ...], horizon: int
+) -> GrammarTable:
+    """The :class:`GrammarTable` of groups answering under ``grammars``, ``horizon`` wide.
+
+    Memoised and read-only like :func:`mask_matrix`, so the one-prompt
+    calls of an evaluation share their grammar's table. A training step's
+    grammars rarely repeat, so the memo is bounded.
+    """
+    # Each distinct grammar's rows, in first-seen order; the padding row last.
+    rows: dict[PositionMasks, list[int]] = {}
+    pad = 0
+    for m in grammars:
+        if m not in rows:
+            rows[m] = list(range(pad, pad + len(m)))
+            pad += len(m)
+    masks = np.concatenate([*(mask_matrix(vocab_size, m) for m in rows), np.zeros((1, vocab_size))])
+    sole = np.asarray([t[0] if len(t) == 1 else -1 for m in rows for t in m] + [0], np.int64)
+    cells = np.asarray([rows[m] + [pad] * (horizon - len(m)) for m in grammars], np.int64)
+    for array in (masks, sole, cells):
+        array.flags.writeable = False
+    return GrammarTable(masks, sole, cells)
 
 
 class SampledResponse:
@@ -366,16 +396,14 @@ def draw_uniforms(
 class Lockstep(NamedTuple):
     """The set-up of a lockstep call: what its prompts, masks and n decide.
 
-    ``masks`` (K, horizon, V) holds each group's additive mask rows,
-    ``sole`` (K, horizon) the id each of them allows alone (-1 where it
-    allows a choice), ``tokens`` (K, window + horizon) each group's row of
-    the token buffer (its BOS-padded prompt tail, then zeros) and ``n``
-    the rows per group. A group past its budget (its number of masks) has
-    all-zero mask rows and sole id 0: they only fill its padding.
+    ``table`` is the groups' :func:`grammar_table`, ``tokens`` (K, window
+    + horizon) each group's row of the token buffer (its BOS-padded prompt
+    tail, then zeros) and ``n`` the rows per group. A group past its budget
+    (its number of masks) reads the table's padding row, all-zero with sole
+    id 0: it only fills its padding.
     """
 
-    masks: np.ndarray
-    sole: np.ndarray
+    table: GrammarTable
     tokens: np.ndarray
     n: int
 
@@ -391,11 +419,10 @@ def lockstep_setup(
     """Checks and set-up of a lockstep call on K prompts, before any uniform is drawn.
 
     Masks may be any sequences of ids; they are made tuples here, so the
-    memoised :func:`mask_matrix` and :func:`sole_ids` can hash them.
-    Prompt-tail ids are checked here, so a call with no positions still
-    rejects an id outside the vocabulary. Nothing here reads the
-    parameters, so a training step's set-up is made ahead of the step
-    (``trainer.step_setup``).
+    memoised :func:`grammar_table` can hash them. Prompt-tail ids are
+    checked here, so a call with no positions still rejects an id outside
+    the vocabulary. Nothing here reads the parameters, so a training
+    step's set-up is made ahead of the step (``trainer.step_setup``).
     """
     k_groups = len(prompts)
     if k_groups < 1:
@@ -407,20 +434,9 @@ def lockstep_setup(
     if len(position_masks) != k_groups:
         raise ContractViolation("one mask sequence per prompt is required")
     v = vocab.size
-    position_masks = [tuple(map(tuple, m)) for m in position_masks]
+    position_masks = tuple(tuple(map(tuple, m)) for m in position_masks)
     horizon = max(len(m) for m in position_masks)
-    # One mask row and one-id pick per group and position, from the tables
-    # of each distinct grammar, which are already in group order when no two
-    # groups share one.
-    grammars: dict[PositionMasks, int] = {}
-    which = [grammars.setdefault(m, len(grammars)) for m in position_masks]
-    group_masks = np.zeros((len(grammars), horizon, v))
-    group_sole = np.zeros((len(grammars), horizon), dtype=np.int64)
-    for i, m in enumerate(grammars):
-        group_masks[i, : len(m)] = mask_matrix(v, m)
-        group_sole[i, : len(m)] = sole_ids(m)
-    if len(grammars) < k_groups:
-        group_masks, group_sole = group_masks[which], group_sole[which]
+    table = grammar_table(v, position_masks, horizon)
     # Only prompt tails need a check: _sample_rows clamps sampled ids. A few
     # Python ints are checked and padded faster in Python than in numpy.
     tails = [list(p[-window:]) for p in prompts]
@@ -428,7 +444,7 @@ def lockstep_setup(
         raise ContractViolation("token id out of vocabulary range")
     tokens = np.zeros((k_groups, window + horizon), dtype=np.int64)
     tokens[:, :window] = [[vocab.bos] * (window - len(t)) + t for t in tails]
-    return Lockstep(group_masks, group_sole, tokens, n)
+    return Lockstep(table, tokens, n)
 
 
 def sample_groups(
@@ -489,7 +505,8 @@ def sample_groups(
     their masks may therefore differ from what a forward pass would have
     left there.
     """
-    group_masks, group_sole = setup.masks, setup.sole
+    table = setup.table
+    group_masks, group_sole = table.masks[table.cells], table.sole[table.cells]
     k_groups, horizon, v = group_masks.shape
     window = params.window
     n = setup.n

@@ -47,11 +47,9 @@ from .metrics import (
 )
 from .objectives import (
     LossBreakdown,
-    TokenLayout,
     evaluate_prepared,
     prepare_batch,
     score_prepared,
-    token_layout,
 )
 from .policy import (
     Lockstep,
@@ -81,7 +79,7 @@ from .tasks import (
 # streams; eval entropy tuples also differ in length.
 _EVAL_TAG = 0x45564C31
 
-# Pipe buffer a forked child asks for: about 70 default training steps'
+# Pipe buffer a forked child asks for: about 140 default training steps'
 # frames, so the draw producer runs far ahead of training and through an
 # evaluation round. Linux grants an unprivileged process up to
 # /proc/sys/fs/pipe-max-size, 1 MiB by default.
@@ -304,9 +302,9 @@ def draw_step(cfg: TrainConfig, vocab: Vocab, step: int) -> StepDraws:
 class StepSetup(NamedTuple):
     """Everything a training step needs that the parameters do not decide.
 
-    The step's :func:`draw_step`, its sampler's :class:`policy.Lockstep`,
-    its prompts' :class:`tasks.AnswerKey` and its batch's
-    :class:`objectives.TokenLayout`.
+    The step's :func:`draw_step`, its sampler's :class:`policy.Lockstep`
+    and its prompts' :class:`tasks.AnswerKey`. The lockstep's
+    ``policy.GrammarTable`` is also the batch's, which the objective reads.
     """
 
     prompts: list[Prompt]
@@ -314,7 +312,6 @@ class StepSetup(NamedTuple):
     uniforms: np.ndarray
     lockstep: Lockstep
     key: AnswerKey
-    layout: TokenLayout
 
 
 def step_setup(cfg: TrainConfig, vocab: Vocab, step: int) -> StepSetup:
@@ -333,7 +330,6 @@ def step_setup(cfg: TrainConfig, vocab: Vocab, step: int) -> StepSetup:
         uniforms,
         lockstep_setup(vocab, cfg.context_window, tokens, n, cfg.temperature, grammars),
         answer_key(prompts, vocab),
-        token_layout(grammars, n, uniforms.shape[1], vocab.size),
     )
 
 
@@ -347,9 +343,9 @@ def rollout_batch(
 
     ``draws`` is the step's :func:`step_setup`, which a run's loop takes
     from :meth:`_SideWork.draws` and which is made here when not given;
-    the sampler, the answer check and the batch's layout read it. Every
-    row is checked against its prompt in one vectorised pass; the batch
-    keeps the sampler's buffers and entropies.
+    the sampler and the answer check read it. Every row is checked
+    against its prompt in one vectorised pass; the batch keeps the
+    sampler's buffers, entropies and grammar table.
     """
     if step < 1:
         raise ContractViolation("step index starts at 1")
@@ -369,7 +365,7 @@ def rollout_batch(
         logprobs=logprobs,
         rewards=reward(correct),
         entropies=entropies,
-        layout=setup.layout,
+        table=setup.lockstep.table,
     )
 
 

@@ -270,6 +270,23 @@ def test_scalar_rejections(line):
     assert exc.value.line == 1
 
 
+def test_a_gradient_clip_whose_squares_overflow_is_rejected_on_its_line():
+    # Accepted before the bound: after its last step AdamW's second moment
+    # held inf, and the run's checkpoint was refused.
+    cfg = dataclasses.replace(
+        TrainConfig(), grad_clip=1e300, kl_coef=1e300, steps=3, eval_every=3, eval_prompts=2
+    )
+    text = render_config(cfg)
+    line = text.splitlines().index("grad_clip = 1e+300") + 1
+    message = "grad_clip must be a positive number at most 1e150"
+    with pytest.raises(ConfigError, match=f"^line {line}: {message}$"):
+        parse_config(text)
+    for reject in (validate_config, lambda c: apply_overrides(c, ["seed=2"])):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            reject(cfg)
+    assert parse_config(text.replace("1e+300\n", "1e+150\n", 1)).grad_clip == 1e150
+
+
 NON_FINITE = ("inf", "-inf", "nan", "Infinity", "+inf", "1e999")
 
 
@@ -410,7 +427,7 @@ _KEY_VALUES = {
     "adam_beta2": _floats(0.0, 1.0),
     "adam_eps": _floats(0.0, exclude_low=True),
     "weight_decay": _floats(0.0),
-    "grad_clip": _floats(0.0, exclude_low=True),
+    "grad_clip": _floats(0.0, 1e150, exclude_low=True),
     "kl_coef": _floats(0.0),
     "epsilon_base": _BAND_TERM,
     "epsilon_high": _floats(0.0),

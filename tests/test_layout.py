@@ -317,7 +317,6 @@ STEP_PATH = {
     "groups": ["group_stats", "RolloutBatch.__post_init__", "RolloutBatch.lengths"],
     "objectives": [
         "macro_adjustment",
-        "token_layout",
         "prepare_batch",
         "_distinct_rows",
         "evaluate_prepared",
@@ -325,6 +324,7 @@ STEP_PATH = {
     "policy": [
         "sample_groups",
         "sample_group",
+        "grammar_table",
         "lockstep_setup",
         "draw_uniforms",
         "masked_logprobs",

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from etrlab import objectives
+from etrlab import objectives, policy
 from etrlab.autodiff import ContractViolation, Record, exp, sum_all
 from etrlab.config import METHODS, TrainConfig, build_strategy, parse_suite
 from etrlab.groups import RolloutBatch, RolloutGroup, as_rollout_batch, group_stats
@@ -33,6 +33,7 @@ from etrlab.policy import (
     Vocab,
     draw_uniforms,
     forward,
+    grammar_table,
     init_params,
     mask_matrix,
     pad_context,
@@ -900,7 +901,8 @@ def test_prepare_batch_builds_one_mask_table_per_distinct_grammar(monkeypatch):
         calls.append(masks)
         return mask_matrix(vocab_size, masks)
 
-    monkeypatch.setattr(objectives, "mask_matrix", counted)
+    monkeypatch.setattr(policy, "mask_matrix", counted)
+    policy.grammar_table.cache_clear()
     params = init_params(VOCAB, 3, 5, 7, 0, 0.4)
     cfg = dataclasses.replace(TrainConfig(), context_window=3)
     batch = rollout_batch(params, cfg, 1)
@@ -909,6 +911,36 @@ def test_prepare_batch_builds_one_mask_table_per_distinct_grammar(monkeypatch):
     # One table per grammar, in first-seen order.
     assert calls == list(dict.fromkeys(batch.grammars))
     assert prep.pair_masks.shape[0] < prep.targets.size
+
+
+def test_a_batch_without_a_grammar_table_reads_its_grammars_table(monkeypatch):
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return grammar_table(*args)
+
+    params = init_params(VOCAB, 3, 5, 7, 0, 0.4)
+    cfg = dataclasses.replace(TrainConfig(), context_window=3)
+    batch = rollout_batch(params, cfg, 1)
+    groups = [
+        make_group([1.0, -1.0, 1.0], seed, params, difficulty)[0]
+        for seed, difficulty in ((2, 1), (3, 2), (4, 1))
+    ]
+    packed = as_rollout_batch(groups, VOCAB, params.window)
+    assert packed.table is None
+    monkeypatch.setattr(policy, "grammar_table", recorded)
+    # A training step's batch prepares from its own table, and the same
+    # without it.
+    want = prepare_batch(batch, Static(0.2), params)
+    assert calls == []
+    got = prepare_batch(dataclasses.replace(batch, table=None), Static(0.2), params)
+    assert calls == [(VOCAB.size, batch.grammars, batch.logprobs.shape[1])]
+    assert grammar_table(*calls[0]) is batch.table
+    assert_same(prepared_fields(got), prepared_fields(want))
+    # A packed batch's table is its grammars' table.
+    prepare_batch(packed, Static(0.2), params)
+    assert calls[1:] == [(VOCAB.size, packed.grammars, packed.logprobs.shape[1])]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=METHODS)

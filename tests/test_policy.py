@@ -23,7 +23,7 @@ from etrlab.policy import (
     score_tokens,
 )
 from etrlab.tasks import TaskSpec, generate_prompt, response_grammar
-from etrlab.trainer import rollout_batch
+from etrlab.trainer import rollout_batch, step_setup
 from rollout_reference import buffer_responses, sample_prompts, stacked_contexts
 
 VOCAB = Vocab()
@@ -177,6 +177,63 @@ def test_cached_mask_matrix_raises_on_every_call(masks):
             mask_matrix(5, masks)
         with pytest.raises(ContractViolation):
             fresh_mask_matrix(5, masks)
+
+
+# Grammars of one to three positions over a five-id vocabulary, each
+# position allowing one to three ids.
+GRAMMARS = st.lists(
+    st.lists(st.sampled_from(range(5)), min_size=1, max_size=3, unique=True).map(tuple),
+    min_size=1,
+    max_size=3,
+).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(GRAMMARS, min_size=1, max_size=5), st.integers(0, 2))
+def test_grammar_table_maps_each_cell_to_its_grammars_mask_row(grammars, extra):
+    grammars = tuple(grammars)
+    horizon = max(map(len, grammars)) + extra
+    table = policy.grammar_table(5, grammars, horizon)
+    distinct = list(dict.fromkeys(grammars))
+    rows = sum(map(len, distinct))
+    # Each distinct grammar's table in first-seen order, then the padding row.
+    want = np.concatenate([fresh_mask_matrix(5, m) for m in distinct] + [np.zeros((1, 5))])
+    assert table.masks.dtype == want.dtype and table.masks.tobytes() == want.tobytes()
+    # A row's sole id is its one 0.0 entry; -1 where it has several.
+    sole = [int(np.flatnonzero(row == 0.0)[0]) if np.sum(row == 0.0) == 1 else -1 for row in want]
+    assert table.sole.dtype == np.int64 and table.sole.tolist() == sole[:rows] + [0]
+    assert table.cells.dtype == np.int64 and table.cells.shape == (len(grammars), horizon)
+    for k, grammar in enumerate(grammars):
+        cells = table.cells[k]
+        assert np.array_equal(table.masks[cells[: len(grammar)]], fresh_mask_matrix(5, grammar))
+        assert np.all(cells[len(grammar) :] == rows)
+
+
+def test_grammar_table_is_read_only_memoised_and_bounded():
+    grammars = (full_grammar(3), ((VOCAB.eos,),), full_grammar(3))
+    table = policy.grammar_table(VOCAB.size, grammars, 4)
+    assert policy.grammar_table(VOCAB.size, grammars, 4) is table
+    assert policy.grammar_table(VOCAB.size, grammars, 5) is not table
+    for array in table:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert policy.grammar_table.cache_info().maxsize is not None
+    # A failed build is not cached: it raises every time.
+    for bad in (((0,), (VOCAB.size,)), ((0,), ())):
+        for _ in range(2):
+            with pytest.raises(ContractViolation):
+                policy.grammar_table(VOCAB.size, (bad,), 2)
+
+
+def test_a_training_batch_carries_its_lockstep_grammar_table():
+    cfg = TrainConfig()
+    params = tiny_params()
+    setup = step_setup(cfg, VOCAB, 3)
+    assert setup.lockstep.table is policy.grammar_table(
+        VOCAB.size, tuple(setup.grammars), setup.uniforms.shape[1]
+    )
+    assert rollout_batch(params, cfg, 3, setup).table is setup.lockstep.table
 
 
 def test_sampled_response_length_contract():

@@ -3,20 +3,22 @@ import dataclasses
 import errno
 import os
 import sys
+import tempfile
 import threading
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from etrlab.autodiff import ContractViolation
 from etrlab.config import METHODS, ConfigError, TrainConfig, parse_suite, validate_config
 from etrlab.groups import as_rollout_batch
-from etrlab.metrics import _fmt, suite_labels, write_metrics_csv
+from etrlab.metrics import _fmt, load_checkpoint, suite_labels, write_metrics_csv
 from etrlab.policy import MIN_TEMPERATURE, PolicyParams, Vocab, init_params
 from etrlab.policy import draw_uniforms
 from etrlab.tasks import (
@@ -819,6 +821,65 @@ def test_compare_runs_isolates_a_diverged_run(tmp_path, jobs):
     assert lines[1].split(",")[:2] == ["grpo", _fmt(results[1].final_mean)]
     cells = ",diverged" * 4
     assert lines[2:] == [f"grpo-seed2{cells}", f"etr-seed2{cells}"]
+
+
+@st.composite
+def tiny_configs(draw):
+    """Tiny configs with extreme optimizer and band values; the config may reject them."""
+    return tiny_cfg(
+        method=draw(st.sampled_from(METHODS)),
+        seed=draw(st.integers(0, 2**32)),
+        steps=draw(st.integers(1, 4)),
+        groups_per_step=draw(st.integers(1, 4)),
+        group_size=draw(st.integers(2, 4)),
+        suite=parse_suite(draw(st.sampled_from(["copy:1", "parity:1,digitsum:1"]))),
+        eval_every=draw(st.integers(1, 4)),
+        eval_n=draw(st.integers(1, 3)),
+        eval_prompts=draw(st.integers(1, 3)),
+        inner_epochs=draw(st.integers(1, 3)),
+        learning_rate=draw(st.sampled_from([1e-300, 1e-2, 1.0, 1e300])),
+        grad_clip=draw(st.sampled_from([1e-300, 1.0, 1e150, 1e300])),
+        kl_coef=draw(st.sampled_from([0.0, 1e-3, 1e300])),
+        weight_decay=draw(st.sampled_from([0.0, 0.01, 1e300])),
+        adam_beta1=draw(st.sampled_from([0.0, 0.9, 1.0 - 1e-16])),
+        adam_beta2=draw(st.sampled_from([0.0, 0.999, 1.0 - 1e-16])),
+        adam_eps=draw(st.sampled_from([1e-300, 1e-8, 1e300])),
+        epsilon_base=draw(st.sampled_from([0.0, 0.2, 0.99])),
+        init_scale=draw(st.sampled_from([0.0, 0.1, 1e300])),
+        temperature=draw(st.sampled_from([MIN_TEMPERATURE, 1.0, 1e300])),
+    )
+
+
+def finite(*values) -> bool:
+    return all(np.isfinite(np.asarray(v, dtype=np.float64)).all() for v in values)
+
+
+# The run that ended with AdamW's second moment at inf before grad_clip was
+# bounded at config time.
+@example(tiny_cfg(grad_clip=1e300, kl_coef=1e300))
+@settings(max_examples=30, deadline=None)
+@given(tiny_configs())
+def test_an_accepted_config_runs_to_finite_artifacts_or_diverges(cfg):
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        assume(False)
+    try:
+        result = run_training(cfg)
+    except TrainingDiverged:
+        return
+    assert finite(result.params.vector, result.opt.moment1, result.opt.moment2)
+    for m in result.metrics:
+        values = [m.total, m.surrogate, m.kl, m.entropy, m.clip_frac, m.resp_len, m.pass_rate]
+        evals = [] if m.evals is None else list(m.evals.values())
+        assert finite(values, evals, [] if m.mean_eps is None else m.mean_eps)
+    with tempfile.TemporaryDirectory() as out:
+        write_run_artifacts(result, out)
+        written = set(os.listdir(out))
+        checkpoint = load_checkpoint(Path(out) / "final.ckpt")
+    assert {"config.txt", "metrics.csv", "final.ckpt"} <= written
+    assert cfg.steps < 2 or {"entropy.svg", "pass_rate.svg", "clipping.svg"} <= written
+    assert checkpoint.params.tobytes() == result.params.vector.tobytes()
 
 
 class ChildCounter:
