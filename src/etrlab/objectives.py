@@ -179,27 +179,34 @@ class PreparedBatch:
     logit row there leaves the objective and its gradient finite.
 
     ``distinct_contexts`` holds each context row once (``np.unique``
-    order), and ``forward_contexts`` its rows ``forward_rows``, the ones a
-    scored token reads: the MLP runs on that block. Scored token j, token
+    order), ``embed_one_hot`` their :func:`policy.embedding_one_hot`, and
+    ``forward_contexts`` their rows ``forward_rows``, the ones a scored
+    token reads: the MLP runs on that block. Scored token j, token
     ``scored[j]`` of the batch, reads row ``pair_index[j]`` of the
-    distinct (context, mask-table row) pairs at id ``scored_targets[j]``:
-    pair p reads block row ``pair_contexts[p]`` under the additive mask
+    distinct (context, mask-table row) pairs at its target id: pair p
+    reads block row ``pair_contexts[p]`` under the additive mask
     ``pair_masks[p]``, so the masked log-softmax runs once per pair.
-    ``scatter_index`` holds, scored token by scored token, the V flat
-    positions of its row of ``distinct_contexts`` in an (N, V) block, where
-    the logits' gradient is summed. The other per-token arrays cover every
-    token, in batch order. ``pass_rate`` is the mean of the groups' pass
-    rates, from the same group statistics as the advantages.
+    ``gather_index`` holds each scored token's flat position in the pairs'
+    (P, V) log-probs and ``target_index`` its flat position in its own row
+    of a (S, V) block, one row per scored token. ``scatter_index`` holds,
+    scored token by scored token, the V flat positions of its row of
+    ``distinct_contexts`` in an (N, V) block, where the logits' gradient is
+    summed. Every inner epoch reads these index arrays and the one-hot as
+    they are. The other per-token arrays cover every token, in batch
+    order. ``pass_rate`` is the mean of the groups' pass rates, from the
+    same group statistics as the advantages.
     """
 
     distinct_contexts: np.ndarray
+    embed_one_hot: np.ndarray
     forward_rows: np.ndarray
     forward_contexts: np.ndarray
     scored: np.ndarray
-    scored_targets: np.ndarray
     pair_contexts: np.ndarray
     pair_masks: np.ndarray
     pair_index: np.ndarray
+    gather_index: np.ndarray
+    target_index: np.ndarray
     scatter_index: np.ndarray
     targets: np.ndarray
     old_logprobs: np.ndarray
@@ -317,16 +324,21 @@ def prepare_batch(
     head = np.ones(len(pair_context), dtype=bool)
     head[1:] = pair_context[1:] != pair_context[:-1]
     forward_rows = pair_context[head]
+    pair_index = (paired.cumsum() - 1)[scored_rows]
+    scored_targets = targets[scored]
+    v = vocab.size
     prep = PreparedBatch(
         distinct_contexts=distinct,
+        embed_one_hot=policy_mod.embedding_one_hot(distinct, v),
         forward_rows=forward_rows,
         forward_contexts=distinct[forward_rows],
         scored=scored,
-        scored_targets=targets[scored],
         pair_contexts=head.cumsum() - 1,
         pair_masks=table.masks[rows[paired, window]],
-        pair_index=(paired.cumsum() - 1)[scored_rows],
-        scatter_index=(scored_index[:, None] * vocab.size + np.arange(vocab.size)).reshape(-1),
+        pair_index=pair_index,
+        gather_index=pair_index * v + scored_targets,
+        target_index=np.arange(0, scored.size * v, v) + scored_targets,
+        scatter_index=(scored_index[:, None] * v + np.arange(v)).reshape(-1),
         targets=targets,
         old_logprobs=batch.logprobs[response, position],
         ref_logprobs=None,  # scored on the pair rows below
@@ -356,7 +368,7 @@ def score_prepared(prep: PreparedBatch, params: PolicyParams) -> tuple[np.ndarra
         logits[prep.pair_contexts], prep.pair_masks, prep.temperature
     )
     lp = np.zeros(prep.targets.size)
-    lp[prep.scored] = lp_pairs[prep.pair_index, prep.scored_targets]
+    lp[prep.scored] = lp_pairs.take(prep.gather_index)
     return x, hidden, logits, lp_pairs, lp
 
 
@@ -399,13 +411,15 @@ def evaluate_prepared(
         d_lp = prep.weights * (prep.advantages * ratio * first - kl_coef * (1.0 - u))
         d_lp = d_lp[prep.scored]
         d_rows = np.exp(lp_pairs)[prep.pair_index] * -d_lp[:, None]
-        d_rows[np.arange(d_lp.size), prep.scored_targets] += d_lp
-        d_rows *= 1.0 / prep.temperature
+        d_rows.reshape(-1)[prep.target_index] += d_lp
+        # As in policy.masked_logprobs, scaling by 1.0 would change no bit.
+        if prep.temperature != 1.0:
+            d_rows *= 1.0 / prep.temperature
         n, v = len(prep.distinct_contexts), logits.shape[1]
         d_logits = np.bincount(prep.scatter_index, d_rows.reshape(-1), minlength=n * v)
         gradient = policy_mod.logits_gradient(
             params,
-            prep.distinct_contexts,
+            prep.embed_one_hot,
             prep.forward_rows,
             x,
             hidden,

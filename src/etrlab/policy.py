@@ -203,19 +203,30 @@ def forward(
     return x[:n], hidden[:n], logits[:n]
 
 
+def embedding_one_hot(contexts: np.ndarray, vocab_size: int) -> np.ndarray:
+    """The (V, N*W) float64 one-hot of N (N, W) contexts that :func:`logits_gradient` reads.
+
+    Entry (i, j * W + w) is 1.0 where context j holds id i at slot w, and
+    0.0 elsewhere: the values matmul would cast a boolean one-hot to, so
+    the product, and every bit of it, is the same.
+    """
+    return (contexts.reshape(-1) == np.arange(vocab_size)[:, None]).astype(np.float64)
+
+
 def logits_gradient(
     params: PolicyParams,
-    contexts: np.ndarray,
+    one_hot: np.ndarray,
     rows: np.ndarray,
     x: np.ndarray,
     hidden: np.ndarray,
     d_logits: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Flat parameter gradient of sum(d_logits * logits) over the (N, W) ``contexts``.
+    """Flat parameter gradient of sum(d_logits * logits) over N contexts.
 
-    Only ``contexts[rows]`` was forwarded, to ``x`` and ``hidden``, and the
-    (N, V) ``d_logits`` is zero on the other rows. Those rows stay in the
+    ``one_hot`` is the contexts' :func:`embedding_one_hot`. Only contexts
+    ``rows`` were forwarded, to ``x`` and ``hidden``, and the (N, V)
+    ``d_logits`` is zero on the other rows. Those rows stay in the
     products whose size is N, as zero rows, so the result has the bits it
     has with every row forwarded: BLAS rounds the rows of an ``a @ b.T``
     product differently at some row counts, and the embedding's one-hot
@@ -226,13 +237,13 @@ def logits_gradient(
     given), which is returned.
     """
     d_pre_rows = autodiff._tanh_backward(hidden, (d_logits @ params.w_out.T)[rows])
-    d_pre = np.zeros((len(contexts), params.hidden_dim))
+    d_pre = np.zeros((len(d_logits), params.hidden_dim))
     d_pre[rows] = d_pre_rows
     d_x = (d_pre @ params.w_hidden.T).reshape(-1, params.embed_dim)
     grad = np.empty(params.param_count) if out is None else out
     d_embed, d_w_hidden, d_b_hidden, d_w_out, d_b_out = params.blocks(grad)
-    # Scatter-add into embedding rows as a (V, N*W) one-hot product.
-    np.matmul(contexts.reshape(-1) == np.arange(params.vocab.size)[:, None], d_x, out=d_embed)
+    # Scatter-add into embedding rows as the one-hot product.
+    np.matmul(one_hot, d_x, out=d_embed)
     np.matmul(x.T, d_pre_rows, out=d_w_hidden)
     np.add.reduce(d_pre, axis=0, out=d_b_hidden)
     np.matmul(hidden.T, d_logits[rows], out=d_w_out)
@@ -503,7 +514,12 @@ def sample_groups(
     is exact (finite logits and ``temperature >= MIN_TEMPERATURE``).
     Padding at such a position in the columns of groups already past
     their masks may therefore differ from what a forward pass would have
-    left there.
+    left there. After the first position with a choice, a position where
+    some groups choose and others are forced within their budget gives
+    the forced rows their one id with log-probability 0.0 in the same
+    way, and forwards, softmaxes and samples only the other rows; rows
+    past their budget are among those, so padding keeps its bytes. With
+    one group such a position cannot occur, and none is looked for.
     """
     table = setup.table
     group_masks, group_sole = table.masks[table.cells], table.sole[table.cells]
@@ -521,6 +537,12 @@ def sample_groups(
     # A position is one-token when no group that reaches it has a choice there.
     choice = group_sole < 0
     one_token = ~np.logical_or.reduce(choice, axis=0)
+    # Positions with a choice where some group within its budget is forced.
+    # With one group there are none: its forced positions are one-token.
+    partial = ()
+    if k_groups > 1:
+        forced = (group_sole >= 0) & (table.cells < len(table.masks) - 1)
+        partial = set((np.logical_or.reduce(forced, axis=0) & ~one_token).nonzero()[0].tolist())
     if collect_entropy:
         entropy = np.zeros((horizon, rows))
     logprobs = np.zeros((rows, horizon))
@@ -532,28 +554,39 @@ def sample_groups(
             # No choice anywhere: the draws are spent, the log-probs stay 0.0,
             # and each row takes its mask row's one 0.0 entry (id 0 on an
             # all-zero row, past its group's budget).
-            picks = group_sole[:, pos].repeat(n)
+            tokens[:, window + pos] = group_sole[:, pos].repeat(n)
+            continue
+        if stride == 1 and pos in partial:
+            # Forced rows take their one id with log-prob 0.0, as at a
+            # one-token position; the groups that choose or are past their
+            # budget are sampled, on their rows only.
+            groups = ~forced[:, pos]
+            sampled = groups.repeat(n)
+            tokens[:, window + pos] = group_sole[:, pos].repeat(n)
+            contexts = tokens[sampled, pos : pos + window]
+            key = None
         else:
+            groups = sampled = slice(None)
             contexts = tokens[::stride, pos : pos + window]
             key = (pos, contexts.tobytes()) if memo is not None and len(contexts) == 1 else None
-            lp = None if key is None else memo.get(key)
-            if lp is None:
-                logits = forward(params, contexts)[2]
-                lp = masked_logprobs(
-                    logits.reshape(k_groups, -1, v), group_masks[:, pos, None], temperature
-                ).reshape(len(logits), v)
-                if key is not None:
-                    lp.flags.writeable = False
-                    memo[key] = lp
-            probs = np.exp(lp)
-            # Each distinct context's rows sample from its one row.
-            picks = _sample_rows(probs, draws[:, pos].reshape(len(lp), stride))
-            logprobs[:, pos] = lp.take(row_starts[: len(lp), None] + picks).reshape(rows)
-            if collect_entropy:
-                entropy[pos] = (-np.add.reduce(probs * lp, axis=1)).repeat(stride)
-            picks = picks.reshape(rows)
-            stride = 1
-        tokens[:, window + pos] = picks
+        lp = None if key is None else memo.get(key)
+        if lp is None:
+            logits = forward(params, contexts)[2]
+            masks = group_masks[groups, pos, None]
+            lp = masked_logprobs(
+                logits.reshape(len(masks), -1, v), masks, temperature
+            ).reshape(len(logits), v)
+            if key is not None:
+                lp.flags.writeable = False
+                memo[key] = lp
+        probs = np.exp(lp)
+        # Each distinct context's rows sample from its one row.
+        picks = _sample_rows(probs, draws[groups, pos].reshape(len(lp), stride))
+        logprobs[sampled, pos] = lp.take(row_starts[: len(lp), None] + picks).reshape(-1)
+        if collect_entropy:
+            entropy[pos, sampled] = (-np.add.reduce(probs * lp, axis=1)).repeat(stride)
+        tokens[sampled, window + pos] = picks.reshape(-1)
+        stride = 1
     if not collect_entropy:
         return tokens, logprobs, np.empty(0)
     # Group-major, then position-major over the positions with a choice.

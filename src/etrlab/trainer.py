@@ -9,6 +9,7 @@ training trajectories.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 import os
 import pickle
@@ -204,7 +205,8 @@ def clip_grad_norm(
     formed in ``work`` when given. When their sum overflows although every
     entry is finite, the norm is taken of the gradient over its largest
     magnitude, so a huge finite gradient is scaled to ``max_norm``, not to
-    zeros.
+    zeros. A gradient with an entry that is not finite comes back as it
+    is, with a norm that is not finite either.
     """
     if not max_norm > 0.0:
         raise ContractViolation("max_norm must be positive")
@@ -212,7 +214,9 @@ def clip_grad_norm(
     with np.errstate(over="ignore"):
         norm = float(np.sqrt(np.add.reduce(np.multiply(grad, grad, out=work), axis=None)))
     scale = max_norm / norm if norm > max_norm else 1.0
-    if norm == np.inf and np.logical_and.reduce(np.isfinite(grad), axis=None):
+    if norm == np.inf:
+        if not np.logical_and.reduce(np.isfinite(grad), axis=None):
+            return grad, norm
         peak = float(np.maximum.reduce(np.abs(grad), axis=None))
         unit = float(np.sqrt(np.add.reduce(np.square(grad / peak), axis=None)))
         norm, scale = peak * unit, max_norm / peak / unit
@@ -227,18 +231,25 @@ def apply_gradient(
     opt: OptimizerState,
     cfg: TrainConfig,
     work: np.ndarray,
-) -> None:
+) -> bool:
     """One clipped AdamW step of ``params`` up the objective's ``gradient``.
 
     The optimizer descends the negated objective. ``gradient`` is negated
     and clipped in place and then receives the new parameters, while
-    ``work`` holds the squares and moment terms. The new parameters are
+    ``work`` holds the squares and moment terms. A gradient with an entry
+    that is not finite changes nothing, ``opt`` included, and gives False;
+    it is told from the norm the clipping takes, and only a norm that is
+    not finite costs a pass over the entries. The new parameters are
     copied into ``params`` only once every entry is finite: a step that
     would leave a non-finite parameter raises :class:`TrainingDiverged`
     and leaves ``params`` as they were.
     """
     grad = np.negative(gradient, out=gradient)
-    clip_grad_norm(grad, cfg.grad_clip, out=grad, work=work)
+    norm = clip_grad_norm(grad, cfg.grad_clip, out=grad, work=work)[1]
+    # Finite squares have a finite sum, so a finite norm has finite entries;
+    # an infinite one may still come from squares that overflow.
+    if not math.isfinite(norm) and not np.logical_and.reduce(np.isfinite(grad), axis=None):
+        return False
     update = adamw_update(
         params.vector,
         grad,
@@ -254,6 +265,7 @@ def apply_gradient(
     if not np.logical_and.reduce(np.isfinite(update), axis=None):
         raise TrainingDiverged("non-finite parameters after update")
     params.set_vector(update)
+    return True
 
 
 class TrainingDiverged(RuntimeError):
@@ -351,9 +363,11 @@ def rollout_batch(
         raise ContractViolation("step index starts at 1")
     vocab = params.vocab
     setup = step_setup(cfg, vocab, step) if draws is None else draws
-    tokens, logprobs, entropies = sample_groups(
-        params, setup.lockstep, setup.uniforms, cfg.temperature, collect_entropy=True
-    )
+    # A forward pass that overflows is diagnosed by train_step's checks.
+    with np.errstate(over="ignore"):
+        tokens, logprobs, entropies = sample_groups(
+            params, setup.lockstep, setup.uniforms, cfg.temperature, collect_entropy=True
+        )
     correct = verify_rows(
         setup.prompts, cfg.group_size, tokens[:, params.window :], vocab, setup.key
     )
@@ -395,29 +409,33 @@ def train_step(
     Returns the breakdown evaluated at the start of the last inner epoch;
     with one inner epoch every ratio is 1 and the clip fraction is 0. Its
     gradient buffer is spent on the update, so it comes back as None.
+    A loss or gradient that is not finite raises :class:`TrainingDiverged`,
+    naming its group, before the update touches the parameters or ``opt``.
     """
-    prep = prepare_batch(batch, build_strategy(cfg), ref_params, cfg.advantage_xi, cfg.temperature)
-    # The update's two work vectors, reused by every inner epoch. They live
-    # for this call only: kept between steps, they would only raise the
-    # resident set, and made afresh each epoch, they churn the heap.
-    gradient, work = np.empty((2, params.param_count))
-    for _ in range(cfg.inner_epochs):
-        # Overflow here is diagnosed explicitly below, not via warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow is diagnosed by the explicit checks below, not via warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        strategy = build_strategy(cfg)
+        prep = prepare_batch(batch, strategy, ref_params, cfg.advantage_xi, cfg.temperature)
+        # The update's two work vectors, reused by every inner epoch. They
+        # live for this call only: kept between steps, they would only raise
+        # the resident set, and made afresh each epoch, they churn the heap.
+        gradient, work = np.empty((2, params.param_count))
+        for _ in range(cfg.inner_epochs):
             breakdown = evaluate_prepared(
                 prep, params, cfg.kl_coef, with_grad=True, gradient_out=gradient
             )
-        finite = np.logical_and.reduce(np.isfinite(breakdown.gradient), axis=None)
-        if not np.isfinite(breakdown.total) or not finite:
-            index = _locate_nonfinite_group(batch, prep, params)
-            raise TrainingDiverged(
-                "non-finite loss or gradient",
-                group_index=index,
-                prompt_tokens=None if index is None else batch.prompts[index].tokens,
-                rewards=None if index is None else batch.rewards.reshape(len(batch), -1)[index],
-            )
-        apply_gradient(params, gradient, opt, cfg, work)
-        breakdown.gradient = None
+            if not (
+                math.isfinite(breakdown.total)
+                and apply_gradient(params, gradient, opt, cfg, work)
+            ):
+                index = _locate_nonfinite_group(batch, prep, params)
+                raise TrainingDiverged(
+                    "non-finite loss or gradient",
+                    group_index=index,
+                    prompt_tokens=None if index is None else batch.prompts[index].tokens,
+                    rewards=None if index is None else batch.rewards.reshape(len(batch), -1)[index],
+                )
+            breakdown.gradient = None
     return breakdown
 
 
@@ -447,26 +465,28 @@ def evaluate(
     if n < 1 or n_prompts < 1:
         raise ContractViolation("evaluation needs n >= 1 and n_prompts >= 1")
     out: dict[str, tuple[float, float]] = {}
-    for li, spec in enumerate(suite):
-        grammar = response_grammar(spec, vocab)
-        memo: dict = {}
-        correct = 0
-        hits = 0
-        for start in range(0, n_prompts, _EVAL_CHUNK):
-            chunk = range(start, min(start + _EVAL_CHUNK, n_prompts))
-            prompts, tokens = [], []
-            for pi in chunk:
-                rng = np.random.default_rng(stream_seed((seed, _EVAL_TAG, li, pi, round_index)))
-                prompt = generate_prompt(spec, vocab, rng)
-                rows, _ = sample_group(
-                    params, prompt.tokens, n, temperature, rng, grammar, memo=memo
-                )
-                tokens.append(rows.tokens)
-                prompts.append(prompt)
-            ok = verify_rows(prompts, n, np.concatenate(tokens), vocab).reshape(len(chunk), n)
-            correct += int(np.count_nonzero(ok))
-            hits += int(np.count_nonzero(np.logical_or.reduce(ok, axis=1)))
-        out[spec.label] = (correct / (n_prompts * n), hits / n_prompts)
+    # A forward pass that overflows saturates its tanh; the counts stay exact.
+    with np.errstate(over="ignore"):
+        for li, spec in enumerate(suite):
+            grammar = response_grammar(spec, vocab)
+            memo: dict = {}
+            correct = 0
+            hits = 0
+            for start in range(0, n_prompts, _EVAL_CHUNK):
+                chunk = range(start, min(start + _EVAL_CHUNK, n_prompts))
+                prompts, tokens = [], []
+                for pi in chunk:
+                    rng = np.random.default_rng(stream_seed((seed, _EVAL_TAG, li, pi, round_index)))
+                    prompt = generate_prompt(spec, vocab, rng)
+                    rows, _ = sample_group(
+                        params, prompt.tokens, n, temperature, rng, grammar, memo=memo
+                    )
+                    tokens.append(rows.tokens)
+                    prompts.append(prompt)
+                ok = verify_rows(prompts, n, np.concatenate(tokens), vocab).reshape(len(chunk), n)
+                correct += int(np.count_nonzero(ok))
+                hits += int(np.count_nonzero(np.logical_or.reduce(ok, axis=1)))
+            out[spec.label] = (correct / (n_prompts * n), hits / n_prompts)
     return out
 
 

@@ -328,6 +328,7 @@ STEP_PATH = {
         "lockstep_setup",
         "draw_uniforms",
         "masked_logprobs",
+        "embedding_one_hot",
         "logits_gradient",
     ],
     "tasks": ["answer_key", "verify_rows"],

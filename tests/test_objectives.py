@@ -42,7 +42,7 @@ from etrlab.policy import (
 )
 from etrlab.tasks import Prompt, encode_payload, response_grammar, reward, verify_rows
 from etrlab.trainer import OptimizerState, TrainingDiverged, rollout_batch, train_step
-from objective_reference import full_layout_gradient
+from objective_reference import full_layout_gradient, per_epoch_objective
 from rollout_reference import sample_prompts, stacked_contexts, unpack_batch
 from tape_reference import gather_pairs, matmul, reshape, softmax_logprobs, take_rows, tanh
 
@@ -510,8 +510,11 @@ def token_view(prep):
 
     Checks on the way that each scored token's scatter block is its
     distinct context's row of V flat positions; that the forward block is
-    the distinct contexts some scored token reads, in order; and that each
-    pair is read by some scored token and has the token's block row.
+    the distinct contexts some scored token reads, in order; that each
+    pair is read by some scored token and has the token's block row; that
+    each scored token's flat gather and target indices point at its target
+    id in its pair's row and in its own row; and that the one-hot is the
+    distinct contexts'.
     """
     v = prep.pair_masks.shape[1]
     blocks = prep.scatter_index.reshape(prep.scored.size, v)
@@ -521,7 +524,12 @@ def token_view(prep):
     assert np.array_equal(prep.forward_contexts, prep.distinct_contexts[prep.forward_rows])
     assert np.array_equal(prep.forward_rows[prep.pair_contexts[prep.pair_index]], distinct_index)
     assert np.unique(prep.pair_index).size == prep.pair_contexts.size
-    assert np.array_equal(prep.scored_targets, prep.targets[prep.scored])
+    targets = prep.targets[prep.scored]
+    assert np.array_equal(prep.gather_index, prep.pair_index * v + targets)
+    assert np.array_equal(prep.target_index, np.arange(prep.scored.size) * v + targets)
+    one_hot = prep.distinct_contexts.reshape(-1) == np.arange(v)[:, None]
+    assert prep.embed_one_hot.dtype == np.float64
+    assert prep.embed_one_hot.tobytes() == one_hot.astype(np.float64).tobytes()
     names = (
         "scored", "distinct_contexts", "targets", "old_logprobs", "ref_logprobs",
         "advantages", "lo", "hi", "weights", "mean_epsilon", "temperature",
@@ -745,18 +753,22 @@ def test_closed_form_matches_tape_on_all_distinct_contexts():
     # Every token is its own distinct context, and every scored one its own
     # forward row and pair.
     scored = np.flatnonzero(~forced(masks[keep], full.targets[keep]))
+    v = VOCAB.size
+    flat_targets = np.arange(scored.size) * v + full.targets[keep][scored]
     prep = dataclasses.replace(
         full,
         **{name: getattr(full, name)[keep] for name in per_token},
         distinct_contexts=contexts[keep],
+        embed_one_hot=policy.embedding_one_hot(contexts[keep], v),
         forward_rows=scored,
         forward_contexts=contexts[keep][scored],
         scored=scored,
-        scored_targets=full.targets[keep][scored],
         pair_contexts=np.arange(scored.size),
         pair_masks=masks[keep][scored],
         pair_index=np.arange(scored.size),
-        scatter_index=(scored[:, None] * VOCAB.size + np.arange(VOCAB.size)).reshape(-1),
+        gather_index=flat_targets,
+        target_index=flat_targets,
+        scatter_index=(scored[:, None] * v + np.arange(v)).reshape(-1),
     )
     assert len(np.unique(token_view(prep)["contexts"], axis=0)) == prep.scored.size > 2
     assert prep.scored.size < prep.targets.size
@@ -808,6 +820,29 @@ def test_gradient_equals_every_distinct_context_layout_bit_for_bit(embed_dim, hi
     got = evaluate_prepared(prep, probe, 0.001, with_grad=True).gradient
     want = full_layout_gradient(prep, contexts, masks, probe, 0.001)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.8])
+@pytest.mark.parametrize("kl_coef", [0.0, 0.001])
+@pytest.mark.parametrize("case", ["uneven-0", "uneven-3", "rollout-1", "rollout-2"])
+def test_objective_equals_its_per_epoch_form_bit_for_bit(case, kl_coef, temperature):
+    # The one-hot and flat indices prepare_batch builds once per batch give
+    # the total and gradient that rebuilding them every epoch gave, also at
+    # temperature 1, where the gradient's temperature scaling is skipped.
+    kind, seed = case.split("-")
+    seed = int(seed)
+    if kind == "uneven":
+        batch = uneven_batch(seed)
+        params = init_params(VOCAB, 3, 5, 7, seed, 0.4)
+    else:
+        batch, params = default_rollout(16, 64, seed)
+    prep = prepare_batch(batch, Elastic(0.2, 0.1, 0.15), params, 1e-6, temperature)
+    assert 0 < prep.scored.size < prep.targets.size
+    probe = moved(params, seed)
+    got = evaluate_prepared(prep, probe, kl_coef, with_grad=True)
+    total, gradient = per_epoch_objective(prep, probe, kl_coef)
+    assert np.float64(got.total).tobytes() == np.float64(total).tobytes()
+    assert got.gradient.tobytes() == gradient.tobytes()
 
 
 def test_batch_without_a_choice_forwards_nothing_and_has_a_zero_gradient():

@@ -438,7 +438,10 @@ def eos_leaning_params(seed):
 # ends its rows at 2, a grammar that max_len = 6 cuts short,
 # full-vocabulary groups (FREE) whose rows emit EOS mid-response and sample
 # on, and a grammar that forces an id mid-response. The first two groups
-# alone leave position 3 one-token, after the first group's budget ran out.
+# alone leave position 3 one-token, after the first group's budget ran out;
+# at position 1 the first is forced while the second chooses. With all of
+# them, position 2 has groups that choose, groups that are forced and
+# groups past their budget.
 FREE = full_grammar(6)
 BATCH_PROMPTS = [
     ([VOCAB.sep, 3, VOCAB.sep], ((0, 1), (VOCAB.eos,))),
@@ -466,6 +469,17 @@ def test_batched_sampler_equals_one_prompt_reference(k, seed):
 
     batched_rngs = streams()
     cut = [m[:max_len] for m in masks]
+    # After the first position, groups that choose sit beside forced
+    # groups, and with all prompts also beside groups past their budget.
+    # There the sampler forwards only the rows of the groups that choose or
+    # are past their budget, which the one-prompt reference never does.
+    table = lockstep_setup(VOCAB, p.window, prompts, n, temperature, cut).table
+    sole, past = table.sole[table.cells], table.cells == len(table.masks) - 1
+    choose, forced, ended = (
+        np.logical_or.reduce(cells, axis=0) for cells in (sole < 0, ~past & (sole >= 0), past)
+    )
+    assert (choose & forced)[1:].any() == (k > 1)
+    assert (choose & forced & ended)[1:].any() == (k == len(BATCH_PROMPTS))
     draws = draw_uniforms(batched_rngs, [len(m) for m in cut], n)
     tokens, logprobs, entropies = sample_prompts(
         p, prompts, n, temperature, draws, cut, collect_entropy=True
@@ -579,15 +593,26 @@ def test_one_token_positions_run_no_forward(monkeypatch):
     # The first position forwards the group's one prompt tail.
     assert calls == [1]
     assert all(r.tokens[-1] == VOCAB.eos and r.logprobs[-1] == 0.0 for r in group)
+    # A one-prompt call forwards one context per row after its first
+    # choice, forced positions aside.
+    calls.clear()
+    copy = generate_prompt(TaskSpec("copy", 2), VOCAB, np.random.default_rng(0))
+    copy_grammar = response_grammar(copy, VOCAB)
+    assert len(copy_grammar) == 3 and len(copy_grammar[-1]) == 1
+    sample_group(p, copy.tokens, 8, 1.0, np.random.default_rng(1), copy_grammar)
+    assert calls == [1, 8]
 
     # A default step whose longest grammar has 3 positions: the last is EOS
     # for every group that reaches it, so 2 forwards instead of 3, and the
-    # first of them runs one prompt tail per group.
+    # first of them runs one prompt tail per group. At the second, the 6
+    # groups whose answers close with EOS there are forced: only the other
+    # 10 groups' rows are forwarded.
     calls.clear()
     cfg = TrainConfig()
     batch = rollout_batch(p, cfg, 1)
     assert max(len(g) for g in batch.grammars) == 3
-    assert calls == [cfg.groups_per_step, cfg.groups_per_step * cfg.group_size]
+    assert sum(len(g) == 2 for g in batch.grammars) == 6
+    assert calls == [cfg.groups_per_step, 10 * cfg.group_size]
 
 
 def test_sample_groups_contracts():

@@ -158,9 +158,12 @@ def test_clip_grad_norm_scales_a_finite_gradient_whose_squares_overflow():
         clipped, norm = clip_grad_norm(np.full(4, -1e308), 2.0)
         assert norm == np.inf
         np.testing.assert_allclose(clipped, np.full(4, -1.0), rtol=1e-15)
-    # A non-finite gradient is not repaired: train_step rejects it first.
-    clipped, norm = clip_grad_norm(np.asarray([np.nan, 1.0]), 1.0)
-    assert np.isnan(norm) and np.isnan(clipped[0])
+        # A non-finite gradient comes back as it is, not scaled (an infinite
+        # entry by 0, into NaN), and train_step rejects it.
+        for bad in (np.nan, np.inf, -np.inf):
+            clipped, norm = clip_grad_norm(np.asarray([bad, 1e200, 1.0]), 1.0)
+            assert not np.isfinite(norm)
+            assert clipped.tobytes() == np.asarray([bad, 1e200, 1.0]).tobytes()
 
 
 # Key values at and around the 32-bit word boundaries, and multi-word ones.
@@ -317,6 +320,37 @@ def test_non_finite_update_leaves_the_parameters_as_they_were():
     assert str(caught.value) == "non-finite parameters after update"
     assert params.vector.tobytes() == before.tobytes()
     assert opt.step == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_gradient_raises_before_the_update_moves_anything(monkeypatch, bad):
+    # The second inner epoch's gradient gets one entry that is not finite,
+    # its total staying finite. train_step raises without a warning, and the
+    # parameters, opt.step and both moments stay as the first epoch left them.
+    cfg = tiny_cfg(inner_epochs=2, suite=parse_suite("parity:1"))
+    params = init_params(VOCAB, cfg.context_window, cfg.embed_dim, cfg.hidden_dim, 2, 0.1)
+    opt = OptimizerState.zeros(params.param_count)
+    batch = rollout_batch(params, cfg, step=1)
+    evaluate = trainer_mod.evaluate_prepared
+    seen = []
+
+    def spoiled(*args, **kwargs):
+        out = evaluate(*args, **kwargs)
+        seen.append((params.to_vector(), opt.moment1.copy(), opt.moment2.copy(), opt.step))
+        if len(seen) == 2:
+            out.gradient[3] = bad
+        return out
+
+    monkeypatch.setattr(trainer_mod, "evaluate_prepared", spoiled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TrainingDiverged, match="non-finite loss or gradient"):
+            train_step(params, params.copy(), opt, batch, cfg)
+    vector, moment1, moment2, step = seen[1]
+    assert step == opt.step == 1 and np.any(moment1)
+    assert params.vector.tobytes() == vector.tobytes()
+    assert opt.moment1.tobytes() == moment1.tobytes()
+    assert opt.moment2.tobytes() == moment2.tobytes()
 
 
 def test_training_diverged_message_lists_plain_rewards():
@@ -864,8 +898,11 @@ def test_an_accepted_config_runs_to_finite_artifacts_or_diverges(cfg):
         validate_config(cfg)
     except ConfigError:
         assume(False)
+    # Overflow is diagnosed by the run's own checks, never left as a warning.
     try:
-        result = run_training(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_training(cfg)
     except TrainingDiverged:
         return
     assert finite(result.params.vector, result.opt.moment1, result.opt.moment2)
