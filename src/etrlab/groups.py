@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import ContractViolation
-from .policy import GrammarTable, SampledResponse, Vocab, pad_context
+from .policy import GrammarTable, SampledResponse, Vocab, lockstep_setup
 from .tasks import Prompt, response_grammar
 
 DEFAULT_XI = 1e-6
@@ -49,45 +49,46 @@ class RolloutGroup:
 class RolloutBatch:
     """Every group of one step in the sampler's padded layout.
 
-    Rows are group-major: the first ``group_size`` answer ``prompts[0]``
-    under ``grammars[0]``, the next ``group_size`` answer ``prompts[1]``,
-    and so on, so ``rewards.reshape(len(prompts), group_size)`` holds one
-    group per row. Row i of ``tokens`` is the BOS-padded tail of its prompt
-    (the first ``window`` columns) followed by its response, so the
-    context of response token t is ``tokens[i, t : t + window]``, and
-    ``logprobs[i, t]`` is that token's stored log-probability. A response
-    has one token per position of its group's grammar, so the grammar
-    alone sets its length (``lengths``); later columns are padding and
-    never read. ``entropies`` is the float64 array of the sampling
-    entropies recorded during the rollout (empty for packed groups).
-    ``table`` is the rollout's own ``policy.GrammarTable`` for a training
-    step's batch, and None for packed groups, whose table
-    ``prepare_batch`` takes from the grammars.
+    Rows are group-major: the first ``group_size`` answer ``prompts[0]``,
+    the next ``group_size`` answer ``prompts[1]``, and so on, so
+    ``rewards.reshape(len(prompts), group_size)`` holds one group per row.
+    Row i of ``tokens`` is the BOS-padded tail of its prompt (the first
+    ``window`` columns) followed by its response, so the context of
+    response token t is ``tokens[i, t : t + window]``, and
+    ``logprobs[i, t]`` is that token's stored log-probability. ``table`` is
+    the groups' ``policy.GrammarTable``: group k's cells give the mask row
+    of each of its response positions, then the padding row. A response
+    has one token per position of its group's grammar, so the table alone
+    sets its length (``lengths``); later columns are padding and never
+    read. ``entropies`` is the float64 array of the sampling entropies
+    recorded during the rollout (empty for packed groups).
     """
 
     prompts: tuple[Prompt, ...]
-    grammars: tuple[tuple[tuple[int, ...], ...], ...]
+    table: GrammarTable
     group_size: int
     tokens: np.ndarray
     logprobs: np.ndarray
     rewards: np.ndarray
     entropies: np.ndarray = ()
-    table: GrammarTable | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", np.asarray(self.tokens, dtype=np.int64))
         for name in ("logprobs", "rewards", "entropies"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         rows = len(self.prompts) * self.group_size
-        if not len(self.prompts) == len(self.grammars) >= 1:
-            raise ContractViolation("one prompt and grammar per group is required")
+        if len(self.prompts) < 1:
+            raise ContractViolation("batch must contain at least one group")
         if self.group_size < 2:
             raise ContractViolation("a rollout group needs at least two responses")
         if self.tokens.ndim != 2 or len(self.tokens) != rows:
             raise ContractViolation("the token buffer needs one row per response")
         if self.logprobs.shape != (rows, self.tokens.shape[1] - self.window) or self.window < 1:
             raise ContractViolation("token and log-probability buffers do not match")
-        if not all(1 <= len(g) <= self.logprobs.shape[1] for g in self.grammars):
+        cells = self.table.cells
+        if cells.shape != (len(self.prompts), self.logprobs.shape[1]) or not cells.shape[1]:
+            raise ContractViolation("the grammar table needs one row of horizon cells per group")
+        if not np.logical_and.reduce(cells[:, 0] < len(self.table.masks) - 1):
             raise ContractViolation("a grammar needs 1 to horizon positions")
         unit = np.abs(self.rewards) == 1.0
         if self.rewards.shape != (rows,) or not np.logical_and.reduce(unit, axis=None):
@@ -96,7 +97,8 @@ class RolloutBatch:
     @property
     def lengths(self) -> np.ndarray:
         """Each row's response length: its grammar's number of positions."""
-        return np.asarray([len(g) for g in self.grammars]).repeat(self.group_size)
+        read = self.table.cells < len(self.table.masks) - 1
+        return np.add.reduce(read, axis=1).repeat(self.group_size)
 
     @property
     def window(self) -> int:
@@ -113,7 +115,9 @@ def as_rollout_batch(
 
     A group's responses must share one length L, 1 <= L <= len(grammar):
     it is packed under the first L positions of its grammar, which is what
-    ``sample_group(..., max_len=L)`` sampled them under.
+    ``sample_group(..., max_len=L)`` sampled them under. The rows and table
+    are ``policy.lockstep_setup``'s for those prompts and grammars, with the
+    responses written in.
     """
     if isinstance(batch, RolloutBatch):
         return batch
@@ -130,19 +134,16 @@ def as_rollout_batch(
         if not 1 <= length <= len(grammar):
             raise ContractViolation("a response needs 1 to len(grammar) tokens")
         grammars.append(grammar[:length])
-    horizon = max(map(len, grammars))
+    setup = lockstep_setup(vocab, window, [g.prompt.tokens for g in batch], size, grammars)
+    tokens = setup.tokens.repeat(size, axis=0)
+    logprobs = np.zeros((len(tokens), tokens.shape[1] - window))
     responses = [r for g in batch for r in g.responses]
-    tokens = np.zeros((len(responses), window + horizon), dtype=np.int64)
-    logprobs = np.zeros((len(responses), horizon))
-    tokens[:, :window] = np.repeat(
-        [pad_context(g.prompt.tokens, window, vocab.bos) for g in batch], size, axis=0
-    )
     for i, r in enumerate(responses):
         tokens[i, window : window + len(r)] = r.tokens
         logprobs[i, : len(r)] = r.logprobs
     return RolloutBatch(
         prompts=tuple(g.prompt for g in batch),
-        grammars=tuple(grammars),
+        table=setup.table,
         group_size=size,
         tokens=tokens,
         logprobs=logprobs,

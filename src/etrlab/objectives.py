@@ -254,17 +254,15 @@ def prepare_batch(
 ) -> PreparedBatch:
     """Flatten a batch of groups into per-token constants for the objective.
 
-    Groups are first packed into a :class:`RolloutBatch`. Its
-    ``policy.GrammarTable`` is the one it carries, or
-    ``policy.grammar_table`` of its grammars: a row's cells give its
-    response positions, each token's mask row and its response's length,
-    so its token weight, 1 / (groups * G * length). Advantages, pass rates
-    and clip bands are per response, so they are computed as per-response
-    vectors that each token reads at its response; targets, contexts and
-    stored log-probs are the batch's buffers read at the response
-    positions. Forced tokens get no pair and no scatter block
-    (:class:`PreparedBatch`). Every id a context or target reads is
-    checked here, once per batch.
+    Groups are first packed into a :class:`RolloutBatch`. A row's cells in
+    its ``policy.GrammarTable`` give its response positions, each token's
+    mask row and its response's length, so its token weight, 1 / (groups
+    * G * length). Advantages, pass rates and clip bands are per response,
+    so they are computed as per-response vectors that each token reads at
+    its response; targets, contexts and stored log-probs are the batch's
+    buffers read at the response positions. Forced tokens get no pair and
+    no scatter block (:class:`PreparedBatch`). Every id a context or
+    target reads is checked here, once per batch.
     """
     vocab = ref_params.vocab
     window = ref_params.window
@@ -275,8 +273,6 @@ def prepare_batch(
         raise ContractViolation(f"temperature must be at least {MIN_TEMPERATURE!r}")
     k, g = len(batch), batch.group_size
     table = batch.table
-    if table is None:
-        table = policy_mod.grammar_table(vocab.size, batch.grammars, batch.logprobs.shape[1])
     # Each row reads its group's cells; past its grammar, the padding row.
     # Token j of the batch is response[j]'s token at position[j].
     cells = table.cells.repeat(g, axis=0)

@@ -163,12 +163,6 @@ def init_params(
     return params
 
 
-def pad_context(tokens: Sequence[int], window: int, bos: int) -> np.ndarray:
-    """Last ``window`` ids of a sequence, left-padded with BOS."""
-    tail = list(tokens)[-window:]
-    return np.asarray([bos] * (window - len(tail)) + tail, dtype=np.int64)
-
-
 def _check_ids(ids: np.ndarray, size: int) -> None:
     if ids.size and (
         np.minimum.reduce(ids, axis=None) < 0 or np.maximum.reduce(ids, axis=None) >= size
@@ -424,24 +418,23 @@ def lockstep_setup(
     window: int,
     prompts: Sequence[Sequence[int]],
     n: int,
-    temperature: float,
     position_masks: Sequence[PositionMasks],
 ) -> Lockstep:
     """Checks and set-up of a lockstep call on K prompts, before any uniform is drawn.
 
-    Masks may be any sequences of ids; they are made tuples here, so the
-    memoised :func:`grammar_table` can hash them. Prompt-tail ids are
-    checked here, so a call with no positions still rejects an id outside
-    the vocabulary. Nothing here reads the parameters, so a training
-    step's set-up is made ahead of the step (``trainer.step_setup``).
+    The one builder of the sampler's padded layout: ``groups.as_rollout_batch``
+    packs groups into the same rows and table. Masks may be any sequences
+    of ids; they are made tuples here, so the memoised :func:`grammar_table`
+    can hash them. Prompt-tail ids are checked here, so a call with no
+    positions still rejects an id outside the vocabulary. Nothing here
+    reads the parameters or the temperature, so a training step's set-up
+    is made ahead of the step (``trainer.step_setup``).
     """
     k_groups = len(prompts)
     if k_groups < 1:
         raise ContractViolation("sampling needs at least one prompt")
     if n < 1:
         raise ContractViolation("group size must be at least 1")
-    if not temperature >= MIN_TEMPERATURE:
-        raise ContractViolation(f"temperature must be at least {MIN_TEMPERATURE!r}")
     if len(position_masks) != k_groups:
         raise ContractViolation("one mask sequence per prompt is required")
     v = vocab.size
@@ -619,7 +612,9 @@ def sample_group(
     if max_len < 0:
         raise ContractViolation("max_len must be non-negative")
     masks = position_masks[:max_len]
-    setup = lockstep_setup(params.vocab, params.window, [prompt], n, temperature, [masks])
+    if not temperature >= MIN_TEMPERATURE:
+        raise ContractViolation(f"temperature must be at least {MIN_TEMPERATURE!r}")
+    setup = lockstep_setup(params.vocab, params.window, [prompt], n, [masks])
     draws = draw_uniforms([rng], [len(masks)], n)
     tokens, logprobs, entropies = sample_groups(
         params, setup, draws, temperature, collect_entropy=collect_entropy, memo=memo

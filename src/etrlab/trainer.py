@@ -55,7 +55,6 @@ from .objectives import (
 from .policy import (
     Lockstep,
     PolicyParams,
-    PositionMasks,
     Vocab,
     draw_uniforms,
     init_params,
@@ -80,7 +79,7 @@ from .tasks import (
 # streams; eval entropy tuples also differ in length.
 _EVAL_TAG = 0x45564C31
 
-# Pipe buffer a forked child asks for: about 140 default training steps'
+# Pipe buffer a forked child asks for: about 150 default training steps'
 # frames, so the draw producer runs far ahead of training and through an
 # evaluation round. Linux grants an unprivileged process up to
 # /proc/sys/fs/pipe-max-size, 1 MiB by default.
@@ -289,17 +288,30 @@ class TrainingDiverged(RuntimeError):
         super().__init__(message)
 
 
-# A training step's draws: its prompts, their grammars and its uniforms.
-StepDraws = tuple[list[Prompt], list[PositionMasks], np.ndarray]
+class StepSetup(NamedTuple):
+    """Everything a training step needs that the parameters do not decide.
+
+    The step's prompts, its sampling uniforms, its sampler's
+    :class:`policy.Lockstep` and its prompts' :class:`tasks.AnswerKey`.
+    The lockstep's ``policy.GrammarTable`` is also the batch's, which the
+    objective reads.
+    """
+
+    prompts: list[Prompt]
+    uniforms: np.ndarray
+    lockstep: Lockstep
+    key: AnswerKey
 
 
-def draw_step(cfg: TrainConfig, vocab: Vocab, step: int) -> StepDraws:
+def step_setup(cfg: TrainConfig, vocab: Vocab, step: int) -> StepSetup:
     """Everything training step ``step`` draws before it reads the parameters.
 
     Group g's stream ``(seed, step, g)`` gives its task, its prompt's
     payload and then its sampling uniforms, read in that order; the
-    uniforms are read by one :func:`policy.draw_uniforms` call. Returns
-    the prompts, their grammars and that call's (K, horizon, n) block.
+    uniforms are read by one :func:`policy.draw_uniforms` call, whose
+    (K, horizon, n) block the set-up keeps. A run's steps get theirs from
+    :meth:`_SideWork.draws`: the draw producer's frame, or made inline.
+    :func:`rollout_batch` makes it when handed none.
     """
     rngs, prompts, grammars = [], [], []
     for g in range(cfg.groups_per_step):
@@ -308,39 +320,11 @@ def draw_step(cfg: TrainConfig, vocab: Vocab, step: int) -> StepDraws:
         rngs.append(rng)
         prompts.append(prompt)
         grammars.append(response_grammar(prompt, vocab))
-    return prompts, grammars, draw_uniforms(rngs, [len(m) for m in grammars], cfg.group_size)
-
-
-class StepSetup(NamedTuple):
-    """Everything a training step needs that the parameters do not decide.
-
-    The step's :func:`draw_step`, its sampler's :class:`policy.Lockstep`
-    and its prompts' :class:`tasks.AnswerKey`. The lockstep's
-    ``policy.GrammarTable`` is also the batch's, which the objective reads.
-    """
-
-    prompts: list[Prompt]
-    grammars: list[PositionMasks]
-    uniforms: np.ndarray
-    lockstep: Lockstep
-    key: AnswerKey
-
-
-def step_setup(cfg: TrainConfig, vocab: Vocab, step: int) -> StepSetup:
-    """Training step ``step``'s draws and everything they alone decide.
-
-    A run's steps get theirs from :meth:`_SideWork.draws`: the draw
-    producer's frame, or made inline. :func:`rollout_batch` makes it
-    when handed none.
-    """
-    prompts, grammars, uniforms = draw_step(cfg, vocab, step)
     n = cfg.group_size
-    tokens = [prompt.tokens for prompt in prompts]
     return StepSetup(
         prompts,
-        grammars,
-        uniforms,
-        lockstep_setup(vocab, cfg.context_window, tokens, n, cfg.temperature, grammars),
+        draw_uniforms(rngs, [len(m) for m in grammars], n),
+        lockstep_setup(vocab, cfg.context_window, [p.tokens for p in prompts], n, grammars),
         answer_key(prompts, vocab),
     )
 
@@ -373,13 +357,12 @@ def rollout_batch(
     )
     return RolloutBatch(
         prompts=tuple(setup.prompts),
-        grammars=tuple(setup.grammars),
+        table=setup.lockstep.table,
         group_size=cfg.group_size,
         tokens=tokens,
         logprobs=logprobs,
         rewards=reward(correct),
         entropies=entropies,
-        table=setup.lockstep.table,
     )
 
 

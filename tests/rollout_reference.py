@@ -28,6 +28,12 @@ from etrlab.tasks import TaskSpec, generate_prompt, response_grammar, verify
 from etrlab.trainer import _EVAL_TAG
 
 
+def pad_context(tokens: Sequence[int], window: int, bos: int) -> np.ndarray:
+    """Last ``window`` ids of a sequence, left-padded with BOS."""
+    tail = list(tokens)[-window:]
+    return np.asarray([bos] * (window - len(tail)) + tail, dtype=np.int64)
+
+
 def stacked_contexts(
     pairs: Sequence[tuple[Sequence[int], Sequence[int]]], window: int, bos: int
 ) -> np.ndarray:
@@ -50,33 +56,34 @@ def stacked_contexts(
 
 def sample_prompts(params, prompts, n, temperature, draws, masks, **kwargs):
     """``sample_groups`` on the prompts' ``lockstep_setup`` for ``params``."""
-    setup = lockstep_setup(params.vocab, params.window, prompts, n, temperature, masks)
+    setup = lockstep_setup(params.vocab, params.window, prompts, n, masks)
     return sample_groups(params, setup, draws, temperature, **kwargs)
 
 
 def buffer_responses(
-    tokens: np.ndarray, logprobs: np.ndarray, masks: Sequence[Sequence], n: int
+    tokens: np.ndarray, logprobs: np.ndarray, lengths: Sequence[int], n: int
 ) -> list[list[SampledResponse]]:
     """``sample_groups`` buffers cut into responses, n rows per group.
 
-    Group k's rows are cut to ``len(masks[k])`` tokens, its number of
+    Group k's rows are cut to ``lengths[k]`` tokens, its number of
     positions.
     """
     window = tokens.shape[1] - logprobs.shape[1]
     return [
         [
             SampledResponse(
-                tuple(tokens[i, window : window + len(m)].tolist()), logprobs[i, : len(m)].copy()
+                tuple(tokens[i, window : window + length].tolist()), logprobs[i, :length].copy()
             )
             for i in range(k * n, (k + 1) * n)
         ]
-        for k, m in enumerate(masks)
+        for k, length in enumerate(lengths)
     ]
 
 
 def unpack_batch(batch: RolloutBatch) -> list[RolloutGroup]:
     """A rollout batch as one :class:`RolloutGroup` per prompt."""
-    groups = buffer_responses(batch.tokens, batch.logprobs, batch.grammars, batch.group_size)
+    lengths = batch.lengths[:: batch.group_size].tolist()
+    groups = buffer_responses(batch.tokens, batch.logprobs, lengths, batch.group_size)
     rewards = batch.rewards.reshape(len(batch), batch.group_size)
     return [
         RolloutGroup(prompt, tuple(responses), group_rewards)

@@ -335,7 +335,7 @@ def sampler_buffer_digest():
     prompts = [[1, 2, vocab.sep], [0, 1, vocab.sep, vocab.sep], [vocab.sep, 7, vocab.sep], [3], [5]]
     rngs = [np.random.default_rng([11, k]) for k in range(len(prompts))]
     draws = draw_uniforms(rngs, [len(m) for m in grammars], 8)
-    setup = lockstep_setup(vocab, 4, prompts, 8, 0.8, grammars)
+    setup = lockstep_setup(vocab, 4, prompts, 8, grammars)
     tokens, logprobs, entropies = sample_groups(params, setup, draws, 0.8, collect_entropy=True)
     digest = hashlib.sha256()
     for buf in (tokens, logprobs, np.asarray(entropies)):

@@ -6,7 +6,7 @@ import pytest
 from etrlab.autodiff import ContractViolation
 from etrlab.groups import DEFAULT_XI, GroupStats, RolloutGroup, as_rollout_batch, group_stats
 from etrlab.objectives import Static, prepare_batch
-from etrlab.policy import SampledResponse, Vocab, init_params, sample_group
+from etrlab.policy import SampledResponse, Vocab, grammar_table, init_params, sample_group
 from etrlab.tasks import Prompt, encode_payload, response_grammar
 from rollout_reference import wrapper_group_stats
 
@@ -235,7 +235,8 @@ def test_as_rollout_batch_packs_each_group_under_its_grammar_prefix():
     ]
     batch = as_rollout_batch(groups, VOCAB, 3)
     assert "lengths" not in {f.name for f in dataclasses.fields(batch)}
-    assert batch.grammars == (response_grammar(copy, VOCAB)[:2], response_grammar(parity, VOCAB))
+    grammars = (response_grammar(copy, VOCAB)[:2], response_grammar(parity, VOCAB))
+    assert batch.table is grammar_table(VOCAB.size, grammars, 2)
     assert batch.lengths.dtype == np.int64 and batch.lengths.tolist() == [2, 2, 2, 2]
     assert batch.tokens.shape == (4, 5) and batch.logprobs.shape == (4, 2)
     with pytest.raises(ContractViolation, match="share one length"):
@@ -245,10 +246,33 @@ def test_as_rollout_batch_packs_each_group_under_its_grammar_prefix():
         group = RolloutGroup(parity, (response,) * 2, np.asarray([1.0, -1.0]))
         with pytest.raises(ContractViolation, match="1 to len"):
             as_rollout_batch([group], VOCAB, 3)
-    # A batch built directly is held to the same rule by its grammars.
-    for grammars in (((),), (response_grammar(copy, VOCAB),)):
+
+
+def test_rollout_batch_rejects_a_table_that_does_not_fit_its_rows():
+    # Two groups of two over a horizon of 2: the table needs one row of two
+    # cells per group, and each group at least one position.
+    copy = Prompt("copy", 3, (3, 1, 4), encode_payload("copy", (3, 1, 4), VOCAB))
+    parity = Prompt("parity", 1, (1,), encode_payload("parity", (1,), VOCAB))
+    groups = [
+        RolloutGroup(copy, (make_response(2),) * 2, np.asarray([1.0, -1.0])),
+        RolloutGroup(parity, (make_response(1),) * 2, np.asarray([1.0, -1.0])),
+    ]
+    batch = as_rollout_batch(groups, VOCAB, 3)
+    copy_grammar, parity_grammar = (response_grammar(p, VOCAB) for p in (copy, parity))
+    fits = grammar_table(VOCAB.size, (copy_grammar[:2], parity_grammar[:1]), 2)
+    assert batch.table is fits
+    assert dataclasses.replace(batch, table=fits).lengths.tolist() == [2, 2, 1, 1]
+    wrong_k = grammar_table(VOCAB.size, (copy_grammar[:2],), 2)
+    wrong_horizon = [
+        grammar_table(VOCAB.size, (copy_grammar[:1], parity_grammar[:1]), 1),
+        grammar_table(VOCAB.size, (copy_grammar[:2], parity_grammar[:1]), 3),
+    ]
+    for table in (wrong_k, *wrong_horizon):
+        with pytest.raises(ContractViolation, match="one row of horizon cells per group"):
+            dataclasses.replace(batch, table=table)
+    for grammars in (((), parity_grammar), (copy_grammar[:2], ())):
         with pytest.raises(ContractViolation, match="1 to horizon"):
-            dataclasses.replace(batch, prompts=(copy,), grammars=grammars, group_size=4)
+            dataclasses.replace(batch, table=grammar_table(VOCAB.size, grammars, 2))
 
 
 @pytest.mark.parametrize("rows", [1, 3, 5])

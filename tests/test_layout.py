@@ -333,7 +333,6 @@ STEP_PATH = {
     ],
     "tasks": ["answer_key", "verify_rows"],
     "trainer": [
-        "draw_step",
         "step_setup",
         "rollout_batch",
         "train_step",

@@ -35,15 +35,15 @@ from etrlab.policy import (
     forward,
     grammar_table,
     init_params,
+    lockstep_setup,
     mask_matrix,
-    pad_context,
     sample_group,
     score_tokens,
 )
 from etrlab.tasks import Prompt, encode_payload, response_grammar, reward, verify_rows
 from etrlab.trainer import OptimizerState, TrainingDiverged, rollout_batch, train_step
 from objective_reference import full_layout_gradient, per_epoch_objective
-from rollout_reference import sample_prompts, stacked_contexts, unpack_batch
+from rollout_reference import pad_context, sample_prompts, stacked_contexts, unpack_batch
 from tape_reference import gather_pairs, matmul, reshape, softmax_logprobs, take_rows, tanh
 
 VOCAB = Vocab()
@@ -571,8 +571,9 @@ def sampled_rollout(params, k, seed, n=4, max_len=4):
         params, [p.tokens for p in prompts], n, 0.8, draws, masks, collect_entropy=True
     )
     correct = verify_rows(prompts, n, tokens[:, params.window :], VOCAB)
+    table = grammar_table(VOCAB.size, grammars, logprobs.shape[1])
     batch = RolloutBatch(
-        tuple(prompts), grammars, n, tokens, logprobs, reward(correct), tuple(entropies)
+        tuple(prompts), table, n, tokens, logprobs, reward(correct), tuple(entropies)
     )
     return batch, masks, rngs
 
@@ -941,41 +942,77 @@ def test_prepare_batch_builds_one_mask_table_per_distinct_grammar(monkeypatch):
     params = init_params(VOCAB, 3, 5, 7, 0, 0.4)
     cfg = dataclasses.replace(TrainConfig(), context_window=3)
     batch = rollout_batch(params, cfg, 1)
-    assert len(set(batch.grammars)) < len(batch.grammars)
+    grammars = [response_grammar(prompt, VOCAB) for prompt in batch.prompts]
+    assert len(set(grammars)) < len(grammars)
     prep = prepare_batch(batch, Static(0.2), params)
     # One table per grammar, in first-seen order.
-    assert calls == list(dict.fromkeys(batch.grammars))
+    assert calls == list(dict.fromkeys(grammars))
     assert prep.pair_masks.shape[0] < prep.targets.size
 
 
-def test_a_batch_without_a_grammar_table_reads_its_grammars_table(monkeypatch):
-    calls = []
+@st.composite
+def cut_groups(draw):
+    """A window and 1-4 groups of one size, each cut to a length L of its grammar.
 
-    def recorded(*args):
-        calls.append(args)
-        return grammar_table(*args)
+    A group's responses draw their ids from its grammar's first L
+    positions, as ``sample_group(..., max_len=L)`` gives them.
+    """
+    window, size = draw(st.integers(1, 5)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    groups = []
+    for prompt, _ in draw(st.lists(st.sampled_from(ROLLOUT_PROMPTS), min_size=1, max_size=4)):
+        grammar = response_grammar(prompt, VOCAB)
+        length = draw(st.integers(1, len(grammar)))
+        responses = tuple(
+            SampledResponse(
+                tuple(int(rng.choice(grammar[j])) for j in range(length)),
+                -rng.exponential(size=length),
+            )
+            for _ in range(size)
+        )
+        groups.append(RolloutGroup(prompt, responses, rng.choice([-1.0, 1.0], size=size)))
+    return window, groups, draw(st.sampled_from(STRATEGIES))
 
-    params = init_params(VOCAB, 3, 5, 7, 0, 0.4)
-    cfg = dataclasses.replace(TrainConfig(), context_window=3)
-    batch = rollout_batch(params, cfg, 1)
-    groups = [
-        make_group([1.0, -1.0, 1.0], seed, params, difficulty)[0]
-        for seed, difficulty in ((2, 1), (3, 2), (4, 1))
-    ]
-    packed = as_rollout_batch(groups, VOCAB, params.window)
-    assert packed.table is None
-    monkeypatch.setattr(policy, "grammar_table", recorded)
-    # A training step's batch prepares from its own table, and the same
-    # without it.
-    want = prepare_batch(batch, Static(0.2), params)
-    assert calls == []
-    got = prepare_batch(dataclasses.replace(batch, table=None), Static(0.2), params)
-    assert calls == [(VOCAB.size, batch.grammars, batch.logprobs.shape[1])]
-    assert grammar_table(*calls[0]) is batch.table
+
+@settings(max_examples=60)
+@given(cut_groups())
+def test_packed_groups_are_lockstep_rows_under_their_cut_grammars_table(case):
+    window, groups, strategy = case
+    size = groups[0].size
+    grammars = tuple(response_grammar(g.prompt, VOCAB)[: len(g.responses[0])] for g in groups)
+    horizon = max(map(len, grammars))
+    batch = as_rollout_batch(groups, VOCAB, window)
+    # lockstep_setup's rows, with each response written in after its
+    # prompt tail, and the table of the cut grammars.
+    setup = lockstep_setup(VOCAB, window, [g.prompt.tokens for g in groups], size, grammars)
+    assert batch.table is setup.table is grammar_table(VOCAB.size, grammars, horizon)
+    tokens = setup.tokens.repeat(size, axis=0)
+    logprobs = np.zeros((len(tokens), horizon))
+    for i, r in enumerate(r for g in groups for r in g.responses):
+        tokens[i, window : window + len(r)] = r.tokens
+        logprobs[i, : len(r)] = r.logprobs
+    assert batch.tokens.shape == tokens.shape and batch.tokens.tobytes() == tokens.tobytes()
+    assert batch.logprobs.shape == logprobs.shape
+    assert batch.logprobs.tobytes() == logprobs.tobytes()
+    assert batch.lengths.tolist() == [len(m) for m in grammars for _ in range(size)]
+    # The prompt tails as pad_context cuts them, under the grammars' table
+    # as prepare_batch once built it for packed groups: the same prepared
+    # bytes.
+    tails = np.repeat([pad_context(g.prompt.tokens, window, VOCAB.bos) for g in groups], size, 0)
+    assert tokens[:, :window].tobytes() == tails.tobytes()
+    rewards = np.concatenate([g.rewards for g in groups])
+    built = RolloutBatch(
+        tuple(g.prompt for g in groups),
+        grammar_table(VOCAB.size, grammars, horizon),
+        size,
+        tokens,
+        logprobs,
+        rewards,
+    )
+    params = init_params(VOCAB, window, 5, 7, len(groups), 0.4)
+    got = prepare_batch(groups, strategy, params, 1e-6, 0.8)
+    want = prepare_batch(built, strategy, params, 1e-6, 0.8)
     assert_same(prepared_fields(got), prepared_fields(want))
-    # A packed batch's table is its grammars' table.
-    prepare_batch(packed, Static(0.2), params)
-    assert calls[1:] == [(VOCAB.size, packed.grammars, packed.logprobs.shape[1])]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=METHODS)
@@ -991,7 +1028,7 @@ def test_group_cut_by_max_len_packs_under_its_grammar_prefix(strategy, max_len):
     )
     group = RolloutGroup(prompt, tuple(rows), np.asarray([1.0, -1.0, -1.0, 1.0]))
     packed = as_rollout_batch([group], VOCAB, params.window)
-    assert packed.grammars == (grammar[:max_len],)
+    assert packed.table is grammar_table(VOCAB.size, (grammar[:max_len],), max_len)
     assert packed.lengths.tolist() == [max_len] * 4
     got = prepare_batch([group], strategy, params, 1e-6, 0.8)
     assert_same(token_view(got), reference_prepare_batch([group], strategy, params, 1e-6, 0.8))

@@ -17,14 +17,13 @@ from etrlab.policy import (
     mask_matrix,
     masked_logprobs,
     lockstep_setup,
-    pad_context,
     sample_group,
     sample_groups,
     score_tokens,
 )
 from etrlab.tasks import TaskSpec, generate_prompt, response_grammar
 from etrlab.trainer import rollout_batch, step_setup
-from rollout_reference import buffer_responses, sample_prompts, stacked_contexts
+from rollout_reference import buffer_responses, pad_context, sample_prompts, stacked_contexts
 
 VOCAB = Vocab()
 
@@ -230,8 +229,9 @@ def test_a_training_batch_carries_its_lockstep_grammar_table():
     cfg = TrainConfig()
     params = tiny_params()
     setup = step_setup(cfg, VOCAB, 3)
+    grammars = tuple(response_grammar(p, VOCAB) for p in setup.prompts)
     assert setup.lockstep.table is policy.grammar_table(
-        VOCAB.size, tuple(setup.grammars), setup.uniforms.shape[1]
+        VOCAB.size, grammars, setup.uniforms.shape[1]
     )
     assert rollout_batch(params, cfg, 3, setup).table is setup.lockstep.table
 
@@ -473,7 +473,7 @@ def test_batched_sampler_equals_one_prompt_reference(k, seed):
     # groups, and with all prompts also beside groups past their budget.
     # There the sampler forwards only the rows of the groups that choose or
     # are past their budget, which the one-prompt reference never does.
-    table = lockstep_setup(VOCAB, p.window, prompts, n, temperature, cut).table
+    table = lockstep_setup(VOCAB, p.window, prompts, n, cut).table
     sole, past = table.sole[table.cells], table.cells == len(table.masks) - 1
     choose, forced, ended = (
         np.logical_or.reduce(cells, axis=0) for cells in (sole < 0, ~past & (sole >= 0), past)
@@ -484,7 +484,7 @@ def test_batched_sampler_equals_one_prompt_reference(k, seed):
     tokens, logprobs, entropies = sample_prompts(
         p, prompts, n, temperature, draws, cut, collect_entropy=True
     )
-    groups = buffer_responses(tokens, logprobs, cut, n)
+    groups = buffer_responses(tokens, logprobs, [len(m) for m in cut], n)
     ref_rngs = streams()
     one_rngs = streams()
     want_entropies = []
@@ -510,7 +510,7 @@ def test_sample_group_rows_are_a_read_only_view_of_the_call_buffers():
     draws = draw_uniforms([np.random.default_rng(4)], [len(masks)], 6)
     tokens, logprobs, _ = sample_prompts(p, [prompt], 6, 0.9, draws, [masks])
     # What one call returned as a list: a SampledResponse per buffer row.
-    (want,) = buffer_responses(tokens, logprobs, [masks], 6)
+    (want,) = buffer_responses(tokens, logprobs, [len(masks)], 6)
     rows, _ = sample_group(p, prompt, 6, 0.9, np.random.default_rng(4), masks)
     assert len(rows) == len(want) == 6
     assert all(type(r) is SampledResponse for r in rows)
@@ -545,7 +545,7 @@ def test_one_row_groups_equal_their_rows_in_a_batched_call(seed):
     tokens, logprobs, entropies = sample_prompts(
         p, prompts, 1, 0.9, draws, cut, collect_entropy=True
     )
-    groups = buffer_responses(tokens, logprobs, cut, 1)
+    groups = buffer_responses(tokens, logprobs, [len(m) for m in cut], 1)
     want_entropies = []
     for g in range(3):
         rng = np.random.default_rng([seed, g])
@@ -566,7 +566,7 @@ def test_batched_sampler_cases_are_exercised():
         draws = draw_uniforms(rngs, [len(m) for m in masks], 4)
         prompts = [pr for pr, _ in BATCH_PROMPTS]
         tokens, logprobs, _ = sample_prompts(p, prompts, 4, 0.9, draws, masks)
-        groups = buffer_responses(tokens, logprobs, masks, 4)
+        groups = buffer_responses(tokens, logprobs, [len(m) for m in masks], 4)
         for (_, grammar), group in zip(BATCH_PROMPTS, groups):
             assert [len(r) for r in group] == [min(len(grammar), 6)] * 4
             if grammar is FREE and any(VOCAB.eos in r.tokens[:-1] for r in group):
@@ -610,8 +610,8 @@ def test_one_token_positions_run_no_forward(monkeypatch):
     calls.clear()
     cfg = TrainConfig()
     batch = rollout_batch(p, cfg, 1)
-    assert max(len(g) for g in batch.grammars) == 3
-    assert sum(len(g) == 2 for g in batch.grammars) == 6
+    lengths = batch.lengths[:: cfg.group_size].tolist()
+    assert max(lengths) == 3 and lengths.count(2) == 6
     assert calls == [cfg.groups_per_step, 10 * cfg.group_size]
 
 
@@ -625,7 +625,7 @@ def test_sample_groups_contracts():
     with pytest.raises(ContractViolation):
         sample_prompts(p, [[1], [2]], 2, 1.0, draw_uniforms([rng] * 2, [2, 2], 2), [full_grammar(2)])
     # collect_entropy is keyword-only.
-    setup = lockstep_setup(VOCAB, p.window, [[1]], 2, 1.0, [full_grammar(4)])
+    setup = lockstep_setup(VOCAB, p.window, [[1]], 2, [full_grammar(4)])
     with pytest.raises(TypeError):
         sample_groups(p, setup, draw_uniforms([rng], [4], 2), 1.0, True)
     with pytest.raises(ContractViolation):
@@ -643,7 +643,7 @@ def test_sample_groups_contracts():
     assert tokens.shape == (8, p.window + 3)
     # A set-up made for another window or vocabulary is rejected.
     for vocab, window in ((VOCAB, p.window - 1), (Vocab(VOCAB.n_content + 1), p.window)):
-        setup = lockstep_setup(vocab, window, [[1], [2]], 4, 1.0, masks)
+        setup = lockstep_setup(vocab, window, [[1], [2]], 4, masks)
         with pytest.raises(ContractViolation, match="another vocabulary or window"):
             sample_groups(p, setup, block, 1.0)
 
@@ -675,7 +675,7 @@ def test_sampling_below_min_temperature_raises(temperature):
     draws = draw_uniforms([rng], [len(grammar)], 8)
     with pytest.raises(ContractViolation):
         sample_prompts(p, [prompt.tokens], 8, temperature, draws, [grammar])
-    setup = lockstep_setup(VOCAB, p.window, [prompt.tokens], 8, 1.0, [grammar])
+    setup = lockstep_setup(VOCAB, p.window, [prompt.tokens], 8, [grammar])
     with pytest.raises(ContractViolation, match="temperature must be at least 0.001"):
         sample_groups(p, setup, draws, temperature)
 
@@ -711,7 +711,7 @@ def test_sampling_rejects_prompt_ids_out_of_range(bad, max_len):
     assert tokens.shape == (4, p.window + max_len) and logprobs.shape == (4, max_len)
 
 
-@pytest.mark.parametrize("bad", ["prompt id", "mask id", "empty mask"])
+@pytest.mark.parametrize("bad", ["prompt id", "mask id", "empty mask", "temperature"])
 def test_rejected_sampling_call_leaves_every_generator_untouched(bad):
     # sample_group draws its uniforms up front, so the draw must come after
     # every check; sample_groups is handed a block, which a rejected call
@@ -719,21 +719,25 @@ def test_rejected_sampling_call_leaves_every_generator_untouched(bad):
     p = tiny_params()
     prompts = [[1, VOCAB.sep], [2, VOCAB.sep], [3, VOCAB.sep]]
     masks = [full_grammar(3), full_grammar(2), full_grammar(3)]
+    temperature = 1.0
     if bad == "prompt id":
         prompts[-1] = [2, VOCAB.size]
     elif bad == "mask id":
         masks[-1] = ((0, 1), (0, VOCAB.size), (VOCAB.eos,))
-    else:
+    elif bad == "empty mask":
         masks[-1] = ((0, 1), (), (VOCAB.eos,))
+    else:
+        # lockstep_setup does not read the temperature; both samplers check it.
+        temperature = policy.MIN_TEMPERATURE / 2
     draws = draw_uniforms([np.random.default_rng([9, g]) for g in range(3)], [3, 2, 3], 4)
     block = draws.tobytes()
     with pytest.raises(ContractViolation):
-        sample_prompts(p, prompts, 4, 1.0, draws, masks)
+        sample_prompts(p, prompts, 4, temperature, draws, masks)
     assert draws.tobytes() == block
     rngs = [np.random.default_rng([9, g]) for g in range(3)]
     before = [rng.bit_generator.state for rng in rngs]
     with pytest.raises(ContractViolation):
-        sample_group(p, prompts[-1], 4, 1.0, rngs[-1], masks[-1])
+        sample_group(p, prompts[-1], 4, temperature, rngs[-1], masks[-1])
     assert [rng.bit_generator.state for rng in rngs] == before
 
 
@@ -858,7 +862,7 @@ def test_sample_groups_equals_reference_sampler(case):
     tokens, logprobs, entropies = sample_prompts(
         p, prompts, n, case["temperature"], draws, cut, collect_entropy=True
     )
-    groups = buffer_responses(tokens, logprobs, cut, n)
+    groups = buffer_responses(tokens, logprobs, [len(m) for m in cut], n)
     ref_rngs = streams()
     want_entropies = []
     for g in range(k):

@@ -20,7 +20,7 @@ from etrlab.config import METHODS, ConfigError, TrainConfig, parse_suite, valida
 from etrlab.groups import as_rollout_batch
 from etrlab.metrics import _fmt, load_checkpoint, suite_labels, write_metrics_csv
 from etrlab.policy import MIN_TEMPERATURE, PolicyParams, Vocab, init_params
-from etrlab.policy import draw_uniforms
+from etrlab.policy import draw_uniforms, grammar_table
 from etrlab.tasks import (
     FAMILIES,
     TaskSpec,
@@ -41,7 +41,6 @@ from etrlab.trainer import (
     adamw_update,
     clip_grad_norm,
     compare_runs,
-    draw_step,
     evaluate,
     gradient_check,
     gradient_check_suite,
@@ -370,7 +369,7 @@ def test_empty_batch_cannot_be_built():
     with pytest.raises(ContractViolation):
         as_rollout_batch([], VOCAB, cfg.context_window)
     with pytest.raises(ContractViolation):
-        dataclasses.replace(batch, prompts=(), grammars=())
+        dataclasses.replace(batch, prompts=())
 
 
 def always_correct_parity_params():
@@ -1056,13 +1055,13 @@ def test_runs_with_and_without_the_draw_producer_give_the_same_bytes(tmp_path, m
     cfg = dataclasses.replace(TrainConfig(), steps=40, eval_every=10)
     children = ChildCounter(monkeypatch)
     parent = os.getpid()
-    real_draw_step = trainer_mod.draw_step
+    real_step_setup = trainer_mod.step_setup
     inline_steps = []
 
     def drawn_inline(cfg, vocab, step):
         if os.getpid() == parent:
             inline_steps.append(step)
-        return real_draw_step(cfg, vocab, step)
+        return real_step_setup(cfg, vocab, step)
 
     def producer_dies_after_step_17(cfg, vocab, step):
         if os.getpid() != parent and step == 18:
@@ -1088,7 +1087,7 @@ def test_runs_with_and_without_the_draw_producer_give_the_same_bytes(tmp_path, m
         return {f: (tmp_path / name / f).read_bytes() for f in ("metrics.csv", "final.ckpt")}
 
     # The training process makes step 1's set-up while the producer starts.
-    produced = artifacts("produced", lambda m: m.setattr(trainer_mod, "draw_step", drawn_inline))
+    produced = artifacts("produced", lambda m: m.setattr(trainer_mod, "step_setup", drawn_inline))
     assert inline_steps == [1]
     assert (children.producers, children.producers_alive, children.forks) == (1, set(), 3)
     assert artifacts("no-fork", lambda m: m.delattr(os, "fork")) == produced
@@ -1101,7 +1100,7 @@ def test_runs_with_and_without_the_draw_producer_give_the_same_bytes(tmp_path, m
     inline_steps.clear()
     died = artifacts(
         "producer-dies",
-        lambda m: m.setattr(trainer_mod, "draw_step", producer_dies_after_step_17),
+        lambda m: m.setattr(trainer_mod, "step_setup", producer_dies_after_step_17),
     )
     assert died == produced
     assert inline_steps == [1, *range(18, 41)]
@@ -1117,11 +1116,11 @@ def comparable(value):
     return value
 
 
-def test_draw_step_reads_each_stream_as_the_sampler_did():
-    # Over 40 default steps: the prompts, grammars and uniforms draw_step
+def test_step_setup_reads_each_stream_as_the_sampler_did():
+    # Over 40 default steps: the prompts, uniforms and lockstep step_setup
     # gives, the producer sends and rollout_batch samples with are those a
-    # sample_groups call on the step's fresh streams reads, and the rest of
-    # the set-up the producer sends is step_setup's, byte for byte.
+    # sample_groups call on the step's fresh streams reads, and the
+    # producer's frame is step_setup's, byte for byte.
     cfg = dataclasses.replace(TrainConfig(), steps=40)
     vocab = Vocab(cfg.content_tokens)
     params = initial_params(cfg)
@@ -1130,14 +1129,18 @@ def test_draw_step_reads_each_stream_as_the_sampler_did():
     assert producer is not None
     try:
         for step in range(1, cfg.steps + 1):
-            prompts, grammars, uniforms = draw_step(cfg, vocab, step)
+            inline = step_setup(cfg, vocab, step)
+            prompts, uniforms = inline.prompts, inline.uniforms
             rngs = [
                 np.random.default_rng(np.random.SeedSequence((cfg.seed, step, g)))
                 for g in range(cfg.groups_per_step)
             ]
             want_prompts = [generate_prompt(sample_task(cfg.suite, rng), vocab, rng) for rng in rngs]
-            want_grammars = [response_grammar(p, vocab) for p in want_prompts]
-            assert prompts == want_prompts and grammars == want_grammars
+            grammars = [response_grammar(p, vocab) for p in want_prompts]
+            assert prompts == want_prompts
+            assert inline.lockstep.table is grammar_table(
+                vocab.size, tuple(grammars), max(map(len, grammars))
+            )
             streams = [rng.bit_generator.state for rng in rngs]
             horizon = max(len(m) for m in grammars)
             want = np.stack(
@@ -1149,9 +1152,6 @@ def test_draw_step_reads_each_stream_as_the_sampler_did():
             assert uniforms.shape == (cfg.groups_per_step, horizon, n)
             assert uniforms.tobytes() == want.tobytes()
             sent = trainer_mod._receive(producer[1])
-            assert sent.prompts == prompts and sent.grammars == grammars
-            assert sent.uniforms.tobytes() == uniforms.tobytes()
-            inline = step_setup(cfg, vocab, step)
             assert comparable(sent) == comparable(inline)
             for rng, state in zip(rngs, streams):
                 rng.bit_generator.state = state
@@ -1183,7 +1183,6 @@ def test_receive_reads_a_frame_cut_short_as_none():
     cfg = TrainConfig()
     vocab = Vocab(cfg.content_tokens)
     setup = step_setup(cfg, vocab, 1)
-    prompts, grammars, uniforms = draw_step(cfg, vocab, 1)
     one_step = dataclasses.replace(cfg, steps=1)
     child = trainer_mod._fork(partial(trainer_mod._produce, one_step, vocab, 1))
     assert child is not None
@@ -1200,8 +1199,6 @@ def test_receive_reads_a_frame_cut_short_as_none():
             return trainer_mod._receive(pipe)
 
     got = received(frame)
-    assert got.prompts == prompts and got.grammars == grammars
-    assert got.uniforms.shape == uniforms.shape and got.uniforms.tobytes() == uniforms.tobytes()
     assert comparable(got) == comparable(setup)
     for cut in (0, 5, 8, 9, len(frame) // 2, len(frame) - 1):
         assert received(frame[:cut]) is None
